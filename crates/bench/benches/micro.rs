@@ -459,7 +459,7 @@ fn bench_parallel(c: &mut Criterion) {
             let counters = WorkCounters::new();
             let out = scan_bytes(&data, &opts, &spec, None, &counters).unwrap();
             let pos = filter_positions(&out.columns, rows, &filter).unwrap();
-            nodb_exec::project_rows(&out.columns, &pos, &exprs).unwrap()
+            nodb_exec::project_columns(&out.columns, &pos, &exprs).unwrap()
         })
     });
     g.bench_function("cold_projection/parallel", |b| {

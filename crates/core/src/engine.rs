@@ -39,8 +39,8 @@ use crate::config::{EngineConfig, KernelStrategy, LoadingStrategy};
 use crate::plan_cache::{normalize_sql, PlanCache, PlanDeps};
 use crate::policy::{materialize, Materialized};
 use crate::result_cache::{
-    family_fingerprint, plan_fingerprint, rows_bytes, subsumable_constraint, RangeConstraint,
-    ResultCache,
+    cols_bytes, family_fingerprint, plan_fingerprint, rows_bytes, subsumable_constraint,
+    CachedResult, RangeConstraint, ResultCache,
 };
 use crate::session::{output_schema, unique_identifiers, QueryStream, Session, StreamBody};
 
@@ -807,15 +807,18 @@ impl Engine {
         }
         let epoch_of = |t: &str| deps.iter().find(|(n, _)| n == t).map(|(_, e)| *e);
 
-        if let Some(rows) = self
+        if let Some(hit) = self
             .result_cache
             .get_exact(&plan_fingerprint(plan), epoch_of)
         {
             self.counters.add_result_cache_hit();
             profile::note_cache(CacheOutcome::Hit);
-            let body = StreamBody::Rows {
-                rows: rows.as_ref().clone(),
-                cursor: 0,
+            let body = match hit {
+                CachedResult::Rows(rows) => StreamBody::Rows {
+                    rows: rows.as_ref().clone(),
+                    cursor: 0,
+                },
+                CachedResult::Columns(columns) => StreamBody::dense(&columns),
             };
             return Ok(CacheLookup::Served(Box::new(
                 self.stream_of(plan, batch_size, body, started, before),
@@ -854,13 +857,15 @@ impl Engine {
         Ok(CacheLookup::Miss(deps))
     }
 
-    /// Install a freshly computed result into the result cache: the final
-    /// rows under the exact plan fingerprint, and — for subsumable shapes
-    /// whose referenced columns ended up fully loaded — the plan family's
+    /// Install a freshly computed result into the result cache under the
+    /// exact plan fingerprint, and — for subsumable shapes whose
+    /// referenced columns ended up fully loaded — the plan family's
     /// qualifying rows (in scan order, with the σ range they satisfy) for
-    /// future contained-range queries. Lazy cursors are drained into rows
-    /// first unless even a lower-bound size estimate already exceeds the
-    /// byte budget, in which case they stream through untouched.
+    /// future contained-range queries. A scalar result is gathered into
+    /// dense typed output columns that the cache entry, the returned
+    /// stream body and every later hit share; it streams through
+    /// untouched when even a lower-bound size estimate exceeds the byte
+    /// budget or the query's memory budget refuses the gather.
     fn result_cache_capture(
         &self,
         plan: &Plan,
@@ -873,38 +878,54 @@ impl Engine {
         if let Some(constraint) = subsumable_constraint(plan) {
             evicted += self.capture_family(plan, constraint, &deps, now)?;
         }
-        let cache_rows = |rows: Vec<Vec<Value>>, evicted: &mut u64| -> StreamBody {
-            if rows_bytes(&rows) <= self.result_cache.budget_bytes() {
-                // Capturing doubles the result's footprint (cache copy +
-                // streamed copy) — meter it before committing.
-                if resource::charge_current(rows_bytes(&rows)).is_err() {
-                    return StreamBody::Rows { rows, cursor: 0 };
-                }
-                let shared = Arc::new(rows);
-                *evicted += self.result_cache.insert_exact(
-                    plan_fingerprint(plan),
-                    Arc::clone(&shared),
-                    deps.clone(),
-                );
-                StreamBody::Rows {
-                    rows: shared.as_ref().clone(),
-                    cursor: 0,
-                }
-            } else {
-                StreamBody::Rows { rows, cursor: 0 }
-            }
-        };
+        let budget = self.result_cache.budget_bytes();
         let body = match body {
-            StreamBody::Rows { rows, .. } => cache_rows(rows, &mut evicted),
-            StreamBody::Cursor(mut c) => {
+            StreamBody::Rows { rows, .. } => {
+                // Computed rows are cloned into the cache (cache copy +
+                // streamed copy) — meter the doubling before committing.
+                let bytes = rows_bytes(&rows);
+                if bytes <= budget && resource::charge_current(bytes).is_ok() {
+                    let shared = Arc::new(rows);
+                    evicted += self.result_cache.insert_exact(
+                        plan_fingerprint(plan),
+                        CachedResult::Rows(Arc::clone(&shared)),
+                        deps,
+                    );
+                    StreamBody::Rows {
+                        rows: shared.as_ref().clone(),
+                        cursor: 0,
+                    }
+                } else {
+                    StreamBody::Rows { rows, cursor: 0 }
+                }
+            }
+            StreamBody::Cursor(c) => {
+                // Every cell takes at least its 8 value bytes.
                 let floor = c
                     .remaining()
                     .saturating_mul(plan.output.len().max(1))
-                    .saturating_mul(std::mem::size_of::<Value>());
-                if floor <= self.result_cache.budget_bytes() {
-                    cache_rows(c.drain_all()?, &mut evicted)
-                } else {
+                    .saturating_mul(std::mem::size_of::<i64>());
+                if floor > budget {
                     StreamBody::Cursor(c)
+                } else {
+                    let columns: Vec<Arc<ColumnData>> =
+                        c.gather_remaining()?.into_iter().map(Arc::new).collect();
+                    let bytes = cols_bytes(&columns);
+                    if resource::charge_current(bytes).is_err() {
+                        StreamBody::Cursor(c)
+                    } else {
+                        // The stream pages the gathered columns either
+                        // way; the cache shares them when they fit.
+                        let body = StreamBody::dense(&columns);
+                        if bytes <= budget {
+                            evicted += self.result_cache.insert_exact(
+                                plan_fingerprint(plan),
+                                CachedResult::Columns(columns),
+                                deps,
+                            );
+                        }
+                        body
+                    }
                 }
             }
         };
@@ -1089,8 +1110,8 @@ impl Engine {
     /// Single-table half of [`Engine::try_morsel_cold_pipeline`]: plain
     /// aggregates and GROUP BY build per-worker partial states that merge
     /// after the scan; scalar projections run the per-worker projection
-    /// emitters of [`cold_project_morsel`] and stitch their output in
-    /// morsel order, so the result is byte-identical to the serial
+    /// emitters of [`cold_project_morsel`] and append their typed column
+    /// chunks in morsel order, so the result is identical to the serial
     /// load-then-filter-then-project path (under ORDER BY or LIMIT/OFFSET
     /// the emitters produce positions only, and projection runs lazily
     /// over the windowed positions, as in the serial path).
@@ -1139,7 +1160,7 @@ impl Engine {
         // caller collects the whole result anyway (batch_size == MAX,
         // i.e. `Engine::sql`). A streaming caller gets the lazy cursor —
         // materialising every row up front would defeat the stream.
-        let emit_rows = batch_size == usize::MAX
+        let emit_columns = batch_size == usize::MAX
             && plan.order_by.is_empty()
             && plan.limit.is_none()
             && plan.offset.is_none();
@@ -1158,7 +1179,7 @@ impl Engine {
                     &scan_cols,
                     morsel,
                     residual,
-                    emit_rows.then_some(exprs.as_slice()),
+                    emit_columns.then_some(exprs.as_slice()),
                 )?));
             }
             let mcols = OrdinalCols::new(&scan_cols, &morsel.columns);
@@ -1207,10 +1228,11 @@ impl Engine {
                     _ => unreachable!("scalar sink"),
                 })
                 .collect();
-            let (mut positions, rows) = stitch_cold_projection(projects);
-            if emit_rows {
-                // The stitched rows *are* the result.
-                return Ok(Some(StreamBody::Rows { rows, cursor: 0 }));
+            let (mut positions, columns) = stitch_cold_projection(projects)?;
+            if !columns.is_empty() {
+                // The stitched chunks *are* the result's output columns.
+                let columns: Vec<Arc<ColumnData>> = columns.into_iter().map(Arc::new).collect();
+                return Ok(Some(StreamBody::dense(&columns)));
             }
             // ORDER BY / LIMIT / OFFSET: sort and window the positions
             // over the just-assembled columns, then the same lazy
@@ -2269,6 +2291,19 @@ mod tests {
         assert!(text.contains("morsels="), "{text}");
         assert!(text.contains(&format!("rows={}", 50_000)), "{text}");
         assert!(text.contains(&format!("bytes={}", data.len())), "{text}");
+
+        // A drained projection shows where its drain went: the kernel
+        // that built the selection vector, then the collect that built
+        // the rows from it (after the kernel's phase guard was left).
+        let text = e
+            .explain_analyze("select a1, a2 from r where a1 < 1000")
+            .unwrap();
+        assert!(text.contains("-- analyze: rows=1000 "), "{text}");
+        let kernel = text
+            .lines()
+            .find(|l| l.starts_with("-- phase warm_kernel"))
+            .unwrap_or_else(|| panic!("no warm_kernel phase in {text}"));
+        assert!(kernel.ends_with("(2 calls)"), "{text}");
 
         // Acceptance: disjoint phase self-times sum to within the wall
         // clock measured around the whole call.

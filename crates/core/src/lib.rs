@@ -49,7 +49,7 @@ pub use monitor::TableMonitor;
 pub use plan_cache::PlanCache;
 pub use policy::{materialize, Materialized};
 pub use result_cache::ResultCache;
-pub use session::{unique_identifiers, BoundStatement, Prepared, QueryStream, Session};
+pub use session::{unique_identifiers, BoundStatement, Prepared, QueryStream, ResultPage, Session};
 
 // The whole serving stack hands these out across threads: one shared
 // engine behind `Arc`, one session per connection, prepared statements

@@ -274,9 +274,13 @@ pub(crate) fn try_cracked_warm(
         (index, cols, iv)
     };
     // Crack outside the entry lock: only partition locks are held.
+    let partitioned_before = index.rows_partitioned();
     let Some((_, rowids)) = index.select_parallel(&iv, cfg.threads) else {
         return Ok(None); // non-int bounds; fall back to scans
     };
+    counters.add_crack_rows_touched(
+        index.rows_partitioned().saturating_sub(partitioned_before) + rowids.len() as u64,
+    );
     // Byte-accounting catch-up under a short re-lock. V2's monitor still
     // counts this query as a store hit — the fragment path this fast path
     // bypassed would have (the full-column policies count nothing on

@@ -7,9 +7,11 @@
 //! byte-budget LRU, and serves two kinds of reuse:
 //!
 //! * **Exact repeats** — a query whose fully bound [`Plan`] fingerprints
-//!   identically to a cached one returns the cached final rows verbatim.
-//!   Every shape qualifies (aggregates and GROUP BY cache their final
-//!   merged rows; joins cache the post-join output).
+//!   identically to a cached one returns the cached final result
+//!   verbatim. Every shape qualifies: a scalar projection caches its
+//!   gathered typed output columns, which the capturing stream and every
+//!   later hit share by `Arc` (no copy on capture, none per hit);
+//!   aggregates and GROUP BY cache their handful of final merged rows.
 //! * **Subsumption** — a single-table scalar SELECT whose σ range on one
 //!   column is *contained* in a cached entry's recorded [`Interval`] is
 //!   answered by re-filtering the cached qualifying rows, the same way
@@ -89,11 +91,32 @@ pub fn subsumable_constraint(plan: &Plan) -> Option<RangeConstraint> {
     }
 }
 
-/// One cached payload: either the final output rows of a plan, or the
-/// plan family's qualifying input rows awaiting a re-filter.
-enum Payload {
-    /// Final output rows of an exact plan fingerprint.
+/// The final result of an exact plan fingerprint, in the shape its
+/// stream serves it from.
+#[derive(Debug, Clone)]
+pub enum CachedResult {
+    /// Computed rows of an aggregate or grouped query.
     Rows(Arc<Vec<Vec<Value>>>),
+    /// Dense typed output columns of a scalar query, one per output
+    /// expression.
+    Columns(Vec<Arc<ColumnData>>),
+}
+
+impl CachedResult {
+    /// Estimated heap footprint, charged against the cache's byte budget.
+    pub fn bytes(&self) -> usize {
+        match self {
+            CachedResult::Rows(rows) => rows_bytes(rows),
+            CachedResult::Columns(cols) => cols_bytes(cols),
+        }
+    }
+}
+
+/// One cached payload: either the final result of a plan, or the plan
+/// family's qualifying input rows awaiting a re-filter.
+enum Payload {
+    /// Final result of an exact plan fingerprint.
+    Exact(CachedResult),
     /// Scan-order qualifying rows of a plan family, as dense columns
     /// keyed by the plan's combined ordinals, plus the σ range they
     /// satisfy. A narrower query re-filters these instead of rescanning.
@@ -130,7 +153,7 @@ pub struct ResultCache {
 }
 
 /// Estimated heap bytes of materialised result rows.
-pub fn rows_bytes(rows: &[Vec<Value>]) -> usize {
+pub(crate) fn rows_bytes(rows: &[Vec<Value>]) -> usize {
     rows.iter()
         .map(|r| {
             std::mem::size_of::<Vec<Value>>()
@@ -147,9 +170,9 @@ pub fn rows_bytes(rows: &[Vec<Value>]) -> usize {
         .sum()
 }
 
-/// Estimated heap bytes of a dense column map.
-pub fn cols_bytes(cols: &BTreeMap<usize, Arc<ColumnData>>) -> usize {
-    cols.values().map(|c| c.approx_bytes()).sum()
+/// Estimated heap bytes of a set of dense columns.
+pub(crate) fn cols_bytes<'a>(cols: impl IntoIterator<Item = &'a Arc<ColumnData>>) -> usize {
+    cols.into_iter().map(|c| c.approx_bytes()).sum()
 }
 
 impl ResultCache {
@@ -220,17 +243,17 @@ impl ResultCache {
         }
     }
 
-    /// Look up the final rows of an exact plan fingerprint. Returned only
-    /// when `current_epoch` confirms every dependency is unchanged; stale
-    /// entries are dropped. The epoch callback runs file-fingerprint
-    /// checks, so it is invoked outside the cache mutex.
+    /// Look up the final result of an exact plan fingerprint. Returned
+    /// only when `current_epoch` confirms every dependency is unchanged;
+    /// stale entries are dropped. The epoch callback runs
+    /// file-fingerprint checks, so it is invoked outside the cache mutex.
     pub fn get_exact(
         &self,
         key: &str,
         current_epoch: impl FnMut(&str) -> Option<u64>,
-    ) -> Option<Arc<Vec<Vec<Value>>>> {
+    ) -> Option<CachedResult> {
         match self.get_validated(key, current_epoch)? {
-            Payload::Rows(rows) => Some(rows),
+            Payload::Exact(result) => Some(result),
             Payload::Filtered { .. } => None,
         }
     }
@@ -281,7 +304,7 @@ impl ResultCache {
             let entry = inner.map.get_mut(key)?;
             entry.last_used = tick;
             let payload = match &entry.payload {
-                Payload::Rows(rows) => Payload::Rows(Arc::clone(rows)),
+                Payload::Exact(result) => Payload::Exact(result.clone()),
                 Payload::Filtered {
                     cols,
                     n_rows,
@@ -308,12 +331,12 @@ impl ResultCache {
         }
     }
 
-    /// Cache the final rows of an exact plan fingerprint. Returns the
+    /// Cache the final result of an exact plan fingerprint. Returns the
     /// number of entries evicted to make room (0 when the payload alone
     /// exceeds the budget and is not cached at all).
-    pub fn insert_exact(&self, key: String, rows: Arc<Vec<Vec<Value>>>, deps: PlanDeps) -> u64 {
-        let bytes = rows_bytes(&rows);
-        self.insert(key, Payload::Rows(rows), deps, bytes)
+    pub fn insert_exact(&self, key: String, result: CachedResult, deps: PlanDeps) -> u64 {
+        let bytes = result.bytes();
+        self.insert(key, Payload::Exact(result), deps, bytes)
     }
 
     /// Cache a plan family's qualifying rows with the σ range they
@@ -326,7 +349,7 @@ impl ResultCache {
         constraint: RangeConstraint,
         deps: PlanDeps,
     ) -> u64 {
-        let bytes = cols_bytes(&cols);
+        let bytes = cols_bytes(cols.values());
         self.insert(
             family_key,
             Payload::Filtered {
@@ -384,8 +407,10 @@ mod tests {
     use super::*;
     use nodb_types::{Bound, DataType};
 
-    fn rows(n: usize) -> Arc<Vec<Vec<Value>>> {
-        Arc::new((0..n).map(|i| vec![Value::Int(i as i64)]).collect())
+    fn rows(n: usize) -> CachedResult {
+        CachedResult::Rows(Arc::new(
+            (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
+        ))
     }
 
     fn deps_t(epoch: u64) -> PlanDeps {
@@ -432,7 +457,7 @@ mod tests {
     #[test]
     fn eviction_keeps_bytes_under_budget() {
         // Each 100-int-row payload is ~3.2 KiB; a 8 KiB budget holds two.
-        let one = rows_bytes(&rows(100));
+        let one = rows(100).bytes();
         let c = ResultCache::new(one * 2 + one / 2, 16);
         assert_eq!(c.insert_exact("a".into(), rows(100), deps_t(1)), 0);
         assert_eq!(c.insert_exact("b".into(), rows(100), deps_t(1)), 0);
@@ -443,6 +468,20 @@ mod tests {
         assert!(c.get_exact("b", |_| Some(1)).is_none(), "b evicted");
         assert!(c.get_exact("a", |_| Some(1)).is_some());
         assert!(c.get_exact("c", |_| Some(1)).is_some());
+    }
+
+    #[test]
+    fn column_payloads_are_sized_by_column_bytes_and_shared_on_hit() {
+        let col = Arc::new(ColumnData::from_i64((0..100).collect()));
+        let payload = CachedResult::Columns(vec![Arc::clone(&col)]);
+        assert_eq!(payload.bytes(), col.approx_bytes());
+        let c = ResultCache::new(1 << 20, 16);
+        c.insert_exact("k".into(), payload, deps_t(1));
+        assert_eq!(c.bytes_used(), col.approx_bytes());
+        match c.get_exact("k", |_| Some(1)) {
+            Some(CachedResult::Columns(hit)) => assert!(Arc::ptr_eq(&hit[0], &col)),
+            other => panic!("expected the shared columns, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   substitutes `?` parameters per execution with zero further parse or
 //!   plan work;
 //! * [`Session::query`] / [`BoundStatement::stream`] return a
-//!   [`QueryStream`] of [`RowBatch`]es instead of one monolithic row
-//!   vector, so large results can be paged or abandoned early;
+//!   [`QueryStream`] that pages the result instead of one monolithic row
+//!   vector, so large results can be paged or abandoned early — as
+//!   borrowed typed columns ([`QueryStream::next_columns`], what the wire
+//!   server encodes from) or as [`RowBatch`]es built from them;
 //! * [`Session::sql`] is the one-shot path (it also accepts
 //!   `CREATE TABLE .. AS SELECT ..`), served through the engine plan
 //!   cache so even un-prepared repeats skip the SQL front end;
@@ -31,9 +33,10 @@ use parking_lot::Mutex;
 use nodb_exec::ProjectionCursor;
 use nodb_sql::Plan;
 use nodb_store::RowBatch;
+use nodb_types::profile::Phase;
 use nodb_types::{
-    CancelScope, CancelToken, ColumnData, CountersSnapshot, Error, Result, Schema, Value,
-    WorkCounters,
+    CancelScope, CancelToken, ColumnData, ColumnPage, CountersSnapshot, Error, MemoryGuard,
+    ProfileHandle, Result, Schema, Value, WorkCounters,
 };
 
 use crate::config::LoadingStrategy;
@@ -315,28 +318,78 @@ impl BoundStatement {
 
 /// What a query execution yields before projection finishes.
 pub(crate) enum StreamBody {
-    /// Fully computed rows (aggregates, grouped results): batching just
-    /// slices them.
+    /// Fully computed rows (aggregates, grouped results — a handful):
+    /// paging just slices them.
     Rows {
         /// The rows, consumed front to back.
         rows: Vec<Vec<Value>>,
         /// Next row to emit.
         cursor: usize,
     },
-    /// A lazy projection: rows are produced batch by batch from the
-    /// materialised columns.
+    /// A scalar result: a selection over typed columns, paged as
+    /// borrowed [`ColumnPage`]s and never transposed on the way.
     Cursor(ProjectionCursor<BTreeMap<usize, Arc<ColumnData>>>),
 }
 
-/// An executing query, consumed as a sequence of [`RowBatch`]es.
+impl StreamBody {
+    /// A scalar body over already-projected dense output `columns` (a
+    /// result-cache payload, the fused cold emitter's stitched chunks):
+    /// output `k` is column `k`, every row in order.
+    pub(crate) fn dense(columns: &[Arc<ColumnData>]) -> StreamBody {
+        let n_rows = columns.first().map_or(0, |c| c.len());
+        StreamBody::Cursor(ProjectionCursor::over_all(
+            columns.iter().cloned().enumerate().collect(),
+            n_rows,
+            (0..columns.len()).map(nodb_exec::Expr::Col).collect(),
+        ))
+    }
+
+    /// The next page of up to `batch` rows; `None` when exhausted.
+    fn next_page(&mut self, batch: usize) -> Result<Option<ResultPage<'_>>> {
+        match self {
+            StreamBody::Rows { rows, cursor } => {
+                let hi = cursor.saturating_add(batch).min(rows.len());
+                if *cursor >= hi {
+                    return Ok(None);
+                }
+                let page = rows[*cursor..hi].iter_mut().map(std::mem::take).collect();
+                *cursor = hi;
+                Ok(Some(ResultPage::Rows(page)))
+            }
+            StreamBody::Cursor(c) => Ok(c.next_page(batch)?.map(ResultPage::Columns)),
+        }
+    }
+}
+
+/// One page of a result, in the shape the stream holds it.
+#[derive(Debug)]
+pub enum ResultPage<'a> {
+    /// A scalar result's page: typed columns borrowed from the stream.
+    Columns(ColumnPage<'a>),
+    /// Computed rows of an aggregate or grouped result.
+    Rows(Vec<Vec<Value>>),
+}
+
+impl ResultPage<'_> {
+    /// The page as owned rows — the row-shaped view at the API edge.
+    pub fn into_rows(self) -> Vec<Vec<Value>> {
+        match self {
+            ResultPage::Columns(page) => page.to_rows(),
+            ResultPage::Rows(rows) => rows,
+        }
+    }
+}
+
+/// An executing query, consumed page by page.
 ///
 /// Obtained from [`Session::query`], [`Prepared::stream`] or
 /// [`BoundStatement::stream`]. Dropping the stream abandons the rest of
 /// the result with no further work. The stream is fed by the engine's
 /// morsel-driven parallel pipeline: aggregate bodies arrive pre-merged
-/// from per-worker partials, and scalar bodies project lazily from a
-/// selection vector built in parallel — batching never re-serialises the
-/// work that produced the rows.
+/// from per-worker partials, and scalar bodies stay a selection vector
+/// (built in parallel) over typed columns. [`QueryStream::next_columns`]
+/// hands out each page in that shape; [`QueryStream::next_batch`] and
+/// [`QueryStream::collect_output`] are the row view over it.
 pub struct QueryStream {
     columns: Vec<String>,
     schema: Schema,
@@ -347,9 +400,14 @@ pub struct QueryStream {
     counters: Arc<WorkCounters>,
     strategy: LoadingStrategy,
     /// Ambient profile sink captured at construction (None when
-    /// profiling is not armed), so [`QueryStream::stats`] can report the
-    /// phase breakdown even after the arming scope has been left.
-    profile: Option<nodb_types::ProfileHandle>,
+    /// profiling is not armed), so paging work done after the arming
+    /// scope has been left still lands in the query's profile and
+    /// [`QueryStream::stats`] can report it.
+    profile: Option<ProfileHandle>,
+    /// The query's memory reservation (None when unmetered): what the
+    /// stream pins — selection vector, gathered columns — stays
+    /// reserved until the stream is drained or dropped.
+    _reservation: Option<MemoryGuard>,
 }
 
 impl std::fmt::Debug for QueryStream {
@@ -359,6 +417,17 @@ impl std::fmt::Debug for QueryStream {
             .field("rows_remaining", &self.rows_remaining())
             .finish_non_exhaustive()
     }
+}
+
+/// Run `f`, folding its wall time into `profile` (if armed) as `phase`.
+fn timed<T>(profile: &Option<ProfileHandle>, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let Some(sink) = profile else {
+        return f();
+    };
+    let started = Instant::now();
+    let out = f();
+    sink.add_phase_ns(phase, started.elapsed().as_nanos() as u64);
+    out
 }
 
 impl QueryStream {
@@ -383,6 +452,7 @@ impl QueryStream {
             counters,
             strategy,
             profile: nodb_types::profile::current(),
+            _reservation: nodb_types::resource::current(),
         }
     }
 
@@ -404,28 +474,38 @@ impl QueryStream {
         }
     }
 
-    /// Produce the next batch, or `None` when the result is exhausted.
+    /// The profile sink this query was armed with, if any — where a
+    /// consumer that serialises pages itself (the wire server) reports
+    /// that time as [`Phase::WireSerialize`].
+    pub fn profile(&self) -> Option<&ProfileHandle> {
+        self.profile.as_ref()
+    }
+
+    /// The next page in the shape the stream holds it — typed columns
+    /// for a scalar result — or `None` when the result is exhausted.
+    /// Evaluating a page's literal/arithmetic outputs counts as
+    /// [`Phase::WarmKernel`] in the query's profile.
+    pub fn next_columns(&mut self) -> Result<Option<ResultPage<'_>>> {
+        let batch = self.batch_size;
+        let body = &mut self.body;
+        timed(&self.profile, Phase::WarmKernel, move || {
+            body.next_page(batch)
+        })
+    }
+
+    /// Produce the next batch of rows, or `None` when the result is
+    /// exhausted. Building the rows counts as [`Phase::WarmKernel`].
     pub fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let batch = self.batch_size;
-        match &mut self.body {
-            StreamBody::Rows { rows, cursor } => {
-                if *cursor >= rows.len() {
-                    return Ok(None);
-                }
-                let hi = (*cursor + batch).min(rows.len());
-                let out: Vec<Vec<Value>> =
-                    rows[*cursor..hi].iter_mut().map(std::mem::take).collect();
-                *cursor = hi;
-                Ok(Some(RowBatch {
-                    schema: self.schema.clone(),
-                    rows: out,
-                }))
-            }
-            StreamBody::Cursor(c) => Ok(c.next_rows(batch)?.map(|rows| RowBatch {
-                schema: self.schema.clone(),
-                rows,
-            })),
-        }
+        let body = &mut self.body;
+        let rows = timed(&self.profile, Phase::WarmKernel, move || {
+            body.next_page(batch)
+                .map(|page| page.map(ResultPage::into_rows))
+        })?;
+        Ok(rows.map(|rows| RowBatch {
+            schema: self.schema.clone(),
+            rows,
+        }))
     }
 
     /// Statistics accumulated so far (work deltas since the stream began).
@@ -442,17 +522,11 @@ impl QueryStream {
         }
     }
 
-    /// Drain every remaining batch into a [`QueryOutput`] (rows already
+    /// Drain every remaining row into a [`QueryOutput`] (rows already
     /// taken via [`QueryStream::next_batch`] are not replayed).
     pub fn collect_output(mut self) -> Result<QueryOutput> {
-        let mut rows = Vec::with_capacity(self.rows_remaining());
-        match &mut self.body {
-            StreamBody::Rows { rows: all, cursor } => {
-                rows.extend(all[*cursor..].iter_mut().map(std::mem::take));
-                *cursor = all.len();
-            }
-            StreamBody::Cursor(c) => rows = c.drain_all()?,
-        }
+        self.batch_size = usize::MAX;
+        let rows = self.next_batch()?.map(|b| b.rows).unwrap_or_default();
         Ok(QueryOutput {
             columns: self.columns.clone(),
             rows,

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use nodb_types::{Error, Result, Value};
+use nodb_types::{ColumnData, DataType, Error, Result, Value};
 
 use crate::cols::Cols;
 
@@ -90,6 +90,44 @@ impl Expr {
                 arith(*op, &l, &r)
             }
         }
+    }
+
+    /// The type every non-NULL result of this expression has over `cols`
+    /// ([`arith`]'s widening rule applied to the operand types), or `None`
+    /// when it can only ever yield NULL.
+    pub fn result_type<C: Cols + ?Sized>(&self, cols: &C) -> Result<Option<DataType>> {
+        Ok(match self {
+            Expr::Col(c) => Some(
+                cols.get_col(*c)
+                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?
+                    .data_type(),
+            ),
+            Expr::Lit(v) => v.data_type(),
+            Expr::Binary { left, right, .. } => {
+                match (left.result_type(cols)?, right.result_type(cols)?) {
+                    (Some(DataType::Int64), Some(DataType::Int64)) => Some(DataType::Int64),
+                    (Some(_), Some(_)) => Some(DataType::Float64),
+                    _ => None,
+                }
+            }
+        })
+    }
+
+    /// Evaluate at each of `positions` into one dense typed column — the
+    /// columnar form of a literal or arithmetic output. An always-NULL
+    /// expression reads as `Int64`, like everywhere else a type is
+    /// inferred from values.
+    pub fn eval_column<C: Cols + ?Sized>(
+        &self,
+        cols: &C,
+        positions: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<ColumnData> {
+        let ty = self.result_type(cols)?.unwrap_or(DataType::Int64);
+        let mut col = ColumnData::with_capacity(ty, positions.len());
+        for pos in positions {
+            col.push(self.eval(cols, pos)?)?;
+        }
+        Ok(col)
     }
 
     /// Evaluate against a full-width row (values indexed by ordinal) — the
@@ -211,6 +249,39 @@ mod tests {
             right: Box::new(Expr::Lit(Value::Int(10))),
         };
         assert_eq!(e.eval(&c, 2).unwrap(), Value::Int(30));
+    }
+
+    #[test]
+    fn eval_column_matches_eval_per_position() {
+        let mut c = cols();
+        c.insert(
+            1,
+            ColumnData::from_values(
+                DataType::Int64,
+                vec![Value::Null, Value::Int(5), Value::Null],
+            )
+            .unwrap(),
+        );
+        let positions = [2usize, 0, 1, 1];
+        for e in [
+            Expr::Lit(Value::Str("k".into())),
+            Expr::Lit(Value::Null),
+            Expr::Binary {
+                op: ArithOp::Mul,
+                left: Box::new(Expr::Col(1)),
+                right: Box::new(Expr::Col(2)),
+            },
+        ] {
+            let col = e.eval_column(&c, positions.iter().copied()).unwrap();
+            let want: Vec<Value> = positions.iter().map(|&p| e.eval(&c, p).unwrap()).collect();
+            assert_eq!(col.iter_values().collect::<Vec<_>>(), want, "{e}");
+        }
+        let div0 = Expr::Binary {
+            op: ArithOp::Div,
+            left: Box::new(Expr::Col(0)),
+            right: Box::new(Expr::Lit(Value::Int(0))),
+        };
+        assert!(div0.eval_column(&c, positions.iter().copied()).is_err());
     }
 
     #[test]

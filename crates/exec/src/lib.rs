@@ -49,7 +49,7 @@ pub use morsel::{
     parallel_hash_join_positions, stitch_cold_projection, ColdJoinTables, GroupPartial,
     OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
 };
-pub use stream::ProjectionCursor;
+pub use stream::{project_columns, ProjectionCursor};
 pub use volcano::{
     collect, AggregateOp, ColumnsScan, FilterOp, HashJoinOp, LimitOp, ProjectOp, RowOp,
 };

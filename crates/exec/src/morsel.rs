@@ -48,6 +48,7 @@ use crate::cols::Cols;
 use crate::columnar::{accumulate_into, filter_positions_range, AggSpec, GroupKey};
 use crate::expr::Expr;
 use crate::join::hash_join_positions;
+use crate::stream::project_columns;
 
 /// Default rows per morsel: big enough to amortise dispatch, small enough
 /// to balance skew and stay cache-resident.
@@ -569,15 +570,15 @@ pub fn parallel_hash_join_positions(
 
 /// Per-morsel output of the fused cold projection: the absolute positions
 /// of qualifying rows, plus — when projection emission was requested — the
-/// projected output rows themselves.
+/// projected output columns for exactly those rows.
 #[derive(Debug)]
 pub struct ProjectPartial {
     /// Absolute input positions of qualifying rows, ascending.
     pub positions: Vec<usize>,
-    /// Projected output rows aligned with `positions` (empty when the
-    /// caller asked for positions only, e.g. under ORDER BY where
-    /// projection must wait for the global sort).
-    pub rows: Vec<Vec<Value>>,
+    /// One dense typed chunk per output expression, aligned with
+    /// `positions` (empty when the caller asked for positions only, e.g.
+    /// under ORDER BY where projection must wait for the global sort).
+    pub columns: Vec<ColumnData>,
 }
 
 /// Fused cold projection over one tokenizer morsel: filter the batch with
@@ -589,8 +590,8 @@ pub struct ProjectPartial {
 /// local row `i` is absolute row `first_row + i` — the concatenation of
 /// per-morsel `positions` in morsel order is then exactly the serial
 /// [`filter_positions`](crate::columnar::filter_positions) output over the
-/// assembled columns, and the concatenated `rows` are exactly what a
-/// serial projection of those positions would produce.
+/// assembled columns, and the appended `columns` chunks are exactly what
+/// a serial [`project_columns`] of those positions would produce.
 pub fn cold_project_morsel(
     ids: &[usize],
     batch: &MorselBatch,
@@ -605,40 +606,38 @@ pub fn cold_project_morsel(
     } else {
         filter_positions_range(&cols, 0, n, conj)?
     };
-    let mut rows = Vec::new();
-    if let Some(exprs) = exprs {
-        rows.reserve(local.len());
-        for &i in &local {
-            let mut row = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                row.push(e.eval(&cols, i)?);
-            }
-            rows.push(row);
-        }
-    }
-    // Projection output grows with qualifying rows: charge the emitted rows
-    // and positions against the ambient budget, once per morsel.
-    let row_bytes = rows.first().map_or(0, |r| {
-        std::mem::size_of::<Vec<Value>>() + r.len() * std::mem::size_of::<Value>()
-    });
-    charge_current(local.len() * std::mem::size_of::<usize>() + rows.len() * row_bytes)?;
+    let columns = match exprs {
+        Some(exprs) => project_columns(&cols, &local, exprs)?,
+        None => Vec::new(),
+    };
+    // Projection output grows with qualifying rows: charge the emitted
+    // chunks and positions against the ambient budget, once per morsel.
+    let chunk_bytes: usize = columns.iter().map(ColumnData::approx_bytes).sum();
+    charge_current(local.len() * std::mem::size_of::<usize>() + chunk_bytes)?;
     let positions = local.into_iter().map(|i| batch.first_row + i).collect();
-    Ok(ProjectPartial { positions, rows })
+    Ok(ProjectPartial { positions, columns })
 }
 
 /// Stitch per-morsel projection partials (in morsel index order) into one
-/// position vector and one row vector — the deterministic merge that makes
-/// the fused cold projection byte-identical to the serial path.
-pub fn stitch_cold_projection(parts: Vec<ProjectPartial>) -> (Vec<usize>, Vec<Vec<Value>>) {
+/// position vector and one dense column per output expression — the
+/// deterministic merge that makes the fused cold projection identical to
+/// the serial path. The columns come back empty when no partial carried
+/// any (positions-only emission, or no morsels at all).
+pub fn stitch_cold_projection(parts: Vec<ProjectPartial>) -> Result<(Vec<usize>, Vec<ColumnData>)> {
     let n_pos = parts.iter().map(|p| p.positions.len()).sum();
-    let n_rows = parts.iter().map(|p| p.rows.len()).sum();
     let mut positions = Vec::with_capacity(n_pos);
-    let mut rows = Vec::with_capacity(n_rows);
+    let mut columns: Vec<ColumnData> = Vec::new();
     for mut p in parts {
         positions.append(&mut p.positions);
-        rows.append(&mut p.rows);
+        if columns.is_empty() {
+            columns = p.columns;
+        } else {
+            for (dst, src) in columns.iter_mut().zip(p.columns) {
+                dst.append(src)?;
+            }
+        }
     }
-    (positions, rows)
+    Ok((positions, columns))
 }
 
 /// Partition count for the morsel-fed cold join build — the same scheme as
@@ -811,15 +810,15 @@ mod tests {
         let exprs = vec![Expr::Col(1), Expr::Col(0)];
         let ids = vec![0usize, 1, 2];
         let serial_pos = filter_positions(&cols, n, &conj).unwrap();
-        let serial_rows = crate::columnar::project_rows(&cols, &serial_pos, &exprs).unwrap();
+        let serial_cols = project_columns(&cols, &serial_pos, &exprs).unwrap();
         for morsel_rows in [7, 250, 5000] {
             let parts: Vec<ProjectPartial> = slice_batches(&ids, &cols, n, morsel_rows)
                 .iter()
                 .map(|b| cold_project_morsel(&ids, b, &conj, Some(&exprs)).unwrap())
                 .collect();
-            let (positions, rows) = stitch_cold_projection(parts);
+            let (positions, columns) = stitch_cold_projection(parts).unwrap();
             assert_eq!(positions, serial_pos, "morsel_rows={morsel_rows}");
-            assert_eq!(rows, serial_rows, "morsel_rows={morsel_rows}");
+            assert_eq!(columns, serial_cols, "morsel_rows={morsel_rows}");
         }
     }
 

@@ -13,26 +13,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nodb_core::{
-    leading_keyword, result_column_types, unique_identifiers, QueryOutput, QueryStream, Session,
+    leading_keyword, result_column_types, unique_identifiers, QueryOutput, QueryStream, ResultPage,
+    Session,
 };
 use nodb_types::profile::{Phase, ProfileScope, ProfileSink};
 use nodb_types::{CancelToken, Error, ProfileHandle, Result, Value};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{ColumnDesc, Request, Response};
+use crate::protocol::{encode_batch_page, encode_batch_rows, ColumnDesc, Request, Response};
 use crate::server::Registry;
 
 /// An open server-side cursor: rows still owed to the client.
 enum Cursor {
     /// A streaming SELECT: pages come straight off the engine's
-    /// [`QueryStream`], so un-fetched rows are never materialised
-    /// beyond what execution already produced. Boxed: a stream is an
-    /// order of magnitude larger than the `Rows` variant.
+    /// [`QueryStream`] as typed columns and are encoded from them, so
+    /// un-fetched rows are never materialised beyond what execution
+    /// already produced. Boxed: a stream is an order of magnitude larger
+    /// than the `Rows` variant.
     Stream(Box<QueryStream>),
     /// A materialised result (`CREATE TABLE .. AS SELECT ..` returns its
     /// rows too); paged out of the buffer front to back.
     Rows {
-        /// Remaining rows, consumed from `next` onwards.
+        /// The result; rows from `next` onwards are still owed.
         rows: Vec<Vec<Value>>,
         /// Next row to emit.
         next: usize,
@@ -40,16 +42,34 @@ enum Cursor {
 }
 
 impl Cursor {
-    fn next_page(&mut self, batch_rows: usize) -> Result<Vec<Vec<Value>>> {
+    /// Append the `BATCH` payload of the next page (at most `batch_rows`
+    /// rows for a materialised result; a stream pages at its own batch
+    /// size) to `out`. On error `out` may hold a partial payload.
+    fn encode_next_page(&mut self, batch_rows: usize, out: &mut Vec<u8>) -> Result<()> {
+        let payload_at = out.len();
         match self {
-            Cursor::Stream(s) => Ok(s.next_batch()?.map(|b| b.rows).unwrap_or_default()),
+            Cursor::Stream(s) => {
+                let page = s.next_columns()?;
+                let started = Instant::now();
+                match page {
+                    Some(ResultPage::Columns(page)) => encode_batch_page(out, false, &page),
+                    Some(ResultPage::Rows(rows)) => encode_batch_rows(out, false, &rows),
+                    None => encode_batch_rows(out, false, &[]),
+                }
+                if let Some(sink) = s.profile() {
+                    sink.add_phase_ns(Phase::WireSerialize, started.elapsed().as_nanos() as u64);
+                }
+            }
             Cursor::Rows { rows, next } => {
                 let hi = (*next + batch_rows).min(rows.len());
-                let page = rows[*next..hi].iter_mut().map(std::mem::take).collect();
+                encode_batch_rows(out, false, &rows[*next..hi]);
                 *next = hi;
-                Ok(page)
             }
         }
+        // The `done` flag sits right after the opcode; it is known only
+        // once the page has been taken off the cursor.
+        out[payload_at + 1] = u8::from(self.exhausted());
+        Ok(())
     }
 
     fn exhausted(&self) -> bool {
@@ -123,8 +143,8 @@ impl ConnCtx {
 
 /// The profile of the `QUERY`/`EXECUTE` this connection just ran,
 /// held between execution and the end-of-request bookkeeping so the
-/// worker can fold response-encoding time (the `wire_serialize` phase)
-/// into it before the slow-query decision is made.
+/// response-encoding time (the `wire_serialize` phase) is folded into it
+/// before the slow-query decision is made.
 struct PendingProfile {
     sink: ProfileHandle,
     fingerprint: u64,
@@ -166,64 +186,78 @@ impl Conn {
         id
     }
 
-    /// Handle one request. `draining` is true once shutdown has begun:
-    /// requests that would start *new* work are refused with a typed
-    /// BUSY error, while FETCH/CANCEL/STATS/CLOSE/QUIT still run so
-    /// in-flight results can finish paging out.
-    pub(crate) fn handle(&mut self, req: Request, draining: bool) -> (Response, Flow) {
+    /// Handle one request, appending the response's frame payload to
+    /// `out`. `draining` is true once shutdown has begun: requests that
+    /// would start *new* work are refused with a typed BUSY error, while
+    /// FETCH/CANCEL/STATS/CLOSE/QUIT still run so in-flight results can
+    /// finish paging out.
+    pub(crate) fn handle(&mut self, req: Request, draining: bool, out: &mut Vec<u8>) -> Flow {
         if draining
             && matches!(
                 req,
                 Request::Query { .. } | Request::Prepare { .. } | Request::Execute { .. }
             )
         {
-            let e = Error::busy("server shutting down; no new queries");
-            return (Response::from_error(&e), Flow::Continue);
+            Response::from_error(&Error::busy("server shutting down; no new queries"))
+                .encode_into(out);
+            return Flow::Continue;
         }
-        match req {
-            Request::Hello { .. } => {
-                // A typed error, and the connection stays usable — the
-                // documented contract is that only a *failed handshake*
-                // kills the session.
-                let e = Error::protocol("HELLO after handshake");
-                (Response::from_error(&e), Flow::Continue)
-            }
-            Request::Query { sql } => (self.query(&sql).unwrap_or_else(into_err), Flow::Continue),
-            Request::Prepare { sql } => {
-                (self.prepare(&sql).unwrap_or_else(into_err), Flow::Continue)
-            }
-            Request::Execute { stmt, params } => (
-                self.execute(stmt, &params).unwrap_or_else(into_err),
-                Flow::Continue,
-            ),
+        let mut flow = Flow::Continue;
+        let resp = match req {
+            // A typed error, and the connection stays usable — the
+            // documented contract is that only a *failed handshake*
+            // kills the session.
+            Request::Hello { .. } => Err(Error::protocol("HELLO after handshake")),
+            Request::Query { sql } => self.query(&sql),
+            Request::Prepare { sql } => self.prepare(&sql),
+            Request::Execute { stmt, params } => self.execute(stmt, &params),
             Request::Fetch { cursor } => {
-                (self.fetch(cursor).unwrap_or_else(into_err), Flow::Continue)
+                // A page is encoded straight from the cursor's columns;
+                // there is no `Response` to build first.
+                let payload_at = out.len();
+                match self.fetch(cursor, out) {
+                    Ok(()) => return Flow::Continue,
+                    Err(e) => {
+                        out.truncate(payload_at);
+                        Err(e)
+                    }
+                }
             }
-            Request::Stats => (
-                Response::Stats {
-                    counters: Box::new(self.session.engine().counters().snapshot()),
-                    extras: self.ctx.metrics.stats_extras(),
-                },
-                Flow::Continue,
-            ),
+            Request::Stats => Ok(Response::Stats {
+                counters: Box::new(self.session.engine().counters().snapshot()),
+                extras: self.ctx.metrics.stats_extras(),
+            }),
             Request::Cancel { cursor } => {
                 // Idempotent: cancelling an unknown/finished cursor is OK.
                 self.cursors.remove(&cursor);
-                (Response::Ok, Flow::Continue)
+                Ok(Response::Ok)
             }
             Request::Close { stmt } => {
                 self.stmts.remove(&stmt);
-                (Response::Ok, Flow::Continue)
+                Ok(Response::Ok)
             }
-            Request::Quit => (Response::Ok, Flow::Close),
+            Request::Quit => {
+                flow = Flow::Close;
+                Ok(Response::Ok)
+            }
             Request::CancelQuery { session } => {
                 // OK whether or not a query was found running: the
                 // target may have finished a moment ago, and the caller
                 // cannot tell those races apart anyway.
                 self.ctx.registry.cancel(session);
-                (Response::Ok, Flow::Continue)
+                Ok(Response::Ok)
             }
+        };
+        let resp = resp.unwrap_or_else(|e| Response::from_error(&e));
+        // Serialization belongs to the profiled query this request ran
+        // (the `wire_serialize` phase); a no-op when nothing was profiled.
+        let started = Instant::now();
+        resp.encode_into(out);
+        if let Some(p) = &self.pending_profile {
+            p.sink
+                .add_phase_ns(Phase::WireSerialize, started.elapsed().as_nanos() as u64);
         }
+        flow
     }
 
     fn ensure_cursor_capacity(&self) -> Result<()> {
@@ -314,14 +348,6 @@ impl Conn {
         Ok(self.open_stream_cursor(stream))
     }
 
-    /// Fold response-encoding time into the profile of the query this
-    /// request ran, if any. Called by the worker after `encode`.
-    pub(crate) fn observe_encoded(&self, ns: u64) {
-        if let Some(p) = &self.pending_profile {
-            p.sink.add_phase_ns(Phase::WireSerialize, ns);
-        }
-    }
-
     /// End-of-request bookkeeping: if this request ran a profiled
     /// `QUERY`/`EXECUTE` and its total server-side latency crossed the
     /// slow-query threshold, emit one structured log line and count it.
@@ -391,30 +417,20 @@ impl Conn {
         Response::Cursor { id, columns }
     }
 
-    fn fetch(&mut self, cursor: u32) -> Result<Response> {
+    /// Append the `BATCH` payload of `cursor`'s next page to `out`.
+    fn fetch(&mut self, cursor: u32, out: &mut Vec<u8>) -> Result<()> {
         let cur = self
             .cursors
             .get_mut(&cursor)
             .ok_or_else(|| Error::exec(format!("no such cursor: {cursor}")))?;
-        let rows = match cur.next_page(self.batch_rows) {
-            Ok(rows) => rows,
-            Err(e) => {
-                // A cursor that errored can never be drained; drop it so
-                // it does not hold the connection open through shutdown.
-                self.cursors.remove(&cursor);
-                return Err(e);
-            }
-        };
-        let done = cur.exhausted();
-        if done {
+        let paged = cur.encode_next_page(self.batch_rows, out);
+        // A cursor that errored can never be drained; drop it so it does
+        // not hold the connection open through shutdown.
+        if paged.is_err() || cur.exhausted() {
             self.cursors.remove(&cursor);
         }
-        Ok(Response::Batch { done, rows })
+        paged
     }
-}
-
-fn into_err(e: Error) -> Response {
-    Response::from_error(&e)
 }
 
 /// FNV-1a over the SQL with ASCII case folded and whitespace runs

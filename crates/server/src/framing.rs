@@ -20,7 +20,12 @@ use nodb_types::{Error, Result};
 /// rather than silently skipping the oversized page.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Write one length-prefixed frame.
+/// Bytes of the length prefix in front of every frame payload.
+pub const FRAME_HEADER_BYTES: usize = 4;
+
+/// Write one length-prefixed frame. Header and payload leave in a single
+/// `write`: on a `TCP_NODELAY` socket two writes are two segments (and
+/// two syscalls), and the peer's reader sees a torn frame in between.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     nodb_types::failpoints::trip("wire.write_frame")?;
     if payload.len() as u64 > MAX_FRAME_BYTES as u64 {
@@ -30,8 +35,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
             MAX_FRAME_BYTES
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

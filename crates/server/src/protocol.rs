@@ -33,7 +33,7 @@
 //! (`f64`), `3` string (`str`). Data types: `0` int64, `1` float64,
 //! `2` str. Error codes are [`nodb_types::Error::wire_code`].
 
-use nodb_types::{CountersSnapshot, DataType, Error, Result, Value};
+use nodb_types::{ColumnPage, CountersSnapshot, DataType, Error, Result, Value, ValueRef};
 
 use crate::framing::{put_f64, put_i64, put_str, put_u16, put_u32, put_u64, put_u8, ByteReader};
 
@@ -175,20 +175,51 @@ pub enum Response {
     },
 }
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
+fn put_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
     match v {
-        Value::Null => put_u8(out, 0),
-        Value::Int(i) => {
+        ValueRef::Null => put_u8(out, 0),
+        ValueRef::Int(i) => {
             put_u8(out, 1);
-            put_i64(out, *i);
+            put_i64(out, i);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             put_u8(out, 2);
-            put_f64(out, *f);
+            put_f64(out, f);
         }
-        Value::Str(s) => {
+        ValueRef::Str(s) => {
             put_u8(out, 3);
             put_str(out, s);
+        }
+    }
+}
+
+fn put_batch_header(out: &mut Vec<u8>, done: bool, n_rows: usize, n_cols: usize) {
+    put_u8(out, 0x84);
+    put_u8(out, u8::from(done));
+    put_u32(out, n_rows as u32);
+    // A page without rows has no row to take a width from.
+    put_u16(out, if n_rows == 0 { 0 } else { n_cols as u16 });
+}
+
+/// Append the `BATCH` payload for a page of rows to `out`.
+pub(crate) fn encode_batch_rows(out: &mut Vec<u8>, done: bool, rows: &[Vec<Value>]) {
+    put_batch_header(out, done, rows.len(), rows.first().map_or(0, Vec::len));
+    for row in rows {
+        for v in row {
+            put_value(out, v.as_value_ref());
+        }
+    }
+}
+
+/// Append the `BATCH` payload for a columnar page to `out`: the same
+/// row-major bytes as [`Response::Batch`] over `page.to_rows()` encodes
+/// to, written straight from the typed columns — each text cell is
+/// copied once, column to frame.
+pub fn encode_batch_page(out: &mut Vec<u8>, done: bool, page: &ColumnPage<'_>) {
+    put_batch_header(out, done, page.n_rows(), page.n_cols());
+    for row in 0..page.n_rows() {
+        for col in 0..page.n_cols() {
+            put_value(out, page.cell(row, col));
         }
     }
 }
@@ -243,7 +274,7 @@ impl Request {
                 put_u32(&mut out, *stmt);
                 put_u16(&mut out, params.len() as u16);
                 for p in params {
-                    put_value(&mut out, p);
+                    put_value(&mut out, p.as_value_ref());
                 }
             }
             Request::Fetch { cursor } => {
@@ -346,6 +377,7 @@ fn set_counter_field(s: &mut CountersSnapshot, name: &str, v: u64) -> bool {
         "reactor_wakeups" => s.reactor_wakeups = v,
         "frames_partial" => s.frames_partial = v,
         "slow_queries" => s.slow_queries = v,
+        "crack_rows_touched" => s.crack_rows_touched = v,
         _ => return false,
     }
     true
@@ -355,64 +387,59 @@ impl Response {
     /// Serialise into one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this message's frame payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::HelloOk {
                 version,
                 batch_rows,
                 session,
             } => {
-                put_u8(&mut out, 0x81);
-                put_u16(&mut out, *version);
-                put_u32(&mut out, *batch_rows);
-                put_u64(&mut out, *session);
+                put_u8(out, 0x81);
+                put_u16(out, *version);
+                put_u32(out, *batch_rows);
+                put_u64(out, *session);
             }
             Response::Cursor { id, columns } => {
-                put_u8(&mut out, 0x82);
-                put_u32(&mut out, *id);
-                put_u16(&mut out, columns.len() as u16);
+                put_u8(out, 0x82);
+                put_u32(out, *id);
+                put_u16(out, columns.len() as u16);
                 for c in columns {
-                    put_str(&mut out, &c.label);
-                    put_str(&mut out, &c.ident);
-                    put_u8(&mut out, dtype_code(c.dtype));
+                    put_str(out, &c.label);
+                    put_str(out, &c.ident);
+                    put_u8(out, dtype_code(c.dtype));
                 }
             }
             Response::Stmt { id, n_params } => {
-                put_u8(&mut out, 0x83);
-                put_u32(&mut out, *id);
-                put_u16(&mut out, *n_params);
+                put_u8(out, 0x83);
+                put_u32(out, *id);
+                put_u16(out, *n_params);
             }
-            Response::Batch { done, rows } => {
-                put_u8(&mut out, 0x84);
-                put_u8(&mut out, u8::from(*done));
-                put_u32(&mut out, rows.len() as u32);
-                put_u16(&mut out, rows.first().map_or(0, |r| r.len()) as u16);
-                for row in rows {
-                    for v in row {
-                        put_value(&mut out, v);
-                    }
-                }
-            }
+            Response::Batch { done, rows } => encode_batch_rows(out, *done, rows),
             Response::Stats { counters, extras } => {
-                put_u8(&mut out, 0x85);
+                put_u8(out, 0x85);
                 let fields = counters.named_fields();
-                put_u16(&mut out, (fields.len() + extras.len()) as u16);
+                put_u16(out, (fields.len() + extras.len()) as u16);
                 for (name, v) in fields {
-                    put_str(&mut out, name);
-                    put_u64(&mut out, v);
+                    put_str(out, name);
+                    put_u64(out, v);
                 }
                 for (name, v) in extras {
-                    put_str(&mut out, name);
-                    put_u64(&mut out, *v);
+                    put_str(out, name);
+                    put_u64(out, *v);
                 }
             }
-            Response::Ok => put_u8(&mut out, 0x86),
+            Response::Ok => put_u8(out, 0x86),
             Response::Err { code, message } => {
-                put_u8(&mut out, 0xEE);
-                put_u16(&mut out, *code);
-                put_str(&mut out, message);
+                put_u8(out, 0xEE);
+                put_u16(out, *code);
+                put_str(out, message);
             }
         }
-        out
     }
 
     /// Parse one frame payload.
@@ -628,6 +655,7 @@ mod tests {
             reactor_wakeups: 29,
             frames_partial: 30,
             slow_queries: 31,
+            crack_rows_touched: 32,
         }
     }
 
@@ -742,6 +770,87 @@ mod tests {
                 assert!(e.to_string().contains("data.csv missing"));
             }
             other => panic!("expected Io error, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// The columnar BATCH encoder against the row encoder it
+        /// replaces on the FETCH path: for any typed page — every column
+        /// type, NULLs, empty and non-ASCII text, repeated and unordered
+        /// positions or a contiguous range, selected and dense columns,
+        /// no rows, one column — the bytes are identical and decode back
+        /// to the page's rows.
+        #[test]
+        fn columnar_batch_is_byte_identical_to_the_row_encoding(
+            cols in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::arbitrary::any::<bool>(),
+                    proptest::collection::vec((0u8..4, proptest::arbitrary::any::<i64>()), 12),
+                ),
+                1..5,
+            ),
+            n_src in 0usize..=12,
+            picks in proptest::collection::vec(0usize..12, 0..20),
+            dense in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 4),
+            range in proptest::option::of((0usize..12, 0usize..12)),
+            done in proptest::arbitrary::any::<bool>(),
+        ) {
+            use nodb_types::{ColumnData, PageColumn, Selection};
+            const TEXT: [&str; 4] = ["", "a", "é中🦀", "x,\"y\"\n"];
+            let columns: Vec<ColumnData> = cols
+                .iter()
+                .map(|(kind, nullable, cells)| {
+                    let ty = [DataType::Int64, DataType::Float64, DataType::Str][*kind];
+                    let values = cells[..n_src].iter().map(|&(tag, x)| match ty {
+                        _ if *nullable && tag == 0 => Value::Null,
+                        DataType::Int64 => Value::Int(x),
+                        DataType::Float64 => Value::Float(x as f64 / 8.0),
+                        DataType::Str => Value::Str(TEXT[x.rem_euclid(4) as usize].into()),
+                    });
+                    ColumnData::from_values(ty, values).unwrap()
+                })
+                .collect();
+            let positions: Vec<usize> = if n_src == 0 {
+                Vec::new()
+            } else {
+                picks.iter().map(|p| p % n_src).collect()
+            };
+            let selection = match range {
+                Some((lo, len)) if n_src > 0 => {
+                    let lo = lo % n_src;
+                    Selection::Range(lo..(lo + len).min(n_src))
+                }
+                _ => Selection::Positions(&positions),
+            };
+            let selected: Vec<usize> = match &selection {
+                Selection::Positions(p) => p.to_vec(),
+                Selection::Range(r) => r.clone().collect(),
+            };
+            let rows: Vec<Vec<Value>> = selected
+                .iter()
+                .map(|&i| columns.iter().map(|c| c.get(i)).collect())
+                .collect();
+            let page = ColumnPage::new(
+                selection,
+                columns
+                    .iter()
+                    .zip(&dense)
+                    .map(|(c, &dense)| {
+                        if dense {
+                            PageColumn::Dense(c.take(&selected))
+                        } else {
+                            PageColumn::Selected(c)
+                        }
+                    })
+                    .collect(),
+            );
+            proptest::prop_assert_eq!(page.to_rows(), rows.clone());
+            let mut bytes = Vec::new();
+            encode_batch_page(&mut bytes, done, &page);
+            let by_rows = Response::Batch { done, rows };
+            proptest::prop_assert_eq!(&bytes, &by_rows.encode());
+            proptest::prop_assert_eq!(Response::decode(&bytes).unwrap(), by_rows);
         }
     }
 

@@ -62,7 +62,7 @@ use nodb_types::{failpoints, Error};
 use polling::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
 use crate::conn::{Conn, ConnCtx, Flow};
-use crate::framing::{write_frame, FrameDecoder, MAX_FRAME_BYTES};
+use crate::framing::{write_frame, FrameDecoder, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
 use crate::server::{Registry, ServerConfig};
@@ -680,6 +680,11 @@ impl Reactor {
     /// reactor sets `Inner::done`.
     pub(crate) fn worker_loop(self: &Arc<Self>) {
         let counters = self.engine.counters();
+        // The response frame under construction: length prefix, then the
+        // payload encoded in place. Swapped with the slot's (flushed,
+        // empty) out-buffer on hand-back, so the two allocations
+        // circulate instead of one being made per response.
+        let mut reply: Vec<u8> = Vec::new();
         loop {
             let (idx, frame, mut conn, shook_hands, session_id, ready_at) = {
                 let mut inner = self.lock_inner();
@@ -725,6 +730,8 @@ impl Reactor {
             let intake = failpoints::trip("wire.read_frame").and(frame);
             // Which latency series this request lands in, if any.
             let mut latency = None;
+            reply.clear();
+            reply.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
             let resp = match intake {
                 // Framing broke (oversized frame, injected fault): the
                 // byte stream can't be trusted any more — answer a typed
@@ -784,64 +791,65 @@ impl Reactor {
                         // Panic firewall: a panic anywhere in request
                         // handling kills this *request* with a typed
                         // INTERNAL error; the worker and slot survive.
+                        // The handler encodes its response into the
+                        // reply itself (a FETCH page straight from the
+                        // cursor's columns).
                         let handled =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                c.handle(req, draining)
+                                c.handle(req, draining, &mut reply)
                             }));
-                        let (r, flow) = handled.unwrap_or_else(|payload| {
-                            counters.add_panic_contained();
-                            (
-                                Response::from_error(&Error::from_panic(
+                        counters.add_request_served();
+                        match handled {
+                            Ok(flow) => {
+                                if flow == Flow::Close {
+                                    close = true;
+                                }
+                                None
+                            }
+                            Err(payload) => {
+                                counters.add_panic_contained();
+                                reply.truncate(FRAME_HEADER_BYTES);
+                                Some(Response::from_error(&Error::from_panic(
                                     "request handling",
                                     payload,
-                                )),
-                                Flow::Continue,
-                            )
-                        });
-                        counters.add_request_served();
-                        if flow == Flow::Close {
-                            close = true;
+                                )))
+                            }
                         }
-                        Some(r)
                     }
                 },
             };
-            let encode_started = Instant::now();
-            let mut payload = resp.map(|r| r.encode());
-            if let Some(c) = conn.as_mut() {
-                if payload.is_some() {
-                    // Serialization belongs to the profiled query this
-                    // request ran (the `wire_serialize` phase); a no-op
-                    // when nothing was profiled.
-                    c.observe_encoded(encode_started.elapsed().as_nanos() as u64);
-                }
-                if let Some(hist) = latency {
-                    let elapsed = req_started.elapsed();
-                    hist.record(elapsed);
-                    c.finish_request(elapsed);
-                }
+            if let Some(r) = resp {
+                r.encode_into(&mut reply);
             }
-            if let Some(p) = &payload {
-                if p.len() > MAX_FRAME_BYTES as usize {
-                    // The response outgrew the frame limit (a huge
-                    // batch_rows over wide rows). Send a typed error the
-                    // client can see, then close: for a BATCH the page's
-                    // rows were already consumed from the cursor, and
-                    // letting the client fetch the *next* page would
-                    // silently hole the result.
-                    let err = Response::from_error(&Error::exec(format!(
-                        "response exceeded the frame limit (outgoing frame of {} bytes exceeds the {} byte limit); lower ServerConfig::batch_rows",
-                        p.len(),
-                        MAX_FRAME_BYTES
-                    )));
-                    payload = Some(err.encode());
-                    close = true;
-                }
+            if let (Some(c), Some(hist)) = (conn.as_mut(), latency) {
+                let elapsed = req_started.elapsed();
+                hist.record(elapsed);
+                c.finish_request(elapsed);
             }
+            // Every payload starts with its opcode byte, so a reply that
+            // grew past its header carries a response.
+            let responding = reply.len() > FRAME_HEADER_BYTES;
+            let mut payload_len = reply.len() - FRAME_HEADER_BYTES;
+            if payload_len > MAX_FRAME_BYTES as usize {
+                // The response outgrew the frame limit (a huge
+                // batch_rows over wide rows). Send a typed error the
+                // client can see, then close: for a BATCH the page's
+                // rows were already consumed from the cursor, and
+                // letting the client fetch the *next* page would
+                // silently hole the result.
+                let err = Response::from_error(&Error::exec(format!(
+                    "response exceeded the frame limit (outgoing frame of {payload_len} bytes exceeds the {MAX_FRAME_BYTES} byte limit); lower ServerConfig::batch_rows"
+                )));
+                reply.truncate(FRAME_HEADER_BYTES);
+                err.encode_into(&mut reply);
+                payload_len = reply.len() - FRAME_HEADER_BYTES;
+                close = true;
+            }
+            reply[..FRAME_HEADER_BYTES].copy_from_slice(&(payload_len as u32).to_le_bytes());
             // The write-side failpoint site, tripped per response like
             // the blocking path; a fault kills the connection, not the
             // server.
-            let write_fault = payload.is_some() && failpoints::trip("wire.write_frame").is_err();
+            let write_fault = responding && failpoints::trip("wire.write_frame").is_err();
             // ---- hand the connection back ----
             let now = Instant::now();
             let mut inner = self.lock_inner();
@@ -866,9 +874,12 @@ impl Reactor {
                 self.wake();
                 continue;
             }
-            if let Some(p) = payload {
-                slot.out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                slot.out.extend_from_slice(&p);
+            if responding {
+                if slot.out.is_empty() {
+                    std::mem::swap(&mut slot.out, &mut reply);
+                } else {
+                    slot.out.extend_from_slice(&reply);
+                }
             }
             if close {
                 slot.close_after_flush = true;

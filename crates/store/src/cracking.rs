@@ -24,6 +24,8 @@ pub struct CrackedColumn {
     /// `vals[p..] >= v`.
     index: BTreeMap<i64, usize>,
     cracks: u64,
+    /// Rows of the pieces those cracks partitioned.
+    partitioned: u64,
 }
 
 impl CrackedColumn {
@@ -35,6 +37,7 @@ impl CrackedColumn {
             rowids: (0..n as u64).collect(),
             index: BTreeMap::new(),
             cracks: 0,
+            partitioned: 0,
         }
     }
 
@@ -46,6 +49,7 @@ impl CrackedColumn {
             rowids,
             index: BTreeMap::new(),
             cracks: 0,
+            partitioned: 0,
         }
     }
 
@@ -62,6 +66,12 @@ impl CrackedColumn {
     /// Number of physical reorganisation (partition) steps performed.
     pub fn crack_count(&self) -> u64 {
         self.cracks
+    }
+
+    /// Rows physically handled by those steps: each crack partitions one
+    /// whole piece. Stops growing once the queried bounds have converged.
+    pub fn rows_partitioned(&self) -> u64 {
+        self.partitioned
     }
 
     /// Number of pieces the column is currently divided into.
@@ -112,6 +122,7 @@ impl CrackedColumn {
         let p = lo + partition(&mut self.vals[lo..hi], &mut self.rowids[lo..hi], v);
         self.index.insert(v, p);
         self.cracks += 1;
+        self.partitioned += (hi - lo) as u64;
         p
     }
 
@@ -257,6 +268,14 @@ impl PartitionedCracked {
     /// Total physical reorganisation steps across partitions.
     pub fn crack_count(&self) -> u64 {
         self.parts.iter().map(|p| lock_piece(p).crack_count()).sum()
+    }
+
+    /// Total rows those steps partitioned, across partitions.
+    pub fn rows_partitioned(&self) -> u64 {
+        self.parts
+            .iter()
+            .map(|p| lock_piece(p).rows_partitioned())
+            .sum()
     }
 
     /// The merged piece index: distinct crack boundary values across every

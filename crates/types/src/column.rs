@@ -7,7 +7,7 @@
 //! the paper's all-integer workloads never touches the mask.
 
 use crate::error::{Error, Result};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Value, ValueRef};
 
 /// A typed, contiguous column of values.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,6 +131,9 @@ impl ColumnData {
 
     /// Boxed value at row `i` (panics on out-of-range, like slice indexing).
     pub fn get(&self, i: usize) -> Value {
+        // Not `get_ref(i).to_value()`: the row-at-a-time kernels call this
+        // per row, and the double conversion measured 11 % slower end to
+        // end on short warm aggregates.
         if self.is_null(i) {
             return Value::Null;
         }
@@ -138,6 +141,19 @@ impl ColumnData {
             ColumnData::Int64 { values, .. } => Value::Int(values[i]),
             ColumnData::Float64 { values, .. } => Value::Float(values[i]),
             ColumnData::Str { values, .. } => Value::Str(values[i].clone()),
+        }
+    }
+
+    /// Borrowed value at row `i` — [`ColumnData::get`] without the string
+    /// clone (panics on out-of-range, like slice indexing).
+    pub fn get_ref(&self, i: usize) -> ValueRef<'_> {
+        if self.is_null(i) {
+            return ValueRef::Null;
+        }
+        match self {
+            ColumnData::Int64 { values, .. } => ValueRef::Int(values[i]),
+            ColumnData::Float64 { values, .. } => ValueRef::Float(values[i]),
+            ColumnData::Str { values, .. } => ValueRef::Str(&values[i]),
         }
     }
 

@@ -109,6 +109,12 @@ pub struct WorkCounters {
     /// Queries whose server-side elapsed time crossed the configured
     /// `slow_query_ms` threshold and were written to the slow-query log.
     pub slow_queries: AtomicU64,
+    /// Rows adaptive-index selections physically handled: every row of a
+    /// piece a crack partitioned, plus every qualifying row copied out.
+    /// A range that has converged splits nothing, so a repeat adds
+    /// exactly its result size — the deterministic statement of "cracked
+    /// selects get cheaper", where a plain scan touches every row.
+    pub crack_rows_touched: AtomicU64,
 }
 
 impl WorkCounters {
@@ -275,6 +281,11 @@ impl WorkCounters {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Add `n` rows partitioned or copied out by a cracking select.
+    pub fn add_crack_rows_touched(&self, n: u64) {
+        self.crack_rows_touched.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Capture the current values.
     pub fn snapshot(&self) -> CountersSnapshot {
         CountersSnapshot {
@@ -309,6 +320,7 @@ impl WorkCounters {
             reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
             frames_partial: self.frames_partial.load(Ordering::Relaxed),
             slow_queries: self.slow_queries.load(Ordering::Relaxed),
+            crack_rows_touched: self.crack_rows_touched.load(Ordering::Relaxed),
         }
     }
 
@@ -345,6 +357,7 @@ impl WorkCounters {
         self.reactor_wakeups.store(0, Ordering::Relaxed);
         self.frames_partial.store(0, Ordering::Relaxed);
         self.slow_queries.store(0, Ordering::Relaxed);
+        self.crack_rows_touched.store(0, Ordering::Relaxed);
     }
 }
 
@@ -413,6 +426,8 @@ pub struct CountersSnapshot {
     pub frames_partial: u64,
     /// See [`WorkCounters::slow_queries`].
     pub slow_queries: u64,
+    /// See [`WorkCounters::crack_rows_touched`].
+    pub crack_rows_touched: u64,
 }
 
 impl CountersSnapshot {
@@ -485,6 +500,9 @@ impl CountersSnapshot {
             reactor_wakeups: self.reactor_wakeups.saturating_sub(earlier.reactor_wakeups),
             frames_partial: self.frames_partial.saturating_sub(earlier.frames_partial),
             slow_queries: self.slow_queries.saturating_sub(earlier.slow_queries),
+            crack_rows_touched: self
+                .crack_rows_touched
+                .saturating_sub(earlier.crack_rows_touched),
         }
     }
 
@@ -495,7 +513,7 @@ impl CountersSnapshot {
     /// in lockstep with the struct fields — a counter added to the
     /// struct but not here fails the build's tests, not a production
     /// debugging session.
-    pub fn named_fields(&self) -> [(&'static str, u64); 31] {
+    pub fn named_fields(&self) -> [(&'static str, u64); 32] {
         [
             ("bytes_read", self.bytes_read),
             ("bytes_written", self.bytes_written),
@@ -531,6 +549,7 @@ impl CountersSnapshot {
             ("reactor_wakeups", self.reactor_wakeups),
             ("frames_partial", self.frames_partial),
             ("slow_queries", self.slow_queries),
+            ("crack_rows_touched", self.crack_rows_touched),
         ]
     }
 }
@@ -539,7 +558,7 @@ impl fmt::Display for CountersSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "read={}B written={}B rows_tok={} fields_tok={} parsed={} trips={} abandoned={} evicted={} plan_hits={} plan_misses={} morsels={} par_pipelines={} fused_proj={} fused_joins={} conns={} reqs={} busy={} rc_hits={} rc_subsumed={} rc_misses={} rc_evicted={} cancelled={} timed_out={} shed={} conns_shed={} mem_peak={}B panics={} parked={} wakeups={} torn={} slow={}",
+            "read={}B written={}B rows_tok={} fields_tok={} parsed={} trips={} abandoned={} evicted={} plan_hits={} plan_misses={} morsels={} par_pipelines={} fused_proj={} fused_joins={} conns={} reqs={} busy={} rc_hits={} rc_subsumed={} rc_misses={} rc_evicted={} cancelled={} timed_out={} shed={} conns_shed={} mem_peak={}B panics={} parked={} wakeups={} torn={} slow={} crack_rows={}",
             self.bytes_read,
             self.bytes_written,
             self.rows_tokenized,
@@ -571,6 +590,7 @@ impl fmt::Display for CountersSnapshot {
             self.reactor_wakeups,
             self.frames_partial,
             self.slow_queries,
+            self.crack_rows_touched,
         )
     }
 }
@@ -699,6 +719,7 @@ mod tests {
             reactor_wakeups: 29,
             frames_partial: 30,
             slow_queries: 31,
+            crack_rows_touched: 32,
         };
         let fields = s.named_fields();
         // The Debug rendering names every struct field; if the struct

@@ -19,6 +19,9 @@
 //!   schedules through, and the [`MorselBatch`] unit of work the fused
 //!   cold pipeline passes from the tokenizer (`nodb-rawcsv`) to the
 //!   operators (`nodb-exec`),
+//! * [`page`] — [`ColumnPage`], the borrowed typed view one page of a
+//!   scalar result travels as from the selection vector to the wire
+//!   frame; rows are built from it only at the API edge,
 //! * [`cancel`] — cooperative query cancellation: a [`CancelToken`]
 //!   installed ambiently per thread via [`CancelScope`], polled by the
 //!   morsel driver at every steal and by serial loops via
@@ -44,6 +47,7 @@ pub mod error;
 pub mod failpoints;
 pub mod interval;
 pub mod morsel;
+pub mod page;
 pub mod predicate;
 pub mod profile;
 pub mod resource;
@@ -56,10 +60,11 @@ pub use counters::{CountersSnapshot, WorkCounters};
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
 pub use morsel::{drive_morsels, morsel_count, MorselBatch, MorselRange};
+pub use page::{ColumnPage, PageColumn, Selection};
 pub use predicate::{CmpOp, ColPred, Conjunction, SelectionBox};
 pub use profile::{
     CacheOutcome, LatencyHistogram, Phase, ProfileHandle, ProfileScope, ProfileSink, QueryProfile,
 };
 pub use resource::{MemoryGuard, MemoryPool, MemoryScope};
 pub use schema::{Field, Schema};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};

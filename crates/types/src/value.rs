@@ -179,6 +179,46 @@ impl Value {
     }
 }
 
+/// A borrowed scalar: one cell of a typed column, read in place. Text
+/// cells borrow the column's string, so walking a result page (wire
+/// encoding, row views) copies each string at most once — at its
+/// destination — and allocates nothing per cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string, borrowed from its column.
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// The owned value this cell holds.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
+impl Value {
+    /// Borrowed view of this value.
+    pub fn as_value_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -45,7 +45,7 @@ pub use nodb_types as types;
 
 pub use nodb_core::{
     BoundStatement, Engine, EngineConfig, KernelStrategy, LoadingStrategy, Prepared, QueryOutput,
-    QueryStats, QueryStream, ResultCache, Session, TableInfo,
+    QueryStats, QueryStream, ResultCache, ResultPage, Session, TableInfo,
 };
 pub use nodb_server::{
     latency_from_extras, Client, ConnectOptions, NodbServer, RemoteCursor, RemoteStatement,
@@ -53,6 +53,7 @@ pub use nodb_server::{
 };
 pub use nodb_store::RowBatch;
 pub use nodb_types::{
-    CancelCheck, CancelScope, CancelToken, CountersSnapshot, DataType, Error, Field,
-    LatencyHistogram, ProfileScope, ProfileSink, QueryProfile, Result, Schema, Value, WorkCounters,
+    CancelCheck, CancelScope, CancelToken, ColumnPage, CountersSnapshot, DataType, Error, Field,
+    LatencyHistogram, ProfileScope, ProfileSink, QueryProfile, Result, Schema, Value, ValueRef,
+    WorkCounters,
 };

@@ -614,3 +614,158 @@ fn connect_retry_rides_out_busy_server() {
     client.quit().unwrap();
     server.shutdown();
 }
+
+/// A table mixing every column type with NULLs, empty-looking and
+/// non-ASCII text: `a1` int, `a2` int with NULLs, `a3` float, `a4` text
+/// with NULLs.
+fn write_mixed_table(path: &std::path::Path, rows: usize) {
+    const WORDS: [&str; 5] = ["alpha", "é中🦀", "", "b c", "z"];
+    let mut s = String::new();
+    for r in 0..rows {
+        let a2 = if r % 7 == 3 {
+            String::new()
+        } else {
+            ((r * 13) % 101).to_string()
+        };
+        s.push_str(&format!(
+            "{r},{a2},{}.{},{}\n",
+            (r * 37) % 50,
+            (r % 4) * 25,
+            WORDS[r % WORDS.len()]
+        ));
+    }
+    std::fs::write(path, s).expect("write table");
+}
+
+/// Paging parity for the columnar FETCH path: projections mixing column
+/// refs, literals, arithmetic, NULLs, ORDER BY and LIMIT/OFFSET drain to
+/// exactly `Session::sql(..).rows` at every page size — from a
+/// first-touch cold table and again warm, with the result cache off and
+/// on (where the repeat is an exact hit, served from the shared cached
+/// columns, and must page identically).
+#[test]
+fn columnar_pages_drain_to_the_in_process_rows() {
+    let dir = common::test_dir("srv_col_pages");
+    let table = dir.join("m.csv");
+    write_mixed_table(&table, 400);
+    let queries = [
+        "select a1, a4, 7, 'k', a2 + a1, a3 * 2, a2 from m where a1 >= 10 order by a3 desc, a1 limit 300 offset 5",
+        "select a4, a1 - a2, a3 from m",
+        "select a2, a4 from m where a1 < 390 order by a4, a1",
+        "select a1 from m where a1 > 1000",
+    ];
+    let reference = {
+        let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(1);
+        cfg.store_dir = Some(dir.join("store-ref"));
+        let engine = Arc::new(Engine::new(cfg));
+        engine.register_table("m", &table).unwrap();
+        engine.session()
+    };
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|sql| reference.sql(sql).unwrap())
+        .collect();
+    assert_eq!(expected[0].rows.len(), 300);
+    assert!(expected[1].rows.iter().any(|r| r[1] == Value::Null));
+
+    for batch_rows in [1usize, 7, 1024] {
+        for cache_bytes in [0usize, 4 << 20] {
+            let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(2);
+            cfg.store_dir = Some(dir.join(format!("store-{batch_rows}-{cache_bytes}")));
+            cfg.result_cache_bytes = cache_bytes;
+            let engine = Arc::new(Engine::new(cfg));
+            engine.register_table("m", &table).unwrap();
+            let server = serve(
+                Arc::clone(&engine),
+                ServerConfig {
+                    batch_rows,
+                    ..ServerConfig::default()
+                },
+            );
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            // Pass 0 touches the table cold (and misses the cache);
+            // pass 1 is warm (and an exact hit when the cache is on).
+            for pass in 0..2 {
+                let before = engine.counters().snapshot();
+                for (sql, want) in queries.iter().zip(&expected) {
+                    let mut cursor = client.query(sql).unwrap();
+                    assert_eq!(cursor.labels(), want.columns, "{sql}");
+                    let mut rows = Vec::new();
+                    while let Some(page) = client.fetch(&mut cursor).unwrap() {
+                        assert!(page.rows.len() <= batch_rows, "{sql}");
+                        rows.extend(page.rows);
+                    }
+                    assert_eq!(
+                        rows, want.rows,
+                        "{sql} (batch_rows={batch_rows} cache={cache_bytes} pass={pass})"
+                    );
+                }
+                let delta = engine.counters().snapshot().since(&before);
+                let hits = if cache_bytes > 0 && pass == 1 {
+                    queries.len() as u64
+                } else {
+                    0
+                };
+                assert_eq!(delta.result_cache_hits, hits, "pass {pass}");
+            }
+            client.quit().unwrap();
+            server.shutdown();
+        }
+    }
+}
+
+/// What an open cursor pins stays in the query's memory reservation
+/// until the cursor goes away: a CANCEL mid-drain and a connection
+/// dropped mid-drain both hand it back to the pool.
+#[test]
+fn abandoned_cursors_release_their_reservation() {
+    let dir = common::test_dir("srv_cursor_release");
+    let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(2);
+    cfg.store_dir = Some(dir.join("store"));
+    cfg.engine_mem_bytes = Some(256 << 20);
+    cfg.morsel_rows = 256; // the 2000-row filter runs morsel-parallel and meters its positions
+    cfg.result_cache_bytes = 4 << 20; // the captured columns are metered too
+    let engine = Arc::new(Engine::new(cfg));
+    let r = dir.join("r.csv");
+    common::write_int_table(&r, 2000, 4);
+    engine.register_table("r", &r).unwrap();
+    let server = serve(
+        Arc::clone(&engine),
+        ServerConfig {
+            batch_rows: 16,
+            ..ServerConfig::default()
+        },
+    );
+    let pool = engine.memory_pool();
+    let idle = pool.reserved();
+    let released = || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while pool.reserved() != idle && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        pool.reserved() == idle
+    };
+
+    // Warm the table so both cursors below run the same (warm) path.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .query_all("select count(*) from r where a2 >= 0")
+        .unwrap();
+    assert!(released(), "a drained query holds nothing");
+
+    let mut cursor = client
+        .query("select a1, a2, a3 from r where a2 > 10")
+        .unwrap();
+    assert_eq!(client.fetch(&mut cursor).unwrap().unwrap().rows.len(), 16);
+    assert!(pool.reserved() > idle, "an open cursor pins its columns");
+    client.cancel(&mut cursor).unwrap();
+    assert!(released(), "CANCEL mid-drain released the reservation");
+
+    let mut cursor = client.query("select a1, a3 from r where a2 > 20").unwrap();
+    assert_eq!(client.fetch(&mut cursor).unwrap().unwrap().rows.len(), 16);
+    assert!(pool.reserved() > idle);
+    drop(client);
+    assert!(released(), "a dropped connection released the reservation");
+
+    server.shutdown();
+}

@@ -163,6 +163,59 @@ fn streaming_batches_cover_result_in_order() {
     assert_eq!(rows, want.rows);
 }
 
+/// The page view under the row API: `next_columns` hands a scalar result
+/// out as typed columns (an aggregate as its computed rows) covering the
+/// same rows in the same order, and paging done after the arming profile
+/// scope was left still lands in the query's profile.
+#[test]
+fn column_pages_cover_result_and_profile_their_paging() {
+    use nodb::types::profile::Phase;
+    use nodb::{ProfileScope, ProfileSink, ResultPage};
+
+    let (_d, s) = session_over("stream_cols", 100);
+    let s = s.with_batch_size(32);
+    let sql = "select a1, a2 + 1, 'k' from t where a1 > 10 order by a1 desc";
+    let sink = ProfileSink::handle();
+    let mut stream = {
+        let _scope = ProfileScope::enter(Arc::clone(&sink));
+        s.query(sql).unwrap()
+    };
+    let kernel_calls = |sink: &ProfileSink| {
+        let prof = sink.snapshot();
+        let calls = prof
+            .phases()
+            .find(|(p, _, _)| *p == Phase::WarmKernel)
+            .map_or(0, |(_, _, calls)| calls);
+        calls
+    };
+    assert_eq!(kernel_calls(&sink), 1, "the kernel itself");
+    let mut rows = Vec::new();
+    let mut pages = 0;
+    while let Some(page) = stream.next_columns().unwrap() {
+        assert!(matches!(page, ResultPage::Columns(_)), "scalar result");
+        let page = page.into_rows();
+        assert!(page.len() <= 32);
+        rows.extend(page);
+        pages += 1;
+    }
+    assert_eq!(rows, s.sql(sql).unwrap().rows);
+    assert_eq!(
+        kernel_calls(&sink),
+        1 + pages + 1,
+        "one per page, one for the end"
+    );
+    assert_eq!(stream.stats().profile.phase_ns(Phase::WarmKernel), {
+        sink.snapshot().phase_ns(Phase::WarmKernel)
+    });
+
+    let mut agg = s.query("select sum(a1), count(*) from t").unwrap();
+    match agg.next_columns().unwrap() {
+        Some(ResultPage::Rows(rows)) => assert_eq!(rows.len(), 1),
+        other => panic!("aggregates page as computed rows, got {other:?}"),
+    }
+    assert!(agg.next_columns().unwrap().is_none());
+}
+
 #[test]
 fn stream_can_be_abandoned_early() {
     let (_d, s) = session_over("stream_abandon", 1000);
