@@ -26,9 +26,9 @@ use std::collections::BTreeMap;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use nodb_exec::{
-    aggregate, filter_positions, fused_filter_aggregate, group_aggregate, hash_join_positions,
-    merge_join_positions, parallel_filter_aggregate, parallel_group_aggregate,
-    parallel_hash_join_positions, AggFunc, AggSpec, AggregateOp, ColumnsScan, FilterOp,
+    aggregate, filter_positions, fused_filter_aggregate, hash_join_positions, merge_join_positions,
+    parallel_filter_aggregate, parallel_group_aggregate, parallel_hash_join_positions, AggFunc,
+    AggSpec, AggregateOp, ColumnsScan, FilterOp, DEFAULT_MORSEL_ROWS,
 };
 use nodb_rawcsv::gen::Permutation;
 use nodb_rawcsv::tokenizer::{scan_bytes, scan_morsels, CsvOptions, ScanSpec};
@@ -387,8 +387,8 @@ fn bench_parallel(c: &mut Criterion) {
         })
     });
 
-    // Warm grouped aggregation: per-worker group tables, partition-wise
-    // merge, vs the serial single-table fold (identical output).
+    // Warm grouped aggregation: the typed kernel morsel by morsel on one
+    // worker (inline) vs on stealing workers (identical output).
     let mut gcols: BTreeMap<usize, ColumnData> = BTreeMap::new();
     gcols.insert(
         0,
@@ -403,8 +403,17 @@ fn bench_parallel(c: &mut Criterion) {
     let group_filter = Conjunction::new(vec![ColPred::new(1, CmpOp::Gt, (n / 10) as i64)]);
     g.bench_function("group_by/serial", |b| {
         b.iter(|| {
-            let pos = filter_positions(&gcols, n, &group_filter).unwrap();
-            group_aggregate(&gcols, n, Some(&pos), &[0], &group_specs).unwrap()
+            parallel_group_aggregate(
+                &gcols,
+                n,
+                &group_filter,
+                &[0],
+                &group_specs,
+                1,
+                morsel_rows,
+                0,
+            )
+            .unwrap()
         })
     });
     g.bench_function("group_by/parallel", |b| {
@@ -423,7 +432,7 @@ fn bench_parallel(c: &mut Criterion) {
         })
     });
 
-    // Partitioned hash join build + probe.
+    // Flat-table hash join build + probe.
     let jn = 500_000usize;
     let pl = Permutation::new(jn as u64, 81);
     let pr = Permutation::new(jn as u64, 82);
@@ -536,10 +545,9 @@ fn bench_parallel(c: &mut Criterion) {
             threads,
             ..CsvOptions::default()
         };
-        let p = nodb_exec::cold_join_partitions(threads);
-        // Per-morsel build partitions and probe pair chunks, tagged with
-        // the morsel index for the deterministic stitch.
-        type BuildParts = Vec<(usize, Vec<Vec<(i64, usize)>>)>;
+        // Per-morsel build entries and probe pair chunks, tagged with the
+        // morsel index for the deterministic stitch.
+        type BuildParts = Vec<(usize, Vec<(i64, usize)>)>;
         type PairChunks = Vec<(usize, Vec<(usize, usize)>)>;
         b.iter(|| {
             let counters = WorkCounters::new();
@@ -557,7 +565,6 @@ fn bench_parallel(c: &mut Criterion) {
                         &morsel.columns[0],
                         &local,
                         morsel.first_row,
-                        p,
                     );
                     build.lock().unwrap().push((morsel.index, parts));
                     Ok(())
@@ -566,12 +573,8 @@ fn bench_parallel(c: &mut Criterion) {
             .unwrap();
             let mut parts = build.into_inner().unwrap();
             parts.sort_by_key(|(i, _)| *i);
-            let tables = nodb_exec::build_cold_join_tables(
-                parts.into_iter().map(|(_, p)| p).collect(),
-                p,
-                threads,
-            )
-            .unwrap();
+            let parts: Vec<Vec<(i64, usize)>> = parts.into_iter().map(|(_, p)| p).collect();
+            let tables = nodb_exec::JoinTable::from_morsels(&parts).unwrap();
             let chunks: std::sync::Mutex<PairChunks> = std::sync::Mutex::new(Vec::new());
             scan_morsels(
                 &probe_data,
@@ -855,8 +858,8 @@ fn bench_server(c: &mut Criterion) {
 }
 
 /// Governance-overhead pairs over the same hot grouped aggregation (the
-/// kernel with a per-row `CancelCheck` tick and a per-new-group memory
-/// charge): no ambient cancel token vs an installed `CancelScope` with
+/// kernel polls the cancel token and charges its group state once per
+/// morsel): no ambient cancel token vs an installed `CancelScope` with
 /// a live (far-future) deadline, and no ambient memory guard vs an
 /// installed `MemoryScope` with an ample budget. The `off` ÷ `on`
 /// ratios land in the `speedups` section of `NODB_BENCH_JSON`; the
@@ -888,8 +891,8 @@ fn bench_robustness(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n as u64));
     g.bench_function("cancel_overhead/off", |b| {
         b.iter(|| {
-            let pos = filter_positions(&cols, n, &filter).unwrap();
-            group_aggregate(&cols, n, Some(&pos), &[0], &specs).unwrap()
+            parallel_group_aggregate(&cols, n, &filter, &[0], &specs, 1, DEFAULT_MORSEL_ROWS, 0)
+                .unwrap()
         })
     });
     g.bench_function("cancel_overhead/on", |b| {
@@ -897,20 +900,20 @@ fn bench_robustness(c: &mut Criterion) {
         token.set_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
         let _scope = CancelScope::enter(token);
         b.iter(|| {
-            let pos = filter_positions(&cols, n, &filter).unwrap();
-            group_aggregate(&cols, n, Some(&pos), &[0], &specs).unwrap()
+            parallel_group_aggregate(&cols, n, &filter, &[0], &specs, 1, DEFAULT_MORSEL_ROWS, 0)
+                .unwrap()
         })
     });
 
-    // Memory-metering pair: the same kernel (whose group table charges
-    // per new group and whose parallel stages charge per morsel) with no
+    // Memory-metering pair: the same kernel (whose group state charges
+    // per morsel and per merged partial) with no
     // ambient guard vs under an installed `MemoryScope` with an ample
     // budget — every charge site takes the full metered path: the
     // thread-local read, the guard CAS and the pool reservation.
     g.bench_function("mem_guard_overhead/off", |b| {
         b.iter(|| {
-            let pos = filter_positions(&cols, n, &filter).unwrap();
-            group_aggregate(&cols, n, Some(&pos), &[0], &specs).unwrap()
+            parallel_group_aggregate(&cols, n, &filter, &[0], &specs, 1, DEFAULT_MORSEL_ROWS, 0)
+                .unwrap()
         })
     });
     g.bench_function("mem_guard_overhead/on", |b| {
@@ -919,8 +922,8 @@ fn bench_robustness(c: &mut Criterion) {
         let guard = MemoryGuard::new(Some(8 << 30), Some(pool));
         let _scope = MemoryScope::enter(guard);
         b.iter(|| {
-            let pos = filter_positions(&cols, n, &filter).unwrap();
-            group_aggregate(&cols, n, Some(&pos), &[0], &specs).unwrap()
+            parallel_group_aggregate(&cols, n, &filter, &[0], &specs, 1, DEFAULT_MORSEL_ROWS, 0)
+                .unwrap()
         })
     });
     g.finish();

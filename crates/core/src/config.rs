@@ -89,14 +89,10 @@ pub struct EngineConfig {
     /// skew better; larger ones amortise dispatch. The default (32 Ki rows)
     /// keeps a morsel's working set cache-resident.
     pub morsel_rows: usize,
-    /// Merge partitions for the parallel GROUP BY (per-worker group tables
-    /// are radix-partitioned by key hash and merged partition-wise in
-    /// parallel). `0` = auto: twice the worker count, rounded to a power
-    /// of two.
-    pub group_partitions: usize,
-    /// Minimum rows on the larger join side before the hash join goes
-    /// parallel; smaller builds stay serial (thread dispatch and
-    /// partition scatter cost more than they save on small inputs).
+    /// Minimum rows on the larger join side before a warm hash join
+    /// probes its table on stealing workers; below it the probe runs
+    /// inline (thread dispatch costs more than it saves on small inputs).
+    /// The result is the same either way.
     pub join_min_rows: usize,
     /// CSV dialect and tokenizer options.
     pub csv: CsvOptions,
@@ -177,7 +173,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            group_partitions: 0,
             join_min_rows: 2 * DEFAULT_MORSEL_ROWS,
             csv: CsvOptions::default(),
             memory_budget: None,
@@ -230,7 +225,6 @@ mod tests {
         assert!(c.memory_budget.is_none());
         assert!(c.threads >= 1);
         assert!(c.morsel_rows >= 1);
-        assert_eq!(c.group_partitions, 0, "auto partition count");
         assert!(c.join_min_rows > c.morsel_rows);
         assert_eq!(c.result_cache_bytes, 0, "result cache is opt-in");
         assert!(c.result_cache_max_entries > 0);

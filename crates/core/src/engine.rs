@@ -8,6 +8,7 @@
 //!
 //! [`LoadingStrategy`]: crate::LoadingStrategy
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,13 +18,11 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    accumulate_into, aggregate, build_cold_join_tables, cold_join_build_morsel,
-    cold_join_partitions, cold_project_morsel, filter_positions, finish_group_partials,
-    fused_filter_aggregate, group_accumulate_range, group_aggregate, hash_join_positions,
-    merge_group_partials, parallel_filter_aggregate, parallel_filter_positions,
-    parallel_group_aggregate, parallel_hash_join_positions, sort_positions, stitch_cold_projection,
-    Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial, OrdinalCols, ProjectPartial,
-    ProjectionCursor,
+    accumulate_into, aggregate, cold_join_build_morsel, cold_project_morsel, filter_positions,
+    fused_filter_aggregate, group_partial_range, merge_group_partials, parallel_filter_aggregate,
+    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
+    sort_positions, stitch_cold_projection, Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial,
+    JoinTable, OrdinalCols, ProjectPartial, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -1054,9 +1053,9 @@ impl Engine {
     /// The morsel-driven cold pipeline: when a query's input tables are
     /// not loaded yet, tokenizer phase-2 morsels flow straight into
     /// per-worker operators — filter + partial aggregation for plain
-    /// aggregates, private group tables for GROUP BY, projection emitters
-    /// for scalar SELECTs, and partitioned hash-join builds/probes for
-    /// joins — instead of waiting for one merged `ScanOutput`. The
+    /// aggregates, the typed group kernel for GROUP BY, projection emitters
+    /// for scalar SELECTs, and hash-join builds/probes for joins —
+    /// instead of waiting for one merged `ScanOutput`. The
     /// adaptive store still receives exactly what the serial path would
     /// have given it: the scanned columns, fully loaded (assembled from
     /// the morsels in row order), the row count, and every positional-map
@@ -1168,7 +1167,7 @@ impl Engine {
         /// Per-morsel partial state of whichever shape the query has.
         enum Partial {
             Accs(Vec<Accumulator>),
-            Groups(Vec<GroupPartial>),
+            Groups(GroupPartial),
             Project(ProjectPartial),
         }
         let sink = |morsel: &nodb_rawcsv::Morsel| -> Result<Partial> {
@@ -1197,17 +1196,10 @@ impl Engine {
                 accumulate_into(&mcols, n, positions.as_deref(), &agg_specs, &mut accs)?;
                 Ok(Partial::Accs(accs))
             } else {
-                // Grouped morsel: a private group table of partial states,
-                // keyed for the partition-wise merge by the group's first
-                // absolute row (morsel-local row + the morsel's base).
-                Ok(Partial::Groups(group_accumulate_range(
-                    &mcols,
-                    0,
-                    n,
-                    residual,
-                    group_cols,
-                    &agg_specs,
-                    morsel.first_row as u64,
+                // Grouped morsel: dense group ids and typed partial
+                // states, merged in morsel order after the scan.
+                Ok(Partial::Groups(group_partial_range(
+                    &mcols, 0, n, residual, group_cols, &agg_specs,
                 )?))
             }
         };
@@ -1251,23 +1243,17 @@ impl Engine {
         }
 
         if !group_cols.is_empty() {
-            let group_partials: Vec<Vec<GroupPartial>> = partials
+            let group_partials: Vec<GroupPartial> = partials
                 .into_iter()
                 .map(|p| match p {
                     Partial::Groups(g) => g,
                     _ => unreachable!("grouped sink"),
                 })
                 .collect();
-            // Partition-wise parallel merge, then the shared grouped
-            // output shaping (column order, ORDER BY, OFFSET/LIMIT).
-            let grouped = profile::time(Phase::GroupMerge, || {
-                finish_group_partials(merge_group_partials(
-                    group_partials,
-                    self.cfg.threads,
-                    self.cfg.group_partitions,
-                )?)
-            })?;
-            let rows = format_grouped(plan, grouped)?;
+            // Morsel-order merge (timed as `group_merge`), then the shared
+            // grouped output shaping (column order, ORDER BY,
+            // OFFSET/LIMIT).
+            let rows = format_grouped(plan, merge_group_partials(group_partials)?)?;
             return Ok(Some(StreamBody::Rows { rows, cursor: 0 }));
         }
 
@@ -1359,11 +1345,10 @@ impl Engine {
 
     /// Join half of [`Engine::try_morsel_cold_pipeline`]: when both join
     /// inputs are fully cold with integer join keys, the build side's
-    /// tokenizer morsels are filtered and hash-partitioned into `(key,
-    /// row)` entries on the scan workers ([`cold_join_build_morsel`] —
-    /// the same radix scheme as the warm partitioned join), the partition
-    /// tables are built in parallel, and the probe side's morsels probe
-    /// them directly as they are parsed. Pair order reproduces the serial
+    /// tokenizer morsels are filtered into `(key, row)` entries on the scan
+    /// workers ([`cold_join_build_morsel`]), one flat [`JoinTable`] is
+    /// built from them, and the probe side's morsels probe it directly as
+    /// they are parsed. Pair order reproduces the serial
     /// `hash_join_positions`-over-gathered-keys order exactly, and both
     /// adaptive stores plus positional maps end up exactly as two serial
     /// loads would leave them. Locks are taken one entry at a time, never
@@ -1413,9 +1398,8 @@ impl Engine {
             return Ok(None);
         }
 
-        // Build side: scan, filter and hash-partition the join keys on
-        // the scan workers, then build one table per partition.
-        let p = cold_join_partitions(self.cfg.threads);
+        // Build side: scan and filter on the scan workers, collecting the
+        // qualifying join keys, then build the one join table.
         let (rows_l, build_parts, cols_l) = {
             let mut e = entry_l.write();
             let Some(scan_cols) = side_scan_cols(self, &mut e, needed_l, join.left_key)? else {
@@ -1431,7 +1415,6 @@ impl Engine {
                     &morsel.columns[kslot],
                     &local,
                     morsel.first_row,
-                    p,
                 ))
             })?;
             let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
@@ -1440,11 +1423,10 @@ impl Engine {
             }
             (rows, parts, cols)
         };
-        let tables = profile::time(Phase::JoinBuild, || {
-            build_cold_join_tables(build_parts, p, self.cfg.threads)
-        })?;
+        let tables = profile::time(Phase::JoinBuild, || JoinTable::from_morsels(&build_parts))?;
+        drop(build_parts);
 
-        // Probe side: each morsel probes the partition tables as soon as
+        // Probe side: each morsel probes the join table as soon as
         // it is parsed; chunk concatenation in morsel order reproduces
         // the serial probe-scan pair order.
         let (rows_r, pair_chunks, cols_r) = {
@@ -1481,24 +1463,16 @@ impl Engine {
         // post-join pipeline, exactly as execute_join does after
         // resolving its dense pairs.
         let (combined, n) = profile::time(Phase::JoinProbe, || {
-            let total: usize = pair_chunks.iter().map(Vec::len).sum();
-            let mut li: Vec<usize> = Vec::with_capacity(total);
-            let mut ri: Vec<usize> = Vec::with_capacity(total);
-            for chunk in pair_chunks {
-                for (a, b) in chunk {
-                    li.push(a);
-                    ri.push(b);
-                }
-            }
-            let mut combined: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for (&c, col) in &cols_l {
-                combined.insert(c, Arc::new(col.take(&li)));
-            }
-            for (&c, col) in &cols_r {
-                combined.insert(plan.left_width + c, Arc::new(col.take(&ri)));
-            }
-            (combined, li.len())
-        });
+            let pairs: Vec<(usize, usize)> = pair_chunks.into_iter().flatten().collect();
+            let combined = gather_joined(
+                plan,
+                &cols_l,
+                &cols_r,
+                || pairs.iter().map(|p| p.0).collect(),
+                || pairs.iter().map(|p| p.1).collect(),
+            )?;
+            Ok::<_, Error>((combined, pairs.len()))
+        })?;
         Ok(Some(self.execute_relational(
             plan,
             combined,
@@ -1525,61 +1499,54 @@ impl Engine {
         filter_r: &Conjunction,
     ) -> Result<StreamBody> {
         let join = plan.join.as_ref().expect("join plan");
-        // Reduce each side to qualifying positions first.
-        let pos_l = if mat_l.prefiltered || filter_l.is_always_true() {
-            None
-        } else {
-            Some(filter_positions(&mat_l.cols, mat_l.n_rows, filter_l)?)
-        };
-        let pos_r = if mat_r.prefiltered || filter_r.is_always_true() {
-            None
-        } else {
-            Some(filter_positions(&mat_r.cols, mat_r.n_rows, filter_r)?)
-        };
-
-        let gather =
-            |col: Option<&Arc<ColumnData>>, pos: &Option<Vec<usize>>| -> Result<ColumnData> {
-                let col = col.ok_or_else(|| Error::exec("join key not materialised"))?;
-                Ok(match pos {
-                    None => col.as_ref().clone(),
-                    Some(p) => col.take(p),
-                })
-            };
-        let key_l = gather(mat_l.cols.get(&join.left_key), &pos_l)?;
-        let key_r = gather(mat_r.cols.get(&join.right_key), &pos_r)?;
-        // Below `join_min_rows` the build stays serial: thread dispatch
-        // plus the partition scatter cost more than they save on small
-        // builds (the measured sub-1.0 speedup of the old always-parallel
-        // gate).
-        let join_rows = key_l.len().max(key_r.len());
-        let pairs = profile::time(Phase::JoinBuild, || {
-            if self.cfg.threads > 1 && join_rows >= self.cfg.join_min_rows {
-                self.counters.add_parallel_pipeline();
-                parallel_hash_join_positions(&key_l, &key_r, self.cfg.threads, self.cfg.morsel_rows)
+        // Prologue and join proper, all timed as `join_build`: reduce each
+        // side to its qualifying positions (in parallel when the side is
+        // big enough), view the join keys through them — an unfiltered
+        // side's key column is borrowed, not copied — and pair them up.
+        let side_positions = |mat: &Materialized, filter: &Conjunction| {
+            if mat.prefiltered || filter.is_always_true() {
+                Ok(None)
             } else {
-                hash_join_positions(&key_l, &key_r)
+                self.qualifying_positions(&mat.cols, mat.n_rows, filter)
+                    .map(Some)
             }
+        };
+        let (pos_l, pos_r, pairs) = profile::time(Phase::JoinBuild, || -> Result<_> {
+            let pos_l = side_positions(&mat_l, filter_l)?;
+            let pos_r = side_positions(&mat_r, filter_r)?;
+            let key_l = join_key(&mat_l, join.left_key, pos_l.as_deref())?;
+            let key_r = join_key(&mat_r, join.right_key, pos_r.as_deref())?;
+            // Below `join_min_rows` the probe stays on this thread: thread
+            // dispatch costs more than it saves on small joins.
+            let join_rows = key_l.len().max(key_r.len());
+            let threads = if self.cfg.threads > 1 && join_rows >= self.cfg.join_min_rows {
+                self.counters.add_parallel_pipeline();
+                self.cfg.threads
+            } else {
+                1
+            };
+            let pairs =
+                parallel_hash_join_positions(&key_l, &key_r, threads, self.cfg.morsel_rows)?;
+            Ok((pos_l, pos_r, pairs))
         })?;
 
-        // Map join positions back through the filters and gather payload
-        // columns into a combined, dense column map.
+        // Map join positions back through the filters and gather the
+        // payload columns the rest of the plan reads into a combined,
+        // dense column map.
         let n = pairs.len();
         let combined = profile::time(Phase::JoinProbe, || {
             let resolve = |p: usize, pos: &Option<Vec<usize>>| match pos {
                 None => p,
                 Some(v) => v[p],
             };
-            let li: Vec<usize> = pairs.iter().map(|&(a, _)| resolve(a, &pos_l)).collect();
-            let ri: Vec<usize> = pairs.iter().map(|&(_, b)| resolve(b, &pos_r)).collect();
-            let mut combined: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for (&c, col) in &mat_l.cols {
-                combined.insert(c, Arc::new(col.take(&li)));
-            }
-            for (&c, col) in &mat_r.cols {
-                combined.insert(plan.left_width + c, Arc::new(col.take(&ri)));
-            }
-            combined
-        });
+            gather_joined(
+                plan,
+                &mat_l.cols,
+                &mat_r.cols,
+                || pairs.iter().map(|&(a, _)| resolve(a, &pos_l)).collect(),
+                || pairs.iter().map(|&(_, b)| resolve(b, &pos_r)).collect(),
+            )
+        })?;
         self.execute_relational(plan, combined, n, &Conjunction::always())
     }
 
@@ -1588,6 +1555,22 @@ impl Engine {
     /// morsel of work.
     fn parallel_worthwhile(&self, n_rows: usize) -> bool {
         self.cfg.threads > 1 && n_rows >= self.cfg.morsel_rows
+    }
+
+    /// Positions of the rows `filter` keeps, ascending — built on stealing
+    /// workers when the input is big enough to pay for them.
+    fn qualifying_positions(
+        &self,
+        cols: &BTreeMap<usize, Arc<ColumnData>>,
+        n_rows: usize,
+        filter: &Conjunction,
+    ) -> Result<Vec<usize>> {
+        if self.parallel_worthwhile(n_rows) {
+            self.counters.add_parallel_pipeline();
+            parallel_filter_positions(cols, n_rows, filter, self.cfg.threads, self.cfg.morsel_rows)
+        } else {
+            filter_positions(cols, n_rows, filter)
+        }
     }
 
     /// The post-load relational pipeline: filter → group/aggregate →
@@ -1656,33 +1639,30 @@ impl Engine {
         }
 
         if !plan.group_by.is_empty() {
-            // Grouped aggregation: morsel-parallel per-worker group tables
-            // with a partition-wise merge when the input is big enough
-            // (kernel ablations keep measuring the serial fold).
-            let grouped = if matches!(
+            // Grouped aggregation: one kernel, morsel by morsel — on
+            // stealing workers when the input is big enough, inline
+            // otherwise (and under the kernel ablations); the result does
+            // not depend on which.
+            let threads = if matches!(
                 self.cfg.kernel,
                 KernelStrategy::Auto | KernelStrategy::Hybrid
             ) && self.parallel_worthwhile(n_rows)
             {
                 self.counters.add_parallel_pipeline();
-                parallel_group_aggregate(
-                    &cols,
-                    n_rows,
-                    residual,
-                    &plan.group_by,
-                    &agg_specs,
-                    self.cfg.threads,
-                    self.cfg.morsel_rows,
-                    self.cfg.group_partitions,
-                )?
+                self.cfg.threads
             } else {
-                let pos = if residual.is_always_true() {
-                    None
-                } else {
-                    Some(filter_positions(&cols, n_rows, residual)?)
-                };
-                group_aggregate(&cols, n_rows, pos.as_deref(), &plan.group_by, &agg_specs)?
+                1
             };
+            let grouped = parallel_group_aggregate(
+                &cols,
+                n_rows,
+                residual,
+                &plan.group_by,
+                &agg_specs,
+                threads,
+                self.cfg.morsel_rows,
+                0,
+            )?;
             let rows = format_grouped(plan, grouped)?;
             return Ok(StreamBody::Rows { rows, cursor: 0 });
         }
@@ -1693,17 +1673,8 @@ impl Engine {
         // parallel pipeline's selection vector.
         let mut positions = if residual.is_always_true() {
             (0..n_rows).collect()
-        } else if self.parallel_worthwhile(n_rows) {
-            self.counters.add_parallel_pipeline();
-            parallel_filter_positions(
-                &cols,
-                n_rows,
-                residual,
-                self.cfg.threads,
-                self.cfg.morsel_rows,
-            )?
         } else {
-            filter_positions(&cols, n_rows, residual)?
+            self.qualifying_positions(&cols, n_rows, residual)?
         };
         if !plan.order_by.is_empty() {
             positions = sort_positions(&cols, positions, &plan.order_by)?;
@@ -1721,6 +1692,63 @@ impl Engine {
             cols, positions, exprs,
         )))
     }
+}
+
+/// One side's join keys at its qualifying positions: the materialised
+/// column itself when the side is unfiltered, a gathered copy otherwise.
+fn join_key<'a>(
+    mat: &'a Materialized,
+    key: usize,
+    positions: Option<&[usize]>,
+) -> Result<Cow<'a, ColumnData>> {
+    let col = mat
+        .cols
+        .get(&key)
+        .ok_or_else(|| Error::exec("join key not materialised"))?;
+    Ok(match positions {
+        None => Cow::Borrowed(col.as_ref()),
+        Some(p) => Cow::Owned(col.take(p)),
+    })
+}
+
+/// Gather the payload columns the post-join pipeline reads — what the
+/// plan's outputs, GROUP BY and ORDER BY reference; filters and join keys
+/// were consumed before the pairs existed — into the combined (left ++
+/// right ordinals) column map. `li` / `ri` produce each side's gather
+/// positions, one per joined row; a side no column is read from never
+/// has its list built.
+fn gather_joined(
+    plan: &Plan,
+    cols_l: &BTreeMap<usize, Arc<ColumnData>>,
+    cols_r: &BTreeMap<usize, Arc<ColumnData>>,
+    li: impl Fn() -> Vec<usize>,
+    ri: impl Fn() -> Vec<usize>,
+) -> Result<BTreeMap<usize, Arc<ColumnData>>> {
+    let mut wanted: Vec<usize> = plan.group_by.clone();
+    wanted.extend(plan.order_by.iter().map(|(c, _)| *c));
+    for o in &plan.output {
+        match o {
+            OutputExpr::Scalar(e) => wanted.extend(e.columns()),
+            OutputExpr::Agg(a) => wanted.extend(a.columns()),
+        }
+    }
+    let (mut rows_l, mut rows_r) = (None, None);
+    let mut combined = BTreeMap::new();
+    for c in wanted {
+        if combined.contains_key(&c) {
+            continue;
+        }
+        let (side, local, rows) = if c < plan.left_width {
+            (cols_l, c, rows_l.get_or_insert_with(&li))
+        } else {
+            (cols_r, c - plan.left_width, rows_r.get_or_insert_with(&ri))
+        };
+        let col = side
+            .get(&local)
+            .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
+        combined.insert(c, Arc::new(col.take(rows)));
+    }
+    Ok(combined)
 }
 
 /// Morsel-local qualifying positions under `filter` — all rows when the
@@ -2388,7 +2416,7 @@ mod tests {
         assert_eq!(again.rows, reference[0]);
         assert_eq!(par.counters().snapshot().since(&before).file_trips, 0);
 
-        // Join path: parallel partitioned join agrees with serial.
+        // Join path: the morsel-parallel join agrees with serial.
         let s_path = dir.join("s.csv");
         let mut sdata = String::new();
         for i in 0..20_000i64 {
@@ -2636,7 +2664,6 @@ mod tests {
         for threads in [1, 2, 5] {
             let mut cfg = EngineConfig::default().with_threads(threads);
             cfg.morsel_rows = 500;
-            cfg.group_partitions = if threads == 5 { 4 } else { 0 };
             let e = Engine::new(cfg);
             e.register_table("r", &path).unwrap();
             // Warm the store first so the grouped kernel (not the cold
@@ -2688,8 +2715,8 @@ mod tests {
         // Threshold above the input: the warm join runs serial.
         let (rows_hi, delta_hi) = run(1_000_000);
         assert_eq!(delta_hi.parallel_pipelines, 0);
-        // Threshold below the input: the warm join goes parallel, with
-        // identical results (serial fallback vs partitioned build).
+        // Threshold below the input: the warm join probes in parallel,
+        // with identical results.
         let (rows_lo, delta_lo) = run(1_000);
         assert!(delta_lo.parallel_pipelines >= 1);
         assert_eq!(rows_lo, rows_hi);

@@ -5,7 +5,6 @@
 //! call per operator", at the price of materialisation. Integer columns
 //! without nulls take tight-loop fast paths.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use nodb_types::{CmpOp, ColumnData, Conjunction, Error, Result, Value};
@@ -270,74 +269,6 @@ impl Hash for GroupKey {
     }
 }
 
-/// Hash group-by: returns one output row per group, laid out as
-/// `group key columns ++ aggregate results`, ordered by first appearance.
-pub fn group_aggregate<C: Cols + ?Sized>(
-    cols: &C,
-    n_rows: usize,
-    positions: Option<&[usize]>,
-    group_cols: &[usize],
-    specs: &[AggSpec],
-) -> Result<Vec<Vec<Value>>> {
-    for &g in group_cols {
-        if cols.get_col(g).is_none() {
-            return Err(Error::exec(format!("group column {g} not materialised")));
-        }
-    }
-    let mut groups: HashMap<GroupKey, usize> = HashMap::new();
-    let mut order: Vec<(GroupKey, Vec<Accumulator>)> = Vec::new();
-    let mut cancel_check = nodb_types::CancelCheck::new();
-    // Group tables grow with distinct keys, not input rows, so a
-    // runaway GROUP BY is metered here: one charge per *new group*
-    // against the ambient per-query budget — rows that hit an existing
-    // group pay nothing.
-    let group_entry_bytes = std::mem::size_of::<(GroupKey, Vec<Accumulator>)>()
-        + group_cols.len() * std::mem::size_of::<Value>()
-        + specs.len() * std::mem::size_of::<Accumulator>()
-        + std::mem::size_of::<(GroupKey, usize)>();
-    let iter: Box<dyn Iterator<Item = usize>> = match positions {
-        None => Box::new(0..n_rows),
-        Some(pos) => Box::new(pos.iter().copied()),
-    };
-    for i in iter {
-        cancel_check.tick(1)?;
-        let key = GroupKey(
-            group_cols
-                .iter()
-                .map(|&g| cols.get_col(g).expect("validated").get(i))
-                .collect(),
-        );
-        let slot = match groups.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = order.len();
-                nodb_types::resource::charge_current(group_entry_bytes)?;
-                order.push((
-                    key.clone(),
-                    specs.iter().map(|sp| Accumulator::new(sp.func)).collect(),
-                ));
-                groups.insert(key, s);
-                s
-            }
-        };
-        for (acc, spec) in order[slot].1.iter_mut().zip(specs) {
-            match &spec.expr {
-                None => acc.update(&Value::Null)?,
-                Some(e) => acc.update(&e.eval(cols, i)?)?,
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(order.len());
-    for (key, accs) in order {
-        let mut row = key.0;
-        for a in &accs {
-            row.push(a.finish()?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
 /// Stable sort of positions by the given `(column, ascending)` keys.
 pub fn sort_positions<C: Cols + ?Sized>(
     cols: &C,
@@ -487,40 +418,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out[0], Value::Int(25 + 150));
-    }
-
-    #[test]
-    fn group_aggregate_basic() {
-        let mut cols = BTreeMap::new();
-        cols.insert(0, ColumnData::from_i64(vec![1, 2, 1, 2, 1]));
-        cols.insert(1, ColumnData::from_i64(vec![10, 20, 30, 40, 50]));
-        let rows = group_aggregate(
-            &cols,
-            5,
-            None,
-            &[0],
-            &[AggSpec::on_col(AggFunc::Sum, 1), AggSpec::count_star()],
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 2);
-        // First-appearance order: group 1 then group 2.
-        assert_eq!(rows[0], vec![Value::Int(1), Value::Int(90), Value::Int(3)]);
-        assert_eq!(rows[1], vec![Value::Int(2), Value::Int(60), Value::Int(2)]);
-    }
-
-    #[test]
-    fn group_aggregate_null_key_groups_together() {
-        let mut cols = BTreeMap::new();
-        let mut c0 = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Null, Value::Int(1), Value::Null] {
-            c0.push(v).unwrap();
-        }
-        cols.insert(0, c0);
-        cols.insert(1, ColumnData::from_i64(vec![5, 6, 7]));
-        let rows =
-            group_aggregate(&cols, 3, None, &[0], &[AggSpec::on_col(AggFunc::Sum, 1)]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], vec![Value::Null, Value::Int(12)]);
     }
 
     #[test]

@@ -1,0 +1,1275 @@
+//! Typed, vectorized hash GROUP BY.
+//!
+//! One kernel serves every grouped path (warm morsels, the fused cold
+//! pipeline, and the serial fallback, which is the same kernel run
+//! inline). It works column-at-a-time, never row-at-a-time:
+//!
+//! 1. **Group ids.** Each key column of a morsel is mapped to a dense
+//!    `u32` id per row through an `IdTable` — a flat open-addressing
+//!    table with a multiplicative hash, keys stored inline (`&str` keys
+//!    borrow from the column) and no per-entry heap allocation. NULL keys
+//!    share one id; float keys group by bit pattern, which is exactly how
+//!    `Value::total_cmp` equates them. Multi-column keys intern the pair
+//!    `(id so far, id of the next column)` in a further table, one column
+//!    at a time. Ids are handed out in row order, so id order *is*
+//!    first-appearance order.
+//! 2. **Typed state.** Every aggregate folds its argument column (a typed
+//!    slice; arbitrary expressions are evaluated once per morsel with
+//!    [`Expr::eval_column`]) into per-group vectors — `i128` sums, `f64`
+//!    sums, counts, typed min/max — in row order.
+//! 3. **Merge.** Per-morsel [`GroupPartial`]s merge in morsel order
+//!    through the same id mapping (a partial's key columns are just rows
+//!    to group again), so group order, integer results and float
+//!    summation order depend only on the morsel boundaries — never on the
+//!    thread count or on scheduling.
+
+use nodb_types::profile::{self, Phase};
+use nodb_types::resource::charge_current;
+use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result, Value};
+
+use crate::agg::AggFunc;
+use crate::cols::Cols;
+use crate::columnar::{filter_positions_range, AggSpec};
+use crate::expr::Expr;
+
+/// Marks an empty slot; no key ever receives this id.
+const EMPTY: u32 = u32::MAX;
+
+/// A key the flat tables can store inline.
+pub(crate) trait TableKey: Copy {
+    /// What empty slots hold; never compared.
+    const FILLER: Self;
+    /// Multiplicative hash whose *high* bits are well mixed.
+    fn hash(self) -> u64;
+    /// Key equality.
+    fn same(self, other: Self) -> bool;
+}
+
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl TableKey for i64 {
+    const FILLER: i64 = 0;
+
+    #[inline]
+    fn hash(self) -> u64 {
+        // Fold the high half in first: float bit patterns and packed id
+        // pairs carry most of their entropy there.
+        let x = self as u64;
+        (x ^ (x >> 32)).wrapping_mul(HASH_MUL)
+    }
+
+    #[inline]
+    fn same(self, other: i64) -> bool {
+        self == other
+    }
+}
+
+impl TableKey for &str {
+    const FILLER: &'static str = "";
+
+    #[inline]
+    fn hash(self) -> u64 {
+        let bytes = self.as_bytes();
+        let mut h = bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // Byte by byte: a variable-length copy is a libc call, which
+            // costs more than the whole hash of a short key.
+            let w = tail
+                .iter()
+                .rev()
+                .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
+        }
+        h
+    }
+
+    #[inline]
+    fn same(self, other: &str) -> bool {
+        let (a, b) = (self.as_bytes(), other.as_bytes());
+        // Short keys compare inline; `==` on slices is a `memcmp` call.
+        a.len() == b.len()
+            && if a.len() <= 16 {
+                a.iter().zip(b).all(|(x, y)| x == y)
+            } else {
+                a == b
+            }
+    }
+}
+
+/// Flat open-addressing map from a typed key to a dense `u32` id, ids
+/// assigned in first-insertion order. Linear probing at a load factor of
+/// at most one half; the slot vector is the only allocation.
+#[derive(Debug)]
+pub(crate) struct IdTable<K> {
+    slots: Vec<(K, u32)>,
+    /// `64 - log2(slots.len())`: the hash's high bits index the table.
+    shift: u32,
+    /// Ids handed out so far.
+    next: u32,
+}
+
+impl<K: TableKey> IdTable<K> {
+    /// A table that holds `keys` distinct keys before it first grows.
+    pub(crate) fn with_capacity(keys: usize) -> IdTable<K> {
+        let slots = keys.saturating_mul(2).next_power_of_two().max(16);
+        IdTable {
+            slots: vec![(K::FILLER, EMPTY); slots],
+            shift: 64 - slots.trailing_zeros(),
+            next: 0,
+        }
+    }
+
+    /// Number of ids handed out.
+    pub(crate) fn len(&self) -> usize {
+        self.next as usize
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<(K, u32)>()
+    }
+
+    /// Hand out the next id without storing a key — how a column's NULL
+    /// group gets its place in first-appearance order.
+    fn alloc_id(&mut self) -> u32 {
+        let id = self.next;
+        self.next += 1;
+        id
+    }
+
+    /// The id of `key`, if it was interned.
+    #[inline]
+    pub(crate) fn get(&self, key: K) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.hash() >> self.shift) as usize & mask;
+        loop {
+            let (k, id) = self.slots[i];
+            if id == EMPTY {
+                return None;
+            }
+            if k.same(key) {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id of `key`, assigning the next id on first sight. Callers
+    /// bound the number of distinct keys below [`EMPTY`].
+    #[inline]
+    pub(crate) fn intern(&mut self, key: K) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.hash() >> self.shift) as usize & mask;
+        loop {
+            let (k, id) = self.slots[i];
+            if id == EMPTY {
+                break;
+            }
+            if k.same(key) {
+                return id;
+            }
+            i = (i + 1) & mask;
+        }
+        if (self.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            return self.intern(key);
+        }
+        let id = self.alloc_id();
+        self.slots[i] = (key, id);
+        id
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![(K::FILLER, EMPTY); doubled]);
+        self.shift -= 1;
+        let mask = doubled - 1;
+        for (k, id) in old {
+            if id != EMPTY {
+                let mut i = (k.hash() >> self.shift) as usize & mask;
+                while self.slots[i].1 != EMPTY {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = (k, id);
+            }
+        }
+    }
+}
+
+/// The rows a kernel step covers: a contiguous range, or a selection
+/// vector of absolute positions (ascending).
+#[derive(Clone, Copy)]
+enum Sel<'a> {
+    Range(usize, usize),
+    Pos(&'a [usize]),
+}
+
+impl Sel<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Sel::Range(lo, hi) => hi - lo,
+            Sel::Pos(p) => p.len(),
+        }
+    }
+
+    /// Absolute position of the `k`-th selected row.
+    fn row(&self, k: usize) -> usize {
+        match self {
+            Sel::Range(lo, _) => lo + k,
+            Sel::Pos(p) => p[k],
+        }
+    }
+}
+
+/// Visit the selected rows of a typed slice in order, calling `f(k, v)`
+/// for the `k`-th selected row with `None` for NULL.
+#[inline(always)]
+fn for_rows<'x, T>(
+    xs: &'x [T],
+    nulls: Option<&[bool]>,
+    sel: Sel,
+    mut f: impl FnMut(usize, Option<&'x T>),
+) {
+    match (sel, nulls) {
+        (Sel::Range(lo, hi), None) => {
+            for (k, x) in xs[lo..hi].iter().enumerate() {
+                f(k, Some(x));
+            }
+        }
+        (Sel::Range(lo, hi), Some(m)) => {
+            for (k, (x, &null)) in xs[lo..hi].iter().zip(&m[lo..hi]).enumerate() {
+                f(k, (!null).then_some(x));
+            }
+        }
+        (Sel::Pos(p), None) => {
+            for (k, &i) in p.iter().enumerate() {
+                f(k, Some(&xs[i]));
+            }
+        }
+        (Sel::Pos(p), Some(m)) => {
+            for (k, &i) in p.iter().enumerate() {
+                f(k, (!m[i]).then_some(&xs[i]));
+            }
+        }
+    }
+}
+
+/// Typed values and null mask of a column, for kernels that dispatch on
+/// the type once per morsel.
+enum Typed<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a [String]),
+}
+
+fn typed(col: &ColumnData) -> (Typed<'_>, Option<&[bool]>) {
+    match col {
+        ColumnData::Int64 { values, nulls } => (Typed::Int(values), nulls.as_deref()),
+        ColumnData::Float64 { values, nulls } => (Typed::Float(values), nulls.as_deref()),
+        ColumnData::Str { values, nulls } => (Typed::Str(values), nulls.as_deref()),
+    }
+}
+
+/// One key column's value → id table. Ints and float bit patterns share
+/// the `i64` table; strings are borrowed from the column.
+enum KeyTable<'a> {
+    Bits(IdTable<i64>),
+    Str(IdTable<&'a str>),
+}
+
+struct KeyColumn<'a> {
+    table: KeyTable<'a>,
+    null_id: Option<u32>,
+}
+
+impl<'a> KeyColumn<'a> {
+    fn new(ty: DataType, capacity: usize) -> KeyColumn<'a> {
+        let table = match ty {
+            DataType::Int64 | DataType::Float64 => KeyTable::Bits(IdTable::with_capacity(capacity)),
+            DataType::Str => KeyTable::Str(IdTable::with_capacity(capacity)),
+        };
+        KeyColumn {
+            table,
+            null_id: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match &self.table {
+            KeyTable::Bits(t) => t.len(),
+            KeyTable::Str(t) => t.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match &self.table {
+            KeyTable::Bits(t) => t.heap_bytes(),
+            KeyTable::Str(t) => t.heap_bytes(),
+        }
+    }
+
+    /// Write this column's id for every selected row into `ids`.
+    fn assign(&mut self, col: &'a ColumnData, sel: Sel, ids: &mut [u32]) -> Result<()> {
+        let (values, nulls) = typed(col);
+        let null_id = &mut self.null_id;
+        match (&mut self.table, values) {
+            (KeyTable::Bits(t), Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                ids[k] = match x {
+                    Some(&x) => t.intern(x),
+                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
+                }
+            }),
+            (KeyTable::Bits(t), Typed::Float(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                ids[k] = match x {
+                    Some(x) => t.intern(x.to_bits() as i64),
+                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
+                }
+            }),
+            (KeyTable::Str(t), Typed::Str(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                ids[k] = match x {
+                    Some(x) => t.intern(x.as_str()),
+                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
+                }
+            }),
+            _ => return Err(Error::exec("group key column changed type between morsels")),
+        }
+        Ok(())
+    }
+}
+
+/// Maps rows of the key columns to dense group ids. The tables persist
+/// across [`Grouper::assign`] calls, so the merge step feeds it one
+/// partial after another and keeps one id space.
+struct Grouper<'a> {
+    columns: Vec<KeyColumn<'a>>,
+    /// `pairs[c - 1]` interns `(id over columns 0..c, id of column c)`.
+    pairs: Vec<IdTable<i64>>,
+    /// With no key columns every row belongs to the one group, which
+    /// exists once any row was seen.
+    saw_rows: bool,
+}
+
+impl<'a> Grouper<'a> {
+    /// `capacity` sizes the table that holds the final ids (groups expected
+    /// before it first grows); the others start small.
+    fn new(key_cols: &[&ColumnData], capacity: usize) -> Grouper<'a> {
+        let last = key_cols.len().saturating_sub(1);
+        let columns = key_cols
+            .iter()
+            .map(|col| KeyColumn::new(col.data_type(), if last == 0 { capacity } else { 0 }))
+            .collect();
+        let pairs = (1..key_cols.len())
+            .map(|c| IdTable::with_capacity(if c == last { capacity } else { 0 }))
+            .collect();
+        Grouper {
+            columns,
+            pairs,
+            saw_rows: false,
+        }
+    }
+
+    fn n_groups(&self) -> usize {
+        match (self.pairs.last(), self.columns.first()) {
+            (Some(t), _) => t.len(),
+            (None, Some(c)) => c.len(),
+            (None, None) => usize::from(self.saw_rows),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .map(KeyColumn::heap_bytes)
+            .sum::<usize>()
+            + self.pairs.iter().map(IdTable::heap_bytes).sum::<usize>()
+    }
+
+    /// The group id of every selected row, in row order.
+    fn assign(&mut self, key_cols: &[&'a ColumnData], sel: Sel) -> Result<Vec<u32>> {
+        let n = sel.len();
+        // Ids must stay below the empty-slot marker; distinct keys never
+        // outnumber rows.
+        if self.n_groups().saturating_add(n) >= EMPTY as usize {
+            return Err(Error::exec("GROUP BY input exceeds 2^32 rows per step"));
+        }
+        self.saw_rows |= n > 0;
+        let mut ids = vec![0u32; n];
+        let mut next = vec![0u32; if key_cols.len() > 1 { n } else { 0 }];
+        for (c, (table, col)) in self.columns.iter_mut().zip(key_cols).enumerate() {
+            if c == 0 {
+                table.assign(col, sel, &mut ids)?;
+                continue;
+            }
+            table.assign(col, sel, &mut next)?;
+            let pair = &mut self.pairs[c - 1];
+            for (id, &b) in ids.iter_mut().zip(&next) {
+                *id = pair.intern(((u64::from(*id) << 32) | u64::from(b)) as i64);
+            }
+        }
+        Ok(ids)
+    }
+}
+
+/// Positions (`sel.row(k)`) of the rows that opened groups `from..`, in
+/// group order. Ids are dense and handed out in row order, so each new
+/// group's first row is where the running maximum steps up.
+fn first_rows(ids: &[u32], from: usize, sel: Sel) -> Vec<usize> {
+    let mut next = from as u32;
+    let mut rows = Vec::new();
+    for (k, &id) in ids.iter().enumerate() {
+        if id == next {
+            rows.push(sel.row(k));
+            next += 1;
+        }
+    }
+    rows
+}
+
+/// Per-group running state of one aggregate, one vector entry per group.
+/// Mirrors [`Accumulator`](crate::agg::Accumulator) value for value: the
+/// same additions in the same order, the same comparisons, the same NULL
+/// and overflow rules.
+#[derive(Debug)]
+enum AggState {
+    CountStar(Vec<u64>),
+    Count(Vec<u64>),
+    SumInt {
+        sum: Vec<i128>,
+        seen: Vec<bool>,
+    },
+    SumFloat {
+        sum: Vec<f64>,
+        seen: Vec<bool>,
+    },
+    Avg {
+        sum: Vec<f64>,
+        n: Vec<u64>,
+    },
+    /// Best value so far as a typed column; NULL until a value was seen.
+    MinMax {
+        min: bool,
+        best: ColumnData,
+    },
+}
+
+/// An all-NULL column of `n` rows.
+fn null_column(ty: DataType, n: usize) -> ColumnData {
+    let nulls = Some(vec![true; n]);
+    match ty {
+        DataType::Int64 => ColumnData::Int64 {
+            values: vec![0; n],
+            nulls,
+        },
+        DataType::Float64 => ColumnData::Float64 {
+            values: vec![0.0; n],
+            nulls,
+        },
+        DataType::Str => ColumnData::Str {
+            values: vec![String::new(); n],
+            nulls,
+        },
+    }
+}
+
+impl AggState {
+    /// Zero state for `n` groups of `func` over an argument of type `arg`.
+    fn new(func: AggFunc, arg: DataType, n: usize) -> AggState {
+        match (func, arg) {
+            (AggFunc::CountStar, _) => AggState::CountStar(vec![0; n]),
+            (AggFunc::Count, _) => AggState::Count(vec![0; n]),
+            (AggFunc::Sum, DataType::Float64) => AggState::SumFloat {
+                sum: vec![0.0; n],
+                seen: vec![false; n],
+            },
+            // A string argument fails at its first non-NULL value; until
+            // then the sum is the untouched integer zero.
+            (AggFunc::Sum, _) => AggState::SumInt {
+                sum: vec![0; n],
+                seen: vec![false; n],
+            },
+            (AggFunc::Avg, _) => AggState::Avg {
+                sum: vec![0.0; n],
+                n: vec![0; n],
+            },
+            (AggFunc::Min | AggFunc::Max, ty) => AggState::MinMax {
+                min: func == AggFunc::Min,
+                best: null_column(ty, n),
+            },
+        }
+    }
+
+    /// Extend to `n` groups, new groups at zero state.
+    fn grow(&mut self, n: usize) {
+        match self {
+            AggState::CountStar(c) | AggState::Count(c) => c.resize(n, 0),
+            AggState::SumInt { sum, seen } => {
+                sum.resize(n, 0);
+                seen.resize(n, false);
+            }
+            AggState::SumFloat { sum, seen } => {
+                sum.resize(n, 0.0);
+                seen.resize(n, false);
+            }
+            AggState::Avg { sum, n: count } => {
+                sum.resize(n, 0.0);
+                count.resize(n, 0);
+            }
+            AggState::MinMax { best, .. } => best
+                .append(null_column(best.data_type(), n - best.len()))
+                .expect("same type"),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            AggState::CountStar(c) | AggState::Count(c) => c.len() * 8,
+            AggState::SumInt { sum, .. } => sum.len() * 17,
+            AggState::SumFloat { sum, .. } => sum.len() * 9,
+            AggState::Avg { sum, .. } => sum.len() * 16,
+            AggState::MinMax { best, .. } => best.approx_bytes(),
+        }
+    }
+
+    /// Fold the selected rows of `arg` into their groups (`ids[k]` is the
+    /// group of the `k`-th selected row), in row order. `COUNT(*)` counts
+    /// the rows whatever the argument; without an argument every other
+    /// function sees only NULLs.
+    fn update(&mut self, arg: Option<&ColumnData>, sel: Sel, ids: &[u32]) -> Result<()> {
+        if let AggState::CountStar(c) = self {
+            for &g in ids {
+                c[g as usize] += 1;
+            }
+            return Ok(());
+        }
+        let Some(arg) = arg else {
+            return Ok(());
+        };
+        let (values, nulls) = typed(arg);
+        match (self, values) {
+            (AggState::Count(c), _) => match nulls {
+                None => {
+                    for &g in ids {
+                        c[g as usize] += 1;
+                    }
+                }
+                Some(m) => for_rows(m, None, sel, |k, null| {
+                    c[ids[k] as usize] += u64::from(null == Some(&false));
+                }),
+            },
+            (AggState::SumInt { sum, seen }, Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                if let Some(&x) = x {
+                    let g = ids[k] as usize;
+                    sum[g] += i128::from(x);
+                    seen[g] = true;
+                }
+            }),
+            (AggState::SumFloat { sum, seen }, Typed::Float(xs)) => {
+                for_rows(xs, nulls, sel, |k, x| {
+                    if let Some(&x) = x {
+                        let g = ids[k] as usize;
+                        sum[g] += x;
+                        seen[g] = true;
+                    }
+                })
+            }
+            (AggState::Avg { sum, n }, Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                if let Some(&x) = x {
+                    let g = ids[k] as usize;
+                    sum[g] += x as f64;
+                    n[g] += 1;
+                }
+            }),
+            (AggState::Avg { sum, n }, Typed::Float(xs)) => for_rows(xs, nulls, sel, |k, x| {
+                if let Some(&x) = x {
+                    let g = ids[k] as usize;
+                    sum[g] += x;
+                    n[g] += 1;
+                }
+            }),
+            (AggState::SumInt { .. }, Typed::Str(xs)) => first_value(xs, nulls, sel, "sum")?,
+            (AggState::Avg { .. }, Typed::Str(xs)) => first_value(xs, nulls, sel, "avg")?,
+            (AggState::MinMax { min, best }, values) => {
+                // `sql_cmp` order: ints by value, floats by `total_cmp`,
+                // text bytewise; a candidate replaces only a strictly
+                // worse best.
+                let by = if *min {
+                    std::cmp::Ordering::Less
+                } else {
+                    std::cmp::Ordering::Greater
+                };
+                let at = FoldAt { nulls, sel, ids };
+                match (best, values) {
+                    (ColumnData::Int64 { values, nulls }, Typed::Int(xs)) => {
+                        fold_best(values, nulls, xs, at, |x, b| x.cmp(b) == by)
+                    }
+                    (ColumnData::Float64 { values, nulls }, Typed::Float(xs)) => {
+                        fold_best(values, nulls, xs, at, |x, b| x.total_cmp(b) == by)
+                    }
+                    (ColumnData::Str { values, nulls }, Typed::Str(xs)) => {
+                        fold_best(values, nulls, xs, at, |x, b| x.cmp(b) == by)
+                    }
+                    _ => return Err(Error::exec(TYPE_CHANGED)),
+                }
+            }
+            _ => return Err(Error::exec(TYPE_CHANGED)),
+        }
+        Ok(())
+    }
+
+    /// Fold a partial's state into this one: group `j` of `other` lands in
+    /// group `ids[j]` here.
+    fn merge(&mut self, other: AggState, ids: &[u32]) -> Result<()> {
+        match (self, other) {
+            (AggState::CountStar(a), AggState::CountStar(b))
+            | (AggState::Count(a), AggState::Count(b)) => {
+                for (&g, b) in ids.iter().zip(b) {
+                    a[g as usize] += b;
+                }
+            }
+            (AggState::SumInt { sum, seen }, AggState::SumInt { sum: s2, seen: n2 }) => {
+                for ((&g, b), s) in ids.iter().zip(s2).zip(n2) {
+                    sum[g as usize] += b;
+                    seen[g as usize] |= s;
+                }
+            }
+            (AggState::SumFloat { sum, seen }, AggState::SumFloat { sum: s2, seen: n2 }) => {
+                for ((&g, b), s) in ids.iter().zip(s2).zip(n2) {
+                    sum[g as usize] += b;
+                    seen[g as usize] |= s;
+                }
+            }
+            (AggState::Avg { sum, n }, AggState::Avg { sum: s2, n: n2 }) => {
+                for ((&g, b), c) in ids.iter().zip(s2).zip(n2) {
+                    sum[g as usize] += b;
+                    n[g as usize] += c;
+                }
+            }
+            (a @ AggState::MinMax { .. }, AggState::MinMax { best, .. }) => {
+                a.update(Some(&best), Sel::Range(0, best.len()), ids)?
+            }
+            _ => return Err(Error::exec("cannot merge mismatched aggregate states")),
+        }
+        Ok(())
+    }
+
+    /// The aggregate's value for group `g`.
+    fn finish(&self, g: usize) -> Result<Value> {
+        Ok(match self {
+            AggState::CountStar(c) | AggState::Count(c) => Value::Int(c[g] as i64),
+            AggState::SumInt { sum, seen } => match seen[g] {
+                false => Value::Null,
+                true => Value::Int(
+                    i64::try_from(sum[g]).map_err(|_| Error::exec("integer overflow in sum"))?,
+                ),
+            },
+            AggState::SumFloat { sum, seen } => match seen[g] {
+                false => Value::Null,
+                true => Value::Float(sum[g]),
+            },
+            AggState::Avg { n, .. } if n[g] == 0 => Value::Null,
+            AggState::Avg { sum, n } => Value::Float(sum[g] / n[g] as f64),
+            AggState::MinMax { best, .. } => best.get(g),
+        })
+    }
+}
+
+const TYPE_CHANGED: &str = "aggregate argument changed type between morsels";
+
+/// Where a fold reads its rows: the argument's null mask, the selected
+/// rows and their group ids.
+struct FoldAt<'a> {
+    nulls: Option<&'a [bool]>,
+    sel: Sel<'a>,
+    ids: &'a [u32],
+}
+
+/// MIN/MAX fold: `best[g]` takes each non-NULL `x` of group `g` that is
+/// the first seen or `better(x, best[g])`.
+fn fold_best<T: Clone>(
+    best: &mut [T],
+    unseen: &mut Option<Vec<bool>>,
+    xs: &[T],
+    at: FoldAt,
+    better: impl Fn(&T, &T) -> bool,
+) {
+    let unseen = unseen.as_mut().expect("state columns carry a mask");
+    for_rows(xs, at.nulls, at.sel, |k, x| {
+        if let Some(x) = x {
+            let g = at.ids[k] as usize;
+            if unseen[g] || better(x, &best[g]) {
+                best[g].clone_from(x);
+                unseen[g] = false;
+            }
+        }
+    })
+}
+
+/// SUM/AVG over text: fail on the first non-NULL value, like the
+/// row-at-a-time accumulators did.
+fn first_value(xs: &[String], nulls: Option<&[bool]>, sel: Sel, func: &str) -> Result<()> {
+    let mut first = None;
+    for_rows(xs, nulls, sel, |_, x| {
+        if first.is_none() {
+            first = x;
+        }
+    });
+    match first {
+        None => Ok(()),
+        Some(v) => Err(Error::exec(format!("{func} over non-numeric value {v}"))),
+    }
+}
+
+/// Grouped partial-aggregate state of one morsel (or of several, merged):
+/// the distinct group keys as typed columns in first-appearance order,
+/// and one typed state vector per aggregate.
+#[derive(Debug)]
+pub struct GroupPartial {
+    n_groups: usize,
+    /// One column per GROUP BY column, `n_groups` rows each.
+    keys: Vec<ColumnData>,
+    /// One state per aggregate spec, `n_groups` entries each.
+    states: Vec<AggState>,
+}
+
+impl GroupPartial {
+    fn heap_bytes(&self) -> usize {
+        self.keys
+            .iter()
+            .map(ColumnData::approx_bytes)
+            .sum::<usize>()
+            + self.states.iter().map(AggState::heap_bytes).sum::<usize>()
+    }
+
+    /// Result rows, `group key columns ++ aggregate results` per group.
+    fn finish(&self) -> Result<Vec<Vec<Value>>> {
+        let mut rows = Vec::with_capacity(self.n_groups);
+        for g in 0..self.n_groups {
+            let mut row = Vec::with_capacity(self.keys.len() + self.states.len());
+            row.extend(self.keys.iter().map(|k| k.get(g)));
+            for s in &self.states {
+                row.push(s.finish(g)?);
+            }
+            rows.push(row);
+        }
+        Ok(rows)
+    }
+}
+
+/// Group and aggregate the row range `[lo, hi)`: filter with `conj`, map
+/// the qualifying rows' keys to group ids, fold every aggregate over its
+/// typed argument column. Groups come back in first-appearance order.
+pub fn group_partial_range<C: Cols + ?Sized>(
+    cols: &C,
+    lo: usize,
+    hi: usize,
+    conj: &Conjunction,
+    group_cols: &[usize],
+    specs: &[AggSpec],
+) -> Result<GroupPartial> {
+    let key_cols: Vec<&ColumnData> = group_cols
+        .iter()
+        .map(|&g| {
+            cols.get_col(g)
+                .ok_or_else(|| Error::exec(format!("group column {g} not materialised")))
+        })
+        .collect::<Result<_>>()?;
+    let positions = if conj.is_always_true() {
+        None
+    } else {
+        Some(filter_positions_range(cols, lo, hi, conj)?)
+    };
+    let sel = match &positions {
+        None => Sel::Range(lo, hi),
+        Some(p) => Sel::Pos(p),
+    };
+
+    let mut grouper = Grouper::new(&key_cols, 0);
+    let ids = grouper.assign(&key_cols, sel)?;
+    let n_groups = grouper.n_groups();
+    let firsts = first_rows(&ids, 0, sel);
+    let keys = key_cols.iter().map(|c| c.take(&firsts)).collect();
+
+    let mut states = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let evaluated;
+        let (arg, arg_sel) = match &spec.expr {
+            None => (None, sel),
+            Some(Expr::Col(c)) => {
+                let col = cols
+                    .get_col(*c)
+                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
+                (Some(col), sel)
+            }
+            // Any other expression: once per morsel, dense over the
+            // selected rows.
+            Some(expr) => {
+                evaluated = match sel {
+                    Sel::Range(lo, hi) => expr.eval_column(cols, lo..hi)?,
+                    Sel::Pos(p) => expr.eval_column(cols, p.iter().copied())?,
+                };
+                (Some(&evaluated), Sel::Range(0, evaluated.len()))
+            }
+        };
+        let arg_type = arg.map_or(DataType::Int64, ColumnData::data_type);
+        let mut state = AggState::new(spec.func, arg_type, n_groups);
+        state.update(arg, arg_sel, &ids)?;
+        states.push(state);
+    }
+    let partial = GroupPartial {
+        n_groups,
+        keys,
+        states,
+    };
+    // Group state grows with the data (one entry per distinct key seen):
+    // meter it against the ambient budget, once per morsel.
+    charge_current(partial.heap_bytes() + grouper.heap_bytes() + ids.len() * 4)?;
+    Ok(partial)
+}
+
+/// Merge per-morsel partials (in morsel index order) and finish them into
+/// result rows, `group key columns ++ aggregate results`, ordered by first
+/// appearance. Each partial's key columns go through the same group-id
+/// mapping as input rows do; since partials arrive in morsel order and
+/// each lists its groups in first-appearance order, the merged ids are in
+/// global first-appearance order and every group's state is folded in
+/// morsel order — the output is a function of the morsel boundaries only.
+/// Timed under [`Phase::GroupMerge`].
+pub fn merge_group_partials(parts: Vec<GroupPartial>) -> Result<Vec<Vec<Value>>> {
+    let _p = profile::phase(Phase::GroupMerge);
+    if parts.len() <= 1 {
+        return parts.first().map_or(Ok(Vec::new()), GroupPartial::finish);
+    }
+    // Key columns stay put while the tables borrow their strings; the
+    // states are consumed as they merge.
+    let upper: usize = parts.iter().map(|p| p.n_groups).sum();
+    let mut part_keys = Vec::with_capacity(parts.len());
+    let mut part_states = Vec::with_capacity(parts.len());
+    for p in parts {
+        part_keys.push((p.n_groups, p.keys));
+        part_states.push(p.states);
+    }
+    let mut part_states = part_states.into_iter();
+    // The first partial's groups are distinct and take ids `0..n` as they
+    // are, so its states seed the merge.
+    let mut states = part_states.next().expect("two or more partials");
+
+    let mut grouper = Grouper::new(&refs(&part_keys[0].1), upper);
+    charge_current(grouper.heap_bytes())?;
+    let group_bytes = part_keys[0].1.len() * 16 + states.len() * 16;
+    let mut cancel = CancelCheck::new();
+    // Per partial, its rows that opened a new group, in group order.
+    let mut new_rows: Vec<Vec<usize>> = Vec::with_capacity(part_keys.len());
+    for (m, (n, keys)) in part_keys.iter().enumerate() {
+        cancel.tick(*n)?;
+        let sel = Sel::Range(0, *n);
+        let before = grouper.n_groups();
+        let ids = grouper.assign(&refs(keys), sel)?;
+        let total = grouper.n_groups();
+        new_rows.push(first_rows(&ids, before, sel));
+        if m == 0 {
+            continue;
+        }
+        charge_current((total - before) * group_bytes)?;
+        let partial = part_states.next().expect("one state list per partial");
+        for (state, other) in states.iter_mut().zip(partial) {
+            state.grow(total);
+            state.merge(other, &ids)?;
+        }
+    }
+    let n_groups = grouper.n_groups();
+    drop(grouper);
+
+    let mut keys: Vec<ColumnData> = part_keys[0]
+        .1
+        .iter()
+        .map(|k| ColumnData::empty(k.data_type()))
+        .collect();
+    for ((_, pk), rows) in part_keys.iter().zip(&new_rows) {
+        for (dst, src) in keys.iter_mut().zip(pk) {
+            dst.append(src.take(rows))?;
+        }
+    }
+    GroupPartial {
+        n_groups,
+        keys,
+        states,
+    }
+    .finish()
+}
+
+fn refs(cols: &[ColumnData]) -> Vec<&ColumnData> {
+    cols.iter().collect()
+}
+
+/// The retired row-at-a-time GROUP BY, kept as the reference the typed
+/// kernel is tested against: per morsel, one `GroupKey(Vec<Value>)` per
+/// row into a `HashMap`, every aggregate fed through
+/// `Accumulator::update(&Value)` from `Expr::eval`; partials merged in
+/// morsel order with `Accumulator::merge`; groups in first-appearance
+/// order.
+#[cfg(test)]
+pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
+    cols: &C,
+    n_rows: usize,
+    conj: &Conjunction,
+    group_cols: &[usize],
+    specs: &[AggSpec],
+    morsel_rows: usize,
+) -> Result<Vec<Vec<Value>>> {
+    use crate::agg::Accumulator;
+    use crate::columnar::GroupKey;
+    use std::collections::HashMap;
+
+    let mut slots: HashMap<GroupKey, usize> = HashMap::new();
+    let mut merged: Vec<(GroupKey, Vec<Accumulator>)> = Vec::new();
+    let mut lo = 0;
+    while lo < n_rows {
+        let hi = lo.saturating_add(morsel_rows.max(1)).min(n_rows);
+        let mut local: HashMap<GroupKey, usize> = HashMap::new();
+        let mut partial: Vec<(GroupKey, Vec<Accumulator>)> = Vec::new();
+        for i in filter_positions_range(cols, lo, hi, conj)? {
+            let key = GroupKey(
+                group_cols
+                    .iter()
+                    .map(|&g| cols.get_col(g).expect("group column").get(i))
+                    .collect(),
+            );
+            let slot = *local.entry(key.clone()).or_insert_with(|| {
+                partial.push((
+                    key,
+                    specs.iter().map(|s| Accumulator::new(s.func)).collect(),
+                ));
+                partial.len() - 1
+            });
+            for (acc, spec) in partial[slot].1.iter_mut().zip(specs) {
+                match &spec.expr {
+                    None => acc.update(&Value::Null)?,
+                    Some(e) => acc.update(&e.eval(cols, i)?)?,
+                }
+            }
+        }
+        for (key, accs) in partial {
+            match slots.get(&key) {
+                Some(&s) => {
+                    for (m, a) in merged[s].1.iter_mut().zip(accs) {
+                        m.merge(a)?;
+                    }
+                }
+                None => {
+                    slots.insert(key.clone(), merged.len());
+                    merged.push((key, accs));
+                }
+            }
+        }
+        lo = hi;
+    }
+    let mut rows = Vec::with_capacity(merged.len());
+    for (key, accs) in merged {
+        let mut row = key.0;
+        for a in &accs {
+            row.push(a.finish()?);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::ArithOp;
+    use crate::morsel::parallel_group_aggregate;
+    use std::collections::BTreeMap;
+
+    /// Cells with floats as bit patterns, so NaN and `-0.0` compare by
+    /// identity: "byte-identical" is what the kernel promises.
+    fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|r| {
+                r.iter()
+                    .map(|v| match v {
+                        Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Kernel and reference agree: same rows bit for bit in the same
+    /// order, or the same error.
+    fn assert_matches_reference(
+        cols: &BTreeMap<usize, ColumnData>,
+        n: usize,
+        conj: &Conjunction,
+        group_cols: &[usize],
+        specs: &[AggSpec],
+    ) {
+        for morsel_rows in [1, 7, 32 * 1024] {
+            let want = reference_group_aggregate(cols, n, conj, group_cols, specs, morsel_rows);
+            for threads in [1, 2, 5] {
+                for partitions in [0, 4] {
+                    let got = parallel_group_aggregate(
+                        cols,
+                        n,
+                        conj,
+                        group_cols,
+                        specs,
+                        threads,
+                        morsel_rows,
+                        partitions,
+                    );
+                    let ctx = format!(
+                        "threads={threads} morsel_rows={morsel_rows} partitions={partitions} \
+                         keys={group_cols:?}"
+                    );
+                    match (&got, &want) {
+                        (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{ctx}"),
+                        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                        _ => panic!("{ctx}: kernel {got:?} vs reference {want:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    fn mul(l: Expr, r: Expr) -> Expr {
+        Expr::Binary {
+            op: ArithOp::Mul,
+            left: Box::new(l),
+            right: Box::new(r),
+        }
+    }
+
+    #[test]
+    fn id_table_assigns_dense_ids_in_first_insertion_order() {
+        let mut t: IdTable<i64> = IdTable::with_capacity(0);
+        let keys = [7i64, -3, 7, i64::MIN, i64::MAX, -3, 0];
+        let ids: Vec<u32> = keys.iter().map(|&k| t.intern(k)).collect();
+        assert_eq!(ids, vec![0, 1, 0, 2, 3, 1, 4]);
+        // Growth keeps every id.
+        for k in 100..5000i64 {
+            t.intern(k);
+        }
+        assert_eq!(t.get(7), Some(0));
+        assert_eq!(t.get(i64::MIN), Some(2));
+        assert_eq!(t.get(4999), Some(4904));
+        assert_eq!(t.get(5000), None);
+        let mut s: IdTable<&str> = IdTable::with_capacity(0);
+        let ids: Vec<u32> = ["", "a", "abcdefgh", "abcdefghi", "a", ""]
+            .iter()
+            .map(|&k| s.intern(k))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 1, 0]);
+    }
+
+    #[test]
+    fn groups_in_first_appearance_order_with_null_group() {
+        let mut cols = BTreeMap::new();
+        cols.insert(
+            0,
+            ColumnData::from_values(
+                DataType::Int64,
+                vec![
+                    Value::Int(2),
+                    Value::Null,
+                    Value::Int(1),
+                    Value::Null,
+                    Value::Int(2),
+                ],
+            )
+            .unwrap(),
+        );
+        cols.insert(1, ColumnData::from_i64(vec![10, 20, 30, 40, 50]));
+        let specs = [AggSpec::on_col(AggFunc::Sum, 1), AggSpec::count_star()];
+        let rows =
+            parallel_group_aggregate(&cols, 5, &Conjunction::always(), &[0], &specs, 1, 2, 0)
+                .unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(2), Value::Int(60), Value::Int(2)],
+                vec![Value::Null, Value::Int(60), Value::Int(2)],
+                vec![Value::Int(1), Value::Int(30), Value::Int(1)],
+            ]
+        );
+    }
+
+    #[test]
+    fn sum_overflow_is_the_same_typed_error() {
+        let mut cols = BTreeMap::new();
+        cols.insert(0, ColumnData::from_i64(vec![1, 1, 2]));
+        cols.insert(1, ColumnData::from_i64(vec![i64::MAX, i64::MAX, 5]));
+        let specs = [AggSpec::on_col(AggFunc::Sum, 1)];
+        let err = parallel_group_aggregate(&cols, 3, &Conjunction::always(), &[0], &specs, 2, 1, 0)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            Error::exec("integer overflow in sum").to_string()
+        );
+        assert_matches_reference(&cols, 3, &Conjunction::always(), &[0], &specs);
+    }
+
+    #[test]
+    fn text_arguments_min_max_and_reject_sum() {
+        let mut cols = BTreeMap::new();
+        cols.insert(0, ColumnData::from_i64(vec![1, 2, 1, 2, 1]));
+        cols.insert(
+            1,
+            ColumnData::from_values(
+                DataType::Str,
+                ["pear", "", "apple", "fig", "é"]
+                    .into_iter()
+                    .map(|s| Value::Str(s.to_owned())),
+            )
+            .unwrap(),
+        );
+        let always = Conjunction::always();
+        let specs = [
+            AggSpec::on_col(AggFunc::Min, 1),
+            AggSpec::on_col(AggFunc::Max, 1),
+        ];
+        let rows = parallel_group_aggregate(&cols, 5, &always, &[0], &specs, 1, 2, 0).unwrap();
+        assert_eq!(
+            rows[0],
+            vec![
+                Value::Int(1),
+                Value::Str("apple".into()),
+                Value::Str("é".into())
+            ]
+        );
+        assert_matches_reference(&cols, 5, &always, &[0], &specs);
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            assert_matches_reference(&cols, 5, &always, &[0], &[AggSpec::on_col(func, 1)]);
+        }
+    }
+
+    #[test]
+    fn missing_columns_are_errors() {
+        let mut cols = BTreeMap::new();
+        cols.insert(0, ColumnData::from_i64(vec![1, 2]));
+        let always = Conjunction::always();
+        assert!(group_partial_range(&cols, 0, 2, &always, &[9], &[]).is_err());
+        let specs = [AggSpec::on_col(AggFunc::Sum, 9)];
+        assert!(group_partial_range(&cols, 0, 2, &always, &[0], &specs).is_err());
+    }
+
+    mod properties {
+        use super::*;
+        use nodb_types::{CmpOp, ColPred};
+        use proptest::prelude::*;
+
+        const FLOAT_KEYS: [f64; 7] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            1.5,
+            -1.5,
+            f64::INFINITY,
+            // A second NaN bit pattern: its own group, as `total_cmp` says.
+            f64::from_bits(0x7ff8_0000_0000_0001),
+        ];
+        const STR_KEYS: [&str; 8] = ["", "a", "ab", "abc", "é", "日本", "abcdefgh", "abcdefghi"];
+        const INT_EXTREMES: [i64; 5] = [i64::MIN, i64::MAX, -1, 0, 1];
+
+        /// A key column of the given kind from per-row seeds; kinds 5..10
+        /// are the nullable twins of 0..5.
+        fn key_column(kind: u8, seeds: &[u64]) -> ColumnData {
+            let nullable = kind >= 5;
+            let value = |s: u64| -> Value {
+                if nullable && s.is_multiple_of(5) {
+                    return Value::Null;
+                }
+                let r = (s >> 8) as usize;
+                match kind % 5 {
+                    0 => Value::Int((r % 5) as i64),
+                    1 => Value::Int((s as i64).wrapping_mul(0x5DEE_CE66D) >> (r % 60)),
+                    2 => Value::Int(INT_EXTREMES[r % INT_EXTREMES.len()]),
+                    3 => Value::Float(FLOAT_KEYS[r % FLOAT_KEYS.len()]),
+                    _ => Value::Str(STR_KEYS[r % STR_KEYS.len()].to_owned()),
+                }
+            };
+            let ty = match kind % 5 {
+                0..=2 => DataType::Int64,
+                3 => DataType::Float64,
+                _ => DataType::Str,
+            };
+            ColumnData::from_values(ty, seeds.iter().map(|&s| value(s))).unwrap()
+        }
+
+        proptest! {
+            /// The typed kernel against the row-at-a-time reference: every
+            /// key type (alone, in two- and three-column keys, and the
+            /// degenerate empty key: one group of all rows), every
+            /// aggregate over int, float, text and arithmetic arguments,
+            /// filter on and off, across thread counts and morsel sizes.
+            #[test]
+            fn kernel_matches_row_at_a_time_reference(
+                seeds in proptest::collection::vec(proptest::num::u64::ANY, 0..90),
+                kinds in proptest::collection::vec(0u8..10, 0..4),
+                filtered in proptest::bool::ANY,
+                big in proptest::bool::ANY,
+            ) {
+                let n = seeds.len();
+                let mut cols = BTreeMap::new();
+                for (c, &kind) in kinds.iter().enumerate() {
+                    let mixed: Vec<u64> =
+                        seeds.iter().map(|s| s.rotate_left(13 * c as u32)).collect();
+                    cols.insert(c, key_column(kind, &mixed));
+                }
+                // Arguments: nullable ints (sometimes large enough that a
+                // group's sum overflows), inexact floats with NULLs, text.
+                let ints = seeds.iter().map(|&s| match s % 7 {
+                    0 => Value::Null,
+                    1 if big => Value::Int(i64::MAX - (s % 3) as i64),
+                    _ => Value::Int((s % 2001) as i64 - 1000),
+                });
+                cols.insert(10, ColumnData::from_values(DataType::Int64, ints).unwrap());
+                let floats = seeds.iter().map(|&s| match s % 11 {
+                    0 => Value::Null,
+                    1 => Value::Float(-0.0),
+                    2 => Value::Float(0.0),
+                    // Rare, so most sums stay finite: NaN is the largest
+                    // value under `total_cmp`.
+                    _ if s % 61 == 3 => Value::Float(f64::NAN),
+                    _ => Value::Float((s % 1000) as f64 / 7.0 - 50.0),
+                });
+                cols.insert(11, ColumnData::from_values(DataType::Float64, floats).unwrap());
+                let texts = seeds.iter().map(|&s| match s % 9 {
+                    0 => Value::Null,
+                    _ => Value::Str(STR_KEYS[(s >> 20) as usize % STR_KEYS.len()].to_owned()),
+                });
+                cols.insert(12, ColumnData::from_values(DataType::Str, texts).unwrap());
+                cols.insert(13, ColumnData::from_i64(seeds.iter().map(|s| (s % 100) as i64).collect()));
+
+                let mut specs = vec![AggSpec::count_star()];
+                for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::Count] {
+                    specs.push(AggSpec::on_col(func, 10));
+                    specs.push(AggSpec::on_col(func, 11));
+                }
+                for func in [AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+                    specs.push(AggSpec::on_col(func, 12));
+                }
+                // Int→Float promotion and plain int arithmetic.
+                specs.push(AggSpec { func: AggFunc::Sum, expr: Some(mul(Expr::Col(13), Expr::Col(11))) });
+                specs.push(AggSpec { func: AggFunc::Avg, expr: Some(mul(Expr::Col(13), Expr::Lit(Value::Int(3)))) });
+                specs.push(AggSpec { func: AggFunc::Max, expr: Some(mul(Expr::Col(13), Expr::Lit(Value::Null))) });
+                specs.push(AggSpec { func: AggFunc::Sum, expr: None });
+
+                let conj = if filtered {
+                    Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 60i64)])
+                } else {
+                    Conjunction::always()
+                };
+                let group_cols: Vec<usize> = (0..kinds.len()).collect();
+                assert_matches_reference(&cols, n, &conj, &group_cols, &specs);
+            }
+        }
+    }
+}

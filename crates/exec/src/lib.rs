@@ -11,12 +11,15 @@
 //! * [`hybrid`] — fused filter+multi-aggregate single-pass operators
 //!   (§5.2.2 hybrid operators);
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate accumulators;
-//! * [`join`] — hash and sort-merge equi-joins over columns;
+//! * [`group`] — the typed, vectorized hash GROUP BY kernel (dense group
+//!   ids + typed per-group state) every grouped path runs;
+//! * [`join`] — hash and sort-merge equi-joins over columns, and the flat
+//!   [`JoinTable`] every integer hash join probes;
 //! * [`morsel`] — morsel-parallel variants of all of the above
-//!   (deterministic, byte-identical to serial), plus the fused *cold*
-//!   operators ([`cold_project_morsel`], [`cold_join_build_morsel`],
-//!   [`ColdJoinTables`]) that consume [`nodb_types::MorselBatch`]es
-//!   straight from the tokenizer.
+//!   (deterministic, independent of the worker count), plus the fused
+//!   *cold* operators ([`cold_project_morsel`],
+//!   [`cold_join_build_morsel`]) that consume
+//!   [`nodb_types::MorselBatch`]es straight from the tokenizer.
 //!
 //! The engine (`nodb-core`) picks a strategy per query and connects the
 //! tokenizer's morsel scan (`nodb-rawcsv`) to the fused cold operators;
@@ -27,6 +30,7 @@ pub mod agg;
 pub mod cols;
 pub mod columnar;
 pub mod expr;
+pub mod group;
 pub mod hybrid;
 pub mod join;
 pub mod morsel;
@@ -36,18 +40,17 @@ pub mod volcano;
 pub use agg::{Accumulator, AggFunc};
 pub use cols::Cols;
 pub use columnar::{
-    accumulate_into, aggregate, filter_positions, filter_positions_range, group_aggregate,
-    project_rows, sort_positions, AggSpec, GroupKey,
+    accumulate_into, aggregate, filter_positions, filter_positions_range, project_rows,
+    sort_positions, AggSpec, GroupKey,
 };
 pub use expr::{arith, ArithOp, Expr};
+pub use group::{group_partial_range, merge_group_partials, GroupPartial};
 pub use hybrid::fused_filter_aggregate;
-pub use join::{hash_join_positions, merge_join_positions, split_pairs};
+pub use join::{hash_join_positions, merge_join_positions, split_pairs, JoinTable};
 pub use morsel::{
-    build_cold_join_tables, cold_join_build_morsel, cold_join_partitions, cold_project_morsel,
-    finish_group_partials, group_accumulate_range, group_partition_count, merge_group_partials,
-    parallel_filter_aggregate, parallel_filter_positions, parallel_group_aggregate,
-    parallel_hash_join_positions, stitch_cold_projection, ColdJoinTables, GroupPartial,
-    OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
+    cold_join_build_morsel, cold_project_morsel, parallel_filter_aggregate,
+    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
+    stitch_cold_projection, OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};
 pub use volcano::{

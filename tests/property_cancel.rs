@@ -26,12 +26,14 @@ const STRATEGIES: [LoadingStrategy; 3] = [
     LoadingStrategy::SplitFiles,
 ];
 
-/// The three cold pipeline shapes: aggregate, projection, join.
-fn shapes() -> [String; 3] {
+/// The four cold pipeline shapes: aggregate, projection, join, GROUP BY
+/// (cancelled mid-morsel-loop or mid-merge of the grouped partials).
+fn shapes() -> [String; 4] {
     [
         "select sum(a1), count(*), min(a2) from t where a2 > 40".to_owned(),
         "select a1, a3 from t where a1 > 20 and a1 < 160 order by a1 limit 64".to_owned(),
         "select count(*) from t join u on t.a1 = u.a1".to_owned(),
+        "select a2, count(*), sum(a1), max(a3) from t where a3 < 150 group by a2".to_owned(),
     ]
 }
 
@@ -54,7 +56,7 @@ proptest! {
     fn cancelled_query_leaves_no_trace(
         rows in proptest::collection::vec(
             proptest::collection::vec(0i64..200, 3), 40..200),
-        shape in 0usize..3,
+        shape in 0usize..4,
         cancel_after in 1u64..60,
     ) {
         let dir = test_dir(&format!("prop_cancel_{}_{shape}_{cancel_after}", rows.len()));
