@@ -45,40 +45,11 @@ impl LoadingStrategy {
     }
 }
 
-/// Which execution kernel evaluates the post-load part of the query
-/// (paper §5.2 — the adaptive kernel's strategies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelStrategy {
-    /// Pick per query: fused hybrid operators for filtered aggregations,
-    /// columnar otherwise.
-    Auto,
-    /// Column-at-a-time with materialised selection vectors.
-    Columnar,
-    /// Tuple-at-a-time volcano iterators.
-    Volcano,
-    /// Fused filter+aggregate single-pass operators.
-    Hybrid,
-}
-
-impl KernelStrategy {
-    /// Human-readable label used in EXPLAIN output and benchmark tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelStrategy::Auto => "auto",
-            KernelStrategy::Columnar => "columnar",
-            KernelStrategy::Volcano => "volcano",
-            KernelStrategy::Hybrid => "hybrid",
-        }
-    }
-}
-
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The adaptive loading policy.
     pub strategy: LoadingStrategy,
-    /// Execution kernel selection.
-    pub kernel: KernelStrategy,
     /// Worker threads for every parallel stage — tokenization, the
     /// morsel-driven scan→filter→aggregate pipeline, parallel selection
     /// vectors and partitioned join builds. `1` forces fully serial
@@ -168,7 +139,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             strategy: LoadingStrategy::ColumnLoads,
-            kernel: KernelStrategy::Auto,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -253,13 +223,5 @@ mod tests {
         ];
         let labels: std::collections::HashSet<&str> = all.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), all.len());
-        let kernels = [
-            KernelStrategy::Auto,
-            KernelStrategy::Columnar,
-            KernelStrategy::Volcano,
-            KernelStrategy::Hybrid,
-        ];
-        let klabels: std::collections::HashSet<&str> = kernels.iter().map(|s| s.label()).collect();
-        assert_eq!(klabels.len(), kernels.len());
     }
 }

@@ -18,11 +18,11 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    accumulate_into, aggregate, cold_join_build_morsel, cold_project_morsel, filter_positions,
+    accumulate_into, cold_join_build_morsel, cold_project_morsel, filter_positions,
     fused_filter_aggregate, group_partial_range, merge_group_partials, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
-    sort_positions, stitch_cold_projection, Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial,
-    JoinTable, OrdinalCols, ProjectPartial, ProjectionCursor,
+    parallel_filter_positions, parallel_group_columns, parallel_hash_join_positions,
+    sort_positions, stitch_cold_projection, Accumulator, AggSpec, Expr, GroupPartial, JoinTable,
+    OrdinalCols, ProjectPartial, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -34,14 +34,16 @@ use nodb_types::{
 };
 
 use crate::catalog::{Catalog, TableEntry};
-use crate::config::{EngineConfig, KernelStrategy, LoadingStrategy};
+use crate::config::{EngineConfig, LoadingStrategy};
 use crate::plan_cache::{normalize_sql, PlanCache, PlanDeps};
 use crate::policy::{materialize, Materialized};
 use crate::result_cache::{
-    cols_bytes, family_fingerprint, plan_fingerprint, rows_bytes, subsumable_constraint,
-    CachedResult, RangeConstraint, ResultCache,
+    cols_bytes, family_fingerprint, plan_fingerprint, subsumable_constraint, RangeConstraint,
+    ResultCache,
 };
-use crate::session::{output_schema, unique_identifiers, QueryStream, Session, StreamBody};
+use crate::session::{
+    dense_body, output_schema, output_type, unique_identifiers, QueryStream, Session, StreamBody,
+};
 
 /// Result of one SQL query.
 #[derive(Debug)]
@@ -139,7 +141,7 @@ pub struct TableInfo {
 }
 
 /// Outcome of a result-cache consultation: a fully formed stream served
-/// from cached rows, or a miss carrying the schema epochs captured before
+/// from cached columns, or a miss carrying the schema epochs captured before
 /// execution (the deps any installed entry must be tagged with).
 enum CacheLookup {
     Served(Box<QueryStream>),
@@ -396,7 +398,7 @@ impl Engine {
             schemas.insert(t.to_ascii_lowercase(), e.schema()?.clone());
         }
         let plan = nodb_sql::plan(&ast, &schemas)?;
-        let mut out = plan.render(self.cfg.strategy.label(), self.cfg.kernel.label());
+        let mut out = plan.render(self.cfg.strategy.label());
         let (needed_l, needed_r) = plan.referenced_per_table();
         for (t, needed) in [
             (&plan.table, needed_l),
@@ -452,7 +454,7 @@ impl Engine {
         };
         let elapsed = started.elapsed();
         let prof = sink.snapshot();
-        let mut s = plan.render(self.cfg.strategy.label(), self.cfg.kernel.label());
+        let mut s = plan.render(self.cfg.strategy.label());
         s.push_str(&format!(
             "-- analyze: rows={} elapsed={} cache={}\n",
             out.rows.len(),
@@ -812,16 +814,13 @@ impl Engine {
         {
             self.counters.add_result_cache_hit();
             profile::note_cache(CacheOutcome::Hit);
-            let body = match hit {
-                CachedResult::Rows(rows) => StreamBody::Rows {
-                    rows: rows.as_ref().clone(),
-                    cursor: 0,
-                },
-                CachedResult::Columns(columns) => StreamBody::dense(&columns),
-            };
-            return Ok(CacheLookup::Served(Box::new(
-                self.stream_of(plan, batch_size, body, started, before),
-            )));
+            return Ok(CacheLookup::Served(Box::new(self.stream_of(
+                plan,
+                batch_size,
+                dense_body(&hit),
+                started,
+                before,
+            ))));
         }
         if let Some(wanted) = subsumable_constraint(plan) {
             if let Some((cols, n_rows)) =
@@ -860,15 +859,15 @@ impl Engine {
     /// exact plan fingerprint, and — for subsumable shapes whose
     /// referenced columns ended up fully loaded — the plan family's
     /// qualifying rows (in scan order, with the σ range they satisfy) for
-    /// future contained-range queries. A scalar result is gathered into
-    /// dense typed output columns that the cache entry, the returned
-    /// stream body and every later hit share; it streams through
-    /// untouched when even a lower-bound size estimate exceeds the byte
-    /// budget or the query's memory budget refuses the gather.
+    /// future contained-range queries. The result is gathered into dense
+    /// typed output columns that the cache entry, the returned stream
+    /// body and every later hit share; it streams through untouched when
+    /// even a lower-bound size estimate exceeds the byte budget or the
+    /// query's memory budget refuses the gather.
     fn result_cache_capture(
         &self,
         plan: &Plan,
-        body: StreamBody,
+        mut body: StreamBody,
         deps: PlanDeps,
         now: u64,
     ) -> Result<StreamBody> {
@@ -878,56 +877,26 @@ impl Engine {
             evicted += self.capture_family(plan, constraint, &deps, now)?;
         }
         let budget = self.result_cache.budget_bytes();
-        let body = match body {
-            StreamBody::Rows { rows, .. } => {
-                // Computed rows are cloned into the cache (cache copy +
-                // streamed copy) — meter the doubling before committing.
-                let bytes = rows_bytes(&rows);
-                if bytes <= budget && resource::charge_current(bytes).is_ok() {
-                    let shared = Arc::new(rows);
-                    evicted += self.result_cache.insert_exact(
-                        plan_fingerprint(plan),
-                        CachedResult::Rows(Arc::clone(&shared)),
-                        deps,
-                    );
-                    StreamBody::Rows {
-                        rows: shared.as_ref().clone(),
-                        cursor: 0,
-                    }
-                } else {
-                    StreamBody::Rows { rows, cursor: 0 }
+        // Every cell takes at least its 8 value bytes.
+        let floor = body
+            .remaining()
+            .saturating_mul(plan.output.len().max(1))
+            .saturating_mul(std::mem::size_of::<i64>());
+        if floor <= budget {
+            let columns: Vec<Arc<ColumnData>> =
+                body.gather_remaining()?.into_iter().map(Arc::new).collect();
+            let bytes = cols_bytes(&columns);
+            if resource::charge_current(bytes).is_ok() {
+                // The stream pages the gathered columns either way; the
+                // cache shares them when they fit.
+                body = dense_body(&columns);
+                if bytes <= budget {
+                    evicted +=
+                        self.result_cache
+                            .insert_exact(plan_fingerprint(plan), columns, deps);
                 }
             }
-            StreamBody::Cursor(c) => {
-                // Every cell takes at least its 8 value bytes.
-                let floor = c
-                    .remaining()
-                    .saturating_mul(plan.output.len().max(1))
-                    .saturating_mul(std::mem::size_of::<i64>());
-                if floor > budget {
-                    StreamBody::Cursor(c)
-                } else {
-                    let columns: Vec<Arc<ColumnData>> =
-                        c.gather_remaining()?.into_iter().map(Arc::new).collect();
-                    let bytes = cols_bytes(&columns);
-                    if resource::charge_current(bytes).is_err() {
-                        StreamBody::Cursor(c)
-                    } else {
-                        // The stream pages the gathered columns either
-                        // way; the cache shares them when they fit.
-                        let body = StreamBody::dense(&columns);
-                        if bytes <= budget {
-                            evicted += self.result_cache.insert_exact(
-                                plan_fingerprint(plan),
-                                CachedResult::Columns(columns),
-                                deps,
-                            );
-                        }
-                        body
-                    }
-                }
-            }
-        };
+        }
         if evicted > 0 {
             self.counters.add_result_cache_evictions(evicted);
         }
@@ -1030,12 +999,9 @@ impl Engine {
     /// Whether the engine configuration allows the fused cold pipeline at
     /// all. The A1 ablation deliberately loads one column per file trip
     /// and the fused pipeline batches all columns into one trip, which
-    /// would silently nullify that measurement; the cracking ablation must
-    /// keep building its index through the ordinary load path from the
-    /// very first query; and an explicit Columnar or Volcano kernel
-    /// selection (kernel ablations) must keep measuring the kernel it
-    /// asked for, cold queries included — the fused pipeline is the hybrid
-    /// kernel.
+    /// would silently nullify that measurement; and the cracking ablation
+    /// must keep building its index through the ordinary load path from
+    /// the very first query.
     fn fused_cold_eligible(&self) -> bool {
         self.cfg.threads > 1
             && matches!(
@@ -1044,10 +1010,6 @@ impl Engine {
             )
             && !self.cfg.one_column_per_trip
             && !self.cfg.use_cracking
-            && matches!(
-                self.cfg.kernel,
-                KernelStrategy::Auto | KernelStrategy::Hybrid
-            )
     }
 
     /// The morsel-driven cold pipeline: when a query's input tables are
@@ -1130,28 +1092,12 @@ impl Engine {
             return Ok(None);
         };
 
-        let agg_specs: Vec<AggSpec> = plan
-            .output
-            .iter()
-            .filter_map(|o| match o {
-                OutputExpr::Agg(a) => Some(a.clone()),
-                OutputExpr::Scalar(_) => None,
-            })
-            .collect();
+        let (agg_specs, exprs) = split_outputs(plan);
         let residual = &plan.filter;
         let group_cols = &plan.group_by;
         // Scalar shape: no aggregates, no grouping — mirror the dispatch
         // of execute_relational exactly.
-        let scalar_exprs: Option<Vec<Expr>> =
-            (!plan.is_aggregate() && group_cols.is_empty()).then(|| {
-                plan.output
-                    .iter()
-                    .map(|o| match o {
-                        OutputExpr::Scalar(e) => e.clone(),
-                        OutputExpr::Agg(_) => unreachable!("aggregate shape checked above"),
-                    })
-                    .collect()
-            });
+        let scalar_exprs = (agg_specs.is_empty() && group_cols.is_empty()).then_some(exprs);
         // Projection fuses into the scan workers only when the output is
         // exactly the qualifying rows in scan order (ORDER BY must wait
         // for the global sort; LIMIT/OFFSET would eagerly project rows
@@ -1224,7 +1170,7 @@ impl Engine {
             if !columns.is_empty() {
                 // The stitched chunks *are* the result's output columns.
                 let columns: Vec<Arc<ColumnData>> = columns.into_iter().map(Arc::new).collect();
-                return Ok(Some(StreamBody::dense(&columns)));
+                return Ok(Some(dense_body(&columns)));
             }
             // ORDER BY / LIMIT / OFFSET: sort and window the positions
             // over the just-assembled columns, then the same lazy
@@ -1237,9 +1183,7 @@ impl Engine {
                 positions = sort_positions(&cols, positions, &plan.order_by)?;
             }
             window(&mut positions, plan.offset, plan.limit);
-            return Ok(Some(StreamBody::Cursor(ProjectionCursor::new(
-                cols, positions, exprs,
-            ))));
+            return Ok(Some(ProjectionCursor::new(cols, positions, exprs)));
         }
 
         if !group_cols.is_empty() {
@@ -1251,10 +1195,8 @@ impl Engine {
                 })
                 .collect();
             // Morsel-order merge (timed as `group_merge`), then the shared
-            // grouped output shaping (column order, ORDER BY,
-            // OFFSET/LIMIT).
-            let rows = format_grouped(plan, merge_group_partials(group_partials)?)?;
-            return Ok(Some(StreamBody::Rows { rows, cursor: 0 }));
+            // output shaping (column order, ORDER BY, OFFSET/LIMIT).
+            return computed_body(plan, merge_group_partials(group_partials)?).map(Some);
         }
 
         // Plain aggregate: merge the per-morsel accumulators in morsel
@@ -1275,9 +1217,7 @@ impl Engine {
                 .map(|a| a.finish())
                 .collect::<Result<Vec<_>>>()
         })?;
-        let mut rows = vec![vals];
-        window(&mut rows, plan.offset, plan.limit);
-        Ok(Some(StreamBody::Rows { rows, cursor: 0 }))
+        aggregate_body(plan, vals).map(Some)
     }
 
     /// Scan one fully cold table through the morsel pipeline (no
@@ -1574,10 +1514,11 @@ impl Engine {
     }
 
     /// The post-load relational pipeline: filter → group/aggregate →
-    /// order → offset/limit → project, with the kernel strategy applied.
-    /// Aggregate and grouped results come back fully computed (they are
-    /// small); plain scalar results come back as a lazy projection cursor
-    /// so the driver can stream them batch by batch.
+    /// order → offset/limit → project. Every shape comes back as a
+    /// projection cursor over typed columns: aggregate and grouped results
+    /// over their freshly computed result columns, plain scalar results
+    /// lazily over the input columns so the driver can stream them batch
+    /// by batch.
     fn execute_relational(
         &self,
         plan: &Plan,
@@ -1586,85 +1527,44 @@ impl Engine {
         residual: &Conjunction,
     ) -> Result<StreamBody> {
         let _p = profile::phase(Phase::WarmKernel);
-        let agg_specs: Vec<AggSpec> = plan
-            .output
-            .iter()
-            .filter_map(|o| match o {
-                OutputExpr::Agg(a) => Some(a.clone()),
-                OutputExpr::Scalar(_) => None,
-            })
-            .collect();
-
-        if plan.is_aggregate() && plan.group_by.is_empty() {
-            // Plain aggregation: the kernel choice matters most here.
-            let kernel = self.cfg.kernel;
-            let vals = match kernel {
-                KernelStrategy::Hybrid | KernelStrategy::Auto => {
-                    if self.parallel_worthwhile(n_rows) {
-                        self.counters.add_parallel_pipeline();
-                        parallel_filter_aggregate(
-                            &cols,
-                            n_rows,
-                            residual,
-                            &agg_specs,
-                            self.cfg.threads,
-                            self.cfg.morsel_rows,
-                        )?
-                    } else {
-                        fused_filter_aggregate(&cols, n_rows, residual, &agg_specs)?
-                    }
-                }
-                KernelStrategy::Columnar => {
-                    let pos = if residual.is_always_true() {
-                        None
-                    } else {
-                        Some(filter_positions(&cols, n_rows, residual)?)
-                    };
-                    aggregate(&cols, n_rows, pos.as_deref(), &agg_specs)?
-                }
-                KernelStrategy::Volcano => {
-                    let width = plan.combined_schema.len();
-                    let scan = ColumnsScan::new(&cols, width, n_rows);
-                    let filter = nodb_exec::FilterOp::new(scan, residual.clone());
-                    let mut agg = nodb_exec::AggregateOp::new(filter, agg_specs.clone());
-                    let mut out = nodb_exec::collect(&mut agg)?;
-                    let mut rows = vec![out.remove(0)];
-                    window(&mut rows, plan.offset, plan.limit);
-                    return Ok(StreamBody::Rows { rows, cursor: 0 });
-                }
-            };
-            let mut rows = vec![vals];
-            window(&mut rows, plan.offset, plan.limit);
-            return Ok(StreamBody::Rows { rows, cursor: 0 });
-        }
-
-        if !plan.group_by.is_empty() {
-            // Grouped aggregation: one kernel, morsel by morsel — on
-            // stealing workers when the input is big enough, inline
-            // otherwise (and under the kernel ablations); the result does
+        let (agg_specs, exprs) = split_outputs(plan);
+        let grouped = !plan.group_by.is_empty();
+        if grouped || !agg_specs.is_empty() {
+            // Aggregation runs morsel by morsel on stealing workers when
+            // the input is big enough, inline otherwise; the result does
             // not depend on which.
-            let threads = if matches!(
-                self.cfg.kernel,
-                KernelStrategy::Auto | KernelStrategy::Hybrid
-            ) && self.parallel_worthwhile(n_rows)
-            {
+            let threads = if self.parallel_worthwhile(n_rows) {
                 self.counters.add_parallel_pipeline();
                 self.cfg.threads
             } else {
                 1
             };
-            let grouped = parallel_group_aggregate(
-                &cols,
-                n_rows,
-                residual,
-                &plan.group_by,
-                &agg_specs,
-                threads,
-                self.cfg.morsel_rows,
-                0,
-            )?;
-            let rows = format_grouped(plan, grouped)?;
-            return Ok(StreamBody::Rows { rows, cursor: 0 });
+            let morsel_rows = self.cfg.morsel_rows;
+            if grouped {
+                let columns = parallel_group_columns(
+                    &cols,
+                    n_rows,
+                    residual,
+                    &plan.group_by,
+                    &agg_specs,
+                    threads,
+                    morsel_rows,
+                )?;
+                return computed_body(plan, columns);
+            }
+            let vals = if threads > 1 {
+                parallel_filter_aggregate(
+                    &cols,
+                    n_rows,
+                    residual,
+                    &agg_specs,
+                    threads,
+                    morsel_rows,
+                )?
+            } else {
+                fused_filter_aggregate(&cols, n_rows, residual, &agg_specs)?
+            };
+            return aggregate_body(plan, vals);
         }
 
         // Scalar (non-aggregate) query: resolve the qualifying positions
@@ -1680,18 +1580,22 @@ impl Engine {
             positions = sort_positions(&cols, positions, &plan.order_by)?;
         }
         window(&mut positions, plan.offset, plan.limit);
-        let exprs: Vec<Expr> = plan
-            .output
-            .iter()
-            .map(|o| match o {
-                OutputExpr::Scalar(e) => e.clone(),
-                OutputExpr::Agg(_) => unreachable!("aggregate handled above"),
-            })
-            .collect();
-        Ok(StreamBody::Cursor(ProjectionCursor::new(
-            cols, positions, exprs,
-        )))
+        Ok(ProjectionCursor::new(cols, positions, exprs))
     }
+}
+
+/// A plan's outputs by kind, each in output order: the aggregates, and the
+/// scalar expressions (all of the outputs of a scalar plan; the group key
+/// columns of a grouped one).
+fn split_outputs(plan: &Plan) -> (Vec<AggSpec>, Vec<Expr>) {
+    let (mut aggs, mut scalars) = (Vec::new(), Vec::new());
+    for o in &plan.output {
+        match o {
+            OutputExpr::Agg(a) => aggs.push(a.clone()),
+            OutputExpr::Scalar(e) => scalars.push(e.clone()),
+        }
+    }
+    (aggs, scalars)
 }
 
 /// One side's join keys at its qualifying positions: the materialised
@@ -1824,66 +1728,74 @@ fn tables_of(ast: &nodb_sql::AstQuery) -> Vec<String> {
     tables
 }
 
-/// Shape grouped results (`[keys..., aggs...]` rows in group order, the
-/// layout both `group_aggregate` and the parallel merge produce) into the
-/// plan's declared output: re-order columns, apply ORDER BY on group keys
-/// (validated by the planner), then OFFSET/LIMIT.
-fn format_grouped(plan: &Plan, grouped: Vec<Vec<Value>>) -> Result<Vec<Vec<Value>>> {
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(grouped.len());
-    for g in &grouped {
-        let mut row = Vec::with_capacity(plan.output.len());
-        let mut agg_i = 0;
-        for o in &plan.output {
-            match o {
-                OutputExpr::Scalar(Expr::Col(c)) => {
-                    let k = plan
-                        .group_by
-                        .iter()
-                        .position(|g| g == c)
-                        .expect("validated by planner");
-                    row.push(g[k].clone());
-                }
-                OutputExpr::Scalar(_) => {
-                    return Err(Error::Plan(
-                        "grouped outputs must be columns or aggregates".into(),
-                    ))
-                }
-                OutputExpr::Agg(_) => {
-                    row.push(g[plan.group_by.len() + agg_i].clone());
-                    agg_i += 1;
-                }
-            }
-        }
-        rows.push(row);
+/// Shape computed result columns — `group keys ++ aggregates`, one row per
+/// group in group order, the layout the group merge produces (a plain
+/// aggregate is the one-row case without keys) — into the plan's declared
+/// output through the scalar tail: ORDER BY on group keys (validated by
+/// the planner), OFFSET/LIMIT, then a projection cursor picking each
+/// output's column.
+fn computed_body(plan: &Plan, columns: Vec<ColumnData>) -> Result<StreamBody> {
+    if columns.is_empty() {
+        // No morsel ran (an empty input), so there was no partial to take
+        // column types from: zero rows of the advertised types.
+        let empty: Vec<Arc<ColumnData>> = plan
+            .output
+            .iter()
+            .map(|o| Arc::new(ColumnData::empty(output_type(o, &plan.combined_schema))))
+            .collect();
+        return Ok(dense_body(&empty));
     }
+    let key_slot = |c: &usize| {
+        plan.group_by
+            .iter()
+            .position(|g| g == c)
+            .expect("validated by planner")
+    };
+    let mut agg_slot = plan.group_by.len();
+    let exprs = plan
+        .output
+        .iter()
+        .map(|o| match o {
+            OutputExpr::Scalar(Expr::Col(c)) => Ok(Expr::Col(key_slot(c))),
+            OutputExpr::Scalar(_) => Err(Error::Plan(
+                "grouped outputs must be columns or aggregates".into(),
+            )),
+            OutputExpr::Agg(_) => {
+                agg_slot += 1;
+                Ok(Expr::Col(agg_slot - 1))
+            }
+        })
+        .collect::<Result<Vec<Expr>>>()?;
+    let mut positions: Vec<usize> = (0..columns[0].len()).collect();
+    let cols: BTreeMap<usize, Arc<ColumnData>> =
+        columns.into_iter().map(Arc::new).enumerate().collect();
     if !plan.order_by.is_empty() {
-        let key_positions: Vec<(usize, bool)> = plan
+        let keys: Vec<(usize, bool)> = plan
             .order_by
             .iter()
-            .map(|(c, asc)| {
-                let k = plan
-                    .group_by
-                    .iter()
-                    .position(|g| g == c)
-                    .expect("validated");
-                // Position of that key within the grouped row.
-                (k, *asc)
-            })
+            .map(|(c, asc)| (key_slot(c), *asc))
             .collect();
-        let mut tagged: Vec<(Vec<Value>, Vec<Value>)> = grouped.into_iter().zip(rows).collect();
-        tagged.sort_by(|(ga, _), (gb, _)| {
-            for &(k, asc) in &key_positions {
-                let ord = ga[k].total_cmp(&gb[k]);
-                if !ord.is_eq() {
-                    return if asc { ord } else { ord.reverse() };
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows = tagged.into_iter().map(|(_, r)| r).collect();
+        positions = sort_positions(&cols, positions, &keys)?;
     }
-    window(&mut rows, plan.offset, plan.limit);
-    Ok(rows)
+    window(&mut positions, plan.offset, plan.limit);
+    Ok(ProjectionCursor::new(cols, positions, exprs))
+}
+
+/// The one result row of a plain aggregate as a body: each value becomes a
+/// one-row column of its own type (a NULL takes its output's advertised
+/// type).
+fn aggregate_body(plan: &Plan, vals: Vec<Value>) -> Result<StreamBody> {
+    let columns = vals
+        .into_iter()
+        .zip(&plan.output)
+        .map(|(v, o)| {
+            let ty = v
+                .data_type()
+                .unwrap_or_else(|| output_type(o, &plan.combined_schema));
+            ColumnData::from_values(ty, [v])
+        })
+        .collect::<Result<Vec<_>>>()?;
+    computed_body(plan, columns)
 }
 
 /// Apply `OFFSET m` then `LIMIT n` to an ordered result vector.
@@ -2055,37 +1967,6 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_same_results() {
-        for kernel in [
-            KernelStrategy::Auto,
-            KernelStrategy::Columnar,
-            KernelStrategy::Volcano,
-            KernelStrategy::Hybrid,
-        ] {
-            let dir = std::env::temp_dir().join(format!("nodb_engine_kernel_{kernel:?}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("r.csv");
-            std::fs::write(&path, DATA).unwrap();
-            let mut cfg = EngineConfig {
-                kernel,
-                ..EngineConfig::default()
-            };
-            cfg.threads = 1;
-            let e = Engine::new(cfg);
-            e.register_table("r", &path).unwrap();
-            let out = e
-                .sql("select sum(a1), max(a3), count(*) from r where a2 > 10 and a2 < 14")
-                .unwrap();
-            assert_eq!(
-                out.rows[0],
-                vec![Value::Int(6), Value::Int(103), Value::Int(3)],
-                "{kernel:?}"
-            );
-        }
-    }
-
-    #[test]
     fn file_edit_reflected_in_next_query() {
         let (d, e) = setup("edit", "1,2\n3,4\n");
         let out = e.sql("select sum(a1) from r").unwrap();
@@ -2247,11 +2128,10 @@ mod tests {
     }
 
     #[test]
-    fn explain_shows_both_strategy_labels() {
+    fn explain_shows_the_strategy_label() {
         let (_d, e) = setup("explainlabels", DATA);
         let text = e.explain("select sum(a1) from r").unwrap();
         assert!(text.contains("-- strategy: column-loads"), "{text}");
-        assert!(text.contains("-- kernel: auto"), "{text}");
     }
 
     #[test]
@@ -2306,7 +2186,6 @@ mod tests {
         let wall = started.elapsed();
         // The listing carries the shared renderer plus measured lines.
         assert!(text.contains("-- strategy: column-loads"), "{text}");
-        assert!(text.contains("-- kernel: auto"), "{text}");
         assert!(text.contains("GroupBy"), "{text}");
         assert!(text.contains("-- analyze: rows=97 "), "{text}");
         assert!(text.contains("cache=bypass"), "{text}");
@@ -2859,6 +2738,55 @@ mod tests {
         let warm_agg = e.sql(agg).unwrap();
         assert_eq!(warm_agg.rows, cold_agg.rows);
         assert!(e.counters().snapshot().result_cache_hits >= 2);
+    }
+
+    /// A hit on a cached grouped result pages straight from the cache
+    /// entry's columns (the row-shaped cache deep-cloned its rows per hit,
+    /// unmetered): nothing is copied, so nothing is reserved, and the pool
+    /// is back at its idle level once each stream is dropped.
+    #[test]
+    fn grouped_cache_hit_shares_the_cached_columns() {
+        let dir = std::env::temp_dir().join("nodb_engine_rc_grouped_share");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r.csv");
+        let mut data = String::new();
+        for i in 0..120_000i64 {
+            data.push_str(&format!("{},{}\n", i, i % 7));
+        }
+        std::fs::write(&path, &data).unwrap();
+        let mut cfg = EngineConfig::default().with_threads(2);
+        cfg.result_cache_bytes = 64 << 20;
+        cfg.engine_mem_bytes = Some(1 << 30); // meter every query
+        let e = Arc::new(Engine::new(cfg));
+        e.register_table("r", &path).unwrap();
+        let s = e.session();
+        let pool = e.memory_pool();
+        let idle = pool.reserved();
+
+        let sql = "select a1, sum(a2), count(*) from r group by a1";
+        let miss = s.query(sql).unwrap();
+        assert_eq!(miss.rows_remaining(), 120_000);
+        assert!(pool.reserved() > idle, "the capture is metered");
+        drop(miss);
+        assert_eq!(pool.reserved(), idle);
+
+        let plan = e.plan_select(sql).unwrap();
+        let cached = e
+            .result_cache()
+            .get_exact(&plan_fingerprint(&plan), |t| e.ensured_epoch(t).ok())
+            .expect("the grouped result was cached");
+        let mut hit = s.query(sql).unwrap();
+        assert_eq!(e.counters().snapshot().result_cache_hits, 1);
+        assert_eq!(hit.rows_remaining(), 120_000);
+        assert_eq!(pool.reserved(), idle, "a hit copies nothing");
+        let page = hit.next_columns().unwrap().expect("a first page");
+        assert_eq!(page.n_cols(), cached.len());
+        for (served, cached) in page.columns().iter().zip(&cached) {
+            assert!(std::ptr::eq(served.data(), Arc::as_ptr(cached)));
+        }
+        drop(hit);
+        assert_eq!(pool.reserved(), idle);
     }
 
     #[test]

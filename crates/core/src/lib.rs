@@ -41,7 +41,7 @@ pub mod result_cache;
 pub mod session;
 
 pub use catalog::{Catalog, Fingerprint, TableEntry};
-pub use config::{EngineConfig, KernelStrategy, LoadingStrategy};
+pub use config::{EngineConfig, LoadingStrategy};
 pub use engine::{
     leading_keyword, result_column_types, Engine, QueryOutput, QueryStats, TableInfo,
 };
@@ -49,7 +49,7 @@ pub use monitor::TableMonitor;
 pub use plan_cache::PlanCache;
 pub use policy::{materialize, Materialized};
 pub use result_cache::ResultCache;
-pub use session::{unique_identifiers, BoundStatement, Prepared, QueryStream, ResultPage, Session};
+pub use session::{unique_identifiers, BoundStatement, Prepared, QueryStream, Session};
 
 // The whole serving stack hands these out across threads: one shared
 // engine behind `Arc`, one session per connection, prepared statements

@@ -8,10 +8,10 @@
 //!
 //! * **Exact repeats** — a query whose fully bound [`Plan`] fingerprints
 //!   identically to a cached one returns the cached final result
-//!   verbatim. Every shape qualifies: a scalar projection caches its
-//!   gathered typed output columns, which the capturing stream and every
-//!   later hit share by `Arc` (no copy on capture, none per hit);
-//!   aggregates and GROUP BY cache their handful of final merged rows.
+//!   verbatim. Every shape — scalar projection, aggregate, GROUP BY —
+//!   caches its dense typed output columns, which the capturing stream
+//!   and every later hit share by `Arc` (no copy on capture, none per
+//!   hit).
 //! * **Subsumption** — a single-table scalar SELECT whose σ range on one
 //!   column is *contained* in a cached entry's recorded [`Interval`] is
 //!   answered by re-filtering the cached qualifying rows, the same way
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nodb_sql::Plan;
-use nodb_types::{ColumnData, Conjunction, Interval, Value};
+use nodb_types::{ColumnData, Conjunction, Interval};
 
 use crate::plan_cache::PlanDeps;
 
@@ -91,32 +91,12 @@ pub fn subsumable_constraint(plan: &Plan) -> Option<RangeConstraint> {
     }
 }
 
-/// The final result of an exact plan fingerprint, in the shape its
-/// stream serves it from.
-#[derive(Debug, Clone)]
-pub enum CachedResult {
-    /// Computed rows of an aggregate or grouped query.
-    Rows(Arc<Vec<Vec<Value>>>),
-    /// Dense typed output columns of a scalar query, one per output
-    /// expression.
-    Columns(Vec<Arc<ColumnData>>),
-}
-
-impl CachedResult {
-    /// Estimated heap footprint, charged against the cache's byte budget.
-    pub fn bytes(&self) -> usize {
-        match self {
-            CachedResult::Rows(rows) => rows_bytes(rows),
-            CachedResult::Columns(cols) => cols_bytes(cols),
-        }
-    }
-}
-
 /// One cached payload: either the final result of a plan, or the plan
 /// family's qualifying input rows awaiting a re-filter.
 enum Payload {
-    /// Final result of an exact plan fingerprint.
-    Exact(CachedResult),
+    /// Final result of an exact plan fingerprint: dense typed output
+    /// columns, one per output expression.
+    Exact(Vec<Arc<ColumnData>>),
     /// Scan-order qualifying rows of a plan family, as dense columns
     /// keyed by the plan's combined ordinals, plus the σ range they
     /// satisfy. A narrower query re-filters these instead of rescanning.
@@ -150,24 +130,6 @@ pub struct ResultCache {
     inner: Mutex<Inner>,
     budget_bytes: usize,
     max_entries: usize,
-}
-
-/// Estimated heap bytes of materialised result rows.
-pub(crate) fn rows_bytes(rows: &[Vec<Value>]) -> usize {
-    rows.iter()
-        .map(|r| {
-            std::mem::size_of::<Vec<Value>>()
-                + r.iter()
-                    .map(|v| {
-                        std::mem::size_of::<Value>()
-                            + match v {
-                                Value::Str(s) => s.len(),
-                                _ => 0,
-                            }
-                    })
-                    .sum::<usize>()
-        })
-        .sum()
 }
 
 /// Estimated heap bytes of a set of dense columns.
@@ -251,9 +213,9 @@ impl ResultCache {
         &self,
         key: &str,
         current_epoch: impl FnMut(&str) -> Option<u64>,
-    ) -> Option<CachedResult> {
+    ) -> Option<Vec<Arc<ColumnData>>> {
         match self.get_validated(key, current_epoch)? {
-            Payload::Exact(result) => Some(result),
+            Payload::Exact(columns) => Some(columns),
             Payload::Filtered { .. } => None,
         }
     }
@@ -304,7 +266,7 @@ impl ResultCache {
             let entry = inner.map.get_mut(key)?;
             entry.last_used = tick;
             let payload = match &entry.payload {
-                Payload::Exact(result) => Payload::Exact(result.clone()),
+                Payload::Exact(columns) => Payload::Exact(columns.clone()),
                 Payload::Filtered {
                     cols,
                     n_rows,
@@ -331,12 +293,12 @@ impl ResultCache {
         }
     }
 
-    /// Cache the final result of an exact plan fingerprint. Returns the
-    /// number of entries evicted to make room (0 when the payload alone
-    /// exceeds the budget and is not cached at all).
-    pub fn insert_exact(&self, key: String, result: CachedResult, deps: PlanDeps) -> u64 {
-        let bytes = result.bytes();
-        self.insert(key, Payload::Exact(result), deps, bytes)
+    /// Cache the final result columns of an exact plan fingerprint.
+    /// Returns the number of entries evicted to make room (0 when the
+    /// payload alone exceeds the budget and is not cached at all).
+    pub fn insert_exact(&self, key: String, columns: Vec<Arc<ColumnData>>, deps: PlanDeps) -> u64 {
+        let bytes = cols_bytes(&columns);
+        self.insert(key, Payload::Exact(columns), deps, bytes)
     }
 
     /// Cache a plan family's qualifying rows with the σ range they
@@ -405,12 +367,10 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nodb_types::{Bound, DataType};
+    use nodb_types::{Bound, DataType, Value};
 
-    fn rows(n: usize) -> CachedResult {
-        CachedResult::Rows(Arc::new(
-            (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
-        ))
+    fn rows(n: usize) -> Vec<Arc<ColumnData>> {
+        vec![Arc::new(ColumnData::from_i64((0..n as i64).collect()))]
     }
 
     fn deps_t(epoch: u64) -> PlanDeps {
@@ -456,8 +416,8 @@ mod tests {
 
     #[test]
     fn eviction_keeps_bytes_under_budget() {
-        // Each 100-int-row payload is ~3.2 KiB; a 8 KiB budget holds two.
-        let one = rows(100).bytes();
+        // Each 100-int-row payload is 800 bytes; the budget holds two.
+        let one = cols_bytes(&rows(100));
         let c = ResultCache::new(one * 2 + one / 2, 16);
         assert_eq!(c.insert_exact("a".into(), rows(100), deps_t(1)), 0);
         assert_eq!(c.insert_exact("b".into(), rows(100), deps_t(1)), 0);
@@ -473,15 +433,11 @@ mod tests {
     #[test]
     fn column_payloads_are_sized_by_column_bytes_and_shared_on_hit() {
         let col = Arc::new(ColumnData::from_i64((0..100).collect()));
-        let payload = CachedResult::Columns(vec![Arc::clone(&col)]);
-        assert_eq!(payload.bytes(), col.approx_bytes());
         let c = ResultCache::new(1 << 20, 16);
-        c.insert_exact("k".into(), payload, deps_t(1));
+        c.insert_exact("k".into(), vec![Arc::clone(&col)], deps_t(1));
         assert_eq!(c.bytes_used(), col.approx_bytes());
-        match c.get_exact("k", |_| Some(1)) {
-            Some(CachedResult::Columns(hit)) => assert!(Arc::ptr_eq(&hit[0], &col)),
-            other => panic!("expected the shared columns, got {other:?}"),
-        }
+        let hit = c.get_exact("k", |_| Some(1)).expect("cached");
+        assert!(Arc::ptr_eq(&hit[0], &col));
     }
 
     #[test]

@@ -316,68 +316,22 @@ impl BoundStatement {
     }
 }
 
-/// What a query execution yields before projection finishes.
-pub(crate) enum StreamBody {
-    /// Fully computed rows (aggregates, grouped results — a handful):
-    /// paging just slices them.
-    Rows {
-        /// The rows, consumed front to back.
-        rows: Vec<Vec<Value>>,
-        /// Next row to emit.
-        cursor: usize,
-    },
-    /// A scalar result: a selection over typed columns, paged as
-    /// borrowed [`ColumnPage`]s and never transposed on the way.
-    Cursor(ProjectionCursor<BTreeMap<usize, Arc<ColumnData>>>),
-}
+/// What a query execution yields: a selection over typed columns — the
+/// store's for a scalar result, freshly computed ones for an aggregate or
+/// grouped result — paged as borrowed [`ColumnPage`]s and never
+/// transposed on the way.
+pub(crate) type StreamBody = ProjectionCursor<BTreeMap<usize, Arc<ColumnData>>>;
 
-impl StreamBody {
-    /// A scalar body over already-projected dense output `columns` (a
-    /// result-cache payload, the fused cold emitter's stitched chunks):
-    /// output `k` is column `k`, every row in order.
-    pub(crate) fn dense(columns: &[Arc<ColumnData>]) -> StreamBody {
-        let n_rows = columns.first().map_or(0, |c| c.len());
-        StreamBody::Cursor(ProjectionCursor::over_all(
-            columns.iter().cloned().enumerate().collect(),
-            n_rows,
-            (0..columns.len()).map(nodb_exec::Expr::Col).collect(),
-        ))
-    }
-
-    /// The next page of up to `batch` rows; `None` when exhausted.
-    fn next_page(&mut self, batch: usize) -> Result<Option<ResultPage<'_>>> {
-        match self {
-            StreamBody::Rows { rows, cursor } => {
-                let hi = cursor.saturating_add(batch).min(rows.len());
-                if *cursor >= hi {
-                    return Ok(None);
-                }
-                let page = rows[*cursor..hi].iter_mut().map(std::mem::take).collect();
-                *cursor = hi;
-                Ok(Some(ResultPage::Rows(page)))
-            }
-            StreamBody::Cursor(c) => Ok(c.next_page(batch)?.map(ResultPage::Columns)),
-        }
-    }
-}
-
-/// One page of a result, in the shape the stream holds it.
-#[derive(Debug)]
-pub enum ResultPage<'a> {
-    /// A scalar result's page: typed columns borrowed from the stream.
-    Columns(ColumnPage<'a>),
-    /// Computed rows of an aggregate or grouped result.
-    Rows(Vec<Vec<Value>>),
-}
-
-impl ResultPage<'_> {
-    /// The page as owned rows — the row-shaped view at the API edge.
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        match self {
-            ResultPage::Columns(page) => page.to_rows(),
-            ResultPage::Rows(rows) => rows,
-        }
-    }
+/// A body over already-projected dense output `columns` (a result-cache
+/// payload, the fused cold emitter's stitched chunks): output `k` is
+/// column `k`, every row in order.
+pub(crate) fn dense_body(columns: &[Arc<ColumnData>]) -> StreamBody {
+    let n_rows = columns.first().map_or(0, |c| c.len());
+    ProjectionCursor::over_all(
+        columns.iter().cloned().enumerate().collect(),
+        n_rows,
+        (0..columns.len()).map(nodb_exec::Expr::Col).collect(),
+    )
 }
 
 /// An executing query, consumed page by page.
@@ -385,11 +339,12 @@ impl ResultPage<'_> {
 /// Obtained from [`Session::query`], [`Prepared::stream`] or
 /// [`BoundStatement::stream`]. Dropping the stream abandons the rest of
 /// the result with no further work. The stream is fed by the engine's
-/// morsel-driven parallel pipeline: aggregate bodies arrive pre-merged
-/// from per-worker partials, and scalar bodies stay a selection vector
-/// (built in parallel) over typed columns. [`QueryStream::next_columns`]
-/// hands out each page in that shape; [`QueryStream::next_batch`] and
-/// [`QueryStream::collect_output`] are the row view over it.
+/// morsel-driven parallel pipeline: aggregate and grouped bodies arrive
+/// as result columns merged from per-worker partials, and scalar bodies
+/// stay a selection vector (built in parallel) over the store's columns.
+/// [`QueryStream::next_columns`] hands out each page in that shape;
+/// [`QueryStream::next_batch`] and [`QueryStream::collect_output`] are
+/// the row view over it.
 pub struct QueryStream {
     columns: Vec<String>,
     schema: Schema,
@@ -468,10 +423,7 @@ impl QueryStream {
 
     /// Rows still to be emitted.
     pub fn rows_remaining(&self) -> usize {
-        match &self.body {
-            StreamBody::Rows { rows, cursor } => rows.len() - cursor,
-            StreamBody::Cursor(c) => c.remaining(),
-        }
+        self.body.remaining()
     }
 
     /// The profile sink this query was armed with, if any — where a
@@ -481,11 +433,10 @@ impl QueryStream {
         self.profile.as_ref()
     }
 
-    /// The next page in the shape the stream holds it — typed columns
-    /// for a scalar result — or `None` when the result is exhausted.
-    /// Evaluating a page's literal/arithmetic outputs counts as
-    /// [`Phase::WarmKernel`] in the query's profile.
-    pub fn next_columns(&mut self) -> Result<Option<ResultPage<'_>>> {
+    /// The next page as typed columns, or `None` when the result is
+    /// exhausted. Evaluating a page's literal/arithmetic outputs counts
+    /// as [`Phase::WarmKernel`] in the query's profile.
+    pub fn next_columns(&mut self) -> Result<Option<ColumnPage<'_>>> {
         let batch = self.batch_size;
         let body = &mut self.body;
         timed(&self.profile, Phase::WarmKernel, move || {
@@ -499,8 +450,7 @@ impl QueryStream {
         let batch = self.batch_size;
         let body = &mut self.body;
         let rows = timed(&self.profile, Phase::WarmKernel, move || {
-            body.next_page(batch)
-                .map(|page| page.map(ResultPage::into_rows))
+            body.next_page(batch).map(|page| page.map(|p| p.to_rows()))
         })?;
         Ok(rows.map(|rows| RowBatch {
             schema: self.schema.clone(),
@@ -551,15 +501,17 @@ pub(crate) fn output_schema(plan: &Plan) -> Schema {
         .output
         .iter()
         .zip(names)
-        .map(|(o, name)| {
-            let dt = match o {
-                nodb_sql::OutputExpr::Scalar(e) => expr_type(e, &plan.combined_schema),
-                nodb_sql::OutputExpr::Agg(a) => agg_type(a, &plan.combined_schema),
-            };
-            nodb_types::Field::new(name, dt)
-        })
+        .map(|(o, name)| nodb_types::Field::new(name, output_type(o, &plan.combined_schema)))
         .collect();
     Schema::new(fields).expect("names uniquified above")
+}
+
+/// The advertised type of one output over the plan's combined `schema`.
+pub(crate) fn output_type(o: &nodb_sql::OutputExpr, schema: &Schema) -> nodb_types::DataType {
+    match o {
+        nodb_sql::OutputExpr::Scalar(e) => expr_type(e, schema),
+        nodb_sql::OutputExpr::Agg(a) => agg_type(a, schema),
+    }
 }
 
 fn expr_type(e: &nodb_exec::Expr, schema: &Schema) -> nodb_types::DataType {

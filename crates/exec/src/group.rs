@@ -25,7 +25,7 @@
 
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
-use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result, Value};
+use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result};
 
 use crate::agg::AggFunc;
 use crate::cols::Cols;
@@ -658,25 +658,49 @@ impl AggState {
         Ok(())
     }
 
-    /// The aggregate's value for group `g`.
-    fn finish(&self, g: usize) -> Result<Value> {
+    /// The aggregate's result column, one row per group; NULL where the
+    /// group saw no value.
+    fn finish(self) -> Result<ColumnData> {
         Ok(match self {
-            AggState::CountStar(c) | AggState::Count(c) => Value::Int(c[g] as i64),
-            AggState::SumInt { sum, seen } => match seen[g] {
-                false => Value::Null,
-                true => Value::Int(
-                    i64::try_from(sum[g]).map_err(|_| Error::exec("integer overflow in sum"))?,
-                ),
+            AggState::CountStar(c) | AggState::Count(c) => {
+                ColumnData::from_i64(c.into_iter().map(|n| n as i64).collect())
+            }
+            AggState::SumInt { sum, seen } => ColumnData::Int64 {
+                values: sum
+                    .into_iter()
+                    .map(|s| i64::try_from(s).map_err(|_| Error::exec("integer overflow in sum")))
+                    .collect::<Result<_>>()?,
+                nulls: null_mask(seen.into_iter().map(|s| !s)),
             },
-            AggState::SumFloat { sum, seen } => match seen[g] {
-                false => Value::Null,
-                true => Value::Float(sum[g]),
+            AggState::SumFloat { sum, seen } => ColumnData::Float64 {
+                values: sum,
+                nulls: null_mask(seen.into_iter().map(|s| !s)),
             },
-            AggState::Avg { n, .. } if n[g] == 0 => Value::Null,
-            AggState::Avg { sum, n } => Value::Float(sum[g] / n[g] as f64),
-            AggState::MinMax { best, .. } => best.get(g),
+            AggState::Avg { sum, n } => ColumnData::Float64 {
+                values: sum
+                    .into_iter()
+                    .zip(&n)
+                    .map(|(s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
+                    .collect(),
+                nulls: null_mask(n.iter().map(|&n| n == 0)),
+            },
+            AggState::MinMax { mut best, .. } => {
+                let (ColumnData::Int64 { nulls, .. }
+                | ColumnData::Float64 { nulls, .. }
+                | ColumnData::Str { nulls, .. }) = &mut best;
+                if nulls.as_ref().is_some_and(|m| !m.contains(&true)) {
+                    *nulls = None;
+                }
+                best
+            }
         })
     }
+}
+
+/// A result column's null mask: `None` when no row is NULL.
+fn null_mask(is_null: impl Iterator<Item = bool>) -> Option<Vec<bool>> {
+    let mask: Vec<bool> = is_null.collect();
+    mask.contains(&true).then_some(mask)
 }
 
 const TYPE_CHANGED: &str = "aggregate argument changed type between morsels";
@@ -746,18 +770,14 @@ impl GroupPartial {
             + self.states.iter().map(AggState::heap_bytes).sum::<usize>()
     }
 
-    /// Result rows, `group key columns ++ aggregate results` per group.
-    fn finish(&self) -> Result<Vec<Vec<Value>>> {
-        let mut rows = Vec::with_capacity(self.n_groups);
-        for g in 0..self.n_groups {
-            let mut row = Vec::with_capacity(self.keys.len() + self.states.len());
-            row.extend(self.keys.iter().map(|k| k.get(g)));
-            for s in &self.states {
-                row.push(s.finish(g)?);
-            }
-            rows.push(row);
+    /// Result columns, `group key columns ++ aggregate results`, one row
+    /// per group.
+    fn finish(self) -> Result<Vec<ColumnData>> {
+        let mut columns = self.keys;
+        for s in self.states {
+            columns.push(s.finish()?);
         }
-        Ok(rows)
+        Ok(columns)
     }
 }
 
@@ -833,17 +853,18 @@ pub fn group_partial_range<C: Cols + ?Sized>(
 }
 
 /// Merge per-morsel partials (in morsel index order) and finish them into
-/// result rows, `group key columns ++ aggregate results`, ordered by first
-/// appearance. Each partial's key columns go through the same group-id
+/// result columns, `group key columns ++ aggregate results`, one row per
+/// group, ordered by first appearance (no columns at all when there is no
+/// partial to take their types from). Each partial's key columns go through the same group-id
 /// mapping as input rows do; since partials arrive in morsel order and
 /// each lists its groups in first-appearance order, the merged ids are in
 /// global first-appearance order and every group's state is folded in
 /// morsel order — the output is a function of the morsel boundaries only.
 /// Timed under [`Phase::GroupMerge`].
-pub fn merge_group_partials(parts: Vec<GroupPartial>) -> Result<Vec<Vec<Value>>> {
+pub fn merge_group_partials(mut parts: Vec<GroupPartial>) -> Result<Vec<ColumnData>> {
     let _p = profile::phase(Phase::GroupMerge);
     if parts.len() <= 1 {
-        return parts.first().map_or(Ok(Vec::new()), GroupPartial::finish);
+        return parts.pop().map_or(Ok(Vec::new()), GroupPartial::finish);
     }
     // Key columns stay put while the tables borrow their strings; the
     // states are consumed as they merge.
@@ -921,9 +942,10 @@ pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
     group_cols: &[usize],
     specs: &[AggSpec],
     morsel_rows: usize,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Vec<Vec<nodb_types::Value>>> {
     use crate::agg::Accumulator;
     use crate::columnar::GroupKey;
+    use nodb_types::Value;
     use std::collections::HashMap;
 
     let mut slots: HashMap<GroupKey, usize> = HashMap::new();
@@ -984,7 +1006,8 @@ pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
 mod tests {
     use super::*;
     use crate::expr::ArithOp;
-    use crate::morsel::parallel_group_aggregate;
+    use crate::morsel::{parallel_group_aggregate, parallel_group_columns};
+    use nodb_types::Value;
     use std::collections::BTreeMap;
 
     /// Cells with floats as bit patterns, so NaN and `-0.0` compare by
@@ -1002,8 +1025,9 @@ mod tests {
             .collect()
     }
 
-    /// Kernel and reference agree: same rows bit for bit in the same
-    /// order, or the same error.
+    /// Kernel and reference agree: the result columns hold the reference's
+    /// rows bit for bit in the same order (key columns keeping their input
+    /// type), or the kernel fails with the same error.
     fn assert_matches_reference(
         cols: &BTreeMap<usize, ColumnData>,
         n: usize,
@@ -1014,26 +1038,23 @@ mod tests {
         for morsel_rows in [1, 7, 32 * 1024] {
             let want = reference_group_aggregate(cols, n, conj, group_cols, specs, morsel_rows);
             for threads in [1, 2, 5] {
-                for partitions in [0, 4] {
-                    let got = parallel_group_aggregate(
-                        cols,
-                        n,
-                        conj,
-                        group_cols,
-                        specs,
-                        threads,
-                        morsel_rows,
-                        partitions,
-                    );
-                    let ctx = format!(
-                        "threads={threads} morsel_rows={morsel_rows} partitions={partitions} \
-                         keys={group_cols:?}"
-                    );
-                    match (&got, &want) {
-                        (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{ctx}"),
-                        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
-                        _ => panic!("{ctx}: kernel {got:?} vs reference {want:?}"),
+                let got =
+                    parallel_group_columns(cols, n, conj, group_cols, specs, threads, morsel_rows);
+                let ctx =
+                    format!("threads={threads} morsel_rows={morsel_rows} keys={group_cols:?}");
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => {
+                        let n_groups = g.first().map_or(0, ColumnData::len);
+                        let rows: Vec<Vec<Value>> = (0..n_groups)
+                            .map(|r| g.iter().map(|c| c.get(r)).collect())
+                            .collect();
+                        assert_eq!(bits(&rows), bits(w), "{ctx}");
+                        for (key, col) in group_cols.iter().zip(g) {
+                            assert_eq!(col.data_type(), cols[key].data_type(), "{ctx}");
+                        }
                     }
+                    (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                    _ => panic!("{ctx}: kernel {got:?} vs reference {want:?}"),
                 }
             }
         }

@@ -21,10 +21,12 @@
 //!   [`cold_join_build_morsel`]) that consume
 //!   [`nodb_types::MorselBatch`]es straight from the tokenizer.
 //!
-//! The engine (`nodb-core`) picks a strategy per query and connects the
-//! tokenizer's morsel scan (`nodb-rawcsv`) to the fused cold operators;
-//! the `kernels` criterion bench measures the trade-offs the paper
-//! describes.
+//! The engine (`nodb-core`) runs one kernel per query shape — the fused
+//! hybrid operator for plain aggregates, [`group`] for GROUP BY, columnar
+//! selection vectors for scalar queries — and connects the tokenizer's
+//! morsel scan (`nodb-rawcsv`) to the fused cold operators; [`volcano`]
+//! is kept for the `kernels` criterion bench, which measures the
+//! trade-offs the paper describes.
 
 pub mod agg;
 pub mod cols;
@@ -49,10 +51,9 @@ pub use hybrid::fused_filter_aggregate;
 pub use join::{hash_join_positions, merge_join_positions, split_pairs, JoinTable};
 pub use morsel::{
     cold_join_build_morsel, cold_project_morsel, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
-    stitch_cold_projection, OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
+    parallel_filter_positions, parallel_group_aggregate, parallel_group_columns,
+    parallel_hash_join_positions, stitch_cold_projection, OrdinalCols, ProjectPartial,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};
-pub use volcano::{
-    collect, AggregateOp, ColumnsScan, FilterOp, HashJoinOp, LimitOp, ProjectOp, RowOp,
-};
+pub use volcano::{collect, AggregateOp, ColumnsScan, FilterOp, RowOp};

@@ -12,8 +12,9 @@
 //! * [`parallel_filter_positions`] — parallel selection-vector
 //!   construction whose concatenation is byte-identical to the serial
 //!   [`filter_positions`](crate::columnar::filter_positions) result;
-//! * [`parallel_group_aggregate`] — the typed GROUP BY kernel of
-//!   [`crate::group`] per morsel, partials merged in morsel order;
+//! * [`parallel_group_columns`] — the typed GROUP BY kernel of
+//!   [`crate::group`] per morsel, partials merged in morsel order into
+//!   result columns ([`parallel_group_aggregate`] is its row view);
 //! * [`parallel_hash_join_positions`] — one flat [`JoinTable`] over the
 //!   smaller key column, probed morsel by morsel, reproducing the serial
 //!   pair order exactly.
@@ -39,7 +40,8 @@ use std::sync::Mutex;
 
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    drive_morsels, morsel_count, ColumnData, Conjunction, Error, MorselBatch, Result, Value,
+    drive_morsels, morsel_count, ColumnData, ColumnPage, Conjunction, Error, MorselBatch,
+    PageColumn, Result, Selection, Value,
 };
 
 use crate::agg::Accumulator;
@@ -226,11 +228,28 @@ impl Cols for OrdinalCols<'_> {
 /// Morsel-parallel hash GROUP BY: every morsel is grouped and aggregated
 /// by the typed kernel ([`group_partial_range`]) on a stealing worker, and
 /// the per-morsel partials merge in morsel order
-/// ([`merge_group_partials`]). Output rows are `group key columns ++
-/// aggregate results`, ordered by first appearance, and depend only on
-/// `morsel_rows` — not on `threads` (one worker runs the same morsels
-/// inline) and not on scheduling. `_partitions` is ignored: the merge is
-/// one pass over the partials' groups and no longer partitions them.
+/// ([`merge_group_partials`]). The result is `group key columns ++
+/// aggregate results` as typed columns, one row per group, ordered by
+/// first appearance, and depends only on `morsel_rows` — not on `threads`
+/// (one worker runs the same morsels inline) and not on scheduling.
+pub fn parallel_group_columns<C: Cols + ?Sized + Sync>(
+    cols: &C,
+    n_rows: usize,
+    conj: &Conjunction,
+    group_cols: &[usize],
+    specs: &[AggSpec],
+    threads: usize,
+    morsel_rows: usize,
+) -> Result<Vec<ColumnData>> {
+    let partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
+        group_partial_range(cols, lo, hi, conj, group_cols, specs)
+    })?;
+    merge_group_partials(partials)
+}
+
+/// [`parallel_group_columns`] as rows, one per group. `_partitions` is
+/// ignored: the merge is one pass over the partials' groups and no longer
+/// partitions them.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     cols: &C,
@@ -242,10 +261,11 @@ pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     morsel_rows: usize,
     _partitions: usize,
 ) -> Result<Vec<Vec<Value>>> {
-    let partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
-        group_partial_range(cols, lo, hi, conj, group_cols, specs)
-    })?;
-    merge_group_partials(partials)
+    let columns =
+        parallel_group_columns(cols, n_rows, conj, group_cols, specs, threads, morsel_rows)?;
+    let n_groups = columns.first().map_or(0, ColumnData::len);
+    let view = columns.iter().map(PageColumn::Selected).collect();
+    Ok(ColumnPage::new(Selection::Range(0..n_groups), view).to_rows())
 }
 
 const PAIR_BYTES: usize = std::mem::size_of::<(usize, usize)>();

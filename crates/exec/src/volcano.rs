@@ -2,22 +2,19 @@
 //!
 //! "Row-store operators operate in a volcano style passing one tuple at a
 //! time from one operator to the next. No materialization is needed but
-//! numerous function calls are required." This engine exists so the adaptive
-//! kernel can pick a strategy per query — and so the kernel ablation bench
-//! can measure the trade-off the paper describes.
+//! numerous function calls are required." The engine never runs it: scan,
+//! filter and aggregate are kept as the baseline the kernel ablation bench
+//! measures the other strategies against.
 //!
 //! Tuples move through a *caller-provided* row buffer ([`RowOp::next_into`])
 //! that each operator refills in place, so a pipeline allocates O(depth)
 //! buffers total instead of one fresh `Vec<Value>` per tuple per operator.
 
-use std::collections::HashMap;
-
 use nodb_types::{Conjunction, Result, Value};
 
 use crate::agg::Accumulator;
 use crate::cols::Cols;
-use crate::columnar::{AggSpec, GroupKey};
-use crate::expr::Expr;
+use crate::columnar::AggSpec;
 
 /// A pull-based row operator.
 pub trait RowOp {
@@ -104,68 +101,6 @@ impl<I: RowOp> RowOp for FilterOp<I> {
     }
 }
 
-/// Tuple-at-a-time projection.
-pub struct ProjectOp<I: RowOp> {
-    input: I,
-    exprs: Vec<Expr>,
-    scratch: Vec<Value>,
-}
-
-impl<I: RowOp> ProjectOp<I> {
-    /// Project each tuple through `exprs`.
-    pub fn new(input: I, exprs: Vec<Expr>) -> Self {
-        ProjectOp {
-            input,
-            exprs,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<I: RowOp> RowOp for ProjectOp<I> {
-    fn next_into(&mut self, row: &mut Vec<Value>) -> Result<bool> {
-        if !self.input.next_into(&mut self.scratch)? {
-            return Ok(false);
-        }
-        row.clear();
-        row.reserve(self.exprs.len());
-        for e in &self.exprs {
-            row.push(e.eval_row(&self.scratch)?);
-        }
-        Ok(true)
-    }
-}
-
-/// LIMIT.
-pub struct LimitOp<I: RowOp> {
-    input: I,
-    remaining: usize,
-}
-
-impl<I: RowOp> LimitOp<I> {
-    /// Pass through at most `n` tuples.
-    pub fn new(input: I, n: usize) -> Self {
-        LimitOp {
-            input,
-            remaining: n,
-        }
-    }
-}
-
-impl<I: RowOp> RowOp for LimitOp<I> {
-    fn next_into(&mut self, row: &mut Vec<Value>) -> Result<bool> {
-        if self.remaining == 0 {
-            return Ok(false);
-        }
-        if self.input.next_into(row)? {
-            self.remaining -= 1;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-}
-
 /// Blocking aggregate: drains its input, emits a single tuple of results.
 pub struct AggregateOp<I: RowOp> {
     input: I,
@@ -211,78 +146,6 @@ impl<I: RowOp> RowOp for AggregateOp<I> {
             row.push(a.finish()?);
         }
         Ok(true)
-    }
-}
-
-/// Hash join (inner, equi). Builds a table from the left input on first
-/// `next_into`, then streams the right input, emitting `left ++ right`
-/// tuples. NULL keys never match.
-pub struct HashJoinOp<L: RowOp, R: RowOp> {
-    left: L,
-    right: R,
-    left_key: usize,
-    right_key: usize,
-    table: Option<HashMap<GroupKey, Vec<Vec<Value>>>>,
-    pending: Vec<Vec<Value>>,
-    scratch: Vec<Value>,
-}
-
-impl<L: RowOp, R: RowOp> HashJoinOp<L, R> {
-    /// Join `left.left_key == right.right_key`.
-    pub fn new(left: L, right: R, left_key: usize, right_key: usize) -> Self {
-        HashJoinOp {
-            left,
-            right,
-            left_key,
-            right_key,
-            table: None,
-            pending: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<L: RowOp, R: RowOp> RowOp for HashJoinOp<L, R> {
-    fn next_into(&mut self, row: &mut Vec<Value>) -> Result<bool> {
-        if self.table.is_none() {
-            let mut t: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
-            while self.left.next_into(&mut self.scratch)? {
-                let k = &self.scratch[self.left_key];
-                if k.is_null() {
-                    continue;
-                }
-                // Build rows must outlive the scratch buffer: clone once.
-                t.entry(GroupKey(vec![k.clone()]))
-                    .or_default()
-                    .push(self.scratch.clone());
-            }
-            self.table = Some(t);
-        }
-        loop {
-            if let Some(joined) = self.pending.pop() {
-                *row = joined;
-                return Ok(true);
-            }
-            if !self.right.next_into(&mut self.scratch)? {
-                return Ok(false);
-            }
-            let k = &self.scratch[self.right_key];
-            if k.is_null() {
-                continue;
-            }
-            if let Some(matches) = self
-                .table
-                .as_ref()
-                .expect("built")
-                .get(&GroupKey(vec![k.clone()]))
-            {
-                for lrow in matches {
-                    let mut joined = lrow.clone();
-                    joined.extend(self.scratch.iter().cloned());
-                    self.pending.push(joined);
-                }
-            }
-        }
     }
 }
 
@@ -336,21 +199,20 @@ mod tests {
     }
 
     #[test]
-    fn filter_project_pipeline() {
+    fn filter_passes_qualifying_rows_only() {
         let c = cols();
         let scan = ColumnsScan::new(&c, 2, 5);
-        let filter = FilterOp::new(
+        let mut filter = FilterOp::new(
             scan,
             Conjunction::new(vec![ColPred::new(0, CmpOp::Gt, 3i64)]),
         );
-        let mut project = ProjectOp::new(filter, vec![Expr::Col(1)]);
-        let rows = collect(&mut project).unwrap();
+        let rows = collect(&mut filter).unwrap();
         assert_eq!(
             rows,
             vec![
-                vec![Value::Int(10)],
-                vec![Value::Int(30)],
-                vec![Value::Int(50)]
+                vec![Value::Int(5), Value::Int(10)],
+                vec![Value::Int(9), Value::Int(30)],
+                vec![Value::Int(7), Value::Int(50)]
             ]
         );
     }
@@ -388,63 +250,5 @@ mod tests {
         assert!(agg.next().unwrap().is_some());
         assert!(agg.next().unwrap().is_none());
         assert!(agg.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn limit_stops_early() {
-        let c = cols();
-        let scan = ColumnsScan::new(&c, 2, 5);
-        let mut limit = LimitOp::new(scan, 2);
-        assert_eq!(collect(&mut limit).unwrap().len(), 2);
-        let scan = ColumnsScan::new(&c, 2, 5);
-        let mut limit = LimitOp::new(scan, 0);
-        assert!(collect(&mut limit).unwrap().is_empty());
-    }
-
-    #[test]
-    fn hash_join_one_to_one() {
-        let mut left = BTreeMap::new();
-        left.insert(0, ColumnData::from_i64(vec![1, 2, 3]));
-        left.insert(1, ColumnData::from_i64(vec![10, 20, 30]));
-        let mut right = BTreeMap::new();
-        right.insert(0, ColumnData::from_i64(vec![3, 1, 2]));
-        right.insert(1, ColumnData::from_i64(vec![300, 100, 200]));
-        let l = ColumnsScan::new(&left, 2, 3);
-        let r = ColumnsScan::new(&right, 2, 3);
-        let mut join = HashJoinOp::new(l, r, 0, 0);
-        let mut rows = collect(&mut join).unwrap();
-        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            rows[0],
-            vec![
-                Value::Int(1),
-                Value::Int(10),
-                Value::Int(1),
-                Value::Int(100)
-            ]
-        );
-    }
-
-    #[test]
-    fn hash_join_multi_match_and_null_keys() {
-        let mut left = BTreeMap::new();
-        let mut key = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Int(1), Value::Int(1), Value::Null] {
-            key.push(v).unwrap();
-        }
-        left.insert(0, key);
-        let mut right = BTreeMap::new();
-        let mut rkey = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Int(1), Value::Null] {
-            rkey.push(v).unwrap();
-        }
-        right.insert(0, rkey);
-        let l = ColumnsScan::new(&left, 1, 3);
-        let r = ColumnsScan::new(&right, 1, 2);
-        let mut join = HashJoinOp::new(l, r, 0, 0);
-        let rows = collect(&mut join).unwrap();
-        // Two left 1s match the single right 1; nulls match nothing.
-        assert_eq!(rows.len(), 2);
     }
 }

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nodb_core::{
-    leading_keyword, result_column_types, unique_identifiers, QueryOutput, QueryStream, ResultPage,
-    Session,
+    leading_keyword, result_column_types, unique_identifiers, QueryOutput, QueryStream, Session,
 };
 use nodb_types::profile::{Phase, ProfileScope, ProfileSink};
 use nodb_types::{CancelToken, Error, ProfileHandle, Result, Value};
@@ -52,8 +51,7 @@ impl Cursor {
                 let page = s.next_columns()?;
                 let started = Instant::now();
                 match page {
-                    Some(ResultPage::Columns(page)) => encode_batch_page(out, false, &page),
-                    Some(ResultPage::Rows(rows)) => encode_batch_rows(out, false, &rows),
+                    Some(page) => encode_batch_page(out, false, &page),
                     None => encode_batch_rows(out, false, &[]),
                 }
                 if let Some(sink) = s.profile() {
@@ -90,7 +88,7 @@ pub(crate) enum Flow {
 }
 
 /// Open cursors one connection may hold. Cursors can pin materialised
-/// rows (aggregates, CTAS) server-side, so a client that opens queries
+/// results (grouped columns, CTAS rows) server-side, so a client that opens queries
 /// without ever fetching must hit a typed error, not grow the heap.
 const MAX_OPEN_CURSORS: usize = 64;
 

@@ -203,13 +203,13 @@ impl Plan {
         (Conjunction::new(left), Conjunction::new(right))
     }
 
-    /// The EXPLAIN listing: the configured loading and kernel strategies
-    /// as comment lines, then the per-step plan rendering (the `Display`
-    /// impl). `EXPLAIN` and `EXPLAIN ANALYZE` both start from this one
-    /// renderer — ANALYZE appends measured annotations after it — so the
-    /// two listings can never drift apart.
-    pub fn render(&self, loading: &str, kernel: &str) -> String {
-        format!("-- strategy: {loading}\n-- kernel: {kernel}\n{self}")
+    /// The EXPLAIN listing: the configured loading strategy as a comment
+    /// line, then the per-step plan rendering (the `Display` impl).
+    /// `EXPLAIN` and `EXPLAIN ANALYZE` both start from this one renderer —
+    /// ANALYZE appends measured annotations after it — so the two listings
+    /// can never drift apart.
+    pub fn render(&self, loading: &str) -> String {
+        format!("-- strategy: {loading}\n{self}")
     }
 }
 

@@ -1,15 +1,12 @@
-//! Multi-format storage: NSM rows and PAX pages (paper §5.1.1).
+//! The row batch: results as rows, at the API edge.
 //!
-//! "The adaptive store may contain data in any format, i.e., row-store,
-//! column-store, as well as PAX and its variations." This module provides
-//! the row (NSM) and PAX representations plus lossless conversions between
-//! all three, so the same loaded data can be re-materialised in whatever
-//! format the kernel's chosen execution strategy prefers (§5.3.3
-//! re-organisation).
+//! Inside the engine a result is typed columns from kernel to wire frame;
+//! [`RowBatch`] is the row-major (NSM) view handed out where a caller asks
+//! for rows — `QueryStream::next_batch` and the client's `fetch`.
 
-use nodb_types::{ColumnData, Error, Result, Schema, Value};
+use nodb_types::{Schema, Value};
 
-/// N-ary (row-at-a-time) storage: the volcano engine's native format.
+/// A batch of result rows with their schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowBatch {
     /// Schema of the rows.
@@ -19,14 +16,6 @@ pub struct RowBatch {
 }
 
 impl RowBatch {
-    /// An empty batch.
-    pub fn empty(schema: Schema) -> RowBatch {
-        RowBatch {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -35,293 +24,5 @@ impl RowBatch {
     /// True when the batch has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Approximate memory footprint.
-    pub fn approx_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.iter().map(Value::approx_bytes).sum::<usize>())
-            .sum()
-    }
-}
-
-/// A PAX page: a fixed-capacity horizontal slice stored column-major
-/// ("minipages"), giving row-locality across pages and column-locality
-/// within a page.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PaxPage {
-    /// Per-column minipages, all the same length.
-    pub minipages: Vec<ColumnData>,
-}
-
-impl PaxPage {
-    /// Rows in this page.
-    pub fn len(&self) -> usize {
-        self.minipages.first().map(|c| c.len()).unwrap_or(0)
-    }
-
-    /// True when the page has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A table stored as a sequence of PAX pages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PaxTable {
-    /// Schema of the stored columns.
-    pub schema: Schema,
-    /// Rows per page (last page may be shorter).
-    pub page_rows: usize,
-    /// The pages.
-    pub pages: Vec<PaxPage>,
-}
-
-impl PaxTable {
-    /// Total row count.
-    pub fn len(&self) -> usize {
-        self.pages.iter().map(PaxPage::len).sum()
-    }
-
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate memory footprint.
-    pub fn approx_bytes(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| {
-                p.minipages
-                    .iter()
-                    .map(ColumnData::approx_bytes)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
-/// Convert columns (all the same length, aligned with `schema`) to rows.
-pub fn columns_to_rows(schema: &Schema, cols: &[ColumnData]) -> Result<RowBatch> {
-    check_aligned(schema, cols)?;
-    let n = cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        rows.push(cols.iter().map(|c| c.get(i)).collect());
-    }
-    Ok(RowBatch {
-        schema: schema.clone(),
-        rows,
-    })
-}
-
-/// Convert a row batch back to columns.
-pub fn rows_to_columns(batch: &RowBatch) -> Result<Vec<ColumnData>> {
-    let mut cols: Vec<ColumnData> = batch
-        .schema
-        .fields()
-        .iter()
-        .map(|f| ColumnData::with_capacity(f.data_type, batch.rows.len()))
-        .collect();
-    for (ri, row) in batch.rows.iter().enumerate() {
-        if row.len() != batch.schema.len() {
-            return Err(Error::schema(format!(
-                "row {ri} has {} values, schema has {} columns",
-                row.len(),
-                batch.schema.len()
-            )));
-        }
-        for (c, v) in row.iter().enumerate() {
-            cols[c].push(v.clone())?;
-        }
-    }
-    Ok(cols)
-}
-
-/// Convert columns to a PAX table with the given page capacity.
-pub fn columns_to_pax(schema: &Schema, cols: &[ColumnData], page_rows: usize) -> Result<PaxTable> {
-    check_aligned(schema, cols)?;
-    if page_rows == 0 {
-        return Err(Error::schema("PAX page capacity must be positive"));
-    }
-    let n = cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut pages = Vec::with_capacity(n.div_ceil(page_rows));
-    let mut start = 0;
-    while start < n {
-        let end = (start + page_rows).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        pages.push(PaxPage {
-            minipages: cols.iter().map(|c| c.take(&idx)).collect(),
-        });
-        start = end;
-    }
-    Ok(PaxTable {
-        schema: schema.clone(),
-        page_rows,
-        pages,
-    })
-}
-
-/// Concatenate a PAX table's minipages back into whole columns.
-pub fn pax_to_columns(pax: &PaxTable) -> Result<Vec<ColumnData>> {
-    let mut cols: Vec<ColumnData> = pax
-        .schema
-        .fields()
-        .iter()
-        .map(|f| ColumnData::with_capacity(f.data_type, pax.len()))
-        .collect();
-    for page in &pax.pages {
-        if page.minipages.len() != cols.len() {
-            return Err(Error::schema("PAX page width does not match schema"));
-        }
-        for (c, mini) in page.minipages.iter().enumerate() {
-            for v in mini.iter_values() {
-                cols[c].push(v)?;
-            }
-        }
-    }
-    Ok(cols)
-}
-
-fn check_aligned(schema: &Schema, cols: &[ColumnData]) -> Result<()> {
-    if cols.len() != schema.len() {
-        return Err(Error::schema(format!(
-            "{} columns provided for a {}-column schema",
-            cols.len(),
-            schema.len()
-        )));
-    }
-    for (i, (c, f)) in cols.iter().zip(schema.fields()).enumerate() {
-        if c.data_type() != f.data_type {
-            return Err(Error::schema(format!(
-                "column {i} is {} but schema says {}",
-                c.data_type(),
-                f.data_type
-            )));
-        }
-    }
-    if let Some(first) = cols.first() {
-        if cols.iter().any(|c| c.len() != first.len()) {
-            return Err(Error::schema("columns have differing lengths"));
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nodb_types::DataType;
-
-    fn sample() -> (Schema, Vec<ColumnData>) {
-        let schema = Schema::new(vec![
-            nodb_types::Field::new("a", DataType::Int64),
-            nodb_types::Field::new("b", DataType::Str),
-        ])
-        .unwrap();
-        let cols = vec![
-            ColumnData::from_i64(vec![1, 2, 3, 4, 5]),
-            ColumnData::from_strings(
-                ["v", "w", "x", "y", "z"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            ),
-        ];
-        (schema, cols)
-    }
-
-    #[test]
-    fn rows_round_trip() {
-        let (schema, cols) = sample();
-        let rows = columns_to_rows(&schema, &cols).unwrap();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows.rows[2], vec![Value::Int(3), Value::Str("x".into())]);
-        let back = rows_to_columns(&rows).unwrap();
-        assert_eq!(back, cols);
-    }
-
-    #[test]
-    fn pax_round_trip_with_partial_last_page() {
-        let (schema, cols) = sample();
-        let pax = columns_to_pax(&schema, &cols, 2).unwrap();
-        assert_eq!(pax.pages.len(), 3);
-        assert_eq!(pax.pages[0].len(), 2);
-        assert_eq!(pax.pages[2].len(), 1);
-        assert_eq!(pax.len(), 5);
-        let back = pax_to_columns(&pax).unwrap();
-        assert_eq!(back, cols);
-    }
-
-    #[test]
-    fn misaligned_columns_rejected() {
-        let (schema, mut cols) = sample();
-        cols[1] = ColumnData::from_strings(vec!["only-one".into()]);
-        assert!(columns_to_rows(&schema, &cols).is_err());
-        assert!(columns_to_pax(&schema, &cols, 2).is_err());
-    }
-
-    #[test]
-    fn type_mismatch_rejected() {
-        let (schema, mut cols) = sample();
-        cols[0] = ColumnData::from_f64(vec![1.0; 5]);
-        assert!(columns_to_rows(&schema, &cols).is_err());
-    }
-
-    #[test]
-    fn zero_page_capacity_rejected() {
-        let (schema, cols) = sample();
-        assert!(columns_to_pax(&schema, &cols, 0).is_err());
-    }
-
-    #[test]
-    fn ragged_row_batch_rejected() {
-        let (schema, _) = sample();
-        let batch = RowBatch {
-            schema,
-            rows: vec![vec![Value::Int(1)]], // too narrow
-        };
-        assert!(rows_to_columns(&batch).is_err());
-    }
-
-    #[test]
-    fn empty_table_round_trips() {
-        let (schema, _) = sample();
-        let cols = vec![
-            ColumnData::empty(DataType::Int64),
-            ColumnData::empty(DataType::Str),
-        ];
-        let rows = columns_to_rows(&schema, &cols).unwrap();
-        assert!(rows.is_empty());
-        let pax = columns_to_pax(&schema, &cols, 4).unwrap();
-        assert!(pax.is_empty());
-        assert_eq!(pax_to_columns(&pax).unwrap(), cols);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn conversions_round_trip(
-                vals in proptest::collection::vec((-50i64..50, -5.0f64..5.0), 0..40),
-                page in 1usize..7) {
-                let schema = Schema::new(vec![
-                    nodb_types::Field::new("i", DataType::Int64),
-                    nodb_types::Field::new("f", DataType::Float64),
-                ]).unwrap();
-                let cols = vec![
-                    ColumnData::from_i64(vals.iter().map(|v| v.0).collect()),
-                    ColumnData::from_f64(vals.iter().map(|v| v.1).collect()),
-                ];
-                let rows = columns_to_rows(&schema, &cols).unwrap();
-                prop_assert_eq!(&rows_to_columns(&rows).unwrap(), &cols);
-                let pax = columns_to_pax(&schema, &cols, page).unwrap();
-                prop_assert_eq!(&pax_to_columns(&pax).unwrap(), &cols);
-            }
-        }
     }
 }

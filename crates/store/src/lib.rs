@@ -9,8 +9,8 @@
 //!   eviction under a byte budget (§5.1.3 life-time management);
 //! * [`cracking`] — database cracking, the adaptive index behind Figure 1's
 //!   "Index DB" curve;
-//! * [`formats`] — NSM row batches and PAX pages with lossless conversions
-//!   (multi-format storage, §5.1.1);
+//! * [`formats`] — [`RowBatch`], the row-shaped view of a result at the
+//!   API edge;
 //! * [`persist`] — typed binary column files so restarts ("cold DB" runs)
 //!   skip re-parsing CSV.
 
@@ -21,7 +21,5 @@ pub mod persist;
 
 pub use adaptive::{Fragment, FullColumn, TableData};
 pub use cracking::{CrackedColumn, PartitionedCracked};
-pub use formats::{
-    columns_to_pax, columns_to_rows, pax_to_columns, rows_to_columns, PaxPage, PaxTable, RowBatch,
-};
+pub use formats::RowBatch;
 pub use persist::{read_column, write_column};

@@ -1,7 +1,8 @@
 //! Columnar result pages.
 //!
-//! A scalar query's result is a selection vector over typed columns, and
-//! it stays that way until it leaves the process: a [`ColumnPage`] is a
+//! A query's result is a selection vector over typed columns — the
+//! store's for a scalar result, freshly computed ones for an aggregate or
+//! grouped result — and it stays that way until it leaves the process: a [`ColumnPage`] is a
 //! borrowed view of one page of it — the output columns plus the rows of
 //! them the page covers. Plain column references point straight at the
 //! store's [`ColumnData`] and are read through the selection; literal and
@@ -50,7 +51,18 @@ pub enum PageColumn<'a> {
     Dense(ColumnData),
 }
 
-/// One page of a scalar result as typed columns.
+impl PageColumn<'_> {
+    /// The typed column behind this output, whichever way the page
+    /// addresses it.
+    pub fn data(&self) -> &ColumnData {
+        match self {
+            PageColumn::Selected(c) => c,
+            PageColumn::Dense(c) => c,
+        }
+    }
+}
+
+/// One page of a result as typed columns.
 #[derive(Debug)]
 pub struct ColumnPage<'a> {
     selection: Selection<'a>,
@@ -77,6 +89,11 @@ impl<'a> ColumnPage<'a> {
     /// Output columns.
     pub fn n_cols(&self) -> usize {
         self.columns.len()
+    }
+
+    /// The output columns, in output order.
+    pub fn columns(&self) -> &[PageColumn<'a>] {
+        &self.columns
     }
 
     /// The value at (`row`, `col`) of the page, borrowed from its column.

@@ -168,15 +168,6 @@ impl Value {
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
-
-    /// Heap + inline footprint in bytes, used for memory accounting in the
-    /// adaptive store.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            Value::Str(s) => std::mem::size_of::<Value>() + s.len(),
-            _ => std::mem::size_of::<Value>(),
-        }
-    }
 }
 
 /// A borrowed scalar: one cell of a typed column, read in place. Text
@@ -355,12 +346,5 @@ mod tests {
         assert_eq!(Int64.unify(Float64), Float64);
         assert_eq!(Float64.unify(Str), Str);
         assert_eq!(Str.unify(Int64), Str);
-    }
-
-    #[test]
-    fn approx_bytes_counts_string_heap() {
-        let small = Value::Int(1).approx_bytes();
-        let s = Value::Str("0123456789".into()).approx_bytes();
-        assert_eq!(s, small + 10);
     }
 }

@@ -44,8 +44,8 @@ pub use nodb_store as store;
 pub use nodb_types as types;
 
 pub use nodb_core::{
-    BoundStatement, Engine, EngineConfig, KernelStrategy, LoadingStrategy, Prepared, QueryOutput,
-    QueryStats, QueryStream, ResultCache, ResultPage, Session, TableInfo,
+    BoundStatement, Engine, EngineConfig, LoadingStrategy, Prepared, QueryOutput, QueryStats,
+    QueryStream, ResultCache, Session, TableInfo,
 };
 pub use nodb_server::{
     latency_from_extras, Client, ConnectOptions, NodbServer, RemoteCursor, RemoteStatement,

@@ -52,3 +52,25 @@ pub fn write_int_table(path: &std::path::Path, rows: usize, cols: usize) {
     }
     std::fs::write(path, s).expect("write table");
 }
+
+/// A table mixing every column type with NULLs, empty-looking and
+/// non-ASCII text: `a1` int, `a2` int with NULLs, `a3` float, `a4` text
+/// with NULLs.
+pub fn write_mixed_table(path: &std::path::Path, rows: usize) {
+    const WORDS: [&str; 5] = ["alpha", "é中🦀", "", "b c", "z"];
+    let mut s = String::new();
+    for r in 0..rows {
+        let a2 = if r % 7 == 3 {
+            String::new()
+        } else {
+            ((r * 13) % 101).to_string()
+        };
+        s.push_str(&format!(
+            "{r},{a2},{}.{},{}\n",
+            (r * 37) % 50,
+            (r % 4) * 25,
+            WORDS[r % WORDS.len()]
+        ));
+    }
+    std::fs::write(path, s).expect("write table");
+}

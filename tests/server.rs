@@ -615,28 +615,6 @@ fn connect_retry_rides_out_busy_server() {
     server.shutdown();
 }
 
-/// A table mixing every column type with NULLs, empty-looking and
-/// non-ASCII text: `a1` int, `a2` int with NULLs, `a3` float, `a4` text
-/// with NULLs.
-fn write_mixed_table(path: &std::path::Path, rows: usize) {
-    const WORDS: [&str; 5] = ["alpha", "é中🦀", "", "b c", "z"];
-    let mut s = String::new();
-    for r in 0..rows {
-        let a2 = if r % 7 == 3 {
-            String::new()
-        } else {
-            ((r * 13) % 101).to_string()
-        };
-        s.push_str(&format!(
-            "{r},{a2},{}.{},{}\n",
-            (r * 37) % 50,
-            (r % 4) * 25,
-            WORDS[r % WORDS.len()]
-        ));
-    }
-    std::fs::write(path, s).expect("write table");
-}
-
 /// Paging parity for the columnar FETCH path: projections mixing column
 /// refs, literals, arithmetic, NULLs, ORDER BY and LIMIT/OFFSET drain to
 /// exactly `Session::sql(..).rows` at every page size — from a
@@ -647,7 +625,7 @@ fn write_mixed_table(path: &std::path::Path, rows: usize) {
 fn columnar_pages_drain_to_the_in_process_rows() {
     let dir = common::test_dir("srv_col_pages");
     let table = dir.join("m.csv");
-    write_mixed_table(&table, 400);
+    common::write_mixed_table(&table, 400);
     let queries = [
         "select a1, a4, 7, 'k', a2 + a1, a3 * 2, a2 from m where a1 >= 10 order by a3 desc, a1 limit 300 offset 5",
         "select a4, a1 - a2, a3 from m",
@@ -712,6 +690,70 @@ fn columnar_pages_drain_to_the_in_process_rows() {
             server.shutdown();
         }
     }
+}
+
+/// Aggregate and grouped results leave the server through the columnar
+/// page encoder: speaking the protocol by hand, every `BATCH` payload is
+/// byte for byte what `Response::Batch` encodes from the same rows of the
+/// in-process result, page boundaries and `done` flag included.
+#[test]
+fn computed_results_batch_bytes_match_the_row_encoding() {
+    use nodb::server::framing::{read_frame, write_frame};
+    use nodb::server::{Request, Response, PROTOCOL_VERSION};
+
+    let dir = common::test_dir("srv_computed_bytes");
+    let table = dir.join("m.csv");
+    common::write_mixed_table(&table, 400);
+    let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(2);
+    cfg.store_dir = Some(dir.join("store"));
+    let engine = Arc::new(Engine::new(cfg));
+    engine.register_table("m", &table).unwrap();
+    let batch_rows = 3;
+    let server = serve(
+        Arc::clone(&engine),
+        ServerConfig {
+            batch_rows,
+            ..ServerConfig::default()
+        },
+    );
+
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut roundtrip = |req: Request| {
+        write_frame(&mut sock, &req.encode()).unwrap();
+        read_frame(&mut sock).unwrap().expect("a response frame")
+    };
+    let hello = roundtrip(Request::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    assert!(matches!(
+        Response::decode(&hello).unwrap(),
+        Response::HelloOk { .. }
+    ));
+    for sql in [
+        "select a4, a2, count(*), avg(a3), max(a4) from m group by a4, a2 order by a4 desc, a2",
+        "select sum(a1), min(a3), max(a4), count(a2) from m where a1 > 100000",
+    ] {
+        let want = engine.session().sql(sql).unwrap().rows;
+        let cursor = match Response::decode(&roundtrip(Request::Query { sql: sql.into() })) {
+            Ok(Response::Cursor { id, .. }) => id,
+            other => panic!("{sql}: expected a cursor, got {other:?}"),
+        };
+        let pages: Vec<&[Vec<Value>]> = want.chunks(batch_rows).collect();
+        for (i, rows) in pages.iter().enumerate() {
+            let expected = Response::Batch {
+                done: i + 1 == pages.len(),
+                rows: rows.to_vec(),
+            }
+            .encode();
+            assert_eq!(
+                roundtrip(Request::Fetch { cursor }),
+                expected,
+                "{sql} page {i}"
+            );
+        }
+    }
+    roundtrip(Request::Quit);
+    server.shutdown();
 }
 
 /// What an open cursor pins stays in the query's memory reservation

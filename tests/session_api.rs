@@ -6,7 +6,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{engine_in, test_dir, write_int_table};
+use common::{engine_in, test_dir, write_int_table, write_mixed_table};
 use nodb::core::{Engine, EngineConfig, LoadingStrategy, Session};
 use nodb::types::Value;
 
@@ -163,14 +163,14 @@ fn streaming_batches_cover_result_in_order() {
     assert_eq!(rows, want.rows);
 }
 
-/// The page view under the row API: `next_columns` hands a scalar result
-/// out as typed columns (an aggregate as its computed rows) covering the
-/// same rows in the same order, and paging done after the arming profile
-/// scope was left still lands in the query's profile.
+/// The page view under the row API: `next_columns` hands a result out as
+/// typed columns covering the same rows in the same order, and paging
+/// done after the arming profile scope was left still lands in the
+/// query's profile.
 #[test]
 fn column_pages_cover_result_and_profile_their_paging() {
     use nodb::types::profile::Phase;
-    use nodb::{ProfileScope, ProfileSink, ResultPage};
+    use nodb::{ProfileScope, ProfileSink};
 
     let (_d, s) = session_over("stream_cols", 100);
     let s = s.with_batch_size(32);
@@ -192,8 +192,7 @@ fn column_pages_cover_result_and_profile_their_paging() {
     let mut rows = Vec::new();
     let mut pages = 0;
     while let Some(page) = stream.next_columns().unwrap() {
-        assert!(matches!(page, ResultPage::Columns(_)), "scalar result");
-        let page = page.into_rows();
+        let page = page.to_rows();
         assert!(page.len() <= 32);
         rows.extend(page);
         pages += 1;
@@ -207,13 +206,87 @@ fn column_pages_cover_result_and_profile_their_paging() {
     assert_eq!(stream.stats().profile.phase_ns(Phase::WarmKernel), {
         sink.snapshot().phase_ns(Phase::WarmKernel)
     });
+}
 
-    let mut agg = s.query("select sum(a1), count(*) from t").unwrap();
-    match agg.next_columns().unwrap() {
-        Some(ResultPage::Rows(rows)) => assert_eq!(rows.len(), 1),
-        other => panic!("aggregates page as computed rows, got {other:?}"),
+/// Aggregate, grouped and join+aggregate results are typed columns too:
+/// for every such shape — cold through the fused pipeline and the serial
+/// policy path, then warm — the `next_columns` pages hold exactly the
+/// rows `Engine::sql` returns, and every page column has the type the
+/// stream's schema advertises.
+#[test]
+fn computed_results_page_as_typed_columns() {
+    let dir = test_dir("stream_computed");
+    let (m, t) = (dir.join("m.csv"), dir.join("t.csv"));
+    write_mixed_table(&m, 400);
+    write_int_table(&t, 100, 2);
+    let engine = |threads: usize| {
+        let mut cfg = EngineConfig::default().with_threads(threads);
+        cfg.store_dir = Some(dir.join(format!("store-{threads}")));
+        cfg.morsel_rows = 64; // several partials to merge
+        let e = Arc::new(Engine::new(cfg));
+        e.register_table("m", &m).unwrap();
+        e.register_table("t", &t).unwrap();
+        e
+    };
+    let queries = [
+        "select sum(a1), count(*), avg(a3), min(a2) from m where a1 > 10",
+        // Nothing qualifies: NULLs of the advertised types, zero counts.
+        "select sum(a1), min(a3), max(a4), count(a2), count(*) from m where a1 > 100000",
+        "select min(a4), max(a4) from m",
+        "select a4, count(*), sum(a2) from m group by a4 order by a4 desc limit 3 offset 1",
+        // `a2` and `a4` both hold NULLs: each NULL key is its own group.
+        "select a2, count(*), max(a4) from m group by a2",
+        "select a4, a2, avg(a3) from m where a1 < 50 group by a2, a4 order by a2, a4 desc",
+        "select a1, count(*) from m where a1 > 100000 group by a1",
+        "select m.a4, sum(t.a2), count(*) from m join t on m.a1 = t.a1 where t.a2 > 5 group by m.a4",
+        "select sum(m.a3), max(m.a4), count(*) from m join t on m.a1 = t.a1 limit 1",
+    ];
+    let reference = engine(1);
+    let want: Vec<_> = queries
+        .iter()
+        .map(|sql| reference.sql(sql).unwrap().rows)
+        .collect();
+    assert_eq!(
+        want[1],
+        vec![vec![
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Int(0),
+            Value::Int(0)
+        ]]
+    );
+    assert_eq!(want[3].len(), 3);
+    assert!(want[4].iter().any(|r| r[0] == Value::Null));
+    assert!(want[6].is_empty());
+    assert!(want[7].len() > 1);
+
+    for threads in [2, 1] {
+        let s = engine(threads).session().with_batch_size(2);
+        for pass in ["cold", "warm"] {
+            for (sql, want) in queries.iter().zip(&want) {
+                let mut stream = s.query(sql).unwrap();
+                let types: Vec<_> = stream
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|f| f.data_type)
+                    .collect();
+                let mut rows = Vec::new();
+                while let Some(page) = stream.next_columns().unwrap() {
+                    assert!(page.n_rows() <= 2);
+                    let got: Vec<_> = page
+                        .columns()
+                        .iter()
+                        .map(|c| c.data().data_type())
+                        .collect();
+                    assert_eq!(got, types, "{sql} ({pass}, {threads} threads)");
+                    rows.extend(page.to_rows());
+                }
+                assert_eq!(&rows, want, "{sql} ({pass}, {threads} threads)");
+            }
+        }
     }
-    assert!(agg.next_columns().unwrap().is_none());
 }
 
 #[test]
