@@ -18,11 +18,10 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    accumulate_into, cold_join_build_morsel, cold_project_morsel, filter_positions,
-    fused_filter_aggregate, group_partial_range, merge_group_partials, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_columns, parallel_hash_join_positions,
-    sort_positions, stitch_cold_projection, Accumulator, AggSpec, Expr, GroupPartial, JoinTable,
-    OrdinalCols, ProjectPartial, ProjectionCursor,
+    cold_join_build_morsel, cold_project_morsel, filter_positions, group_partial_range,
+    merge_group_partials, parallel_filter_positions, parallel_group_columns,
+    parallel_hash_join_positions, sort_positions, stitch_cold_projection, AggSpec, Expr,
+    GroupPartial, JoinTable, OrdinalCols, ProjectPartial, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -42,7 +41,7 @@ use crate::result_cache::{
     ResultCache,
 };
 use crate::session::{
-    dense_body, output_schema, output_type, unique_identifiers, QueryStream, Session, StreamBody,
+    dense_body, output_schema, unique_identifiers, QueryStream, Session, StreamBody,
 };
 
 /// Result of one SQL query.
@@ -1014,9 +1013,9 @@ impl Engine {
 
     /// The morsel-driven cold pipeline: when a query's input tables are
     /// not loaded yet, tokenizer phase-2 morsels flow straight into
-    /// per-worker operators — filter + partial aggregation for plain
-    /// aggregates, the typed group kernel for GROUP BY, projection emitters
-    /// for scalar SELECTs, and hash-join builds/probes for joins —
+    /// per-worker operators — the typed group kernel for every aggregate
+    /// (a plain aggregate is its zero-key case), projection emitters for
+    /// scalar SELECTs, and hash-join builds/probes for joins —
     /// instead of waiting for one merged `ScanOutput`. The
     /// adaptive store still receives exactly what the serial path would
     /// have given it: the scanned columns, fully loaded (assembled from
@@ -1112,7 +1111,6 @@ impl Engine {
 
         /// Per-morsel partial state of whichever shape the query has.
         enum Partial {
-            Accs(Vec<Accumulator>),
             Groups(GroupPartial),
             Project(ProjectPartial),
         }
@@ -1127,27 +1125,17 @@ impl Engine {
                     emit_columns.then_some(exprs.as_slice()),
                 )?));
             }
+            // Aggregate morsel (a plain aggregate is the zero-key case):
+            // typed partial states, merged in morsel order after the scan.
             let mcols = OrdinalCols::new(&scan_cols, &morsel.columns);
-            let n = morsel.rowids.len();
-            if group_cols.is_empty() {
-                // A morsel's columns hold exactly its own rows, so an
-                // always-true residual needs no selection vector at all.
-                let positions = if residual.is_always_true() {
-                    None
-                } else {
-                    Some(filter_positions(&mcols, n, residual)?)
-                };
-                let mut accs: Vec<Accumulator> =
-                    agg_specs.iter().map(|s| Accumulator::new(s.func)).collect();
-                accumulate_into(&mcols, n, positions.as_deref(), &agg_specs, &mut accs)?;
-                Ok(Partial::Accs(accs))
-            } else {
-                // Grouped morsel: dense group ids and typed partial
-                // states, merged in morsel order after the scan.
-                Ok(Partial::Groups(group_partial_range(
-                    &mcols, 0, n, residual, group_cols, &agg_specs,
-                )?))
-            }
+            Ok(Partial::Groups(group_partial_range(
+                &mcols,
+                0,
+                morsel.rowids.len(),
+                residual,
+                group_cols,
+                &agg_specs,
+            )?))
         };
         let (rows_scanned, partials) = self.scan_cold_fused(&mut e, &scan_cols, now, sink)?;
         // Count as a parallel execution only when more than one morsel
@@ -1186,38 +1174,28 @@ impl Engine {
             return Ok(Some(ProjectionCursor::new(cols, positions, exprs)));
         }
 
-        if !group_cols.is_empty() {
-            let group_partials: Vec<GroupPartial> = partials
-                .into_iter()
-                .map(|p| match p {
-                    Partial::Groups(g) => g,
-                    _ => unreachable!("grouped sink"),
-                })
-                .collect();
-            // Morsel-order merge (timed as `group_merge`), then the shared
-            // output shaping (column order, ORDER BY, OFFSET/LIMIT).
-            return computed_body(plan, merge_group_partials(group_partials)?).map(Some);
-        }
-
-        // Plain aggregate: merge the per-morsel accumulators in morsel
-        // order.
-        let vals: Vec<Value> = profile::time(Phase::GroupMerge, || {
-            let mut merged: Vec<Accumulator> =
-                agg_specs.iter().map(|s| Accumulator::new(s.func)).collect();
-            for partial in partials {
-                let Partial::Accs(accs) = partial else {
-                    unreachable!("aggregate sink")
-                };
-                for (m, p) in merged.iter_mut().zip(accs) {
-                    m.merge(p)?;
-                }
+        let group_partials: Vec<GroupPartial> = partials
+            .into_iter()
+            .map(|p| match p {
+                Partial::Groups(g) => g,
+                Partial::Project(_) => unreachable!("aggregate sink"),
+            })
+            .collect();
+        // Morsel-order merge (timed as `group_merge`), then the shared
+        // output shaping (column order, ORDER BY, OFFSET/LIMIT).
+        let columns = if group_partials.is_empty() {
+            // An empty file ran no morsel: the warm kernel over the
+            // just-installed (empty) columns answers it the same way.
+            let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
+            for &c in &scan_cols {
+                cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
             }
-            merged
-                .iter()
-                .map(|a| a.finish())
-                .collect::<Result<Vec<_>>>()
-        })?;
-        aggregate_body(plan, vals).map(Some)
+            let morsel_rows = self.cfg.morsel_rows;
+            parallel_group_columns(&cols, 0, residual, group_cols, &agg_specs, 1, morsel_rows)?
+        } else {
+            merge_group_partials(group_partials)?
+        };
+        computed_body(plan, columns).map(Some)
     }
 
     /// Scan one fully cold table through the morsel pipeline (no
@@ -1528,43 +1506,27 @@ impl Engine {
     ) -> Result<StreamBody> {
         let _p = profile::phase(Phase::WarmKernel);
         let (agg_specs, exprs) = split_outputs(plan);
-        let grouped = !plan.group_by.is_empty();
-        if grouped || !agg_specs.is_empty() {
-            // Aggregation runs morsel by morsel on stealing workers when
-            // the input is big enough, inline otherwise; the result does
-            // not depend on which.
+        if !plan.group_by.is_empty() || !agg_specs.is_empty() {
+            // Aggregation (a plain aggregate is the zero-key GROUP BY)
+            // runs morsel by morsel on stealing workers when the input is
+            // big enough, inline otherwise; the result does not depend on
+            // which.
             let threads = if self.parallel_worthwhile(n_rows) {
                 self.counters.add_parallel_pipeline();
                 self.cfg.threads
             } else {
                 1
             };
-            let morsel_rows = self.cfg.morsel_rows;
-            if grouped {
-                let columns = parallel_group_columns(
-                    &cols,
-                    n_rows,
-                    residual,
-                    &plan.group_by,
-                    &agg_specs,
-                    threads,
-                    morsel_rows,
-                )?;
-                return computed_body(plan, columns);
-            }
-            let vals = if threads > 1 {
-                parallel_filter_aggregate(
-                    &cols,
-                    n_rows,
-                    residual,
-                    &agg_specs,
-                    threads,
-                    morsel_rows,
-                )?
-            } else {
-                fused_filter_aggregate(&cols, n_rows, residual, &agg_specs)?
-            };
-            return aggregate_body(plan, vals);
+            let columns = parallel_group_columns(
+                &cols,
+                n_rows,
+                residual,
+                &plan.group_by,
+                &agg_specs,
+                threads,
+                self.cfg.morsel_rows,
+            )?;
+            return computed_body(plan, columns);
         }
 
         // Scalar (non-aggregate) query: resolve the qualifying positions
@@ -1735,16 +1697,6 @@ fn tables_of(ast: &nodb_sql::AstQuery) -> Vec<String> {
 /// the planner), OFFSET/LIMIT, then a projection cursor picking each
 /// output's column.
 fn computed_body(plan: &Plan, columns: Vec<ColumnData>) -> Result<StreamBody> {
-    if columns.is_empty() {
-        // No morsel ran (an empty input), so there was no partial to take
-        // column types from: zero rows of the advertised types.
-        let empty: Vec<Arc<ColumnData>> = plan
-            .output
-            .iter()
-            .map(|o| Arc::new(ColumnData::empty(output_type(o, &plan.combined_schema))))
-            .collect();
-        return Ok(dense_body(&empty));
-    }
     let key_slot = |c: &usize| {
         plan.group_by
             .iter()
@@ -1779,23 +1731,6 @@ fn computed_body(plan: &Plan, columns: Vec<ColumnData>) -> Result<StreamBody> {
     }
     window(&mut positions, plan.offset, plan.limit);
     Ok(ProjectionCursor::new(cols, positions, exprs))
-}
-
-/// The one result row of a plain aggregate as a body: each value becomes a
-/// one-row column of its own type (a NULL takes its output's advertised
-/// type).
-fn aggregate_body(plan: &Plan, vals: Vec<Value>) -> Result<StreamBody> {
-    let columns = vals
-        .into_iter()
-        .zip(&plan.output)
-        .map(|(v, o)| {
-            let ty = v
-                .data_type()
-                .unwrap_or_else(|| output_type(o, &plan.combined_schema));
-            ColumnData::from_values(ty, [v])
-        })
-        .collect::<Result<Vec<_>>>()?;
-    computed_body(plan, columns)
 }
 
 /// Apply `OFFSET m` then `LIMIT n` to an ordered result vector.

@@ -507,7 +507,7 @@ pub(crate) fn output_schema(plan: &Plan) -> Schema {
 }
 
 /// The advertised type of one output over the plan's combined `schema`.
-pub(crate) fn output_type(o: &nodb_sql::OutputExpr, schema: &Schema) -> nodb_types::DataType {
+fn output_type(o: &nodb_sql::OutputExpr, schema: &Schema) -> nodb_types::DataType {
     match o {
         nodb_sql::OutputExpr::Scalar(e) => expr_type(e, schema),
         nodb_sql::OutputExpr::Agg(a) => agg_type(a, schema),

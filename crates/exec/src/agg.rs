@@ -46,7 +46,9 @@ impl fmt::Display for AggFunc {
     }
 }
 
-/// Running state for one aggregate.
+/// Running state for one aggregate, fed one value at a time: the
+/// row-at-a-time semantics the typed kernel of [`crate::group`] mirrors,
+/// kept for the baselines that evaluate aggregates outside the engine.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
     /// SUM over ints (exact, overflow-checked at finish).
@@ -137,63 +139,10 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Bulk fast path for int slices without nulls.
-    pub fn update_i64_slice(&mut self, xs: &[i64]) -> Result<()> {
-        match self {
-            Accumulator::SumInt(acc, seen) => {
-                let mut s: i128 = 0;
-                for &x in xs {
-                    s += x as i128;
-                }
-                *acc += s;
-                *seen |= !xs.is_empty();
-            }
-            Accumulator::Min(best) => {
-                if let Some(&m) = xs.iter().min() {
-                    let replace = match best {
-                        None => true,
-                        Some(Value::Int(b)) => m < *b,
-                        Some(b) => Value::Int(m).sql_cmp(b).is_some_and(|o| o.is_lt()),
-                    };
-                    if replace {
-                        *best = Some(Value::Int(m));
-                    }
-                }
-            }
-            Accumulator::Max(best) => {
-                if let Some(&m) = xs.iter().max() {
-                    let replace = match best {
-                        None => true,
-                        Some(Value::Int(b)) => m > *b,
-                        Some(b) => Value::Int(m).sql_cmp(b).is_some_and(|o| o.is_gt()),
-                    };
-                    if replace {
-                        *best = Some(Value::Int(m));
-                    }
-                }
-            }
-            Accumulator::Avg(sum, n) => {
-                for &x in xs {
-                    *sum += x as f64;
-                }
-                *n += xs.len() as u64;
-            }
-            Accumulator::Count(n) => *n += xs.len() as u64,
-            Accumulator::CountStar(n) => *n += xs.len() as u64,
-            Accumulator::SumFloat(acc, seen) => {
-                for &x in xs {
-                    *acc += x as f64;
-                }
-                *seen |= !xs.is_empty();
-            }
-        }
-        Ok(())
-    }
-
     /// Fold another accumulator of the same function into this one — the
-    /// merge step of morsel-driven partial aggregation. Partials are merged
-    /// in morsel order, so results are deterministic for any worker count
-    /// (and bit-identical to serial execution for integer inputs).
+    /// merge step of a partial aggregation. Partials are merged in morsel
+    /// order, so results are deterministic for any worker count (and
+    /// bit-identical to one serial fold for integer inputs).
     pub fn merge(&mut self, other: Accumulator) -> Result<()> {
         match (&mut *self, other) {
             (Accumulator::SumInt(a, seen), Accumulator::SumInt(b, s2)) => {
@@ -341,34 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_fast_path_matches_scalar_path() {
-        let xs: Vec<i64> = vec![5, -3, 12, 0, 7];
-        for func in [
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-            AggFunc::Count,
-            AggFunc::CountStar,
-        ] {
-            let mut fast = Accumulator::new(func);
-            fast.update_i64_slice(&xs).unwrap();
-            let vals: Vec<Value> = xs.iter().map(|&v| Value::Int(v)).collect();
-            let slow = run(func, &vals);
-            assert_eq!(fast.finish().unwrap(), slow, "{func}");
-        }
-    }
-
-    #[test]
-    fn slice_fast_path_empty_slice_keeps_null() {
-        let mut a = Accumulator::new(AggFunc::Sum);
-        a.update_i64_slice(&[]).unwrap();
-        assert_eq!(a.finish().unwrap(), Value::Null);
-    }
-
-    #[test]
     fn merge_matches_serial_fold() {
-        let xs: Vec<i64> = vec![9, -2, 4, 4, 11, 0];
+        let xs: Vec<Value> = [9i64, -2, 4, 4, 11, 0].map(Value::Int).to_vec();
+        let fold = |func, vals: &[Value]| {
+            let mut a = Accumulator::new(func);
+            for v in vals {
+                a.update(v).unwrap();
+            }
+            a
+        };
         for func in [
             AggFunc::Sum,
             AggFunc::Min,
@@ -377,13 +307,9 @@ mod tests {
             AggFunc::Count,
             AggFunc::CountStar,
         ] {
-            let mut left = Accumulator::new(func);
-            left.update_i64_slice(&xs[..3]).unwrap();
-            let mut right = Accumulator::new(func);
-            right.update_i64_slice(&xs[3..]).unwrap();
-            left.merge(right).unwrap();
-            let mut serial = Accumulator::new(func);
-            serial.update_i64_slice(&xs).unwrap();
+            let mut left = fold(func, &xs[..3]);
+            left.merge(fold(func, &xs[3..])).unwrap();
+            let serial = fold(func, &xs);
             assert_eq!(left.finish().unwrap(), serial.finish().unwrap(), "{func}");
         }
     }
@@ -406,29 +332,5 @@ mod tests {
     fn merge_mismatched_functions_errors() {
         let mut a = Accumulator::new(AggFunc::Min);
         assert!(a.merge(Accumulator::new(AggFunc::Max)).is_err());
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Chunked slice updates equal one-by-one updates.
-            #[test]
-            fn chunked_equals_scalar(xs in proptest::collection::vec(-1000i64..1000, 0..100),
-                                     split in 0usize..100) {
-                let split = split.min(xs.len());
-                for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg] {
-                    let mut chunked = Accumulator::new(func);
-                    chunked.update_i64_slice(&xs[..split]).unwrap();
-                    chunked.update_i64_slice(&xs[split..]).unwrap();
-                    let mut scalar = Accumulator::new(func);
-                    for &x in &xs {
-                        scalar.update(&Value::Int(x)).unwrap();
-                    }
-                    prop_assert_eq!(chunked.finish().unwrap(), scalar.finish().unwrap());
-                }
-            }
-        }
     }
 }

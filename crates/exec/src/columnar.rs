@@ -9,7 +9,7 @@ use std::hash::{Hash, Hasher};
 
 use nodb_types::{CmpOp, ColumnData, Conjunction, Error, Result, Value};
 
-use crate::agg::{Accumulator, AggFunc};
+use crate::agg::AggFunc;
 use crate::cols::Cols;
 use crate::expr::Expr;
 
@@ -129,103 +129,6 @@ pub fn filter_positions_range<C: Cols + ?Sized>(
         }
     }
     Ok(positions.unwrap_or_else(|| (lo..hi).collect()))
-}
-
-/// Compute aggregates over the given positions (or all rows when `None`),
-/// column-at-a-time: one pass per aggregate.
-pub fn aggregate<C: Cols + ?Sized>(
-    cols: &C,
-    n_rows: usize,
-    positions: Option<&[usize]>,
-    specs: &[AggSpec],
-) -> Result<Vec<Value>> {
-    let mut accs: Vec<Accumulator> = specs.iter().map(|s| Accumulator::new(s.func)).collect();
-    accumulate_into(cols, n_rows, positions, specs, &mut accs)?;
-    let mut out = Vec::with_capacity(accs.len());
-    for a in &accs {
-        out.push(a.finish()?);
-    }
-    Ok(out)
-}
-
-/// Fold rows into existing accumulators instead of fresh ones — the update
-/// step of morsel-driven partial aggregation: each worker accumulates its
-/// morsels here and the partials are merged (in morsel order) at the end.
-/// `accs` must be parallel to `specs` and created from the same functions.
-pub fn accumulate_into<C: Cols + ?Sized>(
-    cols: &C,
-    n_rows: usize,
-    positions: Option<&[usize]>,
-    specs: &[AggSpec],
-    accs: &mut [Accumulator],
-) -> Result<()> {
-    debug_assert_eq!(specs.len(), accs.len());
-    let mut cancel_check = nodb_types::CancelCheck::new();
-    for (spec, acc) in specs.iter().zip(accs.iter_mut()) {
-        // One serial fold pass per spec: account its rows so a cancel
-        // lands between passes (and between gather chunks below).
-        cancel_check.tick(positions.map(<[usize]>::len).unwrap_or(n_rows))?;
-        match (&spec.expr, positions) {
-            (None, pos) => {
-                // COUNT(*): every row counts — O(1) for the common
-                // CountStar accumulator.
-                let n = pos.map(<[usize]>::len).unwrap_or(n_rows);
-                if let Accumulator::CountStar(c) = acc {
-                    *c += n as u64;
-                } else {
-                    for _ in 0..n {
-                        acc.update(&Value::Null)?;
-                    }
-                }
-            }
-            (Some(Expr::Col(c)), pos) => {
-                let col = cols
-                    .get_col(*c)
-                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-                // Null-free int fast path.
-                if let (Some(xs), false) = (
-                    col.as_i64_slice(),
-                    matches!(col, ColumnData::Int64 { nulls: Some(_), .. }),
-                ) {
-                    match pos {
-                        None => acc.update_i64_slice(xs)?,
-                        Some(pos) => {
-                            // Gather-then-fold in chunks to stay cache-friendly.
-                            let mut buf = Vec::with_capacity(4096.min(pos.len()));
-                            for chunk in pos.chunks(4096) {
-                                buf.clear();
-                                buf.extend(chunk.iter().map(|&i| xs[i]));
-                                acc.update_i64_slice(&buf)?;
-                            }
-                        }
-                    }
-                } else {
-                    match pos {
-                        None => {
-                            for i in 0..col.len() {
-                                acc.update(&col.get(i))?;
-                            }
-                        }
-                        Some(pos) => {
-                            for &i in pos {
-                                acc.update(&col.get(i))?;
-                            }
-                        }
-                    }
-                }
-            }
-            (Some(expr), pos) => {
-                let iter: Box<dyn Iterator<Item = usize>> = match pos {
-                    None => Box::new(0..n_rows),
-                    Some(pos) => Box::new(pos.iter().copied()),
-                };
-                for i in iter {
-                    acc.update(&expr.eval(cols, i)?)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A grouping key usable in hash maps. Numeric values hash/compare widened
@@ -370,54 +273,6 @@ mod tests {
         cols.insert(0, c0);
         let c = Conjunction::new(vec![ColPred::new(0, CmpOp::Gt, 0i64)]);
         assert_eq!(filter_positions(&cols, 3, &c).unwrap(), vec![0, 2]);
-    }
-
-    #[test]
-    fn paper_q1_aggregates() {
-        // select sum(a1), min(a4), max(a3), avg(a2) — here on a 3-col table.
-        let (cols, n) = table();
-        let specs = vec![
-            AggSpec::on_col(AggFunc::Sum, 0),
-            AggSpec::on_col(AggFunc::Min, 1),
-            AggSpec::on_col(AggFunc::Max, 2),
-            AggSpec::on_col(AggFunc::Avg, 0),
-        ];
-        let out = aggregate(&cols, n, None, &specs).unwrap();
-        assert_eq!(out[0], Value::Int(25));
-        assert_eq!(out[1], Value::Int(10));
-        assert_eq!(out[2], Value::Float(4.5));
-        assert_eq!(out[3], Value::Float(5.0));
-    }
-
-    #[test]
-    fn aggregates_over_positions() {
-        let (cols, n) = table();
-        let pos = vec![0, 2, 4];
-        let out = aggregate(&cols, n, Some(&pos), &[AggSpec::on_col(AggFunc::Sum, 1)]).unwrap();
-        assert_eq!(out[0], Value::Int(90));
-        let out = aggregate(&cols, n, Some(&pos), &[AggSpec::count_star()]).unwrap();
-        assert_eq!(out[0], Value::Int(3));
-    }
-
-    #[test]
-    fn aggregate_over_expression() {
-        let (cols, n) = table();
-        let e = Expr::Binary {
-            op: crate::expr::ArithOp::Add,
-            left: Box::new(Expr::Col(0)),
-            right: Box::new(Expr::Col(1)),
-        };
-        let out = aggregate(
-            &cols,
-            n,
-            None,
-            &[AggSpec {
-                func: AggFunc::Sum,
-                expr: Some(e),
-            }],
-        )
-        .unwrap();
-        assert_eq!(out[0], Value::Int(25 + 150));
     }
 
     #[test]

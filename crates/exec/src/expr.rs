@@ -130,8 +130,8 @@ impl Expr {
         Ok(col)
     }
 
-    /// Evaluate against a full-width row (values indexed by ordinal) — the
-    /// volcano path.
+    /// Evaluate against a full-width row (values indexed by ordinal) — how
+    /// the row-at-a-time baselines evaluate.
     pub fn eval_row(&self, row: &[Value]) -> Result<Value> {
         match self {
             Expr::Col(c) => row

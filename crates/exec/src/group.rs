@@ -1,8 +1,10 @@
-//! Typed, vectorized hash GROUP BY.
+//! Typed, vectorized hash aggregation.
 //!
-//! One kernel serves every grouped path (warm morsels, the fused cold
-//! pipeline, and the serial fallback, which is the same kernel run
-//! inline). It works column-at-a-time, never row-at-a-time:
+//! One kernel serves every aggregate, grouped or not (warm morsels, the
+//! fused cold pipeline, and the serial fallback, which is the same kernel
+//! run inline): a plain aggregate is a GROUP BY with zero key columns —
+//! the paper's §5.2.2 hybrid operator, filter and every aggregate in one
+//! pass per morsel. It works column-at-a-time, never row-at-a-time:
 //!
 //! 1. **Group ids.** Each key column of a morsel is mapped to a dense
 //!    `u32` id per row through an `IdTable` — a flat open-addressing
@@ -12,7 +14,8 @@
 //!    `Value::total_cmp` equates them. Multi-column keys intern the pair
 //!    `(id so far, id of the next column)` in a further table, one column
 //!    at a time. Ids are handed out in row order, so id order *is*
-//!    first-appearance order.
+//!    first-appearance order. Zero key columns are exactly one group,
+//!    whether or not a row qualifies, and build no id vector at all.
 //! 2. **Typed state.** Every aggregate folds its argument column (a typed
 //!    slice; arbitrary expressions are evaluated once per morsel with
 //!    [`Expr::eval_column`]) into per-group vectors — `i128` sums, `f64`
@@ -25,7 +28,7 @@
 
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
-use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result};
+use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result, Selection};
 
 use crate::agg::AggFunc;
 use crate::cols::Cols;
@@ -202,57 +205,32 @@ impl<K: TableKey> IdTable<K> {
     }
 }
 
-/// The rows a kernel step covers: a contiguous range, or a selection
-/// vector of absolute positions (ascending).
-#[derive(Clone, Copy)]
-enum Sel<'a> {
-    Range(usize, usize),
-    Pos(&'a [usize]),
-}
-
-impl Sel<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Sel::Range(lo, hi) => hi - lo,
-            Sel::Pos(p) => p.len(),
-        }
-    }
-
-    /// Absolute position of the `k`-th selected row.
-    fn row(&self, k: usize) -> usize {
-        match self {
-            Sel::Range(lo, _) => lo + k,
-            Sel::Pos(p) => p[k],
-        }
-    }
-}
-
 /// Visit the selected rows of a typed slice in order, calling `f(k, v)`
 /// for the `k`-th selected row with `None` for NULL.
 #[inline(always)]
 fn for_rows<'x, T>(
     xs: &'x [T],
     nulls: Option<&[bool]>,
-    sel: Sel,
+    sel: &Selection,
     mut f: impl FnMut(usize, Option<&'x T>),
 ) {
     match (sel, nulls) {
-        (Sel::Range(lo, hi), None) => {
-            for (k, x) in xs[lo..hi].iter().enumerate() {
+        (Selection::Range(r), None) => {
+            for (k, x) in xs[r.clone()].iter().enumerate() {
                 f(k, Some(x));
             }
         }
-        (Sel::Range(lo, hi), Some(m)) => {
-            for (k, (x, &null)) in xs[lo..hi].iter().zip(&m[lo..hi]).enumerate() {
+        (Selection::Range(r), Some(m)) => {
+            for (k, (x, &null)) in xs[r.clone()].iter().zip(&m[r.clone()]).enumerate() {
                 f(k, (!null).then_some(x));
             }
         }
-        (Sel::Pos(p), None) => {
+        (Selection::Positions(p), None) => {
             for (k, &i) in p.iter().enumerate() {
                 f(k, Some(&xs[i]));
             }
         }
-        (Sel::Pos(p), Some(m)) => {
+        (Selection::Positions(p), Some(m)) => {
             for (k, &i) in p.iter().enumerate() {
                 f(k, (!m[i]).then_some(&xs[i]));
             }
@@ -315,7 +293,7 @@ impl<'a> KeyColumn<'a> {
     }
 
     /// Write this column's id for every selected row into `ids`.
-    fn assign(&mut self, col: &'a ColumnData, sel: Sel, ids: &mut [u32]) -> Result<()> {
+    fn assign(&mut self, col: &'a ColumnData, sel: &Selection, ids: &mut [u32]) -> Result<()> {
         let (values, nulls) = typed(col);
         let null_id = &mut self.null_id;
         match (&mut self.table, values) {
@@ -350,9 +328,6 @@ struct Grouper<'a> {
     columns: Vec<KeyColumn<'a>>,
     /// `pairs[c - 1]` interns `(id over columns 0..c, id of column c)`.
     pairs: Vec<IdTable<i64>>,
-    /// With no key columns every row belongs to the one group, which
-    /// exists once any row was seen.
-    saw_rows: bool,
 }
 
 impl<'a> Grouper<'a> {
@@ -367,18 +342,15 @@ impl<'a> Grouper<'a> {
         let pairs = (1..key_cols.len())
             .map(|c| IdTable::with_capacity(if c == last { capacity } else { 0 }))
             .collect();
-        Grouper {
-            columns,
-            pairs,
-            saw_rows: false,
-        }
+        Grouper { columns, pairs }
     }
 
+    /// Groups so far; with no key columns, always the one group.
     fn n_groups(&self) -> usize {
         match (self.pairs.last(), self.columns.first()) {
             (Some(t), _) => t.len(),
             (None, Some(c)) => c.len(),
-            (None, None) => usize::from(self.saw_rows),
+            (None, None) => 1,
         }
     }
 
@@ -391,14 +363,13 @@ impl<'a> Grouper<'a> {
     }
 
     /// The group id of every selected row, in row order.
-    fn assign(&mut self, key_cols: &[&'a ColumnData], sel: Sel) -> Result<Vec<u32>> {
+    fn assign(&mut self, key_cols: &[&'a ColumnData], sel: &Selection) -> Result<Vec<u32>> {
         let n = sel.len();
         // Ids must stay below the empty-slot marker; distinct keys never
         // outnumber rows.
         if self.n_groups().saturating_add(n) >= EMPTY as usize {
             return Err(Error::exec("GROUP BY input exceeds 2^32 rows per step"));
         }
-        self.saw_rows |= n > 0;
         let mut ids = vec![0u32; n];
         let mut next = vec![0u32; if key_cols.len() > 1 { n } else { 0 }];
         for (c, (table, col)) in self.columns.iter_mut().zip(key_cols).enumerate() {
@@ -416,19 +387,56 @@ impl<'a> Grouper<'a> {
     }
 }
 
-/// Positions (`sel.row(k)`) of the rows that opened groups `from..`, in
+/// Positions (`sel.index(k)`) of the rows that opened groups `from..`, in
 /// group order. Ids are dense and handed out in row order, so each new
 /// group's first row is where the running maximum steps up.
-fn first_rows(ids: &[u32], from: usize, sel: Sel) -> Vec<usize> {
+fn first_rows(ids: &[u32], from: usize, sel: &Selection) -> Vec<usize> {
     let mut next = from as u32;
     let mut rows = Vec::new();
     for (k, &id) in ids.iter().enumerate() {
         if id == next {
-            rows.push(sel.row(k));
+            rows.push(sel.index(k));
             next += 1;
         }
     }
     rows
+}
+
+/// The group of each selected row, as the aggregate folds read it.
+trait Groups: Copy {
+    /// Group of the `k`-th selected row.
+    fn of(self, k: usize) -> usize;
+    /// Count each of the `n` selected rows in its group.
+    fn count(self, counts: &mut [u64], n: usize);
+}
+
+/// One id per selected row.
+impl Groups for &[u32] {
+    #[inline(always)]
+    fn of(self, k: usize) -> usize {
+        self[k] as usize
+    }
+
+    fn count(self, counts: &mut [u64], _n: usize) {
+        for &g in self {
+            counts[g as usize] += 1;
+        }
+    }
+}
+
+/// No key columns: every row is group 0, and no id vector exists.
+#[derive(Clone, Copy)]
+struct OneGroup;
+
+impl Groups for OneGroup {
+    #[inline(always)]
+    fn of(self, _k: usize) -> usize {
+        0
+    }
+
+    fn count(self, counts: &mut [u64], n: usize) {
+        counts[0] += n as u64;
+    }
 }
 
 /// Per-group running state of one aggregate, one vector entry per group.
@@ -536,15 +544,18 @@ impl AggState {
         }
     }
 
-    /// Fold the selected rows of `arg` into their groups (`ids[k]` is the
-    /// group of the `k`-th selected row), in row order. `COUNT(*)` counts
-    /// the rows whatever the argument; without an argument every other
-    /// function sees only NULLs.
-    fn update(&mut self, arg: Option<&ColumnData>, sel: Sel, ids: &[u32]) -> Result<()> {
+    /// Fold the selected rows of `arg` into their groups (`ids.of(k)` is
+    /// the group of the `k`-th selected row), in row order. `COUNT(*)`
+    /// counts the rows whatever the argument; without an argument every
+    /// other function sees only NULLs.
+    fn update(
+        &mut self,
+        arg: Option<&ColumnData>,
+        sel: &Selection,
+        ids: impl Groups,
+    ) -> Result<()> {
         if let AggState::CountStar(c) = self {
-            for &g in ids {
-                c[g as usize] += 1;
-            }
+            ids.count(c, sel.len());
             return Ok(());
         }
         let Some(arg) = arg else {
@@ -553,18 +564,14 @@ impl AggState {
         let (values, nulls) = typed(arg);
         match (self, values) {
             (AggState::Count(c), _) => match nulls {
-                None => {
-                    for &g in ids {
-                        c[g as usize] += 1;
-                    }
-                }
+                None => ids.count(c, sel.len()),
                 Some(m) => for_rows(m, None, sel, |k, null| {
-                    c[ids[k] as usize] += u64::from(null == Some(&false));
+                    c[ids.of(k)] += u64::from(null == Some(&false));
                 }),
             },
             (AggState::SumInt { sum, seen }, Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
                 if let Some(&x) = x {
-                    let g = ids[k] as usize;
+                    let g = ids.of(k);
                     sum[g] += i128::from(x);
                     seen[g] = true;
                 }
@@ -572,7 +579,7 @@ impl AggState {
             (AggState::SumFloat { sum, seen }, Typed::Float(xs)) => {
                 for_rows(xs, nulls, sel, |k, x| {
                     if let Some(&x) = x {
-                        let g = ids[k] as usize;
+                        let g = ids.of(k);
                         sum[g] += x;
                         seen[g] = true;
                     }
@@ -580,14 +587,14 @@ impl AggState {
             }
             (AggState::Avg { sum, n }, Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
                 if let Some(&x) = x {
-                    let g = ids[k] as usize;
+                    let g = ids.of(k);
                     sum[g] += x as f64;
                     n[g] += 1;
                 }
             }),
             (AggState::Avg { sum, n }, Typed::Float(xs)) => for_rows(xs, nulls, sel, |k, x| {
                 if let Some(&x) = x {
-                    let g = ids[k] as usize;
+                    let g = ids.of(k);
                     sum[g] += x;
                     n[g] += 1;
                 }
@@ -651,7 +658,7 @@ impl AggState {
                 }
             }
             (a @ AggState::MinMax { .. }, AggState::MinMax { best, .. }) => {
-                a.update(Some(&best), Sel::Range(0, best.len()), ids)?
+                a.update(Some(&best), &Selection::Range(0..best.len()), ids)?
             }
             _ => return Err(Error::exec("cannot merge mismatched aggregate states")),
         }
@@ -706,26 +713,26 @@ fn null_mask(is_null: impl Iterator<Item = bool>) -> Option<Vec<bool>> {
 const TYPE_CHANGED: &str = "aggregate argument changed type between morsels";
 
 /// Where a fold reads its rows: the argument's null mask, the selected
-/// rows and their group ids.
-struct FoldAt<'a> {
+/// rows and their groups.
+struct FoldAt<'a, G> {
     nulls: Option<&'a [bool]>,
-    sel: Sel<'a>,
-    ids: &'a [u32],
+    sel: &'a Selection<'a>,
+    ids: G,
 }
 
 /// MIN/MAX fold: `best[g]` takes each non-NULL `x` of group `g` that is
 /// the first seen or `better(x, best[g])`.
-fn fold_best<T: Clone>(
+fn fold_best<T: Clone, G: Groups>(
     best: &mut [T],
     unseen: &mut Option<Vec<bool>>,
     xs: &[T],
-    at: FoldAt,
+    at: FoldAt<G>,
     better: impl Fn(&T, &T) -> bool,
 ) {
     let unseen = unseen.as_mut().expect("state columns carry a mask");
     for_rows(xs, at.nulls, at.sel, |k, x| {
         if let Some(x) = x {
-            let g = at.ids[k] as usize;
+            let g = at.ids.of(k);
             if unseen[g] || better(x, &best[g]) {
                 best[g].clone_from(x);
                 unseen[g] = false;
@@ -735,8 +742,8 @@ fn fold_best<T: Clone>(
 }
 
 /// SUM/AVG over text: fail on the first non-NULL value, like the
-/// row-at-a-time accumulators did.
-fn first_value(xs: &[String], nulls: Option<&[bool]>, sel: Sel, func: &str) -> Result<()> {
+/// row-at-a-time [`Accumulator`](crate::agg::Accumulator) does.
+fn first_value(xs: &[String], nulls: Option<&[bool]>, sel: &Selection, func: &str) -> Result<()> {
     let mut first = None;
     for_rows(xs, nulls, sel, |_, x| {
         if first.is_none() {
@@ -783,7 +790,9 @@ impl GroupPartial {
 
 /// Group and aggregate the row range `[lo, hi)`: filter with `conj`, map
 /// the qualifying rows' keys to group ids, fold every aggregate over its
-/// typed argument column. Groups come back in first-appearance order.
+/// typed argument column. Groups come back in first-appearance order;
+/// with no `group_cols` there is exactly one group, even when no row
+/// qualifies (or the range is empty).
 pub fn group_partial_range<C: Cols + ?Sized>(
     cols: &C,
     lo: usize,
@@ -805,40 +814,50 @@ pub fn group_partial_range<C: Cols + ?Sized>(
         Some(filter_positions_range(cols, lo, hi, conj)?)
     };
     let sel = match &positions {
-        None => Sel::Range(lo, hi),
-        Some(p) => Sel::Pos(p),
+        None => Selection::Range(lo..hi),
+        Some(p) => Selection::Positions(p),
     };
 
     let mut grouper = Grouper::new(&key_cols, 0);
-    let ids = grouper.assign(&key_cols, sel)?;
+    // Zero key columns: every row is group 0, so there are no ids to build.
+    let ids = if key_cols.is_empty() {
+        None
+    } else {
+        Some(grouper.assign(&key_cols, &sel)?)
+    };
     let n_groups = grouper.n_groups();
-    let firsts = first_rows(&ids, 0, sel);
+    let firsts = ids
+        .as_deref()
+        .map_or_else(Vec::new, |ids| first_rows(ids, 0, &sel));
     let keys = key_cols.iter().map(|c| c.take(&firsts)).collect();
 
     let mut states = Vec::with_capacity(specs.len());
     for spec in specs {
         let evaluated;
         let (arg, arg_sel) = match &spec.expr {
-            None => (None, sel),
+            None => (None, sel.clone()),
             Some(Expr::Col(c)) => {
                 let col = cols
                     .get_col(*c)
                     .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-                (Some(col), sel)
+                (Some(col), sel.clone())
             }
             // Any other expression: once per morsel, dense over the
             // selected rows.
             Some(expr) => {
-                evaluated = match sel {
-                    Sel::Range(lo, hi) => expr.eval_column(cols, lo..hi)?,
-                    Sel::Pos(p) => expr.eval_column(cols, p.iter().copied())?,
+                evaluated = match &sel {
+                    Selection::Range(r) => expr.eval_column(cols, r.clone())?,
+                    Selection::Positions(p) => expr.eval_column(cols, p.iter().copied())?,
                 };
-                (Some(&evaluated), Sel::Range(0, evaluated.len()))
+                (Some(&evaluated), Selection::Range(0..evaluated.len()))
             }
         };
         let arg_type = arg.map_or(DataType::Int64, ColumnData::data_type);
         let mut state = AggState::new(spec.func, arg_type, n_groups);
-        state.update(arg, arg_sel, &ids)?;
+        match &ids {
+            Some(ids) => state.update(arg, &arg_sel, ids.as_slice())?,
+            None => state.update(arg, &arg_sel, OneGroup)?,
+        }
         states.push(state);
     }
     let partial = GroupPartial {
@@ -848,15 +867,18 @@ pub fn group_partial_range<C: Cols + ?Sized>(
     };
     // Group state grows with the data (one entry per distinct key seen):
     // meter it against the ambient budget, once per morsel.
-    charge_current(partial.heap_bytes() + grouper.heap_bytes() + ids.len() * 4)?;
+    let id_bytes = ids.as_ref().map_or(0, |ids| ids.len() * 4);
+    charge_current(partial.heap_bytes() + grouper.heap_bytes() + id_bytes)?;
     Ok(partial)
 }
 
 /// Merge per-morsel partials (in morsel index order) and finish them into
 /// result columns, `group key columns ++ aggregate results`, one row per
 /// group, ordered by first appearance (no columns at all when there is no
-/// partial to take their types from). Each partial's key columns go through the same group-id
-/// mapping as input rows do; since partials arrive in morsel order and
+/// partial to take their types from, so
+/// [`parallel_group_columns`](crate::morsel::parallel_group_columns)
+/// always passes at least one). Each partial's key columns go through the same
+/// group-id mapping as input rows do; since partials arrive in morsel order and
 /// each lists its groups in first-appearance order, the merged ids are in
 /// global first-appearance order and every group's state is folded in
 /// morsel order — the output is a function of the morsel boundaries only.
@@ -888,11 +910,11 @@ pub fn merge_group_partials(mut parts: Vec<GroupPartial>) -> Result<Vec<ColumnDa
     let mut new_rows: Vec<Vec<usize>> = Vec::with_capacity(part_keys.len());
     for (m, (n, keys)) in part_keys.iter().enumerate() {
         cancel.tick(*n)?;
-        let sel = Sel::Range(0, *n);
+        let sel = Selection::Range(0..*n);
         let before = grouper.n_groups();
-        let ids = grouper.assign(&refs(keys), sel)?;
+        let ids = grouper.assign(&refs(keys), &sel)?;
         let total = grouper.n_groups();
-        new_rows.push(first_rows(&ids, before, sel));
+        new_rows.push(first_rows(&ids, before, &sel));
         if m == 0 {
             continue;
         }
@@ -933,7 +955,8 @@ fn refs(cols: &[ColumnData]) -> Vec<&ColumnData> {
 /// row into a `HashMap`, every aggregate fed through
 /// `Accumulator::update(&Value)` from `Expr::eval`; partials merged in
 /// morsel order with `Accumulator::merge`; groups in first-appearance
-/// order.
+/// order. Without group columns it answers as SQL does: exactly one row,
+/// even over no rows.
 #[cfg(test)]
 pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
     cols: &C,
@@ -991,6 +1014,10 @@ pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
         }
         lo = hi;
     }
+    if group_cols.is_empty() && merged.is_empty() {
+        let accs = specs.iter().map(|s| Accumulator::new(s.func)).collect();
+        merged.push((GroupKey(Vec::new()), accs));
+    }
     let mut rows = Vec::with_capacity(merged.len());
     for (key, accs) in merged {
         let mut row = key.0;
@@ -1045,6 +1072,9 @@ mod tests {
                 match (&got, &want) {
                     (Ok(g), Ok(w)) => {
                         let n_groups = g.first().map_or(0, ColumnData::len);
+                        if group_cols.is_empty() {
+                            assert_eq!(n_groups, 1, "{ctx}: zero keys are one group");
+                        }
                         let rows: Vec<Vec<Value>> = (0..n_groups)
                             .map(|r| g.iter().map(|c| c.get(r)).collect())
                             .collect();
@@ -1224,72 +1254,111 @@ mod tests {
             ColumnData::from_values(ty, seeds.iter().map(|&s| value(s))).unwrap()
         }
 
+        /// Key columns of `kinds` plus every aggregate over int, float,
+        /// text and arithmetic arguments, built from per-row seeds, with
+        /// no filter (`filter` 0), a partial one (1) or one no row passes
+        /// (2): kernel and reference must agree on all of it.
+        fn check_against_reference(seeds: &[u64], kinds: &[u8], filter: u8, big: bool) {
+            let n = seeds.len();
+            let mut cols = BTreeMap::new();
+            for (c, &kind) in kinds.iter().enumerate() {
+                let mixed: Vec<u64> = seeds.iter().map(|s| s.rotate_left(13 * c as u32)).collect();
+                cols.insert(c, key_column(kind, &mixed));
+            }
+            // Arguments: nullable ints (sometimes large enough that a
+            // group's sum overflows), inexact floats with NULLs, text.
+            let ints = seeds.iter().map(|&s| match s % 7 {
+                0 => Value::Null,
+                1 if big => Value::Int(i64::MAX - (s % 3) as i64),
+                _ => Value::Int((s % 2001) as i64 - 1000),
+            });
+            cols.insert(10, ColumnData::from_values(DataType::Int64, ints).unwrap());
+            let floats = seeds.iter().map(|&s| match s % 11 {
+                0 => Value::Null,
+                1 => Value::Float(-0.0),
+                2 => Value::Float(0.0),
+                // Rare, so most sums stay finite: NaN is the largest
+                // value under `total_cmp`.
+                _ if s % 61 == 3 => Value::Float(f64::NAN),
+                _ => Value::Float((s % 1000) as f64 / 7.0 - 50.0),
+            });
+            cols.insert(
+                11,
+                ColumnData::from_values(DataType::Float64, floats).unwrap(),
+            );
+            let texts = seeds.iter().map(|&s| match s % 9 {
+                0 => Value::Null,
+                _ => Value::Str(STR_KEYS[(s >> 20) as usize % STR_KEYS.len()].to_owned()),
+            });
+            cols.insert(12, ColumnData::from_values(DataType::Str, texts).unwrap());
+            let small = seeds.iter().map(|s| (s % 100) as i64).collect();
+            cols.insert(13, ColumnData::from_i64(small));
+
+            let mut specs = vec![AggSpec::count_star()];
+            for func in [
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+                AggFunc::Count,
+            ] {
+                specs.push(AggSpec::on_col(func, 10));
+                specs.push(AggSpec::on_col(func, 11));
+            }
+            for func in [AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+                specs.push(AggSpec::on_col(func, 12));
+            }
+            // Int→Float promotion and plain int arithmetic.
+            let arith = [
+                (AggFunc::Sum, Expr::Col(11)),
+                (AggFunc::Avg, Expr::Lit(Value::Int(3))),
+                (AggFunc::Max, Expr::Lit(Value::Null)),
+            ];
+            for (func, right) in arith {
+                let expr = Some(mul(Expr::Col(13), right));
+                specs.push(AggSpec { func, expr });
+            }
+            specs.push(AggSpec {
+                func: AggFunc::Sum,
+                expr: None,
+            });
+
+            let conj = match filter {
+                0 => Conjunction::always(),
+                1 => Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 60i64)]),
+                _ => Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 0i64)]),
+            };
+            let group_cols: Vec<usize> = (0..kinds.len()).collect();
+            assert_matches_reference(&cols, n, &conj, &group_cols, &specs);
+        }
+
+        /// A plain aggregate is one group whatever reaches it: no rows,
+        /// no qualifying rows, or some — COUNTs 0 and the rest NULL when
+        /// nothing qualified.
+        #[test]
+        fn zero_keys_are_one_group() {
+            let seeds: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            for filter in 0..3 {
+                check_against_reference(&[], &[], filter, false);
+                check_against_reference(&seeds, &[], filter, false);
+            }
+        }
+
         proptest! {
             /// The typed kernel against the row-at-a-time reference: every
             /// key type (alone, in two- and three-column keys, and the
-            /// degenerate empty key: one group of all rows), every
-            /// aggregate over int, float, text and arithmetic arguments,
-            /// filter on and off, across thread counts and morsel sizes.
+            /// empty key: exactly one group, qualifying rows or not),
+            /// every aggregate over int, float, text and arithmetic
+            /// arguments, with no, some or every row filtered out, across
+            /// thread counts and morsel sizes.
             #[test]
             fn kernel_matches_row_at_a_time_reference(
                 seeds in proptest::collection::vec(proptest::num::u64::ANY, 0..90),
                 kinds in proptest::collection::vec(0u8..10, 0..4),
-                filtered in proptest::bool::ANY,
+                filter in 0u8..3,
                 big in proptest::bool::ANY,
             ) {
-                let n = seeds.len();
-                let mut cols = BTreeMap::new();
-                for (c, &kind) in kinds.iter().enumerate() {
-                    let mixed: Vec<u64> =
-                        seeds.iter().map(|s| s.rotate_left(13 * c as u32)).collect();
-                    cols.insert(c, key_column(kind, &mixed));
-                }
-                // Arguments: nullable ints (sometimes large enough that a
-                // group's sum overflows), inexact floats with NULLs, text.
-                let ints = seeds.iter().map(|&s| match s % 7 {
-                    0 => Value::Null,
-                    1 if big => Value::Int(i64::MAX - (s % 3) as i64),
-                    _ => Value::Int((s % 2001) as i64 - 1000),
-                });
-                cols.insert(10, ColumnData::from_values(DataType::Int64, ints).unwrap());
-                let floats = seeds.iter().map(|&s| match s % 11 {
-                    0 => Value::Null,
-                    1 => Value::Float(-0.0),
-                    2 => Value::Float(0.0),
-                    // Rare, so most sums stay finite: NaN is the largest
-                    // value under `total_cmp`.
-                    _ if s % 61 == 3 => Value::Float(f64::NAN),
-                    _ => Value::Float((s % 1000) as f64 / 7.0 - 50.0),
-                });
-                cols.insert(11, ColumnData::from_values(DataType::Float64, floats).unwrap());
-                let texts = seeds.iter().map(|&s| match s % 9 {
-                    0 => Value::Null,
-                    _ => Value::Str(STR_KEYS[(s >> 20) as usize % STR_KEYS.len()].to_owned()),
-                });
-                cols.insert(12, ColumnData::from_values(DataType::Str, texts).unwrap());
-                cols.insert(13, ColumnData::from_i64(seeds.iter().map(|s| (s % 100) as i64).collect()));
-
-                let mut specs = vec![AggSpec::count_star()];
-                for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::Count] {
-                    specs.push(AggSpec::on_col(func, 10));
-                    specs.push(AggSpec::on_col(func, 11));
-                }
-                for func in [AggFunc::Min, AggFunc::Max, AggFunc::Count] {
-                    specs.push(AggSpec::on_col(func, 12));
-                }
-                // Int→Float promotion and plain int arithmetic.
-                specs.push(AggSpec { func: AggFunc::Sum, expr: Some(mul(Expr::Col(13), Expr::Col(11))) });
-                specs.push(AggSpec { func: AggFunc::Avg, expr: Some(mul(Expr::Col(13), Expr::Lit(Value::Int(3)))) });
-                specs.push(AggSpec { func: AggFunc::Max, expr: Some(mul(Expr::Col(13), Expr::Lit(Value::Null))) });
-                specs.push(AggSpec { func: AggFunc::Sum, expr: None });
-
-                let conj = if filtered {
-                    Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 60i64)])
-                } else {
-                    Conjunction::always()
-                };
-                let group_cols: Vec<usize> = (0..kinds.len()).collect();
-                assert_matches_reference(&cols, n, &conj, &group_cols, &specs);
+                check_against_reference(&seeds, &kinds, filter, big);
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Columnar join algorithms.
 //!
 //! The §2.2 experiment compares a hash join and a sort+merge join in Awk
-//! against the same joins inside the DBMS. These are the DBMS-side
-//! implementations, operating directly on loaded key columns and producing
-//! position pairs for later payload gathering (late materialisation).
+//! against the same joins inside the DBMS. This is the DBMS-side hash
+//! join, operating directly on loaded key columns and producing position
+//! pairs for later payload gathering (late materialisation).
 //!
 //! Integer equi-joins — the warm morsel-parallel join, its serial
 //! fallback and the fused cold join — all probe one table type,
@@ -177,54 +177,6 @@ pub fn hash_join_positions(left: &ColumnData, right: &ColumnData) -> Result<Vec<
     Ok(out)
 }
 
-/// Inner equi-join by sorting both key columns and merging. Produces the
-/// same pair multiset as [`hash_join_positions`] (order differs).
-pub fn merge_join_positions(left: &ColumnData, right: &ColumnData) -> Result<Vec<(usize, usize)>> {
-    let mut li: Vec<usize> = (0..left.len()).filter(|&i| !left.is_null(i)).collect();
-    let mut ri: Vec<usize> = (0..right.len()).filter(|&j| !right.is_null(j)).collect();
-    li.sort_by(|&a, &b| left.get(a).total_cmp(&left.get(b)));
-    ri.sort_by(|&a, &b| right.get(a).total_cmp(&right.get(b)));
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < li.len() && j < ri.len() {
-        let lv = left.get(li[i]);
-        let rv = right.get(ri[j]);
-        match lv.total_cmp(&rv) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the cross product of the equal runs.
-                let mut i_end = i;
-                while i_end < li.len() && left.get(li[i_end]).total_cmp(&lv).is_eq() {
-                    i_end += 1;
-                }
-                let mut j_end = j;
-                while j_end < ri.len() && right.get(ri[j_end]).total_cmp(&rv).is_eq() {
-                    j_end += 1;
-                }
-                for &a in &li[i..i_end] {
-                    for &b in &ri[j..j_end] {
-                        out.push((a, b));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Gather payload columns through join position pairs: returns
-/// `(left gather indices, right gather indices)` ready for
-/// [`ColumnData::take`].
-pub fn split_pairs(pairs: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
-    (
-        pairs.iter().map(|p| p.0).collect(),
-        pairs.iter().map(|p| p.1).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,33 +221,12 @@ mod tests {
         assert_eq!(pairs, vec![(1, 0)]);
     }
 
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let l = ColumnData::from_i64(vec![5, 3, 3, 9, 1]);
-        let r = ColumnData::from_i64(vec![3, 9, 3, 2]);
-        let mut h = hash_join_positions(&l, &r).unwrap();
-        let mut m = merge_join_positions(&l, &r).unwrap();
-        h.sort_unstable();
-        m.sort_unstable();
-        assert_eq!(h, m);
-    }
-
-    #[test]
-    fn split_pairs_gathers() {
-        let pairs = vec![(0, 2), (1, 0)];
-        let (li, ri) = split_pairs(&pairs);
-        assert_eq!(li, vec![0, 1]);
-        assert_eq!(ri, vec![2, 0]);
-        let payload = ColumnData::from_i64(vec![100, 200, 300]);
-        assert_eq!(payload.take(&ri).as_i64_slice().unwrap(), &[300, 100]);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// Hash and merge joins agree with the nested-loop definition.
+            /// The hash join agrees with the nested-loop definition.
             #[test]
             fn joins_agree_with_nested_loop(
                 ls in proptest::collection::vec(0i64..15, 0..30),
@@ -314,9 +245,6 @@ mod tests {
                 let mut h = hash_join_positions(&l, &r).unwrap();
                 h.sort_unstable();
                 prop_assert_eq!(&h, &expected);
-                let mut m = merge_join_positions(&l, &r).unwrap();
-                m.sort_unstable();
-                prop_assert_eq!(&m, &expected);
             }
         }
     }

@@ -1,54 +1,44 @@
-//! # nodb-exec — the adaptive kernel
+//! # nodb-exec — the execution kernels
 //!
-//! "We argue towards an adaptive kernel where at any given time multiple
-//! different execution strategies are possible to better fit the workload"
-//! (§5.2.1). This crate ships three interchangeable strategies plus the
+//! One kernel per query shape, each typed and column-at-a-time, plus the
 //! shared building blocks:
 //!
-//! * [`columnar`] — column-at-a-time operators with materialised selection
-//!   vectors (MonetDB style);
-//! * [`volcano`] — tuple-at-a-time pull operators (row-store style);
-//! * [`hybrid`] — fused filter+multi-aggregate single-pass operators
-//!   (§5.2.2 hybrid operators);
-//! * [`expr`] / [`agg`] — scalar expressions and aggregate accumulators;
-//! * [`group`] — the typed, vectorized hash GROUP BY kernel (dense group
-//!   ids + typed per-group state) every grouped path runs;
-//! * [`join`] — hash and sort-merge equi-joins over columns, and the flat
-//!   [`JoinTable`] every integer hash join probes;
+//! * [`group`] — the typed, vectorized hash aggregation kernel (dense
+//!   group ids + typed per-group state) every aggregate runs: GROUP BY,
+//!   and the plain aggregate as its zero-key case, which is the paper's
+//!   §5.2.2 hybrid operator (filter and every aggregate in one pass);
+//! * [`columnar`] — column-at-a-time selection vectors, sorting and
+//!   projection (MonetDB style);
+//! * [`expr`] / [`agg`] — scalar expressions and aggregate functions;
+//! * [`join`] — hash equi-joins over columns, and the flat [`JoinTable`]
+//!   every integer hash join probes;
 //! * [`morsel`] — morsel-parallel variants of all of the above
 //!   (deterministic, independent of the worker count), plus the fused
 //!   *cold* operators ([`cold_project_morsel`],
 //!   [`cold_join_build_morsel`]) that consume
 //!   [`nodb_types::MorselBatch`]es straight from the tokenizer.
 //!
-//! The engine (`nodb-core`) runs one kernel per query shape — the fused
-//! hybrid operator for plain aggregates, [`group`] for GROUP BY, columnar
-//! selection vectors for scalar queries — and connects the tokenizer's
-//! morsel scan (`nodb-rawcsv`) to the fused cold operators; [`volcano`]
-//! is kept for the `kernels` criterion bench, which measures the
-//! trade-offs the paper describes.
+//! The engine (`nodb-core`) runs [`group`] for every aggregate and
+//! columnar selection vectors for scalar queries, and connects the
+//! tokenizer's morsel scan (`nodb-rawcsv`) to the same kernels.
 
 pub mod agg;
 pub mod cols;
 pub mod columnar;
 pub mod expr;
 pub mod group;
-pub mod hybrid;
 pub mod join;
 pub mod morsel;
 pub mod stream;
-pub mod volcano;
 
 pub use agg::{Accumulator, AggFunc};
 pub use cols::Cols;
 pub use columnar::{
-    accumulate_into, aggregate, filter_positions, filter_positions_range, project_rows,
-    sort_positions, AggSpec, GroupKey,
+    filter_positions, filter_positions_range, project_rows, sort_positions, AggSpec, GroupKey,
 };
 pub use expr::{arith, ArithOp, Expr};
 pub use group::{group_partial_range, merge_group_partials, GroupPartial};
-pub use hybrid::fused_filter_aggregate;
-pub use join::{hash_join_positions, merge_join_positions, split_pairs, JoinTable};
+pub use join::{hash_join_positions, JoinTable};
 pub use morsel::{
     cold_join_build_morsel, cold_project_morsel, parallel_filter_aggregate,
     parallel_filter_positions, parallel_group_aggregate, parallel_group_columns,
@@ -56,4 +46,3 @@ pub use morsel::{
     DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};
-pub use volcano::{collect, AggregateOp, ColumnsScan, FilterOp, RowOp};

@@ -7,14 +7,14 @@
 //! intermediate materialisation. This module provides the post-load half
 //! of that pipeline over materialised columns:
 //!
-//! * [`parallel_filter_aggregate`] — predicate evaluation + partial
-//!   aggregation per morsel, partials merged in morsel order;
+//! * [`parallel_group_columns`] — the typed aggregation kernel of
+//!   [`crate::group`] per morsel (filter + every aggregate, grouped or
+//!   not), partials merged in morsel order into result columns
+//!   ([`parallel_group_aggregate`] and, for plain aggregates,
+//!   [`parallel_filter_aggregate`] are its row views);
 //! * [`parallel_filter_positions`] — parallel selection-vector
 //!   construction whose concatenation is byte-identical to the serial
 //!   [`filter_positions`](crate::columnar::filter_positions) result;
-//! * [`parallel_group_columns`] — the typed GROUP BY kernel of
-//!   [`crate::group`] per morsel, partials merged in morsel order into
-//!   result columns ([`parallel_group_aggregate`] is its row view);
 //! * [`parallel_hash_join_positions`] — one flat [`JoinTable`] over the
 //!   smaller key column, probed morsel by morsel, reproducing the serial
 //!   pair order exactly.
@@ -44,9 +44,8 @@ use nodb_types::{
     PageColumn, Result, Selection, Value,
 };
 
-use crate::agg::Accumulator;
 use crate::cols::Cols;
-use crate::columnar::{accumulate_into, filter_positions_range, AggSpec};
+use crate::columnar::{filter_positions_range, AggSpec};
 use crate::expr::Expr;
 use crate::group::{group_partial_range, merge_group_partials};
 use crate::join::{hash_join_positions, null_free_int_keys, JoinTable};
@@ -92,10 +91,8 @@ where
         .collect()
 }
 
-/// Morsel-parallel fused filter + aggregate over materialised columns.
-/// Equivalent to [`fused_filter_aggregate`](crate::hybrid::fused_filter_aggregate)
-/// but each worker filters and partially aggregates its own morsels;
-/// partials merge in morsel order.
+/// A plain aggregate (filter + every aggregate, no GROUP BY) as its one
+/// result row: [`parallel_group_columns`] with zero key columns.
 pub fn parallel_filter_aggregate<C: Cols + ?Sized + Sync>(
     cols: &C,
     n_rows: usize,
@@ -104,70 +101,8 @@ pub fn parallel_filter_aggregate<C: Cols + ?Sized + Sync>(
     threads: usize,
     morsel_rows: usize,
 ) -> Result<Vec<Value>> {
-    let partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
-        let mut accs: Vec<Accumulator> = specs.iter().map(|s| Accumulator::new(s.func)).collect();
-        if conj.is_always_true() {
-            // No selection vector: fold the raw range, slice-at-a-time.
-            accumulate_range(cols, lo, hi, specs, &mut accs)?;
-        } else {
-            let pos = filter_positions_range(cols, lo, hi, conj)?;
-            accumulate_into(cols, hi - lo, Some(&pos), specs, &mut accs)?;
-        }
-        Ok(accs)
-    })?;
-    let mut merged: Vec<Accumulator> = specs.iter().map(|s| Accumulator::new(s.func)).collect();
-    for partial in partials {
-        for (m, p) in merged.iter_mut().zip(partial) {
-            m.merge(p)?;
-        }
-    }
-    merged.iter().map(|a| a.finish()).collect()
-}
-
-/// Fold the contiguous row range `[lo, hi)` into `accs` without building
-/// a selection vector — the unfiltered-aggregate fast path. Null-free int
-/// columns fold directly from their slice; everything else matches the
-/// per-value semantics of [`accumulate_into`].
-fn accumulate_range<C: Cols + ?Sized>(
-    cols: &C,
-    lo: usize,
-    hi: usize,
-    specs: &[AggSpec],
-    accs: &mut [Accumulator],
-) -> Result<()> {
-    for (spec, acc) in specs.iter().zip(accs.iter_mut()) {
-        match &spec.expr {
-            None => {
-                // COUNT(*) over the range: O(1), every row counts.
-                if let Accumulator::CountStar(n) = acc {
-                    *n += (hi.saturating_sub(lo)) as u64;
-                } else {
-                    for _ in lo..hi {
-                        acc.update(&Value::Null)?;
-                    }
-                }
-            }
-            Some(Expr::Col(c)) => {
-                let col = cols
-                    .get_col(*c)
-                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-                let nullable = matches!(col, ColumnData::Int64 { nulls: Some(_), .. });
-                if let (Some(xs), false) = (col.as_i64_slice(), nullable) {
-                    acc.update_i64_slice(&xs[lo.min(xs.len())..hi.min(xs.len())])?;
-                } else {
-                    for i in lo..hi.min(col.len()) {
-                        acc.update(&col.get(i))?;
-                    }
-                }
-            }
-            Some(expr) => {
-                for i in lo..hi {
-                    acc.update(&expr.eval(cols, i)?)?;
-                }
-            }
-        }
-    }
-    Ok(())
+    let columns = parallel_group_columns(cols, n_rows, conj, &[], specs, threads, morsel_rows)?;
+    Ok(columns.iter().map(|c| c.get(0)).collect())
 }
 
 /// Morsel-parallel selection-vector construction. The concatenation of
@@ -225,13 +160,14 @@ impl Cols for OrdinalCols<'_> {
     }
 }
 
-/// Morsel-parallel hash GROUP BY: every morsel is grouped and aggregated
-/// by the typed kernel ([`group_partial_range`]) on a stealing worker, and
-/// the per-morsel partials merge in morsel order
+/// Morsel-parallel hash aggregation: every morsel is filtered, grouped and
+/// aggregated by the typed kernel ([`group_partial_range`]) on a stealing
+/// worker, and the per-morsel partials merge in morsel order
 /// ([`merge_group_partials`]). The result is `group key columns ++
 /// aggregate results` as typed columns, one row per group, ordered by
-/// first appearance, and depends only on `morsel_rows` — not on `threads`
-/// (one worker runs the same morsels inline) and not on scheduling.
+/// first appearance — exactly one row without `group_cols`, even over no
+/// rows — and depends only on `morsel_rows`: not on `threads` (one worker
+/// runs the same morsels inline) and not on scheduling.
 pub fn parallel_group_columns<C: Cols + ?Sized + Sync>(
     cols: &C,
     n_rows: usize,
@@ -241,9 +177,15 @@ pub fn parallel_group_columns<C: Cols + ?Sized + Sync>(
     threads: usize,
     morsel_rows: usize,
 ) -> Result<Vec<ColumnData>> {
-    let partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
+    let mut partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
         group_partial_range(cols, lo, hi, conj, group_cols, specs)
     })?;
+    if partials.is_empty() {
+        // No morsel: one empty partial still takes the result's column
+        // types from the input (and is the one group of a plain
+        // aggregate).
+        partials.push(group_partial_range(cols, 0, 0, conj, group_cols, specs)?);
+    }
     merge_group_partials(partials)
 }
 
@@ -463,9 +405,8 @@ pub fn cold_join_build_morsel(
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
-    use crate::columnar::{aggregate, filter_positions};
+    use crate::columnar::filter_positions;
     use crate::group::reference_group_aggregate;
-    use crate::hybrid::fused_filter_aggregate;
     use nodb_types::{CmpOp, ColPred};
     use std::collections::BTreeMap;
 
@@ -644,8 +585,21 @@ mod tests {
         assert_eq!(pairs, serial);
     }
 
+    /// The one row of a plain aggregate per the row-at-a-time reference.
+    fn reference_row(
+        cols: &BTreeMap<usize, ColumnData>,
+        n: usize,
+        conj: &Conjunction,
+        specs: &[AggSpec],
+        morsel_rows: usize,
+    ) -> Vec<Value> {
+        let mut rows = reference_group_aggregate(cols, n, conj, &[], specs, morsel_rows).unwrap();
+        assert_eq!(rows.len(), 1);
+        rows.remove(0)
+    }
+
     #[test]
-    fn parallel_aggregate_matches_fused_serial() {
+    fn parallel_aggregate_matches_reference_for_any_thread_count() {
         let (cols, n) = table(10_000);
         let conj = Conjunction::new(vec![
             ColPred::new(0, CmpOp::Gt, 100i64),
@@ -655,14 +609,15 @@ mod tests {
             AggSpec::on_col(AggFunc::Sum, 1),
             AggSpec::on_col(AggFunc::Min, 0),
             AggSpec::on_col(AggFunc::Max, 1),
+            AggSpec::on_col(AggFunc::Avg, 2),
             AggSpec::count_star(),
         ];
-        let serial = fused_filter_aggregate(&cols, n, &conj, &specs).unwrap();
-        for threads in [1, 2, 7] {
-            for morsel_rows in [64, 1000, 100_000] {
+        for morsel_rows in [64, 1000, 100_000] {
+            let want = reference_row(&cols, n, &conj, &specs, morsel_rows);
+            for threads in [1, 2, 7] {
                 let par = parallel_filter_aggregate(&cols, n, &conj, &specs, threads, morsel_rows)
                     .unwrap();
-                assert_eq!(par, serial, "threads={threads} morsel_rows={morsel_rows}");
+                assert_eq!(par, want, "threads={threads} morsel_rows={morsel_rows}");
             }
         }
     }
@@ -670,16 +625,47 @@ mod tests {
     #[test]
     fn parallel_aggregate_no_filter_and_empty_input() {
         let (cols, n) = table(1000);
+        let always = Conjunction::always();
         let specs = vec![AggSpec::on_col(AggFunc::Avg, 1), AggSpec::count_star()];
-        let serial = aggregate(&cols, n, None, &specs).unwrap();
-        let par =
-            parallel_filter_aggregate(&cols, n, &Conjunction::always(), &specs, 3, 128).unwrap();
-        assert_eq!(par, serial);
-        // Zero rows: NULL avg, zero count — same as serial.
+        let par = parallel_filter_aggregate(&cols, n, &always, &specs, 3, 128).unwrap();
+        assert_eq!(par, reference_row(&cols, n, &always, &specs, 128));
+        // Zero rows, or none qualifying: one row, NULL avg, zero count.
+        let none = vec![Value::Null, Value::Int(0)];
         let (empty, _) = table(0);
-        let par =
-            parallel_filter_aggregate(&empty, 0, &Conjunction::always(), &specs, 3, 128).unwrap();
-        assert_eq!(par, aggregate(&empty, 0, None, &specs).unwrap());
+        let par = parallel_filter_aggregate(&empty, 0, &always, &specs, 3, 128).unwrap();
+        assert_eq!(par, none);
+        let never = Conjunction::new(vec![ColPred::new(1, CmpOp::Lt, 0i64)]);
+        let par = parallel_filter_aggregate(&cols, n, &never, &specs, 3, 128).unwrap();
+        assert_eq!(par, none);
+    }
+
+    #[test]
+    fn plain_aggregates_build_no_per_row_state() {
+        use nodb_types::resource::{MemoryGuard, MemoryScope};
+        // A plain aggregate keeps one group and no group-id vector, so a
+        // 64 KiB query budget covers 1 M rows; one `u32` id per row would
+        // charge 128 KiB on the first morsel alone.
+        let n = 1 << 20;
+        let mut cols = BTreeMap::new();
+        cols.insert(0, ColumnData::from_i64((0..n as i64).collect()));
+        let every_row = Conjunction::new(vec![ColPred::new(0, CmpOp::Ge, 0i64)]);
+        let shapes = [
+            (Conjunction::always(), vec![AggSpec::count_star()]),
+            (
+                every_row,
+                vec![AggSpec::on_col(AggFunc::Sum, 0), AggSpec::count_star()],
+            ),
+        ];
+        for threads in [1, 4] {
+            for (conj, specs) in &shapes {
+                let guard = MemoryGuard::new(Some(64 << 10), None);
+                let _scope = MemoryScope::enter(guard);
+                let row =
+                    parallel_filter_aggregate(&cols, n, conj, specs, threads, DEFAULT_MORSEL_ROWS)
+                        .unwrap();
+                assert_eq!(row.last(), Some(&Value::Int(n as i64)), "threads={threads}");
+            }
+        }
     }
 
     #[test]
@@ -820,7 +806,7 @@ mod tests {
                 }
             }
         }
-        // Zero rows: zero groups.
+        // Zero rows: zero groups (with key columns).
         let (empty, _) = table(0);
         let par =
             parallel_group_aggregate(&empty, 0, &Conjunction::always(), &[0], &specs, 3, 128, 0)

@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a shared atomic flag plus an optional monotonic
 //! deadline. Long-running loops *cooperate*: the morsel driver
 //! ([`drive_morsels`](crate::drive_morsels)) consults the token before
-//! every steal, and serial paths (volcano cursors, serial folds, cracked
+//! every steal, and serial paths (the group merge, join builds, cracked
 //! selects, the tokenizer's quoted phase-1) poll an amortised
 //! [`CancelCheck`] every few thousand rows. Cancellation therefore lands
 //! within one morsel (or [`CHECK_INTERVAL_ROWS`] rows) of the request —

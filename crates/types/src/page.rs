@@ -16,8 +16,9 @@ use std::ops::Range;
 use crate::column::ColumnData;
 use crate::value::{Value, ValueRef};
 
-/// Which rows of the [`PageColumn::Selected`] columns a page covers, in
-/// page order.
+/// Which rows of a column an operator or a page covers, in order: the
+/// rows of the [`PageColumn::Selected`] columns a page shows, or the rows
+/// an aggregation kernel folds.
 #[derive(Debug, Clone)]
 pub enum Selection<'a> {
     /// Row `i` of the page is row `positions[i]` of the column.
@@ -27,14 +28,21 @@ pub enum Selection<'a> {
 }
 
 impl Selection<'_> {
-    fn len(&self) -> usize {
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
         match self {
             Selection::Positions(p) => p.len(),
             Selection::Range(r) => r.len(),
         }
     }
 
-    fn index(&self, row: usize) -> usize {
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Column row of the `row`-th selected row.
+    pub fn index(&self, row: usize) -> usize {
         match self {
             Selection::Positions(p) => p[row],
             Selection::Range(r) => r.start + row,

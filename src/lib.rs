@@ -15,8 +15,10 @@
 //!   inference, file splitting.
 //! * [`store`] — the adaptive store: columns, fragments, row/PAX formats,
 //!   partitioned cracking, eviction, binary persistence.
-//! * [`exec`] — the adaptive kernel: columnar/volcano/hybrid operators,
-//!   morsel-parallel kernels and the fused cold-pipeline operators.
+//! * [`exec`] — the execution kernels: one typed aggregation kernel for
+//!   every aggregate (a plain aggregate is a zero-key GROUP BY), columnar
+//!   selection vectors, the flat hash join, their morsel-parallel drivers
+//!   and the fused cold-pipeline operators.
 //! * [`sql`] — SQL parsing and logical planning.
 //! * [`core`] — the engine tying it together: catalog, loading policies,
 //!   fused cold pipeline, plan cache, result cache, sessions, workload

@@ -289,6 +289,52 @@ fn computed_results_page_as_typed_columns() {
     }
 }
 
+/// A plain aggregate's float result depends on the morsel boundaries only:
+/// the same bits under every thread count, cold (first touch) or warm,
+/// result cache on or off.
+#[test]
+fn float_aggregates_do_not_depend_on_threads_cold_warm_or_cache() {
+    let dir = test_dir("float_agg_bits");
+    let path = dir.join("f.csv");
+    let mut csv = String::new();
+    for i in 0..120_000u64 {
+        let f = ((i * 7919) % 10_007) as f64 * 0.1 + 1e-7 * i as f64;
+        // `{:?}` prints the shortest text that parses back to the same bits.
+        csv.push_str(&format!("{i},{f:?}\n"));
+    }
+    std::fs::write(&path, csv).unwrap();
+    let sql = "select sum(a2), avg(a2), min(a2), max(a2), count(*) from f";
+    let bits = |row: &[Value]| -> Vec<u64> {
+        row.iter()
+            .map(|v| match v {
+                Value::Float(x) => x.to_bits(),
+                Value::Int(n) => *n as u64,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    };
+    let mut want: Option<Vec<u64>> = None;
+    for threads in [1, 2, 4] {
+        for cache_bytes in [0, 4 << 20] {
+            let mut cfg = EngineConfig::default().with_threads(threads);
+            cfg.store_dir = Some(dir.join(format!("store-{threads}-{cache_bytes}")));
+            cfg.result_cache_bytes = cache_bytes;
+            let engine = Engine::new(cfg);
+            engine.register_table("f", &path).unwrap();
+            for pass in ["cold", "warm", "warm again"] {
+                let rows = engine.sql(sql).unwrap().rows;
+                assert_eq!(rows.len(), 1);
+                let got = bits(&rows[0]);
+                let ctx = format!("{threads} threads, cache {cache_bytes} B, {pass}");
+                match &want {
+                    None => want = Some(got),
+                    Some(w) => assert_eq!(&got, w, "{ctx}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn stream_can_be_abandoned_early() {
     let (_d, s) = session_over("stream_abandon", 1000);
