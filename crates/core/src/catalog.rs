@@ -144,7 +144,7 @@ impl TableEntry {
 
     /// A memory-resident result table: schema known up front, every column
     /// fully loaded into the adaptive store, no raw file behind it.
-    pub fn resident(name: String, schema: Schema, columns: Vec<ColumnData>) -> TableEntry {
+    pub fn resident(name: String, schema: Schema, columns: Vec<Arc<ColumnData>>) -> TableEntry {
         let n_rows = columns.first().map(|c| c.len()).unwrap_or(0) as u64;
         let mut entry = TableEntry::new(name, PathBuf::new(), PathBuf::new());
         entry.resident = true;
@@ -364,7 +364,7 @@ impl Catalog {
         &mut self,
         name: &str,
         schema: Schema,
-        columns: Vec<ColumnData>,
+        columns: Vec<Arc<ColumnData>>,
     ) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if let Some(existing) = self.tables.get(&key) {

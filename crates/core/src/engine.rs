@@ -40,15 +40,16 @@ use crate::result_cache::{
     cols_bytes, family_fingerprint, plan_fingerprint, subsumable_constraint, RangeConstraint,
     ResultCache,
 };
-use crate::session::{
-    dense_body, output_schema, unique_identifiers, QueryStream, Session, StreamBody,
-};
+use crate::session::{dense_body, output_schema, QueryStream, Session, StreamBody};
 
 /// Result of one SQL query.
 #[derive(Debug)]
 pub struct QueryOutput {
     /// Output column labels.
     pub columns: Vec<String>,
+    /// The result's schema: the labels sanitised into identifiers, and
+    /// each column's type — what [`Engine::register_result`] registers.
+    pub schema: Schema,
     /// Result rows.
     pub rows: Vec<Vec<Value>>,
     /// Execution statistics.
@@ -481,17 +482,18 @@ impl Engine {
         Ok(s)
     }
 
-    /// `EXPLAIN [ANALYZE] <select>` as a [`QueryOutput`]: one `plan`
-    /// column, one row per listing line — the shape lets EXPLAIN travel
-    /// through every result path (sessions, the wire server, CSV export)
-    /// unchanged. Plain EXPLAIN never executes; ANALYZE runs the query via
+    /// `EXPLAIN [ANALYZE] <select>` as a stream: one `plan` column, one
+    /// row per listing line — the shape lets EXPLAIN travel through every
+    /// result path (sessions, the wire server, CSV export) unchanged.
+    /// Plain EXPLAIN never executes; ANALYZE runs the query via
     /// [`Engine::explain_analyze`] and reports its measured profile.
-    fn explain_output(
+    fn explain_stream(
         &self,
         text: &str,
+        batch_size: usize,
         started: Instant,
         before: CountersSnapshot,
-    ) -> Result<QueryOutput> {
+    ) -> Result<QueryStream> {
         let rest = after_keyword(text);
         let (analyze, body) = if leading_keyword(rest).eq_ignore_ascii_case("analyze") {
             (true, after_keyword(rest))
@@ -506,26 +508,21 @@ impl Engine {
         } else {
             self.explain(body)?
         };
-        let rows: Vec<Vec<Value>> = listing
-            .lines()
-            .map(|l| vec![Value::Str(l.to_owned())])
-            .collect();
-        Ok(QueryOutput {
-            columns: vec!["plan".to_owned()],
-            rows,
-            stats: QueryStats {
-                elapsed: started.elapsed(),
-                work: self.counters.snapshot().since(&before),
-                strategy: self.cfg.strategy,
-                profile: QueryProfile::default(),
-            },
-        })
+        let lines = ColumnData::from_strings(listing.lines().map(str::to_owned).collect());
+        Ok(QueryStream::new(
+            vec!["plan".to_owned()],
+            Schema::new(vec![Field::new("plan", DataType::Str)])?,
+            batch_size,
+            dense_body(&[Arc::new(lines)]),
+            started,
+            before,
+            Arc::clone(&self.counters),
+            self.cfg.strategy,
+        ))
     }
 
-    /// Parse, plan and execute one SQL statement — a SELECT,
-    /// `CREATE TABLE <t> AS SELECT ...` (which materialises the result as
-    /// an in-memory table and also returns it), or `EXPLAIN [ANALYZE]
-    /// <select>` (which returns the plan listing as rows).
+    /// Parse, plan and execute one SQL statement and collect its result;
+    /// see [`Engine::stream_statement`] for the statements it takes.
     ///
     /// Repeat SELECTs are served from the engine plan cache (keyed on
     /// normalized text), skipping the lexer/parser/planner entirely; see
@@ -533,71 +530,86 @@ impl Engine {
     /// parameterised repetition and streaming results, use
     /// [`Session::prepare`](crate::Session::prepare).
     pub fn sql(&self, text: &str) -> Result<QueryOutput> {
+        self.stream_statement(text, usize::MAX)?.collect_output()
+    }
+
+    /// Parse, plan and execute one SQL statement, paging its result in
+    /// `batch_size`-row pages: a SELECT, `CREATE TABLE <t> AS SELECT ...`
+    /// (which registers the result as an in-memory table and pages its
+    /// columns), or `EXPLAIN [ANALYZE] <select>` (which pages the plan
+    /// listing). Every statement answers through the same typed
+    /// [`QueryStream`].
+    pub fn stream_statement(&self, text: &str, batch_size: usize) -> Result<QueryStream> {
         let started = Instant::now();
         let before = self.counters.snapshot();
         let kw = leading_keyword(text);
         if kw.eq_ignore_ascii_case("create") {
-            let stmt = nodb_sql::parse_statement(text)?;
-            return match stmt {
+            return match nodb_sql::parse_statement(text)? {
                 Statement::CreateTableAs { name, query } => {
-                    self.create_table_as(&name, &query, started, before)
+                    self.create_table_as(&name, &query, batch_size, started, before)
                 }
                 Statement::Select(_) => unreachable!("leading keyword was CREATE"),
             };
         }
         if kw.eq_ignore_ascii_case("explain") {
-            return self.explain_output(text, started, before);
+            return self.explain_stream(text, batch_size, started, before);
         }
         let plan = self.plan_select(text)?;
-        self.stream_plan(&plan, usize::MAX, started, before)?
-            .collect_output()
+        self.stream_plan(&plan, batch_size, started, before)
     }
 
-    /// `CREATE TABLE <name> AS SELECT ...`: run the defining query and
-    /// register its result columns directly in the catalog (no CSV
-    /// round-trip). Returns the materialised result. The defining SELECT
-    /// is planned from its AST (DDL is rare; it does not go through the
-    /// plan cache).
+    /// `CREATE TABLE <name> AS SELECT ...`: run the defining query, gather
+    /// its typed result columns once and register them directly in the
+    /// catalog under the query's output schema (no row round-trip, no
+    /// type re-inference). The returned stream pages those same columns.
+    /// The defining SELECT is planned from its AST (DDL is rare; it does
+    /// not go through the plan cache).
     fn create_table_as(
         &self,
         name: &str,
         query: &nodb_sql::AstQuery,
+        batch_size: usize,
         started: Instant,
         before: CountersSnapshot,
-    ) -> Result<QueryOutput> {
+    ) -> Result<QueryStream> {
         let (plan, _deps) = self.plan_query(query)?;
-        let out = self
-            .stream_plan(&plan, usize::MAX, started, before)?
-            .collect_output()?;
-        self.register_result(name, &out)?;
-        Ok(out)
+        let mut stream = self.stream_plan(&plan, batch_size, started, before)?;
+        let columns = stream.gather()?;
+        self.install_result(name, stream.schema().clone(), columns)?;
+        Ok(stream)
     }
 
-    /// Register a query result as an in-memory table: its columns go
-    /// straight into the catalog's adaptive store, fully loaded, with no
-    /// raw file behind them. Column labels are sanitised into SQL
-    /// identifiers (`sum(a1)` → `sum_a1`, `count(*)` → `count`) and
-    /// deduplicated with `_2`, `_3`, ... suffixes. Re-registering over an
-    /// existing *result* table replaces it; shadowing a file-backed table
-    /// is an error.
+    /// Register a query result as an in-memory table: its columns, typed
+    /// by the output's schema, go straight into the catalog's adaptive
+    /// store, fully loaded, with no raw file behind them. Column names are
+    /// the schema's: labels sanitised into SQL identifiers (`sum(a1)` →
+    /// `sum_a1`, `count(*)` → `count`) and deduplicated with `_2`, `_3`,
+    /// ... suffixes. Re-registering over an existing *result* table
+    /// replaces it; shadowing a file-backed table is an error.
     pub fn register_result(&self, name: &str, output: &QueryOutput) -> Result<()> {
-        let ncols = output.columns.len();
-        let types = result_column_types(ncols, &output.rows);
-        let fields: Vec<Field> = unique_identifiers(&output.columns)
-            .into_iter()
-            .zip(&types)
-            .map(|(n, &t)| Field::new(n, t))
-            .collect();
-        let schema = Schema::new(fields)?;
-        let mut columns = Vec::with_capacity(ncols);
-        for (c, &ty) in types.iter().enumerate() {
-            let mut col = ColumnData::with_capacity(ty, output.rows.len());
-            for row in &output.rows {
-                let v = row.get(c).cloned().unwrap_or(Value::Null);
-                col.push(coerce(v, ty))?;
-            }
-            columns.push(col);
-        }
+        let columns = output
+            .schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let values = output
+                    .rows
+                    .iter()
+                    .map(|row| row.get(c).cloned().unwrap_or(Value::Null));
+                ColumnData::from_values(f.data_type, values).map(Arc::new)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.install_result(name, output.schema.clone(), columns)
+    }
+
+    /// Put result `columns` into the catalog as table `name`.
+    fn install_result(
+        &self,
+        name: &str,
+        schema: Schema,
+        columns: Vec<Arc<ColumnData>>,
+    ) -> Result<()> {
         self.catalog
             .write()
             .register_result(name, schema, columns)?;
@@ -755,7 +767,7 @@ impl Engine {
 
         self.counters
             .record_mem_reserved_peak(self.mem_pool.peak() as u64);
-        Ok(self.stream_of(plan, batch_size, body, started, before))
+        self.stream_of(plan, batch_size, body, started, before)
     }
 
     /// Wrap an executed body into the standard [`QueryStream`] (labels,
@@ -769,17 +781,17 @@ impl Engine {
         body: StreamBody,
         started: Instant,
         before: CountersSnapshot,
-    ) -> QueryStream {
-        QueryStream::new(
+    ) -> Result<QueryStream> {
+        Ok(QueryStream::new(
             plan.output_names.clone(),
-            output_schema(plan),
+            output_schema(plan)?,
             batch_size,
             body,
             started,
             before,
             Arc::clone(&self.counters),
             self.cfg.strategy,
-        )
+        ))
     }
 
     /// Consult the result cache for `plan`. Captures the plan's schema
@@ -819,7 +831,7 @@ impl Engine {
                 dense_body(&hit),
                 started,
                 before,
-            ))));
+            )?)));
         }
         if let Some(wanted) = subsumable_constraint(plan) {
             if let Some((cols, n_rows)) =
@@ -844,7 +856,7 @@ impl Engine {
                     // preserves it).
                     let body = self.execute_relational(plan, cols, n_rows, &plan.filter)?;
                     return Ok(CacheLookup::Served(Box::new(
-                        self.stream_of(plan, batch_size, body, started, before),
+                        self.stream_of(plan, batch_size, body, started, before)?,
                     )));
                 }
             }
@@ -1632,32 +1644,10 @@ fn morsel_local_positions(
     filter_positions(&OrdinalCols::new(scan_cols, &morsel.columns), n, filter)
 }
 
-/// Column types inferred from result values — the promotion used when a
-/// result becomes a table: any string makes the column textual, else any
-/// float makes it `f64`, else `i64` (all-null columns read as `i64`).
-/// Shared by [`Engine::register_result`] and the wire server's cursor
-/// descriptions so the advertised types can never diverge from what the
-/// engine registers.
-pub fn result_column_types(ncols: usize, rows: &[Vec<Value>]) -> Vec<DataType> {
-    let mut types = vec![DataType::Int64; ncols];
-    for row in rows {
-        for (c, v) in row.iter().enumerate().take(ncols) {
-            types[c] = match v {
-                Value::Null => types[c],
-                Value::Int(_) => types[c],
-                Value::Float(_) => types[c].unify(DataType::Float64),
-                Value::Str(_) => DataType::Str,
-            };
-        }
-    }
-    types
-}
-
 /// First SQL keyword of `text`, skipping leading whitespace and `--`
 /// line comments (statement dispatch must agree with the lexer about
-/// what a statement "starts with"). Public so the wire server dispatches
-/// `CREATE TABLE .. AS SELECT` exactly like [`Engine::sql`] does.
-pub fn leading_keyword(text: &str) -> &str {
+/// what a statement "starts with").
+fn leading_keyword(text: &str) -> &str {
     let mut rest = text.trim_start();
     while let Some(stripped) = rest.strip_prefix("--") {
         rest = match stripped.find('\n') {
@@ -1742,18 +1732,6 @@ fn window<T>(v: &mut Vec<T>, offset: Option<usize>, limit: Option<usize>) {
     }
     if let Some(n) = limit {
         v.truncate(n);
-    }
-}
-
-/// Coerce a value into a column type chosen by [`Engine::register_result`]
-/// (ints widen to float in float columns; anything renders to text in
-/// string columns).
-fn coerce(v: Value, ty: DataType) -> Value {
-    match (v, ty) {
-        (Value::Int(i), DataType::Float64) => Value::Float(i as f64),
-        (v @ Value::Str(_), DataType::Str) | (v @ Value::Null, _) => v,
-        (v, DataType::Str) => Value::Str(v.to_string()),
-        (v, _) => v,
     }
 }
 

@@ -9,8 +9,8 @@
 //!   queries run the fused morsel pipeline (tokenizer batches from
 //!   `nodb-rawcsv` flowing into the operators of `nodb-exec` while the
 //!   adaptive store of `nodb-store` is fed on the side);
-//! * [`config`] — loading strategies (one per curve in the paper's figures)
-//!   and kernel strategies (see `docs/TUNING.md` for every knob);
+//! * [`config`] — loading strategies (one per curve in the paper's
+//!   figures) and the engine's other knobs (see `docs/TUNING.md`);
 //! * [`policy`] — the adaptive loading operators (§3, §4);
 //! * [`catalog`] — linked files, schema inference on first touch,
 //!   fingerprint-based invalidation on file edits (§5.4);
@@ -42,14 +42,12 @@ pub mod session;
 
 pub use catalog::{Catalog, Fingerprint, TableEntry};
 pub use config::{EngineConfig, LoadingStrategy};
-pub use engine::{
-    leading_keyword, result_column_types, Engine, QueryOutput, QueryStats, TableInfo,
-};
+pub use engine::{Engine, QueryOutput, QueryStats, TableInfo};
 pub use monitor::TableMonitor;
 pub use plan_cache::PlanCache;
 pub use policy::{materialize, Materialized};
 pub use result_cache::ResultCache;
-pub use session::{unique_identifiers, BoundStatement, Prepared, QueryStream, Session};
+pub use session::{BoundStatement, Prepared, QueryStream, Session};
 
 // The whole serving stack hands these out across threads: one shared
 // engine behind `Arc`, one session per connection, prepared statements

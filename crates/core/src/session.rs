@@ -13,10 +13,14 @@
 //!   [`QueryStream`] that pages the result instead of one monolithic row
 //!   vector, so large results can be paged or abandoned early — as
 //!   borrowed typed columns ([`QueryStream::next_columns`], what the wire
-//!   server encodes from) or as [`RowBatch`]es built from them;
-//! * [`Session::sql`] is the one-shot path (it also accepts
-//!   `CREATE TABLE .. AS SELECT ..`), served through the engine plan
-//!   cache so even un-prepared repeats skip the SQL front end;
+//!   server encodes from) or as [`RowBatch`]es built from them.
+//!   [`Session::query`] takes every statement kind: a SELECT,
+//!   `CREATE TABLE .. AS SELECT ..` (the stream pages the registered
+//!   table's columns) and `EXPLAIN [ANALYZE]` (one `plan` column of
+//!   listing lines);
+//! * [`Session::sql`] is the one-shot path — the same statements,
+//!   collected — served through the engine plan cache so even
+//!   un-prepared repeats skip the SQL front end;
 //! * [`Session::register_result`] turns any [`QueryOutput`] into a
 //!   queryable in-memory table — the answer to "where are my results?":
 //!   in the catalog, next to the raw files they came from.
@@ -31,11 +35,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use nodb_exec::ProjectionCursor;
-use nodb_sql::Plan;
+use nodb_sql::{OutputExpr, Plan};
 use nodb_store::RowBatch;
 use nodb_types::profile::Phase;
 use nodb_types::{
-    CancelScope, CancelToken, ColumnData, ColumnPage, CountersSnapshot, Error, MemoryGuard,
+    CancelScope, CancelToken, ColumnData, ColumnPage, CountersSnapshot, Error, Field, MemoryGuard,
     ProfileHandle, Result, Schema, Value, WorkCounters,
 };
 
@@ -101,20 +105,17 @@ impl Session {
         })
     }
 
-    /// Execute one statement (SELECT or `CREATE TABLE .. AS SELECT ..`)
-    /// and materialise the full result. Repeat SELECTs hit the engine
-    /// plan cache.
+    /// Execute one statement and materialise the full result; see
+    /// [`Engine::sql`]. Repeat SELECTs hit the engine plan cache.
     pub fn sql(&self, text: &str) -> Result<QueryOutput> {
         self.engine.sql(text)
     }
 
-    /// Execute a SELECT and stream the result batch by batch.
+    /// Execute one statement — SELECT, `CREATE TABLE .. AS SELECT ..` or
+    /// `EXPLAIN [ANALYZE]` — and stream the result batch by batch; see
+    /// [`Engine::stream_statement`].
     pub fn query(&self, text: &str) -> Result<QueryStream> {
-        let started = Instant::now();
-        let before = self.engine.counters().snapshot();
-        let plan = self.engine.plan_select(text)?;
-        self.engine
-            .stream_plan(&plan, self.batch_size, started, before)
+        self.engine.stream_statement(text, self.batch_size)
     }
 
     /// Register a query result as an in-memory table. Column labels are
@@ -304,12 +305,6 @@ impl BoundStatement {
         run_guarded(&self.engine, token, || self.stream())
     }
 
-    /// [`BoundStatement::execute`] under a cancellation guard; see
-    /// [`Session::query_with_guard`] for the guard semantics.
-    pub fn execute_with_guard(&self, token: &CancelToken) -> Result<QueryOutput> {
-        run_guarded(&self.engine, token, || self.execute())
-    }
-
     /// Output column labels.
     pub fn columns(&self) -> &[String] {
         &self.plan.output_names
@@ -479,9 +474,24 @@ impl QueryStream {
         let rows = self.next_batch()?.map(|b| b.rows).unwrap_or_default();
         Ok(QueryOutput {
             columns: self.columns.clone(),
+            schema: self.schema.clone(),
             rows,
             stats: self.stats(),
         })
+    }
+
+    /// Gather the rest of the result into dense typed columns, one per
+    /// output, and page on over those — what `CREATE TABLE .. AS`
+    /// registers.
+    pub(crate) fn gather(&mut self) -> Result<Vec<Arc<ColumnData>>> {
+        let columns: Vec<Arc<ColumnData>> = self
+            .body
+            .gather_remaining()?
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        self.body = dense_body(&columns);
+        Ok(columns)
     }
 }
 
@@ -493,61 +503,33 @@ impl Iterator for QueryStream {
     }
 }
 
-/// Best-effort output schema for stream batches: column types derived
-/// from the plan, labels sanitised into unique identifiers.
-pub(crate) fn output_schema(plan: &Plan) -> Schema {
-    let names = unique_identifiers(&plan.output_names);
+/// The schema of a plan's result: each output's type under the one rule
+/// the kernels produce it by ([`Expr::result_type`](nodb_exec::Expr::result_type),
+/// [`AggSpec::result_type`](nodb_exec::AggSpec::result_type)) over the
+/// plan's column types, labels sanitised into unique identifiers. The
+/// advertised schema, every page and a table registered from the result
+/// therefore agree.
+pub(crate) fn output_schema(plan: &Plan) -> Result<Schema> {
+    let col_type = |c: usize| plan.combined_schema.field(c).map(|f| f.data_type);
     let fields = plan
         .output
         .iter()
-        .zip(names)
-        .map(|(o, name)| nodb_types::Field::new(name, output_type(o, &plan.combined_schema)))
-        .collect();
-    Schema::new(fields).expect("names uniquified above")
-}
-
-/// The advertised type of one output over the plan's combined `schema`.
-fn output_type(o: &nodb_sql::OutputExpr, schema: &Schema) -> nodb_types::DataType {
-    match o {
-        nodb_sql::OutputExpr::Scalar(e) => expr_type(e, schema),
-        nodb_sql::OutputExpr::Agg(a) => agg_type(a, schema),
-    }
-}
-
-fn expr_type(e: &nodb_exec::Expr, schema: &Schema) -> nodb_types::DataType {
-    use nodb_types::DataType;
-    match e {
-        nodb_exec::Expr::Col(c) => schema
-            .field(*c)
-            .map(|f| f.data_type)
-            .unwrap_or(DataType::Str),
-        nodb_exec::Expr::Lit(v) => v.data_type().unwrap_or(DataType::Int64),
-        nodb_exec::Expr::Binary { left, right, .. } => {
-            expr_type(left, schema).unify(expr_type(right, schema))
-        }
-    }
-}
-
-fn agg_type(a: &nodb_exec::AggSpec, schema: &Schema) -> nodb_types::DataType {
-    use nodb_exec::AggFunc;
-    use nodb_types::DataType;
-    match a.func {
-        AggFunc::Count | AggFunc::CountStar => DataType::Int64,
-        AggFunc::Avg => DataType::Float64,
-        AggFunc::Sum | AggFunc::Min | AggFunc::Max => a
-            .expr
-            .as_ref()
-            .map(|e| expr_type(e, schema))
-            .unwrap_or(DataType::Int64),
-    }
+        .zip(unique_identifiers(&plan.output_names))
+        .map(|(o, name)| {
+            let ty = match o {
+                OutputExpr::Scalar(e) => e.result_type(&col_type)?,
+                OutputExpr::Agg(a) => a.result_type(&col_type)?,
+            };
+            Ok(Field::new(name, ty))
+        })
+        .collect::<Result<Vec<Field>>>()?;
+    Schema::new(fields)
 }
 
 /// Sanitise a list of output labels into unique identifiers: each label
 /// is squashed to lowercase alphanumerics and underscores, and
-/// collisions get `_2`, `_3`, ... suffixes. Shared by stream schemas,
-/// result-table registration and the wire server's cursor descriptions
-/// so they can never disagree on a column's name.
-pub fn unique_identifiers(labels: &[String]) -> Vec<String> {
+/// collisions get `_2`, `_3`, ... suffixes.
+fn unique_identifiers(labels: &[String]) -> Vec<String> {
     let mut names: Vec<String> = Vec::with_capacity(labels.len());
     for (i, raw) in labels.iter().enumerate() {
         let base = sanitize_identifier(raw, i);
@@ -565,7 +547,7 @@ pub fn unique_identifiers(labels: &[String]) -> Vec<String> {
 /// Squash an arbitrary output label into a SQL identifier: alphanumerics
 /// keep (lowercased), runs of anything else become one `_`, and a name
 /// that ends up empty or digit-led gets a positional fallback.
-pub(crate) fn sanitize_identifier(raw: &str, ordinal: usize) -> String {
+fn sanitize_identifier(raw: &str, ordinal: usize) -> String {
     let mut s = String::with_capacity(raw.len());
     let mut prev_underscore = false;
     for c in raw.chars() {

@@ -186,7 +186,7 @@ pub fn sort_positions<C: Cols + ?Sized>(
     positions.sort_by(|&a, &b| {
         for &(k, asc) in keys {
             let col = cols.get_col(k).expect("validated");
-            let ord = col.get(a).total_cmp(&col.get(b));
+            let ord = col.get_ref(a).total_cmp(&col.get_ref(b));
             if !ord.is_eq() {
                 return if asc { ord } else { ord.reverse() };
             }
@@ -282,6 +282,32 @@ mod tests {
         assert_eq!(sorted, vec![1, 3, 0, 4, 2]);
         let sorted = sort_positions(&cols, vec![0, 1, 2, 3, 4], &[(0, false)]).unwrap();
         assert_eq!(sorted, vec![2, 4, 0, 3, 1]);
+    }
+
+    #[test]
+    fn sort_positions_on_text_with_nulls_and_ties() {
+        let (mut cols, _) = table();
+        let text = [Some("b"), None, Some("a"), Some("b"), None];
+        let text = text.map(|t| t.map_or(Value::Null, Value::from));
+        cols.insert(
+            3,
+            ColumnData::from_values(nodb_types::DataType::Str, text).unwrap(),
+        );
+        let all = || vec![0, 1, 2, 3, 4];
+        // NULLs first; ties keep their input order either way.
+        assert_eq!(
+            sort_positions(&cols, all(), &[(3, true)]).unwrap(),
+            vec![1, 4, 2, 0, 3]
+        );
+        assert_eq!(
+            sort_positions(&cols, all(), &[(3, false)]).unwrap(),
+            vec![0, 3, 2, 1, 4]
+        );
+        // A second key breaks the ties: column 0 is [5, 1, 9, 3, 7].
+        assert_eq!(
+            sort_positions(&cols, all(), &[(3, true), (0, false)]).unwrap(),
+            vec![4, 1, 2, 0, 3]
+        );
     }
 
     #[test]

@@ -92,19 +92,30 @@ impl Expr {
         }
     }
 
-    /// The type every non-NULL result of this expression has over `cols`
-    /// ([`arith`]'s widening rule applied to the operand types), or `None`
-    /// when it can only ever yield NULL.
-    pub fn result_type<C: Cols + ?Sized>(&self, cols: &C) -> Result<Option<DataType>> {
+    /// The type of this expression's results when column `c` has type
+    /// `col_type(c)`: [`arith`]'s widening rule applied to the operand
+    /// types; an always-NULL expression reads as `Int64`. The one rule
+    /// behind a result column's advertised type and its pages' type alike.
+    pub fn result_type(&self, col_type: &impl Fn(usize) -> Option<DataType>) -> Result<DataType> {
+        Ok(self.non_null_type(col_type)?.unwrap_or(DataType::Int64))
+    }
+
+    /// The type every non-NULL result has, or `None` when the expression
+    /// can only ever yield NULL.
+    fn non_null_type(
+        &self,
+        col_type: &impl Fn(usize) -> Option<DataType>,
+    ) -> Result<Option<DataType>> {
         Ok(match self {
             Expr::Col(c) => Some(
-                cols.get_col(*c)
-                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?
-                    .data_type(),
+                col_type(*c).ok_or_else(|| Error::exec(format!("column {c} not materialised")))?,
             ),
             Expr::Lit(v) => v.data_type(),
             Expr::Binary { left, right, .. } => {
-                match (left.result_type(cols)?, right.result_type(cols)?) {
+                match (
+                    left.non_null_type(col_type)?,
+                    right.non_null_type(col_type)?,
+                ) {
                     (Some(DataType::Int64), Some(DataType::Int64)) => Some(DataType::Int64),
                     (Some(_), Some(_)) => Some(DataType::Float64),
                     _ => None,
@@ -113,16 +124,15 @@ impl Expr {
         })
     }
 
-    /// Evaluate at each of `positions` into one dense typed column — the
-    /// columnar form of a literal or arithmetic output. An always-NULL
-    /// expression reads as `Int64`, like everywhere else a type is
-    /// inferred from values.
+    /// Evaluate at each of `positions` into one dense typed column (of
+    /// [`Expr::result_type`]) — the columnar form of a literal or
+    /// arithmetic output.
     pub fn eval_column<C: Cols + ?Sized>(
         &self,
         cols: &C,
         positions: impl ExactSizeIterator<Item = usize>,
     ) -> Result<ColumnData> {
-        let ty = self.result_type(cols)?.unwrap_or(DataType::Int64);
+        let ty = self.result_type(&|c| cols.get_col(c).map(ColumnData::data_type))?;
         let mut col = ColumnData::with_capacity(ty, positions.len());
         for pos in positions {
             col.push(self.eval(cols, pos)?)?;

@@ -704,6 +704,24 @@ impl AggState {
     }
 }
 
+impl AggSpec {
+    /// The type of this aggregate's result column — what the group
+    /// kernel's finished state holds — when column `c` has type
+    /// `col_type(c)`.
+    pub fn result_type(&self, col_type: &impl Fn(usize) -> Option<DataType>) -> Result<DataType> {
+        let arg = match &self.expr {
+            None => DataType::Int64,
+            Some(e) => e.result_type(col_type)?,
+        };
+        Ok(match (self.func, arg) {
+            (AggFunc::CountStar | AggFunc::Count, _) => DataType::Int64,
+            (AggFunc::Sum, DataType::Float64) | (AggFunc::Avg, _) => DataType::Float64,
+            (AggFunc::Sum, _) => DataType::Int64,
+            (AggFunc::Min | AggFunc::Max, ty) => ty,
+        })
+    }
+}
+
 /// A result column's null mask: `None` when no row is NULL.
 fn null_mask(is_null: impl Iterator<Item = bool>) -> Option<Vec<bool>> {
     let mask: Vec<bool> = is_null.collect();
@@ -1081,6 +1099,12 @@ mod tests {
                         assert_eq!(bits(&rows), bits(w), "{ctx}");
                         for (key, col) in group_cols.iter().zip(g) {
                             assert_eq!(col.data_type(), cols[key].data_type(), "{ctx}");
+                        }
+                        // Aggregate columns have the type the plan advertises.
+                        let col_type = |c: usize| cols.get(&c).map(ColumnData::data_type);
+                        for (spec, col) in specs.iter().zip(&g[group_cols.len()..]) {
+                            let want = spec.result_type(&col_type).unwrap();
+                            assert_eq!(col.data_type(), want, "{ctx}: {spec:?}");
                         }
                     }
                     (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),

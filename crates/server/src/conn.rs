@@ -12,9 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nodb_core::{
-    leading_keyword, result_column_types, unique_identifiers, QueryOutput, QueryStream, Session,
-};
+use nodb_core::{QueryStream, Session};
 use nodb_types::profile::{Phase, ProfileScope, ProfileSink};
 use nodb_types::{CancelToken, Error, ProfileHandle, Result, Value};
 
@@ -22,60 +20,27 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::{encode_batch_page, encode_batch_rows, ColumnDesc, Request, Response};
 use crate::server::Registry;
 
-/// An open server-side cursor: rows still owed to the client.
-enum Cursor {
-    /// A streaming SELECT: pages come straight off the engine's
-    /// [`QueryStream`] as typed columns and are encoded from them, so
-    /// un-fetched rows are never materialised beyond what execution
-    /// already produced. Boxed: a stream is an order of magnitude larger
-    /// than the `Rows` variant.
-    Stream(Box<QueryStream>),
-    /// A materialised result (`CREATE TABLE .. AS SELECT ..` returns its
-    /// rows too); paged out of the buffer front to back.
-    Rows {
-        /// The result; rows from `next` onwards are still owed.
-        rows: Vec<Vec<Value>>,
-        /// Next row to emit.
-        next: usize,
-    },
-}
-
-impl Cursor {
-    /// Append the `BATCH` payload of the next page (at most `batch_rows`
-    /// rows for a materialised result; a stream pages at its own batch
-    /// size) to `out`. On error `out` may hold a partial payload.
-    fn encode_next_page(&mut self, batch_rows: usize, out: &mut Vec<u8>) -> Result<()> {
-        let payload_at = out.len();
-        match self {
-            Cursor::Stream(s) => {
-                let page = s.next_columns()?;
-                let started = Instant::now();
-                match page {
-                    Some(page) => encode_batch_page(out, false, &page),
-                    None => encode_batch_rows(out, false, &[]),
-                }
-                if let Some(sink) = s.profile() {
-                    sink.add_phase_ns(Phase::WireSerialize, started.elapsed().as_nanos() as u64);
-                }
-            }
-            Cursor::Rows { rows, next } => {
-                let hi = (*next + batch_rows).min(rows.len());
-                encode_batch_rows(out, false, &rows[*next..hi]);
-                *next = hi;
-            }
-        }
-        // The `done` flag sits right after the opcode; it is known only
-        // once the page has been taken off the cursor.
-        out[payload_at + 1] = u8::from(self.exhausted());
-        Ok(())
+/// Append the `BATCH` payload of an open cursor's next page to `out`.
+/// Every statement — SELECT, `CREATE TABLE .. AS`, `EXPLAIN` — answers as
+/// a [`QueryStream`], so a page comes straight off it as typed columns
+/// and is encoded from them: un-fetched rows are never materialised
+/// beyond what execution already produced. On error `out` may hold a
+/// partial payload.
+fn encode_next_page(stream: &mut QueryStream, out: &mut Vec<u8>) -> Result<()> {
+    let payload_at = out.len();
+    let page = stream.next_columns()?;
+    let started = Instant::now();
+    match page {
+        Some(page) => encode_batch_page(out, false, &page),
+        None => encode_batch_rows(out, false, &[]),
     }
-
-    fn exhausted(&self) -> bool {
-        match self {
-            Cursor::Stream(s) => s.rows_remaining() == 0,
-            Cursor::Rows { rows, next } => *next >= rows.len(),
-        }
+    if let Some(sink) = stream.profile() {
+        sink.add_phase_ns(Phase::WireSerialize, started.elapsed().as_nanos() as u64);
     }
+    // The `done` flag sits right after the opcode; it is known only once
+    // the page has been taken off the stream.
+    out[payload_at + 1] = u8::from(stream.rows_remaining() == 0);
+    Ok(())
 }
 
 /// What the connection loop should do after a response is sent.
@@ -88,8 +53,9 @@ pub(crate) enum Flow {
 }
 
 /// Open cursors one connection may hold. Cursors can pin materialised
-/// results (grouped columns, CTAS rows) server-side, so a client that opens queries
-/// without ever fetching must hit a typed error, not grow the heap.
+/// results (grouped columns, CTAS columns) server-side, so a client that
+/// opens queries without ever fetching must hit a typed error, not grow
+/// the heap.
 const MAX_OPEN_CURSORS: usize = 64;
 
 /// Prepared statements one connection may hold before `CLOSE` is
@@ -152,21 +118,20 @@ struct PendingProfile {
 pub(crate) struct Conn {
     session: Session,
     stmts: HashMap<u32, (nodb_core::Prepared, u64)>,
-    cursors: HashMap<u32, Cursor>,
+    /// Open cursors: each pages its stream at the session's batch size.
+    cursors: HashMap<u32, Box<QueryStream>>,
     next_id: u32,
-    batch_rows: usize,
     ctx: ConnCtx,
     pending_profile: Option<PendingProfile>,
 }
 
 impl Conn {
-    pub(crate) fn new(session: Session, batch_rows: usize, ctx: ConnCtx) -> Conn {
+    pub(crate) fn new(session: Session, ctx: ConnCtx) -> Conn {
         Conn {
             session,
             stmts: HashMap::new(),
             cursors: HashMap::new(),
             next_id: 1,
-            batch_rows,
             ctx,
             pending_profile: None,
         }
@@ -276,31 +241,12 @@ impl Conn {
 
     fn query(&mut self, sql: &str) -> Result<Response> {
         self.ensure_cursor_capacity()?;
-        enum Ran {
-            Rows(Box<QueryOutput>),
-            Stream(Box<QueryStream>),
-        }
-        // `CREATE TABLE .. AS SELECT ..` materialises (the engine needs
-        // the full result to register the table), and `EXPLAIN` /
-        // `EXPLAIN ANALYZE` return their rendered listing as rows;
-        // plain SELECTs stream.
-        let kw = leading_keyword(sql);
-        let materialise = kw.eq_ignore_ascii_case("create") || kw.eq_ignore_ascii_case("explain");
         let sink = self.arm_profile();
-        let ran = {
+        let stream = {
             let _scope = sink.as_ref().map(|s| ProfileScope::enter(Arc::clone(s)));
             let session = &self.session;
-            if materialise {
-                Ran::Rows(Box::new(
-                    self.ctx
-                        .run_registered(|token| session.sql_with_guard(sql, token))?,
-                ))
-            } else {
-                Ran::Stream(Box::new(
-                    self.ctx
-                        .run_registered(|token| session.query_with_guard(sql, token))?,
-                ))
-            }
+            self.ctx
+                .run_registered(|token| session.query_with_guard(sql, token))?
         };
         if let Some(sink) = sink {
             self.pending_profile = Some(PendingProfile {
@@ -308,10 +254,7 @@ impl Conn {
                 fingerprint: sql_fingerprint(sql),
             });
         }
-        Ok(match ran {
-            Ran::Rows(out) => self.open_rows_cursor(*out),
-            Ran::Stream(s) => self.open_stream_cursor(*s),
-        })
+        Ok(self.open_stream_cursor(stream))
     }
 
     fn prepare(&mut self, sql: &str) -> Result<Response> {
@@ -386,32 +329,7 @@ impl Conn {
             })
             .collect();
         let id = self.fresh_id();
-        self.cursors.insert(id, Cursor::Stream(Box::new(stream)));
-        Response::Cursor { id, columns }
-    }
-
-    fn open_rows_cursor(&mut self, out: QueryOutput) -> Response {
-        let idents = unique_identifiers(&out.columns);
-        let types = result_column_types(out.columns.len(), &out.rows);
-        let columns = out
-            .columns
-            .iter()
-            .zip(idents)
-            .zip(types)
-            .map(|((label, ident), dtype)| ColumnDesc {
-                label: label.clone(),
-                ident,
-                dtype,
-            })
-            .collect();
-        let id = self.fresh_id();
-        self.cursors.insert(
-            id,
-            Cursor::Rows {
-                rows: out.rows,
-                next: 0,
-            },
-        );
+        self.cursors.insert(id, Box::new(stream));
         Response::Cursor { id, columns }
     }
 
@@ -421,10 +339,10 @@ impl Conn {
             .cursors
             .get_mut(&cursor)
             .ok_or_else(|| Error::exec(format!("no such cursor: {cursor}")))?;
-        let paged = cur.encode_next_page(self.batch_rows, out);
+        let paged = encode_next_page(cur, out);
         // A cursor that errored can never be drained; drop it so it does
         // not hold the connection open through shutdown.
-        if paged.is_err() || cur.exhausted() {
+        if paged.is_err() || cur.rows_remaining() == 0 {
             self.cursors.remove(&cursor);
         }
         paged

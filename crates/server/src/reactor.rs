@@ -334,7 +334,6 @@ impl Reactor {
         };
         let conn = Conn::new(
             self.engine.session().with_batch_size(self.cfg.batch_rows),
-            self.cfg.batch_rows,
             ctx,
         );
         let slot = ConnSlot {

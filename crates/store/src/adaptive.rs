@@ -242,14 +242,15 @@ impl TableData {
         self.full.get(&col).map(|f| &f.data)
     }
 
-    /// Install a fully loaded column.
-    pub fn insert_full(&mut self, col: usize, data: ColumnData, now: u64) {
+    /// Install a fully loaded column (owned, or shared with its producer).
+    pub fn insert_full(&mut self, col: usize, data: impl Into<Arc<ColumnData>>, now: u64) {
+        let data = data.into();
         self.set_nrows(data.len() as u64);
         let bytes = data.approx_bytes();
         if let Some(old) = self.full.insert(
             col,
             FullColumn {
-                data: Arc::new(data),
+                data,
                 last_used: now,
             },
         ) {

@@ -147,26 +147,10 @@ impl Value {
         }
     }
 
-    /// A total order usable for sorting and B-tree keys: nulls first, then
-    /// numerics (widened, `total_cmp`), then strings.
+    /// A total order usable for sorting and B-tree keys; see
+    /// [`ValueRef::total_cmp`].
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Int(_) | Value::Float(_) => 1,
-                Value::Str(_) => 2,
-            }
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) if rank(a) == 1 && rank(b) == 1 => {
-                // Mixed int/float: widen. `as_f64` cannot fail at rank 1.
-                a.as_f64().unwrap().total_cmp(&b.as_f64().unwrap())
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        self.as_value_ref().total_cmp(&other.as_value_ref())
     }
 }
 
@@ -187,6 +171,28 @@ pub enum ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
+    /// A total order usable for sorting and B-tree keys: nulls first, then
+    /// numerics (widened, `total_cmp`), then strings.
+    pub fn total_cmp(&self, other: &ValueRef<'_>) -> Ordering {
+        fn rank(v: &ValueRef<'_>) -> u8 {
+            match v {
+                ValueRef::Null => 0,
+                ValueRef::Int(_) | ValueRef::Float(_) => 1,
+                ValueRef::Str(_) => 2,
+            }
+        }
+        match (self, other) {
+            (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(b),
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+            // Mixed int/float: widen.
+            (ValueRef::Int(a), ValueRef::Float(b)) => (*a as f64).total_cmp(b),
+            (ValueRef::Float(a), ValueRef::Int(b)) => a.total_cmp(&(*b as f64)),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+
     /// The owned value this cell holds.
     pub fn to_value(self) -> Value {
         match self {

@@ -187,19 +187,21 @@ fn server_deadline_fires_mid_slow_query() {
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    // ~32 morsels x 20ms each: far past the 60ms deadline.
+    // 2 000 rows / 64 per morsel = 32 morsels x 20ms each: far past the
+    // 60ms deadline.
     failpoints::arm("rawcsv.morsel", Action::delay_ms(20));
-    let before = std::time::Instant::now();
     let err = client
         .query("select sum(a2) from t where a1 > 3")
         .unwrap_err();
     assert!(matches!(err, Error::Timeout(_)), "got {err:?}");
-    // The abort happened within a morsel or two of the deadline, not
-    // after the whole (~640ms of injected delay) scan.
+    // The abort happened within a morsel or two of the deadline, not after
+    // the whole scan. Counted in morsels, not milliseconds: the deadline
+    // passes no slower than the injected delays do, so a loaded machine
+    // cannot trip more morsels before it fires (~3 per worker).
+    let morsels = failpoints::hits("rawcsv.morsel");
     assert!(
-        before.elapsed() < Duration::from_millis(500),
-        "query ran to completion despite deadline: {:?}",
-        before.elapsed()
+        morsels < 16,
+        "query ran on despite the deadline: {morsels} of 32 morsels"
     );
     failpoints::disarm_all();
 
@@ -255,31 +257,36 @@ fn cancel_query_aborts_running_scan_and_frees_worker() {
     let server = NodbServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
-    // ~32 morsels x 40ms: an uncancelled run takes >= 640ms even with
-    // both workers scanning.
+    // 2 000 rows / 64 per morsel = 32 morsels x 40ms: an uncancelled run
+    // takes >= 640ms even with both workers scanning.
     failpoints::arm("rawcsv.morsel", Action::delay_ms(40));
 
     let (tx, rx) = std::sync::mpsc::channel();
     let victim = std::thread::spawn(move || {
         let mut a = Client::connect(addr).unwrap();
         tx.send(a.session_id()).unwrap();
-        let started = std::time::Instant::now();
         let err = a.query("select sum(a2) from t where a1 > 3").unwrap_err();
-        (a, err, started.elapsed())
+        (a, err)
     });
 
     let session_a = rx.recv().unwrap();
     // Let the victim's scan actually start before shooting it down.
     std::thread::sleep(Duration::from_millis(120));
     let mut b = Client::connect(addr).unwrap();
+    let at_cancel = failpoints::hits("rawcsv.morsel");
     b.cancel_query(session_a).unwrap();
 
-    let (mut a, err, elapsed) = victim.join().unwrap();
+    let (mut a, err) = victim.join().unwrap();
+    // Counted in morsels, not milliseconds, so a slow machine cannot make
+    // a prompt abort look late: each worker finishes the morsel it is in
+    // and maybe one more before it sees the cancel, and the scan never
+    // gets near its 32 morsels.
+    let morsels = failpoints::hits("rawcsv.morsel");
     failpoints::disarm_all();
     assert!(matches!(err, Error::Cancelled(_)), "got {err:?}");
     assert!(
-        elapsed < Duration::from_millis(450),
-        "cancel did not abort the scan promptly: {elapsed:?}"
+        morsels < 32 && morsels - at_cancel <= 6,
+        "cancel did not abort the scan promptly: {morsels} morsels, {at_cancel} before the cancel"
     );
 
     // The victim's connection survived and its worker is free again.

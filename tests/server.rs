@@ -756,6 +756,43 @@ fn computed_results_batch_bytes_match_the_row_encoding() {
     server.shutdown();
 }
 
+/// A CTAS cursor advertises the column types its defining SELECT
+/// advertises — also when nothing qualifies or a column holds only NULLs —
+/// and pages the same rows.
+#[test]
+fn ctas_cursor_advertises_the_select_types() {
+    let dir = common::test_dir("srv_ctas_types");
+    let table = dir.join("m.csv");
+    common::write_mixed_table(&table, 400);
+    let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(2);
+    cfg.store_dir = Some(dir.join("store"));
+    let engine = Arc::new(Engine::new(cfg));
+    engine.register_table("m", &table).unwrap();
+    let server = serve(engine, ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let dtypes = |c: &nodb::RemoteCursor| c.columns.iter().map(|d| d.dtype).collect::<Vec<_>>();
+    for (i, select) in [
+        "select a3, a4 from m where a1 > 1000",
+        // Row 17 holds NULL in both `a2` (int) and `a4` (text).
+        "select a4, a2 * 1.5, a3 from m where a1 = 17",
+        "select a4, sum(a3), min(a4) from m group by a4",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut plain = client.query(select).unwrap();
+        let want = dtypes(&plain);
+        let want_rows = client.fetch_all(&mut plain).unwrap();
+        let mut ctas = client
+            .query(&format!("create table t{i} as {select}"))
+            .unwrap();
+        assert_eq!(dtypes(&ctas), want, "{select}");
+        assert_eq!(client.fetch_all(&mut ctas).unwrap(), want_rows, "{select}");
+    }
+    client.quit().unwrap();
+    server.shutdown();
+}
+
 /// What an open cursor pins stays in the query's memory reservation
 /// until the cursor goes away: a CANCEL mid-drain and a connection
 /// dropped mid-drain both hand it back to the pool.

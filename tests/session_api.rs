@@ -229,6 +229,11 @@ fn computed_results_page_as_typed_columns() {
         e
     };
     let queries = [
+        // Scalar arithmetic: a nullable int plus a float, a float times an int.
+        "select a1, a2 + a3, a3 * 2 from m where a1 < 30 order by a1",
+        "select min(a4) from m where a1 > 10",
+        // CTAS pages the columns it registers.
+        "create table c as select a4, a2 + a3 from m where a1 > 380",
         "select sum(a1), count(*), avg(a3), min(a2) from m where a1 > 10",
         // Nothing qualifies: NULLs of the advertised types, zero counts.
         "select sum(a1), min(a3), max(a4), count(a2), count(*) from m where a1 > 100000",
@@ -247,7 +252,7 @@ fn computed_results_page_as_typed_columns() {
         .map(|sql| reference.sql(sql).unwrap().rows)
         .collect();
     assert_eq!(
-        want[1],
+        want[4],
         vec![vec![
             Value::Null,
             Value::Null,
@@ -256,37 +261,83 @@ fn computed_results_page_as_typed_columns() {
             Value::Int(0)
         ]]
     );
-    assert_eq!(want[3].len(), 3);
-    assert!(want[4].iter().any(|r| r[0] == Value::Null));
-    assert!(want[6].is_empty());
-    assert!(want[7].len() > 1);
+    assert_eq!(want[6].len(), 3);
+    assert!(want[7].iter().any(|r| r[0] == Value::Null));
+    assert!(want[9].is_empty());
+    assert!(want[10].len() > 1);
 
+    // Drain a stream page by page, checking every page column against
+    // the advertised schema.
+    let typed_rows = |mut stream: nodb::QueryStream, at: &str| {
+        let types: Vec<_> = stream
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.data_type)
+            .collect();
+        let mut rows = Vec::new();
+        while let Some(page) = stream.next_columns().unwrap() {
+            assert!(page.n_rows() <= 2);
+            let got: Vec<_> = page
+                .columns()
+                .iter()
+                .map(|c| c.data().data_type())
+                .collect();
+            assert_eq!(got, types, "{at}");
+            rows.extend(page.to_rows());
+        }
+        rows
+    };
     for threads in [2, 1] {
         let s = engine(threads).session().with_batch_size(2);
         for pass in ["cold", "warm"] {
             for (sql, want) in queries.iter().zip(&want) {
-                let mut stream = s.query(sql).unwrap();
-                let types: Vec<_> = stream
-                    .schema()
-                    .fields()
-                    .iter()
-                    .map(|f| f.data_type)
-                    .collect();
-                let mut rows = Vec::new();
-                while let Some(page) = stream.next_columns().unwrap() {
-                    assert!(page.n_rows() <= 2);
-                    let got: Vec<_> = page
-                        .columns()
-                        .iter()
-                        .map(|c| c.data().data_type())
-                        .collect();
-                    assert_eq!(got, types, "{sql} ({pass}, {threads} threads)");
-                    rows.extend(page.to_rows());
-                }
-                assert_eq!(&rows, want, "{sql} ({pass}, {threads} threads)");
+                let at = format!("{sql} ({pass}, {threads} threads)");
+                assert_eq!(&typed_rows(s.query(sql).unwrap(), &at), want, "{at}");
+            }
+            for sql in [
+                "explain select a4, count(*) from m group by a4",
+                "explain analyze select sum(a3) from m where a1 > 5",
+            ] {
+                let at = format!("{sql} ({pass}, {threads} threads)");
+                assert!(!typed_rows(s.query(sql).unwrap(), &at).is_empty(), "{at}");
             }
         }
     }
+}
+
+/// `CREATE TABLE .. AS` registers the defining query's typed columns under
+/// its stream's schema — nothing is re-inferred from values — so an empty
+/// selection or an all-NULL column keeps the source types, and predicates
+/// on the new table type-check like they do on the source.
+#[test]
+fn ctas_keeps_the_select_types_of_empty_and_all_null_results() {
+    let dir = test_dir("ctas_types");
+    let m = dir.join("m.csv");
+    write_mixed_table(&m, 400);
+    let e = Arc::new(engine_in(&dir, LoadingStrategy::ColumnLoads));
+    e.register_table("m", &m).unwrap();
+    let s = e.session();
+    for (table, select) in [
+        // Nothing qualifies.
+        ("e", "select a3, a4 from m where a1 > 1000"),
+        // Row 17 holds NULL in both `a2` (int) and `a4` (text).
+        ("n", "select a4, a2 * 1.5, a3 from m where a1 = 17"),
+    ] {
+        let want = s.query(select).unwrap().schema().clone();
+        s.sql(&format!("create table {table} as {select}")).unwrap();
+        let got = e.table_info(table).unwrap().schema;
+        assert_eq!(got, Some(want), "{select}");
+    }
+    let none = s.sql("select count(*) from e where a4 = 'z'").unwrap();
+    assert_eq!(none.scalar(), Some(&Value::Int(0)));
+    let nulls = s
+        .sql("select count(*), count(a4), min(a2_1_5) from n where a3 > 0.5")
+        .unwrap();
+    assert_eq!(
+        nulls.rows,
+        vec![vec![Value::Int(1), Value::Int(0), Value::Null]]
+    );
 }
 
 /// A plain aggregate's float result depends on the morsel boundaries only:
