@@ -21,7 +21,7 @@ use nodb_core::LoadingStrategy;
 use nodb_exec::{AggFunc, AggSpec};
 use nodb_rawcsv::gen::selective_range;
 use nodb_store::CrackedColumn;
-use nodb_types::{Schema, Value, WorkCounters};
+use nodb_types::{Schema, Value, ValueRef, WorkCounters};
 
 fn main() {
     let scale = Scale::from_env();
@@ -144,7 +144,7 @@ fn main() {
             let mut n = 0u64;
             for (v, rid) in vals.iter().zip(rowids) {
                 let a2 = cols[1][*rid as usize];
-                if !a2_range.contains(&Value::Int(a2)) {
+                if !a2_range.contains(ValueRef::Int(a2)) {
                     continue;
                 }
                 sum_a1 += *v;

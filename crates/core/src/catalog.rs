@@ -233,6 +233,7 @@ impl TableEntry {
         self.schema_info = None;
         self.fingerprint = None;
         self.monitor = TableMonitor::default();
+        nodb_types::resource::release_free_memory();
     }
 
     /// The schema (must be ensured first).

@@ -969,8 +969,9 @@ fn refs(cols: &[ColumnData]) -> Vec<&ColumnData> {
 }
 
 /// The retired row-at-a-time GROUP BY, kept as the reference the typed
-/// kernel is tested against: per morsel, one `GroupKey(Vec<Value>)` per
-/// row into a `HashMap`, every aggregate fed through
+/// kernel is tested against: per morsel, every predicate matched per row
+/// on a boxed `Value`, one `GroupKey(Vec<Value>)` per qualifying row into a
+/// `HashMap`, every aggregate fed through
 /// `Accumulator::update(&Value)` from `Expr::eval`; partials merged in
 /// morsel order with `Accumulator::merge`; groups in first-appearance
 /// order. Without group columns it answers as SQL does: exactly one row,
@@ -996,7 +997,13 @@ pub(crate) fn reference_group_aggregate<C: Cols + ?Sized>(
         let hi = lo.saturating_add(morsel_rows.max(1)).min(n_rows);
         let mut local: HashMap<GroupKey, usize> = HashMap::new();
         let mut partial: Vec<(GroupKey, Vec<Accumulator>)> = Vec::new();
-        for i in filter_positions_range(cols, lo, hi, conj)? {
+        // The filter one row at a time, as each predicate defines it.
+        let pass = |i| {
+            conj.preds
+                .iter()
+                .all(|p| p.matches(&cols.get_col(p.col).expect("filter column").get(i)))
+        };
+        for i in (lo..hi).filter(|&i| pass(i)) {
             let key = GroupKey(
                 group_cols
                     .iter()
@@ -1280,8 +1287,9 @@ mod tests {
 
         /// Key columns of `kinds` plus every aggregate over int, float,
         /// text and arithmetic arguments, built from per-row seeds, with
-        /// no filter (`filter` 0), a partial one (1) or one no row passes
-        /// (2): kernel and reference must agree on all of it.
+        /// no filter (`filter` 0), a partial one (1), one no row passes
+        /// (2), or one on a nullable int, float or text column or all of
+        /// them (3..7): kernel and reference must agree on all of it.
         fn check_against_reference(seeds: &[u64], kinds: &[u8], filter: u8, big: bool) {
             let n = seeds.len();
             let mut cols = BTreeMap::new();
@@ -1347,11 +1355,29 @@ mod tests {
                 expr: None,
             });
 
-            let conj = match filter {
-                0 => Conjunction::always(),
-                1 => Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 60i64)]),
-                _ => Conjunction::new(vec![ColPred::new(13, CmpOp::Lt, 0i64)]),
-            };
+            use CmpOp::*;
+            let conj = Conjunction::new(match filter {
+                0 => vec![],
+                1 => vec![ColPred::new(13, Lt, 60i64)],
+                2 => vec![ColPred::new(13, Lt, 0i64)],
+                // Nullable int: a range with a hole.
+                3 => vec![
+                    ColPred::new(10, Gt, -500i64),
+                    ColPred::new(10, Le, 400i64),
+                    ColPred::new(10, Ne, 7i64),
+                ],
+                // Nullable float, against int and float literals.
+                4 => vec![ColPred::new(11, Ge, -20i64), ColPred::new(11, Lt, 60.5)],
+                // Nullable text.
+                5 => vec![ColPred::new(12, Gt, "a"), ColPred::new(12, Ne, "abc")],
+                // Every type at once, and an int column under a float bound.
+                _ => vec![
+                    ColPred::new(13, Ge, 10i64),
+                    ColPred::new(13, Lt, 80.5),
+                    ColPred::new(11, Lt, 100.0),
+                    ColPred::new(12, Le, "é"),
+                ],
+            });
             let group_cols: Vec<usize> = (0..kinds.len()).collect();
             assert_matches_reference(&cols, n, &conj, &group_cols, &specs);
         }
@@ -1362,7 +1388,7 @@ mod tests {
         #[test]
         fn zero_keys_are_one_group() {
             let seeds: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-            for filter in 0..3 {
+            for filter in 0..7 {
                 check_against_reference(&[], &[], filter, false);
                 check_against_reference(&seeds, &[], filter, false);
             }
@@ -1373,13 +1399,14 @@ mod tests {
             /// key type (alone, in two- and three-column keys, and the
             /// empty key: exactly one group, qualifying rows or not),
             /// every aggregate over int, float, text and arithmetic
-            /// arguments, with no, some or every row filtered out, across
-            /// thread counts and morsel sizes.
+            /// arguments, with no, some or every row filtered out by
+            /// predicates on every column type, across thread counts and
+            /// morsel sizes.
             #[test]
             fn kernel_matches_row_at_a_time_reference(
                 seeds in proptest::collection::vec(proptest::num::u64::ANY, 0..90),
                 kinds in proptest::collection::vec(0u8..10, 0..4),
-                filter in 0u8..3,
+                filter in 0u8..7,
                 big in proptest::bool::ANY,
             ) {
                 check_against_reference(&seeds, &kinds, filter, big);

@@ -7,7 +7,9 @@
 //!   group ids + typed per-group state) every aggregate runs: GROUP BY,
 //!   and the plain aggregate as its zero-key case, which is the paper's
 //!   §5.2.2 hybrid operator (filter and every aggregate in one pass);
-//! * [`columnar`] — column-at-a-time selection vectors, sorting and
+//! * [`columnar`] — the one predicate kernel every filter runs
+//!   ([`filter_positions_range`]: each column's conjuncts folded into one
+//!   [`nodb_types::ColumnTest`], blocks scanned branch-free), sorting and
 //!   projection (MonetDB style);
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate functions;
 //! * [`join`] — hash equi-joins over columns, and the flat [`JoinTable`]

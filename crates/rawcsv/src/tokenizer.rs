@@ -25,7 +25,9 @@ use std::io::Read;
 use std::path::Path;
 
 use nodb_types::profile::{self, Phase};
-use nodb_types::{ColumnData, Conjunction, DataType, Error, Result, Schema, Value, WorkCounters};
+use nodb_types::{
+    ColumnData, ColumnTest, Conjunction, DataType, Error, Result, Schema, Value, WorkCounters,
+};
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
 use crate::posmap::{PositionalMap, UNKNOWN};
@@ -151,7 +153,7 @@ pub fn scan_bytes(
         p.add_bytes(bytes.len() as u64);
     }
     let max_touch = *touch.last().expect("nonempty");
-    let preds_by_col = group_pushdown(spec);
+    let tests_by_col = group_pushdown(spec);
     let record_cols = record_columns(posmap.as_deref(), max_touch);
 
     let ctx = ScanCtx {
@@ -163,7 +165,7 @@ pub fn scan_bytes(
         needed: &spec.needed,
         touch: &touch,
         max_touch,
-        preds_by_col: &preds_by_col,
+        tests_by_col: &tests_by_col,
         record_cols: &record_cols,
         posmap: posmap.as_deref(),
         cancel: nodb_types::cancel::current(),
@@ -316,18 +318,19 @@ fn touch_plan(spec: &ScanSpec<'_>) -> Vec<usize> {
     touch
 }
 
-/// Pre-group pushdown predicates by column, in file order.
-fn group_pushdown<'a>(spec: &ScanSpec<'a>) -> BTreeMap<usize, Vec<&'a nodb_types::ColPred>> {
-    match spec.pushdown {
-        Some(p) if !p.preds.is_empty() => {
-            let mut m: BTreeMap<usize, Vec<&nodb_types::ColPred>> = BTreeMap::new();
-            for pred in &p.preds {
-                m.entry(pred.col).or_default().push(pred);
-            }
-            m
-        }
-        _ => BTreeMap::new(),
-    }
+/// Fold the pushdown predicates into one typed test per column, in file
+/// order (the schema has been validated to cover every column).
+fn group_pushdown(spec: &ScanSpec<'_>) -> BTreeMap<usize, ColumnTest> {
+    let Some(p) = spec.pushdown else {
+        return BTreeMap::new();
+    };
+    p.columns()
+        .into_iter()
+        .map(|c| {
+            let ty = spec.schema.field(c).expect("validated").data_type;
+            (c, ColumnTest::fold(ty, p.preds_on(c)))
+        })
+        .collect()
 }
 
 /// Which columns should have offsets recorded into the posmap: every
@@ -349,7 +352,7 @@ struct ScanCtx<'a> {
     needed: &'a [usize],
     touch: &'a [usize],
     max_touch: usize,
-    preds_by_col: &'a BTreeMap<usize, Vec<&'a nodb_types::ColPred>>,
+    tests_by_col: &'a BTreeMap<usize, ColumnTest>,
     record_cols: &'a [usize],
     posmap: Option<&'a PositionalMap>,
     /// The query's cancel token, captured on the entry thread: phase-2
@@ -397,7 +400,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
     let mut cancel_check = nodb_types::CancelCheck::with_token(ctx.cancel.clone());
     let n = hi - lo;
     // Without pushdown every row qualifies — size builders exactly.
-    let cap = if ctx.preds_by_col.is_empty() {
+    let cap = if ctx.tests_by_col.is_empty() {
         n
     } else {
         n / 4
@@ -495,8 +498,8 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                 let raw = &rowb[pos..fe];
                 let ty = ctx.schema.field(col).expect("validated").data_type;
                 let needs_value = needed_slot[col] != usize::MAX;
-                let preds = ctx.preds_by_col.get(&col);
-                if needs_value || preds.is_some() {
+                let test = ctx.tests_by_col.get(&col);
+                if needs_value || test.is_some() {
                     out.counters.values_parsed += 1;
                     // Typed fast paths: numeric fields go straight from
                     // bytes to i64/f64 and predicates are checked on the
@@ -508,8 +511,8 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                     match ty {
                         DataType::Int64 => match parse_i64_field(raw, q).map_err(row_col_err)? {
                             Some(x) => {
-                                if let Some(preds) = preds {
-                                    if !preds.iter().all(|p| p.matches_i64(x)) {
+                                if let Some(test) = test {
+                                    if !test.matches_i64(x) {
                                         out.counters.rows_abandoned += 1;
                                         qualified = false;
                                         break;
@@ -521,7 +524,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                             }
                             None => {
                                 // NULL never satisfies a predicate.
-                                if preds.is_some() {
+                                if test.is_some() {
                                     out.counters.rows_abandoned += 1;
                                     qualified = false;
                                     break;
@@ -530,8 +533,8 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                         },
                         DataType::Float64 => match parse_f64_field(raw, q).map_err(row_col_err)? {
                             Some(x) => {
-                                if let Some(preds) = preds {
-                                    if !preds.iter().all(|p| p.matches_f64(x)) {
+                                if let Some(test) = test {
+                                    if !test.matches_f64(x) {
                                         out.counters.rows_abandoned += 1;
                                         qualified = false;
                                         break;
@@ -542,7 +545,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                                 }
                             }
                             None => {
-                                if preds.is_some() {
+                                if test.is_some() {
                                     out.counters.rows_abandoned += 1;
                                     qualified = false;
                                     break;
@@ -551,8 +554,8 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                         },
                         DataType::Str => {
                             let v = parse_field(raw, ty, q).map_err(row_col_err)?;
-                            if let Some(preds) = preds {
-                                if !preds.iter().all(|p| p.matches(&v)) {
+                            if let Some(test) = test {
+                                if !test.matches(v.as_value_ref()) {
                                     out.counters.rows_abandoned += 1;
                                     qualified = false;
                                     break;
@@ -588,7 +591,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
         }
         if short_row {
             // NULLs cannot satisfy predicates on the missing columns.
-            if let Some(p) = ctx.preds_by_col.keys().find(|&&c| c > col) {
+            if let Some(p) = ctx.tests_by_col.keys().find(|&&c| c > col) {
                 let _ = p;
                 out.counters.rows_abandoned += 1;
                 continue 'rows;
@@ -663,7 +666,7 @@ where
         return Ok(nrows as u64);
     }
     let max_touch = *touch.last().expect("nonempty");
-    let preds_by_col = group_pushdown(spec);
+    let tests_by_col = group_pushdown(spec);
     let record_cols = record_columns(posmap.as_deref(), max_touch);
 
     let ctx = ScanCtx {
@@ -675,7 +678,7 @@ where
         needed: &spec.needed,
         touch: &touch,
         max_touch,
-        preds_by_col: &preds_by_col,
+        tests_by_col: &tests_by_col,
         record_cols: &record_cols,
         posmap: posmap.as_deref(),
         cancel: nodb_types::cancel::current(),

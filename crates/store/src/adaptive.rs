@@ -88,8 +88,7 @@ impl Fragment {
         let mut keep: Vec<usize> = Vec::new();
         'rows: for i in 0..n {
             for (col, iv) in &bx.by_col {
-                let v = self.cols[col].get(i);
-                if !iv.contains(&v) {
+                if !iv.contains(self.cols[col].get_ref(i)) {
                     continue 'rows;
                 }
             }
@@ -375,8 +374,7 @@ impl TableData {
                 .fragment(id)
                 .ok_or_else(|| Error::exec(format!("no fragment {id}")))?;
             for i in 0..f.len() {
-                let v = f.cols[&col].get(i);
-                if iv.contains(&v) {
+                if iv.contains(f.cols[&col].get_ref(i)) {
                     tuples
                         .entry(f.rowids[i])
                         .or_insert_with(|| needed.iter().map(|c| f.cols[c].get(i)).collect());

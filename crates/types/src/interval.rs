@@ -16,7 +16,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// One end of an interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,19 +143,20 @@ impl Interval {
     }
 
     /// Does the interval contain `v`? Nulls are contained in nothing.
-    pub fn contains(&self, v: &Value) -> bool {
-        if v.is_null() {
+    pub fn contains(&self, v: ValueRef<'_>) -> bool {
+        if v == ValueRef::Null {
             return false;
         }
+        let cmp = |b: &Value| v.total_cmp(&b.as_value_ref());
         let lo_ok = match &self.lo {
             Bound::Unbounded => true,
-            Bound::Inclusive(b) => v.total_cmp(b) != Ordering::Less,
-            Bound::Exclusive(b) => v.total_cmp(b) == Ordering::Greater,
+            Bound::Inclusive(b) => cmp(b) != Ordering::Less,
+            Bound::Exclusive(b) => cmp(b) == Ordering::Greater,
         };
         let hi_ok = match &self.hi {
             Bound::Unbounded => true,
-            Bound::Inclusive(b) => v.total_cmp(b) != Ordering::Greater,
-            Bound::Exclusive(b) => v.total_cmp(b) == Ordering::Less,
+            Bound::Inclusive(b) => cmp(b) != Ordering::Greater,
+            Bound::Exclusive(b) => cmp(b) == Ordering::Less,
         };
         lo_ok && hi_ok
     }
@@ -319,7 +320,7 @@ impl IntervalSet {
     }
 
     /// Does some member contain `v`?
-    pub fn contains(&self, v: &Value) -> bool {
+    pub fn contains(&self, v: ValueRef<'_>) -> bool {
         self.items.iter().any(|iv| iv.contains(v))
     }
 
@@ -398,10 +399,10 @@ mod tests {
     fn int_bounds_normalise_to_inclusive() {
         let iv = oo(3, 7).unwrap();
         assert_eq!(iv, ii(4, 6));
-        assert!(!iv.contains(&Value::Int(3)));
-        assert!(iv.contains(&Value::Int(4)));
-        assert!(iv.contains(&Value::Int(6)));
-        assert!(!iv.contains(&Value::Int(7)));
+        assert!(!iv.contains(ValueRef::Int(3)));
+        assert!(iv.contains(ValueRef::Int(4)));
+        assert!(iv.contains(ValueRef::Int(6)));
+        assert!(!iv.contains(ValueRef::Int(7)));
     }
 
     #[test]
@@ -422,14 +423,14 @@ mod tests {
             Bound::Exclusive(Value::Float(2.0)),
         )
         .unwrap();
-        assert!(!iv.contains(&Value::Float(1.0)));
-        assert!(iv.contains(&Value::Float(1.5)));
-        assert!(!iv.contains(&Value::Float(2.0)));
+        assert!(!iv.contains(ValueRef::Float(1.0)));
+        assert!(iv.contains(ValueRef::Float(1.5)));
+        assert!(!iv.contains(ValueRef::Float(2.0)));
     }
 
     #[test]
     fn null_contained_nowhere() {
-        assert!(!Interval::all().contains(&Value::Null));
+        assert!(!Interval::all().contains(ValueRef::Null));
     }
 
     #[test]
@@ -481,7 +482,7 @@ mod tests {
         s.add(b);
         // 1.0 itself is not covered, so they must remain separate.
         assert_eq!(s.intervals().len(), 2);
-        assert!(!s.contains(&Value::Float(1.0)));
+        assert!(!s.contains(ValueRef::Float(1.0)));
         // Adding the point closes the gap.
         s.add(Interval::point(Value::Float(1.0)));
         assert_eq!(s.intervals().len(), 1);
@@ -543,8 +544,8 @@ mod tests {
                 for iv in &ivs {
                     s.add(iv.clone());
                 }
-                let expected = ivs.iter().any(|iv| iv.contains(&Value::Int(probe)));
-                prop_assert_eq!(s.contains(&Value::Int(probe)), expected);
+                let expected = ivs.iter().any(|iv| iv.contains(ValueRef::Int(probe)));
+                prop_assert_eq!(s.contains(ValueRef::Int(probe)), expected);
             }
 
             /// Normalised representation: intervals stay sorted and disjoint.
@@ -574,9 +575,9 @@ mod tests {
                 }
                 let gaps = s.missing(&tgt);
                 let v = Value::Int(probe);
-                let in_target = tgt.contains(&v);
-                let in_set = s.contains(&v);
-                let in_gaps = gaps.iter().any(|g| g.contains(&v));
+                let in_target = tgt.contains(v.as_value_ref());
+                let in_set = s.contains(v.as_value_ref());
+                let in_gaps = gaps.iter().any(|g| g.contains(v.as_value_ref()));
                 // A point of the target is in the gaps iff it is not covered.
                 prop_assert_eq!(in_gaps, in_target && !in_set);
                 // Gaps never exceed the target.

@@ -61,7 +61,7 @@ pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
 pub use morsel::{drive_morsels, morsel_count, MorselBatch, MorselRange};
 pub use page::{ColumnPage, PageColumn, Selection};
-pub use predicate::{CmpOp, ColPred, Conjunction, SelectionBox};
+pub use predicate::{float_key, CmpOp, ColPred, ColumnTest, Conjunction, SelectionBox};
 pub use profile::{
     CacheOutcome, LatencyHistogram, Phase, ProfileHandle, ProfileScope, ProfileSink, QueryProfile,
 };

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::interval::{Bound, Interval};
-use crate::value::Value;
+use crate::value::{DataType, Value, ValueRef};
 
 /// Comparison operators supported in WHERE clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,34 +84,11 @@ impl ColPred {
     }
 
     /// Evaluate against a single column value. SQL semantics: unknown
-    /// (null-involved) comparisons are *not* satisfied.
+    /// (null-involved) comparisons are *not* satisfied. Scans fold a
+    /// column's predicates into one [`ColumnTest`] instead; this is the
+    /// row-at-a-time definition that test is checked against.
     pub fn matches(&self, v: &Value) -> bool {
         self.op.eval(v, &self.value).unwrap_or(false)
-    }
-
-    /// [`ColPred::matches`] specialised to a non-null `i64` left-hand side,
-    /// avoiding `Value` construction in byte-level scan loops. Agrees with
-    /// `matches(&Value::Int(x))` for every literal type: string literals
-    /// are incomparable with numbers, hence never satisfied.
-    #[inline]
-    pub fn matches_i64(&self, x: i64) -> bool {
-        let ord = match &self.value {
-            Value::Int(l) => x.cmp(l),
-            Value::Float(l) => (x as f64).total_cmp(l),
-            _ => return false,
-        };
-        self.op.holds(ord)
-    }
-
-    /// [`ColPred::matches`] specialised to a non-null `f64` left-hand side.
-    #[inline]
-    pub fn matches_f64(&self, x: f64) -> bool {
-        let ord = match &self.value {
-            Value::Int(l) => x.total_cmp(&(*l as f64)),
-            Value::Float(l) => x.total_cmp(l),
-            _ => return false,
-        };
-        self.op.holds(ord)
     }
 
     /// The interval of values satisfying this predicate, if it is
@@ -178,20 +155,6 @@ impl Conjunction {
         self.preds.iter().filter(move |p| p.col == col)
     }
 
-    /// Reorder conjuncts so the most selective (estimated) come first —
-    /// the paper's "perform the most selective filtering first" trick used
-    /// by both the Awk scripts and the loading operators. Estimation is
-    /// syntactic: equality < bounded ranges < half-open ranges.
-    pub fn ordered_by_selectivity(&self) -> Conjunction {
-        let mut preds = self.preds.clone();
-        preds.sort_by_key(|p| match p.op {
-            CmpOp::Eq => 0,
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => 1,
-            CmpOp::Ne => 2,
-        });
-        Conjunction { preds }
-    }
-
     /// The selection box: per-column intersected intervals. `None` when the
     /// conjunction is not box-expressible (contains `Ne`) or is provably
     /// empty on some column.
@@ -224,6 +187,190 @@ impl fmt::Display for Conjunction {
             write!(f, "{p}")?;
         }
         Ok(())
+    }
+}
+
+/// One column's conjuncts folded into one typed test: the SQL truth of
+/// `x op₁ v₁ AND x op₂ v₂ AND …` for a cell `x` of the column type it was
+/// folded for, so a scan asks one question per cell instead of one per
+/// predicate and never boxes the cell. NULL cells never pass. Numeric
+/// columns fold to an inclusive range (plus excluded points) over an
+/// order-preserving `i64` key, which a cell passes with one unsigned
+/// compare; text columns keep one [`Interval`] of strings.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnTest {
+    /// No cell passes: the bounds contradict, or a literal is NULL or of a
+    /// kind the column's cells never compare with (text against numbers).
+    Never,
+    /// An `Int64` column. Integer literals fold into `ints` exactly; a float
+    /// literal compares against the cell widened to `f64` (SQL's numeric
+    /// widening), so those fold into `floats`, over [`float_key`]`(x as f64)`.
+    Int {
+        /// Bounds from the integer literals, on the cell itself.
+        ints: KeyRange,
+        /// Bounds from the float literals, if any.
+        floats: Option<KeyRange>,
+    },
+    /// A `Float64` column: every literal widened to `f64`, keyed by
+    /// [`float_key`].
+    Float(KeyRange),
+    /// A `Str` column: the range predicates' intervals intersected, minus
+    /// the `<>` literals.
+    Str {
+        /// Where passing strings lie.
+        range: Interval,
+        /// Strings excluded from `range`.
+        ne: Vec<String>,
+    },
+}
+
+impl ColumnTest {
+    /// Fold `preds` — all on one column of type `ty` — into one test.
+    pub fn fold<'a>(ty: DataType, preds: impl IntoIterator<Item = &'a ColPred>) -> ColumnTest {
+        let (mut ints, mut floats) = (KeyRange::ALL, KeyRange::ALL);
+        let (mut range, mut ne) = (Interval::all(), Vec::new());
+        let mut any_float = false;
+        for p in preds {
+            match (ty, &p.value) {
+                (DataType::Int64, Value::Int(l)) => ints.constrain(p.op, *l),
+                (DataType::Int64 | DataType::Float64, Value::Float(l)) => {
+                    any_float = true;
+                    floats.constrain(p.op, float_key(*l));
+                }
+                (DataType::Float64, Value::Int(l)) => floats.constrain(p.op, float_key(*l as f64)),
+                (DataType::Str, Value::Str(l)) => match p.to_interval() {
+                    None => ne.push(l.clone()),
+                    Some(iv) => match range.intersect(&iv) {
+                        Some(narrower) => range = narrower,
+                        None => return ColumnTest::Never,
+                    },
+                },
+                _ => return ColumnTest::Never,
+            }
+        }
+        match ty {
+            DataType::Int64 => match (ints.finish(), any_float.then(|| floats.finish())) {
+                (Some(ints), floats @ (None | Some(Some(_)))) => ColumnTest::Int {
+                    ints,
+                    floats: floats.flatten(),
+                },
+                _ => ColumnTest::Never,
+            },
+            DataType::Float64 => floats.finish().map_or(ColumnTest::Never, ColumnTest::Float),
+            DataType::Str => ColumnTest::Str { range, ne },
+        }
+    }
+
+    /// Whether at most one value passes — the column is pinned by an
+    /// equality, which scans put first.
+    pub fn is_point(&self) -> bool {
+        match self {
+            ColumnTest::Never => true,
+            ColumnTest::Int { ints: r, .. } | ColumnTest::Float(r) => r.lo == r.hi,
+            ColumnTest::Str { range, .. } => matches!(
+                (range.lo(), range.hi()),
+                (Bound::Inclusive(lo), Bound::Inclusive(hi)) if lo == hi
+            ),
+        }
+    }
+
+    /// Does a non-null cell of an `Int64` column pass?
+    #[inline]
+    pub fn matches_i64(&self, x: i64) -> bool {
+        match self {
+            ColumnTest::Int { ints, floats } => {
+                ints.contains(x)
+                    && floats
+                        .as_ref()
+                        .is_none_or(|f| f.contains(float_key(x as f64)))
+            }
+            _ => false,
+        }
+    }
+
+    /// Does a non-null cell of a `Float64` column pass?
+    #[inline]
+    pub fn matches_f64(&self, x: f64) -> bool {
+        matches!(self, ColumnTest::Float(r) if r.contains(float_key(x)))
+    }
+
+    /// Does a cell pass? NULL never does, nor a cell of another type than
+    /// the one the test was folded for.
+    pub fn matches(&self, v: ValueRef<'_>) -> bool {
+        match (self, v) {
+            (_, ValueRef::Int(x)) => self.matches_i64(x),
+            (_, ValueRef::Float(x)) => self.matches_f64(x),
+            (ColumnTest::Str { range, ne }, ValueRef::Str(s)) => {
+                range.contains(v) && !ne.iter().any(|n| n == s)
+            }
+            _ => false,
+        }
+    }
+}
+
+/// `f64::total_cmp`'s order as an `i64`: `float_key(a).cmp(&float_key(b))
+/// == a.total_cmp(&b)` for every pair, NaNs and signed zeros included.
+#[inline]
+pub fn float_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The keys `lo ..= hi` minus the points in `ne` — a folded numeric test.
+/// Never empty once built: a fold that empties it becomes
+/// [`ColumnTest::Never`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRange {
+    lo: i64,
+    hi: i64,
+    ne: Vec<i64>,
+}
+
+impl KeyRange {
+    const ALL: KeyRange = KeyRange {
+        lo: i64::MIN,
+        hi: i64::MAX,
+        ne: Vec::new(),
+    };
+
+    fn constrain(&mut self, op: CmpOp, k: i64) {
+        // `(1, 0)` is empty, and stays so under further constraints.
+        let (lo, hi) = match op {
+            CmpOp::Eq => (k, k),
+            CmpOp::Ne => return self.ne.push(k),
+            CmpOp::Lt => k.checked_sub(1).map_or((1, 0), |k| (i64::MIN, k)),
+            CmpOp::Le => (i64::MIN, k),
+            CmpOp::Gt => k.checked_add(1).map_or((1, 0), |k| (k, i64::MAX)),
+            CmpOp::Ge => (k, i64::MAX),
+        };
+        self.lo = self.lo.max(lo);
+        self.hi = self.hi.min(hi);
+    }
+
+    /// `None` when no key passes.
+    fn finish(mut self) -> Option<KeyRange> {
+        let range = self.lo..=self.hi;
+        self.ne.retain(|k| range.contains(k));
+        self.ne.sort_unstable();
+        self.ne.dedup();
+        (!range.is_empty()).then_some(self)
+    }
+
+    /// Does `key` pass?
+    #[inline]
+    pub fn contains(&self, key: i64) -> bool {
+        (key.wrapping_sub(self.lo) as u64 <= self.hi.wrapping_sub(self.lo) as u64)
+            & !self.ne.contains(&key)
+    }
+
+    /// `(lo, hi - lo)` when no point is excluded, so that
+    /// `key.wrapping_sub(lo) as u64 <= span` is the whole test: one
+    /// unsigned compare, in the form scans hoist out of their loops.
+    #[inline]
+    pub fn as_span(&self) -> Option<(i64, u64)> {
+        self.ne
+            .is_empty()
+            .then(|| (self.lo, self.hi.wrapping_sub(self.lo) as u64))
     }
 }
 
@@ -260,7 +407,7 @@ impl SelectionBox {
     pub fn contains_row(&self, row: &[Value]) -> bool {
         self.by_col
             .iter()
-            .all(|(col, iv)| row.get(*col).is_some_and(|v| iv.contains(v)))
+            .all(|(col, iv)| row.get(*col).is_some_and(|v| iv.contains(v.as_value_ref())))
     }
 
     /// Columns constrained by this box.
@@ -338,9 +485,9 @@ mod tests {
         ]);
         let b = c.to_box().unwrap();
         let iv = b.by_col.get(&0).unwrap();
-        assert!(iv.contains(&Value::Int(11)));
-        assert!(!iv.contains(&Value::Int(10)));
-        assert!(!iv.contains(&Value::Int(20)));
+        assert!(iv.contains(ValueRef::Int(11)));
+        assert!(!iv.contains(ValueRef::Int(10)));
+        assert!(!iv.contains(ValueRef::Int(20)));
     }
 
     #[test]
@@ -396,16 +543,50 @@ mod tests {
         assert!(!b.contains_row(&[Value::Int(999), Value::Null]));
     }
 
+    /// The folded test of `(op, literal)` conjuncts on one column of `ty`.
+    fn fold(ty: DataType, preds: &[(CmpOp, Value)]) -> ColumnTest {
+        let preds: Vec<ColPred> = preds
+            .iter()
+            .map(|(op, v)| ColPred::new(0, *op, v.clone()))
+            .collect();
+        ColumnTest::fold(ty, &preds)
+    }
+
     #[test]
-    fn selectivity_ordering_puts_eq_first() {
-        let c = Conjunction::new(vec![
-            ColPred::new(0, CmpOp::Gt, 1i64),
-            ColPred::new(1, CmpOp::Eq, 2i64),
-            ColPred::new(2, CmpOp::Ne, 3i64),
-        ]);
-        let ordered = c.ordered_by_selectivity();
-        assert_eq!(ordered.preds[0].op, CmpOp::Eq);
-        assert_eq!(ordered.preds[2].op, CmpOp::Ne);
+    fn column_test_folds_edges_and_contradictions() {
+        use CmpOp::*;
+        let int = |preds: &[(CmpOp, Value)]| fold(DataType::Int64, preds);
+        // A strict bound at the end of the domain admits nothing.
+        assert_eq!(int(&[(Lt, Value::Int(i64::MIN))]), ColumnTest::Never);
+        assert_eq!(int(&[(Gt, Value::Int(i64::MAX))]), ColumnTest::Never);
+        assert!(int(&[(Le, Value::Int(i64::MIN))]).matches_i64(i64::MIN));
+        // Contradictions, NULL and incomparable literals.
+        assert_eq!(
+            int(&[(Gt, Value::Int(5)), (Lt, Value::Int(6))]),
+            ColumnTest::Never
+        );
+        assert_eq!(int(&[(Eq, Value::Null)]), ColumnTest::Never);
+        assert_eq!(int(&[(Ne, Value::from("x"))]), ColumnTest::Never);
+        assert_eq!(
+            fold(DataType::Str, &[(Gt, Value::Int(1))]),
+            ColumnTest::Never
+        );
+        assert_eq!(
+            fold(DataType::Str, &[(Ge, "b".into()), (Lt, "b".into())]),
+            ColumnTest::Never
+        );
+        // Mixed int and float literals on an int column.
+        let t = int(&[(Gt, Value::Int(2)), (Lt, Value::Float(4.5))]);
+        assert_eq!(
+            (1..7).filter(|&x| t.matches_i64(x)).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
+        assert!(!int(&[(Eq, Value::Float(2.5))]).matches_i64(2));
+        // Float keys follow `total_cmp`: -0.0 < 0.0, NaN above infinity.
+        let t = fold(DataType::Float64, &[(Ge, Value::Float(0.0))]);
+        assert!(!t.matches_f64(-0.0) && t.matches_f64(0.0) && t.matches_f64(f64::NAN));
+        // NULL cells never pass, not even `<>`.
+        assert!(!int(&[(Ne, Value::Int(1))]).matches(ValueRef::Null));
     }
 
     mod properties {
@@ -422,7 +603,53 @@ mod tests {
             ]
         }
 
+        fn arb_any_op() -> impl Strategy<Value = CmpOp> {
+            use CmpOp::*;
+            (0usize..6).prop_map(|i| [Eq, Ne, Lt, Le, Gt, Ge][i])
+        }
+
+        /// A small value of one kind — 0 NULL, 1 int, 2 float, 3 text —
+        /// with the domain edges, signed zeros and NaN among them, so
+        /// folded bounds meet and cross.
+        fn value(kind: u8, n: i64) -> Value {
+            match (kind, n) {
+                (0, _) => Value::Null,
+                (1, -6) => Value::Int(i64::MIN),
+                (1, 5) => Value::Int(i64::MAX),
+                (1, n) => Value::Int(n / 2),
+                (2, -6) => Value::Float(-0.0),
+                (2, 5) => Value::Float(f64::NAN),
+                (2, 4) => Value::Float(f64::INFINITY),
+                (2, n) => Value::Float(n as f64 / 2.0),
+                (_, n) => Value::from(["", "a", "ab", "b"][n.rem_euclid(4) as usize]),
+            }
+        }
+
         proptest! {
+            /// A column's folded test passes exactly the cells every one of
+            /// its predicates matches, for every column type and operator:
+            /// literals mostly of the column's own kind, sometimes NULL or
+            /// of a kind that never compares with it.
+            #[test]
+            fn column_test_agrees_with_its_predicates(
+                kind in 1u8..4,
+                preds in proptest::collection::vec((arb_any_op(), 0u8..8, -6i64..6), 0..4),
+                cells in proptest::collection::vec((0u8..6, -6i64..6), 1..16)) {
+                let ty = [DataType::Int64, DataType::Float64, DataType::Str][kind as usize - 1];
+                let preds: Vec<(CmpOp, Value)> = preds
+                    .into_iter()
+                    .map(|(op, k, n)| (op, value(if k < 4 { k } else { kind }, n)))
+                    .collect();
+                let test = fold(ty, &preds);
+                let preds: Vec<ColPred> =
+                    preds.into_iter().map(|(op, v)| ColPred::new(0, op, v)).collect();
+                for (k, n) in cells {
+                    let cell = value(if k == 0 { 0 } else { kind }, n);
+                    let expected = preds.iter().all(|p| p.matches(&cell)) && !cell.is_null();
+                    prop_assert_eq!(test.matches(cell.as_value_ref()), expected, "{:?}", cell);
+                }
+            }
+
             /// A range-expressible predicate matches v iff its interval
             /// contains v.
             #[test]
@@ -433,7 +660,7 @@ mod tests {
                 let via_pred = p.matches(&Value::Int(v));
                 let via_iv = p
                     .to_interval()
-                    .map(|iv| iv.contains(&Value::Int(v)))
+                    .map(|iv| iv.contains(ValueRef::Int(v)))
                     .unwrap_or(false);
                 prop_assert_eq!(via_pred, via_iv);
             }
