@@ -26,10 +26,10 @@ use nodb_exec::{
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
 use nodb_types::profile::{self, CacheOutcome, Phase, ProfileScope, ProfileSink, QueryProfile};
-use nodb_types::resource::{self, MemoryGuard, MemoryPool, MemoryScope};
+use nodb_types::resource::{self, MemoryGuard, MemoryPool};
 use nodb_types::{
-    ColumnData, Conjunction, CountersSnapshot, DataType, Error, Field, Result, Schema, Value,
-    WorkCounters,
+    ColumnData, Conjunction, CountersSnapshot, DataType, Error, Field, QueryContext, Result,
+    Schema, Value, WorkCounters,
 };
 
 use crate::catalog::{Catalog, TableEntry};
@@ -694,12 +694,18 @@ impl Engine {
         }
         // Memory governance: session entry points install the query's
         // guard ambiently; self-install here covers direct embedded use
-        // (`current()` is already set on the guarded path, so this never
+        // (the guarded path already carries one, so this never
         // double-meters).
-        let _mem_scope = if resource::current().is_none() {
-            self.memory_guard().map(MemoryScope::enter)
-        } else {
-            None
+        let ctx = QueryContext::current();
+        let _metered = match ctx.memory {
+            Some(_) => None,
+            None => self.memory_guard().map(|guard| {
+                QueryContext {
+                    memory: Some(guard),
+                    ..ctx
+                }
+                .enter()
+            }),
         };
         profile::note_strategy(self.cfg.strategy.label());
         // Result cache: consult before any loading work. On a miss this
@@ -2604,8 +2610,15 @@ mod tests {
         let e = Arc::new(Engine::new(cfg));
         e.register_table("r", &path).unwrap();
         let s = e.session(); // installs the degradation-ladder reclaimer
+
+        // Armed profile: the ladder runs inside a charge while the same
+        // thread-local carries the open phase timers, and must not hit a
+        // double borrow of it.
+        let sink = ProfileSink::handle();
+        let _profile = ProfileScope::enter(Arc::clone(&sink));
         let err = s.sql("select a1, sum(a2) from r group by a1").unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)), "got {err:?}");
+        assert!(sink.snapshot().total_phase_ns() > 0);
         // The shed killed one query, not the engine: the same table
         // still answers, and the refused reservation was handed back.
         let out = s.sql("select count(*) from r").unwrap();

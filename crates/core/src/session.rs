@@ -39,8 +39,8 @@ use nodb_sql::{OutputExpr, Plan};
 use nodb_store::RowBatch;
 use nodb_types::profile::Phase;
 use nodb_types::{
-    CancelScope, CancelToken, ColumnData, ColumnPage, CountersSnapshot, Error, Field, MemoryGuard,
-    ProfileHandle, Result, Schema, Value, WorkCounters,
+    CancelToken, ColumnData, ColumnPage, CountersSnapshot, Error, Field, ProfileHandle,
+    QueryContext, Result, Schema, Value, WorkCounters,
 };
 
 use crate::config::LoadingStrategy;
@@ -148,17 +148,16 @@ impl Session {
     }
 }
 
-/// Run `f` with `token` installed as the thread's ambient cancel token
-/// and the engine's per-query memory guard (if metering is configured)
-/// as the ambient allocation meter, applying the engine's default
-/// deadline (if any, and if the token has none) and bumping the
-/// cancelled/timed-out/shed counters on a tripped exit.
+/// Run `f` under a query context carrying `token` and the engine's
+/// per-query memory guard (if metering is configured), applying the
+/// engine's default deadline (if any, and if the token has none) and
+/// bumping the cancelled/timed-out/shed counters on a tripped exit.
 ///
 /// This is also a panic-isolation boundary: a panic anywhere under `f`
 /// (planner, loader, operators) is caught and converted into a typed
 /// [`Error::Internal`], so one buggy query cannot take an embedding
 /// process — or the server's worker pool — down with it. Unwinding drops
-/// the scopes and the memory guard, returning the query's reservation to
+/// the context and its memory guard, returning the query's reservation to
 /// the engine pool.
 fn run_guarded<T>(
     engine: &Engine,
@@ -169,8 +168,12 @@ fn run_guarded<T>(
         token.set_deadline_if_unset(Instant::now() + Duration::from_millis(ms));
     }
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _scope = CancelScope::enter(token.clone());
-        let _mem = engine.memory_guard().map(nodb_types::MemoryScope::enter);
+        let _ctx = QueryContext {
+            cancel: Some(token.clone()),
+            memory: engine.memory_guard(),
+            ..QueryContext::current()
+        }
+        .enter();
         f()
     }))
     .unwrap_or_else(|payload| {
@@ -349,15 +352,13 @@ pub struct QueryStream {
     before: CountersSnapshot,
     counters: Arc<WorkCounters>,
     strategy: LoadingStrategy,
-    /// Ambient profile sink captured at construction (None when
-    /// profiling is not armed), so paging work done after the arming
-    /// scope has been left still lands in the query's profile and
-    /// [`QueryStream::stats`] can report it.
-    profile: Option<ProfileHandle>,
-    /// The query's memory reservation (None when unmetered): what the
-    /// stream pins — selection vector, gathered columns — stays
-    /// reserved until the stream is drained or dropped.
-    _reservation: Option<MemoryGuard>,
+    /// The query's context captured at construction. Its profile sink
+    /// (None when profiling is not armed) receives paging work done after
+    /// the arming scope has been left, so [`QueryStream::stats`] can
+    /// report it; its memory guard (None when unmetered) keeps what the
+    /// stream pins — selection vector, gathered columns — reserved until
+    /// the stream is drained or dropped.
+    ctx: QueryContext,
 }
 
 impl std::fmt::Debug for QueryStream {
@@ -401,8 +402,7 @@ impl QueryStream {
             before,
             counters,
             strategy,
-            profile: nodb_types::profile::current(),
-            _reservation: nodb_types::resource::current(),
+            ctx: QueryContext::current(),
         }
     }
 
@@ -425,7 +425,7 @@ impl QueryStream {
     /// consumer that serialises pages itself (the wire server) reports
     /// that time as [`Phase::WireSerialize`].
     pub fn profile(&self) -> Option<&ProfileHandle> {
-        self.profile.as_ref()
+        self.ctx.profile.as_ref()
     }
 
     /// The next page as typed columns, or `None` when the result is
@@ -434,7 +434,7 @@ impl QueryStream {
     pub fn next_columns(&mut self) -> Result<Option<ColumnPage<'_>>> {
         let batch = self.batch_size;
         let body = &mut self.body;
-        timed(&self.profile, Phase::WarmKernel, move || {
+        timed(&self.ctx.profile, Phase::WarmKernel, move || {
             body.next_page(batch)
         })
     }
@@ -444,7 +444,7 @@ impl QueryStream {
     pub fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let batch = self.batch_size;
         let body = &mut self.body;
-        let rows = timed(&self.profile, Phase::WarmKernel, move || {
+        let rows = timed(&self.ctx.profile, Phase::WarmKernel, move || {
             body.next_page(batch).map(|page| page.map(|p| p.to_rows()))
         })?;
         Ok(rows.map(|rows| RowBatch {
@@ -460,6 +460,7 @@ impl QueryStream {
             work: self.counters.snapshot().since(&self.before),
             strategy: self.strategy,
             profile: self
+                .ctx
                 .profile
                 .as_ref()
                 .map(|h| h.snapshot())

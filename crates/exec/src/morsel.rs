@@ -36,12 +36,10 @@
 //! Integer aggregates are bit-identical to a row-at-a-time fold; float
 //! sums associate per morsel.
 
-use std::sync::Mutex;
-
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    drive_morsels, morsel_count, ColumnData, ColumnPage, Conjunction, Error, MorselBatch,
-    PageColumn, Result, Selection, Value,
+    map_morsels, ColumnData, ColumnPage, Conjunction, MorselBatch, MorselRange, PageColumn, Result,
+    Selection, Value,
 };
 
 use crate::cols::Cols;
@@ -54,42 +52,6 @@ use crate::stream::project_columns;
 /// Default rows per morsel: big enough to amortise dispatch, small enough
 /// to balance skew and stay cache-resident.
 pub const DEFAULT_MORSEL_ROWS: usize = 32_768;
-
-/// Run `f(index, lo, hi)` for every morsel of `n` items, `morsel_rows` per
-/// morsel, on up to `threads` stealing workers. Results come back in morsel
-/// index order regardless of scheduling. The first error wins and stops
-/// remaining workers at their next steal. Scheduling (steal counter, error
-/// flag, thread scope) comes from the shared `nodb-types` driver; this
-/// wrapper adds the ordered result slots.
-fn run_morsels<T, F>(n: usize, morsel_rows: usize, threads: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, usize, usize) -> Result<T> + Sync,
-{
-    let n_morsels = morsel_count(n, morsel_rows);
-    let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(n_morsels);
-    slots.resize_with(n_morsels, || Mutex::new(None));
-    drive_morsels(
-        n,
-        morsel_rows,
-        threads,
-        |_worker| (),
-        |_state, _worker, r| {
-            let v = f(r.index, r.lo, r.hi)?;
-            *slots[r.index].lock().expect("slot mutex") = Some(v);
-            Ok(())
-        },
-        |_state| {},
-    )?;
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot mutex")
-                .ok_or_else(|| Error::exec("morsel result missing"))
-        })
-        .collect()
-}
 
 /// A plain aggregate (filter + every aggregate, no GROUP BY) as its one
 /// result row: [`parallel_group_columns`] with zero key columns.
@@ -119,11 +81,16 @@ pub fn parallel_filter_positions<C: Cols + ?Sized + Sync>(
     if conj.is_always_true() {
         return Ok((0..n_rows).collect());
     }
-    let parts = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
-        let pos = filter_positions_range(cols, lo, hi, conj)?;
-        charge_current(pos.len() * std::mem::size_of::<usize>())?;
-        Ok(pos)
-    })?;
+    let parts = map_morsels(
+        n_rows,
+        morsel_rows,
+        threads,
+        |MorselRange { lo, hi, .. }| {
+            let pos = filter_positions_range(cols, lo, hi, conj)?;
+            charge_current(pos.len() * std::mem::size_of::<usize>())?;
+            Ok(pos)
+        },
+    )?;
     Ok(concat(parts))
 }
 
@@ -177,9 +144,12 @@ pub fn parallel_group_columns<C: Cols + ?Sized + Sync>(
     threads: usize,
     morsel_rows: usize,
 ) -> Result<Vec<ColumnData>> {
-    let mut partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
-        group_partial_range(cols, lo, hi, conj, group_cols, specs)
-    })?;
+    let mut partials = map_morsels(
+        n_rows,
+        morsel_rows,
+        threads,
+        |MorselRange { lo, hi, .. }| group_partial_range(cols, lo, hi, conj, group_cols, specs),
+    )?;
     if partials.is_empty() {
         // No morsel: one empty partial still takes the result's column
         // types from the input (and is the one group of a plain
@@ -253,20 +223,25 @@ pub(crate) fn int_join_positions(
     let build_left = ls.len() <= rs.len();
     let (build, probe) = if build_left { (ls, rs) } else { (rs, ls) };
     let table = JoinTable::build(build)?;
-    let chunks = run_morsels(probe.len(), morsel_rows, threads, |_index, lo, hi| {
-        let mut out = Vec::new();
-        for (p, &k) in probe[lo..hi].iter().enumerate() {
-            let p = lo + p;
-            out.extend(
-                table
-                    .matches(k)
-                    .iter()
-                    .map(|&b| if build_left { (b, p) } else { (p, b) }),
-            );
-        }
-        charge_current(out.len() * PAIR_BYTES)?;
-        Ok(out)
-    })?;
+    let chunks = map_morsels(
+        probe.len(),
+        morsel_rows,
+        threads,
+        |MorselRange { lo, hi, .. }| {
+            let mut out = Vec::new();
+            for (p, &k) in probe[lo..hi].iter().enumerate() {
+                let p = lo + p;
+                out.extend(
+                    table
+                        .matches(k)
+                        .iter()
+                        .map(|&b| if build_left { (b, p) } else { (p, b) }),
+                );
+            }
+            charge_current(out.len() * PAIR_BYTES)?;
+            Ok(out)
+        },
+    )?;
     if build_left {
         // Probing the right side: morsel concatenation is right-scan order
         // and every run lists its left rows ascending.
@@ -407,8 +382,17 @@ mod tests {
     use crate::agg::AggFunc;
     use crate::columnar::filter_positions;
     use crate::group::reference_group_aggregate;
-    use nodb_types::{CmpOp, ColPred};
+    use nodb_types::{CmpOp, ColPred, ContextGuard, Error, MemoryGuard, QueryContext};
     use std::collections::BTreeMap;
+
+    /// Install `guard` as the ambient per-query meter.
+    fn metered(guard: MemoryGuard) -> ContextGuard {
+        QueryContext {
+            memory: Some(guard),
+            ..QueryContext::current()
+        }
+        .enter()
+    }
 
     fn table(n: usize) -> (BTreeMap<usize, ColumnData>, usize) {
         let mut cols = BTreeMap::new();
@@ -641,7 +625,6 @@ mod tests {
 
     #[test]
     fn plain_aggregates_build_no_per_row_state() {
-        use nodb_types::resource::{MemoryGuard, MemoryScope};
         // A plain aggregate keeps one group and no group-id vector, so a
         // 64 KiB query budget covers 1 M rows; one `u32` id per row would
         // charge 128 KiB on the first morsel alone.
@@ -659,7 +642,7 @@ mod tests {
         for threads in [1, 4] {
             for (conj, specs) in &shapes {
                 let guard = MemoryGuard::new(Some(64 << 10), None);
-                let _scope = MemoryScope::enter(guard);
+                let _scope = metered(guard);
                 let row =
                     parallel_filter_aggregate(&cols, n, conj, specs, threads, DEFAULT_MORSEL_ROWS)
                         .unwrap();
@@ -696,14 +679,13 @@ mod tests {
 
     #[test]
     fn tight_memory_budget_sheds_parallel_join() {
-        use nodb_types::resource::{MemoryGuard, MemoryScope};
         let n = 4000;
         let left = ColumnData::from_i64((0..n as i64).map(|i| (i * 13) % 257).collect());
         let right = ColumnData::from_i64((0..n as i64).map(|i| (i * 7) % 300).collect());
         // A budget far below the build-side footprint must surface as the
         // typed shed error from inside the metered join, not a panic/abort.
         let guard = MemoryGuard::new(Some(1024), None);
-        let _scope = MemoryScope::enter(guard);
+        let _scope = metered(guard);
         let err = parallel_hash_join_positions(&left, &right, 4, 500).unwrap_err();
         assert!(
             matches!(err, Error::ResourceExhausted(_)),
@@ -713,7 +695,7 @@ mod tests {
 
     #[test]
     fn tight_memory_budget_sheds_parallel_group_by() {
-        use nodb_types::resource::{MemoryGuard, MemoryPool, MemoryScope};
+        use nodb_types::resource::MemoryPool;
         // ~100 k distinct keys: group ids, key columns and typed state all
         // grow with them and are metered, so a 64 KiB query budget sheds
         // with the typed error — and the pool gets everything back.
@@ -729,7 +711,7 @@ mod tests {
         let before = pool.reserved();
         for threads in [1, 4] {
             let guard = MemoryGuard::new(Some(64 << 10), Some(pool.clone()));
-            let scope = MemoryScope::enter(guard);
+            let scope = metered(guard);
             let err = parallel_group_aggregate(
                 &cols,
                 n,
@@ -752,27 +734,14 @@ mod tests {
 
     #[test]
     fn ample_memory_budget_leaves_results_identical() {
-        use nodb_types::resource::{MemoryGuard, MemoryScope};
         let (cols, n) = table(5000);
         let conj = Conjunction::new(vec![ColPred::new(0, CmpOp::Ge, 200i64)]);
         let serial = filter_positions(&cols, n, &conj).unwrap();
         let guard = MemoryGuard::new(Some(64 << 20), None);
-        let _scope = MemoryScope::enter(guard.clone());
+        let _scope = metered(guard.clone());
         let par = parallel_filter_positions(&cols, n, &conj, 4, 333).unwrap();
         assert_eq!(par, serial);
         assert!(guard.used() > 0, "metered run should have charged bytes");
-    }
-
-    #[test]
-    fn run_morsels_propagates_errors() {
-        let r: Result<Vec<()>> = run_morsels(100, 10, 4, |index, _lo, _hi| {
-            if index == 7 {
-                Err(Error::exec("boom"))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(r.is_err());
     }
 
     #[test]

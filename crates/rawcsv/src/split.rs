@@ -21,9 +21,9 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use nodb_types::{Error, Result, Schema, WorkCounters};
+use nodb_types::{Error, MorselRange, Result, Schema, WorkCounters};
 
-use crate::tokenizer::{field_end, find_row_starts, read_file, CsvOptions};
+use crate::tokenizer::{field_end, find_row_starts, map_chunks, read_file, CsvOptions};
 
 /// One physical file holding a contiguous subset of the original columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,20 +162,21 @@ impl SegmentCatalog {
             ))
         });
         // Walk every row, copying raw field bytes into the buffers. Rows
-        // are partitioned across threads (like scan phase 2); each thread
-        // fills private buffers which are concatenated in row order at
-        // write time.
+        // are cut into one chunk per thread on the morsel driver (like
+        // scan phase 2); each chunk fills private buffers which are
+        // concatenated in row order at write time.
         let starts = find_row_starts(bytes, opts, counters)?;
         let nrows = starts.len();
         let threads = opts.threads.clamp(1, nrows.max(1));
         let want_rest = rest_path.is_some();
-        let chunk_work = |lo: usize, hi: usize| -> Result<(Vec<Vec<u8>>, Vec<u8>, u64)> {
+        type SplitChunk = (Vec<Vec<u8>>, Vec<u8>, u64);
+        let chunk_work = |range: MorselRange| -> Result<SplitChunk> {
             let est_chunk = est / threads + 16;
             let mut bufs: Vec<Vec<u8>> =
                 (0..=upto).map(|_| Vec::with_capacity(est_chunk)).collect();
             let mut rest: Vec<u8> = Vec::new();
             let mut fields: u64 = 0;
-            for r in lo..hi {
+            for r in range.lo..range.hi {
                 let start = starts[r] as usize;
                 let next = starts
                     .get(r + 1)
@@ -218,41 +219,7 @@ impl SegmentCatalog {
             }
             Ok((bufs, rest, fields))
         };
-        type SplitChunk = (Vec<Vec<u8>>, Vec<u8>, u64);
-        let chunks: Vec<SplitChunk> = if threads <= 1 || nrows < 4096 {
-            vec![chunk_work(0, nrows)?]
-        } else {
-            let per = nrows.div_ceil(threads);
-            let ranges: Vec<(usize, usize)> = (0..threads)
-                .map(|t| (t * per, ((t + 1) * per).min(nrows)))
-                .filter(|(lo, hi)| lo < hi)
-                .collect();
-            let mut outs: Vec<Option<Result<SplitChunk>>> = Vec::new();
-            outs.resize_with(ranges.len(), || None);
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                    let work = &chunk_work;
-                    handles.push((
-                        i,
-                        s.spawn(move |_| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(lo, hi)))
-                                .unwrap_or_else(|p| Err(Error::from_panic("split worker", p)))
-                        }),
-                    ));
-                }
-                for (i, h) in handles {
-                    outs[i] = Some(
-                        h.join()
-                            .unwrap_or_else(|p| Err(Error::from_panic("split worker", p))),
-                    );
-                }
-            })
-            .map_err(|p| Error::from_panic("split scope", p))?;
-            outs.into_iter()
-                .map(|o| o.expect("all chunks processed"))
-                .collect::<Result<Vec<_>>>()?
-        };
+        let chunks = map_chunks(nrows, if nrows < 4096 { 1 } else { threads }, chunk_work)?;
         for (_, _, fields) in &chunks {
             counters.add_fields_tokenized(*fields);
         }

@@ -26,7 +26,8 @@ use std::path::Path;
 
 use nodb_types::profile::{self, Phase};
 use nodb_types::{
-    ColumnData, ColumnTest, Conjunction, DataType, Error, Result, Schema, Value, WorkCounters,
+    map_morsels, ColumnData, ColumnTest, Conjunction, DataType, Error, MorselRange, QueryContext,
+    Result, Schema, Value, WorkCounters,
 };
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
@@ -149,9 +150,7 @@ pub fn scan_bytes(
     // (possibly in parallel) strictly inside this region, and the merge
     // below belongs to it too.
     let _p2 = profile::phase(Phase::Tokenize2);
-    if let Some(p) = profile::current() {
-        p.add_bytes(bytes.len() as u64);
-    }
+    profile::add_bytes(bytes.len() as u64);
     let max_touch = *touch.last().expect("nonempty");
     let tests_by_col = group_pushdown(spec);
     let record_cols = record_columns(posmap.as_deref(), max_touch);
@@ -168,49 +167,10 @@ pub fn scan_bytes(
         tests_by_col: &tests_by_col,
         record_cols: &record_cols,
         posmap: posmap.as_deref(),
-        cancel: nodb_types::cancel::current(),
     };
 
-    let threads = opts.threads.max(1).min(nrows.max(1));
-    let mut chunks: Vec<ChunkOut> = if threads <= 1 || nrows < 4096 {
-        vec![scan_row_range(&ctx, 0, nrows)?]
-    } else {
-        let per = nrows.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|t| (t * per, ((t + 1) * per).min(nrows)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut outs: Vec<Option<Result<ChunkOut>>> = Vec::new();
-        outs.resize_with(ranges.len(), || None);
-        // A panicking scan worker becomes a typed internal error on its
-        // own slot — never a process abort; the surrounding scope join
-        // then cannot observe a panic.
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                let ctx = &ctx;
-                handles.push((
-                    i,
-                    s.spawn(move |_| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            scan_row_range(ctx, lo, hi)
-                        }))
-                        .unwrap_or_else(|p| Err(Error::from_panic("tokenizer worker", p)))
-                    }),
-                ));
-            }
-            for (i, h) in handles {
-                outs[i] = Some(
-                    h.join()
-                        .unwrap_or_else(|p| Err(Error::from_panic("tokenizer worker", p))),
-                );
-            }
-        })
-        .map_err(|p| Error::from_panic("tokenizer scope", p))?;
-        outs.into_iter()
-            .map(|o| o.expect("all chunks scanned"))
-            .collect::<Result<Vec<_>>>()?
-    };
+    let threads = if nrows < 4096 { 1 } else { opts.threads };
+    let mut chunks = map_chunks(nrows, threads, |r| scan_row_range(&ctx, r.lo, r.hi))?;
 
     // Merge chunk outputs (chunks own contiguous row ranges in order).
     let mut rowids: Vec<u64> = Vec::new();
@@ -355,9 +315,6 @@ struct ScanCtx<'a> {
     tests_by_col: &'a BTreeMap<usize, ColumnTest>,
     record_cols: &'a [usize],
     posmap: Option<&'a PositionalMap>,
-    /// The query's cancel token, captured on the entry thread: phase-2
-    /// workers run on scope threads where the ambient scope is invisible.
-    cancel: Option<nodb_types::CancelToken>,
 }
 
 /// Per-chunk output buffers.
@@ -397,7 +354,7 @@ impl LocalCounters {
 /// Phase-2 kernel: walk rows `[lo, hi)`.
 fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
     nodb_types::failpoints::trip("rawcsv.morsel")?;
-    let mut cancel_check = nodb_types::CancelCheck::with_token(ctx.cancel.clone());
+    let mut cancel_check = nodb_types::CancelCheck::new();
     let n = hi - lo;
     // Without pushdown every row qualifies — size builders exactly.
     let cap = if ctx.tests_by_col.is_empty() {
@@ -681,7 +638,6 @@ where
         tests_by_col: &tests_by_col,
         record_cols: &record_cols,
         posmap: posmap.as_deref(),
-        cancel: nodb_types::cancel::current(),
     };
 
     /// Posmap recordings of one morsel: `(first_row, per-column offsets)`.
@@ -690,12 +646,6 @@ where
     // Recordings are tiny relative to morsel payloads; a mutex-guarded
     // collection keeps the write-back single-threaded and race-free.
     let recordings: std::sync::Mutex<Vec<MorselRecordings>> = std::sync::Mutex::new(Vec::new());
-
-    // Ambient profile, captured here because the step hook runs on worker
-    // threads where the thread-local scope is not installed. Workers
-    // record their morsel's byte span only — timers stay on the
-    // coordinating thread.
-    let prof = profile::current();
 
     // Scheduling (steal counter, error flag, thread scope) comes from the
     // shared `nodb-types` driver; the tokenizer contributes its per-worker
@@ -707,15 +657,15 @@ where
         opts.threads,
         |_worker| LocalCounters::default(),
         |local, worker, r| {
-            if let Some(p) = &prof {
-                let lo = ctx.row_starts[r.lo];
-                let hi = ctx
-                    .row_starts
-                    .get(r.hi)
-                    .copied()
-                    .unwrap_or(bytes.len() as u64);
-                p.add_bytes(hi - lo);
-            }
+            // The morsel's byte span; workers carry the caller's profile
+            // sink, timers stay on the coordinating thread.
+            let lo = ctx.row_starts[r.lo];
+            let hi = ctx
+                .row_starts
+                .get(r.hi)
+                .copied()
+                .unwrap_or(bytes.len() as u64);
+            profile::add_bytes(hi - lo);
             let mut chunk = scan_row_range(&ctx, r.lo, r.hi)?;
             local.absorb(&chunk.counters);
             if !chunk.recordings.is_empty() {
@@ -924,6 +874,18 @@ fn decode_field(raw: &[u8], quote: Option<u8>) -> Result<Cow<'_, str>> {
     }
 }
 
+/// Run `f` over `n` items cut into `threads` chunks of `ceil(n/threads)`
+/// items each, on the morsel driver; results come back in chunk order.
+/// `threads <= 1` is one chunk, inline.
+pub(crate) fn map_chunks<T: Send>(
+    n: usize,
+    threads: usize,
+    f: impl Fn(MorselRange) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let threads = threads.max(1);
+    map_morsels(n, n.div_ceil(threads), threads, f)
+}
+
 /// Push the offsets just past every `\n` in `bytes[lo..hi)` (absolute).
 #[inline]
 fn newline_starts_into(bytes: &[u8], lo: usize, hi: usize, out: &mut Vec<u64>) {
@@ -937,68 +899,57 @@ fn newline_starts_into(bytes: &[u8], lo: usize, hi: usize, out: &mut Vec<u64>) {
 /// Phase 1: locate the start offset of every non-empty row.
 ///
 /// Fails only on an injected fault ("rawcsv.phase1") or cooperative
-/// cancellation — the quoted serial state machine polls the ambient
-/// [`nodb_types::CancelCheck`] every few thousand rows, so even a
-/// pathological single-threaded phase 1 aborts promptly.
+/// cancellation: the unquoted newline split runs on the morsel driver,
+/// which polls the ambient token before each chunk, and the quoted serial
+/// state machine polls a [`nodb_types::CancelCheck`] every few thousand
+/// rows, so even a pathological single-threaded phase 1 aborts promptly.
 pub fn find_row_starts(
     bytes: &[u8],
     opts: &CsvOptions,
     _counters: &WorkCounters,
 ) -> Result<Vec<u64>> {
     nodb_types::failpoints::trip("rawcsv.phase1")?;
-    let mut starts: Vec<u64> = Vec::new();
     if bytes.is_empty() {
-        return Ok(starts);
+        return Ok(Vec::new());
     }
-    match opts.quote {
-        None if opts.threads > 1 && bytes.len() > 1 << 20 => {
-            let t = opts.threads;
-            let chunk = bytes.len().div_ceil(t);
-            let mut parts: Vec<Vec<u64>> = Vec::new();
-            parts.resize_with(t, Vec::new);
-            let mut panic_err: Option<Error> = None;
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (i, part) in parts.iter_mut().enumerate() {
-                    let lo = i * chunk;
-                    let hi = ((i + 1) * chunk).min(bytes.len());
-                    if lo >= hi {
-                        continue;
-                    }
-                    handles.push(s.spawn(move |_| {
-                        let mut v = Vec::new();
-                        newline_starts_into(bytes, lo, hi, &mut v);
-                        *part = v;
-                    }));
-                }
-                for h in handles {
-                    // First panic wins as a typed internal error; the
-                    // remaining workers still join so the scope exits
-                    // cleanly and the pool never wedges.
-                    if let Err(p) = h.join() {
-                        panic_err.get_or_insert(Error::from_panic("phase-1 worker", p));
-                    }
-                }
-            })
-            .map_err(|p| Error::from_panic("phase-1 scope", p))?;
-            if let Some(e) = panic_err {
-                return Err(e);
-            }
-            starts.push(0);
-            for p in parts {
-                starts.extend(p);
-            }
-        }
+    let starts = match opts.quote {
         None => {
-            starts.push(0);
-            newline_starts_into(bytes, 0, bytes.len(), &mut starts);
+            // Phase 1's items are bytes, not rows: keep them out of the
+            // profile's morsel aggregates (its cost is the `tokenize1`
+            // timer). The driver still polls the token before each chunk.
+            let _unprofiled = QueryContext {
+                profile: None,
+                ..QueryContext::current()
+            }
+            .enter();
+            let threads = if bytes.len() > 1 << 20 {
+                opts.threads
+            } else {
+                1
+            };
+            let mut parts = map_chunks(bytes.len(), threads, |r| {
+                let mut v = Vec::new();
+                if r.lo == 0 {
+                    v.push(0);
+                }
+                newline_starts_into(bytes, r.lo, r.hi, &mut v);
+                Ok(v)
+            })?;
+            // Several chunks concatenate into one exact-size vector on
+            // this thread: growing the first worker's vector in place
+            // measured a higher peak RSS on cold_first_touch.
+            if parts.len() == 1 {
+                parts.swap_remove(0)
+            } else {
+                parts.concat()
+            }
         }
         Some(q) => {
             // Serial state machine (newlines inside quotes don't break
             // rows), jumping between interesting bytes SWAR-style instead
             // of inspecting every byte.
             let mut cancel_check = nodb_types::CancelCheck::new();
-            starts.push(0);
+            let mut starts = vec![0];
             let mut in_quotes = false;
             let mut i = 0;
             while let Some(off) = find_byte2(&bytes[i..], q, b'\n') {
@@ -1011,8 +962,9 @@ pub fn find_row_starts(
                 }
                 i += 1;
             }
+            starts
         }
-    }
+    };
     // Drop the phantom start after a trailing newline and empty rows.
     let len = bytes.len() as u64;
     let mut filtered = Vec::with_capacity(starts.len());
@@ -1477,6 +1429,67 @@ mod tests {
             serial.columns[&1].as_i64_slice().unwrap(),
             par.columns[&1].as_i64_slice().unwrap()
         );
+    }
+
+    #[test]
+    fn phase1_is_cancellable_on_quoted_and_unquoted_input() {
+        use nodb_types::{CancelScope, CancelToken};
+        // Over the 1 MiB parallel threshold and over one 4096-row poll
+        // interval of the quoted state machine.
+        let mut data = String::new();
+        let mut i = 0u64;
+        while data.len() <= 1 << 20 {
+            data.push_str(&format!("{i},\"x{i}\"\n"));
+            i += 1;
+        }
+        let token = CancelToken::new();
+        token.cancel();
+        let _scope = CancelScope::enter(token);
+        let c = counters();
+        for (quote, threads) in [(None, 1), (None, 4), (Some(b'"'), 1)] {
+            let o = CsvOptions {
+                quote,
+                threads,
+                ..CsvOptions::default()
+            };
+            let err = find_row_starts(data.as_bytes(), &o, &c).unwrap_err();
+            assert!(
+                matches!(err, Error::Cancelled(_)),
+                "quote={quote:?} threads={threads}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn profile_rows_count_phase2_rows_never_phase1_bytes() {
+        use nodb_types::{ProfileScope, ProfileSink};
+        let schema = Schema::ints(2);
+        let mut data = String::new();
+        let mut n = 0u64;
+        while data.len() <= 1 << 20 {
+            data.push_str(&format!("{n},{}\n", n * 3));
+            n += 1;
+        }
+        let o = CsvOptions {
+            threads: 4,
+            ..CsvOptions::default()
+        };
+        let sink = ProfileSink::handle();
+        let _scope = ProfileScope::enter(std::sync::Arc::clone(&sink));
+        let c = counters();
+        find_row_starts(data.as_bytes(), &o, &c).unwrap();
+        let p = sink.snapshot();
+        assert_eq!((p.morsels, p.rows, p.bytes), (0, 0, 0), "{p:?}");
+        let spec = ScanSpec {
+            schema: &schema,
+            needed: vec![1],
+            pushdown: None,
+        };
+        let out = scan_bytes(data.as_bytes(), &o, &spec, None, &c).unwrap();
+        assert_eq!(out.rows_scanned, n);
+        let p = sink.snapshot();
+        assert_eq!((p.morsels, p.rows), (4, n), "{p:?}");
+        assert_eq!(p.bytes, data.len() as u64);
     }
 
     #[test]

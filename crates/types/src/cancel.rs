@@ -10,18 +10,19 @@
 //! the steal points the morsel design gives us for free are exactly the
 //! cancellation points Leis et al. promised.
 //!
-//! Tokens travel *ambiently*: an entry point (the session, the server's
-//! per-connection worker) installs its token for the current thread with
-//! [`CancelScope`], and every loop below it — tokenizer, store, exec —
-//! picks it up via [`current`] without a single signature changing. The
-//! morsel driver captures the installing thread's token before spawning
-//! workers, so stealing workers observe it too. When no scope is
+//! Tokens travel *ambiently*, as the `cancel` field of the thread's
+//! [`QueryContext`]: an entry point (the session, the server's
+//! per-connection worker) installs it, and every loop below it —
+//! tokenizer, store, exec — picks it up without a single signature
+//! changing. The morsel driver installs the caller's context on each of
+//! its workers, so stealing workers observe the token too. When none is
 //! installed, every check is one thread-local read and a branch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::context::{self, ContextGuard, QueryContext};
 use crate::error::{Error, Result};
 
 /// Serial loops poll their [`CancelCheck`] once per this many rows: small
@@ -155,43 +156,25 @@ impl CancelToken {
     }
 }
 
-std::thread_local! {
-    static CURRENT: std::cell::RefCell<Option<CancelToken>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The token installed for the current thread, if any.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Poll the current thread's token; a no-op when none is installed.
-pub fn check_current() -> Result<()> {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(t) => t.check(),
-        None => Ok(()),
-    })
-}
-
-/// RAII guard installing a token as the current thread's ambient token.
-/// On drop the previous token (usually none) is restored, so nested
-/// scopes compose.
+/// Installs a token as the current thread's ambient cancel token: a
+/// one-field overlay on the [`QueryContext`], restored on drop, so
+/// nested scopes compose.
 #[derive(Debug)]
+#[must_use = "the token is uninstalled when the scope drops"]
 pub struct CancelScope {
-    prev: Option<CancelToken>,
+    _ctx: ContextGuard,
 }
 
 impl CancelScope {
     /// Install `token` for the current thread until the guard drops.
     pub fn enter(token: CancelToken) -> CancelScope {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(token));
-        CancelScope { prev }
-    }
-}
-
-impl Drop for CancelScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        CancelScope {
+            _ctx: QueryContext {
+                cancel: Some(token),
+                ..QueryContext::current()
+            }
+            .enter(),
+        }
     }
 }
 
@@ -216,14 +199,8 @@ impl Default for CancelCheck {
 impl CancelCheck {
     /// Capture the current thread's ambient token (if any).
     pub fn new() -> CancelCheck {
-        CancelCheck::with_token(current())
-    }
-
-    /// Poll an explicit token — for workers running on pool threads where
-    /// the installing thread's ambient scope is not visible.
-    pub fn with_token(token: Option<CancelToken>) -> CancelCheck {
         CancelCheck {
-            token,
+            token: context::with(|c| c.ctx.cancel.clone()),
             budget: CHECK_INTERVAL_ROWS,
         }
     }
@@ -309,13 +286,20 @@ mod tests {
         assert!(matches!(t.check(), Err(Error::Cancelled(_))));
     }
 
+    fn check_current() -> Result<()> {
+        match QueryContext::current().cancel {
+            Some(t) => t.check(),
+            None => Ok(()),
+        }
+    }
+
     #[test]
     fn scope_installs_and_restores() {
-        assert!(current().is_none());
+        assert!(QueryContext::current().cancel.is_none());
         let t = CancelToken::new();
         {
             let _guard = CancelScope::enter(t.clone());
-            assert!(current().is_some());
+            assert!(QueryContext::current().cancel.is_some());
             t.cancel();
             assert!(matches!(check_current(), Err(Error::Cancelled(_))));
             // Nested scope shadows, then restores the outer token.
@@ -325,7 +309,7 @@ mod tests {
             }
             assert!(matches!(check_current(), Err(Error::Cancelled(_))));
         }
-        assert!(current().is_none());
+        assert!(QueryContext::current().cancel.is_none());
         assert!(check_current().is_ok());
     }
 

@@ -14,34 +14,37 @@
 //!   each column based on values"),
 //! * [`counters`] — work counters (bytes read, fields tokenized, ...) that
 //!   make the benchmark "shape" claims auditable,
-//! * [`morsel`] — the shared morsel-stealing driver ([`drive_morsels`])
-//!   every parallel pool (tokenizer morsels, post-load operator morsels)
-//!   schedules through, and the [`MorselBatch`] unit of work the fused
+//! * [`morsel`] — the morsel-stealing driver ([`drive_morsels`], and its
+//!   ordered wrapper [`map_morsels`]), the only place an engine crate
+//!   starts a thread, and the [`MorselBatch`] unit of work the fused
 //!   cold pipeline passes from the tokenizer (`nodb-rawcsv`) to the
 //!   operators (`nodb-exec`),
+//! * [`context`] — the one [`QueryContext`] (cancel token, memory guard,
+//!   profile sink) each thread carries, installed by an entry point and
+//!   by the driver on each of its workers,
 //! * [`page`] — [`ColumnPage`], the borrowed typed view one page of a
 //!   scalar result travels as from the selection vector to the wire
 //!   frame; rows are built from it only at the API edge,
 //! * [`cancel`] — cooperative query cancellation: a [`CancelToken`]
-//!   installed ambiently per thread via [`CancelScope`], polled by the
-//!   morsel driver at every steal and by serial loops via
+//!   carried in the context ([`CancelScope`] installs one alone), polled
+//!   by the morsel driver at every steal and by serial loops via
 //!   [`CancelCheck`],
 //! * [`failpoints`] — a std-only fault-injection registry (zero-cost
 //!   when disarmed) used by robustness tests to inject errors, delays,
 //!   and panics mid-pipeline,
 //! * [`resource`] — per-query memory governance: a [`MemoryGuard`]
-//!   allocation meter installed ambiently via [`MemoryScope`] (like
-//!   [`CancelScope`]), reserving from an engine-wide [`MemoryPool`]
-//!   whose degradation ladder runs before any query is shed with
-//!   [`Error::ResourceExhausted`],
-//! * [`profile`] — query-level observability: a [`ProfileSink`] phase
-//!   timer installed ambiently via [`ProfileScope`] (one thread-local
-//!   read when off), folding per-worker morsel aggregates into a
+//!   allocation meter carried in the context, reserving from an
+//!   engine-wide [`MemoryPool`] whose degradation ladder runs before any
+//!   query is shed with [`Error::ResourceExhausted`],
+//! * [`profile`] — query-level observability: a [`ProfileSink`] carried
+//!   in the context ([`ProfileScope`] installs one; one thread-local read
+//!   when off), folding phase timers and per-worker morsel aggregates into a
 //!   [`QueryProfile`], plus the [`LatencyHistogram`] the wire server
 //!   uses for per-opcode latency percentiles.
 
 pub mod cancel;
 pub mod column;
+pub mod context;
 pub mod counters;
 pub mod error;
 pub mod failpoints;
@@ -56,15 +59,16 @@ pub mod value;
 
 pub use cancel::{CancelCheck, CancelScope, CancelToken};
 pub use column::ColumnData;
+pub use context::{ContextGuard, QueryContext};
 pub use counters::{CountersSnapshot, WorkCounters};
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
-pub use morsel::{drive_morsels, morsel_count, MorselBatch, MorselRange};
+pub use morsel::{drive_morsels, map_morsels, morsel_count, MorselBatch, MorselRange};
 pub use page::{ColumnPage, PageColumn, Selection};
 pub use predicate::{float_key, CmpOp, ColPred, ColumnTest, Conjunction, SelectionBox};
 pub use profile::{
     CacheOutcome, LatencyHistogram, Phase, ProfileHandle, ProfileScope, ProfileSink, QueryProfile,
 };
-pub use resource::{MemoryGuard, MemoryPool, MemoryScope};
+pub use resource::{MemoryGuard, MemoryPool};
 pub use schema::{Field, Schema};
 pub use value::{DataType, Value, ValueRef};

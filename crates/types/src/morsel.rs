@@ -1,13 +1,16 @@
-//! The shared morsel-stealing driver.
+//! The morsel-stealing driver: the one thread source of the engine.
 //!
 //! Morsel-driven parallelism (Leis et al., SIGMOD 2014) splits an input
 //! into fixed-size ranges that worker threads *steal* from a shared atomic
-//! counter. Two independent pools used to implement that loop — the raw
-//! tokenizer's `scan_morsels` (nodb-rawcsv) and the post-load operators'
-//! `run_morsels` (nodb-exec) — each with their own steal counter, error
-//! flag and thread-scope plumbing. This module is the single driver both
-//! build on, so the scheduling semantics (steal order, first-error-wins
-//! cancellation, worker clamping) cannot drift apart.
+//! counter. [`drive_morsels`] is the only place an engine crate (types,
+//! rawcsv, exec, store, sql, core) starts a thread outside its tests: the
+//! tokenizer's phase 1 newline split and phase 2 chunk scans, the fused
+//! cold pipeline's `scan_morsels`, file splitting and every post-load
+//! operator all schedule through it, directly or through the ordered
+//! wrapper [`map_morsels`]. The scheduling semantics (steal order,
+//! first-error-wins cancellation, panic containment, worker clamping)
+//! therefore exist once, and so does the propagation of the caller's
+//! [`QueryContext`] to the workers.
 //!
 //! Call-site-specific behaviour stays at the call site, passed in as
 //! closures:
@@ -22,22 +25,24 @@
 //!
 //! Error semantics: the first `step` error wins; every other worker stops
 //! at its next steal, `flush` still runs for each started worker, and the
-//! winning error is returned.
+//! winning error is returned. A panicking worker becomes
+//! `Error::Internal` through the same slot.
 //!
-//! Cancellation: the driver captures the *calling thread's* ambient
-//! [`CancelToken`](crate::cancel::CancelToken) (installed by
-//! `CancelScope` at a query entry point) and polls it before every steal
-//! through the same first-error-wins machinery, so a CANCEL, an expired
-//! deadline or a detected client disconnect stops every worker within one
-//! morsel and surfaces as `Error::Cancelled` / `Error::Timeout`.
+//! Context: the driver captures the calling thread's [`QueryContext`]
+//! once and installs it on each worker it spawns, so a step sees the
+//! caller's cancel token, memory guard and profile sink ambiently. Phase
+//! timers stay off on workers (they belong to the coordinating thread).
+//! The driver polls the token before every steal through the
+//! first-error-wins machinery, so a CANCEL, an expired deadline or a
+//! detected client disconnect stops every worker within one morsel and
+//! surfaces as `Error::Cancelled` / `Error::Timeout`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cancel;
 use crate::column::ColumnData;
+use crate::context::QueryContext;
 use crate::error::{Error, Result};
-use crate::{profile, resource};
 
 /// One unit of work flowing through the fused cold pipeline: the parsed
 /// output of a contiguous run of raw-file rows, handed to a per-worker
@@ -87,7 +92,8 @@ pub fn morsel_count(n_items: usize, per_morsel: usize) -> usize {
 /// Run `step` over every morsel of `n_items` (`per_morsel` items each) on
 /// up to `threads` stealing workers. Workers are clamped to the morsel
 /// count; zero or one worker runs the loop inline on the calling thread
-/// (no scope, no spawn). See the module docs for the hook contract.
+/// (no scope, no spawn). See the module docs for the hook and context
+/// contract.
 pub fn drive_morsels<S, I, F, D>(
     n_items: usize,
     per_morsel: usize,
@@ -109,17 +115,9 @@ where
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let failure: Mutex<Option<Error>> = Mutex::new(None);
-    // Capture the caller's ambient token and memory guard here, on the
-    // installing thread: stealing workers run on scope threads with no
-    // thread-local scope of their own. The guard is re-installed per
-    // worker so deep allocation sites can `charge_current` from any
-    // thread of the pool.
-    let token = cancel::current();
-    let memory = resource::current();
-    // Ambient query profile, likewise captured on the installing thread:
-    // workers fold per-worker morsel aggregates (morsels, steals, items)
-    // into it once per worker, after their last steal.
-    let prof = profile::current();
+    // The caller's context, captured once; the inline path already runs
+    // under it, spawned workers install it.
+    let ctx = QueryContext::current();
 
     // First error wins; a poisoned lock (a step panicked on another
     // worker while storing its error) must not turn into a second panic
@@ -133,7 +131,6 @@ where
     };
 
     let run_worker = |worker: usize| {
-        let _mem = memory.clone().map(resource::MemoryScope::enter);
         let mut state = init(worker);
         // Per-worker aggregates, folded into the shared profile sink in
         // one batch after the loop (no per-morsel atomics).
@@ -142,7 +139,7 @@ where
             if failed.load(Ordering::Relaxed) {
                 break;
             }
-            if let Some(t) = &token {
+            if let Some(t) = &ctx.cancel {
                 if let Err(e) = t.check() {
                     record_failure(e);
                     break;
@@ -157,7 +154,7 @@ where
                 lo: index * per_morsel,
                 hi: ((index + 1) * per_morsel).min(n_items),
             };
-            if prof.is_some() {
+            if ctx.profile.is_some() {
                 p_morsels += 1;
                 p_items += (range.hi - range.lo) as u64;
                 // A morsel is "stolen" when it lands outside the worker's
@@ -172,7 +169,7 @@ where
                 break;
             }
         }
-        if let Some(p) = &prof {
+        if let Some(p) = &ctx.profile {
             if p_morsels > 0 {
                 p.add_morsels(p_morsels, p_items, 0);
                 p.add_steals(p_steals);
@@ -184,33 +181,32 @@ where
     if workers <= 1 {
         run_worker(0);
     } else {
-        // A panicking worker must not take the process (or this pool)
-        // down: catch the unwind on the worker thread itself, convert it
-        // to a typed internal error through the same first-error-wins
-        // slot, and let every sibling stop at its next steal. `join`
-        // therefore never observes a panic; the unreachable fallbacks
-        // keep us honest if one slips through anyway.
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let run_worker = &run_worker;
-                let record_failure = &record_failure;
-                handles.push(s.spawn(move |_| {
-                    let caught =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_worker(w)));
-                    if let Err(payload) = caught {
-                        record_failure(Error::from_panic("morsel worker", payload));
-                    }
-                }));
-            }
+        // A panicking worker must not take the process down: catch the
+        // unwind on the worker thread itself and convert it to a typed
+        // internal error through the same first-error-wins slot, so every
+        // sibling stops at its next steal and the scope never observes a
+        // panic.
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (run_worker, record_failure, ctx) = (&run_worker, &record_failure, &ctx);
+                    s.spawn(move || {
+                        let _ctx = ctx.clone().enter_worker();
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_worker(w)
+                        }));
+                        if let Err(payload) = caught {
+                            record_failure(Error::from_panic("morsel worker", payload));
+                        }
+                    })
+                })
+                .collect();
+            // Join each worker: a join waits for the thread to exit, so
+            // its teardown does not overlap the caller's next stage (the
+            // scope alone returns once the closures end).
             for h in handles {
-                if let Err(payload) = h.join() {
-                    record_failure(Error::from_panic("morsel worker", payload));
-                }
+                let _ = h.join();
             }
-        })
-        .unwrap_or_else(|payload| {
-            record_failure(Error::from_panic("morsel scope", payload));
         });
     }
 
@@ -218,6 +214,39 @@ where
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+/// Run `f` over every morsel of `n_items` (`per_morsel` items each) on up
+/// to `threads` stealing workers and return the results in morsel index
+/// order, regardless of scheduling. [`drive_morsels`] with one ordered
+/// result slot per morsel; the first error wins.
+pub fn map_morsels<T, F>(n_items: usize, per_morsel: usize, threads: usize, f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(MorselRange) -> Result<T> + Sync,
+{
+    let mut slots: Vec<Mutex<Option<T>>> = Vec::new();
+    slots.resize_with(morsel_count(n_items, per_morsel), || Mutex::new(None));
+    drive_morsels(
+        n_items,
+        per_morsel,
+        threads,
+        |_worker| (),
+        |_state, _worker, r| {
+            let v = f(r)?;
+            *slots[r.index].lock().unwrap_or_else(|p| p.into_inner()) = Some(v);
+            Ok(())
+        },
+        |_state| {},
+    )?;
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .ok_or_else(|| Error::internal("morsel result missing"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -418,11 +447,19 @@ mod tests {
         );
     }
 
+    fn metered(guard: &crate::MemoryGuard) -> crate::ContextGuard {
+        QueryContext {
+            memory: Some(guard.clone()),
+            ..QueryContext::current()
+        }
+        .enter()
+    }
+
     #[test]
     fn ambient_memory_guard_reaches_workers() {
-        use crate::resource::{self, MemoryGuard, MemoryScope};
+        use crate::resource::{self, MemoryGuard};
         let guard = MemoryGuard::new(None, None);
-        let _scope = MemoryScope::enter(guard.clone());
+        let _scope = metered(&guard);
         drive_morsels(
             1000,
             10,
@@ -440,7 +477,7 @@ mod tests {
 
         // And a capped guard sheds from inside the pool as a typed error.
         let small = MemoryGuard::new(Some(100), None);
-        let _scope2 = MemoryScope::enter(small);
+        let _scope2 = metered(&small);
         let err = drive_morsels(
             1000,
             10,
@@ -457,8 +494,80 @@ mod tests {
     }
 
     #[test]
+    fn workers_carry_the_installers_context_with_timers_off() {
+        use crate::cancel::{CancelScope, CancelToken};
+        use crate::profile::{self, Phase, ProfileScope, ProfileSink};
+        use crate::resource::MemoryGuard;
+        use std::sync::Arc;
+
+        let token = CancelToken::new();
+        let guard = MemoryGuard::new(None, None);
+        let sink = ProfileSink::handle();
+        let outer = CancelToken::new();
+        outer.cancel();
+        let _outer = CancelScope::enter(outer.clone());
+        {
+            let _profile = ProfileScope::enter(Arc::clone(&sink));
+            let _query = QueryContext {
+                cancel: Some(token.clone()),
+                memory: Some(guard.clone()),
+                ..QueryContext::current()
+            }
+            .enter();
+            let caller = std::thread::current().id();
+            let on_workers = AtomicU64::new(0);
+            let wall = std::time::Instant::now();
+            {
+                let _coordinator = profile::phase(Phase::Load);
+                drive_morsels(
+                    1000,
+                    10,
+                    4,
+                    |_w| (),
+                    |_s, _w, _r| {
+                        let ctx = QueryContext::current();
+                        // The query's live token, not the cancelled outer one.
+                        assert!(ctx.cancel.is_some_and(|t| !t.is_cancelled()));
+                        let mem = ctx.memory.expect("guard reaches the worker");
+                        mem.charge(1)?;
+                        let prof = ctx.profile.expect("sink reaches the worker");
+                        assert!(Arc::ptr_eq(&prof, &sink));
+                        if std::thread::current().id() != caller {
+                            on_workers.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // A timer opened inside a step records nothing:
+                        // phase time belongs to the coordinating thread.
+                        let _p = profile::phase(Phase::WarmKernel);
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                        Ok(())
+                    },
+                    |_s| {},
+                )
+                .unwrap();
+            }
+            let wall_ns = wall.elapsed().as_nanos() as u64;
+            assert_eq!(on_workers.load(Ordering::Relaxed), 100);
+            assert_eq!(guard.used(), 100);
+            let p = sink.snapshot();
+            assert_eq!(p.phase_hits[Phase::WarmKernel as usize], 0);
+            assert_eq!(p.phase_ns(Phase::WarmKernel), 0);
+            assert_eq!(p.phase_hits[Phase::Load as usize], 1);
+            assert!(p.total_phase_ns() <= wall_ns, "{p:?} vs wall {wall_ns}");
+            assert_eq!(p.morsels, 100);
+            // Back on the caller: the query's context is still installed.
+            let ctx = QueryContext::current();
+            assert!(Arc::ptr_eq(ctx.profile.as_ref().unwrap(), &sink));
+            assert!(ctx.memory.is_some());
+        }
+        // Leaving the nested scopes restores the outer token alone.
+        let ctx = QueryContext::current();
+        assert!(ctx.profile.is_none() && ctx.memory.is_none());
+        assert!(ctx.cancel.expect("outer token").is_cancelled());
+    }
+
+    #[test]
     fn ambient_profile_collects_morsel_aggregates() {
-        use crate::profile::{self, ProfileScope, ProfileSink};
+        use crate::profile::{ProfileScope, ProfileSink};
         let sink = ProfileSink::handle();
         let _scope = ProfileScope::enter(std::sync::Arc::clone(&sink));
         drive_morsels(1000, 10, 4, |_w| (), |_s, _w, _r| Ok(()), |_s| {}).unwrap();
@@ -466,10 +575,28 @@ mod tests {
         assert_eq!(p.morsels, 100);
         assert_eq!(p.rows, 1000);
         drop(_scope);
-        assert!(profile::current().is_none());
+        assert!(QueryContext::current().profile.is_none());
         // Without a scope the driver records nothing new.
         drive_morsels(100, 10, 4, |_w| (), |_s, _w, _r| Ok(()), |_s| {}).unwrap();
         assert_eq!(sink.snapshot().morsels, 100);
+    }
+
+    #[test]
+    fn map_morsels_returns_results_in_morsel_order() {
+        let out = map_morsels(1000, 7, 4, |r| Ok((r.index, r.lo, r.hi))).unwrap();
+        assert_eq!(out.len(), morsel_count(1000, 7));
+        for (i, &(index, lo, hi)) in out.iter().enumerate() {
+            assert_eq!((index, lo, hi), (i, i * 7, ((i + 1) * 7).min(1000)));
+        }
+        let err = map_morsels(100, 10, 4, |r| {
+            if r.index == 7 {
+                Err(Error::exec("boom"))
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("boom"));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!   profile: per-[`Phase`] self-times, morsel aggregates (morsels,
 //!   steals, rows, bytes), the loading-strategy label and the
 //!   result-cache outcome.
-//! * [`ProfileScope`] — installs a sink as the calling thread's *ambient*
-//!   profile, exactly like [`CancelScope`](crate::CancelScope) /
-//!   [`MemoryScope`](crate::MemoryScope): instrumentation sites call
-//!   [`time`] / [`note_cache`] / [`note_strategy`] unconditionally, and
-//!   when no scope is installed each site costs one thread-local read and
-//!   a branch — no clock call, no allocation.
+//! * [`ProfileScope`] — installs a sink as the `profile` field of the
+//!   calling thread's [`QueryContext`], exactly like
+//!   [`CancelScope`](crate::CancelScope) does for the token:
+//!   instrumentation sites call [`time`] / [`note_cache`] /
+//!   [`note_strategy`] unconditionally, and when no sink is installed
+//!   each site costs one thread-local read and a branch — no clock call,
+//!   no allocation.
 //! * [`QueryProfile`] — the final snapshot attached to `QueryStats`,
 //!   rendered by `EXPLAIN ANALYZE` and the server's slow-query log.
 //! * [`LatencyHistogram`] — fixed-bucket log2 histogram (microsecond
@@ -30,14 +31,15 @@
 //! phases subtracted. Disjoint self-times sum to at most the query's wall
 //! clock — which is what makes an `EXPLAIN ANALYZE` breakdown add up.
 //! Timers run only on the thread that entered the scope (the query's
-//! coordinating thread); worker threads contribute *counts* (morsels,
-//! steals, rows, bytes) through the shared sink, never overlapping
-//! wall-clock time.
+//! coordinating thread); the morsel driver's workers carry the same sink
+//! with timers off and contribute *counts* (morsels, steals, rows,
+//! bytes), never overlapping wall-clock time.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::context::{self, ContextGuard, QueryContext};
 
 /// One timed section of query execution.
 ///
@@ -341,69 +343,35 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The ambient profile of the current thread: the installed sink plus the
-/// stack of open phase timers (for exclusive-time accounting).
-struct Active {
-    sink: ProfileHandle,
-    stack: Vec<(Phase, Instant)>,
-}
-
-std::thread_local! {
-    static CURRENT: RefCell<Option<Active>> = const { RefCell::new(None) };
-}
-
-/// The current thread's ambient profile handle, if a [`ProfileScope`] is
-/// installed. Parallel drivers capture this on the scheduling thread and
-/// hand it to workers, which record counts through the sink directly.
-pub fn current() -> Option<ProfileHandle> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|a| Arc::clone(&a.sink)))
-}
-
-/// Is profiling enabled on this thread?
-pub fn enabled() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
-/// Installs a sink as the thread's ambient profile for a lexical scope.
-///
-/// Mirrors [`CancelScope`](crate::CancelScope): the previous ambient
-/// profile (if any) is saved and restored on drop, so nested scopes
-/// compose. Only the installing thread's timers record; worker threads
-/// receive the handle explicitly from their driver.
+/// Installs a sink as the thread's ambient profile for a lexical scope: a
+/// one-field overlay on the [`QueryContext`]. The previous profile (if
+/// any) is restored on drop, so nested scopes compose; timers still open
+/// then are closed into this scope's sink. Only the installing thread's
+/// timers record — driver workers carry the sink for their counts but run
+/// with timers off.
+#[derive(Debug)]
+#[must_use = "the profile is uninstalled when the scope drops"]
 pub struct ProfileScope {
-    prev: Option<Active>,
+    _ctx: ContextGuard,
 }
 
 impl ProfileScope {
     /// Install `sink` as the current thread's ambient profile.
     pub fn enter(sink: ProfileHandle) -> ProfileScope {
-        let prev = CURRENT.with(|c| {
-            c.borrow_mut().replace(Active {
-                sink,
-                stack: Vec::new(),
-            })
-        });
-        ProfileScope { prev }
+        ProfileScope {
+            _ctx: QueryContext {
+                profile: Some(sink),
+                ..QueryContext::current()
+            }
+            .enter(),
+        }
     }
 }
 
-impl Drop for ProfileScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            let mut cur = c.borrow_mut();
-            // Close any still-open timers (an error unwound mid-phase):
-            // their elapsed time still lands in the sink.
-            if let Some(active) = cur.as_mut() {
-                let now = Instant::now();
-                while let Some((p, start)) = active.stack.pop() {
-                    active
-                        .sink
-                        .add_phase_ns(p, now.duration_since(start).as_nanos() as u64);
-                }
-            }
-            *cur = self.prev.take();
-        });
-    }
+/// The ambient sink, cloned out of the context so no sink call runs
+/// under its borrow.
+fn ambient_sink() -> Option<ProfileHandle> {
+    context::with(|c| c.ctx.profile.clone())
 }
 
 /// An open phase timer; closing it (drop) records the phase's self-time.
@@ -414,26 +382,30 @@ pub struct PhaseGuard {
 }
 
 /// Start timing `phase` on the current thread. One thread-local read and
-/// a branch when profiling is off. Pauses the enclosing phase's clock
-/// while this one is open, so recorded times are exclusive.
+/// a branch when profiling is off (or on a driver worker). Pauses the
+/// enclosing phase's clock while this one is open, so recorded times are
+/// exclusive.
 pub fn phase(p: Phase) -> PhaseGuard {
-    let armed = CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        match cur.as_mut() {
-            None => false,
-            Some(active) => {
-                let now = Instant::now();
-                if let Some((parent, start)) = active.stack.last_mut() {
-                    let elapsed = now.duration_since(*start).as_nanos() as u64;
-                    active.sink.extend_phase_ns(*parent, elapsed);
-                    *start = now;
-                }
-                active.stack.push((p, now));
-                true
-            }
-        }
+    let opened = context::with(|cur| {
+        let (Some(sink), Some(timers)) = (&cur.ctx.profile, &mut cur.timers) else {
+            return None;
+        };
+        let now = Instant::now();
+        let paused = timers.last_mut().map(|(parent, start)| {
+            let elapsed = now.duration_since(*start).as_nanos() as u64;
+            *start = now;
+            (*parent, elapsed)
+        });
+        timers.push((p, now));
+        Some((Arc::clone(sink), paused))
     });
-    PhaseGuard { armed }
+    let Some((sink, paused)) = opened else {
+        return PhaseGuard { armed: false };
+    };
+    if let Some((parent, elapsed)) = paused {
+        sink.extend_phase_ns(parent, elapsed);
+    }
+    PhaseGuard { armed: true }
 }
 
 impl Drop for PhaseGuard {
@@ -441,21 +413,24 @@ impl Drop for PhaseGuard {
         if !self.armed {
             return;
         }
-        CURRENT.with(|c| {
-            let mut cur = c.borrow_mut();
-            if let Some(active) = cur.as_mut() {
-                if let Some((p, start)) = active.stack.pop() {
-                    let now = Instant::now();
-                    active
-                        .sink
-                        .add_phase_ns(p, now.duration_since(start).as_nanos() as u64);
-                    // Resume the parent's clock from now.
-                    if let Some((_, pstart)) = active.stack.last_mut() {
-                        *pstart = now;
-                    }
-                }
+        let closed = context::with(|cur| {
+            let sink = cur.ctx.profile.as_ref()?;
+            let timers = cur.timers.as_mut()?;
+            let (p, start) = timers.pop()?;
+            let now = Instant::now();
+            // Resume the parent's clock from now.
+            if let Some((_, pstart)) = timers.last_mut() {
+                *pstart = now;
             }
+            Some((
+                Arc::clone(sink),
+                p,
+                now.duration_since(start).as_nanos() as u64,
+            ))
         });
+        if let Some((sink, p, ns)) = closed {
+            sink.add_phase_ns(p, ns);
+        }
     }
 }
 
@@ -467,20 +442,24 @@ pub fn time<T>(p: Phase, f: impl FnOnce() -> T) -> T {
 
 /// Record the result-cache outcome into the ambient profile, if any.
 pub fn note_cache(outcome: CacheOutcome) {
-    CURRENT.with(|c| {
-        if let Some(a) = c.borrow().as_ref() {
-            a.sink.set_cache(outcome);
-        }
-    });
+    if let Some(sink) = ambient_sink() {
+        sink.set_cache(outcome);
+    }
 }
 
 /// Record the loading-strategy label into the ambient profile, if any.
 pub fn note_strategy(label: &str) {
-    CURRENT.with(|c| {
-        if let Some(a) = c.borrow().as_ref() {
-            a.sink.set_strategy(label);
-        }
-    });
+    if let Some(sink) = ambient_sink() {
+        sink.set_strategy(label);
+    }
+}
+
+/// Fold input bytes consumed into the ambient profile, if any — callable
+/// from driver workers, which carry the caller's sink.
+pub fn add_bytes(bytes: u64) {
+    if let Some(sink) = ambient_sink() {
+        sink.add_bytes(bytes);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -586,15 +565,14 @@ mod tests {
 
     #[test]
     fn disabled_sites_are_inert() {
-        assert!(current().is_none());
-        assert!(!enabled());
+        assert!(ambient_sink().is_none());
         // No scope installed: timers, notes and `time` are no-ops.
         let g = phase(Phase::Plan);
         drop(g);
         note_cache(CacheOutcome::Hit);
         note_strategy("x");
         assert_eq!(time(Phase::WarmKernel, || 7), 7);
-        assert!(current().is_none());
+        assert!(ambient_sink().is_none());
     }
 
     #[test]
@@ -602,12 +580,12 @@ mod tests {
         let sink = ProfileSink::handle();
         {
             let _scope = ProfileScope::enter(Arc::clone(&sink));
-            assert!(enabled());
+            assert!(ambient_sink().is_some());
             time(Phase::Plan, || std::thread::sleep(Duration::from_millis(2)));
             note_strategy("adaptive");
             note_cache(CacheOutcome::Miss);
         }
-        assert!(!enabled());
+        assert!(ambient_sink().is_none());
         let p = sink.snapshot();
         assert!(p.phase_ns(Phase::Plan) >= 1_000_000, "{p:?}");
         assert_eq!(p.phase_hits[Phase::Plan as usize], 1);
@@ -663,7 +641,7 @@ mod tests {
     fn worker_counts_fold_through_shared_handle() {
         let sink = ProfileSink::handle();
         let _scope = ProfileScope::enter(Arc::clone(&sink));
-        let handle = current().expect("ambient installed");
+        let handle = ambient_sink().expect("ambient installed");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let h = Arc::clone(&handle);

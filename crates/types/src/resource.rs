@@ -21,13 +21,13 @@
 //!   per-query cap (`EngineConfig::query_mem_bytes`) sheds the one
 //!   offending query, never its neighbours. Dropping the guard (all
 //!   clones) releases the query's whole reservation back to the pool.
-//! * [`MemoryScope`] — the ambient installer, mirroring
-//!   [`CancelScope`](crate::cancel::CancelScope): the session entry
-//!   points install the query's guard as a thread-local, the morsel
-//!   driver re-installs it on pool workers, and deep allocation sites
-//!   charge via [`charge_current`] without threading a handle through
-//!   operator signatures. With no guard installed every charge is a
-//!   no-op — embedded callers that configure no budgets pay nothing.
+//! * the ambient meter — the `memory` field of the thread's
+//!   [`QueryContext`](crate::QueryContext): the session entry points
+//!   install the query's guard there, the morsel driver installs the
+//!   caller's context on its workers, and deep allocation sites charge
+//!   via [`charge_current`] without threading a handle through operator
+//!   signatures. With no guard installed every charge is a no-op —
+//!   embedded callers that configure no budgets pay nothing.
 //!
 //! Charges are *approximate and amortised*: sites charge whole batches
 //! (a morsel's columns, a join partition, a captured result) rather
@@ -38,6 +38,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::context;
 use crate::error::{Error, Result};
 
 /// Bytes the engine tries to free per reclaim call beyond the immediate
@@ -313,55 +314,15 @@ impl MemoryGuard {
     }
 }
 
-std::thread_local! {
-    static CURRENT: std::cell::RefCell<Option<MemoryGuard>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The guard installed for the current thread, if any. The morsel driver
-/// captures this on the installing thread and re-installs it on workers,
-/// exactly like the ambient [`CancelToken`](crate::cancel::CancelToken).
-pub fn current() -> Option<MemoryGuard> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Charge the current thread's ambient guard; a no-op when none is
-/// installed (the common unbudgeted case: one thread-local read).
+/// Charge the current thread's ambient guard (the `memory` field of its
+/// [`QueryContext`](crate::QueryContext)); a no-op when none is installed
+/// (the common unbudgeted case: one thread-local read). The guard is
+/// cloned out first: the charge may run the reclaim ladder, which may read
+/// the context itself.
 pub fn charge_current(bytes: usize) -> Result<()> {
-    CURRENT.with(|c| match &*c.borrow() {
+    match context::with(|c| c.ctx.memory.clone()) {
         Some(g) => g.charge(bytes),
         None => Ok(()),
-    })
-}
-
-/// Release bytes back to the current thread's ambient guard, if any.
-pub fn release_current(bytes: usize) {
-    CURRENT.with(|c| {
-        if let Some(g) = &*c.borrow() {
-            g.release(bytes);
-        }
-    });
-}
-
-/// RAII guard installing a [`MemoryGuard`] as the current thread's
-/// ambient meter. On drop the previous guard (usually none) is restored,
-/// so nested scopes compose.
-#[derive(Debug)]
-pub struct MemoryScope {
-    prev: Option<MemoryGuard>,
-}
-
-impl MemoryScope {
-    /// Install `guard` for the current thread until the scope drops.
-    pub fn enter(guard: MemoryGuard) -> MemoryScope {
-        let prev = CURRENT.with(|c| c.borrow_mut().replace(guard));
-        MemoryScope { prev }
-    }
-}
-
-impl Drop for MemoryScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
     }
 }
 
@@ -522,28 +483,53 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
+    fn meter(g: &MemoryGuard) -> crate::ContextGuard {
+        crate::QueryContext {
+            memory: Some(g.clone()),
+            ..crate::QueryContext::current()
+        }
+        .enter()
+    }
+
     #[test]
-    fn ambient_scope_installs_and_restores() {
-        assert!(current().is_none());
+    fn ambient_guard_installs_and_restores() {
+        assert!(crate::QueryContext::current().memory.is_none());
         charge_current(1 << 30).unwrap(); // no guard: no-op
         let g = MemoryGuard::new(Some(100), None);
         {
-            let _scope = MemoryScope::enter(g.clone());
+            let _scope = meter(&g);
             charge_current(60).unwrap();
             assert!(charge_current(60).is_err());
-            release_current(60);
+            g.release(60);
             assert_eq!(g.used(), 0);
             // Nested scope shadows, then restores.
             let g2 = MemoryGuard::new(None, None);
             {
-                let _inner = MemoryScope::enter(g2.clone());
+                let _inner = meter(&g2);
                 charge_current(500).unwrap();
             }
             assert_eq!(g2.used(), 500);
             charge_current(10).unwrap();
         }
         assert_eq!(g.used(), 10);
-        assert!(current().is_none());
+        assert!(crate::QueryContext::current().memory.is_none());
+    }
+
+    #[test]
+    fn reclaim_ladder_may_read_the_context_mid_charge() {
+        // The ladder runs inside `charge_current`; it opening a phase (a
+        // mutable use of the same thread-local) must not double-borrow.
+        let pool = MemoryPool::new(Some(100));
+        pool.set_reclaimer(Box::new(|need| {
+            let _p = crate::profile::phase(crate::Phase::Load);
+            assert!(crate::QueryContext::current().memory.is_some());
+            need
+        }));
+        let g = MemoryGuard::new(None, Some(pool));
+        let _profile = crate::ProfileScope::enter(crate::ProfileSink::handle());
+        let _scope = meter(&g);
+        charge_current(500).unwrap();
+        assert_eq!(g.used(), 500);
     }
 
     #[test]

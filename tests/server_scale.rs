@@ -11,7 +11,7 @@ mod common;
 
 use std::io::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nodb::core::{Engine, EngineConfig, LoadingStrategy};
 use nodb::server::framing::read_frame;
@@ -246,9 +246,9 @@ fn pipelined_heavy_drain_does_not_starve_short_queries() {
         other => panic!("expected cursor, got {other:?}"),
     };
 
-    // Every response the server writes from here on costs 10ms, making
-    // "scheduler rounds" measurable in wall-clock: the pipelined burst
-    // is >= 1s of worker time, a short session needs ~4 responses.
+    // Every response the server writes from here on costs 10ms of the
+    // one worker, and counts one `wire.write_frame` hit: the pipelined
+    // burst is BURST frames of worker time, a short session needs ~4.
     const BURST: usize = 100;
     const DELAY_MS: u64 = 10;
     failpoints::arm("wire.write_frame", Action::delay_ms(DELAY_MS));
@@ -263,24 +263,25 @@ fn pipelined_heavy_drain_does_not_starve_short_queries() {
     let shorts: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
-                let started = Instant::now();
                 let mut c = Client::connect(addr).expect("short client connects");
                 let (_, rows) = c.query_all("select count(*) from t").unwrap();
                 assert_eq!(rows, vec![vec![Value::Int(500)]]);
                 c.quit().unwrap();
-                started.elapsed()
+                failpoints::hits("wire.write_frame")
             })
         })
         .collect();
     for s in shorts {
-        let elapsed = s.join().expect("short client thread");
-        // Round-robin bound: ~5 own round trips, each waiting out at
-        // most one 10ms heavy response plus its own. Draining the
-        // burst first would take >= BURST * DELAY_MS = 1s.
+        let frames = s.join().expect("short client thread");
+        // Round-robin bound, counted in frames the one worker wrote
+        // before this session returned: ~5 own round trips, each
+        // waiting out at most one heavy response plus its own. Draining
+        // the burst first would take >= BURST frames.
         assert!(
-            elapsed < Duration::from_millis(700),
-            "short query took {elapsed:?} behind a pipelined heavy drain; \
-             the scheduler let one connection monopolise the worker"
+            frames < 70,
+            "a short session returned only after {frames} frames behind a \
+             pipelined heavy drain; the scheduler let one connection \
+             monopolise the worker"
         );
     }
 
