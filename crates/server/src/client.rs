@@ -1,14 +1,26 @@
 //! The blocking client: typed request/response framing over one TCP
 //! connection.
 //!
-//! [`Client`] is deliberately synchronous — one request in flight at a
-//! time, mirroring the serve loop on the other end — which makes it
-//! directly usable from tests, benches and simple tools. Results come
-//! back as bounded pages: [`Client::fetch`] returns one [`RowBatch`]
-//! per call until the cursor is exhausted, and [`Client::fetch_all`] /
-//! [`Client::query_all`] do the paging loop for callers who want the
-//! whole result.
+//! [`Client`] is blocking: every call sends its request and waits for
+//! the answer, and the wire carries one request at a time with the
+//! responses in order, mirroring the serve loop on the other end. That
+//! makes it directly usable from tests, benches and simple tools.
+//! Results come back as bounded pages: [`Client::fetch`] returns one
+//! [`RowBatch`] per call until the cursor is exhausted, and
+//! [`Client::fetch_all`] / [`Client::query_all`] do the paging loop for
+//! callers who want the whole result.
+//!
+//! Paging reads ahead. When `fetch` receives a page that is not the
+//! last, it sends the `FETCH` for the next one before it decodes the
+//! page it has, so the server encodes page k+1 while the caller decodes
+//! and consumes page k. Between `fetch` calls that next `FETCH` may
+//! therefore be outstanding: at most one page per cursor, in flight or
+//! received and not yet returned. Any other request first reads the
+//! in-flight answer and files it under its cursor, so the one-request
+//! rule holds on the wire. A full drain of P pages still sends exactly
+//! P `FETCH`es: a single-page result never reads ahead.
 
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -96,12 +108,22 @@ pub struct ConnectOptions {
     pub retry: Option<RetryPolicy>,
 }
 
+/// Opcode of a `BATCH` response, whose next payload byte is the `done`
+/// flag (`docs/SERVER.md`, "Messages").
+const BATCH_OPCODE: u8 = 0x84;
+
 /// A connected wire client.
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     batch_rows: u32,
     session_id: u64,
+    /// The cursor whose read-ahead `FETCH` is on the wire, unanswered.
+    in_flight: Option<u32>,
+    /// Read-ahead answers received but not yet returned, by cursor id:
+    /// the raw payload, decoded (and any `ERR` in it raised) by that
+    /// cursor's next [`Client::fetch`].
+    stashed: HashMap<u32, Vec<u8>>,
 }
 
 /// A prepared statement living on the server.
@@ -221,6 +243,8 @@ impl Client {
             reader,
             batch_rows: 0,
             session_id: 0,
+            in_flight: None,
+            stashed: HashMap::new(),
         };
         match client.roundtrip(&Request::Hello {
             version: PROTOCOL_VERSION,
@@ -263,10 +287,31 @@ impl Client {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.writer, &req.encode())?;
-        let payload = read_frame(&mut self.reader)?
-            .ok_or_else(|| Error::protocol("server closed the connection"))?;
+        self.send(req)?;
+        let payload = self.read_payload()?;
         Response::decode(&payload)?.into_error()
+    }
+
+    /// Put `req` on the wire once it is the only request there.
+    fn send(&mut self, req: &Request) -> Result<()> {
+        self.settle()?;
+        write_frame(&mut self.writer, &req.encode())?;
+        Ok(())
+    }
+
+    fn read_payload(&mut self) -> Result<Vec<u8>> {
+        read_frame(&mut self.reader)?.ok_or_else(|| Error::protocol("server closed the connection"))
+    }
+
+    /// Read the answer to the read-ahead `FETCH` still on the wire, if
+    /// any, and file it under its cursor, so that the next frame answers
+    /// the next request.
+    fn settle(&mut self) -> Result<()> {
+        if let Some(id) = self.in_flight.take() {
+            let payload = self.read_payload()?;
+            self.stashed.insert(id, payload);
+        }
+        Ok(())
     }
 
     /// Run a statement (SELECT or `CREATE TABLE .. AS SELECT ..`),
@@ -302,11 +347,32 @@ impl Client {
     /// Fetch the next page, or `None` once the cursor is exhausted. The
     /// server closes the cursor with the final page; no explicit close
     /// is needed after a full drain.
+    ///
+    /// A page that is not the last one leaves the `FETCH` for the next
+    /// page outstanding (see the module docs); an error the server
+    /// answers to that read-ahead is returned by this cursor's next
+    /// `fetch`.
     pub fn fetch(&mut self, cursor: &mut RemoteCursor) -> Result<Option<RowBatch>> {
         if cursor.done {
             return Ok(None);
         }
-        match self.roundtrip(&Request::Fetch { cursor: cursor.id })? {
+        let payload = if self.in_flight == Some(cursor.id) {
+            self.in_flight = None;
+            self.read_payload()?
+        } else if let Some(payload) = self.stashed.remove(&cursor.id) {
+            payload
+        } else {
+            self.send(&Request::Fetch { cursor: cursor.id })?;
+            self.read_payload()?
+        };
+        // Read ahead before decoding, and only after a page that is not
+        // the last: the server encodes the next page while this one is
+        // decoded and consumed, and a drain never overshoots its end.
+        if payload.starts_with(&[BATCH_OPCODE, 0]) {
+            self.send(&Request::Fetch { cursor: cursor.id })?;
+            self.in_flight = Some(cursor.id);
+        }
+        match Response::decode(&payload)?.into_error()? {
             Response::Batch { done, rows } => {
                 cursor.done = done;
                 if rows.is_empty() && done {
@@ -340,9 +406,11 @@ impl Client {
     }
 
     /// Abandon an open cursor server-side; its remaining rows are never
-    /// produced. Idempotent.
+    /// produced, and a page it read ahead is discarded. Idempotent.
     pub fn cancel(&mut self, cursor: &mut RemoteCursor) -> Result<()> {
         cursor.done = true;
+        self.settle()?;
+        self.stashed.remove(&cursor.id);
         match self.roundtrip(&Request::Cancel { cursor: cursor.id })? {
             Response::Ok => Ok(()),
             other => Err(unexpected("OK", &other)),
@@ -376,7 +444,9 @@ impl Client {
         }
     }
 
-    /// Say goodbye and close the connection.
+    /// Say goodbye and close the connection. Pages read ahead and not
+    /// yet returned are discarded, as they are when a `Client` is
+    /// dropped.
     pub fn quit(mut self) -> Result<()> {
         match self.roundtrip(&Request::Quit)? {
             Response::Ok => Ok(()),
@@ -401,6 +471,86 @@ fn unexpected(wanted: &str, got: &Response) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_ahead_recognises_a_not_done_batch() {
+        let batch = |done| Response::Batch { done, rows: vec![] }.encode();
+        assert!(batch(false).starts_with(&[BATCH_OPCODE, 0]));
+        assert!(batch(true).starts_with(&[BATCH_OPCODE, 1]));
+        assert!(!Response::Ok.encode().starts_with(&[BATCH_OPCODE]));
+    }
+
+    /// A one-connection server that answers each request it reads with
+    /// the next scripted response, and returns the requests it saw.
+    fn scripted_server(
+        script: Vec<Response>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<Request>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            for resp in script {
+                let payload = read_frame(&mut sock).unwrap().expect("a request");
+                seen.push(Request::decode(&payload).unwrap());
+                write_frame(&mut sock, &resp.encode()).unwrap();
+            }
+            seen
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn read_ahead_error_is_returned_by_its_cursors_next_fetch() {
+        let (addr, server) = scripted_server(vec![
+            Response::HelloOk {
+                version: PROTOCOL_VERSION,
+                batch_rows: 1,
+                session: 7,
+            },
+            Response::Cursor {
+                id: 3,
+                columns: vec![ColumnDesc {
+                    label: "a".into(),
+                    ident: "a".into(),
+                    dtype: nodb_types::DataType::Int64,
+                }],
+            },
+            Response::Batch {
+                done: false,
+                rows: vec![vec![Value::Int(10)]],
+            },
+            Response::from_error(&Error::exec("page two failed")),
+            Response::Stats {
+                counters: Box::default(),
+                extras: vec![],
+            },
+        ]);
+        let mut client = Client::connect(addr).unwrap();
+        let mut cursor = client.query("select a from t").unwrap();
+        let first = client.fetch(&mut cursor).unwrap().expect("first page");
+        assert_eq!(first.rows, vec![vec![Value::Int(10)]]);
+        // STATS reads the ERR answered to the read-ahead FETCH first,
+        // then gets its own answer; the cursor's next fetch gets the ERR.
+        client.stats().unwrap();
+        let err = client.fetch(&mut cursor).unwrap_err();
+        assert!(err.to_string().contains("page two failed"), "{err}");
+        drop(client);
+        assert_eq!(
+            server.join().unwrap(),
+            vec![
+                Request::Hello {
+                    version: PROTOCOL_VERSION
+                },
+                Request::Query {
+                    sql: "select a from t".into()
+                },
+                Request::Fetch { cursor: 3 },
+                Request::Fetch { cursor: 3 },
+                Request::Stats,
+            ]
+        );
+    }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {

@@ -8,8 +8,10 @@
 //!
 //! Each statement runs in order on one connection; results are printed
 //! as CSV (header row of output labels, then data rows), statements
-//! separated by a blank line. On connect the session id is announced on
-//! stderr (`# session N`) so scripts can aim `--cancel` at it. `--stats`
+//! separated by a blank line. Rows are written page by page as they
+//! arrive, so a large result streams through in bounded memory. On
+//! connect the session id is announced on stderr (`# session N`) so
+//! scripts can aim `--cancel` at it. `--stats`
 //! prints the server's work-counter snapshot followed by a `MEM` row
 //! (peak reservation, shed queries, shed connections, contained
 //! panics), a `CACHE` row
@@ -22,6 +24,8 @@
 //! connection stays usable. Exit status is non-zero on any error —
 //! including a typed BUSY refusal when the server's admission queue is
 //! full.
+
+use std::io::{BufWriter, Write};
 
 use nodb::{Client, Value};
 
@@ -103,38 +107,56 @@ fn main() {
         return;
     }
 
-    for (i, sql) in rest.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        let (labels, rows) = match client.query_all(sql) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("query failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "{}",
-            labels
-                .iter()
-                .map(|l| csv_field(l))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in rows {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|v| match v {
-                    Value::Null => String::new(),
-                    Value::Str(s) => csv_field(s),
-                    other => other.to_string(),
-                })
-                .collect();
-            println!("{}", cells.join(","));
-        }
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    if let Err(e) = write_statements(&mut client, &rest, &mut out) {
+        // Whatever was written before the failure still goes out.
+        let _ = out.flush();
+        eprintln!("query failed: {e}");
+        std::process::exit(1);
     }
     let _ = client.quit();
+}
+
+/// Run each statement in order, writing each result as CSV with a
+/// blank line between results.
+fn write_statements(
+    client: &mut Client,
+    sqls: &[String],
+    out: &mut impl Write,
+) -> nodb::Result<()> {
+    for (i, sql) in sqls.iter().enumerate() {
+        if i > 0 {
+            writeln!(out)?;
+        }
+        write_csv(client, sql, out)?;
+    }
+    out.flush()?;
+    Ok(())
+}
+
+/// Run `sql` and write its result to `out` as CSV, page by page as the
+/// pages arrive: the client holds one page (plus the one it reads
+/// ahead), never the whole result.
+fn write_csv(client: &mut Client, sql: &str, out: &mut impl Write) -> nodb::Result<()> {
+    let mut cursor = client.query(sql)?;
+    let labels: Vec<String> = cursor.labels().iter().map(|l| csv_field(l)).collect();
+    writeln!(out, "{}", labels.join(","))?;
+    while let Some(batch) = client.fetch(&mut cursor)? {
+        for row in &batch.rows {
+            for (j, v) in row.iter().enumerate() {
+                if j > 0 {
+                    out.write_all(b",")?;
+                }
+                match v {
+                    Value::Null => {}
+                    Value::Str(s) => out.write_all(csv_field(s).as_bytes())?,
+                    other => write!(out, "{other}")?,
+                }
+            }
+            out.write_all(b"\n")?;
+        }
+    }
+    Ok(())
 }
 
 fn csv_field(s: &str) -> String {
