@@ -60,11 +60,6 @@ pub struct EngineConfig {
     /// skew better; larger ones amortise dispatch. The default (32 Ki rows)
     /// keeps a morsel's working set cache-resident.
     pub morsel_rows: usize,
-    /// Minimum rows on the larger join side before a warm hash join
-    /// probes its table on stealing workers; below it the probe runs
-    /// inline (thread dispatch costs more than it saves on small inputs).
-    /// The result is the same either way.
-    pub join_min_rows: usize,
     /// CSV dialect and tokenizer options.
     pub csv: CsvOptions,
     /// Per-table memory budget for the adaptive store, in bytes. `None`
@@ -143,7 +138,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            join_min_rows: 2 * DEFAULT_MORSEL_ROWS,
             csv: CsvOptions::default(),
             memory_budget: None,
             store_dir: None,
@@ -195,7 +189,6 @@ mod tests {
         assert!(c.memory_budget.is_none());
         assert!(c.threads >= 1);
         assert!(c.morsel_rows >= 1);
-        assert!(c.join_min_rows > c.morsel_rows);
         assert_eq!(c.result_cache_bytes, 0, "result cache is opt-in");
         assert!(c.result_cache_max_entries > 0);
         assert!(c.query_mem_bytes.is_none(), "memory metering is opt-in");

@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    cold_join_build_morsel, cold_project_morsel, filter_positions, group_partial_range,
-    merge_group_partials, parallel_filter_positions, parallel_group_columns,
-    parallel_hash_join_positions, sort_positions, stitch_cold_projection, AggSpec, Expr,
-    GroupPartial, JoinTable, OrdinalCols, ProjectPartial, ProjectionCursor,
+    cold_project_morsel, filter_positions, group_partial_range, merge_group_partials,
+    parallel_filter_positions, parallel_group_columns, parallel_hash_join_positions,
+    parallel_join_group_columns, sort_positions, stitch_cold_projection, AggSpec, Expr,
+    GroupPartial, JoinSide, OrdinalCols, ProjectPartial, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -1033,7 +1033,7 @@ impl Engine {
     /// not loaded yet, tokenizer phase-2 morsels flow straight into
     /// per-worker operators — the typed group kernel for every aggregate
     /// (a plain aggregate is its zero-key case), projection emitters for
-    /// scalar SELECTs, and hash-join builds/probes for joins —
+    /// scalar SELECTs, and each join side's filter —
     /// instead of waiting for one merged `ScanOutput`. The
     /// adaptive store still receives exactly what the serial path would
     /// have given it: the scanned columns, fully loaded (assembled from
@@ -1043,7 +1043,7 @@ impl Engine {
     /// Returns `None` when the shape or state does not qualify (the serial
     /// policy path then runs as before): resident tables, partially loaded
     /// columns, non-column-loading strategies, ablation configs, a
-    /// single-threaded config, self-joins, or non-integer join keys.
+    /// single-threaded config, or self-joins.
     #[allow(clippy::too_many_arguments)]
     fn try_morsel_cold_pipeline(
         &self,
@@ -1280,14 +1280,12 @@ impl Engine {
     }
 
     /// Join half of [`Engine::try_morsel_cold_pipeline`]: when both join
-    /// inputs are fully cold with integer join keys, the build side's
-    /// tokenizer morsels are filtered into `(key, row)` entries on the scan
-    /// workers ([`cold_join_build_morsel`]), one flat [`JoinTable`] is
-    /// built from them, and the probe side's morsels probe it directly as
-    /// they are parsed. Pair order reproduces the serial
-    /// `hash_join_positions`-over-gathered-keys order exactly, and both
-    /// adaptive stores plus positional maps end up exactly as two serial
-    /// loads would leave them. Locks are taken one entry at a time, never
+    /// inputs are fully cold, each side is scanned and filtered on the
+    /// scan workers — both adaptive stores plus positional maps end up
+    /// exactly as two serial loads would leave them — and the qualifying
+    /// positions go, with the loaded columns, to the same
+    /// [`Engine::join_body`] a warm join runs, so cold and warm give one
+    /// answer by construction. Locks are taken one entry at a time, never
     /// nested.
     fn try_fused_cold_join(
         &self,
@@ -1310,111 +1308,67 @@ impl Engine {
         let entry_l = self.catalog.read().get(&plan.table)?;
         let entry_r = self.catalog.read().get(&join.table)?;
 
-        /// Fused-join eligibility of one side: fully cold with an Int64
-        /// join key. Runs under the caller's entry lock.
-        fn side_scan_cols(
-            engine: &Engine,
-            e: &mut TableEntry,
-            needed: &[usize],
-            key: usize,
-        ) -> Result<Option<Vec<usize>>> {
-            let Some(cols) = engine.cold_scan_cols(e, needed)? else {
-                return Ok(None);
-            };
-            if e.schema()?.field(key).map(|f| f.data_type) != Some(DataType::Int64) {
-                return Ok(None);
-            }
-            Ok(Some(cols))
-        }
-
-        // Gate the probe side first, under a short lock: both sides must
+        // Gate the right side first, under a short lock: both sides must
         // qualify before any scanning starts, otherwise the serial policy
         // path runs untouched.
-        if side_scan_cols(self, &mut entry_r.write(), needed_r, join.right_key)?.is_none() {
+        if self
+            .cold_scan_cols(&mut entry_r.write(), needed_r)?
+            .is_none()
+        {
             return Ok(None);
         }
-
-        // Build side: scan and filter on the scan workers, collecting the
-        // qualifying join keys, then build the one join table.
-        let (rows_l, build_parts, cols_l) = {
-            let mut e = entry_l.write();
-            let Some(scan_cols) = side_scan_cols(self, &mut e, needed_l, join.left_key)? else {
-                return Ok(None);
-            };
-            let kslot = scan_cols
-                .iter()
-                .position(|&c| c == join.left_key)
-                .ok_or_else(|| Error::exec("join key not in scan columns"))?;
-            let (rows, parts) = self.scan_cold_fused(&mut e, &scan_cols, now, |morsel| {
-                let local = morsel_local_positions(&scan_cols, morsel, filter_l)?;
-                Ok(cold_join_build_morsel(
-                    &morsel.columns[kslot],
-                    &local,
-                    morsel.first_row,
-                ))
-            })?;
-            let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for &c in needed_l {
-                cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
-            }
-            (rows, parts, cols)
+        let Some(left) = self.scan_join_side(&entry_l, needed_l, filter_l, now)? else {
+            return Ok(None);
         };
-        let tables = profile::time(Phase::JoinBuild, || JoinTable::from_morsels(&build_parts))?;
-        drop(build_parts);
-
-        // Probe side: each morsel probes the join table as soon as
-        // it is parsed; chunk concatenation in morsel order reproduces
-        // the serial probe-scan pair order.
-        let (rows_r, pair_chunks, cols_r) = {
-            let mut e = entry_r.write();
-            // Re-validate under the lock: the pre-scan gate released it,
-            // and a racing query may have loaded (or a file edit
-            // re-inferred) this table meanwhile. Falling back is safe —
-            // the build side is now loaded exactly as a serial load, so
-            // the serial path serves it warm.
-            let Some(scan_cols) = side_scan_cols(self, &mut e, needed_r, join.right_key)? else {
-                return Ok(None);
-            };
-            let kslot = scan_cols
-                .iter()
-                .position(|&c| c == join.right_key)
-                .ok_or_else(|| Error::exec("join key not in scan columns"))?;
-            let (rows, chunks) = self.scan_cold_fused(&mut e, &scan_cols, now, |morsel| {
-                let local = morsel_local_positions(&scan_cols, morsel, filter_r)?;
-                Ok(tables.probe_morsel(&morsel.columns[kslot], &local, morsel.first_row))
-            })?;
-            let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for &c in needed_r {
-                cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
-            }
-            (rows, chunks, cols)
+        // Re-validated under the lock: the gate above released it, and a
+        // racing query may have loaded (or a file edit re-inferred) this
+        // table meanwhile. Falling back is safe — the left side is now
+        // loaded exactly as a serial load, so the serial path serves it
+        // warm.
+        let Some(right) = self.scan_join_side(&entry_r, needed_r, filter_r, now)? else {
+            return Ok(None);
         };
         self.counters.add_fused_cold_join();
-        if rows_l as usize > self.cfg.morsel_rows || rows_r as usize > self.cfg.morsel_rows {
+        if left.n_rows > self.cfg.morsel_rows || right.n_rows > self.cfg.morsel_rows {
             self.counters.add_parallel_pipeline();
         }
-
-        // The pairs are already in absolute row coordinates — gather the
-        // payload columns into the combined map and run the shared
-        // post-join pipeline, exactly as execute_join does after
-        // resolving its dense pairs.
-        let (combined, n) = profile::time(Phase::JoinProbe, || {
-            let pairs: Vec<(usize, usize)> = pair_chunks.into_iter().flatten().collect();
-            let combined = gather_joined(
-                plan,
-                &cols_l,
-                &cols_r,
-                || pairs.iter().map(|p| p.0).collect(),
-                || pairs.iter().map(|p| p.1).collect(),
-            )?;
-            Ok::<_, Error>((combined, pairs.len()))
-        })?;
-        Ok(Some(self.execute_relational(
+        Ok(Some(self.join_body(
             plan,
-            combined,
-            n,
-            &Conjunction::always(),
+            &left.side(join.left_key),
+            &right.side(join.right_key),
         )?))
+    }
+
+    /// Scan one fully cold join side under its entry lock through
+    /// [`Engine::scan_cold_fused`], collecting its qualifying positions on
+    /// the scan workers — or `None` when the side does not qualify.
+    fn scan_join_side(
+        &self,
+        entry: &RwLock<TableEntry>,
+        needed: &[usize],
+        filter: &Conjunction,
+        now: u64,
+    ) -> Result<Option<ScannedSide>> {
+        let mut e = entry.write();
+        let Some(scan_cols) = self.cold_scan_cols(&mut e, needed)? else {
+            return Ok(None);
+        };
+        let (rows, parts) = self.scan_cold_fused(&mut e, &scan_cols, now, |morsel| {
+            if filter.is_always_true() {
+                return Ok(Vec::new());
+            }
+            let local = morsel_local_positions(&scan_cols, morsel, filter)?;
+            Ok(local.into_iter().map(|i| morsel.first_row + i).collect())
+        })?;
+        let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
+        for &c in needed {
+            cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
+        }
+        Ok(Some(ScannedSide {
+            n_rows: rows as usize,
+            positions: (!filter.is_always_true()).then(|| parts.concat()),
+            cols,
+        }))
     }
 
     fn execute_single(&self, plan: &Plan, mat: Materialized) -> Result<StreamBody> {
@@ -1435,10 +1389,8 @@ impl Engine {
         filter_r: &Conjunction,
     ) -> Result<StreamBody> {
         let join = plan.join.as_ref().expect("join plan");
-        // Prologue and join proper, all timed as `join_build`: reduce each
-        // side to its qualifying positions (in parallel when the side is
-        // big enough), view the join keys through them — an unfiltered
-        // side's key column is borrowed, not copied — and pair them up.
+        // Reduce each side to its qualifying positions (in parallel when
+        // the side is big enough), timed as `join_build`.
         let side_positions = |mat: &Materialized, filter: &Conjunction| {
             if mat.prefiltered || filter.is_always_true() {
                 Ok(None)
@@ -1447,40 +1399,74 @@ impl Engine {
                     .map(Some)
             }
         };
-        let (pos_l, pos_r, pairs) = profile::time(Phase::JoinBuild, || -> Result<_> {
-            let pos_l = side_positions(&mat_l, filter_l)?;
-            let pos_r = side_positions(&mat_r, filter_r)?;
-            let key_l = join_key(&mat_l, join.left_key, pos_l.as_deref())?;
-            let key_r = join_key(&mat_r, join.right_key, pos_r.as_deref())?;
-            // Below `join_min_rows` the probe stays on this thread: thread
-            // dispatch costs more than it saves on small joins.
-            let join_rows = key_l.len().max(key_r.len());
-            let threads = if self.cfg.threads > 1 && join_rows >= self.cfg.join_min_rows {
-                self.counters.add_parallel_pipeline();
-                self.cfg.threads
-            } else {
-                1
-            };
-            let pairs =
-                parallel_hash_join_positions(&key_l, &key_r, threads, self.cfg.morsel_rows)?;
-            Ok((pos_l, pos_r, pairs))
+        let (pos_l, pos_r) = profile::time(Phase::JoinBuild, || -> Result<_> {
+            Ok((
+                side_positions(&mat_l, filter_l)?,
+                side_positions(&mat_r, filter_r)?,
+            ))
         })?;
+        let left = JoinSide {
+            cols: &mat_l.cols,
+            rows: pos_l.as_deref(),
+            n_rows: mat_l.n_rows,
+            key: join.left_key,
+        };
+        let right = JoinSide {
+            cols: &mat_r.cols,
+            rows: pos_r.as_deref(),
+            n_rows: mat_r.n_rows,
+            key: join.right_key,
+        };
+        self.join_body(plan, &left, &right)
+    }
 
-        // Map join positions back through the filters and gather the
-        // payload columns the rest of the plan reads into a combined,
-        // dense column map.
+    /// The join proper, warm and fused cold alike, over each side's
+    /// qualifying rows. An aggregate or GROUP BY folds the pairs on the
+    /// probe workers ([`parallel_join_group_columns`]): no pair list, no
+    /// gather. A scalar join, whose row order is observable, lists the
+    /// pairs in right-scan order (timed as `join_build`), then gathers the
+    /// payload columns through them (`join_probe`) for the relational
+    /// pipeline.
+    fn join_body(
+        &self,
+        plan: &Plan,
+        left: &JoinSide<'_, BTreeMap<usize, Arc<ColumnData>>>,
+        right: &JoinSide<'_, BTreeMap<usize, Arc<ColumnData>>>,
+    ) -> Result<StreamBody> {
+        let threads = if self.parallel_worthwhile(left.qualifying().max(right.qualifying())) {
+            self.counters.add_parallel_pipeline();
+            self.cfg.threads
+        } else {
+            1
+        };
+        if is_aggregate(plan) {
+            let (aggs, _) = split_outputs(plan);
+            let columns = parallel_join_group_columns(
+                left,
+                right,
+                plan.left_width,
+                &plan.group_by,
+                &aggs,
+                threads,
+                self.cfg.morsel_rows,
+            )?;
+            return computed_body(plan, columns);
+        }
+        let pairs = profile::time(Phase::JoinBuild, || {
+            // An unfiltered side's key column is borrowed, not copied.
+            let key_l = join_key(left)?;
+            let key_r = join_key(right)?;
+            parallel_hash_join_positions(&key_l, &key_r, threads, self.cfg.morsel_rows)
+        })?;
         let n = pairs.len();
         let combined = profile::time(Phase::JoinProbe, || {
-            let resolve = |p: usize, pos: &Option<Vec<usize>>| match pos {
-                None => p,
-                Some(v) => v[p],
-            };
+            let resolve = |p: usize, rows: Option<&[usize]>| rows.map_or(p, |v| v[p]);
             gather_joined(
                 plan,
-                &mat_l.cols,
-                &mat_r.cols,
-                || pairs.iter().map(|&(a, _)| resolve(a, &pos_l)).collect(),
-                || pairs.iter().map(|&(_, b)| resolve(b, &pos_r)).collect(),
+                left.cols,
+                right.cols,
+                || pairs.iter().map(|&(a, _)| resolve(a, left.rows)).collect(),
+                || pairs.iter().map(|&(_, b)| resolve(b, right.rows)).collect(),
             )
         })?;
         self.execute_relational(plan, combined, n, &Conjunction::always())
@@ -1578,29 +1564,53 @@ fn split_outputs(plan: &Plan) -> (Vec<AggSpec>, Vec<Expr>) {
     (aggs, scalars)
 }
 
+/// One join side as the fused cold scan left it.
+struct ScannedSide {
+    /// Rows scanned.
+    n_rows: usize,
+    /// The qualifying rows, ascending; `None` when every row qualifies.
+    positions: Option<Vec<usize>>,
+    /// The needed columns, as loaded.
+    cols: BTreeMap<usize, Arc<ColumnData>>,
+}
+
+impl ScannedSide {
+    fn side(&self, key: usize) -> JoinSide<'_, BTreeMap<usize, Arc<ColumnData>>> {
+        JoinSide {
+            cols: &self.cols,
+            rows: self.positions.as_deref(),
+            n_rows: self.n_rows,
+            key,
+        }
+    }
+}
+
+/// Whether the plan aggregates: any aggregate output or a GROUP BY.
+fn is_aggregate(plan: &Plan) -> bool {
+    !plan.group_by.is_empty() || plan.output.iter().any(|o| matches!(o, OutputExpr::Agg(_)))
+}
+
 /// One side's join keys at its qualifying positions: the materialised
 /// column itself when the side is unfiltered, a gathered copy otherwise.
 fn join_key<'a>(
-    mat: &'a Materialized,
-    key: usize,
-    positions: Option<&[usize]>,
+    side: &JoinSide<'a, BTreeMap<usize, Arc<ColumnData>>>,
 ) -> Result<Cow<'a, ColumnData>> {
-    let col = mat
+    let col = side
         .cols
-        .get(&key)
+        .get(&side.key)
         .ok_or_else(|| Error::exec("join key not materialised"))?;
-    Ok(match positions {
+    Ok(match side.rows {
         None => Cow::Borrowed(col.as_ref()),
         Some(p) => Cow::Owned(col.take(p)),
     })
 }
 
-/// Gather the payload columns the post-join pipeline reads — what the
-/// plan's outputs, GROUP BY and ORDER BY reference; filters and join keys
+/// Gather the payload columns a scalar join's relational pipeline reads —
+/// what the plan's outputs and ORDER BY reference; filters and join keys
 /// were consumed before the pairs existed — into the combined (left ++
 /// right ordinals) column map. `li` / `ri` produce each side's gather
 /// positions, one per joined row; a side no column is read from never
-/// has its list built.
+/// has its list built. Aggregates over a join fold without it.
 fn gather_joined(
     plan: &Plan,
     cols_l: &BTreeMap<usize, Arc<ColumnData>>,
@@ -1608,12 +1618,14 @@ fn gather_joined(
     li: impl Fn() -> Vec<usize>,
     ri: impl Fn() -> Vec<usize>,
 ) -> Result<BTreeMap<usize, Arc<ColumnData>>> {
-    let mut wanted: Vec<usize> = plan.group_by.clone();
-    wanted.extend(plan.order_by.iter().map(|(c, _)| *c));
+    debug_assert!(
+        !is_aggregate(plan),
+        "aggregates over a join fold on the probe"
+    );
+    let mut wanted: Vec<usize> = plan.order_by.iter().map(|(c, _)| *c).collect();
     for o in &plan.output {
-        match o {
-            OutputExpr::Scalar(e) => wanted.extend(e.columns()),
-            OutputExpr::Agg(a) => wanted.extend(a.columns()),
+        if let OutputExpr::Scalar(e) = o {
+            wanted.extend(e.columns());
         }
     }
     let (mut rows_l, mut rows_r) = (None, None);
@@ -2479,10 +2491,9 @@ mod tests {
     }
 
     #[test]
-    fn small_joins_stay_serial_under_threshold() {
-        let dir = std::env::temp_dir().join("nodb_engine_join_threshold");
+    fn joins_gate_on_the_morsel_size() {
+        let dir = std::env::temp_dir().join("nodb_engine_join_gate");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         std::fs::create_dir_all(&dir).unwrap();
         let r = dir.join("r.csv");
         let s = dir.join("s.csv");
@@ -2494,30 +2505,32 @@ mod tests {
         }
         std::fs::write(&r, &rd).unwrap();
         std::fs::write(&s, &sd).unwrap();
-        let run = |join_min_rows: usize| {
+        let run = |morsel_rows: usize, sql: &str| {
             let mut cfg = EngineConfig::default().with_threads(4);
-            // Morsels bigger than the table: the post-join aggregate stays
-            // serial, so `parallel_pipelines` counts only the join's gate.
-            cfg.morsel_rows = 100_000;
-            cfg.join_min_rows = join_min_rows;
+            cfg.morsel_rows = morsel_rows;
             let e = Engine::new(cfg);
             e.register_table("r", &r).unwrap();
             e.register_table("s", &s).unwrap();
-            let sql = "select count(*), sum(s.a2) from r join s on r.a1 = s.a1";
             let out = e.sql(sql).unwrap();
             let before = e.counters().snapshot();
             let again = e.sql(sql).unwrap();
             assert_eq!(again.rows, out.rows);
             (out.rows, e.counters().snapshot().since(&before))
         };
-        // Threshold above the input: the warm join runs serial.
-        let (rows_hi, delta_hi) = run(1_000_000);
-        assert_eq!(delta_hi.parallel_pipelines, 0);
-        // Threshold below the input: the warm join probes in parallel,
-        // with identical results.
-        let (rows_lo, delta_lo) = run(1_000);
-        assert!(delta_lo.parallel_pipelines >= 1);
-        assert_eq!(rows_lo, rows_hi);
+        // An aggregate folds on the probe workers; a scalar join lists its
+        // pairs. Both run inline while the larger side is below one
+        // morsel, on stealing workers once it spans several, with the
+        // same (integer) answer either way.
+        for sql in [
+            "select count(*), sum(s.a2) from r join s on r.a1 = s.a1",
+            "select r.a2, s.a2 from r join s on r.a1 = s.a1 where r.a1 < 50",
+        ] {
+            let (rows_one, one_morsel) = run(100_000, sql);
+            assert_eq!(one_morsel.parallel_pipelines, 0, "{sql}");
+            let (rows_many, many) = run(1_000, sql);
+            assert!(many.parallel_pipelines >= 1, "{sql}");
+            assert_eq!(rows_many, rows_one, "{sql}");
+        }
     }
 
     #[test]

@@ -9,17 +9,22 @@
 //! 1. **Group ids.** Each key column of a morsel is mapped to a dense
 //!    `u32` id per row through an `IdTable` — a flat open-addressing
 //!    table with a multiplicative hash, keys stored inline (`&str` keys
-//!    borrow from the column) and no per-entry heap allocation. NULL keys
-//!    share one id; float keys group by bit pattern, which is exactly how
-//!    `Value::total_cmp` equates them. Multi-column keys intern the pair
-//!    `(id so far, id of the next column)` in a further table, one column
-//!    at a time. Ids are handed out in row order, so id order *is*
-//!    first-appearance order. Zero key columns are exactly one group,
-//!    whether or not a row qualifies, and build no id vector at all.
+//!    borrow from the column) and no per-entry heap allocation; an int key
+//!    over a dense domain skips the hash and direct-addresses an id array
+//!    instead (`IntIds`). NULL keys share one id; float keys group by bit
+//!    pattern, which is exactly how `Value::total_cmp` equates them.
+//!    Multi-column keys intern the pair `(id so far, id of the next
+//!    column)` in a further table, one column at a time. Ids are handed
+//!    out in row order, so id order *is* first-appearance order. Zero key
+//!    columns are exactly one group, whether or not a row qualifies, and
+//!    build no id vector at all.
 //! 2. **Typed state.** Every aggregate folds its argument column (a typed
 //!    slice; arbitrary expressions are evaluated once per morsel with
 //!    [`Expr::eval_column`]) into per-group vectors — `i128` sums, `f64`
-//!    sums, counts, typed min/max — in row order.
+//!    sums, counts, typed min/max — in row order. A morsel's rows may
+//!    also arrive in several steps (a join folds a probe morsel's pairs
+//!    in bounded slices, `GroupFold`); they fold in arrival order, exactly
+//!    as if they had come in one.
 //! 3. **Merge.** Per-morsel [`GroupPartial`]s merge in morsel order
 //!    through the same id mapping (a partial's key columns are just rows
 //!    to group again), so group order, integer results and float
@@ -192,17 +197,207 @@ impl<K: TableKey> IdTable<K> {
         let doubled = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![(K::FILLER, EMPTY); doubled]);
         self.shift -= 1;
-        let mask = doubled - 1;
         for (k, id) in old {
             if id != EMPTY {
-                let mut i = (k.hash() >> self.shift) as usize & mask;
-                while self.slots[i].1 != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = (k, id);
+                self.place(k, id);
             }
         }
     }
+
+    /// Store a key known to be absent under a given id, in a table with
+    /// room for it.
+    fn place(&mut self, key: K, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.hash() >> self.shift) as usize & mask;
+        while self.slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (key, id);
+    }
+}
+
+/// How many slots a direct-addressed integer key table — a GROUP BY
+/// key's id array, a [`JoinTable`](crate::JoinTable)'s run offsets — may
+/// span per row interned so far. The hashed table keeps its load at or
+/// below one half, so `n` distinct keys take at least `2n` slots of 16
+/// bytes (key and id, padded): 32 bytes per key. A direct-addressed slot
+/// is 4 bytes, so at 8 slots per row the array is never larger than the
+/// hashed table would be for the same rows if every row held a new key.
+pub const DENSE_SLOTS_PER_ROW: u64 = 8;
+
+/// Map from an `i64` key to a dense `u32` id, ids in first-insertion
+/// order — an [`IdTable`] whose keys are direct-addressed while they fit a
+/// dense domain. Each batch's key range is reserved before its keys are
+/// interned ([`IntIds::assign`]); while the span of every key seen
+/// (`max - min + 1`) stays within [`DENSE_SLOTS_PER_ROW`] slots per row,
+/// key `k`'s id sits at `ids[k - base]` and an intern is one array
+/// access. A batch that widens the span beyond that converts the table to
+/// the hashed one, ids kept, in the middle of its use.
+#[derive(Debug)]
+enum IntIds {
+    Dense {
+        /// The key of `ids[0]`.
+        base: i64,
+        /// One id per key of the span; [`EMPTY`] where no key was seen.
+        ids: Vec<u32>,
+        /// Ids handed out so far.
+        next: u32,
+        /// Rows announced so far: the budget of the span.
+        rows: u64,
+    },
+    Hashed(IdTable<i64>),
+}
+
+impl IntIds {
+    fn new() -> IntIds {
+        IntIds::Dense {
+            base: 0,
+            ids: Vec::new(),
+            next: 0,
+            rows: 0,
+        }
+    }
+
+    /// Number of ids handed out.
+    fn len(&self) -> usize {
+        match self {
+            IntIds::Dense { next, .. } => *next as usize,
+            IntIds::Hashed(t) => t.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            IntIds::Dense { ids, .. } => ids.len() * 4,
+            IntIds::Hashed(t) => t.heap_bytes(),
+        }
+    }
+
+    /// Prepare to intern `rows` more rows whose keys lie in `lo..=hi` (no
+    /// range when none of them has a key): widen the array to cover the
+    /// range, or convert to the hashed table when the span would exceed
+    /// the budget. `capacity` sizes a hashed table made here.
+    fn reserve(&mut self, range: Option<(i64, i64)>, rows: usize, capacity: usize) {
+        let IntIds::Dense {
+            base,
+            ids,
+            next,
+            rows: budget,
+        } = self
+        else {
+            return;
+        };
+        *budget = budget.saturating_add(rows as u64);
+        let Some((lo, hi)) = range else {
+            return;
+        };
+        let (lo, hi) = match ids.len() {
+            0 => (lo, hi),
+            n => (lo.min(*base), hi.max(last_key(*base, n))),
+        };
+        match dense_span(lo, hi, *budget) {
+            Some(span) => {
+                if span == ids.len() {
+                    return;
+                }
+                let mut wider = vec![EMPTY; span];
+                if !ids.is_empty() {
+                    let at = slot(*base, lo);
+                    wider[at..at + ids.len()].copy_from_slice(ids);
+                }
+                *ids = wider;
+                *base = lo;
+            }
+            None => {
+                let mut table = IdTable::with_capacity(capacity.max(*next as usize));
+                for (slot, &id) in ids.iter().enumerate() {
+                    if id != EMPTY {
+                        table.place(base.wrapping_add(slot as i64), id);
+                    }
+                }
+                table.next = *next;
+                *self = IntIds::Hashed(table);
+            }
+        }
+    }
+
+    /// Write the id of each selected row's key into `ids` (`ids[k]` for
+    /// the `k`-th selected row), handing out new ids in row order; NULL
+    /// rows share `null_id`, allocated on first sight. The batch's key
+    /// range is reserved first, which widens the array or converts the
+    /// table to the hashed one; `capacity` sizes a hashed table made here.
+    fn assign(
+        &mut self,
+        xs: &[i64],
+        nulls: Option<&[bool]>,
+        sel: &Selection,
+        ids: &mut [u32],
+        null_id: &mut Option<u32>,
+        capacity: usize,
+    ) {
+        if let IntIds::Dense { .. } = self {
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            for_rows(xs, nulls, sel, |_, x| {
+                if let Some(&x) = x {
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                }
+            });
+            self.reserve((lo <= hi).then_some((lo, hi)), sel.len(), capacity);
+        }
+        match self {
+            IntIds::Dense {
+                base,
+                ids: slots,
+                next,
+                ..
+            } => {
+                let base = *base;
+                for_rows(xs, nulls, sel, |k, x| {
+                    let id = match x {
+                        Some(&x) => &mut slots[slot(x, base)],
+                        None => null_id.get_or_insert(EMPTY),
+                    };
+                    if *id == EMPTY {
+                        *id = *next;
+                        *next += 1;
+                    }
+                    ids[k] = *id;
+                })
+            }
+            IntIds::Hashed(t) => for_rows(xs, nulls, sel, |k, x| {
+                ids[k] = match x {
+                    Some(&x) => t.intern(x),
+                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
+                }
+            }),
+        }
+    }
+}
+
+/// The largest key of a dense array of `n` slots from `base`.
+fn last_key(base: i64, n: usize) -> i64 {
+    base.wrapping_add((n - 1) as i64)
+}
+
+/// Slot of `key` in a direct-addressed array starting at key `base`;
+/// keys below `base` wrap to slots past any array's end.
+#[inline]
+pub(crate) fn slot(key: i64, base: i64) -> usize {
+    (key as u64).wrapping_sub(base as u64) as usize
+}
+
+/// The span `hi - lo + 1` of keys from `rows` rows when it is dense
+/// enough to direct-address: at most [`DENSE_SLOTS_PER_ROW`] slots per
+/// row.
+pub(crate) fn dense_span(lo: i64, hi: i64, rows: u64) -> Option<usize> {
+    // `hi - lo` in two's complement is exact as a u64, even from
+    // `i64::MIN` to `i64::MAX`; only the `+ 1` can overflow.
+    let span = (hi as u64).wrapping_sub(lo as u64).checked_add(1)?;
+    if lo > hi || span > rows.saturating_mul(DENSE_SLOTS_PER_ROW) {
+        return None;
+    }
+    usize::try_from(span).ok()
 }
 
 /// Visit the selected rows of a typed slice in order, calling `f(k, v)`
@@ -254,9 +449,11 @@ fn typed(col: &ColumnData) -> (Typed<'_>, Option<&[bool]>) {
     }
 }
 
-/// One key column's value → id table. Ints and float bit patterns share
-/// the `i64` table; strings are borrowed from the column.
+/// One key column's value → id table. Ints are direct-addressed while
+/// their domain is dense; float bit patterns hash; strings are borrowed
+/// from the column.
 enum KeyTable<'a> {
+    Int(IntIds),
     Bits(IdTable<i64>),
     Str(IdTable<&'a str>),
 }
@@ -264,22 +461,27 @@ enum KeyTable<'a> {
 struct KeyColumn<'a> {
     table: KeyTable<'a>,
     null_id: Option<u32>,
+    /// Keys expected in all, sizing a hashed table.
+    capacity: usize,
 }
 
 impl<'a> KeyColumn<'a> {
     fn new(ty: DataType, capacity: usize) -> KeyColumn<'a> {
         let table = match ty {
-            DataType::Int64 | DataType::Float64 => KeyTable::Bits(IdTable::with_capacity(capacity)),
+            DataType::Int64 => KeyTable::Int(IntIds::new()),
+            DataType::Float64 => KeyTable::Bits(IdTable::with_capacity(capacity)),
             DataType::Str => KeyTable::Str(IdTable::with_capacity(capacity)),
         };
         KeyColumn {
             table,
             null_id: None,
+            capacity,
         }
     }
 
     fn len(&self) -> usize {
         match &self.table {
+            KeyTable::Int(t) => t.len(),
             KeyTable::Bits(t) => t.len(),
             KeyTable::Str(t) => t.len(),
         }
@@ -287,6 +489,7 @@ impl<'a> KeyColumn<'a> {
 
     fn heap_bytes(&self) -> usize {
         match &self.table {
+            KeyTable::Int(t) => t.heap_bytes(),
             KeyTable::Bits(t) => t.heap_bytes(),
             KeyTable::Str(t) => t.heap_bytes(),
         }
@@ -297,12 +500,9 @@ impl<'a> KeyColumn<'a> {
         let (values, nulls) = typed(col);
         let null_id = &mut self.null_id;
         match (&mut self.table, values) {
-            (KeyTable::Bits(t), Typed::Int(xs)) => for_rows(xs, nulls, sel, |k, x| {
-                ids[k] = match x {
-                    Some(&x) => t.intern(x),
-                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
-                }
-            }),
+            (KeyTable::Int(t), Typed::Int(xs)) => {
+                t.assign(xs, nulls, sel, ids, null_id, self.capacity)
+            }
             (KeyTable::Bits(t), Typed::Float(xs)) => for_rows(xs, nulls, sel, |k, x| {
                 ids[k] = match x {
                     Some(x) => t.intern(x.to_bits() as i64),
@@ -362,17 +562,17 @@ impl<'a> Grouper<'a> {
             + self.pairs.iter().map(IdTable::heap_bytes).sum::<usize>()
     }
 
-    /// The group id of every selected row, in row order.
-    fn assign(&mut self, key_cols: &[&'a ColumnData], sel: &Selection) -> Result<Vec<u32>> {
-        let n = sel.len();
+    /// The group id of each of `n` rows, in row order: row `k` holds
+    /// `col.index(sel.index(k))` of every key column `(col, sel)`.
+    fn assign(&mut self, keys: &[Input<'a, '_>], n: usize) -> Result<Vec<u32>> {
         // Ids must stay below the empty-slot marker; distinct keys never
         // outnumber rows.
         if self.n_groups().saturating_add(n) >= EMPTY as usize {
             return Err(Error::exec("GROUP BY input exceeds 2^32 rows per step"));
         }
         let mut ids = vec![0u32; n];
-        let mut next = vec![0u32; if key_cols.len() > 1 { n } else { 0 }];
-        for (c, (table, col)) in self.columns.iter_mut().zip(key_cols).enumerate() {
+        let mut next = vec![0u32; if keys.len() > 1 { n } else { 0 }];
+        for (c, (table, (col, sel))) in self.columns.iter_mut().zip(keys).enumerate() {
             if c == 0 {
                 table.assign(col, sel, &mut ids)?;
                 continue;
@@ -387,15 +587,15 @@ impl<'a> Grouper<'a> {
     }
 }
 
-/// Positions (`sel.index(k)`) of the rows that opened groups `from..`, in
-/// group order. Ids are dense and handed out in row order, so each new
+/// The rows (`k`, counted within the step) that opened groups `from..`,
+/// in group order. Ids are dense and handed out in row order, so each new
 /// group's first row is where the running maximum steps up.
-fn first_rows(ids: &[u32], from: usize, sel: &Selection) -> Vec<usize> {
+fn first_rows(ids: &[u32], from: usize) -> Vec<usize> {
     let mut next = from as u32;
     let mut rows = Vec::new();
     for (k, &id) in ids.iter().enumerate() {
         if id == next {
-            rows.push(sel.index(k));
+            rows.push(k);
             next += 1;
         }
     }
@@ -544,21 +744,21 @@ impl AggState {
         }
     }
 
-    /// Fold the selected rows of `arg` into their groups (`ids.of(k)` is
-    /// the group of the `k`-th selected row), in row order. `COUNT(*)`
-    /// counts the rows whatever the argument; without an argument every
-    /// other function sees only NULLs.
+    /// Fold `n` rows into their groups (`ids.of(k)` is the group of row
+    /// `k`), in row order; row `k`'s argument is `arg`'s selected row `k`.
+    /// `COUNT(*)` counts the rows whatever the argument; without an
+    /// argument every other function sees only NULLs.
     fn update(
         &mut self,
-        arg: Option<&ColumnData>,
-        sel: &Selection,
+        arg: Option<(&ColumnData, &Selection)>,
+        n: usize,
         ids: impl Groups,
     ) -> Result<()> {
         if let AggState::CountStar(c) = self {
-            ids.count(c, sel.len());
+            ids.count(c, n);
             return Ok(());
         }
-        let Some(arg) = arg else {
+        let Some((arg, sel)) = arg else {
             return Ok(());
         };
         let (values, nulls) = typed(arg);
@@ -657,9 +857,11 @@ impl AggState {
                     n[g as usize] += c;
                 }
             }
-            (a @ AggState::MinMax { .. }, AggState::MinMax { best, .. }) => {
-                a.update(Some(&best), &Selection::Range(0..best.len()), ids)?
-            }
+            (a @ AggState::MinMax { .. }, AggState::MinMax { best, .. }) => a.update(
+                Some((&best, &Selection::Range(0..best.len()))),
+                ids.len(),
+                ids,
+            )?,
             _ => return Err(Error::exec("cannot merge mismatched aggregate states")),
         }
         Ok(())
@@ -806,6 +1008,111 @@ impl GroupPartial {
     }
 }
 
+/// A [`GroupPartial`] being folded: the id tables, the key values of each
+/// group in first-appearance order, and one typed state per aggregate.
+/// Rows arrive in steps ([`GroupFold::step`]) and fold in arrival order,
+/// so folding rows over several steps gives the bits of one step over
+/// all of them: a join folds a probe morsel's pairs in bounded slices
+/// this way.
+pub(crate) struct GroupFold<'a> {
+    grouper: Grouper<'a>,
+    keys: Vec<ColumnData>,
+    funcs: Vec<AggFunc>,
+    /// Made by the first step, which knows the argument types.
+    states: Vec<AggState>,
+    /// The largest group-id vector a step built.
+    id_bytes: usize,
+}
+
+/// One column read at selected rows: row `k` is `col`'s row `sel.index(k)`.
+pub(crate) type Input<'c, 's> = (&'c ColumnData, Selection<'s>);
+
+impl<'a> GroupFold<'a> {
+    /// A fold grouping by columns of the types of `key_cols`, computing
+    /// `specs`.
+    pub(crate) fn new(key_cols: &[&ColumnData], specs: &[AggSpec]) -> GroupFold<'a> {
+        GroupFold {
+            grouper: Grouper::new(key_cols, 0),
+            keys: key_cols
+                .iter()
+                .map(|c| ColumnData::empty(c.data_type()))
+                .collect(),
+            funcs: specs.iter().map(|s| s.func).collect(),
+            states: Vec::new(),
+            id_bytes: 0,
+        }
+    }
+
+    /// Fold `n` more rows: row `k`'s group key is row `k` of each of
+    /// `keys` (one per key column), its argument of aggregate `a` row `k`
+    /// of `args[a]` (`None`: no argument).
+    pub(crate) fn step(
+        &mut self,
+        keys: &[Input<'a, '_>],
+        args: &[Option<Input<'_, '_>>],
+        n: usize,
+    ) -> Result<()> {
+        if self.states.is_empty() {
+            self.states = self
+                .funcs
+                .iter()
+                .zip(args)
+                .map(|(&f, a)| {
+                    AggState::new(
+                        f,
+                        a.as_ref().map_or(DataType::Int64, |a| a.0.data_type()),
+                        0,
+                    )
+                })
+                .collect();
+        }
+        let before = self.grouper.n_groups();
+        // Zero key columns: every row is group 0, so there are no ids to
+        // build.
+        let ids = if keys.is_empty() {
+            None
+        } else {
+            Some(self.grouper.assign(keys, n)?)
+        };
+        let total = self.grouper.n_groups();
+        if let Some(ids) = &ids {
+            self.id_bytes = self.id_bytes.max(ids.len() * 4);
+            if total > before {
+                let firsts = first_rows(ids, before);
+                for (dst, (col, sel)) in self.keys.iter_mut().zip(keys) {
+                    let rows: Vec<usize> = firsts.iter().map(|&k| sel.index(k)).collect();
+                    dst.append(col.take(&rows))?;
+                }
+            }
+        }
+        for (state, arg) in self.states.iter_mut().zip(args) {
+            state.grow(total);
+            let arg = arg.as_ref().map(|(col, sel)| (*col, sel));
+            match &ids {
+                Some(ids) => state.update(arg, n, ids.as_slice())?,
+                None => state.update(arg, n, OneGroup)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// The folded partial. Group state grows with the data (one entry per
+    /// distinct key seen): it is metered against the ambient budget here,
+    /// once per partial. There must have been at least one step.
+    pub(crate) fn finish(self) -> Result<GroupPartial> {
+        if self.states.len() != self.funcs.len() {
+            return Err(Error::internal("group fold finished before its first step"));
+        }
+        let partial = GroupPartial {
+            n_groups: self.grouper.n_groups(),
+            keys: self.keys,
+            states: self.states,
+        };
+        charge_current(partial.heap_bytes() + self.grouper.heap_bytes() + self.id_bytes)?;
+        Ok(partial)
+    }
+}
+
 /// Group and aggregate the row range `[lo, hi)`: filter with `conj`, map
 /// the qualifying rows' keys to group ids, fold every aggregate over its
 /// typed argument column. Groups come back in first-appearance order;
@@ -821,10 +1128,7 @@ pub fn group_partial_range<C: Cols + ?Sized>(
 ) -> Result<GroupPartial> {
     let key_cols: Vec<&ColumnData> = group_cols
         .iter()
-        .map(|&g| {
-            cols.get_col(g)
-                .ok_or_else(|| Error::exec(format!("group column {g} not materialised")))
-        })
+        .map(|&g| column(cols, g))
         .collect::<Result<_>>()?;
     let positions = if conj.is_always_true() {
         None
@@ -835,59 +1139,40 @@ pub fn group_partial_range<C: Cols + ?Sized>(
         None => Selection::Range(lo..hi),
         Some(p) => Selection::Positions(p),
     };
-
-    let mut grouper = Grouper::new(&key_cols, 0);
-    // Zero key columns: every row is group 0, so there are no ids to build.
-    let ids = if key_cols.is_empty() {
-        None
-    } else {
-        Some(grouper.assign(&key_cols, &sel)?)
-    };
-    let n_groups = grouper.n_groups();
-    let firsts = ids
-        .as_deref()
-        .map_or_else(Vec::new, |ids| first_rows(ids, 0, &sel));
-    let keys = key_cols.iter().map(|c| c.take(&firsts)).collect();
-
-    let mut states = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let evaluated;
-        let (arg, arg_sel) = match &spec.expr {
-            None => (None, sel.clone()),
-            Some(Expr::Col(c)) => {
-                let col = cols
-                    .get_col(*c)
-                    .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-                (Some(col), sel.clone())
+    // Any argument but a plain column: evaluated once per morsel, dense
+    // over the selected rows.
+    let evaluated = specs
+        .iter()
+        .map(|spec| match &spec.expr {
+            None | Some(Expr::Col(_)) => Ok(None),
+            Some(expr) => match &sel {
+                Selection::Range(r) => expr.eval_column(cols, r.clone()),
+                Selection::Positions(p) => expr.eval_column(cols, p.iter().copied()),
             }
-            // Any other expression: once per morsel, dense over the
-            // selected rows.
-            Some(expr) => {
-                evaluated = match &sel {
-                    Selection::Range(r) => expr.eval_column(cols, r.clone())?,
-                    Selection::Positions(p) => expr.eval_column(cols, p.iter().copied())?,
-                };
-                (Some(&evaluated), Selection::Range(0..evaluated.len()))
-            }
-        };
-        let arg_type = arg.map_or(DataType::Int64, ColumnData::data_type);
-        let mut state = AggState::new(spec.func, arg_type, n_groups);
-        match &ids {
-            Some(ids) => state.update(arg, &arg_sel, ids.as_slice())?,
-            None => state.update(arg, &arg_sel, OneGroup)?,
-        }
-        states.push(state);
-    }
-    let partial = GroupPartial {
-        n_groups,
-        keys,
-        states,
-    };
-    // Group state grows with the data (one entry per distinct key seen):
-    // meter it against the ambient budget, once per morsel.
-    let id_bytes = ids.as_ref().map_or(0, |ids| ids.len() * 4);
-    charge_current(partial.heap_bytes() + grouper.heap_bytes() + id_bytes)?;
-    Ok(partial)
+            .map(Some),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let args = specs
+        .iter()
+        .zip(&evaluated)
+        .map(|(spec, evaluated)| {
+            Ok(match (&spec.expr, evaluated) {
+                (_, Some(col)) => Some((col, Selection::Range(0..col.len()))),
+                (Some(Expr::Col(c)), None) => Some((column(cols, *c)?, sel.clone())),
+                _ => None,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let keys: Vec<Input> = key_cols.iter().map(|&c| (c, sel.clone())).collect();
+    let mut fold = GroupFold::new(&key_cols, specs);
+    fold.step(&keys, &args, sel.len())?;
+    fold.finish()
+}
+
+/// Column `c` of `cols`, or the error naming it.
+pub(crate) fn column<C: Cols + ?Sized>(cols: &C, c: usize) -> Result<&ColumnData> {
+    cols.get_col(c)
+        .ok_or_else(|| Error::exec(format!("column {c} not materialised")))
 }
 
 /// Merge per-morsel partials (in morsel index order) and finish them into
@@ -921,18 +1206,24 @@ pub fn merge_group_partials(mut parts: Vec<GroupPartial>) -> Result<Vec<ColumnDa
     let mut states = part_states.next().expect("two or more partials");
 
     let mut grouper = Grouper::new(&refs(&part_keys[0].1), upper);
-    charge_current(grouper.heap_bytes())?;
+    // Hashed tables start at their final size; a direct-addressed one
+    // grows with the key span, and each growth is charged as it happens.
+    let mut table_bytes = grouper.heap_bytes();
+    charge_current(table_bytes)?;
     let group_bytes = part_keys[0].1.len() * 16 + states.len() * 16;
     let mut cancel = CancelCheck::new();
     // Per partial, its rows that opened a new group, in group order.
     let mut new_rows: Vec<Vec<usize>> = Vec::with_capacity(part_keys.len());
     for (m, (n, keys)) in part_keys.iter().enumerate() {
         cancel.tick(*n)?;
-        let sel = Selection::Range(0..*n);
         let before = grouper.n_groups();
-        let ids = grouper.assign(&refs(keys), &sel)?;
+        let inputs: Vec<Input> = keys.iter().map(|k| (k, Selection::Range(0..*n))).collect();
+        let ids = grouper.assign(&inputs, *n)?;
         let total = grouper.n_groups();
-        new_rows.push(first_rows(&ids, before, &sel));
+        new_rows.push(first_rows(&ids, before));
+        let grown = grouper.heap_bytes().saturating_sub(table_bytes);
+        charge_current(grown)?;
+        table_bytes += grown;
         if m == 0 {
             continue;
         }
@@ -1149,6 +1440,103 @@ mod tests {
             .map(|&k| s.intern(k))
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 1, 0]);
+    }
+
+    #[test]
+    fn int_ids_widen_and_fall_back_keeping_ids() {
+        // Batch after batch, as a grouper feeds them: NULLs are `None`.
+        fn assign(t: &mut IntIds, null_id: &mut Option<u32>, keys: &[Option<i64>]) -> Vec<u32> {
+            let xs: Vec<i64> = keys.iter().map(|k| k.unwrap_or(0)).collect();
+            let nulls: Vec<bool> = keys.iter().map(Option::is_none).collect();
+            let mut ids = vec![0; keys.len()];
+            let sel = Selection::Range(0..keys.len());
+            t.assign(&xs, Some(&nulls), &sel, &mut ids, null_id, 0);
+            ids
+        }
+        let dense = |t: &IntIds| matches!(t, IntIds::Dense { .. });
+        let (mut t, mut null) = (IntIds::new(), None);
+        let got = assign(
+            &mut t,
+            &mut null,
+            &[Some(15), Some(10), None, Some(20), Some(15)],
+        );
+        assert_eq!(got, [0, 1, 2, 3, 0]);
+        assert!(dense(&t));
+        // A range the budget still covers widens the array, ids kept.
+        let got = assign(
+            &mut t,
+            &mut null,
+            &[Some(0), Some(15), None, Some(30), Some(10)],
+        );
+        assert_eq!(got, [4, 0, 2, 5, 1]);
+        assert!(dense(&t));
+        assert_eq!(t.heap_bytes(), 31 * 4);
+        // A key far outside converts to the hashed table, ids kept.
+        let got = assign(&mut t, &mut null, &[Some(1 << 40), Some(30), None, Some(0)]);
+        assert_eq!(got, [6, 5, 2, 4]);
+        assert!(!dense(&t));
+        assert_eq!(t.len(), 7);
+
+        // The span arithmetic holds at both ends of the domain.
+        let (mut t, mut null) = (IntIds::new(), None);
+        let got = assign(&mut t, &mut null, &[Some(i64::MAX), Some(i64::MAX - 1)]);
+        assert_eq!(got, [0, 1]);
+        assert!(dense(&t));
+        let (mut low, mut low_null) = (IntIds::new(), None);
+        let got = assign(
+            &mut low,
+            &mut low_null,
+            &[Some(i64::MIN + 3), Some(i64::MIN)],
+        );
+        assert_eq!(got, [0, 1]);
+        assert!(dense(&low));
+        // Together they span the whole domain, one more than a u64 holds.
+        let got = assign(&mut t, &mut null, &[Some(i64::MIN), Some(i64::MAX)]);
+        assert_eq!(got, [2, 0]);
+        assert!(!dense(&t));
+    }
+
+    #[test]
+    fn dense_keys_widen_and_fall_back_inside_one_grouper() {
+        // Morsel after morsel through one key column: dense, widened,
+        // then converted to the hashed table by a far key, with the ids
+        // of earlier keys intact.
+        let batch = |keys: &[i64]| ColumnData::from_i64(keys.to_vec());
+        let (a, b, c) = (
+            batch(&[3, 1, 3, 2]),
+            batch(&[0, 9, 1]),
+            batch(&[1 << 50, 2, 0]),
+        );
+        let mut column = KeyColumn::new(DataType::Int64, 0);
+        let mut ids = vec![0; 4];
+        for (col, want) in [(&a, &[0, 1, 0, 2][..]), (&b, &[3, 4, 1]), (&c, &[5, 2, 3])] {
+            column
+                .assign(col, &Selection::Range(0..col.len()), &mut ids)
+                .unwrap();
+            assert_eq!(&ids[..col.len()], want);
+        }
+        assert!(matches!(column.table, KeyTable::Int(IntIds::Hashed(_))));
+
+        // The same walk through the kernel and its merge, against the
+        // row-at-a-time reference, NULLs and both domain ends included.
+        let mut keys: Vec<Value> = (0..20).map(Value::Int).collect();
+        keys.extend((100..120).rev().map(Value::Int));
+        keys.extend([
+            Value::Int(1 << 40),
+            Value::Null,
+            Value::Int(5),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Null,
+            Value::Int(101),
+        ]);
+        let n = keys.len();
+        let mut cols = BTreeMap::new();
+        cols.insert(0, ColumnData::from_values(DataType::Int64, keys).unwrap());
+        cols.insert(1, ColumnData::from_i64((0..n as i64).collect()));
+        let specs = [AggSpec::on_col(AggFunc::Sum, 1), AggSpec::count_star()];
+        assert_matches_reference(&cols, n, &Conjunction::always(), &[0], &specs);
+        assert_matches_reference(&cols, n, &Conjunction::always(), &[1, 0], &specs);
     }
 
     #[test]

@@ -12,76 +12,106 @@
 use std::collections::HashMap;
 
 use nodb_types::resource::charge_current;
-use nodb_types::{CancelCheck, ColumnData, Error, Result, Value};
+use nodb_types::{CancelCheck, ColumnData, Error, Result, Selection};
 
 use crate::columnar::GroupKey;
-use crate::group::IdTable;
+use crate::group::{dense_span, slot, IdTable};
 use crate::morsel::int_join_positions;
 
-/// Flat hash-join table over `i64` keys: an open-addressing key table
-/// (multiplicative hash, keys inline) maps each distinct key to a dense
-/// id, and the id indexes one contiguous run of build rows in a single
-/// shared vector — ascending within a run, no allocation per key.
+/// Flat hash-join table over `i64` keys: each key leads to one contiguous
+/// run of build rows in a single shared vector — ascending within a run,
+/// no allocation per key. When the keys' span is dense (at most
+/// [`DENSE_SLOTS_PER_ROW`](crate::group::DENSE_SLOTS_PER_ROW) slots per
+/// build row) the run offsets are direct-addressed by `key - base`;
+/// otherwise an open-addressing key table maps each distinct key to a
+/// dense id that indexes them. Either way the offsets take 4 bytes a
+/// slot, so the direct-addressed table is never the larger one.
 #[derive(Debug)]
 pub struct JoinTable {
-    keys: IdTable<i64>,
-    /// Key `id`'s build rows are `rows[starts[id]..starts[id + 1]]`.
-    starts: Vec<usize>,
+    keys: RunIndex,
+    /// Run `i`'s build rows are `rows[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
     rows: Vec<usize>,
+}
+
+/// How a key finds its run in a [`JoinTable`].
+#[derive(Debug)]
+enum RunIndex {
+    /// Run `key - base`; `starts` holds one run per key of the span.
+    Dense { base: i64 },
+    /// Run `id`, the key's id in the table.
+    Hashed(IdTable<i64>),
 }
 
 impl JoinTable {
     /// Build over a null-free key slice; build rows are slice positions.
     pub fn build(keys: &[i64]) -> Result<JoinTable> {
-        JoinTable::from_entries(keys.len(), keys.iter().copied().zip(0..))
+        JoinTable::from_entries(keys.iter().copied().zip(0..))
     }
 
-    /// Build from per-morsel `(key, build row)` entries, morsels in index
-    /// order and rows ascending within each — the shape
-    /// [`cold_join_build_morsel`](crate::morsel::cold_join_build_morsel)
-    /// emits on the scan workers.
-    pub fn from_morsels(parts: &[Vec<(i64, usize)>]) -> Result<JoinTable> {
-        let n = parts.iter().map(Vec::len).sum();
-        JoinTable::from_entries(n, parts.iter().flatten().copied())
-    }
-
-    /// Two passes over `n` entries in ascending build-row order: count
-    /// each key's rows while interning it, then scatter the rows into
-    /// their runs (a stable counting sort, so runs stay ascending).
-    fn from_entries(
-        n: usize,
-        entries: impl Iterator<Item = (i64, usize)> + Clone,
-    ) -> Result<JoinTable> {
+    /// Passes over the entries, in ascending build-row order: count them
+    /// and find their key range, count each run's rows (interning each
+    /// key when the span is not dense), then scatter the rows into their
+    /// runs (a stable counting sort, so runs stay ascending).
+    fn from_entries(entries: impl Iterator<Item = (i64, usize)> + Clone) -> Result<JoinTable> {
+        let (mut n, mut lo, mut hi) = (0usize, i64::MAX, i64::MIN);
+        for (key, _) in entries.clone() {
+            n += 1;
+            lo = lo.min(key);
+            hi = hi.max(key);
+        }
         if n >= u32::MAX as usize {
             return Err(Error::exec("join build side exceeds 2^32 rows"));
         }
-        // Sized by distinct keys as they appear, not by rows: a build side
-        // of few distinct keys keeps a small, cache-resident table.
-        let mut keys = IdTable::with_capacity(n.min(1024));
-        let mut ids: Vec<u32> = Vec::with_capacity(n);
-        let mut starts: Vec<usize> = vec![0];
         // The build is one serial pass however many workers probe later:
         // give cancellation a landing point inside it.
         let mut cancel = CancelCheck::new();
-        for (key, _) in entries.clone() {
-            cancel.tick(1)?;
-            let id = keys.intern(key);
-            if id as usize + 1 == starts.len() {
-                starts.push(0);
+        let (keys, mut starts, runs) = match dense_span(lo, hi, n as u64) {
+            Some(span) => {
+                let mut starts = vec![0u32; span + 1];
+                charge_current(starts.len() * 4)?;
+                for (key, _) in entries.clone() {
+                    cancel.tick(1)?;
+                    starts[slot(key, lo) + 1] += 1;
+                }
+                (RunIndex::Dense { base: lo }, starts, None)
             }
-            starts[id as usize + 1] += 1;
-            ids.push(id);
-        }
-        charge_current(keys.heap_bytes() + ids.len() * 4 + (starts.len() + n) * 8)?;
+            None => {
+                // Sized by distinct keys as they appear, not by rows: a
+                // build side of few distinct keys keeps a small,
+                // cache-resident table.
+                let mut ids = IdTable::with_capacity(n.min(1024));
+                let mut runs: Vec<u32> = Vec::with_capacity(n);
+                let mut starts: Vec<u32> = vec![0];
+                for (key, _) in entries.clone() {
+                    cancel.tick(1)?;
+                    let id = ids.intern(key);
+                    if id as usize + 1 == starts.len() {
+                        starts.push(0);
+                    }
+                    starts[id as usize + 1] += 1;
+                    runs.push(id);
+                }
+                charge_current(ids.heap_bytes() + (runs.len() + starts.len()) * 4)?;
+                (RunIndex::Hashed(ids), starts, Some(runs))
+            }
+        };
+        charge_current(n * 8)?;
         // Counts → run starts.
-        for id in 1..starts.len() {
-            starts[id] += starts[id - 1];
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
         }
         let mut cursor = starts.clone();
         let mut rows = vec![0usize; n];
-        for ((_, row), id) in entries.zip(ids) {
-            rows[cursor[id as usize]] = row;
-            cursor[id as usize] += 1;
+        let mut place = |run: usize, row: usize| {
+            rows[cursor[run] as usize] = row;
+            cursor[run] += 1;
+        };
+        match runs {
+            None => entries.for_each(|(key, row)| place(slot(key, lo), row)),
+            Some(runs) => entries
+                .zip(runs)
+                .for_each(|((_, row), id)| place(id as usize, row)),
         }
         Ok(JoinTable { keys, starts, rows })
     }
@@ -89,39 +119,104 @@ impl JoinTable {
     /// Build rows holding `key`, ascending; empty when there are none.
     #[inline]
     pub fn matches(&self, key: i64) -> &[usize] {
-        match self.keys.get(key) {
-            Some(id) => &self.rows[self.starts[id as usize]..self.starts[id as usize + 1]],
-            None => &[],
+        let run = match &self.keys {
+            RunIndex::Dense { base } => slot(key, *base),
+            RunIndex::Hashed(ids) => match ids.get(key) {
+                Some(id) => id as usize,
+                None => return &[],
+            },
+        };
+        if run >= self.starts.len() - 1 {
+            return &[];
+        }
+        &self.rows[self.starts[run] as usize..self.starts[run + 1] as usize]
+    }
+}
+
+/// The build side of a join, indexed for probing: which build rows hold
+/// the key of a probe row. NULL keys never match.
+pub(crate) enum JoinIndex {
+    /// Two int key columns: the flat table.
+    Int(JoinTable),
+    /// Any other pair of key types: build rows by key value, equal as
+    /// `Value::total_cmp` says (an int key matches an equal float).
+    Values(HashMap<GroupKey, Vec<usize>>),
+}
+
+impl JoinIndex {
+    /// Index the `rows` of `build` for probes of `probe`'s column type.
+    pub(crate) fn build(
+        build: &ColumnData,
+        rows: &Selection,
+        probe: &ColumnData,
+    ) -> Result<JoinIndex> {
+        match rows {
+            Selection::Range(r) => JoinIndex::build_rows(build, r.clone(), probe),
+            Selection::Positions(p) => JoinIndex::build_rows(build, p.iter().copied(), probe),
         }
     }
 
-    /// Probe one probe-side morsel, emitting `(build row, probe row)` pairs
-    /// in absolute coordinates; `local_positions` are the morsel-local
-    /// qualifying rows. NULL keys never match. Concatenating per-morsel
-    /// outputs in morsel order reproduces the serial pair order exactly:
-    /// probe-scan order, ascending build position per match.
-    pub fn probe_morsel(
-        &self,
-        keys: &ColumnData,
-        local_positions: &[usize],
-        first_row: usize,
-    ) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let nullable = matches!(keys, ColumnData::Int64 { nulls: Some(_), .. });
-        let fast = if nullable { None } else { keys.as_i64_slice() };
-        for &j in local_positions {
-            let k = match fast {
-                Some(ks) => ks[j],
-                None => match keys.get(j) {
-                    Value::Int(k) => k,
-                    _ => continue,
-                },
-            };
-            for &i in self.matches(k) {
-                out.push((i, first_row + j));
+    fn build_rows(
+        build: &ColumnData,
+        rows: impl Iterator<Item = usize> + Clone,
+        probe: &ColumnData,
+    ) -> Result<JoinIndex> {
+        if let (ColumnData::Int64 { values, nulls }, ColumnData::Int64 { .. }) = (build, probe) {
+            let nulls = nulls.as_deref();
+            let entries = rows
+                .filter(move |&r| nulls.is_none_or(|m| !m[r]))
+                .map(|r| (values[r], r));
+            return JoinTable::from_entries(entries).map(JoinIndex::Int);
+        }
+        let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        for r in rows {
+            let v = build.get(r);
+            if !v.is_null() {
+                table.entry(GroupKey(vec![v])).or_default().push(r);
             }
         }
-        out
+        Ok(JoinIndex::Values(table))
+    }
+
+    /// Call `f(p, build rows)` for each probe row `p` of `rows`, in order,
+    /// whose key has matches; the build rows come ascending.
+    pub(crate) fn probe(
+        &self,
+        probe: &ColumnData,
+        rows: &Selection,
+        f: impl FnMut(usize, &[usize]) -> Result<()>,
+    ) -> Result<()> {
+        match rows {
+            Selection::Range(r) => self.probe_rows(probe, r.clone(), f),
+            Selection::Positions(p) => self.probe_rows(probe, p.iter().copied(), f),
+        }
+    }
+
+    fn probe_rows(
+        &self,
+        probe: &ColumnData,
+        mut rows: impl Iterator<Item = usize>,
+        mut f: impl FnMut(usize, &[usize]) -> Result<()>,
+    ) -> Result<()> {
+        match (self, probe) {
+            (JoinIndex::Int(t), ColumnData::Int64 { values, nulls }) => match nulls {
+                None => rows.try_for_each(|p| f(p, t.matches(values[p]))),
+                Some(m) => rows
+                    .filter(|&p| !m[p])
+                    .try_for_each(|p| f(p, t.matches(values[p]))),
+            },
+            // NULL is never a key of the table, so a NULL probe finds
+            // nothing.
+            (JoinIndex::Values(table), _) => {
+                rows.try_for_each(|p| match table.get(&GroupKey(vec![probe.get(p)])) {
+                    Some(matches) => f(p, matches),
+                    None => Ok(()),
+                })
+            }
+            (JoinIndex::Int(_), _) => {
+                Err(Error::internal("int join index probed with non-int keys"))
+            }
+        }
     }
 }
 
@@ -149,31 +244,17 @@ pub(crate) fn null_free_int_keys<'a>(
 /// Inner equi-join returning matching `(left position, right position)`
 /// pairs in right-scan order, ascending left position per match. NULL keys
 /// never match. Null-free int keys take the flat-table join (run inline);
-/// anything else hashes the left column by value.
+/// anything else indexes the left column and probes it with the right.
 pub fn hash_join_positions(left: &ColumnData, right: &ColumnData) -> Result<Vec<(usize, usize)>> {
     if let Some((ls, rs)) = null_free_int_keys(left, right) {
         return int_join_positions(ls, rs, 1, usize::MAX);
     }
-    let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::with_capacity(left.len());
-    for i in 0..left.len() {
-        let v = left.get(i);
-        if v.is_null() {
-            continue;
-        }
-        table.entry(GroupKey(vec![v])).or_default().push(i);
-    }
+    let index = JoinIndex::build(left, &Selection::Range(0..left.len()), right)?;
     let mut out = Vec::new();
-    for j in 0..right.len() {
-        let v = right.get(j);
-        if v.is_null() {
-            continue;
-        }
-        if let Some(matches) = table.get(&GroupKey(vec![v])) {
-            for &i in matches {
-                out.push((i, j));
-            }
-        }
-    }
+    index.probe(right, &Selection::Range(0..right.len()), |j, matches| {
+        out.extend(matches.iter().map(|&i| (i, j)));
+        Ok(())
+    })?;
     Ok(out)
 }
 

@@ -13,11 +13,12 @@
 //!   projection (MonetDB style);
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate functions;
 //! * [`join`] — hash equi-joins over columns, and the flat [`JoinTable`]
-//!   every integer hash join probes;
+//!   every integer hash join probes (direct-addressed over dense keys);
 //! * [`morsel`] — morsel-parallel variants of all of the above
-//!   (deterministic, independent of the worker count), plus the fused
-//!   *cold* operators ([`cold_project_morsel`],
-//!   [`cold_join_build_morsel`]) that consume
+//!   (deterministic, independent of the worker count), including the
+//!   fold of aggregates over a join on its probe workers
+//!   ([`parallel_join_group_columns`]), plus the fused *cold*
+//!   projection ([`cold_project_morsel`]) that consumes
 //!   [`nodb_types::MorselBatch`]es straight from the tokenizer.
 //!
 //! The engine (`nodb-core`) runs [`group`] for every aggregate and
@@ -42,9 +43,9 @@ pub use expr::{arith, ArithOp, Expr};
 pub use group::{group_partial_range, merge_group_partials, GroupPartial};
 pub use join::{hash_join_positions, JoinTable};
 pub use morsel::{
-    cold_join_build_morsel, cold_project_morsel, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_aggregate, parallel_group_columns,
-    parallel_hash_join_positions, stitch_cold_projection, OrdinalCols, ProjectPartial,
+    cold_project_morsel, parallel_filter_aggregate, parallel_filter_positions,
+    parallel_group_aggregate, parallel_group_columns, parallel_hash_join_positions,
+    parallel_join_group_columns, stitch_cold_projection, JoinSide, OrdinalCols, ProjectPartial,
     DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};

@@ -15,17 +15,18 @@
 //! * [`parallel_filter_positions`] — parallel selection-vector
 //!   construction whose concatenation is byte-identical to the serial
 //!   [`filter_positions`](crate::columnar::filter_positions) result;
+//! * [`parallel_join_group_columns`] — aggregates and GROUP BY over an
+//!   equi-join, folded into the group kernel on the probe workers without
+//!   listing the join's pairs;
 //! * [`parallel_hash_join_positions`] — one flat [`JoinTable`] over the
 //!   smaller key column, probed morsel by morsel, reproducing the serial
-//!   pair order exactly.
+//!   pair order exactly (the scalar join's pairs).
 //!
 //! It also provides the *fused cold* operators, which consume
 //! [`nodb_types::MorselBatch`]es straight from the tokenizer so cold
 //! queries execute while they parse: [`cold_project_morsel`] /
 //! [`stitch_cold_projection`] (per-worker projection emitters with
-//! morsel-order batch stitching) and [`cold_join_build_morsel`] /
-//! [`JoinTable::from_morsels`] / [`JoinTable::probe_morsel`] (morsel-fed
-//! join build and probe).
+//! morsel-order batch stitching).
 //!
 //! The raw-file half (tokenizer morsels) lives in `nodb-rawcsv`'s
 //! `scan_morsels`; `nodb-core` connects the two.
@@ -34,19 +35,24 @@
 //! morsel index order, so output does not depend on worker scheduling or
 //! on the worker count: a single worker runs the same morsels inline.
 //! Integer aggregates are bit-identical to a row-at-a-time fold; float
-//! sums associate per morsel.
+//! sums associate per morsel (over a join, per probe morsel).
 
+use std::collections::BTreeMap;
+
+use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    map_morsels, ColumnData, ColumnPage, Conjunction, MorselBatch, MorselRange, PageColumn, Result,
-    Selection, Value,
+    map_morsels, CancelCheck, ColumnData, ColumnPage, Conjunction, MorselBatch, MorselRange,
+    PageColumn, Result, Selection, Value,
 };
 
 use crate::cols::Cols;
 use crate::columnar::{filter_positions_range, AggSpec};
 use crate::expr::Expr;
-use crate::group::{group_partial_range, merge_group_partials};
-use crate::join::{hash_join_positions, null_free_int_keys, JoinTable};
+use crate::group::{
+    column, group_partial_range, merge_group_partials, GroupFold, GroupPartial, Input,
+};
+use crate::join::{hash_join_positions, null_free_int_keys, JoinIndex, JoinTable};
 use crate::stream::project_columns;
 
 /// Default rows per morsel: big enough to amortise dispatch, small enough
@@ -180,6 +186,242 @@ pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     Ok(ColumnPage::new(Selection::Range(0..n_groups), view).to_rows())
 }
 
+/// One input of [`parallel_join_group_columns`]: a join side's columns
+/// under table-local ordinals, the rows its filter keeps, and its join
+/// key.
+pub struct JoinSide<'a, C: ?Sized> {
+    /// The side's materialised columns, all `n_rows` long.
+    pub cols: &'a C,
+    /// The qualifying rows, ascending; `None` when all `n_rows` qualify.
+    pub rows: Option<&'a [usize]>,
+    /// Rows of every column in `cols`.
+    pub n_rows: usize,
+    /// Ordinal of the join key column.
+    pub key: usize,
+}
+
+impl<C: ?Sized> JoinSide<'_, C> {
+    /// Number of qualifying rows.
+    pub fn qualifying(&self) -> usize {
+        self.rows.map_or(self.n_rows, <[usize]>::len)
+    }
+
+    /// Qualifying rows `lo..hi`, counted among the qualifying ones.
+    fn selection(&self, lo: usize, hi: usize) -> Selection<'_> {
+        match self.rows {
+            None => Selection::Range(lo..hi),
+            Some(rows) => Selection::Positions(&rows[lo..hi]),
+        }
+    }
+}
+
+/// Where an aggregate over a join reads its argument; sides are 0 (left)
+/// and 1 (right).
+enum JoinArg<'a> {
+    /// `COUNT(*)` and friends.
+    None,
+    /// One column of one side.
+    Col(usize, &'a ColumnData),
+    /// Any other expression, with the `(combined ordinal, side, column)`
+    /// of each column it reads.
+    Expr(&'a Expr, Vec<(usize, usize, &'a ColumnData)>),
+}
+
+/// What a probe worker folds for an aggregate over a join: the GROUP BY
+/// columns and aggregate arguments resolved to their sides.
+struct JoinFold<'a> {
+    /// `(side, column)` per GROUP BY column.
+    group: Vec<(usize, &'a ColumnData)>,
+    specs: &'a [AggSpec],
+    args: Vec<JoinArg<'a>>,
+    /// Whether the fold reads each side's rows at all.
+    reads: [bool; 2],
+    /// The built side; the other one probes.
+    build: usize,
+    /// Most pairs folded in one step.
+    slice_pairs: usize,
+}
+
+impl<'a> JoinFold<'a> {
+    /// Fold the pairs of one probe morsel, in probe-scan order and
+    /// ascending build row per match, in steps of at most `slice_pairs`.
+    fn morsel(
+        &self,
+        index: &JoinIndex,
+        key: &ColumnData,
+        probe: &Selection,
+    ) -> Result<GroupPartial> {
+        let key_cols: Vec<&ColumnData> = self.group.iter().map(|&(_, col)| col).collect();
+        let mut fold = GroupFold::new(&key_cols, self.specs);
+        let mut rows: [Vec<usize>; 2] = Default::default();
+        let (cap, mut n) = (self.slice_pairs, 0);
+        let mut cancel = CancelCheck::new();
+        index.probe(key, probe, |row, mut matches| {
+            while n + matches.len() >= cap {
+                // This row fills the slice: fold it and start the next.
+                let (now, rest) = matches.split_at(cap - n);
+                self.push(&mut rows, row, now);
+                cancel.tick(cap)?;
+                self.step(&mut fold, &rows, cap)?;
+                rows.iter_mut().for_each(Vec::clear);
+                (n, matches) = (0, rest);
+            }
+            self.push(&mut rows, row, matches);
+            n += matches.len();
+            Ok(())
+        })?;
+        self.step(&mut fold, &rows, n)?;
+        charge_current((rows[0].capacity() + rows[1].capacity()) * std::mem::size_of::<usize>())?;
+        fold.finish()
+    }
+
+    /// List the pairs of probe row `row` with build rows `matches` in
+    /// the sides' row vectors the fold reads.
+    #[inline(always)]
+    fn push(&self, rows: &mut [Vec<usize>; 2], row: usize, matches: &[usize]) {
+        let (b, p) = (self.build, 1 - self.build);
+        if self.reads[b] {
+            rows[b].extend(matches.iter().copied());
+        }
+        if self.reads[p] {
+            rows[p].extend(std::iter::repeat_n(row, matches.len()));
+        }
+    }
+
+    /// Fold `n` pairs whose rows are `rows[side]`.
+    fn step(&self, fold: &mut GroupFold<'a>, rows: &[Vec<usize>; 2], n: usize) -> Result<()> {
+        let keys: Vec<Input> = self
+            .group
+            .iter()
+            .map(|&(s, col)| (col, Selection::Positions(&rows[s])))
+            .collect();
+        // Expressions evaluate over the columns they read, gathered
+        // through the pairs.
+        let evaluated = self
+            .args
+            .iter()
+            .map(|arg| match arg {
+                JoinArg::Expr(e, cols) => {
+                    let gathered: BTreeMap<usize, ColumnData> = cols
+                        .iter()
+                        .map(|&(c, s, col)| (c, col.take(&rows[s])))
+                        .collect();
+                    e.eval_column(&gathered, 0..n).map(Some)
+                }
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let inputs: Vec<Option<Input>> = self
+            .args
+            .iter()
+            .zip(&evaluated)
+            .map(|(arg, evaluated)| match (arg, evaluated) {
+                (_, Some(col)) => Some((col, Selection::Range(0..n))),
+                (JoinArg::Col(s, col), None) => Some((*col, Selection::Positions(&rows[*s]))),
+                _ => None,
+            })
+            .collect();
+        fold.step(&keys, &inputs, n)
+    }
+}
+
+/// GROUP BY and aggregates over an inner equi-join, folded on the probe
+/// workers without materialising the join. One join index is built over
+/// the smaller qualifying side (the left on a tie); the other side's
+/// qualifying rows are probed in `morsel_rows` morsels on stealing
+/// workers. Each morsel's pairs come in probe-scan order, ascending build
+/// row per match, and fold into one partial in steps of at most
+/// `morsel_rows` pairs, each step reading only the columns the
+/// aggregates and `group_cols` name, through the pairs' rows. The
+/// morsels' partials merge in morsel order ([`merge_group_partials`]).
+///
+/// `group_cols` and the aggregates' columns are combined ordinals: the
+/// left side's as they are, the right side's after `left_width`. The
+/// result has the shape of [`parallel_group_columns`]'s: group keys ++
+/// aggregates, one row per group in first-appearance order of the probe
+/// scan. Integer results equal a fold over the materialised pairs; float
+/// sums associate per probe morsel. Both depend only on the data, the
+/// qualifying rows and `morsel_rows`, never on `threads`. The build is
+/// timed as [`Phase::JoinBuild`], the probe and fold as
+/// [`Phase::JoinProbe`].
+pub fn parallel_join_group_columns<C: Cols + ?Sized + Sync>(
+    left: &JoinSide<'_, C>,
+    right: &JoinSide<'_, C>,
+    left_width: usize,
+    group_cols: &[usize],
+    specs: &[AggSpec],
+    threads: usize,
+    morsel_rows: usize,
+) -> Result<Vec<ColumnData>> {
+    let morsel_rows = morsel_rows.max(1);
+    let sides = [left, right];
+    let keys = [column(left.cols, left.key)?, column(right.cols, right.key)?];
+    let resolve = |c: usize| {
+        let (s, local) = if c < left_width {
+            (0, c)
+        } else {
+            (1, c - left_width)
+        };
+        column(sides[s].cols, local).map(|col| (s, col))
+    };
+    let group = group_cols
+        .iter()
+        .map(|&c| resolve(c))
+        .collect::<Result<Vec<_>>>()?;
+    let args = specs
+        .iter()
+        .map(|spec| match &spec.expr {
+            None => Ok(JoinArg::None),
+            Some(Expr::Col(c)) => resolve(*c).map(|(s, col)| JoinArg::Col(s, col)),
+            Some(e) => e
+                .columns()
+                .into_iter()
+                .map(|c| resolve(c).map(|(s, col)| (c, s, col)))
+                .collect::<Result<_>>()
+                .map(|cols| JoinArg::Expr(e, cols)),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    // A side nothing is read from never has its rows listed.
+    let mut reads = [false; 2];
+    for &(s, _) in &group {
+        reads[s] = true;
+    }
+    for arg in &args {
+        match arg {
+            JoinArg::None => {}
+            JoinArg::Col(s, _) => reads[*s] = true,
+            JoinArg::Expr(_, cols) => cols.iter().for_each(|&(_, s, _)| reads[s] = true),
+        }
+    }
+    // Build over the smaller qualifying side, the left on a tie.
+    let build = usize::from(left.qualifying() > right.qualifying());
+    let probe = 1 - build;
+    let fold = JoinFold {
+        group,
+        specs,
+        args,
+        reads,
+        build,
+        slice_pairs: morsel_rows,
+    };
+    let index = profile::time(Phase::JoinBuild, || {
+        let rows = sides[build].selection(0, sides[build].qualifying());
+        JoinIndex::build(keys[build], &rows, keys[probe])
+    })?;
+    profile::time(Phase::JoinProbe, || {
+        let side = sides[probe];
+        let mut partials = map_morsels(side.qualifying(), morsel_rows, threads, |r| {
+            fold.morsel(&index, keys[probe], &side.selection(r.lo, r.hi))
+        })?;
+        if partials.is_empty() {
+            // No probe morsel: one empty partial still takes the result's
+            // column types (and is the one group of a plain aggregate).
+            partials.push(fold.morsel(&index, keys[probe], &side.selection(0, 0))?);
+        }
+        merge_group_partials(partials)
+    })
+}
+
 const PAIR_BYTES: usize = std::mem::size_of::<(usize, usize)>();
 
 /// Concatenate per-morsel chunks in morsel order.
@@ -272,8 +514,8 @@ pub(crate) fn int_join_positions(
 //
 // The functions below are the operator half of the fused *cold* pipeline:
 // the tokenizer (`scan_morsels` in `nodb-rawcsv`) emits [`MorselBatch`]es
-// from worker threads, and these run on that worker, so filtering,
-// projection and join builds overlap with parsing instead of waiting for
+// from worker threads, and these run on that worker, so filtering and
+// projection overlap with parsing instead of waiting for
 // the monolithic store load. They all merge in morsel index order, so the
 // result is byte-identical to the serial load-then-execute path.
 
@@ -347,33 +589,6 @@ pub fn stitch_cold_projection(parts: Vec<ProjectPartial>) -> Result<(Vec<usize>,
         }
     }
     Ok((positions, columns))
-}
-
-/// Build-side half of the morsel-fed cold join: one morsel's qualifying
-/// join keys as `(key, absolute row)` entries, rows ascending. NULL keys
-/// never match and are dropped here, exactly as the serial
-/// [`hash_join_positions`] drops them. `local_positions` are the
-/// morsel-local qualifying rows (ascending); the per-morsel entry lists,
-/// in morsel order, are what [`JoinTable::from_morsels`] builds from.
-pub fn cold_join_build_morsel(
-    keys: &ColumnData,
-    local_positions: &[usize],
-    first_row: usize,
-) -> Vec<(i64, usize)> {
-    let nullable = matches!(keys, ColumnData::Int64 { nulls: Some(_), .. });
-    if let (Some(ks), false) = (keys.as_i64_slice(), nullable) {
-        return local_positions
-            .iter()
-            .map(|&i| (ks[i], first_row + i))
-            .collect();
-    }
-    local_positions
-        .iter()
-        .filter_map(|&i| match keys.get(i) {
-            Value::Int(k) => Some((k, first_row + i)),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -469,33 +684,8 @@ mod tests {
         out
     }
 
-    /// The fused cold join over `morsel_rows`-row batches of both sides.
-    fn cold_join_pairs(ls: &[i64], rs: &[i64], morsel_rows: usize) -> Vec<(usize, usize)> {
-        let ids = [0usize];
-        let batches = |xs: &[i64]| {
-            let mut cols = BTreeMap::new();
-            cols.insert(0, ColumnData::from_i64(xs.to_vec()));
-            slice_batches(&ids, &cols, xs.len(), morsel_rows)
-        };
-        let parts: Vec<Vec<(i64, usize)>> = batches(ls)
-            .iter()
-            .map(|b| {
-                let local: Vec<usize> = (0..b.n_rows).collect();
-                cold_join_build_morsel(&b.columns[0], &local, b.first_row)
-            })
-            .collect();
-        let table = JoinTable::from_morsels(&parts).unwrap();
-        batches(rs)
-            .iter()
-            .flat_map(|b| {
-                let local: Vec<usize> = (0..b.n_rows).collect();
-                table.probe_morsel(&b.columns[0], &local, b.first_row)
-            })
-            .collect()
-    }
-
-    /// Serial, parallel warm and fused cold joins all produce the
-    /// nested-loop pair list, element for element.
+    /// Serial and parallel joins both produce the nested-loop pair list,
+    /// element for element.
     fn assert_joins_agree(ls: &[i64], rs: &[i64]) {
         let want = nested_loop_pairs(ls, rs);
         let (left, right) = (
@@ -512,11 +702,6 @@ mod tests {
                     "threads={threads} morsel_rows={morsel_rows}"
                 );
             }
-            assert_eq!(
-                cold_join_pairs(ls, rs, morsel_rows),
-                want,
-                "cold {morsel_rows}"
-            );
         }
     }
 
@@ -550,23 +735,6 @@ mod tests {
         ) {
             assert_joins_agree(&ls, &rs);
         }
-    }
-
-    #[test]
-    fn cold_join_skips_null_keys_like_serial() {
-        let mut build = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Int(1), Value::Null, Value::Int(2), Value::Int(1)] {
-            build.push(v).unwrap();
-        }
-        let mut probe = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Int(2), Value::Null, Value::Int(1)] {
-            probe.push(v).unwrap();
-        }
-        let serial = hash_join_positions(&build, &probe).unwrap();
-        let parts = vec![cold_join_build_morsel(&build, &[0, 1, 2, 3], 0)];
-        let table = JoinTable::from_morsels(&parts).unwrap();
-        let pairs = table.probe_morsel(&probe, &[0, 1, 2], 0);
-        assert_eq!(pairs, serial);
     }
 
     /// The one row of a plain aggregate per the row-at-a-time reference.
@@ -781,5 +949,350 @@ mod tests {
             parallel_group_aggregate(&empty, 0, &Conjunction::always(), &[0], &specs, 3, 128, 0)
                 .unwrap();
         assert!(par.is_empty());
+    }
+
+    mod join_fold {
+        use super::*;
+        use crate::expr::ArithOp;
+        use nodb_types::DataType;
+
+        /// Columns of every join side here: 0 the join key, 1 an int, 2 an
+        /// exact float (a multiple of 1/8, so every summation order gives
+        /// the same bits), 3 text, 4 a small int, 5 an inexact float.
+        const WIDTH: usize = 6;
+        const STRS: [&str; 5] = ["", "a", "pear", "é", "fig"];
+
+        fn side_columns(keys: &[Option<i64>], salt: u64) -> BTreeMap<usize, ColumnData> {
+            let mix = |i: usize| ((i as u64 + 1) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+            let n = keys.len();
+            let column = |ty, f: &dyn Fn(usize) -> Value| {
+                ColumnData::from_values(ty, (0..n).map(f)).unwrap()
+            };
+            let mut cols = BTreeMap::new();
+            cols.insert(
+                0,
+                column(DataType::Int64, &|i| {
+                    keys[i].map_or(Value::Null, Value::Int)
+                }),
+            );
+            cols.insert(
+                1,
+                column(DataType::Int64, &|i| match mix(i) % 7 {
+                    0 => Value::Null,
+                    x => Value::Int(x as i64 * 37 - 100),
+                }),
+            );
+            cols.insert(
+                2,
+                column(DataType::Float64, &|i| match mix(i) % 11 {
+                    0 => Value::Null,
+                    x => Value::Float((x * 13 % 64) as f64 / 8.0 - 4.0),
+                }),
+            );
+            cols.insert(
+                3,
+                column(DataType::Str, &|i| match mix(i) % 9 {
+                    0 => Value::Null,
+                    x => Value::Str(STRS[x as usize % STRS.len()].to_owned()),
+                }),
+            );
+            cols.insert(
+                4,
+                column(DataType::Int64, &|i| Value::Int((mix(i) >> 8) as i64 % 3)),
+            );
+            cols.insert(
+                5,
+                column(DataType::Float64, &|i| {
+                    Value::Float(i as f64 / 7.0 + salt as f64 * 0.1)
+                }),
+            );
+            cols
+        }
+
+        type Side<'a> = JoinSide<'a, BTreeMap<usize, ColumnData>>;
+
+        fn side<'a>(
+            cols: &'a BTreeMap<usize, ColumnData>,
+            rows: Option<&'a [usize]>,
+            key: usize,
+        ) -> Side<'a> {
+            Side {
+                cols,
+                rows,
+                n_rows: cols[&0].len(),
+                key,
+            }
+        }
+
+        /// The materialised join: pairs from [`hash_join_positions`] in
+        /// right-scan order, every column gathered through them, then the
+        /// group kernel over the gathered rows.
+        fn reference(
+            l: &Side,
+            r: &Side,
+            group_cols: &[usize],
+            specs: &[AggSpec],
+            morsel_rows: usize,
+        ) -> Result<Vec<ColumnData>> {
+            let key = |s: &Side| {
+                let k = &s.cols[&s.key];
+                s.rows.map_or_else(|| k.clone(), |rows| k.take(rows))
+            };
+            let pairs = hash_join_positions(&key(l), &key(r))?;
+            let at = |p: usize, rows: Option<&[usize]>| rows.map_or(p, |v| v[p]);
+            let li: Vec<usize> = pairs.iter().map(|&(a, _)| at(a, l.rows)).collect();
+            let ri: Vec<usize> = pairs.iter().map(|&(_, b)| at(b, r.rows)).collect();
+            let mut combined = BTreeMap::new();
+            for (&c, col) in l.cols {
+                combined.insert(c, col.take(&li));
+            }
+            for (&c, col) in r.cols {
+                combined.insert(WIDTH + c, col.take(&ri));
+            }
+            let always = Conjunction::always();
+            parallel_group_columns(
+                &combined,
+                pairs.len(),
+                &always,
+                group_cols,
+                specs,
+                1,
+                morsel_rows,
+            )
+        }
+
+        /// Result rows as cells, floats by bit pattern.
+        fn cells(cols: &[ColumnData]) -> Vec<Vec<String>> {
+            let n = cols.first().map_or(0, ColumnData::len);
+            (0..n)
+                .map(|r| {
+                    cols.iter()
+                        .map(|c| match c.get(r) {
+                            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                            v => format!("{v:?}"),
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+
+        /// The error's kind: its message up to the offending value, which
+        /// names whichever bad row the fold met first.
+        fn kind(e: &Error) -> String {
+            let msg = e.to_string();
+            msg.split(" value ").next().unwrap_or_default().to_owned()
+        }
+
+        /// The fold against the materialised reference at every morsel
+        /// size: the same group set, integers and (exact) floats bit for
+        /// bit, or the same error kind. `exact` is false when the specs
+        /// sum inexact floats, whose association differs from the
+        /// reference's; then only the group keys and counts are compared
+        /// with it. Across thread counts the result is identical: rows in
+        /// the same order, every float bit, every error message.
+        fn check(l: &Side, r: &Side, group_cols: &[usize], specs: &[AggSpec], exact: bool) {
+            for morsel_rows in [1, 3, 32 * 1024] {
+                let want = reference(l, r, group_cols, specs, morsel_rows);
+                let fold = |threads| {
+                    parallel_join_group_columns(
+                        l,
+                        r,
+                        WIDTH,
+                        group_cols,
+                        specs,
+                        threads,
+                        morsel_rows,
+                    )
+                };
+                let first = fold(1);
+                for threads in [1, 2, 5] {
+                    let got = fold(threads);
+                    let ctx = format!(
+                        "threads={threads} morsel_rows={morsel_rows} keys={group_cols:?} \
+                         rows=({:?}, {:?}) specs={specs:?}",
+                        l.rows.map(<[usize]>::len),
+                        r.rows.map(<[usize]>::len)
+                    );
+                    match (&got, &first) {
+                        (Ok(g), Ok(f)) => assert_eq!(cells(g), cells(f), "{ctx}"),
+                        (Err(g), Err(f)) => assert_eq!(g.to_string(), f.to_string(), "{ctx}"),
+                        _ => panic!("{ctx}: {got:?} vs one thread {first:?}"),
+                    }
+                    match (&got, &want) {
+                        (Ok(g), Ok(w)) => {
+                            for (gc, wc) in g.iter().zip(w) {
+                                assert_eq!(gc.data_type(), wc.data_type(), "{ctx}");
+                            }
+                            let keep = if exact { g.len() } else { group_cols.len() };
+                            let (mut g, mut w) = (cells(&g[..keep]), cells(&w[..keep]));
+                            g.sort();
+                            w.sort();
+                            assert_eq!(g, w, "{ctx}");
+                        }
+                        (Err(g), Err(w)) => assert_eq!(kind(g), kind(w), "{ctx}"),
+                        _ => panic!("{ctx}: fold {got:?} vs reference {want:?}"),
+                    }
+                }
+            }
+        }
+
+        fn col(c: usize) -> Expr {
+            Expr::Col(c)
+        }
+
+        fn binary(op: ArithOp, l: Expr, r: Expr) -> Expr {
+            Expr::Binary {
+                op,
+                left: Box::new(l),
+                right: Box::new(r),
+            }
+        }
+
+        /// Every aggregate function over ints, exact floats and text from
+        /// both sides, and cross-side expressions.
+        fn exact_specs() -> Vec<AggSpec> {
+            use AggFunc::*;
+            let r = |c| WIDTH + c;
+            let mut specs = vec![AggSpec::count_star()];
+            for func in [Count, Sum, Min, Max, Avg] {
+                specs.push(AggSpec::on_col(func, 1));
+                specs.push(AggSpec::on_col(func, r(2)));
+            }
+            for func in [Min, Max, Count] {
+                specs.push(AggSpec::on_col(func, 3));
+                specs.push(AggSpec::on_col(func, r(3)));
+            }
+            specs.push(AggSpec::on_col(Max, r(0)));
+            specs.push(AggSpec {
+                func: Sum,
+                expr: Some(binary(ArithOp::Mul, col(1), col(r(4)))),
+            });
+            specs.push(AggSpec {
+                func: Avg,
+                expr: Some(binary(ArithOp::Add, col(2), col(r(2)))),
+            });
+            specs
+        }
+
+        /// Float sums whose bits depend on the association.
+        fn inexact_specs() -> Vec<AggSpec> {
+            vec![
+                AggSpec::on_col(AggFunc::Sum, 5),
+                AggSpec::on_col(AggFunc::Avg, WIDTH + 5),
+                AggSpec {
+                    func: AggFunc::Sum,
+                    expr: Some(binary(ArithOp::Mul, col(5), col(WIDTH + 5))),
+                },
+                AggSpec::count_star(),
+            ]
+        }
+
+        const GROUPINGS: [&[usize]; 7] = [
+            &[],
+            &[4],
+            &[WIDTH + 4],
+            &[4, WIDTH + 4],
+            &[3],
+            &[WIDTH],
+            &[WIDTH + 3, 0],
+        ];
+
+        /// Every grouping and spec set, with each side unfiltered and
+        /// filtered to every third row (which moves the build side when
+        /// the sizes are close), joined on `key` (0: int, 3: text).
+        fn check_all(lk: &[Option<i64>], rk: &[Option<i64>], key: usize) {
+            let (lc, rc) = (side_columns(lk, 1), side_columns(rk, 2));
+            let thirds = |n: usize| (0..n).step_by(3).collect::<Vec<_>>();
+            let (lt, rt) = (thirds(lk.len()), thirds(rk.len()));
+            for (lrows, rrows) in [(None, None), (Some(&lt[..]), None), (None, Some(&rt[..]))] {
+                let (l, r) = (side(&lc, lrows, key), side(&rc, rrows, key));
+                for group_cols in GROUPINGS {
+                    check(&l, &r, group_cols, &exact_specs(), true);
+                    check(&l, &r, group_cols, &inexact_specs(), false);
+                }
+            }
+        }
+
+        fn keys(xs: &[i64]) -> Vec<Option<i64>> {
+            xs.iter().map(|&x| Some(x)).collect()
+        }
+
+        #[test]
+        fn fold_matches_materialised_join_on_every_build_side() {
+            let big: Vec<i64> = (0..40).map(|i| (i * 13) % 9 - 3).collect();
+            let small: Vec<i64> = (0..25).map(|i| (i * 7) % 11 - 4).collect();
+            // Right smaller (builds right), left smaller (builds left), a
+            // tie (builds left); duplicates on both sides throughout.
+            check_all(&keys(&big), &keys(&small), 0);
+            check_all(&keys(&small), &keys(&big), 0);
+            check_all(&keys(&big[..25]), &keys(&small), 0);
+            // One-key skew.
+            check_all(&keys(&[7; 30]), &keys(&[7, 7, 8, 7]), 0);
+            check_all(&keys(&[7, 7, 8, 7]), &keys(&[7; 30]), 0);
+            // NULL keys on both sides never match.
+            let nulls = |n: usize| -> Vec<Option<i64>> {
+                (0..n as i64)
+                    .map(|i| (i % 4 != 0).then_some(i % 5))
+                    .collect()
+            };
+            check_all(&nulls(23), &nulls(17), 0);
+            // Extreme and sparse keys: no dense domain.
+            let extreme = keys(&[i64::MIN, -1, i64::MAX, -1, 1 << 40]);
+            check_all(
+                &extreme,
+                &keys(&[-1, i64::MAX, i64::MIN, 0, -1, 1 << 40]),
+                0,
+            );
+            // Empty sides.
+            check_all(&[], &keys(&small), 0);
+            check_all(&keys(&big), &[], 0);
+            check_all(&[], &[], 0);
+            // Text keys take the value-hashed index.
+            check_all(&keys(&big), &keys(&small), 3);
+        }
+
+        #[test]
+        fn fold_raises_the_reference_errors() {
+            let (lk, rk) = (keys(&[1, 1, 2, 3, 1]), keys(&[1, 2, 1, 1]));
+            let (mut lc, rc) = (side_columns(&lk, 3), side_columns(&rk, 4));
+            let huge = [i64::MAX, i64::MAX - 1, 5, 7, i64::MAX];
+            lc.insert(1, ColumnData::from_i64(huge.to_vec()));
+            let (l, r) = (side(&lc, None, 0), side(&rc, None, 0));
+            // Huge ints times the fan-out overflow the sum; text has no sum.
+            let overflow = [AggSpec::on_col(AggFunc::Sum, 1), AggSpec::count_star()];
+            let err = parallel_join_group_columns(&l, &r, WIDTH, &[], &overflow, 2, 2).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                Error::exec("integer overflow in sum").to_string()
+            );
+            for group_cols in GROUPINGS {
+                check(&l, &r, group_cols, &overflow, true);
+                for spec in [
+                    AggSpec::on_col(AggFunc::Sum, 3),
+                    AggSpec::on_col(AggFunc::Avg, WIDTH + 3),
+                ] {
+                    check(&l, &r, group_cols, &[spec], true);
+                }
+            }
+        }
+
+        proptest::proptest! {
+            /// Random small-domain keys with NULLs, random filters: the
+            /// fold agrees with the materialised join.
+            #[test]
+            fn fold_matches_materialised_join_on_random_keys(
+                lk in proptest::collection::vec(proptest::option::of(-4i64..4), 0..30),
+                rk in proptest::collection::vec(proptest::option::of(-4i64..4), 0..30),
+                lmask in proptest::num::u64::ANY,
+                rmask in proptest::num::u64::ANY,
+                grouping in 0usize..GROUPINGS.len(),
+            ) {
+                let (lc, rc) = (side_columns(&lk, 5), side_columns(&rk, 6));
+                let pick = |n: usize, mask: u64| (0..n).filter(|i| mask >> i & 1 == 1).collect::<Vec<_>>();
+                let (lrows, rrows) = (pick(lk.len(), lmask), pick(rk.len(), rmask));
+                let (l, r) = (side(&lc, Some(&lrows), 0), side(&rc, Some(&rrows), 0));
+                check(&l, &r, GROUPINGS[grouping], &exact_specs(), true);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! cold pipeline's `scan_morsels`, file splitting and every post-load
 //! operator all schedule through it, directly or through the ordered
 //! wrapper [`map_morsels`]. The scheduling semantics (steal order,
-//! first-error-wins cancellation, panic containment, worker clamping)
+//! lowest-morsel-error-wins cancellation, panic containment, worker clamping)
 //! therefore exist once, and so does the propagation of the caller's
 //! [`QueryContext`] to the workers.
 //!
@@ -23,21 +23,25 @@
 //! * `flush(state)` runs once per worker after its last steal (e.g. the
 //!   counter-flush hook that batches atomic counter updates).
 //!
-//! Error semantics: the first `step` error wins; every other worker stops
-//! at its next steal, `flush` still runs for each started worker, and the
-//! winning error is returned. A panicking worker becomes
-//! `Error::Internal` through the same slot.
+//! Error semantics: the error of the *lowest* failing morsel wins, so
+//! which error a query reports depends on the input, not on the schedule.
+//! Once morsel `f` has failed, workers skip every morsel above `f` (they
+//! stop at their next steal), while morsels below `f` — all stolen before
+//! it — still run and may replace the error with their own. `flush` still
+//! runs for each started worker. Cancellation, an expired deadline and a
+//! panicking worker (which becomes `Error::Internal`) record as if morsel
+//! 0 had failed, so they stop every worker at its next steal.
 //!
 //! Context: the driver captures the calling thread's [`QueryContext`]
 //! once and installs it on each worker it spawns, so a step sees the
 //! caller's cancel token, memory guard and profile sink ambiently. Phase
 //! timers stay off on workers (they belong to the coordinating thread).
 //! The driver polls the token before every steal through the
-//! first-error-wins machinery, so a CANCEL, an expired deadline or a
+//! same failure slot, so a CANCEL, an expired deadline or a
 //! detected client disconnect stops every worker within one morsel and
 //! surfaces as `Error::Cancelled` / `Error::Timeout`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::column::ColumnData;
@@ -113,21 +117,23 @@ where
     let workers = threads.max(1).min(n_morsels.max(1));
 
     let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let failure: Mutex<Option<Error>> = Mutex::new(None);
+    // Lowest morsel index that failed so far, `usize::MAX` while none has.
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let failure: Mutex<Option<(usize, Error)>> = Mutex::new(None);
     // The caller's context, captured once; the inline path already runs
     // under it, spawned workers install it.
     let ctx = QueryContext::current();
 
-    // First error wins; a poisoned lock (a step panicked on another
-    // worker while storing its error) must not turn into a second panic
-    // here — recover the inner value and keep the earliest error.
-    let record_failure = |e: Error| {
+    // The lowest failing morsel's error wins (the earlier one on a tie); a
+    // poisoned lock (a step panicked on another worker while storing its
+    // error) must not turn into a second panic here — recover the inner
+    // value and keep going.
+    let record_failure = |index: usize, e: Error| {
         let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(e);
+        if slot.as_ref().is_none_or(|(lowest, _)| index < *lowest) {
+            *slot = Some((index, e));
         }
-        failed.store(true, Ordering::Relaxed);
+        lowest_failed.fetch_min(index, Ordering::Relaxed);
     };
 
     let run_worker = |worker: usize| {
@@ -136,17 +142,16 @@ where
         // one batch after the loop (no per-morsel atomics).
         let (mut p_morsels, mut p_items, mut p_steals) = (0u64, 0u64, 0u64);
         loop {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
             if let Some(t) = &ctx.cancel {
                 if let Err(e) = t.check() {
-                    record_failure(e);
+                    record_failure(0, e);
                     break;
                 }
             }
+            // Indexes are handed out in ascending order, so once a steal
+            // lands above a failed morsel every later one would too.
             let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= n_morsels {
+            if index >= n_morsels || index > lowest_failed.load(Ordering::Relaxed) {
                 break;
             }
             let range = MorselRange {
@@ -165,7 +170,7 @@ where
                 }
             }
             if let Err(e) = step(&mut state, worker, range) {
-                record_failure(e);
+                record_failure(index, e);
                 break;
             }
         }
@@ -183,9 +188,9 @@ where
     } else {
         // A panicking worker must not take the process down: catch the
         // unwind on the worker thread itself and convert it to a typed
-        // internal error through the same first-error-wins slot, so every
-        // sibling stops at its next steal and the scope never observes a
-        // panic.
+        // internal error through the same failure slot, recorded as morsel
+        // 0 so every sibling stops at its next steal, and the scope never
+        // observes a panic.
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -196,7 +201,7 @@ where
                             run_worker(w)
                         }));
                         if let Err(payload) = caught {
-                            record_failure(Error::from_panic("morsel worker", payload));
+                            record_failure(0, Error::from_panic("morsel worker", payload));
                         }
                     })
                 })
@@ -211,7 +216,7 @@ where
     }
 
     match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        Some(e) => Err(e),
+        Some((_, e)) => Err(e),
         None => Ok(()),
     }
 }
@@ -219,7 +224,7 @@ where
 /// Run `f` over every morsel of `n_items` (`per_morsel` items each) on up
 /// to `threads` stealing workers and return the results in morsel index
 /// order, regardless of scheduling. [`drive_morsels`] with one ordered
-/// result slot per morsel; the first error wins.
+/// result slot per morsel; the lowest failing morsel's error wins.
 pub fn map_morsels<T, F>(n_items: usize, per_morsel: usize, threads: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -597,6 +602,43 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("boom"));
+    }
+
+    #[test]
+    fn lowest_failing_morsel_wins_whatever_the_schedule() {
+        // With several workers, morsel 3 holds its worker until morsel 7
+        // has failed, so 7 fails first in time; 3's error is still the
+        // answer, and the morsels below 3 all ran.
+        for threads in [1, 2, 8] {
+            let ran_below = AtomicU64::new(0);
+            let seven_failed = std::sync::atomic::AtomicBool::new(false);
+            let err = map_morsels(200, 10, threads, |r| {
+                match r.index {
+                    0..=2 => {
+                        ran_below.fetch_add(1, Ordering::Relaxed);
+                    }
+                    3 => {
+                        while threads > 1 && !seven_failed.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        return Err(Error::exec("morsel 3"));
+                    }
+                    7 => {
+                        seven_failed.store(true, Ordering::SeqCst);
+                        return Err(Error::exec("morsel 7"));
+                    }
+                    _ => {}
+                }
+                Ok(r.index)
+            })
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                Error::exec("morsel 3").to_string(),
+                "threads={threads}"
+            );
+            assert_eq!(ran_below.load(Ordering::Relaxed), 3, "threads={threads}");
+        }
     }
 
     #[test]

@@ -387,6 +387,78 @@ fn float_aggregates_do_not_depend_on_threads_cold_warm_or_cache() {
 }
 
 #[test]
+fn float_join_aggregates_do_not_depend_on_threads_strategy_cold_warm_or_cache() {
+    // Aggregates over a join fold on the probe workers, so their float
+    // sums associate per probe morsel: the bits (and the order of the
+    // groups) must not depend on the thread count, the loading strategy,
+    // cold versus warm, or the result cache.
+    let dir = test_dir("float_join_bits");
+    let (fact, dim) = (dir.join("fact.csv"), dir.join("dim.csv"));
+    let mut csv = String::new();
+    for i in 0..70_000u64 {
+        let f = ((i * 7919) % 10_007) as f64 * 0.1 + 1e-7 * i as f64;
+        csv.push_str(&format!("{},{},{f:?}\n", (i * 31) % 5_000, i % 1_000));
+    }
+    std::fs::write(&fact, csv).unwrap();
+    let mut csv = String::new();
+    for k in 0..4_000u64 {
+        let g = 1e-3 * k as f64 + 0.3;
+        csv.push_str(&format!("{k},{},{g:?}\n", k % 7));
+    }
+    std::fs::write(&dim, csv).unwrap();
+    let queries = [
+        "select sum(fact.a3), avg(dim.a3), sum(fact.a3 * dim.a3), count(*) \
+         from fact join dim on fact.a1 = dim.a1 where fact.a2 < 800",
+        "select dim.a2, sum(fact.a3), max(fact.a3), count(*) \
+         from fact join dim on fact.a1 = dim.a1 where dim.a3 < 3.5 group by dim.a2",
+    ];
+    let bits = |rows: &[Vec<Value>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Float(x) => x.to_bits(),
+                        Value::Int(n) => *n as u64,
+                        other => panic!("unexpected {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mut want: Vec<Option<Vec<Vec<u64>>>> = vec![None; queries.len()];
+    for strategy in [
+        LoadingStrategy::ColumnLoads,
+        LoadingStrategy::FullLoad,
+        LoadingStrategy::PartialLoadsV2,
+    ] {
+        for threads in [1, 2, 4] {
+            for cache_bytes in [0, 4 << 20] {
+                let mut cfg = EngineConfig::with_strategy(strategy).with_threads(threads);
+                let tag = format!("{}-{threads}-{cache_bytes}", strategy.label());
+                cfg.store_dir = Some(dir.join(format!("store-{tag}")));
+                cfg.result_cache_bytes = cache_bytes;
+                let engine = Engine::new(cfg);
+                engine.register_table("fact", &fact).unwrap();
+                engine.register_table("dim", &dim).unwrap();
+                for pass in ["cold", "warm", "warm again"] {
+                    for (q, sql) in queries.iter().enumerate() {
+                        let got = bits(&engine.sql(sql).unwrap().rows);
+                        let ctx = format!("query {q}, {tag}, {pass}");
+                        match &want[q] {
+                            None => want[q] = Some(got),
+                            Some(w) => assert_eq!(&got, w, "{ctx}"),
+                        }
+                    }
+                    let fused = engine.counters().snapshot().fused_cold_joins > 0;
+                    let can_fuse = threads > 1 && strategy != LoadingStrategy::PartialLoadsV2;
+                    assert_eq!(fused, can_fuse, "{tag}: the cold pass ran the fused join");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn stream_can_be_abandoned_early() {
     let (_d, s) = session_over("stream_abandon", 1000);
     let s = s.with_batch_size(10);
