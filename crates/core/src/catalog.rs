@@ -122,6 +122,8 @@ pub struct SchemaInfo {
     pub has_header: bool,
     /// Byte offset of the first data row.
     pub data_start: u64,
+    /// Mean bytes per data row in the inference sample.
+    pub row_bytes: u64,
 }
 
 impl TableEntry {
@@ -153,6 +155,7 @@ impl TableEntry {
             schema,
             has_header: false,
             data_start: 0,
+            row_bytes: 1,
         });
         entry.store.set_nrows(n_rows);
         for (c, col) in columns.into_iter().enumerate() {
@@ -182,6 +185,7 @@ impl TableEntry {
                 schema: info.schema,
                 has_header: info.has_header,
                 data_start: info.data_start,
+                row_bytes: info.row_bytes,
             });
             self.fingerprint = Some(fp);
             self.schema_epoch = next_epoch();
@@ -209,6 +213,7 @@ impl TableEntry {
                 schema: info.schema,
                 has_header: info.has_header,
                 data_start: info.data_start,
+                row_bytes: info.row_bytes,
             });
             self.fingerprint = Some(fp);
             self.schema_epoch = next_epoch();
@@ -247,6 +252,11 @@ impl TableEntry {
     /// Byte offset of the first data row (0 without a header).
     pub fn data_start(&self) -> u64 {
         self.schema_info.as_ref().map(|s| s.data_start).unwrap_or(0)
+    }
+
+    /// Mean bytes per data row in the inference sample (1 before it).
+    pub fn row_bytes(&self) -> u64 {
+        self.schema_info.as_ref().map_or(1, |s| s.row_bytes)
     }
 
     /// Delete every engine-generated file derived from this table: split

@@ -18,10 +18,9 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    cold_project_morsel, filter_positions, group_partial_range, merge_group_partials,
-    parallel_filter_positions, parallel_group_columns, parallel_hash_join_positions,
-    parallel_join_group_columns, sort_positions, stitch_cold_projection, AggSpec, Expr,
-    GroupPartial, JoinSide, OrdinalCols, ProjectPartial, ProjectionCursor,
+    filter_positions, parallel_filter_positions, parallel_group_columns,
+    parallel_hash_join_positions, parallel_join_group_columns, sort_positions, AggSpec, Expr,
+    JoinSide, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -32,7 +31,7 @@ use nodb_types::{
     Schema, Value, WorkCounters,
 };
 
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::Catalog;
 use crate::config::{EngineConfig, LoadingStrategy};
 use crate::plan_cache::{normalize_sql, PlanCache, PlanDeps};
 use crate::policy::{materialize, Materialized};
@@ -237,7 +236,7 @@ impl Engine {
     ///
     /// Entry locks are only *tried* here, never waited on: the ladder
     /// runs on whatever thread an over-budget charge happens to occur,
-    /// and the fused cold paths charge from scan workers while the
+    /// and the parallel cold loader charges from its workers while the
     /// table's entry lock is held by their driver (or by this very
     /// thread, on the serial path). Blocking on `write()` for that table
     /// would deadlock the scan against its own reclaim — a locked entry
@@ -723,24 +722,16 @@ impl Engine {
         };
         let now = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
 
-        // Materialise per table under the active loading policy — unless
-        // the morsel-driven cold pipeline can fuse loading with execution.
+        // Materialise per table (a cold table loads in one parallel pass),
+        // then the warm path answers.
         let (needed_l, needed_r) = plan.referenced_per_table();
         let (filter_l, filter_r) = plan.filter_per_table();
-        let body = match self.try_morsel_cold_pipeline(
-            plan, &needed_l, &needed_r, &filter_l, &filter_r, batch_size, now,
-        )? {
-            Some(body) => body,
-            None => {
-                let mat_l = self.materialize_table(&plan.table, &needed_l, &filter_l, now)?;
-                match &plan.join {
-                    None => self.execute_single(plan, mat_l)?,
-                    Some(join) => {
-                        let mat_r =
-                            self.materialize_table(&join.table, &needed_r, &filter_r, now)?;
-                        self.execute_join(plan, mat_l, mat_r, &filter_l, &filter_r)?
-                    }
-                }
+        let mat_l = self.materialize_table(&plan.table, &needed_l, &filter_l, now)?;
+        let body = match &plan.join {
+            None => self.execute_single(plan, mat_l)?,
+            Some(join) => {
+                let mat_r = self.materialize_table(&join.table, &needed_r, &filter_r, now)?;
+                self.execute_join(plan, mat_l, mat_r, &filter_l, &filter_r)?
             }
         };
 
@@ -990,6 +981,9 @@ impl Engine {
         }
         let m = {
             let mut e = entry.write();
+            if self.parallel_load_eligible() {
+                crate::policy::parallel_load(&mut e, needed, &self.cfg, &self.counters, now)?;
+            }
             materialize(&mut e, needed, filter, &self.cfg, &self.counters, now)?
         };
         // Cold-load cracking runs *outside* the entry lock too: the policy
@@ -1013,13 +1007,13 @@ impl Engine {
         Ok(m)
     }
 
-    /// Whether the engine configuration allows the fused cold pipeline at
-    /// all. The A1 ablation deliberately loads one column per file trip
-    /// and the fused pipeline batches all columns into one trip, which
-    /// would silently nullify that measurement; and the cracking ablation
-    /// must keep building its index through the ordinary load path from
-    /// the very first query.
-    fn fused_cold_eligible(&self) -> bool {
+    /// Whether a cold table loads through the parallel one-pass loader
+    /// ([`crate::policy::parallel_load`]) before the policy path runs. The
+    /// A1 ablation deliberately loads one column per file trip, which the
+    /// loader's single trip would nullify; the cracking ablation builds
+    /// its index through the policy load from the very first query; and
+    /// a single-threaded engine runs the serial policy load.
+    fn parallel_load_eligible(&self) -> bool {
         self.cfg.threads > 1
             && matches!(
                 self.cfg.strategy,
@@ -1027,348 +1021,6 @@ impl Engine {
             )
             && !self.cfg.one_column_per_trip
             && !self.cfg.use_cracking
-    }
-
-    /// The morsel-driven cold pipeline: when a query's input tables are
-    /// not loaded yet, tokenizer phase-2 morsels flow straight into
-    /// per-worker operators — the typed group kernel for every aggregate
-    /// (a plain aggregate is its zero-key case), projection emitters for
-    /// scalar SELECTs, and each join side's filter —
-    /// instead of waiting for one merged `ScanOutput`. The
-    /// adaptive store still receives exactly what the serial path would
-    /// have given it: the scanned columns, fully loaded (assembled from
-    /// the morsels in row order), the row count, and every positional-map
-    /// recording.
-    ///
-    /// Returns `None` when the shape or state does not qualify (the serial
-    /// policy path then runs as before): resident tables, partially loaded
-    /// columns, non-column-loading strategies, ablation configs, a
-    /// single-threaded config, or self-joins.
-    #[allow(clippy::too_many_arguments)]
-    fn try_morsel_cold_pipeline(
-        &self,
-        plan: &Plan,
-        needed_l: &[usize],
-        needed_r: &[usize],
-        filter_l: &Conjunction,
-        filter_r: &Conjunction,
-        batch_size: usize,
-        now: u64,
-    ) -> Result<Option<StreamBody>> {
-        if !self.fused_cold_eligible() {
-            return Ok(None);
-        }
-        let _p = profile::phase(Phase::ColdPipeline);
-        match &plan.join {
-            None => self.try_fused_cold_single(plan, needed_l, batch_size, now),
-            Some(_) => self.try_fused_cold_join(plan, needed_l, needed_r, filter_l, filter_r, now),
-        }
-    }
-
-    /// Columns the fused cold path must scan for this entry — the
-    /// referenced columns, or every column under FullLoad — or `None`
-    /// when the entry does not qualify: resident (no file behind it) or
-    /// not fully cold (once anything is loaded, the store-aware policy
-    /// path is at least as good).
-    fn cold_scan_cols(&self, e: &mut TableEntry, needed: &[usize]) -> Result<Option<Vec<usize>>> {
-        if e.resident {
-            return Ok(None);
-        }
-        e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
-        let scan_cols: Vec<usize> = match self.cfg.strategy {
-            LoadingStrategy::FullLoad => (0..e.schema()?.len()).collect(),
-            _ => needed.to_vec(),
-        };
-        if e.store.missing_full(&scan_cols).len() != scan_cols.len() {
-            return Ok(None);
-        }
-        Ok(Some(scan_cols))
-    }
-
-    /// Single-table half of [`Engine::try_morsel_cold_pipeline`]: plain
-    /// aggregates and GROUP BY build per-worker partial states that merge
-    /// after the scan; scalar projections run the per-worker projection
-    /// emitters of [`cold_project_morsel`] and append their typed column
-    /// chunks in morsel order, so the result is identical to the serial
-    /// load-then-filter-then-project path (under ORDER BY or LIMIT/OFFSET
-    /// the emitters produce positions only, and projection runs lazily
-    /// over the windowed positions, as in the serial path).
-    fn try_fused_cold_single(
-        &self,
-        plan: &Plan,
-        needed: &[usize],
-        batch_size: usize,
-        now: u64,
-    ) -> Result<Option<StreamBody>> {
-        if needed.is_empty() {
-            return Ok(None);
-        }
-        let entry = self.catalog.read().get(&plan.table)?;
-        let mut e = entry.write();
-        let Some(scan_cols) = self.cold_scan_cols(&mut e, needed)? else {
-            return Ok(None);
-        };
-
-        let (agg_specs, exprs) = split_outputs(plan);
-        let residual = &plan.filter;
-        let group_cols = &plan.group_by;
-        // Scalar shape: no aggregates, no grouping — mirror the dispatch
-        // of execute_relational exactly.
-        let scalar_exprs = (agg_specs.is_empty() && group_cols.is_empty()).then_some(exprs);
-        // Projection fuses into the scan workers only when the output is
-        // exactly the qualifying rows in scan order (ORDER BY must wait
-        // for the global sort; LIMIT/OFFSET would eagerly project rows
-        // the serial path's windowed lazy cursor never evaluates) AND the
-        // caller collects the whole result anyway (batch_size == MAX,
-        // i.e. `Engine::sql`). A streaming caller gets the lazy cursor —
-        // materialising every row up front would defeat the stream.
-        let emit_columns = batch_size == usize::MAX
-            && plan.order_by.is_empty()
-            && plan.limit.is_none()
-            && plan.offset.is_none();
-
-        /// Per-morsel partial state of whichever shape the query has.
-        enum Partial {
-            Groups(GroupPartial),
-            Project(ProjectPartial),
-        }
-        let sink = |morsel: &nodb_rawcsv::Morsel| -> Result<Partial> {
-            if let Some(exprs) = &scalar_exprs {
-                // Scalar morsel: filter, and project right here when the
-                // stitched rows will be the result verbatim.
-                return Ok(Partial::Project(cold_project_morsel(
-                    &scan_cols,
-                    morsel,
-                    residual,
-                    emit_columns.then_some(exprs.as_slice()),
-                )?));
-            }
-            // Aggregate morsel (a plain aggregate is the zero-key case):
-            // typed partial states, merged in morsel order after the scan.
-            let mcols = OrdinalCols::new(&scan_cols, &morsel.columns);
-            Ok(Partial::Groups(group_partial_range(
-                &mcols,
-                0,
-                morsel.rowids.len(),
-                residual,
-                group_cols,
-                &agg_specs,
-            )?))
-        };
-        let (rows_scanned, partials) = self.scan_cold_fused(&mut e, &scan_cols, now, sink)?;
-        // Count as a parallel execution only when more than one morsel
-        // existed — with a single morsel, scan_morsels clamps to one
-        // worker and the run was effectively serial.
-        if rows_scanned as usize > self.cfg.morsel_rows {
-            self.counters.add_parallel_pipeline();
-        }
-
-        if let Some(exprs) = scalar_exprs {
-            self.counters.add_fused_cold_projection();
-            let projects: Vec<ProjectPartial> = partials
-                .into_iter()
-                .map(|p| match p {
-                    Partial::Project(pp) => pp,
-                    _ => unreachable!("scalar sink"),
-                })
-                .collect();
-            let (mut positions, columns) = stitch_cold_projection(projects)?;
-            if !columns.is_empty() {
-                // The stitched chunks *are* the result's output columns.
-                let columns: Vec<Arc<ColumnData>> = columns.into_iter().map(Arc::new).collect();
-                return Ok(Some(dense_body(&columns)));
-            }
-            // ORDER BY / LIMIT / OFFSET: sort and window the positions
-            // over the just-assembled columns, then the same lazy
-            // projection cursor as the serial path.
-            let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for &c in needed {
-                cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
-            }
-            if !plan.order_by.is_empty() {
-                positions = sort_positions(&cols, positions, &plan.order_by)?;
-            }
-            window(&mut positions, plan.offset, plan.limit);
-            return Ok(Some(ProjectionCursor::new(cols, positions, exprs)));
-        }
-
-        let group_partials: Vec<GroupPartial> = partials
-            .into_iter()
-            .map(|p| match p {
-                Partial::Groups(g) => g,
-                Partial::Project(_) => unreachable!("aggregate sink"),
-            })
-            .collect();
-        // Morsel-order merge (timed as `group_merge`), then the shared
-        // output shaping (column order, ORDER BY, OFFSET/LIMIT).
-        let columns = if group_partials.is_empty() {
-            // An empty file ran no morsel: the warm kernel over the
-            // just-installed (empty) columns answers it the same way.
-            let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-            for &c in &scan_cols {
-                cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
-            }
-            let morsel_rows = self.cfg.morsel_rows;
-            parallel_group_columns(&cols, 0, residual, group_cols, &agg_specs, 1, morsel_rows)?
-        } else {
-            merge_group_partials(group_partials)?
-        };
-        computed_body(plan, columns).map(Some)
-    }
-
-    /// Scan one fully cold table through the morsel pipeline (no
-    /// pushdown), feeding the adaptive store and positional map exactly
-    /// as the serial load would: columns reassembled in row order and
-    /// installed full, row count set, every posmap recording written
-    /// back. Each morsel is handed to `sink` on the scan worker; the
-    /// per-morsel payloads come back in morsel index order together with
-    /// the rows scanned. This is the single copy of the store-feeding
-    /// plumbing every fused cold shape (aggregate, grouped, scalar, join
-    /// build, join probe) runs through.
-    fn scan_cold_fused<T: Send>(
-        &self,
-        e: &mut TableEntry,
-        scan_cols: &[usize],
-        now: u64,
-        sink: impl Fn(&nodb_rawcsv::Morsel) -> Result<T> + Sync,
-    ) -> Result<(u64, Vec<T>)> {
-        let bytes = crate::policy::read_data_bytes(e, &self.counters)?;
-        let schema = e.schema()?.clone();
-        let spec = nodb_rawcsv::ScanSpec {
-            schema: &schema,
-            needed: scan_cols.to_vec(),
-            pushdown: None, // the store needs full columns, as in serial loads
-        };
-        let pieces: std::sync::Mutex<Vec<(usize, Vec<ColumnData>, T)>> =
-            std::sync::Mutex::new(Vec::new());
-        let consume = |_worker: usize, morsel: nodb_rawcsv::Morsel| -> Result<()> {
-            let payload = sink(&morsel)?;
-            pieces
-                .lock()
-                .expect("pieces mutex")
-                .push((morsel.index, morsel.columns, payload));
-            Ok(())
-        };
-        let posmap = self.cfg.use_positional_map.then_some(&mut e.posmap);
-        let rows_scanned = nodb_rawcsv::scan_morsels(
-            &bytes,
-            &self.cfg.csv,
-            &spec,
-            posmap,
-            &self.counters,
-            self.cfg.morsel_rows,
-            &consume,
-        )?;
-        let mut pieces = pieces.into_inner().expect("pieces mutex");
-        pieces.sort_by_key(|p| p.0);
-        let mut full: Vec<ColumnData> = scan_cols
-            .iter()
-            .map(|&c| ColumnData::empty(schema.field(c).expect("validated").data_type))
-            .collect();
-        let mut payloads: Vec<T> = Vec::with_capacity(pieces.len());
-        for (_index, columns, payload) in pieces {
-            for (dst, src) in full.iter_mut().zip(columns) {
-                dst.append(src)?;
-            }
-            payloads.push(payload);
-        }
-        for (&c, col) in scan_cols.iter().zip(full) {
-            e.store.insert_full(c, col, now);
-        }
-        e.store.set_nrows(rows_scanned);
-        Ok((rows_scanned, payloads))
-    }
-
-    /// Join half of [`Engine::try_morsel_cold_pipeline`]: when both join
-    /// inputs are fully cold, each side is scanned and filtered on the
-    /// scan workers — both adaptive stores plus positional maps end up
-    /// exactly as two serial loads would leave them — and the qualifying
-    /// positions go, with the loaded columns, to the same
-    /// [`Engine::join_body`] a warm join runs, so cold and warm give one
-    /// answer by construction. Locks are taken one entry at a time, never
-    /// nested.
-    fn try_fused_cold_join(
-        &self,
-        plan: &Plan,
-        needed_l: &[usize],
-        needed_r: &[usize],
-        filter_l: &Conjunction,
-        filter_r: &Conjunction,
-        now: u64,
-    ) -> Result<Option<StreamBody>> {
-        let join = plan.join.as_ref().expect("join plan");
-        // A self-join loads once and reuses the store; the serial path
-        // already handles that shape well.
-        if plan.table.eq_ignore_ascii_case(&join.table) {
-            return Ok(None);
-        }
-        if needed_l.is_empty() || needed_r.is_empty() {
-            return Ok(None);
-        }
-        let entry_l = self.catalog.read().get(&plan.table)?;
-        let entry_r = self.catalog.read().get(&join.table)?;
-
-        // Gate the right side first, under a short lock: both sides must
-        // qualify before any scanning starts, otherwise the serial policy
-        // path runs untouched.
-        if self
-            .cold_scan_cols(&mut entry_r.write(), needed_r)?
-            .is_none()
-        {
-            return Ok(None);
-        }
-        let Some(left) = self.scan_join_side(&entry_l, needed_l, filter_l, now)? else {
-            return Ok(None);
-        };
-        // Re-validated under the lock: the gate above released it, and a
-        // racing query may have loaded (or a file edit re-inferred) this
-        // table meanwhile. Falling back is safe — the left side is now
-        // loaded exactly as a serial load, so the serial path serves it
-        // warm.
-        let Some(right) = self.scan_join_side(&entry_r, needed_r, filter_r, now)? else {
-            return Ok(None);
-        };
-        self.counters.add_fused_cold_join();
-        if left.n_rows > self.cfg.morsel_rows || right.n_rows > self.cfg.morsel_rows {
-            self.counters.add_parallel_pipeline();
-        }
-        Ok(Some(self.join_body(
-            plan,
-            &left.side(join.left_key),
-            &right.side(join.right_key),
-        )?))
-    }
-
-    /// Scan one fully cold join side under its entry lock through
-    /// [`Engine::scan_cold_fused`], collecting its qualifying positions on
-    /// the scan workers — or `None` when the side does not qualify.
-    fn scan_join_side(
-        &self,
-        entry: &RwLock<TableEntry>,
-        needed: &[usize],
-        filter: &Conjunction,
-        now: u64,
-    ) -> Result<Option<ScannedSide>> {
-        let mut e = entry.write();
-        let Some(scan_cols) = self.cold_scan_cols(&mut e, needed)? else {
-            return Ok(None);
-        };
-        let (rows, parts) = self.scan_cold_fused(&mut e, &scan_cols, now, |morsel| {
-            if filter.is_always_true() {
-                return Ok(Vec::new());
-            }
-            let local = morsel_local_positions(&scan_cols, morsel, filter)?;
-            Ok(local.into_iter().map(|i| morsel.first_row + i).collect())
-        })?;
-        let mut cols: BTreeMap<usize, Arc<ColumnData>> = BTreeMap::new();
-        for &c in needed {
-            cols.insert(c, e.store.full_column(c, now).expect("just inserted"));
-        }
-        Ok(Some(ScannedSide {
-            n_rows: rows as usize,
-            positions: (!filter.is_always_true()).then(|| parts.concat()),
-            cols,
-        }))
     }
 
     fn execute_single(&self, plan: &Plan, mat: Materialized) -> Result<StreamBody> {
@@ -1420,7 +1072,7 @@ impl Engine {
         self.join_body(plan, &left, &right)
     }
 
-    /// The join proper, warm and fused cold alike, over each side's
+    /// The join proper, over each side's
     /// qualifying rows. An aggregate or GROUP BY folds the pairs on the
     /// probe workers ([`parallel_join_group_columns`]): no pair list, no
     /// gather. A scalar join, whose row order is observable, lists the
@@ -1564,27 +1216,6 @@ fn split_outputs(plan: &Plan) -> (Vec<AggSpec>, Vec<Expr>) {
     (aggs, scalars)
 }
 
-/// One join side as the fused cold scan left it.
-struct ScannedSide {
-    /// Rows scanned.
-    n_rows: usize,
-    /// The qualifying rows, ascending; `None` when every row qualifies.
-    positions: Option<Vec<usize>>,
-    /// The needed columns, as loaded.
-    cols: BTreeMap<usize, Arc<ColumnData>>,
-}
-
-impl ScannedSide {
-    fn side(&self, key: usize) -> JoinSide<'_, BTreeMap<usize, Arc<ColumnData>>> {
-        JoinSide {
-            cols: &self.cols,
-            rows: self.positions.as_deref(),
-            n_rows: self.n_rows,
-            key,
-        }
-    }
-}
-
 /// Whether the plan aggregates: any aggregate output or a GROUP BY.
 fn is_aggregate(plan: &Plan) -> bool {
     !plan.group_by.is_empty() || plan.output.iter().any(|o| matches!(o, OutputExpr::Agg(_)))
@@ -1645,21 +1276,6 @@ fn gather_joined(
         combined.insert(c, Arc::new(col.take(rows)));
     }
     Ok(combined)
-}
-
-/// Morsel-local qualifying positions under `filter` — all rows when the
-/// filter is always true. The morsel must come from a pushdown-free scan
-/// (its columns hold exactly its own rows).
-fn morsel_local_positions(
-    scan_cols: &[usize],
-    morsel: &nodb_rawcsv::Morsel,
-    filter: &Conjunction,
-) -> Result<Vec<usize>> {
-    let n = morsel.rowids.len();
-    if filter.is_always_true() {
-        return Ok((0..n).collect());
-    }
-    filter_positions(&OrdinalCols::new(scan_cols, &morsel.columns), n, filter)
 }
 
 /// First SQL keyword of `text`, skipping leading whitespace and `--`
@@ -2094,8 +1710,8 @@ mod tests {
 
     #[test]
     fn explain_analyze_profiles_cold_grouped_query() {
-        // Parallel config so the cold fused pipeline (morsel aggregates)
-        // runs — the acceptance shape: cold + GROUP BY.
+        // Parallel config so the cold table loads through the parallel
+        // loader — the acceptance shape: cold + GROUP BY.
         let dir = std::env::temp_dir().join("nodb_engine_analyze");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -2120,14 +1736,15 @@ mod tests {
         assert!(text.contains("GroupBy"), "{text}");
         assert!(text.contains("-- analyze: rows=97 "), "{text}");
         assert!(text.contains("cache=bypass"), "{text}");
-        // The cold fused pipeline ran and its merge was timed.
+        // The cold load ran and the warm GROUP BY's merge was timed.
         assert!(text.contains("-- phase cold_pipeline"), "{text}");
         assert!(text.contains("-- phase group_merge"), "{text}");
         assert!(text.contains("-- phase plan"), "{text}");
-        // Workers reported morsel aggregates: every row and byte of the
-        // file went through the pipeline.
+        // Workers reported morsel aggregates: every byte of the file went
+        // through the load's chunks, and every row through them and then
+        // through the warm kernel's morsels.
         assert!(text.contains("morsels="), "{text}");
-        assert!(text.contains(&format!("rows={}", 50_000)), "{text}");
+        assert!(text.contains(&format!("rows={}", 2 * 50_000)), "{text}");
         assert!(text.contains(&format!("bytes={}", data.len())), "{text}");
 
         // A drained projection shows where its drain went: the kernel
@@ -2261,8 +1878,8 @@ mod tests {
         serial.register_table("r", &path).unwrap();
 
         for (q, sql) in sqls.iter().enumerate() {
-            // Fresh parallel engine per query so each one takes the fused
-            // cold path (GROUP BY gate lifted), small morsels to force many.
+            // Fresh parallel engine per query so each one loads cold,
+            // small morsels (and so small chunks) to force many.
             let mut cfg = EngineConfig::default().with_threads(4);
             cfg.morsel_rows = 1000;
             cfg.store_dir = Some(dir.join(format!("store{q}")));
@@ -2302,8 +1919,8 @@ mod tests {
         serial.register_table("r", &path).unwrap();
 
         for (q, sql) in sqls.iter().enumerate() {
-            // Fresh parallel engine per query so each takes the fused cold
-            // projection path; small morsels force many of them.
+            // Fresh parallel engine per query so each one loads cold;
+            // small morsels (and so small chunks) force many of them.
             let mut cfg = EngineConfig::default().with_threads(4);
             cfg.morsel_rows = 1000;
             let par = Engine::new(cfg);
@@ -2312,14 +1929,14 @@ mod tests {
             let out = par.sql(sql).unwrap();
             assert_eq!(out.rows, expect, "{sql}");
             let snap = par.counters().snapshot();
-            assert!(snap.fused_cold_projections >= 1, "{sql}: {snap}");
+            assert!(snap.morsels_dispatched >= 20, "{sql}: {snap}");
             assert!(snap.parallel_pipelines >= 1, "{sql}: {snap}");
             // A rerun is a pure store hit with identical output.
             let before = par.counters().snapshot();
             assert_eq!(par.sql(sql).unwrap().rows, expect, "warm {sql}");
             assert_eq!(par.counters().snapshot().since(&before).file_trips, 0);
-            // The fused run left the adaptive store and positional map in
-            // exactly the state a serial load produces.
+            // The parallel load left the adaptive store and positional
+            // map in exactly the state a serial load produces.
             if q == 0 {
                 let si = serial.table_info("r").unwrap();
                 let pi = par.table_info("r").unwrap();
@@ -2363,7 +1980,7 @@ mod tests {
             let out = par.sql(sql).unwrap();
             assert_eq!(out.rows, expect, "{sql}");
             let snap = par.counters().snapshot();
-            assert!(snap.fused_cold_joins >= 1, "{sql}: {snap}");
+            assert!(snap.morsels_dispatched >= 20, "{sql}: {snap}");
             assert!(snap.parallel_pipelines >= 1, "{sql}: {snap}");
             // Warm rerun: both sides came out fully loaded, no file work.
             let before = par.counters().snapshot();
@@ -2382,8 +1999,8 @@ mod tests {
     }
 
     #[test]
-    fn cold_range_query_builds_index_without_fused_path() {
-        // With cracking enabled the fused pipeline stands down, and the
+    fn cold_range_query_builds_index_without_parallel_load() {
+        // With cracking enabled the parallel loader stands down, and the
         // very first (cold) range query loads dense, then installs and
         // cracks the partitioned index outside the entry lock.
         let dir = std::env::temp_dir().join("nodb_engine_cold_crack");
@@ -2404,9 +2021,7 @@ mod tests {
             .unwrap();
         // a1 is a permutation of 0..10000: exactly 99 strictly inside.
         assert_eq!(out.scalar(), Some(&Value::Int(99)));
-        let snap = e.counters().snapshot();
-        assert_eq!(snap.fused_cold_projections, 0, "{snap}");
-        assert_eq!(snap.fused_cold_joins, 0, "{snap}");
+        assert_eq!(e.counters().snapshot().morsels_dispatched, 0);
         {
             let entry = e.catalog.read().get("r").unwrap();
             assert!(entry.read().store.has_cracked(0), "index built cold");
@@ -2599,8 +2214,8 @@ mod tests {
         assert!(results.contains(&Value::Int(39)));
     }
 
-    /// Regression: an over-budget charge from inside a fused cold scan
-    /// runs the pool's reclaimer on a scan worker while the scan's
+    /// Regression: an over-budget charge from inside a parallel cold load
+    /// runs the pool's reclaimer on a load worker while the load's
     /// driver holds the table's entry write lock. `release_memory` must
     /// skip that locked entry (`try_write`) instead of blocking on it —
     /// blocking deadlocked the scan against its own reclaim forever.

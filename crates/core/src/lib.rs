@@ -5,10 +5,10 @@
 //! an *adaptive store* holding it in whatever shape fits, and an *adaptive
 //! kernel* executing over it. This crate is the glue:
 //!
-//! * [`Engine`] — register raw CSV files, fire SQL, get results; cold
-//!   queries run the fused morsel pipeline (tokenizer batches from
-//!   `nodb-rawcsv` flowing into the operators of `nodb-exec` while the
-//!   adaptive store of `nodb-store` is fed on the side);
+//! * [`Engine`] — register raw CSV files, fire SQL, get results; a cold
+//!   query loads its columns in one parallel pass over the raw file
+//!   (`nodb-rawcsv`) into the adaptive store of `nodb-store`, then the
+//!   kernels of `nodb-exec` answer it as they answer a warm one;
 //! * [`config`] — loading strategies (one per curve in the paper's
 //!   figures) and the engine's other knobs (see `docs/TUNING.md`);
 //! * [`policy`] — the adaptive loading operators (§3, §4);

@@ -18,13 +18,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nodb_rawcsv::tokenizer::{read_file, scan_bytes, ScanSpec};
+use nodb_rawcsv::{load_columns, LoadSpec};
 use nodb_store::Fragment;
+use nodb_types::profile::{self, Phase};
 use nodb_types::{
     Bound, CmpOp, ColPred, ColumnData, Conjunction, Error, Interval, Result, SelectionBox,
     WorkCounters,
 };
 
-use crate::catalog::TableEntry;
+use crate::catalog::{Fingerprint, TableEntry};
 use crate::config::{EngineConfig, LoadingStrategy};
 
 /// The product of an adaptive load: the referenced columns, materialised.
@@ -87,14 +89,93 @@ pub fn materialize(
     }
 }
 
-/// Read the raw file and return its bytes with the header row sliced off.
-pub(crate) fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<Vec<u8>> {
-    let mut bytes = read_file(&entry.path, counters)?;
-    let start = entry.data_start() as usize;
-    if start > 0 {
-        bytes.drain(..start.min(bytes.len()));
+/// A raw file read whole; derefs to its data rows, past the header.
+pub(crate) struct DataBytes {
+    bytes: Vec<u8>,
+    start: usize,
+}
+
+impl std::ops::Deref for DataBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[self.start..]
     }
-    Ok(bytes)
+}
+
+/// Read the raw file; the header is sliced off, not moved out.
+pub(crate) fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<DataBytes> {
+    let bytes = read_file(&entry.path, counters)?;
+    let start = (entry.data_start() as usize).min(bytes.len());
+    Ok(DataBytes { bytes, start })
+}
+
+/// The parallel cold load: when none of the columns this query needs is
+/// loaded yet (every column under FullLoad), read them in one parallel
+/// pass over the file ([`load_columns`]) and install them, the row count
+/// and what the pass learned into the positional map, exactly as a serial
+/// column load would. The policy path then finds them loaded. Does
+/// nothing for resident tables, for queries that need no column, or once
+/// any of the columns is loaded: the store-aware policy path is at least
+/// as good then.
+///
+/// A failed or cancelled load installs nothing. A file whose fingerprint
+/// changed during the load is a new file: what was read is dropped, and
+/// the load starts again from the top, once.
+pub(crate) fn parallel_load(
+    entry: &mut TableEntry,
+    needed: &[usize],
+    cfg: &EngineConfig,
+    counters: &WorkCounters,
+    now: u64,
+) -> Result<()> {
+    if entry.resident || needed.is_empty() {
+        return Ok(());
+    }
+    for _attempt in 0..2 {
+        entry.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
+        let cols: Vec<usize> = match cfg.strategy {
+            LoadingStrategy::FullLoad => (0..entry.schema()?.len()).collect(),
+            _ => needed.to_vec(),
+        };
+        if entry.store.missing_full(&cols).len() != cols.len() {
+            return Ok(());
+        }
+        let loaded = {
+            let _p = profile::phase(Phase::ColdPipeline);
+            let spec = LoadSpec {
+                path: &entry.path,
+                data_start: entry.data_start(),
+                schema: entry.schema()?,
+                needed: &cols,
+                // About `morsel_rows` rows per chunk.
+                chunk_bytes: cfg
+                    .morsel_rows
+                    .saturating_mul(usize::try_from(entry.row_bytes()).unwrap_or(usize::MAX)),
+            };
+            let posmap = cfg.use_positional_map.then_some(&entry.posmap);
+            load_columns(&spec, &cfg.csv, posmap, counters)
+        };
+        if Fingerprint::of(&entry.path).ok() != entry.fingerprint {
+            continue;
+        }
+        let mut loaded = loaded?;
+        if cfg.use_positional_map {
+            loaded.record_into(&mut entry.posmap);
+        }
+        if loaded.chunks > 1 {
+            counters.add_parallel_pipeline();
+        }
+        for (&c, col) in cols.iter().zip(loaded.columns) {
+            entry.store.insert_full(c, col, now);
+        }
+        entry.store.set_nrows(loaded.rows);
+        return Ok(());
+    }
+    Err(Error::FileChanged(format!(
+        "{} changed during two loads in a row",
+        entry.path.display()
+    )))
 }
 
 /// Scan the raw file for `needed` columns with an optional pushdown filter.

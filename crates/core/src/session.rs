@@ -321,8 +321,7 @@ impl BoundStatement {
 pub(crate) type StreamBody = ProjectionCursor<BTreeMap<usize, Arc<ColumnData>>>;
 
 /// A body over already-projected dense output `columns` (a result-cache
-/// payload, the fused cold emitter's stitched chunks): output `k` is
-/// column `k`, every row in order.
+/// payload): output `k` is column `k`, every row in order.
 pub(crate) fn dense_body(columns: &[Arc<ColumnData>]) -> StreamBody {
     let n_rows = columns.first().map_or(0, |c| c.len());
     ProjectionCursor::over_all(

@@ -1,8 +1,8 @@
 //! Typed, vectorized hash aggregation.
 //!
-//! One kernel serves every aggregate, grouped or not (warm morsels, the
-//! fused cold pipeline, and the serial fallback, which is the same kernel
-//! run inline): a plain aggregate is a GROUP BY with zero key columns —
+//! One kernel serves every aggregate, grouped or not (morsel-parallel,
+//! cold queries included once their columns are loaded, and the serial
+//! fallback, which is the same kernel run inline): a plain aggregate is a GROUP BY with zero key columns —
 //! the paper's §5.2.2 hybrid operator, filter and every aggregate in one
 //! pass per morsel. It works column-at-a-time, never row-at-a-time:
 //!

@@ -5,8 +5,8 @@
 //! join, operating directly on loaded key columns and producing position
 //! pairs for later payload gathering (late materialisation).
 //!
-//! Integer equi-joins — the warm morsel-parallel join, its serial
-//! fallback and the fused cold join — all probe one table type,
+//! Integer equi-joins — the morsel-parallel join (cold queries load
+//! first, then run it) and its serial fallback — all probe one table type,
 //! [`JoinTable`].
 
 use std::collections::HashMap;

@@ -17,13 +17,11 @@
 //! * [`morsel`] — morsel-parallel variants of all of the above
 //!   (deterministic, independent of the worker count), including the
 //!   fold of aggregates over a join on its probe workers
-//!   ([`parallel_join_group_columns`]), plus the fused *cold*
-//!   projection ([`cold_project_morsel`]) that consumes
-//!   [`nodb_types::MorselBatch`]es straight from the tokenizer.
+//!   ([`parallel_join_group_columns`]).
 //!
 //! The engine (`nodb-core`) runs [`group`] for every aggregate and
-//! columnar selection vectors for scalar queries, and connects the
-//! tokenizer's morsel scan (`nodb-rawcsv`) to the same kernels.
+//! columnar selection vectors for scalar queries, cold or warm: a cold
+//! table is loaded first, then these kernels run over the loaded columns.
 
 pub mod agg;
 pub mod cols;
@@ -43,9 +41,8 @@ pub use expr::{arith, ArithOp, Expr};
 pub use group::{group_partial_range, merge_group_partials, GroupPartial};
 pub use join::{hash_join_positions, JoinTable};
 pub use morsel::{
-    cold_project_morsel, parallel_filter_aggregate, parallel_filter_positions,
-    parallel_group_aggregate, parallel_group_columns, parallel_hash_join_positions,
-    parallel_join_group_columns, stitch_cold_projection, JoinSide, OrdinalCols, ProjectPartial,
+    parallel_filter_aggregate, parallel_filter_positions, parallel_group_aggregate,
+    parallel_group_columns, parallel_hash_join_positions, parallel_join_group_columns, JoinSide,
     DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};

@@ -22,15 +22,6 @@
 //!   smaller key column, probed morsel by morsel, reproducing the serial
 //!   pair order exactly (the scalar join's pairs).
 //!
-//! It also provides the *fused cold* operators, which consume
-//! [`nodb_types::MorselBatch`]es straight from the tokenizer so cold
-//! queries execute while they parse: [`cold_project_morsel`] /
-//! [`stitch_cold_projection`] (per-worker projection emitters with
-//! morsel-order batch stitching).
-//!
-//! The raw-file half (tokenizer morsels) lives in `nodb-rawcsv`'s
-//! `scan_morsels`; `nodb-core` connects the two.
-//!
 //! Determinism: every parallel function here merges per-morsel results in
 //! morsel index order, so output does not depend on worker scheduling or
 //! on the worker count: a single worker runs the same morsels inline.
@@ -42,8 +33,8 @@ use std::collections::BTreeMap;
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    map_morsels, CancelCheck, ColumnData, ColumnPage, Conjunction, MorselBatch, MorselRange,
-    PageColumn, Result, Selection, Value,
+    map_morsels, CancelCheck, ColumnData, ColumnPage, Conjunction, MorselRange, PageColumn, Result,
+    Selection, Value,
 };
 
 use crate::cols::Cols;
@@ -53,7 +44,6 @@ use crate::group::{
     column, group_partial_range, merge_group_partials, GroupFold, GroupPartial, Input,
 };
 use crate::join::{hash_join_positions, null_free_int_keys, JoinIndex, JoinTable};
-use crate::stream::project_columns;
 
 /// Default rows per morsel: big enough to amortise dispatch, small enough
 /// to balance skew and stay cache-resident.
@@ -98,39 +88,6 @@ pub fn parallel_filter_positions<C: Cols + ?Sized + Sync>(
         },
     )?;
     Ok(concat(parts))
-}
-
-/// A [`Cols`] view over a morsel's column list: slot `k` of `cols` holds
-/// the data for ordinal `ids[k]`. This is the shape tokenizer morsels
-/// arrive in (columns parallel to the scan's `needed` list), so per-worker
-/// operators can run on them without re-keying into a map per morsel.
-pub struct OrdinalCols<'a> {
-    ids: &'a [usize],
-    cols: &'a [ColumnData],
-}
-
-impl<'a> OrdinalCols<'a> {
-    /// View `cols[k]` as ordinal `ids[k]`. Both slices must be equal
-    /// length; `ids` need not be sorted.
-    pub fn new(ids: &'a [usize], cols: &'a [ColumnData]) -> Self {
-        debug_assert_eq!(ids.len(), cols.len());
-        OrdinalCols { ids, cols }
-    }
-}
-
-impl Cols for OrdinalCols<'_> {
-    fn get_col(&self, id: usize) -> Option<&ColumnData> {
-        self.ids
-            .iter()
-            .position(|&c| c == id)
-            .map(|k| &self.cols[k])
-    }
-
-    fn col_ids(&self) -> Vec<usize> {
-        let mut ids = self.ids.to_vec();
-        ids.sort_unstable();
-        ids
-    }
 }
 
 /// Morsel-parallel hash aggregation: every morsel is filtered, grouped and
@@ -510,87 +467,6 @@ pub(crate) fn int_join_positions(
     Ok(out)
 }
 
-// ----- Fused cold pipeline operators ------------------------------------
-//
-// The functions below are the operator half of the fused *cold* pipeline:
-// the tokenizer (`scan_morsels` in `nodb-rawcsv`) emits [`MorselBatch`]es
-// from worker threads, and these run on that worker, so filtering and
-// projection overlap with parsing instead of waiting for
-// the monolithic store load. They all merge in morsel index order, so the
-// result is byte-identical to the serial load-then-execute path.
-
-/// Per-morsel output of the fused cold projection: the absolute positions
-/// of qualifying rows, plus — when projection emission was requested — the
-/// projected output columns for exactly those rows.
-#[derive(Debug)]
-pub struct ProjectPartial {
-    /// Absolute input positions of qualifying rows, ascending.
-    pub positions: Vec<usize>,
-    /// One dense typed chunk per output expression, aligned with
-    /// `positions` (empty when the caller asked for positions only, e.g.
-    /// under ORDER BY where projection must wait for the global sort).
-    pub columns: Vec<ColumnData>,
-}
-
-/// Fused cold projection over one tokenizer morsel: filter the batch with
-/// `conj` and, when `exprs` is given, evaluate the output expressions for
-/// qualifying rows right here on the scan worker. Slot `k` of the batch's
-/// columns holds ordinal `ids[k]` (the producing scan's `needed` list).
-///
-/// The batch must come from a scan without pushdown (`rowids` dense), so
-/// local row `i` is absolute row `first_row + i` — the concatenation of
-/// per-morsel `positions` in morsel order is then exactly the serial
-/// [`filter_positions`](crate::columnar::filter_positions) output over the
-/// assembled columns, and the appended `columns` chunks are exactly what
-/// a serial [`project_columns`] of those positions would produce.
-pub fn cold_project_morsel(
-    ids: &[usize],
-    batch: &MorselBatch,
-    conj: &Conjunction,
-    exprs: Option<&[Expr]>,
-) -> Result<ProjectPartial> {
-    debug_assert_eq!(batch.rowids.len(), batch.n_rows, "pushdown-free scan");
-    let cols = OrdinalCols::new(ids, &batch.columns);
-    let n = batch.rowids.len();
-    let local: Vec<usize> = if conj.is_always_true() {
-        (0..n).collect()
-    } else {
-        filter_positions_range(&cols, 0, n, conj)?
-    };
-    let columns = match exprs {
-        Some(exprs) => project_columns(&cols, &local, exprs)?,
-        None => Vec::new(),
-    };
-    // Projection output grows with qualifying rows: charge the emitted
-    // chunks and positions against the ambient budget, once per morsel.
-    let chunk_bytes: usize = columns.iter().map(ColumnData::approx_bytes).sum();
-    charge_current(local.len() * std::mem::size_of::<usize>() + chunk_bytes)?;
-    let positions = local.into_iter().map(|i| batch.first_row + i).collect();
-    Ok(ProjectPartial { positions, columns })
-}
-
-/// Stitch per-morsel projection partials (in morsel index order) into one
-/// position vector and one dense column per output expression — the
-/// deterministic merge that makes the fused cold projection identical to
-/// the serial path. The columns come back empty when no partial carried
-/// any (positions-only emission, or no morsels at all).
-pub fn stitch_cold_projection(parts: Vec<ProjectPartial>) -> Result<(Vec<usize>, Vec<ColumnData>)> {
-    let n_pos = parts.iter().map(|p| p.positions.len()).sum();
-    let mut positions = Vec::with_capacity(n_pos);
-    let mut columns: Vec<ColumnData> = Vec::new();
-    for mut p in parts {
-        positions.append(&mut p.positions);
-        if columns.is_empty() {
-            columns = p.columns;
-        } else {
-            for (dst, src) in columns.iter_mut().zip(p.columns) {
-                dst.append(src)?;
-            }
-        }
-    }
-    Ok((positions, columns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,50 +500,6 @@ mod tests {
             ColumnData::from_f64((0..n).map(|i| i as f64 / 3.0).collect()),
         );
         (cols, n)
-    }
-
-    /// Slice a table's columns into [`MorselBatch`]es of `morsel_rows`
-    /// each, as a pushdown-free tokenizer scan would emit them.
-    fn slice_batches(
-        ids: &[usize],
-        cols: &BTreeMap<usize, ColumnData>,
-        n: usize,
-        morsel_rows: usize,
-    ) -> Vec<MorselBatch> {
-        let mut batches = Vec::new();
-        let mut lo = 0;
-        while lo < n.max(1) && lo < n {
-            let hi = (lo + morsel_rows).min(n);
-            let take: Vec<usize> = (lo..hi).collect();
-            batches.push(MorselBatch {
-                index: batches.len(),
-                first_row: lo,
-                n_rows: hi - lo,
-                rowids: (lo as u64..hi as u64).collect(),
-                columns: ids.iter().map(|&c| cols[&c].take(&take)).collect(),
-            });
-            lo = hi;
-        }
-        batches
-    }
-
-    #[test]
-    fn cold_projection_morsels_match_serial() {
-        let (cols, n) = table(3000);
-        let conj = Conjunction::new(vec![ColPred::new(0, CmpOp::Lt, 700i64)]);
-        let exprs = vec![Expr::Col(1), Expr::Col(0)];
-        let ids = vec![0usize, 1, 2];
-        let serial_pos = filter_positions(&cols, n, &conj).unwrap();
-        let serial_cols = project_columns(&cols, &serial_pos, &exprs).unwrap();
-        for morsel_rows in [7, 250, 5000] {
-            let parts: Vec<ProjectPartial> = slice_batches(&ids, &cols, n, morsel_rows)
-                .iter()
-                .map(|b| cold_project_morsel(&ids, b, &conj, Some(&exprs)).unwrap())
-                .collect();
-            let (positions, columns) = stitch_cold_projection(parts).unwrap();
-            assert_eq!(positions, serial_pos, "morsel_rows={morsel_rows}");
-            assert_eq!(columns, serial_cols, "morsel_rows={morsel_rows}");
-        }
     }
 
     /// The documented pair order, by definition: right-scan order,

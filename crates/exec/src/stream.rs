@@ -44,8 +44,7 @@ impl<C: Cols> ProjectionCursor<C> {
     }
 
     /// Cursor over all `n_rows` rows of `cols` — already-projected output
-    /// columns (a result-cache payload, the fused cold emitter's chunks)
-    /// need no selection vector.
+    /// columns (a result-cache payload) need no selection vector.
     pub fn over_all(cols: C, n_rows: usize, exprs: Vec<Expr>) -> ProjectionCursor<C> {
         ProjectionCursor {
             cols,

@@ -3,11 +3,11 @@
 //! Everything the NoDB vision needs from flat files, built from scratch:
 //!
 //! * [`tokenizer`] — the two-phase, predicate-pushing, positional-map-aware
-//!   CSV tokenizer (the paper's adaptive loading operator, §3.2), in two
-//!   shapes: merged scans ([`scan_bytes`]) and the
-//!   morsel-driven scan ([`scan_morsels`]) that feeds
-//!   [`nodb_types::MorselBatch`]es to per-worker consumers (the fused
-//!   cold pipeline in `nodb-exec` / `nodb-core`);
+//!   CSV tokenizer (the paper's adaptive loading operator, §3.2):
+//!   [`scan_bytes`], the posmap-guided and pushdown scans of later loads;
+//! * [`load`] — the cold column loader ([`load_columns`]): a first touch
+//!   reads, splits and parses the file in one parallel pass per byte
+//!   chunk, straight into typed columns, with no whole-file buffer;
 //! * [`posmap`] — the adaptive positional map accumulating row/field byte
 //!   offsets as a side effect of every scan (§4.1.5);
 //! * [`split`] — dynamic file splitting, a.k.a. "file cracking" (§4):
@@ -19,14 +19,14 @@
 
 pub mod bytes;
 pub mod gen;
+pub mod load;
 pub mod posmap;
 pub mod schema;
 pub mod split;
 pub mod tokenizer;
 
+pub use load::{load_columns, LoadSpec, Loaded};
 pub use posmap::PositionalMap;
 pub use schema::{infer_file, infer_from_bytes, InferredSchema};
 pub use split::{Segment, SegmentCatalog};
-pub use tokenizer::{
-    read_file, scan_bytes, scan_file, scan_morsels, CsvOptions, Morsel, ScanOutput, ScanSpec,
-};
+pub use tokenizer::{read_file, scan_bytes, scan_file, CsvOptions, ScanOutput, ScanSpec};

@@ -93,6 +93,19 @@ impl PositionalMap {
         }
     }
 
+    /// Record one column's offsets for every row at once (`offs` holds
+    /// one entry per known row). Same effect as [`record_range`] from row
+    /// 0, without the copy when the column is new.
+    ///
+    /// [`record_range`]: PositionalMap::record_range
+    pub fn record_column(&mut self, col: usize, offs: Vec<u32>) {
+        if !self.cols.contains_key(&col) && self.row_count() == Some(offs.len()) {
+            self.cols.insert(col, offs);
+        } else {
+            self.record_range(col, 0, &offs);
+        }
+    }
+
     /// Best starting point for reaching `target_col` in row `row`: the
     /// largest known column ≤ target with a recorded offset for this row.
     /// Returns `(column, relative_offset)`. Column 0 needs no hint (offset 0).
@@ -188,6 +201,18 @@ mod tests {
         assert_eq!(offs[3], 11);
         assert_eq!(offs[4], 12);
         assert!((m.coverage(1) - 0.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_column_equals_record_range_from_zero() {
+        let mut a = map_with_rows(3);
+        let mut b = map_with_rows(3);
+        a.record_column(1, vec![4, UNKNOWN, 6]);
+        b.record_range(1, 0, &[4, UNKNOWN, 6]);
+        assert_eq!(a.col_offsets(1), b.col_offsets(1));
+        // An existing column merges: unknown entries keep what was known.
+        a.record_column(1, vec![UNKNOWN, 5, UNKNOWN]);
+        assert_eq!(a.col_offsets(1).unwrap(), &[4, 5, 6]);
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub struct InferredSchema {
     pub data_start: u64,
     /// How many data rows were examined.
     pub sampled_rows: usize,
+    /// Mean bytes per sampled data row (at least 1): what a loader sizes
+    /// its byte chunks by.
+    pub row_bytes: u64,
 }
 
 /// Infer a schema from the leading rows of `bytes`.
@@ -111,11 +114,18 @@ pub fn infer_from_bytes(
     } else {
         0
     };
+    let sampled_rows = sample_end - usize::from(has_header);
+    let sample_bytes = starts
+        .get(sample_end)
+        .copied()
+        .unwrap_or(bytes.len() as u64)
+        .saturating_sub(data_start);
     Ok(InferredSchema {
         schema: Schema::new(fields)?,
         has_header,
         data_start,
-        sampled_rows: sample_end - usize::from(has_header),
+        sampled_rows,
+        row_bytes: (sample_bytes / sampled_rows.max(1) as u64).max(1),
     })
 }
 
@@ -237,6 +247,16 @@ mod tests {
         assert!(!s.has_header);
         assert_eq!(s.data_start, 0);
         assert_eq!(s.schema.to_string(), "(a1 int64, a2 int64, a3 int64)");
+    }
+
+    #[test]
+    fn row_bytes_is_the_mean_sampled_data_row() {
+        // The header is not a data row: two data rows of 4 and 7 bytes.
+        let s = infer_from_bytes(b"id,n\n1,2\n10,200\n", &opts(), 100).unwrap();
+        assert!(s.has_header);
+        assert_eq!(s.row_bytes, 5);
+        let s = infer_from_bytes(b"7\n", &opts(), 100).unwrap();
+        assert_eq!(s.row_bytes, 2);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! Everything the scan learns about row/field positions is recorded back
 //! into the positional map as a side effect — the paper's "file cracking"
 //! learning loop (§4.1.5).
+//!
+//! A cold first touch of whole columns does not come here: the one-pass
+//! chunk loader ([`crate::load`]) reads, splits and parses the file in a
+//! single walk per chunk, and shares this module's field parsers and error
+//! texts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -215,8 +220,23 @@ pub fn scan_bytes(
     })
 }
 
+/// The error of a field that does not parse, naming its data row and
+/// column.
+pub(crate) fn field_error(row: usize, col: usize, e: impl std::fmt::Display) -> Error {
+    Error::parse(format!("row {row}, column {col}: {e}"))
+}
+
+/// The error of a row that ends after `fields` fields although column
+/// `max_touch` was referenced (strict mode).
+pub(crate) fn short_row_error(row: usize, fields: usize, max_touch: usize) -> Error {
+    Error::parse(format!(
+        "row {row} has only {fields} fields but column {max_touch} was referenced \
+         (enable lenient mode to read short rows as NULLs)"
+    ))
+}
+
 /// Validate every referenced column ordinal against the schema.
-fn validate_spec(spec: &ScanSpec<'_>) -> Result<()> {
+pub(crate) fn validate_spec(spec: &ScanSpec<'_>) -> Result<()> {
     let ncols = spec.schema.len();
     for &c in &spec.needed {
         if c >= ncols {
@@ -268,7 +288,7 @@ fn phase1_row_starts(
 }
 
 /// Touch plan: every column the scan must locate, ascending, deduplicated.
-fn touch_plan(spec: &ScanSpec<'_>) -> Vec<usize> {
+pub(crate) fn touch_plan(spec: &ScanSpec<'_>) -> Vec<usize> {
     let mut touch: Vec<usize> = spec.needed.clone();
     if let Some(p) = spec.pushdown {
         touch.extend(p.columns());
@@ -295,11 +315,36 @@ fn group_pushdown(spec: &ScanSpec<'_>) -> BTreeMap<usize, ColumnTest> {
 
 /// Which columns should have offsets recorded into the posmap: every
 /// column the scan may walk past that is not already fully covered.
-fn record_columns(posmap: Option<&PositionalMap>, max_touch: usize) -> Vec<usize> {
+pub(crate) fn record_columns(posmap: Option<&PositionalMap>, max_touch: usize) -> Vec<usize> {
     match posmap {
         Some(m) => (0..=max_touch).filter(|&c| m.coverage(c) < 1.0).collect(),
         None => Vec::new(),
     }
+}
+
+/// The positional map's known field offsets a row walk may start from:
+/// columns ≤ `first_touch` with recorded offsets, best (largest) first.
+/// Resolved once per scan instead of a `BTreeMap` range query per row.
+pub(crate) fn hint_columns(m: &PositionalMap, first_touch: usize) -> Vec<(usize, &[u32])> {
+    m.known_columns()
+        .into_iter()
+        .filter(|&c| c <= first_touch)
+        .rev()
+        .filter_map(|c| m.col_offsets(c).map(|offs| (c, offs)))
+        .collect()
+}
+
+/// Where the walk of data row `row` (`row_len` bytes) starts: the best
+/// hint with a known offset for the row, else column 0 at byte 0.
+#[inline]
+pub(crate) fn walk_start(hints: &[(usize, &[u32])], row: usize, row_len: usize) -> (usize, usize) {
+    hints
+        .iter()
+        .find_map(|&(c, offs)| match offs.get(row) {
+            Some(&o) if o != UNKNOWN => Some((c, (o as usize).min(row_len))),
+            _ => None,
+        })
+        .unwrap_or((0, 0))
 }
 
 /// Shared read-only context for phase-2 workers.
@@ -328,11 +373,11 @@ struct ChunkOut {
 
 /// Unsynchronised counters, flushed to the shared atomics once per chunk.
 #[derive(Default)]
-struct LocalCounters {
-    rows_tokenized: u64,
-    fields_tokenized: u64,
-    values_parsed: u64,
-    rows_abandoned: u64,
+pub(crate) struct LocalCounters {
+    pub(crate) rows_tokenized: u64,
+    pub(crate) fields_tokenized: u64,
+    pub(crate) values_parsed: u64,
+    pub(crate) rows_abandoned: u64,
 }
 
 impl LocalCounters {
@@ -343,7 +388,7 @@ impl LocalCounters {
         self.rows_abandoned += o.rows_abandoned;
     }
 
-    fn flush(&self, c: &WorkCounters) {
+    pub(crate) fn flush(&self, c: &WorkCounters) {
         c.add_rows_tokenized(self.rows_tokenized);
         c.add_fields_tokenized(self.fields_tokenized);
         c.add_values_parsed(self.values_parsed);
@@ -397,19 +442,9 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
         m
     };
     let first_touch = *ctx.touch.first().expect("nonempty");
-    // Resolve positional-map candidates once per chunk instead of running a
-    // BTreeMap range query per row: columns ≤ first_touch with recorded
-    // offsets, best (largest) first.
-    let hint_candidates: Vec<(usize, &[u32])> = match ctx.posmap {
-        Some(m) => m
-            .known_columns()
-            .into_iter()
-            .filter(|&c| c <= first_touch)
-            .rev()
-            .filter_map(|c| m.col_offsets(c).map(|offs| (c, offs)))
-            .collect(),
-        None => Vec::new(),
-    };
+    let hint_candidates = ctx
+        .posmap
+        .map_or_else(Vec::new, |m| hint_columns(m, first_touch));
 
     let mut stash: Vec<Value> = vec![Value::Null; ctx.needed.len()];
 
@@ -427,14 +462,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
         let rowb = &ctx.bytes[start..next];
         out.counters.rows_tokenized += 1;
 
-        // Start from the best positional-map hint.
-        let (mut col, mut pos) = hint_candidates
-            .iter()
-            .find_map(|&(c, offs)| match offs.get(row) {
-                Some(&o) if o != UNKNOWN => Some((c, (o as usize).min(rowb.len()))),
-                _ => None,
-            })
-            .unwrap_or((0, 0));
+        let (mut col, mut pos) = walk_start(&hint_candidates, row, rowb.len());
         for v in stash.iter_mut() {
             *v = Value::Null;
         }
@@ -463,8 +491,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
                     // scalar — no UTF-8 validation, no `String`, and no
                     // `Value` boxing for pushdown-only columns.
                     let q = ctx.opts.quote;
-                    let row_col_err =
-                        |e: Error| Error::parse(format!("row {row}, column {col}: {e}"));
+                    let row_col_err = |e: Error| field_error(row, col, e);
                     match ty {
                         DataType::Int64 => match parse_i64_field(raw, q).map_err(row_col_err)? {
                             Some(x) => {
@@ -539,12 +566,7 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
         }
 
         if short_row && !ctx.opts.lenient {
-            return Err(Error::parse(format!(
-                "row {row} has only {} fields but column {} was referenced \
-                 (enable lenient mode to read short rows as NULLs)",
-                col + 1,
-                ctx.max_touch
-            )));
+            return Err(short_row_error(row, col + 1, ctx.max_touch));
         }
         if short_row {
             // NULLs cannot satisfy predicates on the missing columns.
@@ -563,140 +585,6 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
         }
     }
     Ok(out)
-}
-
-/// One unit of work in the morsel-driven pipeline: the phase-2 output of a
-/// contiguous run of rows, handed to a per-worker operator chain *instead*
-/// of being merged into one giant [`ScanOutput`] first. This is the shared
-/// [`nodb_types::MorselBatch`] — the fused cold operators in `nodb-exec`
-/// consume it directly.
-pub type Morsel = nodb_types::MorselBatch;
-
-/// Morsel-driven parallel scan: tokenize `bytes` in row morsels of
-/// `morsel_rows` and feed each finished morsel straight into `consume`
-/// (called concurrently from worker threads as `consume(worker, morsel)`),
-/// so downstream operators — predicate evaluation, partial aggregation,
-/// join builds — overlap with tokenization instead of waiting for a merged
-/// [`ScanOutput`]. Workers *steal* morsels from a shared counter, so skew
-/// (selective pushdown regions, short rows) balances automatically.
-///
-/// Structural knowledge still flows into `posmap` exactly as in
-/// [`scan_bytes`]: recordings are collected per morsel and written back
-/// once the workers have joined (the map is not shared mutably across
-/// threads). Returns the total rows scanned.
-pub fn scan_morsels<F>(
-    bytes: &[u8],
-    opts: &CsvOptions,
-    spec: &ScanSpec<'_>,
-    mut posmap: Option<&mut PositionalMap>,
-    counters: &WorkCounters,
-    morsel_rows: usize,
-    consume: &F,
-) -> Result<u64>
-where
-    F: Fn(usize, Morsel) -> Result<()> + Sync,
-{
-    validate_spec(spec)?;
-    let row_starts = phase1_row_starts(bytes, opts, &mut posmap, counters)?;
-    let nrows = row_starts.len();
-    let morsel_rows = morsel_rows.max(1);
-    let n_morsels = nrows.div_ceil(morsel_rows);
-
-    let touch = touch_plan(spec);
-    if touch.is_empty() {
-        // Pure row-count morsels: every row qualifies, nothing to parse.
-        for index in 0..n_morsels {
-            let lo = index * morsel_rows;
-            let hi = ((index + 1) * morsel_rows).min(nrows);
-            counters.add_morsels_dispatched(1);
-            consume(
-                0,
-                Morsel {
-                    index,
-                    first_row: lo,
-                    n_rows: hi - lo,
-                    rowids: (lo as u64..hi as u64).collect(),
-                    columns: Vec::new(),
-                },
-            )?;
-        }
-        return Ok(nrows as u64);
-    }
-    let max_touch = *touch.last().expect("nonempty");
-    let tests_by_col = group_pushdown(spec);
-    let record_cols = record_columns(posmap.as_deref(), max_touch);
-
-    let ctx = ScanCtx {
-        bytes,
-        row_starts: &row_starts,
-        file_len: bytes.len(),
-        opts,
-        schema: spec.schema,
-        needed: &spec.needed,
-        touch: &touch,
-        max_touch,
-        tests_by_col: &tests_by_col,
-        record_cols: &record_cols,
-        posmap: posmap.as_deref(),
-    };
-
-    /// Posmap recordings of one morsel: `(first_row, per-column offsets)`.
-    type MorselRecordings = (usize, Vec<(usize, Vec<u32>)>);
-
-    // Recordings are tiny relative to morsel payloads; a mutex-guarded
-    // collection keeps the write-back single-threaded and race-free.
-    let recordings: std::sync::Mutex<Vec<MorselRecordings>> = std::sync::Mutex::new(Vec::new());
-
-    // Scheduling (steal counter, error flag, thread scope) comes from the
-    // shared `nodb-types` driver; the tokenizer contributes its per-worker
-    // counter batch as the init/flush hooks and the posmap collection plus
-    // `consume` as the step hook.
-    nodb_types::drive_morsels(
-        nrows,
-        morsel_rows,
-        opts.threads,
-        |_worker| LocalCounters::default(),
-        |local, worker, r| {
-            // The morsel's byte span; workers carry the caller's profile
-            // sink, timers stay on the coordinating thread.
-            let lo = ctx.row_starts[r.lo];
-            let hi = ctx
-                .row_starts
-                .get(r.hi)
-                .copied()
-                .unwrap_or(bytes.len() as u64);
-            profile::add_bytes(hi - lo);
-            let mut chunk = scan_row_range(&ctx, r.lo, r.hi)?;
-            local.absorb(&chunk.counters);
-            if !chunk.recordings.is_empty() {
-                recordings
-                    .lock()
-                    .expect("recordings mutex")
-                    .push((chunk.first_row, std::mem::take(&mut chunk.recordings)));
-            }
-            counters.add_morsels_dispatched(1);
-            consume(
-                worker,
-                Morsel {
-                    index: r.index,
-                    first_row: chunk.first_row,
-                    n_rows: r.hi - r.lo,
-                    rowids: chunk.rowids,
-                    columns: chunk.builders,
-                },
-            )
-        },
-        |local| local.flush(counters),
-    )?;
-    #[allow(clippy::needless_option_as_deref)]
-    if let Some(m) = posmap.as_deref_mut() {
-        for (first_row, recs) in recordings.into_inner().expect("recordings mutex") {
-            for (col, offs) in recs {
-                m.record_range(col, first_row, &offs);
-            }
-        }
-    }
-    Ok(nrows as u64)
 }
 
 /// Find the end (exclusive) of the field starting at `pos` within a row
@@ -1493,93 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn morsel_scan_matches_merged_scan_and_learns_positions() {
-        let schema = Schema::ints(3);
-        let mut data = String::new();
-        for i in 0..1000i64 {
-            data.push_str(&format!("{},{},{}\n", i, i * 2, i % 5));
-        }
-        let conj = Conjunction::new(vec![ColPred::new(2, CmpOp::Eq, 3i64)]);
-        let spec = ScanSpec {
-            schema: &schema,
-            needed: vec![0, 1],
-            pushdown: Some(&conj),
-        };
-        let serial = {
-            let c = counters();
-            scan_bytes(data.as_bytes(), &opts(), &spec, None, &c).unwrap()
-        };
-        for threads in [1, 4] {
-            let o = CsvOptions {
-                threads,
-                ..CsvOptions::default()
-            };
-            let c = counters();
-            let mut pm = PositionalMap::new();
-            let collected: std::sync::Mutex<Vec<Morsel>> = std::sync::Mutex::new(Vec::new());
-            let rows = scan_morsels(
-                data.as_bytes(),
-                &o,
-                &spec,
-                Some(&mut pm),
-                &c,
-                37,
-                &|_w, m| {
-                    collected.lock().unwrap().push(m);
-                    Ok(())
-                },
-            )
-            .unwrap();
-            assert_eq!(rows, 1000);
-            let mut morsels = collected.into_inner().unwrap();
-            morsels.sort_by_key(|m| m.index);
-            // Morsels tile the row space: 1000 rows / 37 per morsel.
-            assert_eq!(morsels.len(), 1000usize.div_ceil(37));
-            assert_eq!(c.snapshot().morsels_dispatched, morsels.len() as u64);
-            let mut rowids = Vec::new();
-            let mut col0 = ColumnData::empty(DataType::Int64);
-            let mut col1 = ColumnData::empty(DataType::Int64);
-            for mut m in morsels {
-                rowids.append(&mut m.rowids);
-                let mut it = m.columns.into_iter();
-                col0.append(it.next().unwrap()).unwrap();
-                col1.append(it.next().unwrap()).unwrap();
-            }
-            assert_eq!(rowids, serial.rowids, "threads={threads}");
-            assert_eq!(
-                col0.as_i64_slice().unwrap(),
-                serial.columns[&0].as_i64_slice().unwrap()
-            );
-            assert_eq!(
-                col1.as_i64_slice().unwrap(),
-                serial.columns[&1].as_i64_slice().unwrap()
-            );
-            // Positional-map learning still happened under the morsel scan.
-            assert_eq!(pm.row_count(), Some(1000));
-            assert_eq!(pm.coverage(0), 1.0);
-            assert_eq!(pm.coverage(1), 1.0);
-        }
-    }
-
-    #[test]
-    fn morsel_scan_propagates_worker_errors() {
-        let schema = Schema::ints(2);
-        let data = "1,2\nx,4\n".repeat(100);
-        let spec = ScanSpec {
-            schema: &schema,
-            needed: vec![0],
-            pushdown: None,
-        };
-        let o = CsvOptions {
-            threads: 2,
-            ..CsvOptions::default()
-        };
-        let c = counters();
-        let err = scan_morsels(data.as_bytes(), &o, &spec, None, &c, 16, &|_w, _m| Ok(()));
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn typed_field_parsers_edge_cases() {
         assert_eq!(parse_i64_field(b"0", None).unwrap(), Some(0));
         assert_eq!(parse_i64_field(b" -42\t", None).unwrap(), Some(-42));
@@ -1726,90 +1527,6 @@ mod tests {
                     prop_assert_eq!(out.columns[&0].get(i), Value::Str(s.clone()));
                     prop_assert_eq!(out.columns[&1].get(i), Value::Int(*n));
                 }
-            }
-
-            /// Parallel (morsel-driven) and serial tokenization parity:
-            /// same rowids, same column data, same work counters — across
-            /// quoted/unquoted dialects, blank rows, trailing newlines,
-            /// pushdown, thread counts and morsel-boundary edge cases
-            /// (morsels of 1..8 rows against tables of 0..50 rows).
-            #[test]
-            fn parallel_tokenization_matches_serial(
-                rows in proptest::collection::vec(
-                    proptest::collection::vec(-999i64..999, 3), 0..50),
-                blank_after in proptest::collection::vec(proptest::bool::ANY, 0..50),
-                quoted in proptest::bool::ANY,
-                trailing_newline in proptest::bool::ANY,
-                with_pushdown in proptest::bool::ANY,
-                threads in 1usize..5,
-                morsel_rows in 1usize..8) {
-                // Encode, optionally quoting every field and sprinkling
-                // blank rows between data rows.
-                let mut data = String::new();
-                for (i, r) in rows.iter().enumerate() {
-                    let cells: Vec<String> = r.iter()
-                        .map(|v| if quoted { format!("\"{v}\"") } else { v.to_string() })
-                        .collect();
-                    data.push_str(&cells.join(","));
-                    data.push('\n');
-                    if blank_after.get(i).copied().unwrap_or(false) {
-                        data.push('\n');
-                    }
-                }
-                if trailing_newline {
-                    data.push('\n');
-                } else {
-                    data.pop();
-                }
-                let schema = Schema::ints(3);
-                let conj = Conjunction::new(vec![ColPred::new(1, CmpOp::Gt, -100i64)]);
-                let spec = ScanSpec {
-                    schema: &schema,
-                    needed: vec![0, 2],
-                    pushdown: with_pushdown.then_some(&conj),
-                };
-                let base_opts = CsvOptions {
-                    threads: 1,
-                    quote: quoted.then_some(b'"'),
-                    ..CsvOptions::default()
-                };
-
-                let c_serial = WorkCounters::new();
-                let serial = scan_bytes(data.as_bytes(), &base_opts, &spec, None, &c_serial).unwrap();
-
-                let par_opts = CsvOptions { threads, ..base_opts.clone() };
-                let c_par = WorkCounters::new();
-                let collected: std::sync::Mutex<Vec<Morsel>> = std::sync::Mutex::new(Vec::new());
-                let rows_scanned = scan_morsels(
-                    data.as_bytes(), &par_opts, &spec, None, &c_par, morsel_rows,
-                    &|_w, m| { collected.lock().unwrap().push(m); Ok(()) },
-                ).unwrap();
-                prop_assert_eq!(rows_scanned, serial.rows_scanned);
-
-                let mut morsels = collected.into_inner().unwrap();
-                morsels.sort_by_key(|m| m.index);
-                let mut rowids = Vec::new();
-                let mut col0 = ColumnData::empty(DataType::Int64);
-                let mut col2 = ColumnData::empty(DataType::Int64);
-                for mut m in morsels {
-                    rowids.append(&mut m.rowids);
-                    let mut it = m.columns.into_iter();
-                    col0.append(it.next().unwrap()).unwrap();
-                    col2.append(it.next().unwrap()).unwrap();
-                }
-                prop_assert_eq!(&rowids, &serial.rowids);
-                prop_assert_eq!(col0.as_i64_slice().unwrap(),
-                                serial.columns[&0].as_i64_slice().unwrap());
-                prop_assert_eq!(col2.as_i64_slice().unwrap(),
-                                serial.columns[&2].as_i64_slice().unwrap());
-
-                // Work-counter parity: the parallel scan does exactly the
-                // same tokenization and parsing work, just distributed.
-                let (s, p) = (c_serial.snapshot(), c_par.snapshot());
-                prop_assert_eq!(s.rows_tokenized, p.rows_tokenized);
-                prop_assert_eq!(s.fields_tokenized, p.fields_tokenized);
-                prop_assert_eq!(s.values_parsed, p.values_parsed);
-                prop_assert_eq!(s.rows_abandoned, p.rows_abandoned);
             }
 
             /// Scanning with a positional map never changes results, no

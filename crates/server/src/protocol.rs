@@ -358,8 +358,6 @@ fn set_counter_field(s: &mut CountersSnapshot, name: &str, v: u64) -> bool {
         "plan_cache_misses" => s.plan_cache_misses = v,
         "morsels_dispatched" => s.morsels_dispatched = v,
         "parallel_pipelines" => s.parallel_pipelines = v,
-        "fused_cold_projections" => s.fused_cold_projections = v,
-        "fused_cold_joins" => s.fused_cold_joins = v,
         "connections_accepted" => s.connections_accepted = v,
         "requests_served" => s.requests_served = v,
         "busy_rejections" => s.busy_rejections = v,
@@ -636,26 +634,24 @@ mod tests {
             plan_cache_misses: 10,
             morsels_dispatched: 11,
             parallel_pipelines: 12,
-            fused_cold_projections: 13,
-            fused_cold_joins: 14,
-            connections_accepted: 15,
-            requests_served: 16,
-            busy_rejections: 17,
-            result_cache_hits: 18,
-            result_cache_subsumed_hits: 19,
-            result_cache_misses: 20,
-            result_cache_evictions: 21,
-            queries_cancelled: 22,
-            queries_timed_out: 23,
-            queries_shed: 24,
-            conns_shed: 25,
-            mem_reserved_peak: 26,
-            panics_contained: 27,
-            conns_parked: 28,
-            reactor_wakeups: 29,
-            frames_partial: 30,
-            slow_queries: 31,
-            crack_rows_touched: 32,
+            connections_accepted: 13,
+            requests_served: 14,
+            busy_rejections: 15,
+            result_cache_hits: 16,
+            result_cache_subsumed_hits: 17,
+            result_cache_misses: 18,
+            result_cache_evictions: 19,
+            queries_cancelled: 20,
+            queries_timed_out: 21,
+            queries_shed: 22,
+            conns_shed: 23,
+            mem_reserved_peak: 24,
+            panics_contained: 25,
+            conns_parked: 26,
+            reactor_wakeups: 27,
+            frames_partial: 28,
+            slow_queries: 29,
+            crack_rows_touched: 30,
         }
     }
 

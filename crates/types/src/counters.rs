@@ -39,13 +39,6 @@ pub struct WorkCounters {
     /// elapsed time by a parallel run's to estimate the speedup these
     /// bought.
     pub parallel_pipelines: AtomicU64,
-    /// Cold scalar projections served by the fused tokenizer→operator
-    /// pipeline (filtering and projection overlapped with parsing instead
-    /// of waiting for the store load).
-    pub fused_cold_projections: AtomicU64,
-    /// Cold hash joins whose build and probe consumed tokenizer morsels
-    /// directly instead of blocking on both store loads.
-    pub fused_cold_joins: AtomicU64,
     /// TCP connections the query server admitted into its serve queue.
     /// Connections refused by admission control count under
     /// `busy_rejections` (queue full) or `conns_shed` (memory pressure)
@@ -183,16 +176,6 @@ impl WorkCounters {
         self.parallel_pipelines.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one fused cold projection.
-    pub fn add_fused_cold_projection(&self) {
-        self.fused_cold_projections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one fused cold join.
-    pub fn add_fused_cold_join(&self) {
-        self.fused_cold_joins.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one admitted server connection.
     pub fn add_connection_accepted(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
@@ -301,8 +284,6 @@ impl WorkCounters {
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
             parallel_pipelines: self.parallel_pipelines.load(Ordering::Relaxed),
-            fused_cold_projections: self.fused_cold_projections.load(Ordering::Relaxed),
-            fused_cold_joins: self.fused_cold_joins.load(Ordering::Relaxed),
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             requests_served: self.requests_served.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
@@ -338,8 +319,6 @@ impl WorkCounters {
         self.plan_cache_misses.store(0, Ordering::Relaxed);
         self.morsels_dispatched.store(0, Ordering::Relaxed);
         self.parallel_pipelines.store(0, Ordering::Relaxed);
-        self.fused_cold_projections.store(0, Ordering::Relaxed);
-        self.fused_cold_joins.store(0, Ordering::Relaxed);
         self.connections_accepted.store(0, Ordering::Relaxed);
         self.requests_served.store(0, Ordering::Relaxed);
         self.busy_rejections.store(0, Ordering::Relaxed);
@@ -388,10 +367,6 @@ pub struct CountersSnapshot {
     pub morsels_dispatched: u64,
     /// See [`WorkCounters::parallel_pipelines`].
     pub parallel_pipelines: u64,
-    /// See [`WorkCounters::fused_cold_projections`].
-    pub fused_cold_projections: u64,
-    /// See [`WorkCounters::fused_cold_joins`].
-    pub fused_cold_joins: u64,
     /// See [`WorkCounters::connections_accepted`].
     pub connections_accepted: u64,
     /// See [`WorkCounters::requests_served`].
@@ -455,12 +430,6 @@ impl CountersSnapshot {
             parallel_pipelines: self
                 .parallel_pipelines
                 .saturating_sub(earlier.parallel_pipelines),
-            fused_cold_projections: self
-                .fused_cold_projections
-                .saturating_sub(earlier.fused_cold_projections),
-            fused_cold_joins: self
-                .fused_cold_joins
-                .saturating_sub(earlier.fused_cold_joins),
             connections_accepted: self
                 .connections_accepted
                 .saturating_sub(earlier.connections_accepted),
@@ -513,7 +482,7 @@ impl CountersSnapshot {
     /// in lockstep with the struct fields — a counter added to the
     /// struct but not here fails the build's tests, not a production
     /// debugging session.
-    pub fn named_fields(&self) -> [(&'static str, u64); 32] {
+    pub fn named_fields(&self) -> [(&'static str, u64); 30] {
         [
             ("bytes_read", self.bytes_read),
             ("bytes_written", self.bytes_written),
@@ -527,8 +496,6 @@ impl CountersSnapshot {
             ("plan_cache_misses", self.plan_cache_misses),
             ("morsels_dispatched", self.morsels_dispatched),
             ("parallel_pipelines", self.parallel_pipelines),
-            ("fused_cold_projections", self.fused_cold_projections),
-            ("fused_cold_joins", self.fused_cold_joins),
             ("connections_accepted", self.connections_accepted),
             ("requests_served", self.requests_served),
             ("busy_rejections", self.busy_rejections),
@@ -558,7 +525,7 @@ impl fmt::Display for CountersSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "read={}B written={}B rows_tok={} fields_tok={} parsed={} trips={} abandoned={} evicted={} plan_hits={} plan_misses={} morsels={} par_pipelines={} fused_proj={} fused_joins={} conns={} reqs={} busy={} rc_hits={} rc_subsumed={} rc_misses={} rc_evicted={} cancelled={} timed_out={} shed={} conns_shed={} mem_peak={}B panics={} parked={} wakeups={} torn={} slow={} crack_rows={}",
+            "read={}B written={}B rows_tok={} fields_tok={} parsed={} trips={} abandoned={} evicted={} plan_hits={} plan_misses={} morsels={} par_pipelines={} conns={} reqs={} busy={} rc_hits={} rc_subsumed={} rc_misses={} rc_evicted={} cancelled={} timed_out={} shed={} conns_shed={} mem_peak={}B panics={} parked={} wakeups={} torn={} slow={} crack_rows={}",
             self.bytes_read,
             self.bytes_written,
             self.rows_tokenized,
@@ -571,8 +538,6 @@ impl fmt::Display for CountersSnapshot {
             self.plan_cache_misses,
             self.morsels_dispatched,
             self.parallel_pipelines,
-            self.fused_cold_projections,
-            self.fused_cold_joins,
             self.connections_accepted,
             self.requests_served,
             self.busy_rejections,
@@ -700,26 +665,24 @@ mod tests {
             plan_cache_misses: 10,
             morsels_dispatched: 11,
             parallel_pipelines: 12,
-            fused_cold_projections: 13,
-            fused_cold_joins: 14,
-            connections_accepted: 15,
-            requests_served: 16,
-            busy_rejections: 17,
-            result_cache_hits: 18,
-            result_cache_subsumed_hits: 19,
-            result_cache_misses: 20,
-            result_cache_evictions: 21,
-            queries_cancelled: 22,
-            queries_timed_out: 23,
-            queries_shed: 24,
-            conns_shed: 25,
-            mem_reserved_peak: 26,
-            panics_contained: 27,
-            conns_parked: 28,
-            reactor_wakeups: 29,
-            frames_partial: 30,
-            slow_queries: 31,
-            crack_rows_touched: 32,
+            connections_accepted: 13,
+            requests_served: 14,
+            busy_rejections: 15,
+            result_cache_hits: 16,
+            result_cache_subsumed_hits: 17,
+            result_cache_misses: 18,
+            result_cache_evictions: 19,
+            queries_cancelled: 20,
+            queries_timed_out: 21,
+            queries_shed: 22,
+            conns_shed: 23,
+            mem_reserved_peak: 24,
+            panics_contained: 25,
+            conns_parked: 26,
+            reactor_wakeups: 27,
+            frames_partial: 28,
+            slow_queries: 29,
+            crack_rows_touched: 30,
         };
         let fields = s.named_fields();
         // The Debug rendering names every struct field; if the struct

@@ -16,9 +16,7 @@
 //!   make the benchmark "shape" claims auditable,
 //! * [`morsel`] — the morsel-stealing driver ([`drive_morsels`], and its
 //!   ordered wrapper [`map_morsels`]), the only place an engine crate
-//!   starts a thread, and the [`MorselBatch`] unit of work the fused
-//!   cold pipeline passes from the tokenizer (`nodb-rawcsv`) to the
-//!   operators (`nodb-exec`),
+//!   starts a thread,
 //! * [`context`] — the one [`QueryContext`] (cancel token, memory guard,
 //!   profile sink) each thread carries, installed by an entry point and
 //!   by the driver on each of its workers,
@@ -63,7 +61,7 @@ pub use context::{ContextGuard, QueryContext};
 pub use counters::{CountersSnapshot, WorkCounters};
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
-pub use morsel::{drive_morsels, map_morsels, morsel_count, MorselBatch, MorselRange};
+pub use morsel::{drive_morsels, map_morsels, morsel_count, MorselRange};
 pub use page::{ColumnPage, PageColumn, Selection};
 pub use predicate::{float_key, CmpOp, ColPred, ColumnTest, Conjunction, SelectionBox};
 pub use profile::{

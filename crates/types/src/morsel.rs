@@ -4,9 +4,9 @@
 //! into fixed-size ranges that worker threads *steal* from a shared atomic
 //! counter. [`drive_morsels`] is the only place an engine crate (types,
 //! rawcsv, exec, store, sql, core) starts a thread outside its tests: the
-//! tokenizer's phase 1 newline split and phase 2 chunk scans, the fused
-//! cold pipeline's `scan_morsels`, file splitting and every post-load
-//! operator all schedule through it, directly or through the ordered
+//! tokenizer's phase 1 newline split and phase 2 chunk scans, the cold
+//! loader's byte chunks, file splitting and every post-load operator all
+//! schedule through it, directly or through the ordered
 //! wrapper [`map_morsels`]. The scheduling semantics (steal order,
 //! lowest-morsel-error-wins cancellation, panic containment, worker clamping)
 //! therefore exist once, and so does the propagation of the caller's
@@ -44,36 +44,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::column::ColumnData;
 use crate::context::QueryContext;
 use crate::error::{Error, Result};
-
-/// One unit of work flowing through the fused cold pipeline: the parsed
-/// output of a contiguous run of raw-file rows, handed to a per-worker
-/// operator chain *instead* of being merged into one monolithic scan
-/// result first.
-///
-/// Producers (the tokenizer's `scan_morsels` in `nodb-rawcsv`) emit one
-/// batch per stolen [`MorselRange`]; consumers (the fused cold operators
-/// in `nodb-exec`, wired up by `nodb-core`) filter, project, aggregate or
-/// build join tables from it on the worker thread that parsed it. The
-/// type lives here, in the dependency root, so both sides of the pipeline
-/// speak it without depending on each other.
-#[derive(Debug)]
-pub struct MorselBatch {
-    /// Morsel ordinal (0-based, ascending by row range) — gives consumers
-    /// a deterministic merge order regardless of worker scheduling.
-    pub index: usize,
-    /// First row id covered by this morsel.
-    pub first_row: usize,
-    /// Rows scanned (before pushdown filtering).
-    pub n_rows: usize,
-    /// Qualifying row ids, ascending.
-    pub rowids: Vec<u64>,
-    /// Parsed columns, parallel to the producing scan's `needed` list,
-    /// rows aligned with `rowids`.
-    pub columns: Vec<ColumnData>,
-}
 
 /// One stolen unit of work: morsel `index` covers items `[lo, hi)` of the
 /// driven input. Indexes ascend with the range, giving consumers a

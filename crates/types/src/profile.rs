@@ -44,7 +44,7 @@ use crate::context::{self, ContextGuard, QueryContext};
 /// One timed section of query execution.
 ///
 /// The variants mirror the engine's layers: front end, result cache,
-/// loading (cold fused pipeline, tokenizer phases, cracking), warm
+/// loading (the parallel cold load, tokenizer phases, cracking), warm
 /// kernels and their merges, and wire serialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -55,17 +55,18 @@ pub enum Phase {
     ResultCacheLookup,
     /// Result-cache capture after execution.
     ResultCacheCapture,
-    /// Tokenizer phase 1: locating row boundaries.
+    /// Tokenizer phase 1: locating row boundaries as a pass of its own
+    /// (about 0 on an unquoted cold load, whose chunk walk finds them).
     Tokenize1,
     /// Tokenizer phase 2: walking rows to the maximum referenced column
-    /// (pure tokenization scans; the fused pipeline's phase 2 is part of
-    /// [`Phase::ColdPipeline`]).
+    /// (policy loads and pure tokenization scans; the parallel cold
+    /// load's walk is part of [`Phase::ColdPipeline`]).
     Tokenize2,
-    /// The fused cold pipeline: tokenization overlapped with per-morsel
-    /// filter/aggregate/projection/join work.
+    /// The parallel cold load: one pass per byte chunk that reads, splits
+    /// and parses the raw file into the store.
     ColdPipeline,
-    /// Adaptive (non-fused) loading: reading and scanning raw files into
-    /// the store.
+    /// Adaptive loading on the policy path: reading and scanning raw
+    /// files into the store.
     Load,
     /// Adaptive-index cracking (partition select + piece splits).
     Cracking,

@@ -17,11 +17,11 @@
 //!   partitioned cracking, eviction, binary persistence.
 //! * [`exec`] — the execution kernels: one typed aggregation kernel for
 //!   every aggregate (a plain aggregate is a zero-key GROUP BY), columnar
-//!   selection vectors, the flat hash join, their morsel-parallel drivers
-//!   and the fused cold-pipeline operators.
+//!   selection vectors, the flat hash join and their morsel-parallel
+//!   drivers.
 //! * [`sql`] — SQL parsing and logical planning.
 //! * [`core`] — the engine tying it together: catalog, loading policies,
-//!   fused cold pipeline, plan cache, result cache, sessions, workload
+//!   parallel cold load, plan cache, result cache, sessions, workload
 //!   monitor.
 //! * [`server`] — the concurrent TCP query server and matching blocking
 //!   client: length-prefixed wire protocol, session per connection,

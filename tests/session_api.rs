@@ -209,7 +209,7 @@ fn column_pages_cover_result_and_profile_their_paging() {
 }
 
 /// Aggregate, grouped and join+aggregate results are typed columns too:
-/// for every such shape — cold through the fused pipeline and the serial
+/// for every such shape — cold through the parallel load and the serial
 /// policy path, then warm — the `next_columns` pages hold exactly the
 /// rows `Engine::sql` returns, and every page column has the type the
 /// stream's schema advertises.
@@ -431,6 +431,9 @@ fn float_join_aggregates_do_not_depend_on_threads_strategy_cold_warm_or_cache() 
         LoadingStrategy::FullLoad,
         LoadingStrategy::PartialLoadsV2,
     ] {
+        // The single-threaded engines' state after the cold pass, per
+        // result-cache size.
+        let mut serial_state = Vec::new();
         for threads in [1, 2, 4] {
             for cache_bytes in [0, 4 << 20] {
                 let mut cfg = EngineConfig::with_strategy(strategy).with_threads(threads);
@@ -449,9 +452,22 @@ fn float_join_aggregates_do_not_depend_on_threads_strategy_cold_warm_or_cache() 
                             Some(w) => assert_eq!(&got, w, "{ctx}"),
                         }
                     }
-                    let fused = engine.counters().snapshot().fused_cold_joins > 0;
-                    let can_fuse = threads > 1 && strategy != LoadingStrategy::PartialLoadsV2;
-                    assert_eq!(fused, can_fuse, "{tag}: the cold pass ran the fused join");
+                    // The passes ran parallel exactly when threads allow,
+                    // and the cold pass (the parallel loader, for the
+                    // column-loading strategies) left both stores and
+                    // positional maps as the serial load did.
+                    let parallel = engine.counters().snapshot().parallel_pipelines > 0;
+                    assert_eq!(parallel, threads > 1, "{tag}: parallel pipelines");
+                    if pass == "cold" {
+                        let state = ["fact", "dim"].map(|t| {
+                            let i = engine.table_info(t).unwrap();
+                            (i.loaded_columns, i.store_bytes, i.posmap_bytes)
+                        });
+                        match serial_state.iter().find(|(b, _)| *b == cache_bytes) {
+                            None => serial_state.push((cache_bytes, state)),
+                            Some((_, s)) => assert_eq!(&state, s, "{tag}: cold-pass state"),
+                        }
+                    }
                 }
             }
         }
