@@ -981,14 +981,11 @@ impl Engine {
         }
         let m = {
             let mut e = entry.write();
-            if self.parallel_load_eligible() {
-                crate::policy::parallel_load(&mut e, needed, &self.cfg, &self.counters, now)?;
-            }
             materialize(&mut e, needed, filter, &self.cfg, &self.counters, now)?
         };
-        // Cold-load cracking runs *outside* the entry lock too: the policy
-        // load above filled the store (under the lock, as it must), and
-        // the same short-lock handle-snapshot path warm queries take now
+        // Cold-load cracking runs *outside* the entry lock too: the load
+        // above filled the store (under the lock, as it must), and the
+        // same short-lock handle-snapshot path warm queries take now
         // installs the partitioned index and cracks it under per-partition
         // locks only — a racing range query refines concurrently instead
         // of waiting for this query's crack to finish.
@@ -1005,22 +1002,6 @@ impl Engine {
             }
         }
         Ok(m)
-    }
-
-    /// Whether a cold table loads through the parallel one-pass loader
-    /// ([`crate::policy::parallel_load`]) before the policy path runs. The
-    /// A1 ablation deliberately loads one column per file trip, which the
-    /// loader's single trip would nullify; the cracking ablation builds
-    /// its index through the policy load from the very first query; and
-    /// a single-threaded engine runs the serial policy load.
-    fn parallel_load_eligible(&self) -> bool {
-        self.cfg.threads > 1
-            && matches!(
-                self.cfg.strategy,
-                LoadingStrategy::ColumnLoads | LoadingStrategy::FullLoad
-            )
-            && !self.cfg.one_column_per_trip
-            && !self.cfg.use_cracking
     }
 
     fn execute_single(&self, plan: &Plan, mat: Materialized) -> Result<StreamBody> {
@@ -1814,7 +1795,7 @@ mod tests {
             "select a1, a2 from r where a1 > 19990 order by a1",
         ];
 
-        // Serial reference.
+        // Single-threaded reference: the same loader and kernels, inline.
         let serial = Engine::new(EngineConfig::default().with_threads(1));
         serial.register_table("r", &path).unwrap();
         let reference: Vec<Vec<Vec<Value>>> =
@@ -1833,9 +1814,8 @@ mod tests {
         assert!(snap.parallel_pipelines >= 1, "{snap}");
         assert!(snap.morsels_dispatched >= 20, "{snap}");
 
-        // The cold parallel pipeline fed the adaptive store like a serial
-        // column load would: referenced columns fully loaded, so a rerun
-        // does no file work.
+        // The parallel cold load fed the adaptive store: referenced
+        // columns fully loaded, so a rerun does no file work.
         let info = par.table_info("r").unwrap();
         assert!(!info.loaded_columns.is_empty());
         let before = par.counters().snapshot();
@@ -1888,8 +1868,8 @@ mod tests {
             let expect = serial.sql(sql).unwrap().rows;
             let out = par.sql(sql).unwrap();
             assert_eq!(out.rows, expect, "{sql}");
-            // The cold grouped pipeline fed the adaptive store like a
-            // serial column load: a rerun does no file work and agrees.
+            // The cold load fed the adaptive store: a rerun does no file
+            // work and agrees.
             let before = par.counters().snapshot();
             let again = par.sql(sql).unwrap();
             assert_eq!(again.rows, expect, "warm {sql}");
@@ -1936,7 +1916,7 @@ mod tests {
             assert_eq!(par.sql(sql).unwrap().rows, expect, "warm {sql}");
             assert_eq!(par.counters().snapshot().since(&before).file_trips, 0);
             // The parallel load left the adaptive store and positional
-            // map in exactly the state a serial load produces.
+            // map in exactly the state the same load leaves on one thread.
             if q == 0 {
                 let si = serial.table_info("r").unwrap();
                 let pi = par.table_info("r").unwrap();
@@ -1999,9 +1979,9 @@ mod tests {
     }
 
     #[test]
-    fn cold_range_query_builds_index_without_parallel_load() {
-        // With cracking enabled the parallel loader stands down, and the
-        // very first (cold) range query loads dense, then installs and
+    fn cold_range_query_loads_then_builds_index() {
+        // With cracking enabled the very first (cold) range query loads
+        // its column through the one column loader, then installs and
         // cracks the partitioned index outside the entry lock.
         let dir = std::env::temp_dir().join("nodb_engine_cold_crack");
         let _ = std::fs::remove_dir_all(&dir);
@@ -2021,10 +2001,11 @@ mod tests {
             .unwrap();
         // a1 is a permutation of 0..10000: exactly 99 strictly inside.
         assert_eq!(out.scalar(), Some(&Value::Int(99)));
-        assert_eq!(e.counters().snapshot().morsels_dispatched, 0);
         {
             let entry = e.catalog.read().get("r").unwrap();
-            assert!(entry.read().store.has_cracked(0), "index built cold");
+            let entry = entry.read();
+            assert!(entry.store.has_full(0), "column loaded in full");
+            assert!(entry.store.has_cracked(0), "index built cold");
         }
         // Warm rerun: served from the cracked index, no file work.
         let before = e.counters().snapshot();

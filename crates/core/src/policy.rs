@@ -90,7 +90,7 @@ pub fn materialize(
 }
 
 /// A raw file read whole; derefs to its data rows, past the header.
-pub(crate) struct DataBytes {
+struct DataBytes {
     bytes: Vec<u8>,
     start: usize,
 }
@@ -104,41 +104,34 @@ impl std::ops::Deref for DataBytes {
 }
 
 /// Read the raw file; the header is sliced off, not moved out.
-pub(crate) fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<DataBytes> {
+fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<DataBytes> {
     let bytes = read_file(&entry.path, counters)?;
     let start = (entry.data_start() as usize).min(bytes.len());
     Ok(DataBytes { bytes, start })
 }
 
-/// The parallel cold load: when none of the columns this query needs is
-/// loaded yet (every column under FullLoad), read them in one parallel
-/// pass over the file ([`load_columns`]) and install them, the row count
-/// and what the pass learned into the positional map, exactly as a serial
-/// column load would. The policy path then finds them loaded. Does
-/// nothing for resident tables, for queries that need no column, or once
-/// any of the columns is loaded: the store-aware policy path is at least
-/// as good then.
+/// The column loader of `ColumnLoads` and `FullLoad`: load the columns of
+/// `cols` that are not fully loaded in one pass over the file
+/// ([`load_columns`]: byte chunks on up to `threads` workers, inline at
+/// one), guided by the positional map when it knows the file, and install
+/// them, the row count and what the pass learned into the map, exactly as
+/// a serial [`scan_bytes`] load would. Does nothing once every column of
+/// `cols` is loaded.
 ///
 /// A failed or cancelled load installs nothing. A file whose fingerprint
 /// changed during the load is a new file: what was read is dropped, and
 /// the load starts again from the top, once.
-pub(crate) fn parallel_load(
+fn load_missing(
     entry: &mut TableEntry,
-    needed: &[usize],
+    cols: &[usize],
     cfg: &EngineConfig,
     counters: &WorkCounters,
     now: u64,
 ) -> Result<()> {
-    if entry.resident || needed.is_empty() {
-        return Ok(());
-    }
     for _attempt in 0..2 {
         entry.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
-        let cols: Vec<usize> = match cfg.strategy {
-            LoadingStrategy::FullLoad => (0..entry.schema()?.len()).collect(),
-            _ => needed.to_vec(),
-        };
-        if entry.store.missing_full(&cols).len() != cols.len() {
+        let missing = entry.store.missing_full(cols);
+        if missing.is_empty() {
             return Ok(());
         }
         let loaded = {
@@ -147,7 +140,7 @@ pub(crate) fn parallel_load(
                 path: &entry.path,
                 data_start: entry.data_start(),
                 schema: entry.schema()?,
-                needed: &cols,
+                needed: &missing,
                 // About `morsel_rows` rows per chunk.
                 chunk_bytes: cfg
                     .morsel_rows
@@ -163,10 +156,10 @@ pub(crate) fn parallel_load(
         if cfg.use_positional_map {
             loaded.record_into(&mut entry.posmap);
         }
-        if loaded.chunks > 1 {
+        if loaded.chunks > 1 && cfg.csv.threads > 1 {
             counters.add_parallel_pipeline();
         }
-        for (&c, col) in cols.iter().zip(loaded.columns) {
+        for (&c, col) in missing.iter().zip(loaded.columns) {
             entry.store.insert_full(c, col, now);
         }
         entry.store.set_nrows(loaded.rows);
@@ -178,7 +171,10 @@ pub(crate) fn parallel_load(
     )))
 }
 
-/// Scan the raw file for `needed` columns with an optional pushdown filter.
+/// Scan the whole raw file for `needed` columns with an optional pushdown
+/// filter: the pushdown and ablation policies' scan, and the row count of
+/// a query that reads no column. The column-loading policies load through
+/// [`load_missing`] instead.
 fn scan_raw(
     entry: &mut TableEntry,
     needed: &[usize],
@@ -386,14 +382,7 @@ fn full_load(
     now: u64,
 ) -> Result<Materialized> {
     let all: Vec<usize> = (0..entry.schema()?.len()).collect();
-    let missing = entry.store.missing_full(&all);
-    if !missing.is_empty() {
-        let out = scan_raw(entry, &missing, None, cfg, counters)?;
-        for (c, col) in out.columns {
-            entry.store.insert_full(c, col, now);
-        }
-        entry.store.set_nrows(out.rows_scanned);
-    }
+    load_missing(entry, &all, cfg, counters, now)?;
     if needed.is_empty() {
         let n = ensure_nrows(entry, cfg, counters)?;
         return Ok(Materialized::dense(BTreeMap::new(), n as usize));
@@ -432,6 +421,9 @@ fn external_scan(
 
 // ----- ColumnLoads (the "Column Loads" curve) ---------------------------
 
+/// Load the needed columns that are not loaded yet, in full and in one
+/// trip ([`load_missing`]), keep them, and answer from the store. Also the
+/// full-column path `PartialLoadsV2` escalates to.
 fn column_loads(
     entry: &mut TableEntry,
     needed: &[usize],
@@ -443,26 +435,17 @@ fn column_loads(
         let n = ensure_nrows(entry, cfg, counters)?;
         return Ok(Materialized::dense(BTreeMap::new(), n as usize));
     }
-    let missing = entry.store.missing_full(needed);
-    if !missing.is_empty() {
-        if cfg.one_column_per_trip {
-            // Ablation A1: the paper's "operators that load only one column
-            // at a time ... much more expensive due to the need to touch the
-            // flat file multiple times within a single query plan".
-            for &c in &missing {
-                let out = scan_raw(entry, &[c], None, cfg, counters)?;
-                for (cc, col) in out.columns {
-                    entry.store.insert_full(cc, col, now);
-                }
-            }
-        } else {
-            // One adaptive-load operator fetches all missing columns in a
-            // single trip (§3.1.3).
-            let out = scan_raw(entry, &missing, None, cfg, counters)?;
-            for (c, col) in out.columns {
-                entry.store.insert_full(c, col, now);
-            }
+    if cfg.one_column_per_trip {
+        // Ablation A1: the paper's "operators that load only one column at
+        // a time ... much more expensive due to the need to touch the flat
+        // file multiple times within a single query plan".
+        for &c in needed {
+            load_missing(entry, &[c], cfg, counters, now)?;
         }
+    } else {
+        // One adaptive-load operator fetches all missing columns in a
+        // single trip (§3.1.3).
+        load_missing(entry, needed, cfg, counters, now)?;
     }
     dense_from_store(entry, needed, now)
 }

@@ -59,11 +59,12 @@ pub enum Phase {
     /// (about 0 on an unquoted cold load, whose chunk walk finds them).
     Tokenize1,
     /// Tokenizer phase 2: walking rows to the maximum referenced column
-    /// (policy loads and pure tokenization scans; the parallel cold
-    /// load's walk is part of [`Phase::ColdPipeline`]).
+    /// (the pushdown and ablation strategies' scans and pure tokenization
+    /// scans; the column loader's walk is part of [`Phase::ColdPipeline`]).
     Tokenize2,
-    /// The parallel cold load: one pass per byte chunk that reads, splits
-    /// and parses the raw file into the store.
+    /// The column loader of `ColumnLoads` and `FullLoad`: one pass per
+    /// byte chunk that reads, splits and parses the raw file into the
+    /// store.
     ColdPipeline,
     /// Adaptive loading on the policy path: reading and scanning raw
     /// files into the store.

@@ -40,12 +40,21 @@ fn engine_with_table_cfg(
     dir: &std::path::Path,
     tweak: impl FnOnce(&mut EngineConfig),
 ) -> Arc<Engine> {
+    engine_with_width(dir, 3, tweak)
+}
+
+/// An engine over `t`, a 1 200-row integer table `cols` columns wide.
+fn engine_with_width(
+    dir: &std::path::Path,
+    cols: usize,
+    tweak: impl FnOnce(&mut EngineConfig),
+) -> Arc<Engine> {
     let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(2);
     cfg.store_dir = Some(dir.join("store"));
     tweak(&mut cfg);
     let engine = Arc::new(Engine::new(cfg));
     let t = dir.join("t.csv");
-    common::write_int_table(&t, 1200, 3);
+    common::write_int_table(&t, 1200, cols);
     engine.register_table("t", &t).unwrap();
     engine
 }
@@ -400,10 +409,9 @@ fn injected_panic_and_oom_each_kill_one_query_pool_keeps_serving() {
     let _g = fp_guard();
     let _d = Disarm;
     let dir = common::test_dir("fp_panic_oom");
-    // Policy-path strategy (the fused cold pipeline skips the
-    // materialise step this test injects its panic into) and an 8 KiB
-    // per-query budget: far below a ~1000-group hash table's metered
-    // entries, comfortably above what a COUNT(*) charges.
+    // A pushdown strategy and an 8 KiB per-query budget: far below a
+    // ~1000-group hash table's metered entries, comfortably above what a
+    // COUNT(*) charges.
     let engine = engine_with_table_cfg(&dir, |cfg| {
         cfg.threads = 2;
         cfg.strategy = LoadingStrategy::PartialLoadsV2;
@@ -467,24 +475,26 @@ fn table_state(engine: &Engine) -> (Vec<usize>, usize, usize) {
 
 /// A parallel one-pass load that fails mid-file, or is cancelled
 /// mid-file, installs nothing: no column, no row count, no positional-map
-/// change, whether the table was fully cold or already partly loaded
-/// (the second load runs from the posmap the first left). Every byte the
-/// load's workers charged is handed back, and the next query is correct.
+/// change, whether the table was fully cold, already partly loaded (the
+/// second load runs from the posmap the first left) or the query's own
+/// column set partly loaded (the third). Every byte the load's workers
+/// charged is handed back, and the next query is correct.
 #[test]
 fn failed_or_cancelled_parallel_load_leaves_the_table_as_it_was() {
     let _g = fp_guard();
     let _d = Disarm;
     let reference = {
         let dir = common::test_dir("fp_load_abort_ref");
-        let clean = engine_with_table_cfg(&dir, |cfg| cfg.morsel_rows = 64);
+        let clean = engine_with_width(&dir, 4, |cfg| cfg.morsel_rows = 64);
         let a = clean.sql("select sum(a1), count(*) from t").unwrap().rows;
         let b = clean.sql("select sum(a3), min(a2) from t").unwrap().rows;
-        (a, b)
+        let c = clean.sql("select sum(a2), max(a4) from t").unwrap().rows;
+        (a, b, c)
     };
     let dir = common::test_dir("fp_load_abort");
     // Small chunks (~64 rows each, ~19 in all) and a metered pool, so the
     // abort lands between chunks and the workers' buffer charges count.
-    let engine = engine_with_table_cfg(&dir, |cfg| {
+    let engine = engine_with_width(&dir, 4, |cfg| {
         cfg.morsel_rows = 64;
         cfg.engine_mem_bytes = Some(1 << 30);
     });
@@ -494,6 +504,8 @@ fn failed_or_cancelled_parallel_load_leaves_the_table_as_it_was() {
         ("select sum(a1), count(*) from t", &reference.0),
         // a3 is cold while a1 is loaded: a load guided by the posmap.
         ("select sum(a3), min(a2) from t", &reference.1),
+        // a2 is loaded and a4 is cold: the load reads a4 alone.
+        ("select sum(a2), max(a4) from t", &reference.2),
     ] {
         // Ensure the schema is known, so the state below is comparable.
         let _ = engine.sql("select count(*) from t").unwrap();

@@ -1,19 +1,20 @@
 //! Property tests for the cold first touch: for *any* generated table
 //! (mixed dtypes, quoted or unquoted fields, NULLs, non-ASCII text) and
 //! *any* projection, aggregate or join query (LIMIT/OFFSET, ORDER BY,
-//! shifting predicates), a parallel engine, whose cold tables load in one
-//! parallel pass and are then answered by the warm path, must produce
-//! byte-identical results to a single-threaded engine's serial policy
-//! load — across thread counts and morsel sizes that cut the file into
-//! many chunks — and must leave the adaptive store and positional map in
-//! exactly the state the serial load produces. Quoted files take the
-//! loader's whole-file boundary source, unquoted ones the one-pass chunk
-//! walk.
+//! shifting predicates), an engine whose cold tables load through the
+//! column loader and are then answered by the warm path must produce
+//! byte-identical results to an `ExternalScan` engine, which re-parses
+//! the file with `scan_bytes` on every query — at one thread and at
+//! several, with morsel sizes that cut the file into many chunks. The
+//! parallel engine must also leave the adaptive store and positional map
+//! in exactly the state the same load leaves on one thread. Quoted files
+//! take the loader's whole-file boundary source, unquoted ones the
+//! one-pass chunk walk.
 
 mod common;
 
 use common::test_dir;
-use nodb::core::{Engine, EngineConfig};
+use nodb::core::{Engine, EngineConfig, LoadingStrategy};
 use nodb::exec::DEFAULT_MORSEL_ROWS;
 use proptest::prelude::*;
 
@@ -59,28 +60,45 @@ fn unquoted_cell(ty: u8, seed: u8) -> String {
     }
 }
 
-/// Serial reference engine (threads = 1, the policy load) and a parallel
-/// engine (threads > 1, the one-pass loader), both with the same dialect,
-/// the same `morsel_rows` (an aggregate's float bits depend on it) and
-/// private store dirs.
-fn engine_pair(
-    dir: &std::path::Path,
-    quote: Option<u8>,
-    threads: usize,
-    morsel_rows: usize,
-) -> (Engine, Engine) {
-    let mut serial_cfg = EngineConfig::default().with_threads(1);
-    serial_cfg.csv.quote = quote;
-    serial_cfg.morsel_rows = morsel_rows;
-    serial_cfg.store_dir = Some(dir.join("store-serial"));
-    let mut par_cfg = EngineConfig::default().with_threads(threads);
-    par_cfg.csv.quote = quote;
-    par_cfg.morsel_rows = morsel_rows;
-    par_cfg.store_dir = Some(dir.join("store-par"));
-    (Engine::new(serial_cfg), Engine::new(par_cfg))
+/// The engines a case compares, all with the same dialect, the same
+/// `morsel_rows` (an aggregate's float bits depend on it) and private
+/// store dirs.
+struct Engines {
+    /// The reference: `ExternalScan` keeps no state and parses the whole
+    /// file with `scan_bytes` on every query, so it shares no load code
+    /// with the column loader.
+    external: Engine,
+    /// The column loader at threads = 1: its chunks run inline.
+    serial: Engine,
+    /// The column loader at threads > 1: its chunks run in parallel.
+    par: Engine,
 }
 
-/// Adaptive-store and positional-map state must match the serial load's.
+impl Engines {
+    fn new(dir: &std::path::Path, quote: Option<u8>, threads: usize, morsel_rows: usize) -> Self {
+        let engine = |strategy, threads, store: &str| {
+            let mut cfg = EngineConfig::with_strategy(strategy).with_threads(threads);
+            cfg.csv.quote = quote;
+            cfg.morsel_rows = morsel_rows;
+            cfg.store_dir = Some(dir.join(store));
+            Engine::new(cfg)
+        };
+        Engines {
+            external: engine(LoadingStrategy::ExternalScan, 1, "store-external"),
+            serial: engine(LoadingStrategy::ColumnLoads, 1, "store-serial"),
+            par: engine(LoadingStrategy::ColumnLoads, threads, "store-par"),
+        }
+    }
+
+    fn register(&self, table: &str, path: &std::path::Path) {
+        for e in [&self.external, &self.serial, &self.par] {
+            e.register_table(table, path).unwrap();
+        }
+    }
+}
+
+/// Adaptive-store and positional-map state must match the one-thread
+/// load's.
 fn assert_state_matches(serial: &Engine, par: &Engine, table: &str) -> Result<(), TestCaseError> {
     let si = serial
         .table_info(table)
@@ -102,20 +120,23 @@ fn loads_parallel(rows: usize, morsel_rows: usize) -> bool {
     rows > morsel_rows && morsel_rows < 64
 }
 
-/// Run `sqls` on both engines and compare the rows. The first query runs
-/// cold on `par` and is then repeated warm: the cold run must have counted
-/// exactly one more parallel pipeline per table whose load was cut into
-/// chunks (`parallel_loads`) than its warm repeat.
-fn check_queries(
-    serial: &Engine,
-    par: &Engine,
-    sqls: &[String],
-    parallel_loads: u64,
-) -> Result<(), TestCaseError> {
+/// Run `sqls` on every engine and compare each one's rows with the
+/// reference's. The first query runs cold on `par` and is then repeated
+/// warm: the cold run must have counted exactly one more parallel pipeline
+/// per table whose load was cut into chunks (`parallel_loads`) than its
+/// warm repeat.
+fn check_queries(e: &Engines, sqls: &[String], parallel_loads: u64) -> Result<(), TestCaseError> {
+    let par = &e.par;
     for (i, sql) in sqls.iter().enumerate() {
-        let expect = serial
+        let expect = e
+            .external
+            .sql(sql)
+            .map_err(|e| TestCaseError::fail(format!("external {sql}: {e}")))?;
+        let serial = e
+            .serial
             .sql(sql)
             .map_err(|e| TestCaseError::fail(format!("serial {sql}: {e}")))?;
+        prop_assert_eq!(&serial.rows, &expect.rows, "serial {}", sql);
         let before = par.counters().snapshot();
         let got = par
             .sql(sql)
@@ -139,6 +160,33 @@ fn check_queries(
         }
     }
     Ok(())
+}
+
+/// The benchmark's `adaptive_sequence` shape: a query on `(a1, a2)`, then
+/// one on `(a2, a4)`. `a2` is loaded by then, so the second query loads
+/// `a4` alone: one parallel trip, guided by the positional map the first
+/// one left, that parses one value per row and leaves the state the same
+/// load leaves on one thread.
+#[test]
+fn a_partly_loaded_column_set_loads_only_its_missing_column() {
+    let dir = test_dir("cold_partly_loaded");
+    let path = dir.join("t.csv");
+    let rows = 2_000;
+    common::write_int_table(&path, rows, 4);
+    let e = Engines::new(&dir, None, 2, 64);
+    e.register("t", &path);
+    let sqls = [
+        "select sum(a1), max(a2) from t where a1 > 100".to_owned(),
+        "select sum(a2), max(a4), count(*) from t where a2 > 100".to_owned(),
+    ];
+    check_queries(&e, &sqls[..1], 1).unwrap();
+    let before = e.par.counters().snapshot();
+    check_queries(&e, &sqls[1..], 1).unwrap();
+    // The cold run and its warm repeat, together.
+    let second = e.par.counters().snapshot().since(&before);
+    assert_eq!(second.file_trips, 1, "{second}");
+    assert_eq!(second.values_parsed, rows as u64, "only a4 is parsed");
+    assert_state_matches(&e.serial, &e.par, "t").unwrap();
 }
 
 /// `LIMIT l [OFFSET o]` and `ORDER BY` tails.
@@ -182,9 +230,8 @@ fn projection_case(
     let dir = test_dir(&format!("coldproj_{tag}_{rows}_{morsel_rows}"));
     let path = dir.join("t.csv");
     std::fs::write(&path, csv).unwrap();
-    let (serial, par) = engine_pair(&dir, quote, threads, morsel_rows);
-    serial.register_table("t", &path).unwrap();
-    par.register_table("t", &path).unwrap();
+    let e = Engines::new(&dir, quote, threads, morsel_rows);
+    e.register("t", &path);
     let sqls = [
         format!(
             "select a2, a3 from t where a1 > {lo} and a1 < {}{tail}",
@@ -194,8 +241,8 @@ fn projection_case(
         format!("select a1 from t where a3 >= {width}{tail}"),
     ];
     let parallel = u64::from(loads_parallel(rows, morsel_rows));
-    check_queries(&serial, &par, &sqls, parallel)?;
-    assert_state_matches(&serial, &par, "t")
+    check_queries(&e, &sqls, parallel)?;
+    assert_state_matches(&e.serial, &e.par, "t")
 }
 
 fn aggregate_case(
@@ -210,17 +257,16 @@ fn aggregate_case(
     let dir = test_dir(&format!("coldagg_{tag}_{rows}_{morsel_rows}"));
     let path = dir.join("t.csv");
     std::fs::write(&path, csv).unwrap();
-    let (serial, par) = engine_pair(&dir, quote, threads, morsel_rows);
-    serial.register_table("t", &path).unwrap();
-    par.register_table("t", &path).unwrap();
+    let e = Engines::new(&dir, quote, threads, morsel_rows);
+    e.register("t", &path);
     let sqls = [
         format!("select count(*), sum(a1), min(a2), max(a2), count(a2) from t where a1 > {lo}"),
         "select a1, count(*), sum(a3), min(a2) from t group by a1 order by a1".to_owned(),
         format!("select avg(a3), max(a1), count(*) from t where a3 >= {lo}"),
     ];
     let parallel = u64::from(loads_parallel(rows, morsel_rows));
-    check_queries(&serial, &par, &sqls, parallel)?;
-    assert_state_matches(&serial, &par, "t")
+    check_queries(&e, &sqls, parallel)?;
+    assert_state_matches(&e.serial, &e.par, "t")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -251,11 +297,9 @@ fn join_case(
     }
     std::fs::write(&r_path, rd).unwrap();
     std::fs::write(&s_path, sd).unwrap();
-    let (serial, par) = engine_pair(&dir, quote, threads, morsel_rows);
-    for e in [&serial, &par] {
-        e.register_table("r", &r_path).unwrap();
-        e.register_table("s", &s_path).unwrap();
-    }
+    let e = Engines::new(&dir, quote, threads, morsel_rows);
+    e.register("r", &r_path);
+    e.register("s", &s_path);
     let sqls = [
         format!("select r.a2, s.a2 from r join s on r.a1 = s.a1 where r.a1 > {key_gt}{tail}"),
         format!(
@@ -265,9 +309,9 @@ fn join_case(
     ];
     let parallel = u64::from(loads_parallel(left.len(), morsel_rows))
         + u64::from(loads_parallel(right.len(), morsel_rows));
-    check_queries(&serial, &par, &sqls, parallel)?;
-    assert_state_matches(&serial, &par, "r")?;
-    assert_state_matches(&serial, &par, "s")
+    check_queries(&e, &sqls, parallel)?;
+    assert_state_matches(&e.serial, &e.par, "r")?;
+    assert_state_matches(&e.serial, &e.par, "s")
 }
 
 /// `morsel_rows` of the unquoted twins: one row, a few rows, the default.
@@ -277,13 +321,13 @@ fn unquoted_morsel_rows() -> impl Strategy<Value = usize> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 8, // each case builds 2 engines and runs 3 queries
+        cases: 8, // each case builds 3 engines and runs 3 queries
         .. ProptestConfig::default()
     })]
 
-    /// Cold scalar projections over quoted files: serial vs parallel
-    /// parity over dtypes × quoted fields × chunk splits ×
-    /// LIMIT/OFFSET/ORDER BY.
+    /// Cold scalar projections over quoted files: loader vs `scan_bytes`
+    /// parity, at one thread and several, over dtypes × quoted fields ×
+    /// chunk splits × LIMIT/OFFSET/ORDER BY.
     #[test]
     fn cold_projection_parity(
         seeds in proptest::collection::vec(0u8..=255, 1..120),
@@ -303,8 +347,8 @@ proptest! {
         )?;
     }
 
-    /// The unquoted twin: the one-pass chunk walk, against the serial
-    /// policy load, at `morsel_rows` {1, 3, default}.
+    /// The unquoted twin: the one-pass chunk walk, against the
+    /// `ExternalScan` reference, at `morsel_rows` {1, 3, default}.
     #[test]
     fn cold_projection_parity_unquoted(
         seeds in proptest::collection::vec(0u8..=255, 1..120),
@@ -336,9 +380,9 @@ proptest! {
         aggregate_case("u", None, csv, seeds.len(), lo, threads, morsel_rows)?;
     }
 
-    /// Cold joins over quoted files: serial vs parallel parity (both sides
-    /// loaded, then the warm join) over dtypes × quoted payloads × chunk
-    /// splits × LIMIT/OFFSET, for scalar and aggregate outputs.
+    /// Cold joins over quoted files: loader vs `scan_bytes` parity (both
+    /// sides loaded, then the warm join) over dtypes × quoted payloads ×
+    /// chunk splits × LIMIT/OFFSET, for scalar and aggregate outputs.
     #[test]
     fn cold_join_parity(
         left in proptest::collection::vec(0u8..=255, 1..90),

@@ -453,9 +453,9 @@ fn float_join_aggregates_do_not_depend_on_threads_strategy_cold_warm_or_cache() 
                         }
                     }
                     // The passes ran parallel exactly when threads allow,
-                    // and the cold pass (the parallel loader, for the
+                    // and the cold pass (the column loader, for the
                     // column-loading strategies) left both stores and
-                    // positional maps as the serial load did.
+                    // positional maps as the one-thread engine's did.
                     let parallel = engine.counters().snapshot().parallel_pipelines > 0;
                     assert_eq!(parallel, threads > 1, "{tag}: parallel pipelines");
                     if pass == "cold" {
