@@ -115,8 +115,9 @@ fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<DataBy
 /// ([`load_columns`]: byte chunks on up to `threads` workers, inline at
 /// one), guided by the positional map when it knows the file, and install
 /// them, the row count and what the pass learned into the map, exactly as
-/// a serial [`scan_bytes`] load would. Does nothing once every column of
-/// `cols` is loaded.
+/// a serial [`scan_bytes`] load would. With `cols` empty the pass only
+/// counts the rows. Does nothing once every column of `cols` is loaded
+/// and the row count is known.
 ///
 /// A failed or cancelled load installs nothing. A file whose fingerprint
 /// changed during the load is a new file: what was read is dropped, and
@@ -131,7 +132,7 @@ fn load_missing(
     for _attempt in 0..2 {
         entry.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
         let missing = entry.store.missing_full(cols);
-        if missing.is_empty() {
+        if missing.is_empty() && entry.store.nrows().is_some() {
             return Ok(());
         }
         let loaded = {
@@ -171,14 +172,13 @@ fn load_missing(
     )))
 }
 
-/// Scan the whole raw file for `needed` columns with an optional pushdown
-/// filter: the pushdown and ablation policies' scan, and the row count of
-/// a query that reads no column. The column-loading policies load through
-/// [`load_missing`] instead.
+/// Scan the whole raw file for `needed` columns with a pushdown filter:
+/// the pushdown and ablation policies' scan. The column-loading policies
+/// load through [`load_missing`] instead.
 fn scan_raw(
     entry: &mut TableEntry,
     needed: &[usize],
-    pushdown: Option<&Conjunction>,
+    pushdown: &Conjunction,
     cfg: &EngineConfig,
     counters: &WorkCounters,
 ) -> Result<nodb_rawcsv::ScanOutput> {
@@ -187,7 +187,7 @@ fn scan_raw(
     let spec = ScanSpec {
         schema: &schema,
         needed: needed.to_vec(),
-        pushdown,
+        pushdown: Some(pushdown),
     };
     let posmap = cfg.use_positional_map.then_some(&mut entry.posmap);
     scan_bytes(&bytes, &cfg.csv, &spec, posmap, counters)
@@ -210,18 +210,21 @@ fn dense_from_store(entry: &mut TableEntry, needed: &[usize], now: u64) -> Resul
     Ok(Materialized::dense(cols, n))
 }
 
-/// Ensure the table's row count is known (phase-1-only scan if needed).
+/// Ensure the table's row count is known: a load of no column counts the
+/// rows when it is not.
 fn ensure_nrows(
     entry: &mut TableEntry,
     cfg: &EngineConfig,
     counters: &WorkCounters,
+    now: u64,
 ) -> Result<u64> {
-    if let Some(n) = entry.store.nrows() {
-        return Ok(n);
+    if entry.store.nrows().is_none() {
+        load_missing(entry, &[], cfg, counters, now)?;
     }
-    let out = scan_raw(entry, &[], None, cfg, counters)?;
-    entry.store.set_nrows(out.rows_scanned);
-    Ok(out.rows_scanned)
+    entry
+        .store
+        .nrows()
+        .ok_or_else(|| Error::internal("no row count after a load"))
 }
 
 /// Pick the adaptive index's serving column: the first filter column that
@@ -384,7 +387,7 @@ fn full_load(
     let all: Vec<usize> = (0..entry.schema()?.len()).collect();
     load_missing(entry, &all, cfg, counters, now)?;
     if needed.is_empty() {
-        let n = ensure_nrows(entry, cfg, counters)?;
+        let n = ensure_nrows(entry, cfg, counters, now)?;
         return Ok(Materialized::dense(BTreeMap::new(), n as usize));
     }
     dense_from_store(entry, needed, now)
@@ -432,7 +435,7 @@ fn column_loads(
     now: u64,
 ) -> Result<Materialized> {
     if needed.is_empty() {
-        let n = ensure_nrows(entry, cfg, counters)?;
+        let n = ensure_nrows(entry, cfg, counters, now)?;
         return Ok(Materialized::dense(BTreeMap::new(), n as usize));
     }
     if cfg.one_column_per_trip {
@@ -459,7 +462,7 @@ fn partial_v1(
     cfg: &EngineConfig,
     counters: &WorkCounters,
 ) -> Result<Materialized> {
-    let out = scan_raw(entry, needed, Some(filter), cfg, counters)?;
+    let out = scan_raw(entry, needed, filter, cfg, counters)?;
     entry.store.set_nrows(out.rows_scanned);
     let n = out.rowids.len();
     let cols = out
@@ -554,7 +557,7 @@ fn partial_v2(
             entry.monitor.record_miss(needed);
             for gap in gaps {
                 let gap_conj = interval_to_conjunction(col, &gap);
-                let out = scan_raw(entry, needed, Some(&gap_conj), cfg, counters)?;
+                let out = scan_raw(entry, needed, &gap_conj, cfg, counters)?;
                 entry.store.set_nrows(out.rows_scanned);
                 let mut frag_box = SelectionBox::all();
                 frag_box.by_col.insert(col, gap);
@@ -583,7 +586,7 @@ fn partial_v2(
     // 3. Multi-column box, not covered: load the whole box from the file
     //    and remember it (the "simple" extreme of §5.1.2).
     entry.monitor.record_miss(needed);
-    let out = scan_raw(entry, needed, Some(filter), cfg, counters)?;
+    let out = scan_raw(entry, needed, filter, cfg, counters)?;
     entry.store.set_nrows(out.rows_scanned);
     let n = out.rowids.len();
     let arc_cols: BTreeMap<usize, Arc<ColumnData>> = out
@@ -631,7 +634,7 @@ fn split_files(
     now: u64,
 ) -> Result<Materialized> {
     if needed.is_empty() {
-        let n = ensure_nrows(entry, cfg, counters)?;
+        let n = ensure_nrows(entry, cfg, counters, now)?;
         return Ok(Materialized::dense(BTreeMap::new(), n as usize));
     }
     let schema = entry.schema()?.clone();
@@ -1170,5 +1173,59 @@ mod tests {
         assert_eq!(m.n_rows, 5);
         assert!(m.cols.is_empty());
         assert_eq!(c.snapshot().values_parsed, 0, "row count needs no parsing");
+    }
+
+    /// A cold `count(*)` is a load of no column: the chunk walk counts the
+    /// rows and finds their starts, with no whole-file read. The count and
+    /// the positional map's row starts equal `scan_bytes`' over the same
+    /// data bytes, across CRLF, blank lines, a missing final newline and a
+    /// header.
+    #[test]
+    fn a_cold_row_count_is_a_load_of_no_column() {
+        for (i, text) in [
+            "a,b\r\n1,2\r\n\r\n3,4\r\n5,6",
+            "1,2\n\n\n3,4\n5,6\n7,8\n",
+            "x,y\n1,2\n3,4\n\n5,6\n\n",
+            "1,2\r\n3,4\r\n\r\n\r",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (_p, cat) = setup(&format!("cold_count_{i}"), text);
+            let entry = cat.get("t").unwrap();
+            let mut e = entry.write();
+            let mut cfg = cfg(LoadingStrategy::ColumnLoads);
+            cfg.csv.threads = 2;
+            cfg.morsel_rows = 1; // chunks of about one row
+            let c = WorkCounters::new();
+            e.ensure_current(&cfg.csv, 16, &c).unwrap();
+            let header = e.data_start() as usize;
+            let before = c.snapshot();
+            let m = materialize(&mut e, &[], &Conjunction::always(), &cfg, &c, 1).unwrap();
+            let work = c.snapshot().since(&before);
+
+            let mut pm = nodb_rawcsv::PositionalMap::new();
+            let scanned = scan_bytes(
+                &text.as_bytes()[header..],
+                &cfg.csv,
+                &ScanSpec {
+                    schema: e.schema().unwrap(),
+                    needed: Vec::new(),
+                    pushdown: None,
+                },
+                Some(&mut pm),
+                &WorkCounters::new(),
+            )
+            .unwrap();
+            assert_eq!(m.n_rows as u64, scanned.rows_scanned, "{text:?}");
+            assert_eq!(e.store.nrows(), Some(scanned.rows_scanned), "{text:?}");
+            assert_eq!(e.posmap.row_starts(), pm.row_starts(), "{text:?}");
+            assert_eq!(e.posmap.file_len(), pm.file_len(), "{text:?}");
+            // One trip, through the loader's chunks (a whole-file row-count
+            // scan dispatches none), and nothing parsed.
+            assert_eq!(work.file_trips, 1, "{text:?}");
+            assert!(work.morsels_dispatched > 1, "{text:?}: {work}");
+            assert_eq!((work.rows_tokenized, work.values_parsed), (0, 0));
+        }
     }
 }

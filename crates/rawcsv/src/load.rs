@@ -9,9 +9,13 @@
 //! offsets for the positional map and parses the needed fields straight
 //! into typed column parts. A row belongs to the chunk its first byte lies
 //! in: the worker extends its read in small steps until that row has ended.
-//! Once the workers are done, a prefix sum over the per-chunk row counts
-//! makes row ids global, and each column is assembled once at its final
-//! size.
+//! Each part then goes into the final vectors exactly once, in chunk order,
+//! under one lock: the chunk whose turn has come appends its part and every
+//! part that a chunk above it parked by finishing first. No worker waits
+//! for its turn, and drained parts are reused, so a value is written once
+//! into a part and once into its column, and no stage copies it again.
+//! A load of no column (a row count) needs no field: its chunks stream
+//! through a small block, counting the rows and keeping their starts.
 //!
 //! The chunk walk finds row boundaries only in unquoted files whose rows
 //! are not known yet. When the positional map already holds the row starts,
@@ -28,6 +32,7 @@
 //!
 //! [`scan_bytes`]: crate::scan_bytes
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -97,9 +102,10 @@ impl Loaded {
 }
 
 /// Load `spec.needed` in full, in one parallel pass over the file (chunks
-/// on up to `opts.threads` workers). `posmap` supplies known row starts
-/// and field offsets and decides which offsets are worth recording; it is
-/// not changed (see [`Loaded::record_into`]).
+/// on up to `opts.threads` workers). With no column needed the pass only
+/// counts the rows (and finds their starts for the map). `posmap` supplies
+/// known row starts and field offsets and decides which offsets are worth
+/// recording; it is not changed (see [`Loaded::record_into`]).
 ///
 /// Fails like [`scan_bytes`](crate::scan_bytes) would on a bad field or a
 /// short row (same global row, same text), on cancellation, and with
@@ -117,9 +123,8 @@ pub fn load_columns(
     };
     validate_spec(&scan)?;
     let touch = touch_plan(&scan);
-    let (Some(&first_touch), Some(&max_touch)) = (touch.first(), touch.last()) else {
-        return Err(Error::schema("a column load names no column"));
-    };
+    let first_touch = touch.first().copied().unwrap_or(0);
+    let max_touch = touch.last().copied().unwrap_or(0);
 
     nodb_types::failpoints::trip("rawcsv.read_file")?;
     let mut file = File::open(spec.path)?;
@@ -191,7 +196,13 @@ pub fn load_columns(
         counters,
     };
 
-    let slots: Vec<Mutex<Option<Part>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    let appender = Mutex::new(Appender::new(
+        kernel.types.clone(),
+        kernel.record_cols.len(),
+        max_touch,
+        chunks,
+    ));
+    let lock = || appender.lock().unwrap_or_else(|p| p.into_inner());
     // Chunk items are bytes, not rows: the driver runs unprofiled, and the
     // rows and bytes are folded into the caller's profile once at the end.
     let sink = QueryContext::current().profile;
@@ -207,139 +218,165 @@ pub fn load_columns(
             opts.threads,
             |_worker| Worker::default(),
             |w, _worker, r| {
-                let part = ctx.run_chunk(w, r.index)?;
+                let mut part = w.part.take().unwrap_or_else(|| lock().spare());
+                ctx.run_chunk(w, r.index, &mut part)?;
                 // The local row number stops the chunks above this one;
-                // the global one is known once every chunk below is done.
+                // the appender makes it global once it reaches the part.
                 let err = part.fault.as_ref().map(|f| f.error(0, max_touch));
-                *slots[r.index].lock().unwrap_or_else(|p| p.into_inner()) = Some(part);
+                w.part = Some(lock().put(r.index, part)?);
                 err.map_or(Ok(()), Err)
             },
             |w| w.counters.flush(counters),
         )
     };
-    let parts: Vec<Part> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .map_while(|p| p)
-        .collect();
-    if let Err(e) = driven {
-        return Err(match e {
-            // A parse error comes from a row fault, and the lowest failing
-            // chunk's error wins: every chunk below it completed.
-            Error::Parse(_) => global_fault(&parts, max_touch).unwrap_or(e),
-            e => e,
-        });
-    }
-    if parts.len() != chunks {
-        return Err(Error::internal("load chunk result missing"));
-    }
+    let appender = appender.into_inner().unwrap_or_else(|p| p.into_inner());
+    let out = appender.finish(driven)?;
 
-    // The quoted whole-file buffer is not needed past the walk.
-    let keep_starts = ctx.keep_starts;
-    drop(whole);
-
-    let rows: usize = parts.iter().map(|p| p.rows).sum();
-    // One assembly task per output vector: the needed columns, the row
-    // starts (when kept) and each recorded column's offsets.
-    let mut col_pieces: Vec<Vec<ColumnData>> = kernel.types.iter().map(|_| Vec::new()).collect();
-    let mut start_pieces = Vec::new();
-    let mut offs_pieces: Vec<Vec<Vec<u32>>> =
-        kernel.record_cols.iter().map(|_| Vec::new()).collect();
-    for part in parts {
-        for (pieces, col) in col_pieces.iter_mut().zip(part.columns) {
-            pieces.push(col);
-        }
-        start_pieces.push(part.starts);
-        for (pieces, offs) in offs_pieces.iter_mut().zip(part.offsets) {
-            pieces.push(offs);
-        }
-    }
-    let pieces: Vec<Pieces> = col_pieces
-        .into_iter()
-        .zip(&kernel.types)
-        .map(|(parts, &ty)| Pieces::Column(ty, parts))
-        .chain(keep_starts.then_some(Pieces::Starts(start_pieces)))
-        .chain(offs_pieces.into_iter().map(Pieces::Offsets))
-        .collect();
-    let tasks: Vec<Mutex<Option<Pieces>>> =
-        pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let wholes = {
-        let _unprofiled = QueryContext {
-            profile: None,
-            ..QueryContext::current()
-        }
-        .enter();
-        nodb_types::map_morsels(tasks.len(), 1, opts.threads, |r| {
-            let task = tasks[r.index]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take();
-            task.expect("each task runs once").assemble(rows)
-        })?
-    };
-    let (mut columns, mut row_starts, mut offsets) = (Vec::new(), None, Vec::new());
-    for whole in wholes {
-        match whole {
-            Whole::Column(c) => columns.push(c),
-            Whole::Starts(s) => row_starts = Some(s),
-            Whole::Offsets(o) => offsets.push(o),
-        }
-    }
     if let Some(p) = sink {
-        p.add_morsels(chunks as u64, rows as u64, data_len);
+        p.add_morsels(chunks as u64, out.rows as u64, data_len);
     }
-    let row_starts = row_starts.or(found.filter(|_| posmap.is_some()));
+    let row_starts = if ctx.keep_starts {
+        Some(out.starts)
+    } else {
+        found.filter(|_| posmap.is_some())
+    };
     Ok(Loaded {
-        columns,
-        rows: rows as u64,
+        columns: out.columns,
+        rows: out.rows as u64,
         chunks,
         data_len,
         row_starts,
         // No rows, no offsets: a scan over no rows records none either.
-        offsets: if rows == 0 {
+        offsets: if out.rows == 0 {
             Vec::new()
         } else {
-            kernel.record_cols.iter().copied().zip(offsets).collect()
+            kernel
+                .record_cols
+                .iter()
+                .copied()
+                .zip(out.offsets)
+                .collect()
         },
     })
 }
 
-/// The chunk parts of one output vector, in chunk order.
-enum Pieces {
-    Column(DataType, Vec<ColumnData>),
-    Starts(Vec<Vec<u64>>),
-    Offsets(Vec<Vec<u32>>),
+/// The final vectors of one load, filled in chunk order under one lock.
+///
+/// A chunk's global row offset is known only once every chunk below it has
+/// been walked, so no chunk can write its own range of the final vectors.
+/// Instead the chunk whose turn it is appends its part, then every parked
+/// successor in order; a chunk that finishes early parks its part and goes
+/// on with a spare one. No worker ever waits for a turn. Drained parts are
+/// kept for reuse, so after the first few chunks only the final vectors
+/// touch fresh memory.
+struct Appender {
+    types: Vec<DataType>,
+    recorded: usize,
+    max_touch: usize,
+    chunks: usize,
+    /// The lowest chunk not appended yet.
+    next: usize,
+    /// Parts of chunks above `next` that finished first; `None` for a
+    /// chunk without rows (its worker keeps its part).
+    parked: BTreeMap<usize, Option<Part>>,
+    /// Drained parts, empty with their capacity.
+    free: Vec<Part>,
+    /// Parts made so far (the rest were reused).
+    made: usize,
+    /// Rows of the largest part seen: a new part's capacity.
+    part_rows: usize,
+    /// Rows the final vectors have room for.
+    room: usize,
+    out: Part,
+    /// The first faulting part in chunk order, its row made global; no
+    /// part is appended after it.
+    fault: Option<Error>,
 }
 
-/// One output vector, assembled.
-enum Whole {
-    Column(ColumnData),
-    Starts(Vec<u64>),
-    Offsets(Vec<u32>),
-}
-
-impl Pieces {
-    /// Copy the pieces in order into one vector sized `rows` from the
-    /// start; each piece is dropped as soon as it has been copied.
-    fn assemble(self, rows: usize) -> Result<Whole> {
-        fn concat<T: Copy>(parts: Vec<Vec<T>>, rows: usize) -> Vec<T> {
-            let mut whole = Vec::with_capacity(rows);
-            for part in parts {
-                whole.extend_from_slice(&part);
-            }
-            whole
+impl Appender {
+    fn new(types: Vec<DataType>, recorded: usize, max_touch: usize, chunks: usize) -> Appender {
+        Appender {
+            out: Part::new(&types, recorded, 0),
+            types,
+            recorded,
+            max_touch,
+            chunks,
+            next: 0,
+            parked: BTreeMap::new(),
+            free: Vec::new(),
+            made: 0,
+            part_rows: 0,
+            room: 0,
+            fault: None,
         }
-        Ok(match self {
-            Pieces::Column(ty, parts) => {
-                let mut whole = ColumnData::with_capacity(ty, rows);
-                for part in parts {
-                    whole.append(part)?;
-                }
-                Whole::Column(whole)
-            }
-            Pieces::Starts(parts) => Whole::Starts(concat(parts, rows)),
-            Pieces::Offsets(parts) => Whole::Offsets(concat(parts, rows)),
+    }
+
+    /// An empty part to fill: a drained one if there is one.
+    fn spare(&mut self) -> Part {
+        self.free.pop().unwrap_or_else(|| {
+            self.made += 1;
+            Part::new(&self.types, self.recorded, self.part_rows)
         })
+    }
+
+    /// Hand in chunk `index`'s filled part; returns an empty part to fill
+    /// next (the same one, when it could be appended at once).
+    fn put(&mut self, index: usize, mut part: Part) -> Result<Part> {
+        self.part_rows = self.part_rows.max(part.rows);
+        if index != self.next {
+            if part.rows == 0 && part.fault.is_none() {
+                self.parked.insert(index, None);
+                return Ok(part);
+            }
+            self.parked.insert(index, Some(part));
+            return Ok(self.spare());
+        }
+        self.append(&mut part)?;
+        while let Some(parked) = self.parked.remove(&self.next) {
+            match parked {
+                Some(mut p) => {
+                    self.append(&mut p)?;
+                    self.free.push(p);
+                }
+                None => self.next += 1,
+            }
+        }
+        Ok(part)
+    }
+
+    /// Append the part of chunk `next`, leaving it empty; a part with a
+    /// fault records its error instead and stops the appends.
+    fn append(&mut self, part: &mut Part) -> Result<()> {
+        if let Some(f) = &part.fault {
+            self.fault = Some(f.error(self.out.rows, self.max_touch));
+            // The load fails: the part's rows go with it.
+            *part = Part::new(&self.types, self.recorded, 0);
+            return Ok(());
+        }
+        if self.out.rows + part.rows > self.room {
+            // Room for this part's row count per chunk still to come: the
+            // first part sizes the vectors once for the whole load.
+            let more = part.rows * (self.chunks - self.next);
+            self.out.reserve(more, !part.starts.is_empty());
+            self.room = self.out.rows + more;
+        }
+        self.out.append_from(part)?;
+        self.next += 1;
+        Ok(())
+    }
+
+    /// The load's output, once the driver has returned `driven`. A parse
+    /// error is the lowest faulting chunk's: every chunk below it was
+    /// appended, so the appender has reached it and made its row global.
+    fn finish(self, driven: Result<()>) -> Result<Part> {
+        match (driven, self.fault) {
+            (Err(Error::Parse(_)), Some(fault)) => Err(fault),
+            (Err(e), _) => Err(e),
+            (Ok(()), _) if self.next != self.chunks => {
+                Err(Error::internal("load chunk result missing"))
+            }
+            (Ok(()), _) => Ok(self.out),
+        }
     }
 }
 
@@ -354,19 +391,6 @@ fn slots(max_touch: usize, cols: &[usize]) -> Vec<Option<usize>> {
 
 fn file_changed(path: &Path) -> Error {
     Error::FileChanged(format!("{} ended before its length", path.display()))
-}
-
-/// The error of the lowest faulting chunk, its row made global by the row
-/// counts of the chunks below it.
-fn global_fault(parts: &[Part], max_touch: usize) -> Option<Error> {
-    let mut below = 0;
-    for part in parts {
-        if let Some(f) = &part.fault {
-            return Some(f.error(below, max_touch));
-        }
-        below += part.rows;
-    }
-    None
 }
 
 /// Shared read-only state of one load.
@@ -393,26 +417,80 @@ struct Worker {
     /// Data bytes `[base, base + buf.len())`.
     buf: Vec<u8>,
     base: u64,
-    /// Rows of this worker's previous chunk: the next part's capacity.
-    last_rows: usize,
+    /// The empty part this worker's next chunk fills.
+    part: Option<Part>,
     counters: LocalCounters,
 }
 
-/// One chunk's output.
+/// One chunk's output; also the whole load's, once the parts are appended.
+#[derive(Debug)]
 struct Part {
     rows: usize,
+    /// The needed columns, parallel to the spec's `needed`.
     columns: Vec<ColumnData>,
+    /// Row starts, when the load keeps them.
     starts: Vec<u64>,
+    /// Field offsets per recorded column, one per row.
     offsets: Vec<Vec<u32>>,
     fault: Option<RowFault>,
 }
 
+impl Part {
+    fn new(types: &[DataType], recorded: usize, cap: usize) -> Part {
+        Part {
+            rows: 0,
+            columns: types
+                .iter()
+                .map(|&ty| ColumnData::with_capacity(ty, cap))
+                .collect(),
+            starts: Vec::new(),
+            offsets: (0..recorded).map(|_| Vec::with_capacity(cap)).collect(),
+            fault: None,
+        }
+    }
+
+    /// Make room for `rows` more rows in every vector (the row starts
+    /// too, when `starts`). `rows` is an estimate: where the room cannot
+    /// be had, the vectors grow as they are filled.
+    fn reserve(&mut self, rows: usize, starts: bool) {
+        for col in &mut self.columns {
+            let _ = match col {
+                ColumnData::Int64 { values, .. } => values.try_reserve_exact(rows),
+                ColumnData::Float64 { values, .. } => values.try_reserve_exact(rows),
+                ColumnData::Str { values, .. } => values.try_reserve_exact(rows),
+            };
+        }
+        if starts {
+            let _ = self.starts.try_reserve_exact(rows);
+        }
+        for offs in &mut self.offsets {
+            let _ = offs.try_reserve_exact(rows);
+        }
+    }
+
+    /// Move every row of `src` to the end of this part, leaving `src`
+    /// empty with its capacity.
+    fn append_from(&mut self, src: &mut Part) -> Result<()> {
+        for (dst, col) in self.columns.iter_mut().zip(&mut src.columns) {
+            dst.append_from(col)?;
+        }
+        self.starts.append(&mut src.starts);
+        for (dst, offs) in self.offsets.iter_mut().zip(&mut src.offsets) {
+            dst.append(offs);
+        }
+        self.rows += std::mem::take(&mut src.rows);
+        Ok(())
+    }
+}
+
 /// A row that failed to parse: its row number within the chunk, and why.
+#[derive(Debug)]
 struct RowFault {
     row: usize,
     kind: Fault,
 }
 
+#[derive(Debug)]
 enum Fault {
     Field { col: usize, msg: String },
     Short { fields: usize },
@@ -431,20 +509,19 @@ impl RowFault {
 }
 
 impl Ctx<'_> {
-    /// Load chunk `index`: the rows that start in its byte range.
-    fn run_chunk(&self, w: &mut Worker, index: usize) -> Result<Part> {
+    /// Load chunk `index` into the empty `part`: the rows that start in
+    /// its byte range.
+    fn run_chunk(&self, w: &mut Worker, index: usize, part: &mut Part) -> Result<()> {
         nodb_types::failpoints::trip("rawcsv.morsel")?;
         self.counters.add_morsels_dispatched(1);
         let c0 = index as u64 * self.chunk_bytes;
         let c1 = c0.saturating_add(self.chunk_bytes).min(self.data_len);
-        let mut part = self.kernel.part(w.last_rows);
         nodb_types::failpoints::trip("rawcsv.phase1")?;
         match self.starts {
-            Some(starts) => self.known_rows(w, starts, c0, c1, &mut part)?,
-            None => self.walk_rows(w, c0, c1, &mut part)?,
+            Some(starts) => self.known_rows(w, starts, c0, c1, part),
+            None if self.kernel.counts_only() => self.count_rows(w, c0, c1, part),
+            None => self.walk_rows(w, c0, c1, part),
         }
-        w.last_rows = part.rows;
-        Ok(part)
     }
 
     /// Rows from known starts: those that start in `[c0, c1)`.
@@ -458,6 +535,10 @@ impl Ctx<'_> {
     ) -> Result<()> {
         let r0 = starts.partition_point(|&s| s < c0);
         let r1 = starts.partition_point(|&s| s < c1);
+        if self.kernel.counts_only() {
+            part.rows = r1 - r0;
+            return Ok(());
+        }
         if r0 == r1 {
             return Ok(());
         }
@@ -549,6 +630,69 @@ impl Ctx<'_> {
         Ok(())
     }
 
+    /// Rows found without parsing any field: a row starts at 0 and past
+    /// every newline, and only its start and whether its line is blank
+    /// matter. So the chunk streams through a small block on the stack
+    /// (each block read 2 bytes long, for the blank test of a row that
+    /// starts at its end) and no chunk-sized buffer is held.
+    fn count_rows(&self, w: &mut Worker, c0: u64, c1: u64, part: &mut Part) -> Result<()> {
+        const BLOCK: u64 = 16 << 10;
+        let mut block = [0u8; BLOCK as usize + 2];
+        // A newline in `[lo, hi)` starts a row in `[c0, c1)`.
+        let (lo, hi) = (c0.saturating_sub(1), c1 - 1);
+        let mut cancel = CancelCheck::new();
+        let mut at = lo;
+        loop {
+            let end = hi.min(at + BLOCK);
+            let to = (end + 2).min(self.data_len);
+            let bytes = &mut block[..(to - at) as usize];
+            self.read_at(w, at, bytes)?;
+            let mut row = |s: usize| {
+                if s < bytes.len() && !(self.skip_blank_rows && blank_len(&bytes[s..]).is_some()) {
+                    if self.keep_starts {
+                        part.starts.push(at + s as u64);
+                    }
+                    part.rows += 1;
+                }
+            };
+            if at == 0 && c0 == 0 {
+                row(0);
+            }
+            let end = (end - at) as usize;
+            let mut i = 0;
+            while let Some(nl) = find_byte(&bytes[i..end], b'\n') {
+                cancel.tick(1)?;
+                row(i + nl + 1);
+                i += nl + 1;
+            }
+            at += BLOCK;
+            if at >= hi {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The worker's file, opened on first use, at data byte `at`.
+    fn seek<'f>(&self, file: &'f mut Option<File>, at: u64) -> Result<&'f mut File> {
+        let file = match file {
+            Some(f) => f,
+            None => file.insert(File::open(self.path)?),
+        };
+        file.seek(SeekFrom::Start(self.data_start + at))?;
+        Ok(file)
+    }
+
+    /// Fill `buf` with the data bytes from `at` on.
+    fn read_at(&self, w: &mut Worker, at: u64, buf: &mut [u8]) -> Result<()> {
+        let file = self.seek(&mut w.file, at)?;
+        file.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => file_changed(self.path),
+            _ => e.into(),
+        })?;
+        self.counters.add_bytes_read(buf.len() as u64);
+        Ok(())
+    }
+
     /// Make the worker's buffer hold data bytes `[from, to)`.
     fn read(&self, w: &mut Worker, from: u64, to: u64) -> Result<()> {
         w.buf.clear();
@@ -574,11 +718,7 @@ impl Ctx<'_> {
         if w.buf.capacity() > before {
             charge_current(w.buf.capacity() - before)?;
         }
-        let file = match &mut w.file {
-            Some(f) => f,
-            None => w.file.insert(File::open(self.path)?),
-        };
-        file.seek(SeekFrom::Start(self.data_start + from))?;
+        let file = self.seek(&mut w.file, from)?;
         file.take(len as u64).read_to_end(&mut w.buf)?;
         if w.buf.len() != have + len {
             return Err(file_changed(self.path));
@@ -623,22 +763,9 @@ struct Kernel<'a> {
 }
 
 impl Kernel<'_> {
-    fn part(&self, cap: usize) -> Part {
-        Part {
-            rows: 0,
-            columns: self
-                .types
-                .iter()
-                .map(|&ty| ColumnData::with_capacity(ty, cap))
-                .collect(),
-            starts: Vec::new(),
-            offsets: self
-                .record_cols
-                .iter()
-                .map(|_| Vec::with_capacity(cap))
-                .collect(),
-            fault: None,
-        }
+    /// No column is needed: a row is only counted (and its start kept).
+    fn counts_only(&self) -> bool {
+        self.types.is_empty()
     }
 
     /// Walk one row (data row `row`) to `max_touch`, parsing the needed
@@ -898,9 +1025,10 @@ mod tests {
         /// blank lines, a missing final newline, NULL and whitespace
         /// fields, non-ASCII text, ragged rows (lenient and strict),
         /// unparsable fields and quoted newlines all come out the same,
-        /// errors included. A second load of other columns then runs from
-        /// the positional map the first one left, against a scan over the
-        /// map `scan_bytes` left.
+        /// errors included; a load of no column counts the same rows. A
+        /// second load of other columns then runs from the positional map
+        /// the first one left, against a scan over the map `scan_bytes`
+        /// left.
         #[test]
         fn loader_matches_scan_bytes_at_every_chunk_size(
             rows in proptest::collection::vec(
@@ -912,8 +1040,8 @@ mod tests {
             quoted in proptest::bool::ANY,
             lenient in proptest::bool::ANY,
             bad in proptest::bool::ANY,
-            first in proptest::collection::vec(0usize..4, 1..3),
-            second in proptest::collection::vec(0usize..4, 1..3),
+            first in proptest::collection::vec(0usize..4, 0..3),
+            second in proptest::collection::vec(0usize..4, 0..3),
             chunk_bytes in prop_oneof![1usize..9, 9usize..40, 40usize..400],
             threads in 1usize..4,
         ) {
@@ -994,6 +1122,174 @@ mod tests {
         assert_eq!(out.rows, 3);
         assert_eq!(out.columns[0], ColumnData::from_i64(vec![4, 7, 6]));
         assert!(out.chunks > 300);
+    }
+
+    /// Chunk `chunk`'s part of a synthetic load: `rows[chunk]` rows whose
+    /// values name their global row, a NULL in every third text cell.
+    fn fill(part: &mut Part, rows: &[usize], chunk: usize) {
+        let first: usize = rows[..chunk].iter().sum();
+        for g in first..first + rows[chunk] {
+            part.columns[0].push(Value::Int(g as i64)).unwrap();
+            let text = (g % 3 != 0).then(|| Value::Str(format!("r{g}")));
+            part.columns[1].push(text.unwrap_or(Value::Null)).unwrap();
+            part.starts.push(g as u64 * 10);
+            part.offsets[0].push(g as u32 % 7);
+            part.rows += 1;
+        }
+    }
+
+    /// Hand the chunks to an appender in `order`, the k-th on worker
+    /// `k % workers` as the driver would, the chunk `fault` (if any)
+    /// failing at its second row. Returns the result, the parts made and
+    /// the most parts parked at once.
+    fn append_in(
+        order: &[usize],
+        rows: &[usize],
+        workers: usize,
+        fault: Option<usize>,
+    ) -> (Result<Part>, usize, usize) {
+        let mut app = Appender::new(vec![DataType::Int64, DataType::Str], 1, 1, rows.len());
+        let mut held: Vec<Option<Part>> = (0..workers).map(|_| None).collect();
+        let mut most_parked = 0;
+        let mut driven = Ok(());
+        for (k, &chunk) in order.iter().enumerate() {
+            let mut part = held[k % workers].take().unwrap_or_else(|| app.spare());
+            assert_eq!(part.rows, 0, "a handed-out part is empty");
+            fill(&mut part, rows, chunk);
+            if fault == Some(chunk) {
+                part.fault = Some(RowFault {
+                    row: 1,
+                    kind: Fault::Field {
+                        col: 1,
+                        msg: "bad".into(),
+                    },
+                });
+                driven = Err(part.fault.as_ref().unwrap().error(0, 1));
+            }
+            held[k % workers] = Some(app.put(chunk, part).unwrap());
+            let parked = app.parked.values().filter(|p| p.is_some()).count();
+            most_parked = most_parked.max(parked);
+        }
+        let made = app.made;
+        (app.finish(driven), made, most_parked)
+    }
+
+    /// Every order of 5 chunks.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                all.push(q);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn the_appender_yields_chunk_order_whatever_order_chunks_finish_in() {
+        let rows = [3, 0, 5, 2, 4];
+        let total: usize = rows.iter().sum();
+        let mut want = Part::new(&[DataType::Int64, DataType::Str], 1, 0);
+        for chunk in 0..rows.len() {
+            fill(&mut want, &rows, chunk);
+        }
+        let perms = permutations(rows.len());
+        assert_eq!(perms.len(), 120);
+        for order in &perms {
+            for workers in 1..=3 {
+                let (out, made, parked) = append_in(order, &rows, workers, None);
+                let out = out.unwrap();
+                assert_eq!(out.rows, total, "{order:?}");
+                assert_eq!(out.columns, want.columns, "{order:?}");
+                assert_eq!(out.starts, want.starts, "{order:?}");
+                assert_eq!(out.offsets, want.offsets, "{order:?}");
+                // Drained parts are reused: only the parts held by workers
+                // or parked at once were ever made.
+                assert!(made <= workers + parked, "{order:?}: {made} parts");
+
+                // A fault in any chunk names its global row, however late
+                // its part is reached.
+                for bad in (0..rows.len()).filter(|&c| rows[c] >= 2) {
+                    let (out, _, _) = append_in(order, &rows, workers, Some(bad));
+                    let below: usize = rows[..bad].iter().sum();
+                    let err = out.unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        field_error(below + 1, 1, "bad").to_string(),
+                        "{order:?}"
+                    );
+                }
+
+                // A chunk that failed outright leaves nothing returned:
+                // the driver's error stands, and a missing part is an
+                // internal error, never a short result.
+                let short: Vec<usize> = order.iter().copied().filter(|&c| c != 2).collect();
+                let (out, _, _) = append_in(&short, &rows, workers, None);
+                assert!(matches!(out, Err(Error::Internal(_))), "{order:?}");
+            }
+        }
+        let mut app = Appender::new(vec![DataType::Int64], 0, 0, 1);
+        let mut part = app.spare();
+        part.columns[0].push(Value::Int(1)).unwrap();
+        part.rows = 1;
+        app.put(0, part).unwrap();
+        let cancelled = app.finish(Err(Error::Cancelled("stop".into())));
+        assert!(matches!(cancelled, Err(Error::Cancelled(_))));
+    }
+
+    /// A load of no column streams its chunks through blocks far smaller
+    /// than a chunk: line ends, blank lines and CRLF pairs fall on every
+    /// block boundary in some case, and the rows and their starts equal
+    /// `scan_bytes`'.
+    #[test]
+    fn a_row_count_over_many_blocks_equals_scan_bytes() {
+        let mut text = String::from("i,f,s,j\r\n");
+        let mut x = 7u64;
+        while text.len() < 150_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let eol = if x >> 60 == 0 { "\r\n" } else { "\n" };
+            match (x >> 33) % 9 {
+                0 => text.push_str(eol),
+                1 => text.push_str("\r\n"),
+                n => text.push_str(&format!(
+                    "{},1,{},2{eol}",
+                    n,
+                    "w".repeat((x >> 40) as usize % 90)
+                )),
+            }
+        }
+        for tail in ["", "\r", "\n", "5,5"] {
+            let file = TempFile::new(format!("{text}{tail}").as_bytes());
+            for chunk_bytes in [
+                1000,
+                (16 << 10) - 1,
+                16 << 10,
+                (16 << 10) + 1,
+                40_000,
+                1 << 20,
+            ] {
+                for threads in [1, 3] {
+                    let (mut pm_scan, mut pm_load) = (PositionalMap::new(), PositionalMap::new());
+                    compare(
+                        &file,
+                        9,
+                        &[],
+                        &opts(threads, false, false),
+                        chunk_bytes,
+                        &mut pm_scan,
+                        &mut pm_load,
+                    )
+                    .unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -120,7 +120,12 @@ impl PositionalMap {
     }
 
     /// Fraction of rows with a known offset for `col` (diagnostics/tests).
+    /// Column 0 starts at its row's first byte, so it is covered once the
+    /// row starts are known and is never recorded.
     pub fn coverage(&self, col: usize) -> f64 {
+        if col == 0 && self.row_starts.is_some() {
+            return 1.0;
+        }
         match self.cols.get(&col) {
             None => 0.0,
             Some(v) if v.is_empty() => 0.0,
@@ -158,6 +163,14 @@ mod tests {
         assert!(m.row_starts().is_none());
         assert_eq!(m.hint_for(0, 3), None);
         assert_eq!(m.coverage(0), 0.0);
+    }
+
+    #[test]
+    fn column_zero_is_covered_by_the_row_starts() {
+        let m = map_with_rows(3);
+        assert_eq!(m.coverage(0), 1.0);
+        assert_eq!(m.coverage(1), 0.0);
+        assert!(m.known_columns().is_empty());
     }
 
     #[test]

@@ -315,9 +315,10 @@ fn group_pushdown(spec: &ScanSpec<'_>) -> BTreeMap<usize, ColumnTest> {
 
 /// Which columns should have offsets recorded into the posmap: every
 /// column the scan may walk past that is not already fully covered.
+/// Column 0 never is: its offset is 0 in every row.
 pub(crate) fn record_columns(posmap: Option<&PositionalMap>, max_touch: usize) -> Vec<usize> {
     match posmap {
-        Some(m) => (0..=max_touch).filter(|&c| m.coverage(c) < 1.0).collect(),
+        Some(m) => (1..=max_touch).filter(|&c| m.coverage(c) < 1.0).collect(),
         None => Vec::new(),
     }
 }

@@ -216,7 +216,15 @@ impl ColumnData {
 
     /// Move all rows of `other` onto the end of `self` (bulk, typed; no
     /// per-value boxing). The columns must have the same type.
-    pub fn append(&mut self, other: ColumnData) -> Result<()> {
+    pub fn append(&mut self, mut other: ColumnData) -> Result<()> {
+        self.append_from(&mut other)
+    }
+
+    /// Move all rows of `other` onto the end of `self`, leaving `other`
+    /// empty with its value capacity kept, so a buffer that is filled and
+    /// drained over and over allocates once. The columns must have the
+    /// same type.
+    pub fn append_from(&mut self, other: &mut ColumnData) -> Result<()> {
         if self.data_type() != other.data_type() {
             return Err(Error::schema(format!(
                 "cannot append {} column to {} column",
@@ -224,56 +232,45 @@ impl ColumnData {
                 self.data_type()
             )));
         }
-        fn merge_masks(
-            dst: &mut Option<Vec<bool>>,
-            dst_len: usize,
-            src: Option<Vec<bool>>,
-            src_len: usize,
+        fn merge<T>(
+            (dst, dst_mask): (&mut Vec<T>, &mut Option<Vec<bool>>),
+            (src, src_mask): (&mut Vec<T>, &mut Option<Vec<bool>>),
         ) {
-            match (dst.as_mut(), src) {
+            let (dst_len, src_len) = (dst.len(), src.len());
+            dst.append(src);
+            match (dst_mask.as_mut(), src_mask.take()) {
                 (None, None) => {}
                 (Some(d), None) => d.extend(std::iter::repeat_n(false, src_len)),
                 (None, Some(s)) => {
                     let mut m = vec![false; dst_len];
                     m.extend(s);
-                    *dst = Some(m);
+                    *dst_mask = Some(m);
                 }
                 (Some(d), Some(s)) => d.extend(s),
             }
         }
-        let dst_len = self.len();
-        let src_len = other.len();
         match (self, other) {
             (
                 ColumnData::Int64 { values, nulls },
                 ColumnData::Int64 {
-                    values: mut v2,
+                    values: v2,
                     nulls: n2,
                 },
-            ) => {
-                values.append(&mut v2);
-                merge_masks(nulls, dst_len, n2, src_len);
-            }
+            ) => merge((values, nulls), (v2, n2)),
             (
                 ColumnData::Float64 { values, nulls },
                 ColumnData::Float64 {
-                    values: mut v2,
+                    values: v2,
                     nulls: n2,
                 },
-            ) => {
-                values.append(&mut v2);
-                merge_masks(nulls, dst_len, n2, src_len);
-            }
+            ) => merge((values, nulls), (v2, n2)),
             (
                 ColumnData::Str { values, nulls },
                 ColumnData::Str {
-                    values: mut v2,
+                    values: v2,
                     nulls: n2,
                 },
-            ) => {
-                values.append(&mut v2);
-                merge_masks(nulls, dst_len, n2, src_len);
-            }
+            ) => merge((values, nulls), (v2, n2)),
             _ => unreachable!("type equality checked above"),
         }
         Ok(())
@@ -385,6 +382,28 @@ mod tests {
         let mut c = ColumnData::empty(DataType::Int64);
         assert!(c.push(Value::Str("x".into())).is_err());
         assert!(c.push(Value::Float(1.0)).is_err());
+    }
+
+    #[test]
+    fn append_from_drains_the_source_and_keeps_its_capacity() {
+        let mut dst = ColumnData::from_i64(vec![1]);
+        let mut src = ColumnData::with_capacity(DataType::Int64, 8);
+        src.push(Value::Null).unwrap();
+        src.push(Value::Int(3)).unwrap();
+        dst.append_from(&mut src).unwrap();
+        // The mask appears with the source's NULL, retroactively false.
+        let want: Vec<Value> = vec![Value::Int(1), Value::Null, Value::Int(3)];
+        assert_eq!(dst.iter_values().collect::<Vec<_>>(), want);
+        assert_eq!(src, ColumnData::empty(DataType::Int64));
+        assert!(matches!(&src, ColumnData::Int64 { values, .. } if values.capacity() >= 8));
+        // A later NULL-free source extends the mask with `false`.
+        src.push(Value::Int(4)).unwrap();
+        dst.append_from(&mut src).unwrap();
+        assert_eq!(dst.len(), 4);
+        assert!(!dst.is_null(3));
+        assert!(dst
+            .append_from(&mut ColumnData::empty(DataType::Str))
+            .is_err());
     }
 
     #[test]

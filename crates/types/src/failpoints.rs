@@ -42,6 +42,9 @@ pub struct Action {
     pub panic: bool,
     /// Skip this many hits before the action takes effect.
     pub after: u64,
+    /// Act on this many hits past the skipped ones, then let every later
+    /// hit through untouched (`None`: act on every one).
+    pub times: Option<u64>,
 }
 
 impl Action {
@@ -81,6 +84,13 @@ impl Action {
     /// Defer the action until `n` hits have passed through untouched.
     pub fn after(mut self, n: u64) -> Action {
         self.after = n;
+        self
+    }
+
+    /// Act on `n` hits only (past any [`after`](Action::after) ones): a
+    /// delay of one worker alone, say, while its peers run on.
+    pub fn times(mut self, n: u64) -> Action {
+        self.times = Some(n);
         self
     }
 }
@@ -154,7 +164,8 @@ fn trip_armed(site: &str) -> Result<()> {
             return Ok(());
         };
         state.hits += 1;
-        if state.hits <= state.action.after {
+        let past = state.hits.saturating_sub(state.action.after);
+        if past == 0 || state.action.times.is_some_and(|n| past > n) {
             return Ok(());
         }
         state.action
@@ -250,6 +261,9 @@ mod tests {
         assert!(trip("t.after").is_ok());
         assert!(trip("t.after").is_ok());
         assert!(trip("t.after").is_err());
+        arm("t.times", Action::fail().after(1).times(2));
+        let failed: Vec<bool> = (0..5).map(|_| trip("t.times").is_err()).collect();
+        assert_eq!(failed, [false, true, true, false, false]);
         assert_eq!(hits("t.after"), 3);
         disarm_all();
     }

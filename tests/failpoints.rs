@@ -542,4 +542,49 @@ fn failed_or_cancelled_parallel_load_leaves_the_table_as_it_was() {
             "{sql}: the good load installs"
         );
     }
+
+    // Parts parked when the load stops: on three workers, the first chunk
+    // to reach `rawcsv.phase1` sleeps there while its two peers run ahead,
+    // so every chunk they finish above it parks its part in the appender.
+    // The failure, or the cancel, lands with those parts parked.
+    let dir = common::test_dir("fp_load_abort_parked");
+    let engine = engine_with_width(&dir, 4, |cfg| {
+        cfg.threads = 3;
+        cfg.morsel_rows = 16; // ~75 chunks
+        cfg.engine_mem_bytes = Some(1 << 30);
+    });
+    let session = nodb::Session::new(Arc::clone(&engine));
+    let (sql, want) = ("select sum(a1), count(*) from t", &reference.0);
+    let before = table_state(&engine);
+
+    failpoints::arm("rawcsv.phase1", Action::delay_ms(100).times(1));
+    failpoints::arm("rawcsv.morsel", Action::fail().after(12));
+    let err = session.sql(sql).unwrap_err();
+    assert!(matches!(err, Error::Exec(_)), "parked, failed: got {err:?}");
+    assert!(failpoints::hits("rawcsv.morsel") >= 13);
+    failpoints::disarm_all();
+    assert_eq!(table_state(&engine), before, "parked, failed");
+    assert_eq!(engine.memory_pool().reserved(), 0, "parked, failed");
+
+    failpoints::arm("rawcsv.phase1", Action::delay_ms(100).times(1));
+    failpoints::arm("rawcsv.morsel", Action::delay_ms(0));
+    let token = nodb::CancelToken::new();
+    token.cancel_after_checks(12);
+    let err = session.sql_with_guard(sql, &token).unwrap_err();
+    let chunks_run = failpoints::hits("rawcsv.morsel");
+    failpoints::disarm_all();
+    assert!(
+        matches!(err, Error::Cancelled(_)),
+        "parked, cancelled: got {err:?}"
+    );
+    assert!((2..75).contains(&chunks_run), "{chunks_run} chunks ran");
+    assert_eq!(table_state(&engine), before, "parked, cancelled");
+    assert_eq!(engine.memory_pool().reserved(), 0, "parked, cancelled");
+
+    assert_eq!(
+        &session.sql(sql).unwrap().rows,
+        want,
+        "after the parked loads"
+    );
+    assert_ne!(table_state(&engine), before, "the good load installs");
 }
