@@ -2195,13 +2195,15 @@ mod tests {
         assert!(results.contains(&Value::Int(39)));
     }
 
-    /// Regression: an over-budget charge from inside a parallel cold load
-    /// runs the pool's reclaimer on a load worker while the load's
-    /// driver holds the table's entry write lock. `release_memory` must
-    /// skip that locked entry (`try_write`) instead of blocking on it —
-    /// blocking deadlocked the scan against its own reclaim forever.
-    /// The offending query sheds with a typed error; the engine and the
-    /// table keep serving.
+    /// Regression: an over-budget charge from a parallel worker runs the
+    /// pool's reclaimer (the degradation ladder) on that worker. Inside a
+    /// cold load the load's driver holds the table's entry write lock, so
+    /// `release_memory` must skip that locked entry (`try_write`) instead
+    /// of blocking on it — blocking deadlocked the scan against its own
+    /// reclaim forever. Inside the group kernel of a warm query the ladder
+    /// evicts the very columns the query reads (its snapshot keeps them).
+    /// Either way the offending query sheds with a typed error; the engine
+    /// and the table keep serving.
     #[test]
     fn over_budget_cold_scan_reclaims_without_deadlocking() {
         let dir = std::env::temp_dir().join("nodb_engine_mem_cold_scan");
@@ -2213,26 +2215,47 @@ mod tests {
             data.push_str(&format!("{},{}\n", i % 8192, i));
         }
         std::fs::write(&path, &data).unwrap();
-        let mut cfg = EngineConfig::default().with_threads(4);
-        cfg.morsel_rows = 2048; // many morsels: charges come from workers
-        cfg.engine_mem_bytes = Some(8 * 1024); // far below the group table
-        let e = Arc::new(Engine::new(cfg));
-        e.register_table("r", &path).unwrap();
-        let s = e.session(); // installs the degradation-ladder reclaimer
+        let group_by = "select a1, sum(a2) from r group by a1";
+        // 8 KiB is below one chunk buffer of the cold load: the shed comes
+        // from a load worker. 48 KiB holds the load's buffers but not one
+        // morsel's group table (2 048 distinct keys): once the table is
+        // loaded, the shed comes from the group kernel.
+        for (cap, preload) in [(8 * 1024, false), (48 * 1024, true)] {
+            let mut cfg = EngineConfig::default().with_threads(4);
+            cfg.morsel_rows = 2048; // many morsels: charges come from workers
+            cfg.engine_mem_bytes = Some(cap);
+            let e = Arc::new(Engine::new(cfg));
+            e.register_table("r", &path).unwrap();
+            let s = e.session(); // installs the degradation-ladder reclaimer
+            if preload {
+                s.sql("select sum(a1), sum(a2) from r").unwrap();
+                assert_eq!(e.table_info("r").unwrap().loaded_columns, [0, 1]);
+            }
 
-        // Armed profile: the ladder runs inside a charge while the same
-        // thread-local carries the open phase timers, and must not hit a
-        // double borrow of it.
-        let sink = ProfileSink::handle();
-        let _profile = ProfileScope::enter(Arc::clone(&sink));
-        let err = s.sql("select a1, sum(a2) from r group by a1").unwrap_err();
-        assert!(matches!(err, Error::ResourceExhausted(_)), "got {err:?}");
-        assert!(sink.snapshot().total_phase_ns() > 0);
-        // The shed killed one query, not the engine: the same table
-        // still answers, and the refused reservation was handed back.
-        let out = s.sql("select count(*) from r").unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Int(20_000)]]);
-        assert_eq!(e.memory_pool().reserved(), 0);
+            // Armed profile: the ladder runs inside a charge while the
+            // same thread-local carries the open phase timers, and must
+            // not hit a double borrow of it.
+            let sink = ProfileSink::handle();
+            let _profile = ProfileScope::enter(Arc::clone(&sink));
+            let before = e.counters().snapshot();
+            let err = s.sql(group_by).unwrap_err();
+            assert!(matches!(err, Error::ResourceExhausted(_)), "got {err:?}");
+            assert!(sink.snapshot().total_phase_ns() > 0);
+            let shed = e.counters().snapshot().since(&before);
+            if preload {
+                // No load ran: the refused charge was the group kernel's,
+                // and the ladder it ran evicted the loaded columns.
+                assert_eq!((shed.file_trips, shed.values_parsed), (0, 0));
+                assert!(e.table_info("r").unwrap().loaded_columns.is_empty());
+            } else {
+                assert!(shed.file_trips > 0, "the cold load ran");
+            }
+            // The shed killed one query, not the engine: the same table
+            // still answers, and the refused reservation was handed back.
+            let out = s.sql("select count(*) from r").unwrap();
+            assert_eq!(out.rows, vec![vec![Value::Int(20_000)]]);
+            assert_eq!(e.memory_pool().reserved(), 0);
+        }
     }
 
     /// Like [`setup`] but with the (opt-in) result cache switched on.

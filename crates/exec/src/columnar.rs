@@ -70,7 +70,9 @@ pub fn filter_positions<C: Cols + ?Sized>(
 /// go by in blocks of 1 024. In a block the first column's test scans
 /// its typed slice into a selection of `u32` offsets and every later one
 /// narrows that selection — each without a branch or a `Value` per cell,
-/// a NULL failing as one more flag.
+/// a NULL failing as one more flag. A text column's test is resolved
+/// once per dictionary entry its rows name, into a verdict table that each
+/// row then reads by its code.
 pub fn filter_positions_range<C: Cols + ?Sized>(
     cols: &C,
     lo: usize,
@@ -82,29 +84,35 @@ pub fn filter_positions_range<C: Cols + ?Sized>(
         let col = cols
             .get_col(c)
             .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-        tests.push((col, ColumnTest::fold(col.data_type(), conj.preds_on(c))));
+        let verdicts = match col {
+            // No entry: every row is NULL, and NULL never passes.
+            ColumnData::Str { dict, .. } if dict.is_empty() => return Ok(Vec::new()),
+            ColumnData::Str { dict, .. } => vec![UNSEEN; dict.len()],
+            _ => Vec::new(),
+        };
+        let test = ColumnTest::fold(col.data_type(), conj.preds_on(c));
+        tests.push((col, test, verdicts));
     }
-    if tests.iter().any(|(_, t)| matches!(t, ColumnTest::Never)) {
+    if tests.iter().any(|(_, t, _)| matches!(t, ColumnTest::Never)) {
         return Ok(Vec::new());
     }
     if tests.is_empty() {
         return Ok((lo..hi).collect());
     }
-    // Most selective first, by syntax: text compares last, and equality
-    // before ranges among the rest.
-    tests.sort_by_key(|(_, t)| match t {
+    // Most selective first, by syntax: equality before ranges, text last.
+    tests.sort_by_key(|(_, t, _)| match t {
         ColumnTest::Str { .. } => 2,
         t if t.is_point() => 0,
         _ => 1,
     });
-    let hi = tests.iter().fold(hi, |hi, (col, _)| hi.min(col.len()));
+    let hi = tests.iter().fold(hi, |hi, (col, ..)| hi.min(col.len()));
     let mut out = Vec::new();
     let mut sel = [0u32; BLOCK];
     for start in (lo..hi).step_by(BLOCK) {
         let rows = start..hi.min(start + BLOCK);
         let mut kept = None;
-        for (col, test) in &tests {
-            let k = narrow(col, test, rows.clone(), &mut sel, kept);
+        for (col, test, verdicts) in &mut tests {
+            let k = narrow(col, test, verdicts, rows.clone(), &mut sel, kept);
             kept = Some(k);
             if k == 0 {
                 break;
@@ -120,12 +128,21 @@ pub fn filter_positions_range<C: Cols + ?Sized>(
 /// stays in L1.
 const BLOCK: usize = 1024;
 
+/// A text test's verdict on a dictionary entry: not resolved yet, or
+/// resolved to fail or to pass.
+const UNSEEN: u8 = 0;
+const FAIL: u8 = 1;
+const PASS: u8 = 2;
+
 /// Keep in `sel` the offsets of `rows` (a block of `col`) that pass `test`:
 /// all of the block's rows when `kept` is `None`, else the first `kept`
 /// offsets already in `sel`. Returns how many offsets it kept, in order.
+/// A text column's `verdicts` (one per entry) are resolved first for the
+/// entries the candidate rows name.
 fn narrow(
     col: &ColumnData,
     test: &ColumnTest,
+    verdicts: &mut [u8],
     rows: Range<usize>,
     sel: &mut [u32; BLOCK],
     kept: Option<usize>,
@@ -146,9 +163,26 @@ fn narrow(
                 float_key(x)
             })
         }
-        (ColumnData::Str { values, nulls }, ColumnTest::Str { .. }) => {
-            keep(&values[rows.clone()], nulls, rows, sel, kept, |s| {
-                test.matches(ValueRef::Str(s))
+        (ColumnData::Str { dict, codes, nulls }, ColumnTest::Str { .. }) => {
+            let xs = &codes[rows.clone()];
+            // A NULL row's code 0 names an entry too: resolving it costs
+            // one test, and `keep` drops the row by its mask.
+            let mut resolve = |c: u32| {
+                let v = &mut verdicts[c as usize];
+                if *v == UNSEEN {
+                    *v = if test.matches(ValueRef::Str(dict.get(c))) {
+                        PASS
+                    } else {
+                        FAIL
+                    };
+                }
+            };
+            match kept {
+                None => xs.iter().for_each(|&c| resolve(c)),
+                Some(k) => sel[..k].iter().for_each(|&j| resolve(xs[j as usize])),
+            }
+            keep(xs, nulls, rows, sel, kept, |&c| {
+                verdicts[c as usize] == PASS
             })
         }
         _ => unreachable!("a column's test is folded for its own type"),

@@ -8,11 +8,13 @@
 //!
 //! 1. **Group ids.** Each key column of a morsel is mapped to a dense
 //!    `u32` id per row through an `IdTable` — a flat open-addressing
-//!    table with a multiplicative hash, keys stored inline (`&str` keys
-//!    borrow from the column) and no per-entry heap allocation; an int key
-//!    over a dense domain skips the hash and direct-addresses an id array
-//!    instead (`IntIds`). NULL keys share one id; float keys group by bit
-//!    pattern, which is exactly how `Value::total_cmp` equates them.
+//!    table with a multiplicative hash, keys stored inline and no
+//!    per-entry heap allocation; an int key over a dense domain skips the
+//!    hash and direct-addresses an id array instead (`IntIds`). A text
+//!    key is its dictionary code, so it takes the same id array: one
+//!    slot per entry, no string hashed or compared per row. NULL keys
+//!    share one id; float keys group by bit pattern, which is exactly how
+//!    `Value::total_cmp` equates them.
 //!    Multi-column keys intern the pair `(id so far, id of the next
 //!    column)` in a further table, one column at a time. Ids are handed
 //!    out in row order, so id order *is* first-appearance order. Zero key
@@ -31,9 +33,14 @@
 //!    summation order depend only on the morsel boundaries — never on the
 //!    thread count or on scheduling.
 
+use std::cmp::Ordering;
+use std::sync::Arc;
+
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
-use nodb_types::{CancelCheck, ColumnData, Conjunction, DataType, Error, Result, Selection};
+use nodb_types::{
+    CancelCheck, ColumnData, Conjunction, DataType, Error, Result, Selection, StrDict,
+};
 
 use crate::agg::AggFunc;
 use crate::cols::Cols;
@@ -69,44 +76,6 @@ impl TableKey for i64 {
     #[inline]
     fn same(self, other: i64) -> bool {
         self == other
-    }
-}
-
-impl TableKey for &str {
-    const FILLER: &'static str = "";
-
-    #[inline]
-    fn hash(self) -> u64 {
-        let bytes = self.as_bytes();
-        let mut h = bytes.len() as u64;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            // Byte by byte: a variable-length copy is a libc call, which
-            // costs more than the whole hash of a short key.
-            let w = tail
-                .iter()
-                .rev()
-                .fold(0u64, |w, &b| (w << 8) | u64::from(b));
-            h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_MUL);
-        }
-        h
-    }
-
-    #[inline]
-    fn same(self, other: &str) -> bool {
-        let (a, b) = (self.as_bytes(), other.as_bytes());
-        // Short keys compare inline; `==` on slices is a `memcmp` call.
-        a.len() == b.len()
-            && if a.len() <= 16 {
-                a.iter().zip(b).all(|(x, y)| x == y)
-            } else {
-                a == b
-            }
     }
 }
 
@@ -326,9 +295,9 @@ impl IntIds {
     /// rows share `null_id`, allocated on first sight. The batch's key
     /// range is reserved first, which widens the array or converts the
     /// table to the hashed one; `capacity` sizes a hashed table made here.
-    fn assign(
+    fn assign<T: Copy + Into<i64>>(
         &mut self,
-        xs: &[i64],
+        xs: &[T],
         nulls: Option<&[bool]>,
         sel: &Selection,
         ids: &mut [u32],
@@ -339,8 +308,8 @@ impl IntIds {
             let (mut lo, mut hi) = (i64::MAX, i64::MIN);
             for_rows(xs, nulls, sel, |_, x| {
                 if let Some(&x) = x {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
+                    lo = lo.min(x.into());
+                    hi = hi.max(x.into());
                 }
             });
             self.reserve((lo <= hi).then_some((lo, hi)), sel.len(), capacity);
@@ -355,7 +324,7 @@ impl IntIds {
                 let base = *base;
                 for_rows(xs, nulls, sel, |k, x| {
                     let id = match x {
-                        Some(&x) => &mut slots[slot(x, base)],
+                        Some(&x) => &mut slots[slot(x.into(), base)],
                         None => null_id.get_or_insert(EMPTY),
                     };
                     if *id == EMPTY {
@@ -367,11 +336,98 @@ impl IntIds {
             }
             IntIds::Hashed(t) => for_rows(xs, nulls, sel, |k, x| {
                 ids[k] = match x {
-                    Some(&x) => t.intern(x),
+                    Some(&x) => t.intern(x.into()),
                     None => *null_id.get_or_insert_with(|| t.alloc_id()),
                 }
             }),
         }
+    }
+}
+
+/// Map from a text key to a dense `u32` id: its dictionary code through
+/// an [`IntIds`], so a dictionary of few entries is one small id array.
+/// The first dictionary with an entry keys the ids by its codes as they
+/// are; text from any other dictionary is looked up in it once per entry,
+/// and text it lacks is keyed past its end through `extra`. (A morsel
+/// with no qualifying row hands the merge an empty key column with a
+/// dictionary of its own.)
+#[derive(Debug)]
+struct TextIds {
+    home: Option<Arc<StrDict>>,
+    extra: StrDict,
+    ids: IntIds,
+}
+
+impl TextIds {
+    fn new() -> TextIds {
+        TextIds {
+            home: None,
+            extra: StrDict::new(),
+            ids: IntIds::new(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.ids.heap_bytes() + self.extra.approx_bytes()
+    }
+
+    /// [`IntIds::assign`] for the codes `codes` of `dict`.
+    #[allow(clippy::too_many_arguments)]
+    fn assign(
+        &mut self,
+        dict: &Arc<StrDict>,
+        codes: &[u32],
+        nulls: Option<&[bool]>,
+        sel: &Selection,
+        ids: &mut [u32],
+        null_id: &mut Option<u32>,
+        capacity: usize,
+    ) -> Result<()> {
+        // Until a key was coded, every id is the NULL one.
+        if self
+            .home
+            .as_ref()
+            .is_none_or(|h| h.is_empty() && self.extra.is_empty())
+        {
+            self.home = Some(Arc::clone(dict));
+        }
+        let home = self.home.as_ref().expect("set above");
+        if Arc::ptr_eq(home, dict) {
+            self.ids.assign(codes, nulls, sel, ids, null_id, capacity);
+            return Ok(());
+        }
+        let (n, extra) = (sel.len(), &mut self.extra);
+        let mut keyed = vec![-1i64; dict.len()];
+        let mut keys = vec![0i64; n];
+        let mut key_nulls = nulls.map(|_| vec![false; n]);
+        let mut failed = None;
+        for_rows(codes, nulls, sel, |k, c| match c {
+            Some(&c) => {
+                let key = &mut keyed[c as usize];
+                if *key < 0 {
+                    let s = dict.get(c);
+                    *key = match home.lookup(s) {
+                        Some(code) => i64::from(code),
+                        None => match extra.intern(s) {
+                            Ok(code) => (home.len() as i64) + i64::from(code),
+                            Err(e) => {
+                                failed.get_or_insert(e);
+                                0
+                            }
+                        },
+                    };
+                }
+                keys[k] = *key;
+            }
+            None => key_nulls.as_mut().expect("NULLs come with a mask")[k] = true,
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let all = Selection::Range(0..n);
+        self.ids
+            .assign(&keys, key_nulls.as_deref(), &all, ids, null_id, capacity);
+        Ok(())
     }
 }
 
@@ -438,39 +494,38 @@ fn for_rows<'x, T>(
 enum Typed<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
-    Str(&'a [String]),
+    Str(&'a Arc<StrDict>, &'a [u32]),
 }
 
 fn typed(col: &ColumnData) -> (Typed<'_>, Option<&[bool]>) {
     match col {
         ColumnData::Int64 { values, nulls } => (Typed::Int(values), nulls.as_deref()),
         ColumnData::Float64 { values, nulls } => (Typed::Float(values), nulls.as_deref()),
-        ColumnData::Str { values, nulls } => (Typed::Str(values), nulls.as_deref()),
+        ColumnData::Str { dict, codes, nulls } => (Typed::Str(dict, codes), nulls.as_deref()),
     }
 }
 
-/// One key column's value → id table. Ints are direct-addressed while
-/// their domain is dense; float bit patterns hash; strings are borrowed
-/// from the column.
-enum KeyTable<'a> {
+/// One key column's value → id table. Ints and text codes are
+/// direct-addressed while their domain is dense; float bit patterns hash.
+enum KeyTable {
     Int(IntIds),
     Bits(IdTable<i64>),
-    Str(IdTable<&'a str>),
+    Text(TextIds),
 }
 
-struct KeyColumn<'a> {
-    table: KeyTable<'a>,
+struct KeyColumn {
+    table: KeyTable,
     null_id: Option<u32>,
     /// Keys expected in all, sizing a hashed table.
     capacity: usize,
 }
 
-impl<'a> KeyColumn<'a> {
-    fn new(ty: DataType, capacity: usize) -> KeyColumn<'a> {
+impl KeyColumn {
+    fn new(ty: DataType, capacity: usize) -> KeyColumn {
         let table = match ty {
             DataType::Int64 => KeyTable::Int(IntIds::new()),
             DataType::Float64 => KeyTable::Bits(IdTable::with_capacity(capacity)),
-            DataType::Str => KeyTable::Str(IdTable::with_capacity(capacity)),
+            DataType::Str => KeyTable::Text(TextIds::new()),
         };
         KeyColumn {
             table,
@@ -483,7 +538,7 @@ impl<'a> KeyColumn<'a> {
         match &self.table {
             KeyTable::Int(t) => t.len(),
             KeyTable::Bits(t) => t.len(),
-            KeyTable::Str(t) => t.len(),
+            KeyTable::Text(t) => t.ids.len(),
         }
     }
 
@@ -491,12 +546,12 @@ impl<'a> KeyColumn<'a> {
         match &self.table {
             KeyTable::Int(t) => t.heap_bytes(),
             KeyTable::Bits(t) => t.heap_bytes(),
-            KeyTable::Str(t) => t.heap_bytes(),
+            KeyTable::Text(t) => t.heap_bytes(),
         }
     }
 
     /// Write this column's id for every selected row into `ids`.
-    fn assign(&mut self, col: &'a ColumnData, sel: &Selection, ids: &mut [u32]) -> Result<()> {
+    fn assign(&mut self, col: &ColumnData, sel: &Selection, ids: &mut [u32]) -> Result<()> {
         let (values, nulls) = typed(col);
         let null_id = &mut self.null_id;
         match (&mut self.table, values) {
@@ -509,12 +564,9 @@ impl<'a> KeyColumn<'a> {
                     None => *null_id.get_or_insert_with(|| t.alloc_id()),
                 }
             }),
-            (KeyTable::Str(t), Typed::Str(xs)) => for_rows(xs, nulls, sel, |k, x| {
-                ids[k] = match x {
-                    Some(x) => t.intern(x.as_str()),
-                    None => *null_id.get_or_insert_with(|| t.alloc_id()),
-                }
-            }),
+            (KeyTable::Text(t), Typed::Str(dict, codes)) => {
+                t.assign(dict, codes, nulls, sel, ids, null_id, self.capacity)?
+            }
             _ => return Err(Error::exec("group key column changed type between morsels")),
         }
         Ok(())
@@ -524,16 +576,16 @@ impl<'a> KeyColumn<'a> {
 /// Maps rows of the key columns to dense group ids. The tables persist
 /// across [`Grouper::assign`] calls, so the merge step feeds it one
 /// partial after another and keeps one id space.
-struct Grouper<'a> {
-    columns: Vec<KeyColumn<'a>>,
+struct Grouper {
+    columns: Vec<KeyColumn>,
     /// `pairs[c - 1]` interns `(id over columns 0..c, id of column c)`.
     pairs: Vec<IdTable<i64>>,
 }
 
-impl<'a> Grouper<'a> {
+impl Grouper {
     /// `capacity` sizes the table that holds the final ids (groups expected
     /// before it first grows); the others start small.
-    fn new(key_cols: &[&ColumnData], capacity: usize) -> Grouper<'a> {
+    fn new(key_cols: &[&ColumnData], capacity: usize) -> Grouper {
         let last = key_cols.len().saturating_sub(1);
         let columns = key_cols
             .iter()
@@ -564,7 +616,7 @@ impl<'a> Grouper<'a> {
 
     /// The group id of each of `n` rows, in row order: row `k` holds
     /// `col.index(sel.index(k))` of every key column `(col, sel)`.
-    fn assign(&mut self, keys: &[Input<'a, '_>], n: usize) -> Result<Vec<u32>> {
+    fn assign(&mut self, keys: &[Input], n: usize) -> Result<Vec<u32>> {
         // Ids must stay below the empty-slot marker; distinct keys never
         // outnumber rows.
         if self.n_groups().saturating_add(n) >= EMPTY as usize {
@@ -679,7 +731,8 @@ fn null_column(ty: DataType, n: usize) -> ColumnData {
             nulls,
         },
         DataType::Str => ColumnData::Str {
-            values: vec![String::new(); n],
+            dict: Arc::default(),
+            codes: vec![0; n],
             nulls,
         },
     }
@@ -740,7 +793,7 @@ impl AggState {
             AggState::SumInt { sum, .. } => sum.len() * 17,
             AggState::SumFloat { sum, .. } => sum.len() * 9,
             AggState::Avg { sum, .. } => sum.len() * 16,
-            AggState::MinMax { best, .. } => best.approx_bytes(),
+            AggState::MinMax { best, .. } => owned_bytes(best),
         }
     }
 
@@ -799,16 +852,20 @@ impl AggState {
                     n[g] += 1;
                 }
             }),
-            (AggState::SumInt { .. }, Typed::Str(xs)) => first_value(xs, nulls, sel, "sum")?,
-            (AggState::Avg { .. }, Typed::Str(xs)) => first_value(xs, nulls, sel, "avg")?,
+            (AggState::SumInt { .. }, Typed::Str(dict, xs)) => {
+                first_value(dict, xs, nulls, sel, "sum")?
+            }
+            (AggState::Avg { .. }, Typed::Str(dict, xs)) => {
+                first_value(dict, xs, nulls, sel, "avg")?
+            }
             (AggState::MinMax { min, best }, values) => {
                 // `sql_cmp` order: ints by value, floats by `total_cmp`,
                 // text bytewise; a candidate replaces only a strictly
                 // worse best.
                 let by = if *min {
-                    std::cmp::Ordering::Less
+                    Ordering::Less
                 } else {
-                    std::cmp::Ordering::Greater
+                    Ordering::Greater
                 };
                 let at = FoldAt { nulls, sel, ids };
                 match (best, values) {
@@ -818,8 +875,8 @@ impl AggState {
                     (ColumnData::Float64 { values, nulls }, Typed::Float(xs)) => {
                         fold_best(values, nulls, xs, at, |x, b| x.total_cmp(b) == by)
                     }
-                    (ColumnData::Str { values, nulls }, Typed::Str(xs)) => {
-                        fold_best(values, nulls, xs, at, |x, b| x.cmp(b) == by)
+                    (ColumnData::Str { dict, codes, nulls }, Typed::Str(arg, xs)) => {
+                        fold_best_text((dict, codes, nulls), (arg, xs), at, by)?
                     }
                     _ => return Err(Error::exec(TYPE_CHANGED)),
                 }
@@ -961,18 +1018,74 @@ fn fold_best<T: Clone, G: Groups>(
     })
 }
 
+/// MIN/MAX fold over text: entries compare as strings, `by` being the
+/// order a better one has against the best so far. A state that has seen
+/// nothing takes the argument's dictionary; on that dictionary the best
+/// is the argument's code, and on any other each new best is interned.
+fn fold_best_text<G: Groups>(
+    (dict, best, unseen): (&mut Arc<StrDict>, &mut [u32], &mut Option<Vec<bool>>),
+    (arg, xs): (&Arc<StrDict>, &[u32]),
+    at: FoldAt<G>,
+    by: Ordering,
+) -> Result<()> {
+    if dict.is_empty() {
+        *dict = Arc::clone(arg);
+    }
+    if Arc::ptr_eq(dict, arg) {
+        fold_best(best, unseen, xs, at, |&x, &b| {
+            arg.get(x).cmp(arg.get(b)) == by
+        });
+        return Ok(());
+    }
+    let unseen = unseen.as_mut().expect("state columns carry a mask");
+    let mut done = Ok(());
+    for_rows(xs, at.nulls, at.sel, |k, x| {
+        if let Some(&x) = x {
+            let (g, s) = (at.ids.of(k), arg.get(x));
+            if unseen[g] || s.cmp(dict.get(best[g])) == by {
+                match Arc::make_mut(dict).intern(s) {
+                    Ok(code) => best[g] = code,
+                    Err(e) => done = Err(e),
+                }
+                unseen[g] = false;
+            }
+        }
+    });
+    done
+}
+
 /// SUM/AVG over text: fail on the first non-NULL value, like the
 /// row-at-a-time [`Accumulator`](crate::agg::Accumulator) does.
-fn first_value(xs: &[String], nulls: Option<&[bool]>, sel: &Selection, func: &str) -> Result<()> {
+fn first_value(
+    dict: &StrDict,
+    xs: &[u32],
+    nulls: Option<&[bool]>,
+    sel: &Selection,
+    func: &str,
+) -> Result<()> {
     let mut first = None;
     for_rows(xs, nulls, sel, |_, x| {
         if first.is_none() {
-            first = x;
+            first = x.copied();
         }
     });
     match first {
         None => Ok(()),
-        Some(v) => Err(Error::exec(format!("{func} over non-numeric value {v}"))),
+        Some(c) => Err(Error::exec(format!(
+            "{func} over non-numeric value {}",
+            dict.get(c)
+        ))),
+    }
+}
+
+/// Bytes a column of group state owns: a text column's dictionary is
+/// shared with the column it was gathered from, so only its codes count.
+fn owned_bytes(col: &ColumnData) -> usize {
+    match col {
+        ColumnData::Str { codes, nulls, .. } => {
+            codes.len() * 4 + nulls.as_ref().map_or(0, Vec::len)
+        }
+        other => other.approx_bytes(),
     }
 }
 
@@ -990,10 +1103,7 @@ pub struct GroupPartial {
 
 impl GroupPartial {
     fn heap_bytes(&self) -> usize {
-        self.keys
-            .iter()
-            .map(ColumnData::approx_bytes)
-            .sum::<usize>()
+        self.keys.iter().map(owned_bytes).sum::<usize>()
             + self.states.iter().map(AggState::heap_bytes).sum::<usize>()
     }
 
@@ -1014,8 +1124,8 @@ impl GroupPartial {
 /// so folding rows over several steps gives the bits of one step over
 /// all of them: a join folds a probe morsel's pairs in bounded slices
 /// this way.
-pub(crate) struct GroupFold<'a> {
-    grouper: Grouper<'a>,
+pub(crate) struct GroupFold {
+    grouper: Grouper,
     keys: Vec<ColumnData>,
     funcs: Vec<AggFunc>,
     /// Made by the first step, which knows the argument types.
@@ -1027,10 +1137,10 @@ pub(crate) struct GroupFold<'a> {
 /// One column read at selected rows: row `k` is `col`'s row `sel.index(k)`.
 pub(crate) type Input<'c, 's> = (&'c ColumnData, Selection<'s>);
 
-impl<'a> GroupFold<'a> {
+impl GroupFold {
     /// A fold grouping by columns of the types of `key_cols`, computing
     /// `specs`.
-    pub(crate) fn new(key_cols: &[&ColumnData], specs: &[AggSpec]) -> GroupFold<'a> {
+    pub(crate) fn new(key_cols: &[&ColumnData], specs: &[AggSpec]) -> GroupFold {
         GroupFold {
             grouper: Grouper::new(key_cols, 0),
             keys: key_cols
@@ -1048,7 +1158,7 @@ impl<'a> GroupFold<'a> {
     /// of `args[a]` (`None`: no argument).
     pub(crate) fn step(
         &mut self,
-        keys: &[Input<'a, '_>],
+        keys: &[Input],
         args: &[Option<Input<'_, '_>>],
         n: usize,
     ) -> Result<()> {
@@ -1434,12 +1544,43 @@ mod tests {
         assert_eq!(t.get(i64::MIN), Some(2));
         assert_eq!(t.get(4999), Some(4904));
         assert_eq!(t.get(5000), None);
-        let mut s: IdTable<&str> = IdTable::with_capacity(0);
-        let ids: Vec<u32> = ["", "a", "abcdefgh", "abcdefghi", "a", ""]
-            .iter()
-            .map(|&k| s.intern(k))
-            .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 1, 0]);
+    }
+
+    #[test]
+    fn text_keys_group_by_text_whatever_dictionary_they_come_from() {
+        let text = |cells: &[Option<&str>]| {
+            let cells = cells.iter().map(|c| c.map_or(Value::Null, Value::from));
+            ColumnData::from_values(DataType::Str, cells).unwrap()
+        };
+        let a = text(&[Some("x"), Some("y"), None, Some("x")]);
+        // Another dictionary: "y" and "x" in another order, "z" new to
+        // the first one, and an entry no selected row names.
+        let b = text(&[Some("unused"), Some("y"), Some("z"), None, Some("x")]);
+        let mut column = KeyColumn::new(DataType::Str, 0);
+        let mut ids = vec![0; 4];
+        // Only NULLs first: their dictionary is empty and keys nothing.
+        let nulls = text(&[None, None]);
+        column
+            .assign(&nulls, &Selection::Range(0..2), &mut ids)
+            .unwrap();
+        assert_eq!(ids[..2], [0, 0]);
+        column
+            .assign(&a, &Selection::Range(0..4), &mut ids)
+            .unwrap();
+        assert_eq!(ids, [1, 2, 0, 1]);
+        column
+            .assign(&b, &Selection::Range(1..5), &mut ids)
+            .unwrap();
+        assert_eq!(ids, [2, 3, 0, 1]);
+        column
+            .assign(&a.take(&[1, 1]), &Selection::Positions(&[0]), &mut ids)
+            .unwrap();
+        assert_eq!(ids[0], 2);
+        let KeyTable::Text(t) = &column.table else {
+            panic!("text keys take the text table");
+        };
+        assert_eq!(t.extra.entries().collect::<Vec<_>>(), ["z"]);
+        assert_eq!(column.len(), 4);
     }
 
     #[test]

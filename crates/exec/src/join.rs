@@ -7,12 +7,16 @@
 //!
 //! Integer equi-joins — the morsel-parallel join (cold queries load
 //! first, then run it) and its serial fallback — all probe one table type,
-//! [`JoinTable`].
+//! [`JoinTable`]. Text joins probe it too, over the build side's
+//! dictionary codes: each probe-dictionary entry is resolved once to the
+//! build code of the same text.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use nodb_types::resource::charge_current;
-use nodb_types::{CancelCheck, ColumnData, Error, Result, Selection};
+use nodb_types::{CancelCheck, ColumnData, Error, Result, Selection, StrDict};
 
 use crate::columnar::GroupKey;
 use crate::group::{dense_span, slot, IdTable};
@@ -138,9 +142,48 @@ impl JoinTable {
 pub(crate) enum JoinIndex {
     /// Two int key columns: the flat table.
     Int(JoinTable),
-    /// Any other pair of key types: build rows by key value, equal as
-    /// `Value::total_cmp` says (an int key matches an equal float).
+    /// Two text key columns: the flat table over the build side's codes.
+    Text(TextJoin),
+    /// Two numeric key columns of other types: build rows by key value,
+    /// equal as `Value::total_cmp` says (an int key matches an equal
+    /// float). Empty when one side is text and the other is not: such
+    /// keys are never equal.
     Values(HashMap<GroupKey, Vec<usize>>),
+}
+
+/// A text join's build side: the flat table over build codes, plus the
+/// build code of each probe-dictionary entry, resolved on first sight by
+/// whichever worker meets it first (every worker writes the same value).
+pub(crate) struct TextJoin {
+    table: JoinTable,
+    build: Arc<StrDict>,
+    probe: Arc<StrDict>,
+    resolved: Vec<AtomicU32>,
+}
+
+/// A probe entry not resolved yet; otherwise the slot holds the build code
+/// plus one (below [`ABSENT`]: codes stay below `u32::MAX - 1`), or
+/// [`ABSENT`].
+const UNRESOLVED: u32 = 0;
+const ABSENT: u32 = u32::MAX;
+
+impl TextJoin {
+    /// The build code of the text of `probe`'s entry `code`, if the build
+    /// side has it. `resolved` caches it per entry of `probe`.
+    #[inline]
+    fn build_code(&self, probe: &StrDict, resolved: &[AtomicU32], code: u32) -> Option<u32> {
+        let slot = &resolved[code as usize];
+        let mut r = slot.load(Ordering::Relaxed);
+        if r == UNRESOLVED {
+            r = self.build.lookup(probe.get(code)).map_or(ABSENT, |b| b + 1);
+            slot.store(r, Ordering::Relaxed);
+        }
+        (r != ABSENT).then(|| r - 1)
+    }
+}
+
+fn unresolved(entries: usize) -> Vec<AtomicU32> {
+    (0..entries).map(|_| AtomicU32::new(UNRESOLVED)).collect()
 }
 
 impl JoinIndex {
@@ -161,12 +204,38 @@ impl JoinIndex {
         rows: impl Iterator<Item = usize> + Clone,
         probe: &ColumnData,
     ) -> Result<JoinIndex> {
-        if let (ColumnData::Int64 { values, nulls }, ColumnData::Int64 { .. }) = (build, probe) {
-            let nulls = nulls.as_deref();
-            let entries = rows
-                .filter(move |&r| nulls.is_none_or(|m| !m[r]))
-                .map(|r| (values[r], r));
-            return JoinTable::from_entries(entries).map(JoinIndex::Int);
+        match (build, probe) {
+            (ColumnData::Int64 { values, nulls }, ColumnData::Int64 { .. }) => {
+                let nulls = nulls.as_deref();
+                let entries = rows
+                    .filter(move |&r| nulls.is_none_or(|m| !m[r]))
+                    .map(|r| (values[r], r));
+                return JoinTable::from_entries(entries).map(JoinIndex::Int);
+            }
+            (ColumnData::Str { dict, codes, nulls }, ColumnData::Str { dict: pd, .. }) => {
+                let nulls = nulls.as_deref();
+                let entries = rows
+                    .filter(move |&r| nulls.is_none_or(|m| !m[r]))
+                    .map(|r| (i64::from(codes[r]), r));
+                let table = JoinTable::from_entries(entries)?;
+                let resolved = match Arc::ptr_eq(dict, pd) {
+                    true => Vec::new(),
+                    false => {
+                        charge_current(pd.len() * 4)?;
+                        unresolved(pd.len())
+                    }
+                };
+                return Ok(JoinIndex::Text(TextJoin {
+                    table,
+                    build: Arc::clone(dict),
+                    probe: Arc::clone(pd),
+                    resolved,
+                }));
+            }
+            (ColumnData::Str { .. }, _) | (_, ColumnData::Str { .. }) => {
+                return Ok(JoinIndex::Values(HashMap::new()));
+            }
+            _ => {}
         }
         let mut table: HashMap<GroupKey, Vec<usize>> = HashMap::new();
         for r in rows {
@@ -205,6 +274,29 @@ impl JoinIndex {
                     .filter(|&p| !m[p])
                     .try_for_each(|p| f(p, t.matches(values[p]))),
             },
+            (JoinIndex::Text(t), ColumnData::Str { dict, codes, nulls }) => {
+                // Codes of the build dictionary need no resolving; another
+                // probe column than the one the index was built for
+                // resolves its entries afresh.
+                let same = Arc::ptr_eq(dict, &t.build);
+                let fresh;
+                let resolved = if same || Arc::ptr_eq(dict, &t.probe) {
+                    &t.resolved
+                } else {
+                    fresh = unresolved(dict.len());
+                    &fresh
+                };
+                let build_code = |c: u32| match same {
+                    true => Some(c),
+                    false => t.build_code(dict, resolved, c),
+                };
+                rows.filter(|&p| nulls.as_ref().is_none_or(|m| !m[p]))
+                    .try_for_each(|p| match build_code(codes[p]) {
+                        Some(b) => f(p, t.table.matches(i64::from(b))),
+                        None => Ok(()),
+                    })
+            }
+            (JoinIndex::Values(table), _) if table.is_empty() => Ok(()),
             // NULL is never a key of the table, so a NULL probe finds
             // nothing.
             (JoinIndex::Values(table), _) => {
@@ -213,9 +305,9 @@ impl JoinIndex {
                     None => Ok(()),
                 })
             }
-            (JoinIndex::Int(_), _) => {
-                Err(Error::internal("int join index probed with non-int keys"))
-            }
+            (JoinIndex::Int(_) | JoinIndex::Text(_), _) => Err(Error::internal(
+                "join index probed with keys of another type",
+            )),
         }
     }
 }
@@ -302,9 +394,97 @@ mod tests {
         assert_eq!(pairs, vec![(1, 0)]);
     }
 
+    #[test]
+    fn text_keys_resolve_each_probe_entry_once_through_the_build_dictionary() {
+        let text = |cells: &[Option<&str>]| {
+            let cells = cells.iter().map(|c| c.map_or(Value::Null, Value::from));
+            ColumnData::from_values(nodb_types::DataType::Str, cells).unwrap()
+        };
+        let build = text(&[Some("b"), None, Some("a"), Some("b")]);
+        let probe = text(&[Some("z"), Some("b"), None, Some("a"), Some("b")]);
+        let index = JoinIndex::build(&build, &Selection::Range(0..4), &probe).unwrap();
+        let probe_all = |col: &ColumnData| {
+            let mut pairs = Vec::new();
+            index
+                .probe(col, &Selection::Range(0..col.len()), |p, m| {
+                    pairs.extend(m.iter().map(|&b| (b, p)));
+                    Ok(())
+                })
+                .unwrap();
+            pairs
+        };
+        assert_eq!(probe_all(&probe), [(0, 1), (3, 1), (2, 3), (0, 4), (3, 4)]);
+        let JoinIndex::Text(t) = &index else {
+            panic!("text keys take the text index");
+        };
+        // "z", "b", "a": resolved; NULL rows resolve nothing.
+        let resolved: Vec<u32> = t
+            .resolved
+            .iter()
+            .map(|r| r.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(resolved, [ABSENT, 1, 2]);
+        // Probes by the build column's own codes, and by a column the
+        // index was not built for.
+        assert_eq!(probe_all(&build.take(&[2, 1])), [(2, 0)]);
+        assert_eq!(probe_all(&text(&[Some("a"), Some("q")])), [(2, 0)]);
+        // Text never equals a number.
+        let ints = ColumnData::from_i64(vec![0, 1]);
+        assert!(hash_join_positions(&build, &ints).unwrap().is_empty());
+        assert!(hash_join_positions(&ints, &probe).unwrap().is_empty());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Keys 0..8 name a word (the empty string and non-ASCII among
+        /// them); 8 is NULL.
+        const WORDS: [&str; 8] = ["", "a", "b", "é", "日本", "ab", "left only", "right only"];
+
+        fn text(keys: &[u8]) -> ColumnData {
+            let cells = keys.iter().map(|&k| match WORDS.get(k as usize) {
+                Some(w) => Value::from(*w),
+                None => Value::Null,
+            });
+            ColumnData::from_values(nodb_types::DataType::Str, cells).unwrap()
+        }
+
+        proptest! {
+            /// Text joins agree with the nested-loop definition: keys one
+            /// side's dictionary lacks, NULLs (never equal), the empty
+            /// string and non-ASCII; each side its own dictionary, or
+            /// both one column's.
+            #[test]
+            fn text_joins_agree_with_nested_loop(
+                ls in proptest::collection::vec(0u8..9, 0..30),
+                rs in proptest::collection::vec(0u8..9, 0..30),
+                shared in proptest::bool::ANY,
+            ) {
+                // "left only" and "right only" stay on their sides.
+                let ls: Vec<u8> = ls.into_iter().map(|k| if k == 7 { 6 } else { k }).collect();
+                let rs: Vec<u8> = rs.into_iter().map(|k| if k == 6 { 7 } else { k }).collect();
+                let (l, r) = if shared {
+                    let both = text(&[ls.clone(), rs.clone()].concat());
+                    let lrows: Vec<usize> = (0..ls.len()).collect();
+                    let rrows: Vec<usize> = (ls.len()..ls.len() + rs.len()).collect();
+                    (both.take(&lrows), both.take(&rrows))
+                } else {
+                    (text(&ls), text(&rs))
+                };
+                let mut expected = Vec::new();
+                for (i, &a) in ls.iter().enumerate() {
+                    for (j, &b) in rs.iter().enumerate() {
+                        if a == b && a < 8 {
+                            expected.push((i, j));
+                        }
+                    }
+                }
+                let mut h = hash_join_positions(&l, &r).unwrap();
+                h.sort_unstable();
+                prop_assert_eq!(&h, &expected);
+            }
+        }
 
         proptest! {
             /// The hash join agrees with the nested-loop definition.

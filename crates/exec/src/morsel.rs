@@ -246,7 +246,7 @@ impl<'a> JoinFold<'a> {
     }
 
     /// Fold `n` pairs whose rows are `rows[side]`.
-    fn step(&self, fold: &mut GroupFold<'a>, rows: &[Vec<usize>; 2], n: usize) -> Result<()> {
+    fn step(&self, fold: &mut GroupFold, rows: &[Vec<usize>; 2], n: usize) -> Result<()> {
         let keys: Vec<Input> = self
             .group
             .iter()

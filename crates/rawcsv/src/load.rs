@@ -36,18 +36,18 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    CancelCheck, ColumnData, DataType, Error, QueryContext, Result, Schema, Value, WorkCounters,
+    CancelCheck, ColumnData, DataType, Error, QueryContext, Result, Schema, WorkCounters,
 };
 
 use crate::bytes::find_byte;
 use crate::posmap::{PositionalMap, UNKNOWN};
 use crate::tokenizer::{
-    field_end, field_error, find_row_starts, hint_columns, parse_f64_field, parse_field,
+    decode_field, field_end, field_error, find_row_starts, hint_columns, parse_f64_field,
     parse_i64_field, record_columns, short_row_error, touch_plan, validate_spec, walk_start,
     CsvOptions, LocalCounters, ScanSpec,
 };
@@ -457,7 +457,7 @@ impl Part {
             let _ = match col {
                 ColumnData::Int64 { values, .. } => values.try_reserve_exact(rows),
                 ColumnData::Float64 { values, .. } => values.try_reserve_exact(rows),
-                ColumnData::Str { values, .. } => values.try_reserve_exact(rows),
+                ColumnData::Str { codes, .. } => codes.try_reserve_exact(rows),
             };
         }
         if starts {
@@ -827,12 +827,14 @@ fn push_field(col: &mut ColumnData, raw: &[u8], quote: Option<u8>) -> Result<()>
         ColumnData::Float64 { values, nulls } => {
             push_opt(values, nulls, parse_f64_field(raw, quote)?)
         }
-        ColumnData::Str { values, nulls } => {
-            let v = match parse_field(raw, DataType::Str, quote)? {
-                Value::Str(s) => Some(s),
-                _ => None,
+        ColumnData::Str { dict, codes, nulls } => {
+            // An empty unquoted field is NULL; the text is interned
+            // straight from the buffer, with no `String` per cell.
+            let code = match raw.is_empty() {
+                true => None,
+                false => Some(Arc::make_mut(dict).intern(&decode_field(raw, quote)?)?),
             };
-            push_opt(values, nulls, v)
+            push_opt(codes, nulls, code)
         }
     }
     Ok(())
@@ -842,7 +844,7 @@ fn push_null(col: &mut ColumnData) {
     match col {
         ColumnData::Int64 { values, nulls } => push_opt(values, nulls, None),
         ColumnData::Float64 { values, nulls } => push_opt(values, nulls, None),
-        ColumnData::Str { values, nulls } => push_opt(values, nulls, None),
+        ColumnData::Str { codes, nulls, .. } => push_opt(codes, nulls, None),
     }
 }
 
@@ -868,7 +870,7 @@ fn push_opt<T: Default>(values: &mut Vec<T>, nulls: &mut Option<Vec<bool>>, v: O
 mod tests {
     use super::*;
     use crate::tokenizer::scan_bytes;
-    use nodb_types::Field;
+    use nodb_types::{Field, Value};
     use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -978,7 +980,27 @@ mod tests {
         };
         prop_assert_eq!(loaded.rows, scanned.rows_scanned);
         for (i, c) in needed.iter().enumerate() {
-            prop_assert_eq!(&loaded.columns[i], &scanned.columns[c], "column {}", c);
+            let (l, s) = (&loaded.columns[i], &scanned.columns[c]);
+            prop_assert_eq!(l, s, "column {}", c);
+            // Text parts merge into one dictionary in first-appearance
+            // order: the very layout (and bytes) of a row-at-a-time build.
+            prop_assert_eq!(l.approx_bytes(), s.approx_bytes(), "column {} bytes", c);
+            if let (
+                ColumnData::Str {
+                    dict: ld,
+                    codes: lc,
+                    ..
+                },
+                ColumnData::Str {
+                    dict: sd,
+                    codes: sc,
+                    ..
+                },
+            ) = (l, s)
+            {
+                prop_assert!(ld.entries().eq(sd.entries()), "column {} entries", c);
+                prop_assert_eq!(lc, sc, "column {} codes", c);
+            }
         }
         loaded.record_into(pm_load);
         prop_assert_eq!(pm_load.row_starts(), pm_scan.row_starts());

@@ -726,7 +726,7 @@ fn parse_numeric_slow(raw: &[u8], ty: DataType, quote: Option<u8>) -> Result<Opt
 }
 
 /// Strip quotes and unescape `""` pairs; validates UTF-8.
-fn decode_field(raw: &[u8], quote: Option<u8>) -> Result<Cow<'_, str>> {
+pub(crate) fn decode_field(raw: &[u8], quote: Option<u8>) -> Result<Cow<'_, str>> {
     let unquoted: Cow<'_, [u8]> = match quote {
         Some(q) if raw.first() == Some(&q) => {
             let inner_end = if raw.last() == Some(&q) && raw.len() >= 2 {
@@ -880,7 +880,7 @@ pub fn find_row_starts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nodb_types::{CmpOp, ColPred};
+    use nodb_types::{CmpOp, ColPred, ValueRef};
 
     fn opts() -> CsvOptions {
         CsvOptions {
@@ -1116,10 +1116,9 @@ mod tests {
         .unwrap();
         let out = scan_simple("1.5,hello\n-2.25,world\n", &schema, vec![0, 1], None);
         assert_eq!(out.columns[&0].as_f64_slice().unwrap(), &[1.5, -2.25]);
-        assert_eq!(
-            out.columns[&1].as_str_slice().unwrap(),
-            &["hello".to_string(), "world".to_string()]
-        );
+        let text = &out.columns[&1];
+        let cells: Vec<_> = (0..text.len()).map(|i| text.get_ref(i)).collect();
+        assert_eq!(cells, [ValueRef::Str("hello"), ValueRef::Str("world")]);
     }
 
     #[test]
@@ -1165,12 +1164,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.rows_scanned, 3);
+        let text = &out.columns[&0];
+        let cells: Vec<_> = (0..text.len()).map(|i| text.get_ref(i)).collect();
         assert_eq!(
-            out.columns[&0].as_str_slice().unwrap(),
-            &[
-                "x,y".to_string(),
-                "line1\nline2".to_string(),
-                "he said \"hi\"".to_string()
+            cells,
+            [
+                ValueRef::Str("x,y"),
+                ValueRef::Str("line1\nline2"),
+                ValueRef::Str("he said \"hi\"")
             ]
         );
         assert_eq!(out.columns[&1].as_i64_slice().unwrap(), &[1, 2, 3]);

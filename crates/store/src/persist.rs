@@ -14,7 +14,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use nodb_types::{ColumnData, DataType, Error, Result, WorkCounters};
+use nodb_types::{ColumnData, DataType, Error, Result, Value, WorkCounters};
 
 const MAGIC: &[u8; 4] = b"NDBC";
 const VERSION: u8 = 1;
@@ -65,8 +65,10 @@ pub fn write_column(path: &Path, col: &ColumnData, counters: &WorkCounters) -> R
                 w.write_all(&v.to_le_bytes())?;
             }
         }
-        ColumnData::Str { values, .. } => {
-            for s in values {
+        ColumnData::Str { dict, codes, .. } => {
+            // A NULL row is written as the empty string, its mask after.
+            for (i, &c) in codes.iter().enumerate() {
+                let s = if col.is_null(i) { "" } else { dict.get(c) };
                 w.write_all(&(s.len() as u32).to_le_bytes())?;
                 w.write_all(s.as_bytes())?;
             }
@@ -101,6 +103,7 @@ pub fn read_column(path: &Path, counters: &WorkCounters) -> Result<ColumnData> {
     let len = u64::from_le_bytes(header[7..15].try_into().expect("8 bytes")) as usize;
     let mut bytes_read = header.len() as u64;
 
+    let mut strings = Vec::new();
     let mut col = match ty {
         DataType::Int64 => {
             let mut values = vec![0i64; len];
@@ -129,7 +132,7 @@ pub fn read_column(path: &Path, counters: &WorkCounters) -> Result<ColumnData> {
             }
         }
         DataType::Str => {
-            let mut values = Vec::with_capacity(len);
+            strings.reserve(len);
             let mut lbuf = [0u8; 4];
             for _ in 0..len {
                 r.read_exact(&mut lbuf)?;
@@ -137,26 +140,34 @@ pub fn read_column(path: &Path, counters: &WorkCounters) -> Result<ColumnData> {
                 let mut sbuf = vec![0u8; slen];
                 r.read_exact(&mut sbuf)?;
                 bytes_read += 4 + slen as u64;
-                values.push(
+                strings.push(
                     String::from_utf8(sbuf)
                         .map_err(|e| Error::parse(format!("bad utf-8 in column file: {e}")))?,
                 );
             }
-            ColumnData::Str {
-                values,
-                nulls: None,
-            }
+            ColumnData::empty(DataType::Str)
         }
     };
-    if has_nulls {
-        let mut mask = vec![0u8; len];
-        r.read_exact(&mut mask)?;
-        bytes_read += len as u64;
-        let mask: Vec<bool> = mask.into_iter().map(|b| b != 0).collect();
-        match &mut col {
-            ColumnData::Int64 { nulls, .. }
-            | ColumnData::Float64 { nulls, .. }
-            | ColumnData::Str { nulls, .. } => *nulls = Some(mask),
+    let mask = match has_nulls {
+        true => {
+            let mut mask = vec![0u8; len];
+            r.read_exact(&mut mask)?;
+            bytes_read += len as u64;
+            Some(mask.into_iter().map(|b| b != 0).collect::<Vec<bool>>())
+        }
+        false => None,
+    };
+    match &mut col {
+        ColumnData::Int64 { nulls, .. } | ColumnData::Float64 { nulls, .. } => *nulls = mask,
+        // Interned once the mask is known: a NULL row's empty string is
+        // no entry.
+        ColumnData::Str { .. } => {
+            let null = |i: usize| mask.as_ref().is_some_and(|m| m[i]);
+            let cells = strings.into_iter().enumerate().map(|(i, s)| match null(i) {
+                true => Value::Null,
+                false => Value::Str(s),
+            });
+            col = ColumnData::from_values(DataType::Str, cells)?;
         }
     }
     counters.add_bytes_read(bytes_read);
@@ -222,6 +233,13 @@ mod tests {
         let c = WorkCounters::new();
         write_column(&p, &col, &c).unwrap();
         assert_eq!(read_column(&p, &c).unwrap(), col);
+        // A NULL row comes back NULL and adds no dictionary entry.
+        let cells = [Value::Null, Value::from("x"), Value::Null, Value::from("x")];
+        let col = ColumnData::from_values(DataType::Str, cells).unwrap();
+        write_column(&p, &col, &c).unwrap();
+        let back = read_column(&p, &c).unwrap();
+        assert_eq!(back, col);
+        assert_eq!(back.approx_bytes(), col.approx_bytes());
     }
 
     #[test]

@@ -4,13 +4,19 @@
 //! produces it, the adaptive store caches it, the kernel scans it. Values are
 //! stored unboxed per type (a `Vec<i64>` for int columns), with an optional
 //! null mask allocated only when a null actually appears — the fast path for
-//! the paper's all-integer workloads never touches the mask.
+//! the paper's all-integer workloads never touches the mask. Text is
+//! dictionary-coded: one `u32` code per cell into a [`StrDict`] that
+//! holds each distinct string once and is shared, not copied, by the
+//! columns gathered from it.
 
+use std::sync::Arc;
+
+use crate::dict::StrDict;
 use crate::error::{Error, Result};
 use crate::value::{DataType, Value, ValueRef};
 
 /// A typed, contiguous column of values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// 64-bit integers. `nulls[i] == true` means row `i` is NULL (the entry
     /// in `values` is then 0 and meaningless).
@@ -27,13 +33,55 @@ pub enum ColumnData {
         /// Null mask; `None` means "no nulls anywhere".
         nulls: Option<Vec<bool>>,
     },
-    /// UTF-8 strings.
+    /// UTF-8 strings, dictionary-coded. Every code names an entry of
+    /// `dict`; a NULL row holds code 0, which names an entry unless the
+    /// dictionary is empty — and then every row is NULL.
     Str {
-        /// Owned strings (empty for nulls).
-        values: Vec<String>,
+        /// The column's distinct strings.
+        dict: Arc<StrDict>,
+        /// One code per row.
+        codes: Vec<u32>,
         /// Null mask; `None` means "no nulls anywhere".
         nulls: Option<Vec<bool>>,
     },
+}
+
+/// Equality by value: two text columns are equal when their rows hold the
+/// same strings, however their dictionaries are laid out.
+impl PartialEq for ColumnData {
+    fn eq(&self, other: &ColumnData) -> bool {
+        match (self, other) {
+            (
+                ColumnData::Int64 { values, nulls },
+                ColumnData::Int64 {
+                    values: v2,
+                    nulls: n2,
+                },
+            ) => values == v2 && nulls == n2,
+            (
+                ColumnData::Float64 { values, nulls },
+                ColumnData::Float64 {
+                    values: v2,
+                    nulls: n2,
+                },
+            ) => values == v2 && nulls == n2,
+            (
+                ColumnData::Str { dict, codes, nulls },
+                ColumnData::Str {
+                    dict: d2,
+                    codes: c2,
+                    nulls: n2,
+                },
+            ) => {
+                codes.len() == c2.len()
+                    && nulls == n2
+                    && codes.iter().zip(c2).enumerate().all(|(i, (&a, &b))| {
+                        nulls.as_ref().is_some_and(|m| m[i]) || dict.get(a) == d2.get(b)
+                    })
+            }
+            _ => false,
+        }
+    }
 }
 
 impl ColumnData {
@@ -49,7 +97,8 @@ impl ColumnData {
                 nulls: None,
             },
             DataType::Str => ColumnData::Str {
-                values: Vec::new(),
+                dict: Arc::default(),
+                codes: Vec::new(),
                 nulls: None,
             },
         }
@@ -67,7 +116,8 @@ impl ColumnData {
                 nulls: None,
             },
             DataType::Str => ColumnData::Str {
-                values: Vec::with_capacity(cap),
+                dict: Arc::default(),
+                codes: Vec::with_capacity(cap),
                 nulls: None,
             },
         }
@@ -89,10 +139,18 @@ impl ColumnData {
         }
     }
 
-    /// Build a string column from values (no nulls).
+    /// Build a string column from values (no nulls). Panics past
+    /// [`MAX_ENTRIES`](crate::dict::MAX_ENTRIES) distinct values;
+    /// [`ColumnData::push`] returns that as an error instead.
     pub fn from_strings(values: Vec<String>) -> ColumnData {
+        let mut dict = StrDict::new();
+        let codes = values
+            .iter()
+            .map(|s| dict.intern(s).expect("distinct strings fit u32 codes"))
+            .collect();
         ColumnData::Str {
-            values,
+            dict: Arc::new(dict),
+            codes,
             nulls: None,
         }
     }
@@ -111,7 +169,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64 { values, .. } => values.len(),
             ColumnData::Float64 { values, .. } => values.len(),
-            ColumnData::Str { values, .. } => values.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
         }
     }
 
@@ -140,7 +198,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64 { values, .. } => Value::Int(values[i]),
             ColumnData::Float64 { values, .. } => Value::Float(values[i]),
-            ColumnData::Str { values, .. } => Value::Str(values[i].clone()),
+            ColumnData::Str { dict, codes, .. } => Value::Str(dict.get(codes[i]).to_owned()),
         }
     }
 
@@ -153,7 +211,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64 { values, .. } => ValueRef::Int(values[i]),
             ColumnData::Float64 { values, .. } => ValueRef::Float(values[i]),
-            ColumnData::Str { values, .. } => ValueRef::Str(&values[i]),
+            ColumnData::Str { dict, codes, .. } => ValueRef::Str(dict.get(codes[i])),
         }
     }
 
@@ -173,8 +231,8 @@ impl ColumnData {
                     m.push(false);
                 }
             }
-            (ColumnData::Str { values, nulls }, Value::Str(x)) => {
-                values.push(x);
+            (ColumnData::Str { dict, codes, nulls }, Value::Str(x)) => {
+                codes.push(Arc::make_mut(dict).intern(&x)?);
                 if let Some(m) = nulls {
                     m.push(false);
                 }
@@ -188,8 +246,8 @@ impl ColumnData {
                     values.push(0.0);
                     nulls.get_or_insert_with(|| vec![false; n]).push(true);
                 }
-                ColumnData::Str { values, nulls } => {
-                    values.push(String::new());
+                ColumnData::Str { codes, nulls, .. } => {
+                    codes.push(0);
                     nulls.get_or_insert_with(|| vec![false; n]).push(true);
                 }
             },
@@ -223,7 +281,10 @@ impl ColumnData {
     /// Move all rows of `other` onto the end of `self`, leaving `other`
     /// empty with its value capacity kept, so a buffer that is filled and
     /// drained over and over allocates once. The columns must have the
-    /// same type.
+    /// same type. Text from another dictionary is interned into this
+    /// column's, in the order its rows first name it, and its codes are
+    /// remapped; a column with no entry (no rows, or only NULLs) takes the
+    /// source's dictionary as it is.
     pub fn append_from(&mut self, other: &mut ColumnData) -> Result<()> {
         if self.data_type() != other.data_type() {
             return Err(Error::schema(format!(
@@ -265,38 +326,52 @@ impl ColumnData {
                 },
             ) => merge((values, nulls), (v2, n2)),
             (
-                ColumnData::Str { values, nulls },
+                ColumnData::Str { dict, codes, nulls },
                 ColumnData::Str {
-                    values: v2,
+                    dict: d2,
+                    codes: c2,
                     nulls: n2,
                 },
-            ) => merge((values, nulls), (v2, n2)),
+            ) => {
+                // No row names an entry of an empty dictionary.
+                if codes.is_empty() || dict.is_empty() {
+                    *dict = Arc::clone(d2);
+                } else if !Arc::ptr_eq(dict, d2) {
+                    recode(dict, d2, c2, n2.as_deref())?;
+                }
+                merge((codes, nulls), (c2, n2));
+                match Arc::get_mut(d2) {
+                    Some(d) => d.clear(),
+                    None => *d2 = Arc::default(),
+                }
+            }
             _ => unreachable!("type equality checked above"),
         }
         Ok(())
     }
 
     /// Gather rows by index into a new column (panics on out-of-range).
+    /// A text column's gather shares its dictionary.
     pub fn take(&self, indices: &[usize]) -> ColumnData {
         // Typed fast paths: no per-value boxing.
+        let mask = |nulls: &Option<Vec<bool>>| {
+            nulls
+                .as_ref()
+                .map(|m| indices.iter().map(|&i| m[i]).collect())
+        };
         match self {
             ColumnData::Int64 { values, nulls } => ColumnData::Int64 {
                 values: indices.iter().map(|&i| values[i]).collect(),
-                nulls: nulls
-                    .as_ref()
-                    .map(|m| indices.iter().map(|&i| m[i]).collect()),
+                nulls: mask(nulls),
             },
             ColumnData::Float64 { values, nulls } => ColumnData::Float64 {
                 values: indices.iter().map(|&i| values[i]).collect(),
-                nulls: nulls
-                    .as_ref()
-                    .map(|m| indices.iter().map(|&i| m[i]).collect()),
+                nulls: mask(nulls),
             },
-            ColumnData::Str { values, nulls } => ColumnData::Str {
-                values: indices.iter().map(|&i| values[i].clone()).collect(),
-                nulls: nulls
-                    .as_ref()
-                    .map(|m| indices.iter().map(|&i| m[i]).collect()),
+            ColumnData::Str { dict, codes, nulls } => ColumnData::Str {
+                dict: Arc::clone(dict),
+                codes: indices.iter().map(|&i| codes[i]).collect(),
+                nulls: mask(nulls),
             },
         }
     }
@@ -322,28 +397,52 @@ impl ColumnData {
         }
     }
 
-    /// Direct access to string values. `None` if not a string column.
-    pub fn as_str_slice(&self) -> Option<&[String]> {
-        match self {
-            ColumnData::Str { values, .. } => Some(values),
-            _ => None,
-        }
-    }
-
     /// Approximate memory footprint in bytes (for store accounting).
     pub fn approx_bytes(&self) -> usize {
         let mask = |m: &Option<Vec<bool>>| m.as_ref().map(|v| v.len()).unwrap_or(0);
         match self {
             ColumnData::Int64 { values, nulls } => values.len() * 8 + mask(nulls),
             ColumnData::Float64 { values, nulls } => values.len() * 8 + mask(nulls),
-            ColumnData::Str { values, nulls } => {
-                values
-                    .iter()
-                    .map(|s| s.len() + std::mem::size_of::<String>())
-                    .sum::<usize>()
-                    + mask(nulls)
+            ColumnData::Str { dict, codes, nulls } => {
+                codes.len() * 4 + mask(nulls) + dict.approx_bytes()
             }
         }
+    }
+}
+
+/// Rewrite `codes` (of `src`'s entries) as codes of `dict`, interning each
+/// entry the non-NULL rows name, in the order they first name it. NULL
+/// rows get code 0.
+fn recode(
+    dict: &mut Arc<StrDict>,
+    src: &StrDict,
+    codes: &mut [u32],
+    nulls: Option<&[bool]>,
+) -> Result<()> {
+    if src.is_empty() {
+        // Every row is NULL and already holds code 0.
+        return Ok(());
+    }
+    let dict = Arc::make_mut(dict);
+    let mut to = vec![u32::MAX; src.len()];
+    let mut recode = |c: &mut u32| -> Result<()> {
+        let slot = &mut to[*c as usize];
+        if *slot == u32::MAX {
+            *slot = dict.intern_from(src, *c)?;
+        }
+        *c = *slot;
+        Ok(())
+    };
+    match nulls {
+        None => codes.iter_mut().try_for_each(recode),
+        Some(m) => codes.iter_mut().zip(m).try_for_each(|(c, &null)| {
+            if null {
+                *c = 0;
+                Ok(())
+            } else {
+                recode(c)
+            }
+        }),
     }
 }
 
@@ -440,6 +539,107 @@ mod tests {
         let a = ColumnData::from_i64(vec![1; 10]).approx_bytes();
         let b = ColumnData::from_i64(vec![1; 20]).approx_bytes();
         assert_eq!(b, 2 * a);
+    }
+
+    fn text(cells: &[Option<&str>]) -> ColumnData {
+        let cells = cells.iter().map(|c| c.map_or(Value::Null, Value::from));
+        ColumnData::from_values(DataType::Str, cells).unwrap()
+    }
+
+    fn dict(col: &ColumnData) -> &Arc<StrDict> {
+        match col {
+            ColumnData::Str { dict, .. } => dict,
+            _ => panic!("not a text column"),
+        }
+    }
+
+    #[test]
+    fn text_cells_are_codes_into_one_dictionary() {
+        let c = text(&[Some("b"), None, Some("a"), Some("b"), Some("")]);
+        assert!(matches!(&c, ColumnData::Str { codes, .. } if codes == &[0, 0, 1, 0, 2]));
+        assert_eq!(dict(&c).entries().collect::<Vec<_>>(), ["b", "a", ""]);
+        assert_eq!(c.get(3), Value::Str("b".into()));
+        assert_eq!(c.get_ref(4), ValueRef::Str(""));
+        assert_eq!(c.get(1), Value::Null);
+        // Codes, the mask, then the dictionary: text, offsets and hashes,
+        // 16 slots.
+        assert_eq!(c.approx_bytes(), 5 * 4 + 5 + (2 + 3 * (8 + 4) + 16 * 4));
+        // An all-NULL column has an empty dictionary.
+        let nulls = text(&[None, None]);
+        assert!(dict(&nulls).is_empty());
+        assert_eq!(
+            nulls.iter_values().collect::<Vec<_>>(),
+            [Value::Null, Value::Null]
+        );
+    }
+
+    #[test]
+    fn text_equality_is_by_value_not_by_dictionary_layout() {
+        let a = text(&[Some("x"), Some("y"), None]);
+        let mut b = text(&[Some("y"), Some("x"), None]).take(&[1, 0, 2]);
+        assert_eq!(a, b);
+        assert_ne!(dict(&a).get(0), dict(&b).get(0));
+        b.push(Value::Str("z".into())).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(text(&[Some("")]), text(&[None]));
+        assert_ne!(text(&[Some("x")]), ColumnData::from_i64(vec![0]));
+    }
+
+    #[test]
+    fn take_shares_the_dictionary() {
+        let c = text(&[Some("a"), Some("b"), None]);
+        let t = c.take(&[2, 1, 1]);
+        assert!(Arc::ptr_eq(dict(&c), dict(&t)));
+        assert_eq!(t, text(&[None, Some("b"), Some("b")]));
+    }
+
+    #[test]
+    fn text_append_interns_and_remaps_in_first_appearance_order() {
+        // Parts as the loader fills them: each its own dictionary.
+        let mut dst = ColumnData::with_capacity(DataType::Str, 8);
+        let mut part = ColumnData::empty(DataType::Str);
+        for cells in [
+            &[Some("p"), None, Some("q")][..],
+            &[None, Some("r"), Some("q"), Some("p")],
+            &[None],
+            &[Some("s"), Some("é")],
+        ] {
+            for c in cells {
+                part.push(c.map_or(Value::Null, Value::from)).unwrap();
+            }
+            dst.append_from(&mut part).unwrap();
+            // Drained: no row and no entry left behind for the next fill.
+            assert!(part.is_empty() && dict(&part).is_empty());
+        }
+        let want = [
+            Some("p"),
+            None,
+            Some("q"),
+            None,
+            Some("r"),
+            Some("q"),
+            Some("p"),
+            None,
+            Some("s"),
+            Some("é"),
+        ];
+        assert_eq!(dst, text(&want));
+        let entries: Vec<&str> = dict(&dst).entries().collect();
+        assert_eq!(entries, ["p", "q", "r", "s", "é"]);
+        assert!(matches!(&dst, ColumnData::Str { codes, .. }
+            if codes == &[0, 0, 1, 0, 2, 1, 0, 0, 3, 4]));
+        assert_eq!(dst.approx_bytes(), text(&want).approx_bytes());
+
+        // A gather of the destination appends by code; one of another
+        // column remaps only the entries its rows name.
+        let before = dict(&dst).len();
+        dst.append(dst.take(&[4, 1])).unwrap();
+        assert_eq!(dict(&dst).len(), before);
+        let other = text(&[Some("unused"), Some("t"), None]);
+        dst.append(other.take(&[2, 1])).unwrap();
+        assert_eq!(dict(&dst).len(), before + 1);
+        assert_eq!(dst.get(12), Value::Null);
+        assert_eq!(dst.get(13), Value::Str("t".into()));
     }
 
     #[test]

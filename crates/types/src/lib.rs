@@ -5,6 +5,8 @@
 //! * [`Value`] / [`DataType`] — the scalar value model (64-bit ints, 64-bit
 //!   floats, UTF-8 strings, SQL-style nulls),
 //! * [`Schema`] / [`Field`] — table schemas,
+//! * [`ColumnData`] — typed columns; text is dictionary-coded through a
+//!   shared [`StrDict`] (one `u32` code per cell),
 //! * [`Error`] / [`Result`] — the error type used across the engine,
 //! * [`predicate`] — column predicates and conjunctions, the currency in
 //!   which queries communicate their needs to the adaptive loader,
@@ -44,6 +46,7 @@ pub mod cancel;
 pub mod column;
 pub mod context;
 pub mod counters;
+pub mod dict;
 pub mod error;
 pub mod failpoints;
 pub mod interval;
@@ -59,6 +62,7 @@ pub use cancel::{CancelCheck, CancelScope, CancelToken};
 pub use column::ColumnData;
 pub use context::{ContextGuard, QueryContext};
 pub use counters::{CountersSnapshot, WorkCounters};
+pub use dict::StrDict;
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
 pub use morsel::{drive_morsels, map_morsels, morsel_count, MorselRange};
