@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nodb_rawcsv::tokenizer::{read_file, scan_bytes, ScanSpec};
-use nodb_rawcsv::{load_columns, LoadSpec};
+use nodb_rawcsv::tokenizer::read_file;
+use nodb_rawcsv::{load_columns, CsvOptions, LoadSpec, Loaded, PositionalMap};
 use nodb_store::Fragment;
 use nodb_types::profile::{self, Phase};
 use nodb_types::{
@@ -79,92 +79,23 @@ pub fn materialize(
         }
         return dense_from_store(entry, needed, now);
     }
-    match cfg.strategy {
-        LoadingStrategy::FullLoad => full_load(entry, needed, cfg, counters, now),
-        LoadingStrategy::ExternalScan => external_scan(entry, needed, cfg, counters),
-        LoadingStrategy::ColumnLoads => column_loads(entry, needed, cfg, counters, now),
-        LoadingStrategy::PartialLoadsV1 => partial_v1(entry, needed, filter, cfg, counters),
-        LoadingStrategy::PartialLoadsV2 => partial_v2(entry, needed, filter, cfg, counters, now),
-        LoadingStrategy::SplitFiles => split_files(entry, needed, cfg, counters, now),
-    }
-}
-
-/// A raw file read whole; derefs to its data rows, past the header.
-struct DataBytes {
-    bytes: Vec<u8>,
-    start: usize,
-}
-
-impl std::ops::Deref for DataBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.bytes[self.start..]
-    }
-}
-
-/// Read the raw file; the header is sliced off, not moved out.
-fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<DataBytes> {
-    let bytes = read_file(&entry.path, counters)?;
-    let start = (entry.data_start() as usize).min(bytes.len());
-    Ok(DataBytes { bytes, start })
-}
-
-/// The column loader of `ColumnLoads` and `FullLoad`: load the columns of
-/// `cols` that are not fully loaded in one pass over the file
-/// ([`load_columns`]: byte chunks on up to `threads` workers, inline at
-/// one), guided by the positional map when it knows the file, and install
-/// them, the row count and what the pass learned into the map, exactly as
-/// a serial [`scan_bytes`] load would. With `cols` empty the pass only
-/// counts the rows. Does nothing once every column of `cols` is loaded
-/// and the row count is known.
-///
-/// A failed or cancelled load installs nothing. A file whose fingerprint
-/// changed during the load is a new file: what was read is dropped, and
-/// the load starts again from the top, once.
-fn load_missing(
-    entry: &mut TableEntry,
-    cols: &[usize],
-    cfg: &EngineConfig,
-    counters: &WorkCounters,
-    now: u64,
-) -> Result<()> {
+    // A load that finds the file changed under it is dropped, and the
+    // policy starts again from the top, once, against the new file.
     for _attempt in 0..2 {
         entry.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
-        let missing = entry.store.missing_full(cols);
-        if missing.is_empty() && entry.store.nrows().is_some() {
-            return Ok(());
-        }
-        let loaded = {
-            let _p = profile::phase(Phase::ColdPipeline);
-            let spec = LoadSpec {
-                path: &entry.path,
-                data_start: entry.data_start(),
-                schema: entry.schema()?,
-                needed: &missing,
-                // About `morsel_rows` rows per chunk.
-                chunk_bytes: cfg
-                    .morsel_rows
-                    .saturating_mul(usize::try_from(entry.row_bytes()).unwrap_or(usize::MAX)),
-            };
-            let posmap = cfg.use_positional_map.then_some(&entry.posmap);
-            load_columns(&spec, &cfg.csv, posmap, counters)
+        let m = match cfg.strategy {
+            LoadingStrategy::FullLoad => full_load(entry, needed, cfg, counters, now),
+            LoadingStrategy::ExternalScan => external_scan(entry, needed, cfg, counters),
+            LoadingStrategy::ColumnLoads => column_loads(entry, needed, cfg, counters, now),
+            LoadingStrategy::PartialLoadsV1 => partial_v1(entry, needed, filter, cfg, counters),
+            LoadingStrategy::PartialLoadsV2 => {
+                partial_v2(entry, needed, filter, cfg, counters, now)
+            }
+            LoadingStrategy::SplitFiles => split_files(entry, needed, cfg, counters, now),
         };
-        if Fingerprint::of(&entry.path).ok() != entry.fingerprint {
-            continue;
+        if !matches!(m, Err(Error::FileChanged(_))) {
+            return m;
         }
-        let mut loaded = loaded?;
-        if cfg.use_positional_map {
-            loaded.record_into(&mut entry.posmap);
-        }
-        if loaded.chunks > 1 && cfg.csv.threads > 1 {
-            counters.add_parallel_pipeline();
-        }
-        for (&c, col) in missing.iter().zip(loaded.columns) {
-            entry.store.insert_full(c, col, now);
-        }
-        entry.store.set_nrows(loaded.rows);
-        return Ok(());
     }
     Err(Error::FileChanged(format!(
         "{} changed during two loads in a row",
@@ -172,25 +103,111 @@ fn load_missing(
     )))
 }
 
-/// Scan the whole raw file for `needed` columns with a pushdown filter:
-/// the pushdown and ablation policies' scan. The column-loading policies
-/// load through [`load_missing`] instead.
-fn scan_raw(
+/// What [`load_columns`] reads of the table's raw file: `needed`, of the
+/// rows that pass `pushdown`, in chunks of about `morsel_rows` rows.
+fn load_spec<'a>(
+    entry: &'a TableEntry,
+    needed: &'a [usize],
+    pushdown: Option<&'a Conjunction>,
+    cfg: &EngineConfig,
+) -> Result<LoadSpec<'a>> {
+    Ok(LoadSpec {
+        path: &entry.path,
+        data_start: entry.data_start(),
+        schema: entry.schema()?,
+        needed,
+        chunk_bytes: chunk_bytes(entry, cfg),
+        pushdown,
+    })
+}
+
+/// Load chunks of about `morsel_rows` rows of the table's file.
+fn chunk_bytes(entry: &TableEntry, cfg: &EngineConfig) -> usize {
+    cfg.morsel_rows
+        .saturating_mul(usize::try_from(entry.row_bytes()).unwrap_or(usize::MAX))
+}
+
+/// Every strategy's read of the raw file: one pass of [`load_columns`],
+/// whose result counts only if the table's file is unchanged after it.
+/// Otherwise what was read is dropped and the load fails with
+/// [`Error::FileChanged`], on which [`materialize`] starts again.
+fn load_checked(
+    entry: &TableEntry,
+    spec: &LoadSpec<'_>,
+    csv: &CsvOptions,
+    posmap: Option<&PositionalMap>,
+    counters: &WorkCounters,
+) -> Result<Loaded> {
+    let loaded = profile::time(Phase::ColdPipeline, || {
+        load_columns(spec, csv, posmap, counters)
+    });
+    if Fingerprint::of(&entry.path).ok() != entry.fingerprint {
+        return Err(Error::FileChanged(format!(
+            "{} changed during a load",
+            entry.path.display()
+        )));
+    }
+    loaded
+}
+
+/// One pass over the table's raw file for `needed` of the rows that pass
+/// `pushdown`, guided by the positional map when it knows the file.
+/// Installs the row count and what the pass learned into the map.
+fn load_table(
+    entry: &mut TableEntry,
+    needed: &[usize],
+    pushdown: Option<&Conjunction>,
+    cfg: &EngineConfig,
+    counters: &WorkCounters,
+) -> Result<Loaded> {
+    let posmap = cfg.use_positional_map.then_some(&entry.posmap);
+    let spec = load_spec(entry, needed, pushdown, cfg)?;
+    let mut loaded = load_checked(entry, &spec, &cfg.csv, posmap, counters)?;
+    if cfg.use_positional_map {
+        loaded.record_into(&mut entry.posmap);
+    }
+    entry.store.set_nrows(loaded.rows);
+    Ok(loaded)
+}
+
+/// The column loader of `ColumnLoads` and `FullLoad`: load the columns of
+/// `cols` that are not fully loaded in one pass over the file and install
+/// them. With `cols` empty the pass only counts the rows. Does nothing
+/// once every column of `cols` is loaded and the row count is known. A
+/// failed or cancelled load installs nothing.
+fn load_missing(
+    entry: &mut TableEntry,
+    cols: &[usize],
+    cfg: &EngineConfig,
+    counters: &WorkCounters,
+    now: u64,
+) -> Result<()> {
+    let missing = entry.store.missing_full(cols);
+    if missing.is_empty() && entry.store.nrows().is_some() {
+        return Ok(());
+    }
+    let loaded = load_table(entry, &missing, None, cfg, counters)?;
+    if loaded.chunks > 1 && cfg.csv.threads > 1 {
+        counters.add_parallel_pipeline();
+    }
+    for (&c, col) in missing.iter().zip(loaded.columns) {
+        entry.store.insert_full(c, col, now);
+    }
+    Ok(())
+}
+
+/// The pushdown policies' read: `needed` of the rows that pass `pushdown`
+/// ([`load_table`]), as columns by ordinal and the rows that passed.
+fn load_pushdown(
     entry: &mut TableEntry,
     needed: &[usize],
     pushdown: &Conjunction,
     cfg: &EngineConfig,
     counters: &WorkCounters,
-) -> Result<nodb_rawcsv::ScanOutput> {
-    let bytes = read_data_bytes(entry, counters)?;
-    let schema = entry.schema()?.clone();
-    let spec = ScanSpec {
-        schema: &schema,
-        needed: needed.to_vec(),
-        pushdown: Some(pushdown),
-    };
-    let posmap = cfg.use_positional_map.then_some(&mut entry.posmap);
-    scan_bytes(&bytes, &cfg.csv, &spec, posmap, counters)
+) -> Result<(BTreeMap<usize, ColumnData>, Vec<u64>)> {
+    let mut loaded = load_table(entry, needed, Some(pushdown), cfg, counters)?;
+    let rowids = loaded.take_rowids();
+    Ok((needed.iter().copied().zip(loaded.columns).collect(), rowids))
 }
 
 /// Dense materialisation of `needed` straight from fully loaded columns.
@@ -403,23 +420,16 @@ fn external_scan(
 ) -> Result<Materialized> {
     // Models an engine that keeps no state: every query re-reads and fully
     // re-parses the file (all columns, no pushdown, no positional map).
-    let bytes = read_data_bytes(entry, counters)?;
-    let schema = entry.schema()?.clone();
-    let all: Vec<usize> = (0..schema.len()).collect();
-    let spec = ScanSpec {
-        schema: &schema,
-        needed: all,
-        pushdown: None,
-    };
-    let out = scan_bytes(&bytes, &cfg.csv, &spec, None, counters)?;
-    let n = out.rows_scanned as usize;
-    let mut cols = BTreeMap::new();
-    for (c, col) in out.columns {
-        if needed.contains(&c) {
-            cols.insert(c, Arc::new(col));
-        }
-    }
-    Ok(Materialized::dense(cols, n))
+    let all: Vec<usize> = (0..entry.schema()?.len()).collect();
+    let spec = load_spec(entry, &all, None, cfg)?;
+    let loaded = load_checked(entry, &spec, &cfg.csv, None, counters)?;
+    let cols = all
+        .into_iter()
+        .zip(loaded.columns)
+        .filter(|(c, _)| needed.contains(c))
+        .map(|(c, col)| (c, Arc::new(col)))
+        .collect();
+    Ok(Materialized::dense(cols, loaded.rows as usize))
 }
 
 // ----- ColumnLoads (the "Column Loads" curve) ---------------------------
@@ -462,18 +472,14 @@ fn partial_v1(
     cfg: &EngineConfig,
     counters: &WorkCounters,
 ) -> Result<Materialized> {
-    let out = scan_raw(entry, needed, filter, cfg, counters)?;
-    entry.store.set_nrows(out.rows_scanned);
-    let n = out.rowids.len();
-    let cols = out
-        .columns
-        .into_iter()
-        .map(|(c, col)| (c, Arc::new(col)))
-        .collect();
+    let (cols, rowids) = load_pushdown(entry, needed, filter, cfg, counters)?;
     Ok(Materialized {
-        cols,
-        n_rows: n,
-        rowids: Some(out.rowids),
+        cols: cols
+            .into_iter()
+            .map(|(c, col)| (c, Arc::new(col)))
+            .collect(),
+        n_rows: rowids.len(),
+        rowids: Some(rowids),
         prefiltered: true,
     })
 }
@@ -557,14 +563,13 @@ fn partial_v2(
             entry.monitor.record_miss(needed);
             for gap in gaps {
                 let gap_conj = interval_to_conjunction(col, &gap);
-                let out = scan_raw(entry, needed, &gap_conj, cfg, counters)?;
-                entry.store.set_nrows(out.rows_scanned);
+                let (cols, rowids) = load_pushdown(entry, needed, &gap_conj, cfg, counters)?;
                 let mut frag_box = SelectionBox::all();
                 frag_box.by_col.insert(col, gap);
                 entry.store.insert_fragment(Fragment {
                     bbox: frag_box,
-                    rowids: out.rowids,
-                    cols: out.columns,
+                    rowids,
+                    cols,
                     last_used: now,
                 });
             }
@@ -586,24 +591,21 @@ fn partial_v2(
     // 3. Multi-column box, not covered: load the whole box from the file
     //    and remember it (the "simple" extreme of §5.1.2).
     entry.monitor.record_miss(needed);
-    let out = scan_raw(entry, needed, filter, cfg, counters)?;
-    entry.store.set_nrows(out.rows_scanned);
-    let n = out.rowids.len();
-    let arc_cols: BTreeMap<usize, Arc<ColumnData>> = out
-        .columns
+    let (cols, rowids) = load_pushdown(entry, needed, filter, cfg, counters)?;
+    let arc_cols: BTreeMap<usize, Arc<ColumnData>> = cols
         .iter()
         .map(|(&c, col)| (c, Arc::new(col.clone())))
         .collect();
     entry.store.insert_fragment(Fragment {
         bbox: bbox.clone(),
-        rowids: out.rowids.clone(),
-        cols: out.columns,
+        rowids: rowids.clone(),
+        cols,
         last_used: now,
     });
     Ok(Materialized {
         cols: arc_cols,
-        n_rows: n,
-        rowids: Some(out.rowids),
+        n_rows: rowids.len(),
+        rowids: Some(rowids),
         prefiltered: true,
     })
 }
@@ -641,7 +643,6 @@ fn split_files(
     loop {
         let missing = entry.store.missing_full(needed);
         let Some(&col) = missing.first() else { break };
-        let data_start = entry.data_start() as usize;
         // Locate the segment and clone its descriptor so the catalog borrow
         // ends before we touch the store / positional maps.
         let (si, li, seg) = {
@@ -651,38 +652,42 @@ fn split_files(
                 .ok_or_else(|| Error::schema(format!("column {col} not in segment catalog")))?;
             (si, li, segments.segments()[si].clone())
         };
-        let bytes = read_file(&seg.path, counters)?;
-        let slice = if seg.is_original && data_start > 0 {
-            &bytes[data_start.min(bytes.len())..]
+        let data_start = if seg.is_original {
+            entry.data_start()
         } else {
-            &bytes[..]
+            0
         };
         let mut opts = cfg.csv.clone();
         // Blank line = NULL row in generated per-column files.
         opts.skip_blank_rows = seg.is_original;
         if seg.width() == 1 {
-            // Scan the single-column file: tokenization is just newline
+            // Load the single-column file: tokenization is just newline
             // splitting — the whole point of splitting (§4.1.4).
             let seg_schema = schema.project(&seg.cols)?;
-            let spec = ScanSpec {
+            let spec = LoadSpec {
+                path: &seg.path,
+                data_start,
                 schema: &seg_schema,
-                needed: vec![0],
+                needed: &[0],
+                chunk_bytes: chunk_bytes(entry, cfg),
                 pushdown: None,
             };
+            let unknown = PositionalMap::new();
             let posmap = cfg
                 .use_positional_map
-                .then(|| entry.segment_posmaps.entry(seg.path.clone()).or_default());
-            let out = scan_bytes(slice, &opts, &spec, posmap, counters)?;
-            let col_data = out
-                .columns
-                .into_iter()
-                .next()
-                .map(|(_, c)| c)
-                .unwrap_or_else(|| ColumnData::empty(schema.field(col).expect("valid").data_type));
+                .then(|| entry.segment_posmaps.get(&seg.path).unwrap_or(&unknown));
+            let mut loaded = load_checked(entry, &spec, &opts, posmap, counters)?;
+            if cfg.use_positional_map {
+                loaded.record_into(entry.segment_posmaps.entry(seg.path).or_default());
+            }
+            let col_data = loaded.columns.pop().expect("one column loaded");
             entry.store.insert_full(col, col_data, now);
         } else {
             // Crack the segment: everything up to the *largest* missing
             // column in this segment becomes per-column files in one pass.
+            // Splitting writes files, so it reads the segment whole.
+            let bytes = read_file(&seg.path, counters)?;
+            let slice = &bytes[(data_start as usize).min(bytes.len())..];
             let missing_in_seg_max = missing
                 .iter()
                 .filter_map(|c| seg.cols.iter().position(|&sc| sc == *c))
@@ -701,6 +706,7 @@ fn split_files(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use nodb_rawcsv::tokenizer::{scan_bytes, ScanSpec};
     use std::path::PathBuf;
 
     fn setup(name: &str, content: &str) -> (PathBuf, crate::catalog::Catalog) {

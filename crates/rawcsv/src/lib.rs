@@ -2,12 +2,16 @@
 //!
 //! Everything the NoDB vision needs from flat files, built from scratch:
 //!
-//! * [`tokenizer`] — the two-phase, predicate-pushing, positional-map-aware
-//!   CSV tokenizer (the paper's adaptive loading operator, §3.2):
-//!   [`scan_bytes`], the posmap-guided and pushdown scans of later loads;
-//! * [`load`] — the cold column loader ([`load_columns`]): a first touch
-//!   reads, splits and parses the file in one parallel pass per byte
-//!   chunk, straight into typed columns, with no whole-file buffer;
+//! * [`load`] — the row tokenizer (the paper's adaptive loading operator,
+//!   §3.2): one per-row kernel that walks a row only to its last needed
+//!   column, starts from positional-map hints, tests pushed-down
+//!   predicates as their fields are parsed and abandons a row at the first
+//!   failure. [`load_columns`] runs it over a file in one parallel pass per
+//!   byte chunk, straight into typed columns, with no whole-file buffer:
+//!   every loading strategy's read. [`scan_bytes`] runs it over bytes in
+//!   memory;
+//! * [`tokenizer`] — what the kernel shares: the CSV dialect, phase 1
+//!   (row boundaries), the field walker and parsers, and [`scan_bytes`];
 //! * [`posmap`] — the adaptive positional map accumulating row/field byte
 //!   offsets as a side effect of every scan (§4.1.5);
 //! * [`split`] — dynamic file splitting, a.k.a. "file cracking" (§4):

@@ -1,11 +1,10 @@
-//! The cold column loader: one parallel pass over a raw file.
+//! The row tokenizer: one per-row kernel, run in one parallel pass.
 //!
-//! A first touch needs whole columns in the adaptive store and nothing
-//! else: no pushdown, no row ids, no operator downstream. [`load_columns`]
-//! therefore cuts the data region (`data_start..len`) into byte chunks and
-//! runs them on the morsel driver. Each worker reads its chunk with plain
-//! file reads into one buffer it reuses, finds the first row that starts in
-//! the chunk, and then, in the same walk, records row starts, records field
+//! Every read of a raw file's rows runs the kernel here. [`load_columns`]
+//! cuts the data region (`data_start..len`) into byte chunks and runs them
+//! on the morsel driver. Each worker reads its chunk with plain file reads
+//! into one buffer it reuses, finds the first row that starts in the
+//! chunk, and then, in the same walk, records row starts, records field
 //! offsets for the positional map and parses the needed fields straight
 //! into typed column parts. A row belongs to the chunk its first byte lies
 //! in: the worker extends its read in small steps until that row has ended.
@@ -22,10 +21,17 @@
 //! each chunk takes its rows from the map, and the map's field offsets let
 //! a row's walk start at a later column. A quoted file whose rows are not
 //! known is read whole and split by the serial quoted [`find_row_starts`]
-//! (a chunk boundary may fall inside a quoted newline). All three run the
-//! same per-row kernel, and the result equals [`scan_bytes`] over the same
-//! bytes: columns, row count, positional-map state, work counters and the
-//! text of the first parse error.
+//! (a chunk boundary may fall inside a quoted newline). [`scan_bytes`] runs
+//! the same chunks over bytes already in memory, whose row starts it takes
+//! from the map or from [`find_row_starts`].
+//!
+//! A load may push a conjunction down into the walk (paper §3.2: "we
+//! abandon the tokenization of a row as soon as a predicate fails"). Each
+//! column's predicates fold into one test, checked the moment its field is
+//! parsed; the first failing test abandons the row. Until a row has passed
+//! its last test, its values wait in one-row cells, so an abandoned row
+//! leaves no value and no dictionary entry behind, and [`Loaded::take_rowids`]
+//! names the rows that passed.
 //!
 //! Nothing is installed here. [`Loaded`] carries the columns plus what the
 //! pass learned, and the caller records it once it knows the load is good.
@@ -41,7 +47,8 @@ use std::sync::{Arc, Mutex};
 use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
 use nodb_types::{
-    CancelCheck, ColumnData, DataType, Error, QueryContext, Result, Schema, WorkCounters,
+    CancelCheck, ColumnData, ColumnTest, Conjunction, DataType, Error, QueryContext, Result,
+    Schema, ValueRef, WorkCounters,
 };
 
 use crate::bytes::find_byte;
@@ -69,13 +76,19 @@ pub struct LoadSpec<'a> {
     pub needed: &'a [usize],
     /// Bytes per chunk (at least 1 is used).
     pub chunk_bytes: usize,
+    /// Predicates a row must pass to be loaded, tested during the walk.
+    pub pushdown: Option<&'a Conjunction>,
 }
 
 /// A finished load, not yet installed anywhere.
 #[derive(Debug)]
 pub struct Loaded {
-    /// The loaded columns, parallel to [`LoadSpec::needed`].
+    /// The loaded columns, parallel to [`LoadSpec::needed`], one value per
+    /// row that passed.
     pub columns: Vec<ColumnData>,
+    /// The data rows that passed the pushdown (`None`: the load tested
+    /// nothing).
+    rowids: Option<Vec<u64>>,
     /// Data rows in the file.
     pub rows: u64,
     /// Chunks the data region was cut into.
@@ -89,8 +102,16 @@ pub struct Loaded {
 }
 
 impl Loaded {
+    /// The data rows that passed the pushdown, ascending: every row when
+    /// the load tested nothing.
+    pub fn take_rowids(&mut self) -> Vec<u64> {
+        self.rowids
+            .take()
+            .unwrap_or_else(|| (0..self.rows).collect())
+    }
+
     /// Write the row starts and field offsets this load learned into
-    /// `posmap`, as [`scan_bytes`](crate::scan_bytes) would have.
+    /// `posmap`.
     pub fn record_into(&mut self, posmap: &mut PositionalMap) {
         if let Some(starts) = self.row_starts.take() {
             posmap.set_row_starts(starts, self.data_len);
@@ -101,15 +122,17 @@ impl Loaded {
     }
 }
 
-/// Load `spec.needed` in full, in one parallel pass over the file (chunks
-/// on up to `opts.threads` workers). With no column needed the pass only
-/// counts the rows (and finds their starts for the map). `posmap` supplies
-/// known row starts and field offsets and decides which offsets are worth
+/// Load `spec.needed` of the rows that pass `spec.pushdown` in one
+/// parallel pass over the file (chunks on up to `opts.threads` workers).
+/// With no column needed and nothing to test the pass only counts the
+/// rows (and finds their starts for the map). `posmap` supplies known row
+/// starts and field offsets and decides which offsets are worth
 /// recording; it is not changed (see [`Loaded::record_into`]).
 ///
-/// Fails like [`scan_bytes`](crate::scan_bytes) would on a bad field or a
-/// short row (same global row, same text), on cancellation, and with
-/// [`Error::FileChanged`] when the file ends early under the reads.
+/// Fails on the first field in row order that does not parse, or the
+/// first short row in strict mode (naming its global data row), on
+/// cancellation, and with [`Error::FileChanged`] when the file ends early
+/// under the reads.
 pub fn load_columns(
     spec: &LoadSpec<'_>,
     opts: &CsvOptions,
@@ -119,12 +142,9 @@ pub fn load_columns(
     let scan = ScanSpec {
         schema: spec.schema,
         needed: spec.needed.to_vec(),
-        pushdown: None,
+        pushdown: spec.pushdown,
     };
     validate_spec(&scan)?;
-    let touch = touch_plan(&scan);
-    let first_touch = touch.first().copied().unwrap_or(0);
-    let max_touch = touch.last().copied().unwrap_or(0);
 
     nodb_types::failpoints::trip("rawcsv.read_file")?;
     let mut file = File::open(spec.path)?;
@@ -160,34 +180,13 @@ pub fn load_columns(
         None => None,
     };
 
-    let record_cols = record_columns(posmap, max_touch);
-    let kernel = Kernel {
-        delim: opts.delimiter,
-        quote: opts.quote,
-        lenient: opts.lenient,
-        types: spec
-            .needed
-            .iter()
-            .map(|&c| spec.schema.field(c).expect("validated").data_type)
-            .collect(),
-        needed_slot: slots(max_touch, spec.needed),
-        record_slot: slots(max_touch, &record_cols),
-        record_cols,
-        max_touch,
-        // Only offsets that belong to the map's own rows can guide a walk.
-        hints: match (&mapped, posmap) {
-            (Some(_), Some(m)) => hint_columns(m, first_touch),
-            _ => Vec::new(),
-        },
-    };
-    let chunk_bytes = spec.chunk_bytes.max(1) as u64;
-    let chunks = usize::try_from(data_len.div_ceil(chunk_bytes))
-        .map_err(|_| Error::exec("too many load chunks"))?;
+    // Only offsets that belong to the map's own rows can guide a walk.
+    let kernel = Kernel::new(&scan, opts, posmap, mapped.is_some());
     let ctx = Ctx {
         path: spec.path,
         data_start,
         data_len,
-        chunk_bytes,
+        chunk_bytes: spec.chunk_bytes.max(1) as u64,
         skip_blank_rows: opts.skip_blank_rows,
         whole: whole.as_deref(),
         starts: mapped.as_deref().map(Vec::as_slice).or(found.as_deref()),
@@ -195,69 +194,45 @@ pub fn load_columns(
         kernel: &kernel,
         counters,
     };
-
-    let appender = Mutex::new(Appender::new(
-        kernel.types.clone(),
-        kernel.record_cols.len(),
-        max_touch,
-        chunks,
-    ));
-    let lock = || appender.lock().unwrap_or_else(|p| p.into_inner());
-    // Chunk items are bytes, not rows: the driver runs unprofiled, and the
-    // rows and bytes are folded into the caller's profile once at the end.
-    let sink = QueryContext::current().profile;
-    let driven = {
-        let _unprofiled = QueryContext {
-            profile: None,
-            ..QueryContext::current()
-        }
-        .enter();
-        nodb_types::drive_morsels(
-            chunks,
-            1,
-            opts.threads,
-            |_worker| Worker::default(),
-            |w, _worker, r| {
-                let mut part = w.part.take().unwrap_or_else(|| lock().spare());
-                ctx.run_chunk(w, r.index, &mut part)?;
-                // The local row number stops the chunks above this one;
-                // the appender makes it global once it reaches the part.
-                let err = part.fault.as_ref().map(|f| f.error(0, max_touch));
-                w.part = Some(lock().put(r.index, part)?);
-                err.map_or(Ok(()), Err)
-            },
-            |w| w.counters.flush(counters),
-        )
-    };
-    let appender = appender.into_inner().unwrap_or_else(|p| p.into_inner());
-    let out = appender.finish(driven)?;
-
-    if let Some(p) = sink {
-        p.add_morsels(chunks as u64, out.rows as u64, data_len);
-    }
+    let (mut out, chunks) = ctx.run(opts.threads)?;
     let row_starts = if ctx.keep_starts {
-        Some(out.starts)
+        Some(std::mem::take(&mut out.starts))
     } else {
         found.filter(|_| posmap.is_some())
     };
-    Ok(Loaded {
-        columns: out.columns,
-        rows: out.rows as u64,
-        chunks,
+    Ok(kernel.loaded(out, chunks, data_len, row_starts))
+}
+
+/// The kernel over data `bytes` already in memory whose row `starts` are
+/// known, in chunks of `chunk_bytes`: [`scan_bytes`](crate::scan_bytes)'s
+/// phase 2. `spec.needed` is distinct. `posmap` (holding these row starts)
+/// supplies hints and decides which offsets are recorded.
+pub(crate) fn load_bytes(
+    bytes: &[u8],
+    starts: &[u64],
+    spec: &ScanSpec<'_>,
+    opts: &CsvOptions,
+    chunk_bytes: usize,
+    posmap: Option<&PositionalMap>,
+    counters: &WorkCounters,
+) -> Result<Loaded> {
+    let kernel = Kernel::new(spec, opts, posmap, true);
+    let data_len = bytes.len() as u64;
+    let ctx = Ctx {
+        // Bytes in memory are never read from a file.
+        path: Path::new(""),
+        data_start: 0,
         data_len,
-        row_starts,
-        // No rows, no offsets: a scan over no rows records none either.
-        offsets: if out.rows == 0 {
-            Vec::new()
-        } else {
-            kernel
-                .record_cols
-                .iter()
-                .copied()
-                .zip(out.offsets)
-                .collect()
-        },
-    })
+        chunk_bytes: chunk_bytes.max(1) as u64,
+        skip_blank_rows: opts.skip_blank_rows,
+        whole: Some(bytes),
+        starts: Some(starts),
+        keep_starts: false,
+        kernel: &kernel,
+        counters,
+    };
+    let (out, chunks) = ctx.run(opts.threads)?;
+    Ok(kernel.loaded(out, chunks, data_len, None))
 }
 
 /// The final vectors of one load, filled in chunk order under one lock.
@@ -354,11 +329,11 @@ impl Appender {
             return Ok(());
         }
         if self.out.rows + part.rows > self.room {
-            // Room for this part's row count per chunk still to come: the
+            // Room for a part like this one per chunk still to come: the
             // first part sizes the vectors once for the whole load.
-            let more = part.rows * (self.chunks - self.next);
-            self.out.reserve(more, !part.starts.is_empty());
-            self.room = self.out.rows + more;
+            let left = self.chunks - self.next;
+            self.out.reserve_like(part, left);
+            self.room = self.out.rows + part.rows * left;
         }
         self.out.append_from(part)?;
         self.next += 1;
@@ -380,27 +355,19 @@ impl Appender {
     }
 }
 
-/// Ordinal → slot in `cols`, for ordinals up to `max_touch`.
-fn slots(max_touch: usize, cols: &[usize]) -> Vec<Option<usize>> {
-    let mut slot = vec![None; max_touch + 1];
-    for (i, &c) in cols.iter().enumerate() {
-        slot[c] = Some(i);
-    }
-    slot
-}
-
 fn file_changed(path: &Path) -> Error {
     Error::FileChanged(format!("{} ended before its length", path.display()))
 }
 
 /// Shared read-only state of one load.
 struct Ctx<'a> {
+    /// The raw file, read only when `whole` is `None`.
     path: &'a Path,
     data_start: u64,
     data_len: u64,
     chunk_bytes: u64,
     skip_blank_rows: bool,
-    /// The whole data region, when it was read at once.
+    /// The whole data region, when it is in memory.
     whole: Option<&'a [u8]>,
     /// Known row starts (data offsets); `None` = the chunk walk finds them.
     starts: Option<&'a [u64]>,
@@ -419,15 +386,20 @@ struct Worker {
     base: u64,
     /// The empty part this worker's next chunk fills.
     part: Option<Part>,
+    /// The value cells of the row under test (see [`Kernel::row`]).
+    cells: Vec<ColumnData>,
     counters: LocalCounters,
 }
 
 /// One chunk's output; also the whole load's, once the parts are appended.
 #[derive(Debug)]
 struct Part {
+    /// Rows walked, passed or not.
     rows: usize,
     /// The needed columns, parallel to the spec's `needed`.
     columns: Vec<ColumnData>,
+    /// The rows that passed a pushdown, counted from the part's first.
+    rowids: Vec<u64>,
     /// Row starts, when the load keeps them.
     starts: Vec<u64>,
     /// Field offsets per recorded column, one per row.
@@ -443,28 +415,29 @@ impl Part {
                 .iter()
                 .map(|&ty| ColumnData::with_capacity(ty, cap))
                 .collect(),
+            rowids: Vec::new(),
             starts: Vec::new(),
             offsets: (0..recorded).map(|_| Vec::with_capacity(cap)).collect(),
             fault: None,
         }
     }
 
-    /// Make room for `rows` more rows in every vector (the row starts
-    /// too, when `starts`). `rows` is an estimate: where the room cannot
-    /// be had, the vectors grow as they are filled.
-    fn reserve(&mut self, rows: usize, starts: bool) {
-        for col in &mut self.columns {
+    /// Make room in every vector for `times` more parts the size of
+    /// `part`. An estimate: where the room cannot be had, the vectors
+    /// grow as they are filled.
+    fn reserve_like(&mut self, part: &Part, times: usize) {
+        for (col, like) in self.columns.iter_mut().zip(&part.columns) {
+            let n = like.len() * times;
             let _ = match col {
-                ColumnData::Int64 { values, .. } => values.try_reserve_exact(rows),
-                ColumnData::Float64 { values, .. } => values.try_reserve_exact(rows),
-                ColumnData::Str { codes, .. } => codes.try_reserve_exact(rows),
+                ColumnData::Int64 { values, .. } => values.try_reserve_exact(n),
+                ColumnData::Float64 { values, .. } => values.try_reserve_exact(n),
+                ColumnData::Str { codes, .. } => codes.try_reserve_exact(n),
             };
         }
-        if starts {
-            let _ = self.starts.try_reserve_exact(rows);
-        }
-        for offs in &mut self.offsets {
-            let _ = offs.try_reserve_exact(rows);
+        let _ = self.rowids.try_reserve_exact(part.rowids.len() * times);
+        let _ = self.starts.try_reserve_exact(part.starts.len() * times);
+        for (offs, like) in self.offsets.iter_mut().zip(&part.offsets) {
+            let _ = offs.try_reserve_exact(like.len() * times);
         }
     }
 
@@ -474,6 +447,8 @@ impl Part {
         for (dst, col) in self.columns.iter_mut().zip(&mut src.columns) {
             dst.append_from(col)?;
         }
+        let base = self.rows as u64;
+        self.rowids.extend(src.rowids.drain(..).map(|r| base + r));
         self.starts.append(&mut src.starts);
         for (dst, offs) in self.offsets.iter_mut().zip(&mut src.offsets) {
             dst.append(offs);
@@ -497,8 +472,8 @@ enum Fault {
 }
 
 impl RowFault {
-    /// The error [`scan_bytes`](crate::scan_bytes) reports, for a chunk
-    /// whose first row is data row `first_row`.
+    /// The error of the fault, for a chunk whose first row is data row
+    /// `first_row`.
     fn error(&self, first_row: usize, max_touch: usize) -> Error {
         let row = first_row + self.row;
         match &self.kind {
@@ -509,6 +484,61 @@ impl RowFault {
 }
 
 impl Ctx<'_> {
+    /// Run every chunk on up to `threads` workers; returns the appended
+    /// output and the number of chunks.
+    fn run(&self, threads: usize) -> Result<(Part, usize)> {
+        let chunks = usize::try_from(self.data_len.div_ceil(self.chunk_bytes))
+            .map_err(|_| Error::exec("too many load chunks"))?;
+        let kernel = self.kernel;
+        let appender = Mutex::new(Appender::new(
+            kernel.types.clone(),
+            kernel.record_cols.len(),
+            kernel.max_touch,
+            chunks,
+        ));
+        let lock = || appender.lock().unwrap_or_else(|p| p.into_inner());
+        // Chunk items are bytes, not rows: the driver runs unprofiled, and
+        // the rows and bytes are folded into the caller's profile once at
+        // the end.
+        let sink = QueryContext::current().profile;
+        let driven = {
+            let _unprofiled = QueryContext {
+                profile: None,
+                ..QueryContext::current()
+            }
+            .enter();
+            nodb_types::drive_morsels(
+                chunks,
+                1,
+                threads,
+                |_worker| Worker {
+                    cells: kernel
+                        .types
+                        .iter()
+                        .map(|&ty| ColumnData::empty(ty))
+                        .collect(),
+                    ..Worker::default()
+                },
+                |w, _worker, r| {
+                    let mut part = w.part.take().unwrap_or_else(|| lock().spare());
+                    self.run_chunk(w, r.index, &mut part)?;
+                    // The local row number stops the chunks above this one;
+                    // the appender makes it global once it reaches the part.
+                    let err = part.fault.as_ref().map(|f| f.error(0, kernel.max_touch));
+                    w.part = Some(lock().put(r.index, part)?);
+                    err.map_or(Ok(()), Err)
+                },
+                |w| w.counters.flush(self.counters),
+            )
+        };
+        let appender = appender.into_inner().unwrap_or_else(|p| p.into_inner());
+        let out = appender.finish(driven)?;
+        if let Some(p) = sink {
+            p.add_morsels(chunks as u64, out.rows as u64, self.data_len);
+        }
+        Ok((out, chunks))
+    }
+
     /// Load chunk `index` into the empty `part`: the rows that start in
     /// its byte range.
     fn run_chunk(&self, w: &mut Worker, index: usize, part: &mut Part) -> Result<()> {
@@ -558,7 +588,11 @@ impl Ctx<'_> {
             let e = (starts.get(row + 1).copied().unwrap_or(self.data_len) - lo) as usize;
             // A row's bytes run to the next row start: the field walk
             // stops at its terminator.
-            if let Err(kind) = self.kernel.row(part, &bytes[s..e], row, &mut w.counters) {
+            let rowb = &bytes[s..e];
+            if let Err(kind) = self
+                .kernel
+                .row(part, &mut w.cells, rowb, row, &mut w.counters)
+            {
                 part.fault = Some(RowFault {
                     row: row - r0,
                     kind,
@@ -572,8 +606,9 @@ impl Ctx<'_> {
 
     /// Rows found by the walk: the first one starts at or after `c0` just
     /// past a newline (or at 0); each runs through its newline. A row's
-    /// bytes are passed once: its fields are walked up to `max_touch`,
-    /// then its newline is looked for past them.
+    /// bytes are passed once: its fields are walked up to `max_touch`
+    /// (or to its first failing test), then its newline is looked for
+    /// past them.
     fn walk_rows(&self, w: &mut Worker, c0: u64, c1: u64, part: &mut Part) -> Result<()> {
         let from = c0.saturating_sub(1);
         self.read(w, from, c1)?;
@@ -608,13 +643,14 @@ impl Ctx<'_> {
             let len = match blank_len(rowb) {
                 Some(len) if self.skip_blank_rows => len,
                 _ => {
-                    let fe = match self.kernel.row(part, rowb, part.rows, &mut w.counters) {
+                    let row = part.rows;
+                    let fe = match self
+                        .kernel
+                        .row(part, &mut w.cells, rowb, row, &mut w.counters)
+                    {
                         Ok(fe) => fe,
                         Err(kind) => {
-                            part.fault = Some(RowFault {
-                                row: part.rows,
-                                kind,
-                            });
+                            part.fault = Some(RowFault { row, kind });
                             return Ok(());
                         }
                     };
@@ -629,7 +665,6 @@ impl Ctx<'_> {
         }
         Ok(())
     }
-
     /// Rows found without parsing any field: a row starts at 0 and past
     /// every newline, and only its start and whether its line is blank
     /// matter. So the chunk streams through a small block on the stack
@@ -744,73 +779,229 @@ fn blank_len(rest: &[u8]) -> Option<usize> {
     }
 }
 
-/// The per-row kernel every boundary source runs.
+/// What the walk does at one column ordinal, looked up once per field.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    /// Slot in `record_cols`: the field's start is recorded.
+    record: Option<usize>,
+    field: Use,
+}
+
+/// What the walk does with one field's value.
+#[derive(Debug, Clone, Copy, Default)]
+enum Use {
+    /// Nothing: the field is only passed.
+    #[default]
+    Skip,
+    /// Parse it into needed column `slot`.
+    Value(usize),
+    /// Parse it and ask test `t`, keeping nothing.
+    Test(usize),
+    /// Parse it into needed column `slot`, then ask test `t` of it.
+    Both(usize, usize),
+}
+
+/// The per-row kernel every load and scan runs.
 struct Kernel<'a> {
     delim: u8,
     quote: Option<u8>,
     lenient: bool,
-    /// Type of each needed column, parallel to the spec's `needed`.
+    /// Type of each needed column, in the spec's order.
     types: Vec<DataType>,
-    /// Ordinal → slot in `needed`.
-    needed_slot: Vec<Option<usize>>,
+    /// Ordinal → what the walk does there, for ordinals up to `max_touch`.
+    steps: Vec<Step>,
+    /// One test per pushdown column: its type and its predicates folded.
+    tests: Vec<(DataType, ColumnTest)>,
     /// Columns whose offsets are recorded, ascending.
     record_cols: Vec<usize>,
-    /// Ordinal → slot in `record_cols`.
-    record_slot: Vec<Option<usize>>,
     max_touch: usize,
     /// Known field offsets a walk may start from, best (largest) first.
     hints: Vec<(usize, &'a [u32])>,
 }
 
-impl Kernel<'_> {
-    /// No column is needed: a row is only counted (and its start kept).
-    fn counts_only(&self) -> bool {
-        self.types.is_empty()
+impl<'a> Kernel<'a> {
+    /// The kernel of the validated `spec`. `posmap` decides which offsets
+    /// are recorded and, when `hinted`, supplies the hints.
+    fn new(
+        spec: &ScanSpec<'_>,
+        opts: &CsvOptions,
+        posmap: Option<&'a PositionalMap>,
+        hinted: bool,
+    ) -> Kernel<'a> {
+        let touch = touch_plan(spec);
+        let max_touch = touch.last().copied().unwrap_or(0);
+        let record_cols = record_columns(posmap, max_touch);
+        let mut steps = vec![Step::default(); max_touch + 1];
+        for (slot, &c) in record_cols.iter().enumerate() {
+            steps[c].record = Some(slot);
+        }
+        let ty = |c: usize| spec.schema.field(c).expect("validated").data_type;
+        for (slot, &c) in spec.needed.iter().enumerate() {
+            steps[c].field = Use::Value(slot);
+        }
+        let mut tests = Vec::new();
+        if let Some(p) = spec.pushdown {
+            for c in p.columns() {
+                let field = &mut steps[c].field;
+                *field = match *field {
+                    Use::Value(slot) => Use::Both(slot, tests.len()),
+                    _ => Use::Test(tests.len()),
+                };
+                tests.push((ty(c), ColumnTest::fold(ty(c), p.preds_on(c))));
+            }
+        }
+        Kernel {
+            delim: opts.delimiter,
+            quote: opts.quote,
+            lenient: opts.lenient,
+            types: spec.needed.iter().map(|&c| ty(c)).collect(),
+            steps,
+            tests,
+            record_cols,
+            max_touch,
+            hints: match (posmap, hinted) {
+                (Some(m), true) => hint_columns(m, touch.first().copied().unwrap_or(0)),
+                _ => Vec::new(),
+            },
+        }
     }
 
-    /// Walk one row (data row `row`) to `max_touch`, parsing the needed
-    /// fields into the part's columns and recording offsets. `rowb` runs
-    /// from the row's start at least to its line end; the walk stops at
-    /// the first line end. Returns where the walk stopped.
+    /// No field is parsed: a row is only counted (and its start kept).
+    fn counts_only(&self) -> bool {
+        self.types.is_empty() && self.tests.is_empty()
+    }
+
+    /// The load's output from the appended `out`.
+    fn loaded(
+        &self,
+        out: Part,
+        chunks: usize,
+        data_len: u64,
+        row_starts: Option<Vec<u64>>,
+    ) -> Loaded {
+        Loaded {
+            columns: out.columns,
+            rowids: (!self.tests.is_empty()).then_some(out.rowids),
+            rows: out.rows as u64,
+            chunks,
+            data_len,
+            row_starts,
+            // No rows, no offsets: a scan over no rows records none either.
+            offsets: if out.rows == 0 {
+                Vec::new()
+            } else {
+                self.record_cols.iter().copied().zip(out.offsets).collect()
+            },
+        }
+    }
+
+    /// Walk one row (data row `row`, the part's next) into the part. With
+    /// no pushdown the values go straight into the part's columns. With
+    /// one they go into the worker's one-row `cells` first, and move into
+    /// the columns only once the row has passed every test; the cells are
+    /// left empty either way. Returns where the walk stopped.
     fn row(
         &self,
         part: &mut Part,
+        cells: &mut [ColumnData],
         rowb: &[u8],
         row: usize,
         local: &mut LocalCounters,
     ) -> std::result::Result<usize, Fault> {
+        if self.tests.is_empty() {
+            let walked = self.walk(&mut part.columns, &mut part.offsets, rowb, row, local);
+            return walked.map(|(end, _)| end);
+        }
+        let walked = self.walk(cells, &mut part.offsets, rowb, row, local);
+        if let Ok((_, true)) = walked {
+            // Moving the values out leaves the cells empty.
+            for (col, cell) in part.columns.iter_mut().zip(cells.iter_mut()) {
+                col.append_from(cell).expect("a cell has its column's type");
+            }
+            part.rowids.push(part.rows as u64);
+        } else {
+            if let Ok((_, false)) = walked {
+                local.rows_abandoned += 1;
+            }
+            cells.iter_mut().for_each(clear);
+        }
+        walked.map(|(end, _)| end)
+    }
+
+    /// Walk one row to `max_touch`, recording offsets and parsing each
+    /// value field into `cols`, and stop at the first failing test.
+    /// `rowb` runs from the row's start at least to its line end; the
+    /// walk stops at the first line end. Returns where the walk stopped
+    /// and whether the row passed.
+    fn walk(
+        &self,
+        cols: &mut [ColumnData],
+        offsets: &mut [Vec<u32>],
+        rowb: &[u8],
+        row: usize,
+        local: &mut LocalCounters,
+    ) -> std::result::Result<(usize, bool), Fault> {
         let (mut col, mut pos) = walk_start(&self.hints, row, rowb.len());
-        for offs in &mut part.offsets {
+        for offs in offsets.iter_mut() {
             offs.push(UNKNOWN);
         }
         local.rows_tokenized += 1;
         loop {
-            if let Some(slot) = self.record_slot[col] {
-                *part.offsets[slot].last_mut().expect("pushed above") = pos as u32;
+            let step = self.steps[col];
+            if let Some(slot) = step.record {
+                *offsets[slot].last_mut().expect("pushed above") = pos as u32;
             }
             let fe = field_end(rowb, pos, self.delim, self.quote);
             local.fields_tokenized += 1;
-            if let Some(slot) = self.needed_slot[col] {
-                local.values_parsed += 1;
-                push_field(&mut part.columns[slot], &rowb[pos..fe], self.quote).map_err(|e| {
-                    Fault::Field {
-                        col,
-                        msg: e.to_string(),
+            let raw = &rowb[pos..fe];
+            let field_fault = |e: Error| Fault::Field {
+                col,
+                msg: e.to_string(),
+            };
+            match step.field {
+                Use::Skip => {}
+                Use::Value(slot) => {
+                    local.values_parsed += 1;
+                    push_field(&mut cols[slot], raw, self.quote).map_err(field_fault)?;
+                }
+                Use::Test(t) => {
+                    local.values_parsed += 1;
+                    let (ty, test) = &self.tests[t];
+                    if !passes(*ty, test, raw, self.quote).map_err(field_fault)? {
+                        return Ok((fe, false));
                     }
-                })?;
+                }
+                Use::Both(slot, t) => {
+                    local.values_parsed += 1;
+                    push_field(&mut cols[slot], raw, self.quote).map_err(field_fault)?;
+                    // The row's one value: the cells were empty.
+                    if !self.tests[t].1.matches(cols[slot].get_ref(0)) {
+                        return Ok((fe, false));
+                    }
+                }
             }
             if col >= self.max_touch {
-                return Ok(fe);
+                return Ok((fe, true));
             }
             if rowb.get(fe) != Some(&self.delim) {
-                // The row ended before max_touch.
+                // The row ended before max_touch: its missing fields are
+                // NULLs, which no test passes.
                 if !self.lenient {
                     return Err(Fault::Short { fields: col + 1 });
                 }
-                for slot in self.needed_slot[col + 1..].iter().flatten() {
-                    push_null(&mut part.columns[*slot]);
+                let missing = &self.steps[col + 1..];
+                if missing
+                    .iter()
+                    .any(|s| matches!(s.field, Use::Test(_) | Use::Both(..)))
+                {
+                    return Ok((fe, false));
                 }
-                return Ok(fe);
+                for s in missing {
+                    if let Use::Value(slot) = s.field {
+                        push_null(&mut cols[slot]);
+                    }
+                }
+                return Ok((fe, true));
             }
             pos = fe + 1;
             col += 1;
@@ -840,6 +1031,17 @@ fn push_field(col: &mut ColumnData, raw: &[u8], quote: Option<u8>) -> Result<()>
     Ok(())
 }
 
+/// Parse one field and ask `test` of it, keeping nothing. A NULL never
+/// passes.
+fn passes(ty: DataType, test: &ColumnTest, raw: &[u8], quote: Option<u8>) -> Result<bool> {
+    Ok(match ty {
+        DataType::Int64 => parse_i64_field(raw, quote)?.is_some_and(|x| test.matches_i64(x)),
+        DataType::Float64 => parse_f64_field(raw, quote)?.is_some_and(|x| test.matches_f64(x)),
+        // An empty unquoted field is NULL.
+        DataType::Str => !raw.is_empty() && test.matches(ValueRef::Str(&decode_field(raw, quote)?)),
+    })
+}
+
 fn push_null(col: &mut ColumnData) {
     match col {
         ColumnData::Int64 { values, nulls } => push_opt(values, nulls, None),
@@ -866,11 +1068,30 @@ fn push_opt<T: Default>(values: &mut Vec<T>, nulls: &mut Option<Vec<bool>>, v: O
     }
 }
 
+/// Empty a row's cell, keeping its allocations.
+fn clear(cell: &mut ColumnData) {
+    match cell {
+        ColumnData::Int64 { values, nulls } => {
+            values.clear();
+            *nulls = None;
+        }
+        ColumnData::Float64 { values, nulls } => {
+            values.clear();
+            *nulls = None;
+        }
+        ColumnData::Str { dict, codes, nulls } => {
+            codes.clear();
+            *nulls = None;
+            Arc::make_mut(dict).clear();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tokenizer::scan_bytes;
-    use nodb_types::{Field, Value};
+    use nodb_types::{CmpOp, ColPred, Field, Value};
     use proptest::prelude::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -921,14 +1142,149 @@ mod tests {
         (std::mem::discriminant(e), e.to_string())
     }
 
-    /// Load `needed` from `file` (data after `header_len` bytes) with the
-    /// loader and with `scan_bytes` over the same data bytes, each with
-    /// its own positional map, and compare everything the two produce.
+    /// What a read of a table returns: the needed columns' values of the
+    /// rows that passed, their row ids, the data rows and the rows
+    /// abandoned.
+    struct Reference {
+        columns: Vec<Vec<Value>>,
+        rowids: Vec<u64>,
+        rows: u64,
+        abandoned: u64,
+    }
+
+    /// A deliberately naive reader, one row at a time and one byte at a
+    /// time: rows end at a newline outside quotes (one `\r` before it
+    /// dropped, blank rows skipped), fields at a comma outside quotes;
+    /// each needed or tested field of a row, in column order, is
+    /// unquoted and parsed with `str::parse`, and the row is dropped at
+    /// the first predicate (`ColPred::matches`) it fails. A missing field
+    /// is NULL in lenient mode and an error otherwise. Returns the first
+    /// error in that order, with the tokenizer's texts.
+    fn reference(
+        data: &[u8],
+        o: &CsvOptions,
+        schema: &Schema,
+        needed: &[usize],
+        pushdown: Option<&Conjunction>,
+    ) -> Result<Reference> {
+        let split = |bytes: &[u8], at: u8| {
+            let mut parts = vec![Vec::new()];
+            let mut quoted = false;
+            for &b in bytes {
+                if Some(b) == o.quote {
+                    quoted = !quoted;
+                }
+                if b == at && !quoted {
+                    parts.push(Vec::new());
+                } else {
+                    parts.last_mut().unwrap().push(b);
+                }
+            }
+            parts
+        };
+        let preds = |c: usize| pushdown.into_iter().flat_map(move |p| p.preds_on(c));
+        let last = needed
+            .iter()
+            .copied()
+            .chain(pushdown.map_or_else(Vec::new, Conjunction::columns))
+            .max();
+        let mut out = Reference {
+            columns: vec![Vec::new(); needed.len()],
+            rowids: Vec::new(),
+            rows: 0,
+            abandoned: 0,
+        };
+        let lines = split(data, b'\n').into_iter().map(|mut line| {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            line
+        });
+        for (r, line) in lines.filter(|l| !l.is_empty()).enumerate() {
+            out.rows += 1;
+            let Some(last) = last else {
+                out.rowids.push(r as u64);
+                continue;
+            };
+            let fields = split(&line, b',');
+            let mut values = vec![Value::Null; last + 1];
+            let mut passed = true;
+            for (c, value) in values.iter_mut().enumerate() {
+                let tested = preds(c).next().is_some();
+                if c >= fields.len() && !o.lenient {
+                    return Err(Error::parse(format!(
+                        "row {r} has only {} fields but column {last} was referenced \
+                         (enable lenient mode to read short rows as NULLs)",
+                        fields.len()
+                    )));
+                }
+                if c < fields.len() && (tested || needed.contains(&c)) {
+                    let ty = schema.field(c).unwrap().data_type;
+                    *value = reference_value(&fields[c], ty, o.quote).map_err(|msg| {
+                        Error::parse(format!("row {r}, column {c}: parse error: {msg}"))
+                    })?;
+                }
+                if !preds(c).all(|p| p.matches(value)) {
+                    passed = false;
+                    break;
+                }
+            }
+            if passed {
+                for (col, &c) in out.columns.iter_mut().zip(needed) {
+                    col.push(values[c].clone());
+                }
+                out.rowids.push(r as u64);
+            } else {
+                out.abandoned += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    /// One field's value: quotes stripped and `""` unescaped; an empty
+    /// field is NULL, and so is a number of only whitespace.
+    fn reference_value(
+        raw: &[u8],
+        ty: DataType,
+        quote: Option<u8>,
+    ) -> std::result::Result<Value, String> {
+        let mut bytes = raw.to_vec();
+        if let Some(q) = quote.filter(|q| raw.first() == Some(q)) {
+            bytes.remove(0);
+            if bytes.last() == Some(&q) {
+                bytes.pop();
+            }
+            let q = char::from(q).to_string();
+            let text = String::from_utf8(bytes).unwrap().replace(&q.repeat(2), &q);
+            bytes = text.into_bytes();
+        }
+        let text = String::from_utf8(bytes).unwrap();
+        let t = text.trim();
+        Ok(match ty {
+            _ if raw.is_empty() => Value::Null,
+            DataType::Str => Value::Str(text),
+            _ if t.is_empty() => Value::Null,
+            DataType::Int64 => Value::Int(t.parse().map_err(|_| format!("invalid int64 {t:?}"))?),
+            DataType::Float64 => Value::Float(
+                t.parse()
+                    .map_err(|e| format!("invalid float64 {t:?}: {e}"))?,
+            ),
+        })
+    }
+
+    /// Read `needed` of the rows passing `pushdown` from `file` (data
+    /// after `header_len` bytes) with the loader, with `scan_bytes` over
+    /// the same data bytes (each with its own positional map) and with
+    /// the naive [`reference`], and compare everything they produce:
+    /// columns, dictionaries, row ids, row counts, abandoned rows and
+    /// error kind and text; between the loader and `scan_bytes` also the
+    /// positional maps and the work counters.
     #[allow(clippy::too_many_arguments)]
     fn compare(
         file: &TempFile,
         header_len: usize,
         needed: &[usize],
+        pushdown: Option<&Conjunction>,
         o: &CsvOptions,
         chunk_bytes: usize,
         pm_scan: &mut PositionalMap,
@@ -937,17 +1293,14 @@ mod tests {
         let schema = schema();
         let bytes = std::fs::read(&file.0).unwrap();
         let (c_scan, c_load) = (WorkCounters::new(), WorkCounters::new());
-        let serial = CsvOptions {
-            threads: 1,
-            ..o.clone()
-        };
+        let want = reference(&bytes[header_len..], o, &schema, needed, pushdown);
         let scanned = scan_bytes(
             &bytes[header_len..],
-            &serial,
+            o,
             &ScanSpec {
                 schema: &schema,
                 needed: needed.to_vec(),
-                pushdown: None,
+                pushdown,
             },
             Some(pm_scan),
             &c_scan,
@@ -959,47 +1312,67 @@ mod tests {
                 schema: &schema,
                 needed,
                 chunk_bytes,
+                pushdown,
             },
             o,
             Some(pm_load),
             &c_load,
         );
-        let (scanned, mut loaded) = match (scanned, loaded) {
-            (Ok(s), Ok(l)) => (s, l),
-            (Err(a), Err(b)) => {
-                prop_assert_eq!(describe(&b), describe(&a));
+        let (want, scanned, mut loaded) = match (want, scanned, loaded) {
+            (Ok(w), Ok(s), Ok(l)) => (w, s, l),
+            (Err(w), Err(s), Err(l)) => {
+                prop_assert_eq!(describe(&s), describe(&w));
+                prop_assert_eq!(describe(&l), describe(&w));
                 return Ok(());
             }
-            (a, b) => {
+            (w, s, l) => {
                 return Err(TestCaseError::fail(format!(
-                    "scan {:?} but load {:?}",
-                    a.map(|s| s.rows_scanned),
-                    b.map(|l| l.rows)
+                    "reference {:?}, scan {:?}, load {:?}",
+                    w.map(|w| w.rows),
+                    s.map(|s| s.rows_scanned),
+                    l.map(|l| l.rows)
                 )))
             }
         };
-        prop_assert_eq!(loaded.rows, scanned.rows_scanned);
-        for (i, c) in needed.iter().enumerate() {
-            let (l, s) = (&loaded.columns[i], &scanned.columns[c]);
-            prop_assert_eq!(l, s, "column {}", c);
-            // Text parts merge into one dictionary in first-appearance
-            // order: the very layout (and bytes) of a row-at-a-time build.
-            prop_assert_eq!(l.approx_bytes(), s.approx_bytes(), "column {} bytes", c);
-            if let (
-                ColumnData::Str {
-                    dict: ld,
-                    codes: lc,
-                    ..
-                },
-                ColumnData::Str {
-                    dict: sd,
-                    codes: sc,
-                    ..
-                },
-            ) = (l, s)
-            {
-                prop_assert!(ld.entries().eq(sd.entries()), "column {} entries", c);
-                prop_assert_eq!(lc, sc, "column {} codes", c);
+        prop_assert_eq!(scanned.rows_scanned, want.rows);
+        prop_assert_eq!(loaded.rows, want.rows);
+        prop_assert_eq!(&scanned.rowids, &want.rowids);
+        prop_assert_eq!(&loaded.take_rowids(), &want.rowids);
+        for (i, &c) in needed.iter().enumerate() {
+            let ty = schema.field(c).unwrap().data_type;
+            // A row-at-a-time build: NULL mask and dictionary hold only
+            // what the rows that passed put there.
+            let w = ColumnData::from_values(ty, want.columns[i].iter().cloned()).unwrap();
+            for (l, who) in [(&loaded.columns[i], "load"), (&scanned.columns[&c], "scan")] {
+                prop_assert_eq!(l, &w, "{} column {}", who, c);
+                prop_assert_eq!(
+                    l.approx_bytes(),
+                    w.approx_bytes(),
+                    "{} column {} bytes",
+                    who,
+                    c
+                );
+                if let (
+                    ColumnData::Str {
+                        dict: ld,
+                        codes: lc,
+                        ..
+                    },
+                    ColumnData::Str {
+                        dict: wd,
+                        codes: wc,
+                        ..
+                    },
+                ) = (l, &w)
+                {
+                    prop_assert!(
+                        ld.entries().eq(wd.entries()),
+                        "{} column {} entries",
+                        who,
+                        c
+                    );
+                    prop_assert_eq!(lc, wc, "{} column {} codes", who, c);
+                }
             }
         }
         loaded.record_into(pm_load);
@@ -1015,6 +1388,8 @@ mod tests {
             );
         }
         let (s, l) = (c_scan.snapshot(), c_load.snapshot());
+        prop_assert_eq!(l.rows_abandoned, want.abandoned);
+        prop_assert_eq!(s.rows_abandoned, want.abandoned);
         prop_assert_eq!(l.rows_tokenized, s.rows_tokenized);
         prop_assert_eq!(l.fields_tokenized, s.fields_tokenized);
         prop_assert_eq!(l.values_parsed, s.values_parsed);
@@ -1042,15 +1417,18 @@ mod tests {
             .. ProptestConfig::default()
         })]
 
-        /// The loader equals `scan_bytes` at every chunk size, from one
-        /// byte up: rows straddle every boundary and outgrow a chunk; CRLF,
-        /// blank lines, a missing final newline, NULL and whitespace
-        /// fields, non-ASCII text, ragged rows (lenient and strict),
-        /// unparsable fields and quoted newlines all come out the same,
-        /// errors included; a load of no column counts the same rows. A
-        /// second load of other columns then runs from the positional map
-        /// the first one left, against a scan over the map `scan_bytes`
-        /// left.
+        /// The loader and `scan_bytes` equal the naive reference at every
+        /// chunk size, from one byte up: rows straddle every boundary and
+        /// outgrow a chunk; CRLF, blank lines, a missing final newline,
+        /// NULL and whitespace fields, non-ASCII text, ragged rows
+        /// (lenient and strict), unparsable fields and quoted newlines
+        /// all come out the same, errors included; a load of no column
+        /// counts the same rows. A drawn pushdown (ranges, `=` and `<>`
+        /// on every column type, often on a column past the needed ones)
+        /// keeps the same rows, abandons the same ones and leaves no
+        /// trace of them. A second load of other columns then runs from
+        /// the positional map the first one left, against a scan over the
+        /// map `scan_bytes` left.
         #[test]
         fn loader_matches_scan_bytes_at_every_chunk_size(
             rows in proptest::collection::vec(
@@ -1066,6 +1444,7 @@ mod tests {
             second in proptest::collection::vec(0usize..4, 0..3),
             chunk_bytes in prop_oneof![1usize..9, 9usize..40, 40usize..400],
             threads in 1usize..4,
+            preds in proptest::collection::vec((0usize..4, 0usize..6, 0usize..30), 0..3),
         ) {
             let eol = if crlf { "\r\n" } else { "\n" };
             let mut text = String::new();
@@ -1092,6 +1471,23 @@ mod tests {
             }
             let file = TempFile::new(text.as_bytes());
             let o = opts(threads, quoted, lenient);
+            // Literals from the table's own cells, so `=` finds rows.
+            let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+            let conj = Conjunction::new(
+                preds
+                    .iter()
+                    .map(|&(col, op, pick)| {
+                        let v = rows.get(pick % rows.len().max(1)).map_or(0, |r| r.1[col].1);
+                        let literal = match col {
+                            1 => Value::Float(f64::from(v) / 4.0),
+                            2 => Value::Str(format!(" w{v} ")),
+                            _ => Value::Int(i64::from(v)),
+                        };
+                        ColPred::new(col, ops[op], literal)
+                    })
+                    .collect(),
+            );
+            let pushdown = (!preds.is_empty()).then_some(&conj);
             let distinct = |mut v: Vec<usize>| {
                 v.sort_unstable();
                 v.dedup();
@@ -1099,7 +1495,10 @@ mod tests {
             };
             let (mut pm_scan, mut pm_load) = (PositionalMap::new(), PositionalMap::new());
             for needed in [distinct(first), distinct(second)] {
-                compare(&file, header_len, &needed, &o, chunk_bytes, &mut pm_scan, &mut pm_load)?;
+                compare(
+                    &file, header_len, &needed, pushdown, &o, chunk_bytes, &mut pm_scan,
+                    &mut pm_load,
+                )?;
             }
         }
     }
@@ -1113,6 +1512,7 @@ mod tests {
                 schema: &Schema::ints(2),
                 needed,
                 chunk_bytes,
+                pushdown: None,
             },
             &opts(3, false, false),
             None,
@@ -1303,6 +1703,7 @@ mod tests {
                         &file,
                         9,
                         &[],
+                        None,
                         &opts(threads, false, false),
                         chunk_bytes,
                         &mut pm_scan,

@@ -1,11 +1,12 @@
-//! Two-phase, predicate-pushing, positional-map-aware CSV tokenizer.
+//! The CSV dialect, phase 1 and the field parsers of the row tokenizer.
 //!
-//! This is the paper's adaptive loading operator (§3.2) as a library:
+//! The paper's adaptive loading operator (§3.2) runs in two phases:
 //!
-//! * **Phase 1** locates row boundaries (parallel chunk scan for newlines;
-//!   serial state machine when quoting is enabled, since a chunk boundary
-//!   may fall inside a quoted field). The result is cached in the
-//!   [`PositionalMap`] so newline scanning happens at most once per file.
+//! * **Phase 1** locates row boundaries ([`find_row_starts`]: a parallel
+//!   chunk scan for newlines; a serial state machine when quoting is
+//!   enabled, since a chunk boundary may fall inside a quoted field). The
+//!   result is cached in the [`PositionalMap`] so newline scanning happens
+//!   at most once per file.
 //! * **Phase 2** walks each row only as far as the *maximum referenced
 //!   column* ("once all required columns are found the tokenization for this
 //!   row can stop"), starts from the best positional-map hint instead of
@@ -14,14 +15,16 @@
 //!   predicate ("we abandon the tokenization of a row as soon as a predicate
 //!   fails").
 //!
-//! Everything the scan learns about row/field positions is recorded back
-//! into the positional map as a side effect — the paper's "file cracking"
-//! learning loop (§4.1.5).
+//! Phase 2 has one implementation, the per-row kernel of [`crate::load`]:
+//! the engine's loads run it over the file in chunks ([`load_columns`]),
+//! and [`scan_bytes`] runs it over bytes already in memory. This module
+//! holds what the kernel shares: the dialect ([`CsvOptions`]), phase 1,
+//! the field walker and parsers, the hint and recording choices, and the
+//! error texts. Everything a walk learns about row/field positions is
+//! recorded back into the positional map — the paper's learning loop
+//! (§4.1.5).
 //!
-//! A cold first touch of whole columns does not come here: the one-pass
-//! chunk loader ([`crate::load`]) reads, splits and parses the file in a
-//! single walk per chunk, and shares this module's field parsers and error
-//! texts.
+//! [`load_columns`]: crate::load_columns
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -31,11 +34,12 @@ use std::path::Path;
 
 use nodb_types::profile::{self, Phase};
 use nodb_types::{
-    map_morsels, ColumnData, ColumnTest, Conjunction, DataType, Error, MorselRange, QueryContext,
-    Result, Schema, Value, WorkCounters,
+    map_morsels, ColumnData, Conjunction, DataType, Error, MorselRange, QueryContext, Result,
+    Schema, Value, WorkCounters,
 };
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
+use crate::load::load_bytes;
 use crate::posmap::{PositionalMap, UNKNOWN};
 
 /// CSV dialect and scan-execution options.
@@ -129,6 +133,7 @@ pub fn scan_file(
 
 /// Scan in-memory CSV bytes, producing qualifying rows for the requested
 /// columns and recording structural knowledge into `posmap` (if given).
+/// Phase 2 is the loader's kernel over the rows in memory.
 pub fn scan_bytes(
     bytes: &[u8],
     opts: &CsvOptions,
@@ -141,9 +146,7 @@ pub fn scan_bytes(
     // Phase 1: row boundaries (reused from the positional map when valid).
     let row_starts = phase1_row_starts(bytes, opts, &mut posmap, counters)?;
     let nrows = row_starts.len();
-
-    let touch = touch_plan(spec);
-    if touch.is_empty() {
+    if touch_plan(spec).is_empty() {
         // Pure row-count scan: every row qualifies, nothing to parse.
         return Ok(ScanOutput {
             columns: BTreeMap::new(),
@@ -151,72 +154,38 @@ pub fn scan_bytes(
             rows_scanned: nrows as u64,
         });
     }
-    // Phase-2 wall time on the coordinating thread: the chunk scans run
-    // (possibly in parallel) strictly inside this region, and the merge
-    // below belongs to it too.
-    let _p2 = profile::phase(Phase::Tokenize2);
-    profile::add_bytes(bytes.len() as u64);
-    let max_touch = *touch.last().expect("nonempty");
-    let tests_by_col = group_pushdown(spec);
-    let record_cols = record_columns(posmap.as_deref(), max_touch);
-
-    let ctx = ScanCtx {
-        bytes,
-        row_starts: &row_starts,
-        file_len: bytes.len(),
-        opts,
+    let mut needed = spec.needed.clone();
+    needed.sort_unstable();
+    needed.dedup();
+    let spec = ScanSpec {
         schema: spec.schema,
-        needed: &spec.needed,
-        touch: &touch,
-        max_touch,
-        tests_by_col: &tests_by_col,
-        record_cols: &record_cols,
-        posmap: posmap.as_deref(),
+        needed,
+        pushdown: spec.pushdown,
     };
-
-    let threads = if nrows < 4096 { 1 } else { opts.threads };
-    let mut chunks = map_chunks(nrows, threads, |r| scan_row_range(&ctx, r.lo, r.hi))?;
-
-    // Merge chunk outputs (chunks own contiguous row ranges in order).
-    let mut rowids: Vec<u64> = Vec::new();
-    let mut columns: BTreeMap<usize, ColumnData> = spec
-        .needed
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                ColumnData::empty(spec.schema.field(c).expect("validated").data_type),
-            )
-        })
-        .collect();
-    let mut local_totals = LocalCounters::default();
-    for chunk in &mut chunks {
-        rowids.append(&mut chunk.rowids);
-        for (ni, &c) in spec.needed.iter().enumerate() {
-            let src =
-                std::mem::replace(&mut chunk.builders[ni], ColumnData::empty(DataType::Int64));
-            let dst = columns.get_mut(&c).expect("initialised above");
-            dst.append(src).expect("same type");
-        }
-        local_totals.absorb(&chunk.counters);
+    // Phase-2 wall time on the coordinating thread: one chunk per worker
+    // (a single chunk below 4096 rows), run strictly inside this region.
+    let _p2 = profile::phase(Phase::Tokenize2);
+    let chunk_bytes = if nrows < 4096 {
+        bytes.len()
+    } else {
+        bytes.len().div_ceil(opts.threads.max(1))
+    };
+    let mut loaded = load_bytes(
+        bytes,
+        &row_starts,
+        &spec,
+        opts,
+        chunk_bytes,
+        posmap.as_deref(),
+        counters,
+    )?;
+    if let Some(m) = posmap {
+        loaded.record_into(m);
     }
-    local_totals.flush(counters);
-
-    // Record learned positions. (`as_deref_mut` reborrows rather than
-    // moving — the clippy suggestion to drop it is wrong here.)
-    #[allow(clippy::needless_option_as_deref)]
-    if let Some(m) = posmap.as_deref_mut() {
-        for chunk in &chunks {
-            for (col, offs) in &chunk.recordings {
-                m.record_range(*col, chunk.first_row, offs);
-            }
-        }
-    }
-
     Ok(ScanOutput {
-        columns,
-        rowids,
-        rows_scanned: nrows as u64,
+        rowids: loaded.take_rowids(),
+        rows_scanned: loaded.rows,
+        columns: spec.needed.into_iter().zip(loaded.columns).collect(),
     })
 }
 
@@ -298,21 +267,6 @@ pub(crate) fn touch_plan(spec: &ScanSpec<'_>) -> Vec<usize> {
     touch
 }
 
-/// Fold the pushdown predicates into one typed test per column, in file
-/// order (the schema has been validated to cover every column).
-fn group_pushdown(spec: &ScanSpec<'_>) -> BTreeMap<usize, ColumnTest> {
-    let Some(p) = spec.pushdown else {
-        return BTreeMap::new();
-    };
-    p.columns()
-        .into_iter()
-        .map(|c| {
-            let ty = spec.schema.field(c).expect("validated").data_type;
-            (c, ColumnTest::fold(ty, p.preds_on(c)))
-        })
-        .collect()
-}
-
 /// Which columns should have offsets recorded into the posmap: every
 /// column the scan may walk past that is not already fully covered.
 /// Column 0 never is: its offset is 0 in every row.
@@ -348,31 +302,7 @@ pub(crate) fn walk_start(hints: &[(usize, &[u32])], row: usize, row_len: usize) 
         .unwrap_or((0, 0))
 }
 
-/// Shared read-only context for phase-2 workers.
-struct ScanCtx<'a> {
-    bytes: &'a [u8],
-    row_starts: &'a [u64],
-    file_len: usize,
-    opts: &'a CsvOptions,
-    schema: &'a Schema,
-    needed: &'a [usize],
-    touch: &'a [usize],
-    max_touch: usize,
-    tests_by_col: &'a BTreeMap<usize, ColumnTest>,
-    record_cols: &'a [usize],
-    posmap: Option<&'a PositionalMap>,
-}
-
-/// Per-chunk output buffers.
-struct ChunkOut {
-    first_row: usize,
-    builders: Vec<ColumnData>, // parallel to ctx.needed
-    rowids: Vec<u64>,
-    recordings: Vec<(usize, Vec<u32>)>,
-    counters: LocalCounters,
-}
-
-/// Unsynchronised counters, flushed to the shared atomics once per chunk.
+/// Unsynchronised counters, flushed to the shared atomics once per worker.
 #[derive(Default)]
 pub(crate) struct LocalCounters {
     pub(crate) rows_tokenized: u64,
@@ -382,210 +312,12 @@ pub(crate) struct LocalCounters {
 }
 
 impl LocalCounters {
-    fn absorb(&mut self, o: &LocalCounters) {
-        self.rows_tokenized += o.rows_tokenized;
-        self.fields_tokenized += o.fields_tokenized;
-        self.values_parsed += o.values_parsed;
-        self.rows_abandoned += o.rows_abandoned;
-    }
-
     pub(crate) fn flush(&self, c: &WorkCounters) {
         c.add_rows_tokenized(self.rows_tokenized);
         c.add_fields_tokenized(self.fields_tokenized);
         c.add_values_parsed(self.values_parsed);
         c.add_rows_abandoned(self.rows_abandoned);
     }
-}
-
-/// Phase-2 kernel: walk rows `[lo, hi)`.
-fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
-    nodb_types::failpoints::trip("rawcsv.morsel")?;
-    let mut cancel_check = nodb_types::CancelCheck::new();
-    let n = hi - lo;
-    // Without pushdown every row qualifies — size builders exactly.
-    let cap = if ctx.tests_by_col.is_empty() {
-        n
-    } else {
-        n / 4
-    };
-    let mut out = ChunkOut {
-        first_row: lo,
-        builders: ctx
-            .needed
-            .iter()
-            .map(|&c| {
-                ColumnData::with_capacity(ctx.schema.field(c).expect("validated").data_type, cap)
-            })
-            .collect(),
-        rowids: Vec::new(),
-        recordings: ctx
-            .record_cols
-            .iter()
-            .map(|&c| (c, vec![UNKNOWN; n]))
-            .collect(),
-        counters: LocalCounters::default(),
-    };
-    // Map column ordinal -> slot in recordings, for O(1) recording.
-    let mut record_slot = vec![usize::MAX; ctx.max_touch + 1];
-    for (slot, &(c, _)) in out.recordings.iter().enumerate() {
-        record_slot[c] = slot;
-    }
-    // Map column ordinal -> slot in needed.
-    let mut needed_slot = vec![usize::MAX; ctx.max_touch + 1];
-    for (slot, &c) in ctx.needed.iter().enumerate() {
-        needed_slot[c] = slot;
-    }
-    let touch_mask = {
-        let mut m = vec![false; ctx.max_touch + 1];
-        for &c in ctx.touch {
-            m[c] = true;
-        }
-        m
-    };
-    let first_touch = *ctx.touch.first().expect("nonempty");
-    let hint_candidates = ctx
-        .posmap
-        .map_or_else(Vec::new, |m| hint_columns(m, first_touch));
-
-    let mut stash: Vec<Value> = vec![Value::Null; ctx.needed.len()];
-
-    'rows: for row in lo..hi {
-        cancel_check.tick(1)?;
-        let start = ctx.row_starts[row] as usize;
-        // The row's bytes run to the next row start (or EOF); the field
-        // walker treats '\n'/'\r' as terminators, so embedded trailing
-        // newlines (and any skipped empty lines) never need trimming here.
-        let next = if row + 1 < ctx.row_starts.len() {
-            ctx.row_starts[row + 1] as usize
-        } else {
-            ctx.file_len
-        };
-        let rowb = &ctx.bytes[start..next];
-        out.counters.rows_tokenized += 1;
-
-        let (mut col, mut pos) = walk_start(&hint_candidates, row, rowb.len());
-        for v in stash.iter_mut() {
-            *v = Value::Null;
-        }
-        let mut qualified = true;
-        let mut short_row = false;
-
-        loop {
-            if col <= ctx.max_touch {
-                let slot = record_slot.get(col).copied().unwrap_or(usize::MAX);
-                if slot != usize::MAX {
-                    out.recordings[slot].1[row - lo] = pos as u32;
-                }
-            }
-            let fe = field_end(rowb, pos, ctx.opts.delimiter, ctx.opts.quote);
-            out.counters.fields_tokenized += 1;
-
-            if touch_mask.get(col).copied().unwrap_or(false) {
-                let raw = &rowb[pos..fe];
-                let ty = ctx.schema.field(col).expect("validated").data_type;
-                let needs_value = needed_slot[col] != usize::MAX;
-                let test = ctx.tests_by_col.get(&col);
-                if needs_value || test.is_some() {
-                    out.counters.values_parsed += 1;
-                    // Typed fast paths: numeric fields go straight from
-                    // bytes to i64/f64 and predicates are checked on the
-                    // scalar — no UTF-8 validation, no `String`, and no
-                    // `Value` boxing for pushdown-only columns.
-                    let q = ctx.opts.quote;
-                    let row_col_err = |e: Error| field_error(row, col, e);
-                    match ty {
-                        DataType::Int64 => match parse_i64_field(raw, q).map_err(row_col_err)? {
-                            Some(x) => {
-                                if let Some(test) = test {
-                                    if !test.matches_i64(x) {
-                                        out.counters.rows_abandoned += 1;
-                                        qualified = false;
-                                        break;
-                                    }
-                                }
-                                if needs_value {
-                                    stash[needed_slot[col]] = Value::Int(x);
-                                }
-                            }
-                            None => {
-                                // NULL never satisfies a predicate.
-                                if test.is_some() {
-                                    out.counters.rows_abandoned += 1;
-                                    qualified = false;
-                                    break;
-                                }
-                            }
-                        },
-                        DataType::Float64 => match parse_f64_field(raw, q).map_err(row_col_err)? {
-                            Some(x) => {
-                                if let Some(test) = test {
-                                    if !test.matches_f64(x) {
-                                        out.counters.rows_abandoned += 1;
-                                        qualified = false;
-                                        break;
-                                    }
-                                }
-                                if needs_value {
-                                    stash[needed_slot[col]] = Value::Float(x);
-                                }
-                            }
-                            None => {
-                                if test.is_some() {
-                                    out.counters.rows_abandoned += 1;
-                                    qualified = false;
-                                    break;
-                                }
-                            }
-                        },
-                        DataType::Str => {
-                            let v = parse_field(raw, ty, q).map_err(row_col_err)?;
-                            if let Some(test) = test {
-                                if !test.matches(v.as_value_ref()) {
-                                    out.counters.rows_abandoned += 1;
-                                    qualified = false;
-                                    break;
-                                }
-                            }
-                            if needs_value {
-                                stash[needed_slot[col]] = v;
-                            }
-                        }
-                    }
-                }
-            }
-
-            if col >= ctx.max_touch {
-                break;
-            }
-            if rowb.get(fe) != Some(&ctx.opts.delimiter) {
-                // Row ended (newline/EOF) before we reached max_touch.
-                short_row = true;
-                break;
-            }
-            pos = fe + 1;
-            col += 1;
-        }
-
-        if short_row && !ctx.opts.lenient {
-            return Err(short_row_error(row, col + 1, ctx.max_touch));
-        }
-        if short_row {
-            // NULLs cannot satisfy predicates on the missing columns.
-            if let Some(p) = ctx.tests_by_col.keys().find(|&&c| c > col) {
-                let _ = p;
-                out.counters.rows_abandoned += 1;
-                continue 'rows;
-            }
-        }
-        if qualified {
-            for (slot, v) in stash.iter_mut().enumerate() {
-                let v = std::mem::replace(v, Value::Null);
-                out.builders[slot].push(v).expect("typed parse");
-            }
-            out.rowids.push(row as u64);
-        }
-    }
-    Ok(out)
 }
 
 /// Find the end (exclusive) of the field starting at `pos` within a row

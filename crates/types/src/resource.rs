@@ -156,12 +156,9 @@ impl MemoryPool {
     /// Reserve `bytes`, running the reclaimer once if the effective cap
     /// would be exceeded. On refusal nothing stays reserved.
     fn reserve(&self, bytes: usize) -> Result<()> {
-        let prev = self.inner.reserved.fetch_add(bytes, Ordering::Relaxed);
-        let now = prev.saturating_add(bytes);
-        if now <= self.effective_cap() {
-            self.inner.peak.fetch_max(now, Ordering::Relaxed);
+        let Err(reserved) = self.reserve_if_fits(bytes) else {
             return Ok(());
-        }
+        };
         // Over cap: run the degradation ladder (shrink result cache,
         // evict adaptive store), asking for the overshoot plus slack.
         // What the ladder frees becomes reclaim credit — it raised no
@@ -171,24 +168,50 @@ impl MemoryPool {
         // The reclaimer is cloned out and invoked outside the mutex: it
         // may block on table locks, and a slow ladder must not stall
         // every other over-cap charge behind this lock.
-        let needed = (now - self.effective_cap()).saturating_add(RECLAIM_SLACK_BYTES);
+        let needed = reserved
+            .saturating_add(bytes)
+            .saturating_sub(self.effective_cap())
+            .saturating_add(RECLAIM_SLACK_BYTES);
         let reclaimer = lock_unpoisoned(&self.inner.reclaimer).clone();
         let freed = reclaimer.map(|f| f(needed)).unwrap_or(0);
         if freed > 0 {
             self.inner.credit.fetch_add(freed, Ordering::Relaxed);
         }
-        // Re-read `reserved` rather than reusing `now`: concurrent
-        // releases while the ladder ran also make room.
-        if self.inner.reserved.load(Ordering::Relaxed) <= self.effective_cap() {
-            self.inner.peak.fetch_max(now, Ordering::Relaxed);
-            return Ok(());
+        // Try again: concurrent releases while the ladder ran also make
+        // room.
+        self.reserve_if_fits(bytes).map_err(|reserved| {
+            Error::resource_exhausted(format!(
+                "engine memory pool exhausted: {} reserved + {} requested > {} cap \
+                 (after reclaiming {} bytes)",
+                reserved, bytes, self.inner.cap, freed
+            ))
+        })
+    }
+
+    /// Reserve `bytes` only if they fit the effective cap: a refused
+    /// request is never counted, so neither a concurrent refusal nor
+    /// [`MemoryPool::saturated`] ever sees it. On refusal, returns the
+    /// reservation that left no room.
+    fn reserve_if_fits(&self, bytes: usize) -> std::result::Result<(), usize> {
+        let mut cur = self.inner.reserved.load(Ordering::Relaxed);
+        loop {
+            let now = cur.saturating_add(bytes);
+            if now > self.effective_cap() {
+                return Err(cur);
+            }
+            match self.inner.reserved.compare_exchange_weak(
+                cur,
+                now,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    self.inner.peak.fetch_max(now, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Err(seen) => cur = seen,
+            }
         }
-        self.inner.reserved.fetch_sub(bytes, Ordering::Relaxed);
-        Err(Error::resource_exhausted(format!(
-            "engine memory pool exhausted: {} reserved + {} requested > {} cap \
-             (after reclaiming {} bytes)",
-            prev, bytes, self.inner.cap, freed
-        )))
     }
 
     fn release(&self, bytes: usize) {
@@ -481,6 +504,58 @@ mod tests {
         assert_eq!(pool.reclaim_credit(), 0);
         g.charge(1000).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    /// Four workers that each ask for more than the room left, over and
+    /// over at once: every refusal reports a reservation within the cap
+    /// (the other workers' refused requests are never counted), and the
+    /// pool ends empty.
+    #[test]
+    fn concurrent_refusals_never_count_as_reserved() {
+        use std::sync::Barrier;
+        const CAP: usize = 49_152;
+        let pool = MemoryPool::new(Some(CAP));
+        let held = MemoryGuard::new(None, Some(pool.clone()));
+        held.charge(20_000).unwrap();
+        let start = Barrier::new(4);
+        // Workers only record: one panicking at the barrier would leave
+        // the others waiting there for good.
+        let refusals: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = Vec::new();
+                        for _ in 0..200 {
+                            start.wait();
+                            let g = MemoryGuard::new(None, Some(pool.clone()));
+                            let text = match g.charge(CAP - 20_000 + 1) {
+                                Ok(()) => "accepted".to_owned(),
+                                Err(e) => e.to_string(),
+                            };
+                            // The reservation the refusal reports.
+                            seen.push(
+                                text.split("pool exhausted: ")
+                                    .nth(1)
+                                    .and_then(|t| t.split(' ').next())
+                                    .and_then(|n| n.parse().ok())
+                                    .unwrap_or(usize::MAX),
+                            );
+                            seen.push(pool.reserved());
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert_eq!(refusals.len(), 1600);
+        assert!(refusals.iter().all(|&r| r <= CAP), "{refusals:?}");
+        assert!(pool.peak() <= CAP, "{}", pool.peak());
+        drop(held);
+        assert_eq!(pool.reserved(), 0);
     }
 
     fn meter(g: &MemoryGuard) -> crate::ContextGuard {

@@ -7,14 +7,15 @@
 //! This facade re-exports the public API of the workspace. The individual
 //! crates, re-exported as modules here:
 //!
-//! * [`types`] — values, schemas, predicates, intervals, work counters,
-//!   and the shared morsel driver + batch type every parallel pipeline
-//!   stage speaks.
-//! * [`rawcsv`] — the raw-file substrate: generators, two-phase
-//!   tokenizer (merged scans and morsel scans), positional map, schema
-//!   inference, file splitting.
-//! * [`store`] — the adaptive store: columns, fragments, row/PAX formats,
-//!   partitioned cracking, eviction, binary persistence.
+//! * [`types`] — values, typed columns and their dictionaries, schemas,
+//!   predicates, intervals, work counters, memory governance, and the
+//!   morsel driver every parallel stage runs on.
+//! * [`rawcsv`] — the raw-file substrate: generators, the row tokenizer
+//!   (phase 1, and one per-row kernel with predicate pushdown that every
+//!   load and `scan_bytes` run), positional map, schema inference, file
+//!   splitting.
+//! * [`store`] — the adaptive store: columns, fragments, the `RowBatch`
+//!   row format, partitioned cracking, eviction, binary persistence.
 //! * [`exec`] — the execution kernels: one typed aggregation kernel for
 //!   every aggregate (a plain aggregate is a zero-key GROUP BY), columnar
 //!   selection vectors, the flat hash join and their morsel-parallel

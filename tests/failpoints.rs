@@ -409,13 +409,14 @@ fn injected_panic_and_oom_each_kill_one_query_pool_keeps_serving() {
     let _g = fp_guard();
     let _d = Disarm;
     let dir = common::test_dir("fp_panic_oom");
-    // A pushdown strategy and an 8 KiB per-query budget: far below a
-    // ~1000-group hash table's metered entries, comfortably above what a
-    // COUNT(*) charges.
+    // A pushdown strategy and a 16 KiB per-query budget: below a
+    // ~1000-group hash table's metered entries (one ~21 KB charge), above
+    // what a COUNT(*) charges and what a load of the ~14 KB file charges
+    // for its read buffer.
     let engine = engine_with_table_cfg(&dir, |cfg| {
         cfg.threads = 2;
         cfg.strategy = LoadingStrategy::PartialLoadsV2;
-        cfg.query_mem_bytes = Some(8 * 1024);
+        cfg.query_mem_bytes = Some(16 * 1024);
     });
     let server =
         NodbServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();

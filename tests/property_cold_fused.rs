@@ -4,8 +4,10 @@
 //! shifting predicates), an engine whose cold tables load through the
 //! column loader and are then answered by the warm path must produce
 //! byte-identical results to an `ExternalScan` engine, which re-parses
-//! the file with `scan_bytes` on every query — at one thread and at
-//! several, with morsel sizes that cut the file into many chunks. The
+//! every column of the file on every query and keeps nothing — at one
+//! thread and at several, with morsel sizes that cut the file into many
+//! chunks. (Both read through the one row kernel; the kernel itself is
+//! checked against a naive reader in `crates/rawcsv/src/load.rs`.) The
 //! parallel engine must also leave the adaptive store and positional map
 //! in exactly the state the same load leaves on one thread. Quoted files
 //! take the loader's whole-file boundary source, unquoted ones the
@@ -64,9 +66,9 @@ fn unquoted_cell(ty: u8, seed: u8) -> String {
 /// `morsel_rows` (an aggregate's float bits depend on it) and private
 /// store dirs.
 struct Engines {
-    /// The reference: `ExternalScan` keeps no state and parses the whole
-    /// file with `scan_bytes` on every query, so it shares no load code
-    /// with the column loader.
+    /// The reference: `ExternalScan` keeps no state and parses every
+    /// column of the whole file on every query, with no positional map
+    /// and no store, so it shares no loaded state with the column loader.
     external: Engine,
     /// The column loader at threads = 1: its chunks run inline.
     serial: Engine,
@@ -325,8 +327,8 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Cold scalar projections over quoted files: loader vs `scan_bytes`
-    /// parity, at one thread and several, over dtypes × quoted fields ×
+    /// Cold scalar projections over quoted files: column loads vs
+    /// `ExternalScan` parity, at one thread and several, over dtypes × quoted fields ×
     /// chunk splits × LIMIT/OFFSET/ORDER BY.
     #[test]
     fn cold_projection_parity(
@@ -380,7 +382,7 @@ proptest! {
         aggregate_case("u", None, csv, seeds.len(), lo, threads, morsel_rows)?;
     }
 
-    /// Cold joins over quoted files: loader vs `scan_bytes` parity (both
+    /// Cold joins over quoted files: column loads vs `ExternalScan` parity (both
     /// sides loaded, then the warm join) over dtypes × quoted payloads ×
     /// chunk splits × LIMIT/OFFSET, for scalar and aggregate outputs.
     #[test]

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use nodb::rawcsv::{scan_bytes, CsvOptions, ScanSpec};
 use nodb::server::framing::{read_frame, write_frame, FrameDecoder};
 use nodb::server::protocol::{Request, Response};
-use nodb::types::{Schema, Value, WorkCounters};
+use nodb::types::{CmpOp, ColPred, Conjunction, DataType, Field, Schema, Value, WorkCounters};
 
 proptest! {
     /// Arbitrary bytes through the frame reader: every frame is either
@@ -153,10 +153,13 @@ proptest! {
     }
 
     /// Arbitrary bytes through the CSV tokenizer, across dialects,
-    /// thread counts and schema widths: `Ok` or typed error, no panic.
-    /// (With `threads > 1` a worker panic would be converted to a typed
-    /// internal error by the morsel driver — this test holds the parsers
-    /// to the stronger standard by running serial *and* parallel.)
+    /// thread counts, schema widths and pushdowns: `Ok` or typed error,
+    /// no panic. (With `threads > 1` a worker panic would be converted to
+    /// a typed internal error by the morsel driver — this test holds the
+    /// parsers to the stronger standard by running serial *and*
+    /// parallel.) The drawn pushdown tests int, float and text columns,
+    /// sometimes past the needed ones, so the kernel's abandon path runs
+    /// on the same bytes.
     #[test]
     fn tokenizer_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
@@ -164,8 +167,14 @@ proptest! {
         lenient in any::<bool>(),
         threads in 1usize..3,
         width in 1usize..4,
+        needed in 0usize..4,
+        preds in proptest::collection::vec((0usize..4, 0usize..6, -20i64..20), 0..3),
     ) {
-        let schema = Schema::ints(width);
+        let types = [DataType::Int64, DataType::Float64, DataType::Str, DataType::Int64];
+        let schema = Schema::new(
+            (0..width).map(|c| Field::new(format!("c{c}"), types[c])).collect(),
+        )
+        .unwrap();
         let opts = CsvOptions {
             delimiter: b',',
             quote,
@@ -173,10 +182,24 @@ proptest! {
             lenient,
             skip_blank_rows: true,
         };
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        let conj = Conjunction::new(
+            preds
+                .iter()
+                .map(|&(col, op, v)| {
+                    let literal = match types[col % width] {
+                        DataType::Int64 => Value::Int(v),
+                        DataType::Float64 => Value::Float(v as f64 / 2.0),
+                        DataType::Str => Value::Str(v.to_string()),
+                    };
+                    ColPred::new(col % width, ops[op], literal)
+                })
+                .collect(),
+        );
         let spec = ScanSpec {
             schema: &schema,
-            needed: (0..width).collect(),
-            pushdown: None,
+            needed: (0..needed.min(width)).collect(),
+            pushdown: (!preds.is_empty()).then_some(&conj),
         };
         let counters = WorkCounters::default();
         let _ = scan_bytes(&bytes, &opts, &spec, None, &counters);

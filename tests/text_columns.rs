@@ -530,6 +530,7 @@ fn loaded_text_columns_take_the_same_bytes_whatever_the_threads() {
                     schema: &inferred.schema,
                     needed: &[2, 3, 4],
                     chunk_bytes,
+                    pushdown: None,
                 },
                 &opts,
                 None,
