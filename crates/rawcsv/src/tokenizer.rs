@@ -40,7 +40,7 @@ use nodb_types::{
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
 use crate::load::load_bytes;
-use crate::posmap::{PositionalMap, UNKNOWN};
+use crate::posmap::{Offsets, PositionalMap, RowStarts};
 
 /// CSV dialect and scan-execution options.
 #[derive(Debug, Clone)]
@@ -233,7 +233,7 @@ fn phase1_row_starts(
     opts: &CsvOptions,
     posmap: &mut Option<&mut PositionalMap>,
     counters: &WorkCounters,
-) -> Result<std::sync::Arc<Vec<u64>>> {
+) -> Result<std::sync::Arc<RowStarts>> {
     // Phase-1 time (one thread-local read when profiling is off). A
     // posmap-served call still counts a hit — its near-zero duration is
     // the observation.
@@ -245,9 +245,10 @@ fn phase1_row_starts(
     }) {
         Some(cached) => Ok(cached),
         None => {
-            let starts = find_row_starts(bytes, opts, counters)?;
+            let len = bytes.len() as u64;
+            let starts = RowStarts::from_u64(find_row_starts(bytes, opts, counters)?, len);
             if let Some(m) = posmap.as_deref_mut() {
-                m.set_row_starts(starts.clone(), bytes.len() as u64);
+                m.set_row_starts(starts, len);
                 Ok(m.row_starts().expect("just set"))
             } else {
                 Ok(std::sync::Arc::new(starts))
@@ -280,7 +281,7 @@ pub(crate) fn record_columns(posmap: Option<&PositionalMap>, max_touch: usize) -
 /// The positional map's known field offsets a row walk may start from:
 /// columns ≤ `first_touch` with recorded offsets, best (largest) first.
 /// Resolved once per scan instead of a `BTreeMap` range query per row.
-pub(crate) fn hint_columns(m: &PositionalMap, first_touch: usize) -> Vec<(usize, &[u32])> {
+pub(crate) fn hint_columns(m: &PositionalMap, first_touch: usize) -> Vec<(usize, &Offsets)> {
     m.known_columns()
         .into_iter()
         .filter(|&c| c <= first_touch)
@@ -292,13 +293,14 @@ pub(crate) fn hint_columns(m: &PositionalMap, first_touch: usize) -> Vec<(usize,
 /// Where the walk of data row `row` (`row_len` bytes) starts: the best
 /// hint with a known offset for the row, else column 0 at byte 0.
 #[inline]
-pub(crate) fn walk_start(hints: &[(usize, &[u32])], row: usize, row_len: usize) -> (usize, usize) {
+pub(crate) fn walk_start(
+    hints: &[(usize, &Offsets)],
+    row: usize,
+    row_len: usize,
+) -> (usize, usize) {
     hints
         .iter()
-        .find_map(|&(c, offs)| match offs.get(row) {
-            Some(&o) if o != UNKNOWN => Some((c, (o as usize).min(row_len))),
-            _ => None,
-        })
+        .find_map(|&(c, offs)| offs.get(row).map(|o| (c, (o as usize).min(row_len))))
         .unwrap_or((0, 0))
 }
 

@@ -188,6 +188,13 @@ impl FrameDecoder {
                             ));
                             return;
                         }
+                        if len == 0 {
+                            // An empty frame ends with its header, even
+                            // when no byte follows it in this feed.
+                            self.frames.push_back(Vec::new());
+                            self.header_fill = 0;
+                            continue;
+                        }
                         self.need = Some(len as usize);
                         // Cap the up-front reservation: a hostile header
                         // can claim up to 64 MiB, but only bytes that

@@ -349,6 +349,17 @@ pub fn charge_current(bytes: usize) -> Result<()> {
     }
 }
 
+/// Return `bytes` charged through [`charge_current`] once the state they
+/// paid for is freed; a no-op when no guard is installed.
+pub fn release_current(bytes: usize) {
+    if bytes == 0 {
+        return;
+    }
+    if let Some(g) = context::with(|c| c.ctx.memory.clone()) {
+        g.release(bytes);
+    }
+}
+
 /// Lock that shrugs off poisoning: the protected state (the reclaimer
 /// slot) is valid after any observer panic, and memory governance must
 /// keep working after a contained panic — that is its whole point.
@@ -570,12 +581,13 @@ mod tests {
     fn ambient_guard_installs_and_restores() {
         assert!(crate::QueryContext::current().memory.is_none());
         charge_current(1 << 30).unwrap(); // no guard: no-op
+        release_current(1 << 30);
         let g = MemoryGuard::new(Some(100), None);
         {
             let _scope = meter(&g);
             charge_current(60).unwrap();
             assert!(charge_current(60).is_err());
-            g.release(60);
+            release_current(60);
             assert_eq!(g.used(), 0);
             // Nested scope shadows, then restores.
             let g2 = MemoryGuard::new(None, None);

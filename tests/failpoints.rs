@@ -467,6 +467,28 @@ fn injected_panic_and_oom_each_kill_one_query_pool_keeps_serving() {
     server.shutdown();
 }
 
+/// A load's read buffers are charged while it reads and released once it
+/// is done. A cold GROUP BY under a 24 KiB budget fits: its load charges
+/// about 15 KB of buffer and its group table about 21 KB, one after the
+/// other, never both at once.
+#[test]
+fn a_load_releases_its_read_buffers_before_the_group_table_is_charged() {
+    let _g = fp_guard();
+    let sql = "select a1, sum(a2) from t group by a1 order by a1";
+    let want = engine_with_table(&common::test_dir("fp_buffer_free"), 2)
+        .sql(sql)
+        .unwrap();
+    for threads in [1, 2] {
+        let dir = common::test_dir(&format!("fp_buffer_capped{threads}"));
+        let capped = engine_with_table_cfg(&dir, |cfg| {
+            cfg.threads = threads;
+            cfg.query_mem_bytes = Some(24 * 1024);
+        });
+        let out = capped.sql(sql).unwrap();
+        assert_eq!(out.rows, want.rows, "{threads} threads");
+    }
+}
+
 /// What a failed or cancelled load must leave of table `t`: its loaded
 /// columns, store bytes and positional-map bytes.
 fn table_state(engine: &Engine) -> (Vec<usize>, usize, usize) {

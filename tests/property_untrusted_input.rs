@@ -238,6 +238,29 @@ proptest! {
     }
 }
 
+/// An empty frame is whole once its 4-byte header is in: the decoder
+/// hands it out at once, as `read_frame` does, whether the header came in
+/// one feed or byte by byte, and nothing is left partial.
+#[test]
+fn an_empty_frame_decodes_as_soon_as_its_header_is_fed() {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, b"").unwrap();
+    assert_eq!(
+        read_frame(&mut Cursor::new(&wire)).unwrap(),
+        Some(Vec::new())
+    );
+    for piece in [wire.len(), 1] {
+        let mut dec = FrameDecoder::new();
+        for bytes in wire.chunks(piece) {
+            assert!(!dec.has_frame(), "a frame before its header ended");
+            dec.feed(bytes);
+        }
+        assert!(!dec.has_partial(), "fed {piece} at a time");
+        assert_eq!(dec.next_frame().unwrap(), Some(Vec::new()));
+        assert_eq!(dec.next_frame().unwrap(), None);
+    }
+}
+
 /// Hostile byte streams must not leak connection slots. Every garbage
 /// pattern below ends a connection through a different reactor path —
 /// framing poison, a message-level decode error before the handshake,
