@@ -149,8 +149,8 @@ fn a3_monitor_escalation(scale: Scale) {
     nodb_bench::header(&["monitor", "total-time", "trips", "hit-rate"], &w);
     for monitor in [true, false] {
         let mut cfg = EngineConfig::with_strategy(LoadingStrategy::PartialLoadsV2);
-        cfg.monitor = monitor;
-        cfg.escalate_after_misses = 3;
+        // 0 switches the advisor off.
+        cfg.escalate_after_misses = if monitor { 3 } else { 0 };
         cfg.store_dir = Some(scratch_dir(&format!("a3-{monitor}")));
         let e = Engine::new(cfg);
         e.register_table("r", &path).unwrap();
@@ -196,7 +196,7 @@ fn a4_partial_worst_case(scale: Scale) {
         LoadingStrategy::ColumnLoads,
     ] {
         let mut cfg = EngineConfig::with_strategy(strategy);
-        cfg.monitor = false; // measure the raw worst case, no advisor rescue
+        cfg.escalate_after_misses = 0; // measure the raw worst case, no advisor rescue
         cfg.store_dir = Some(scratch_dir(&format!("a4-{}", strategy.label())));
         let e = Engine::new(cfg);
         e.register_table("r", &path).unwrap();

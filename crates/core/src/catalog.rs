@@ -14,10 +14,11 @@ use std::time::SystemTime;
 
 use parking_lot::RwLock;
 
-use nodb_rawcsv::{infer_from_bytes, CsvOptions, PositionalMap, SegmentCatalog};
+use nodb_rawcsv::{CsvOptions, PositionalMap, SegmentCatalog};
 use nodb_store::TableData;
 use nodb_types::{ColumnData, Error, Result, Schema, WorkCounters};
 
+use crate::config::INFER_SAMPLE_ROWS;
 use crate::monitor::TableMonitor;
 
 /// Process-wide schema-epoch source. Epochs must be unique across every
@@ -166,12 +167,7 @@ impl TableEntry {
 
     /// Ensure schema and fingerprint are current, (re)inferring after file
     /// edits. Returns `true` when derived state was invalidated.
-    pub fn ensure_current(
-        &mut self,
-        csv: &CsvOptions,
-        sample_rows: usize,
-        counters: &WorkCounters,
-    ) -> Result<bool> {
+    pub fn ensure_current(&mut self, csv: &CsvOptions, counters: &WorkCounters) -> Result<bool> {
         if self.resident {
             return Ok(false);
         }
@@ -180,35 +176,7 @@ impl TableEntry {
         if changed {
             self.invalidate();
             // Infer schema from a bounded prefix of the file.
-            let info = nodb_rawcsv::infer_file(&self.path, csv, sample_rows, counters)?;
-            self.schema_info = Some(SchemaInfo {
-                schema: info.schema,
-                has_header: info.has_header,
-                data_start: info.data_start,
-                row_bytes: info.row_bytes,
-            });
-            self.fingerprint = Some(fp);
-            self.schema_epoch = next_epoch();
-        }
-        Ok(changed)
-    }
-
-    /// Like [`TableEntry::ensure_current`] but inferring from bytes already
-    /// in memory (saves a read when the caller holds the file content).
-    pub fn ensure_current_with_bytes(
-        &mut self,
-        bytes: &[u8],
-        csv: &CsvOptions,
-        sample_rows: usize,
-    ) -> Result<bool> {
-        if self.resident {
-            return Ok(false);
-        }
-        let fp = Fingerprint::of(&self.path)?;
-        let changed = self.fingerprint != Some(fp);
-        if changed {
-            self.invalidate();
-            let info = infer_from_bytes(bytes, csv, sample_rows)?;
+            let info = nodb_rawcsv::infer_file(&self.path, csv, INFER_SAMPLE_ROWS, counters)?;
             self.schema_info = Some(SchemaInfo {
                 schema: info.schema,
                 has_header: info.has_header,
@@ -454,11 +422,11 @@ mod tests {
         let mut e = entry.write();
         assert!(e.schema_info.is_none());
         let c = WorkCounters::new();
-        let changed = e.ensure_current(&CsvOptions::default(), 16, &c).unwrap();
+        let changed = e.ensure_current(&CsvOptions::default(), &c).unwrap();
         assert!(changed);
         assert_eq!(e.schema().unwrap().len(), 3);
         // Second ensure: no change.
-        let changed = e.ensure_current(&CsvOptions::default(), 16, &c).unwrap();
+        let changed = e.ensure_current(&CsvOptions::default(), &c).unwrap();
         assert!(!changed);
     }
 
@@ -469,7 +437,7 @@ mod tests {
         let c = WorkCounters::new();
         {
             let mut e = entry.write();
-            e.ensure_current(&CsvOptions::default(), 16, &c).unwrap();
+            e.ensure_current(&CsvOptions::default(), &c).unwrap();
             e.store
                 .insert_full(0, nodb_types::ColumnData::from_i64(vec![1, 3]), 1);
             assert!(e.store.has_full(0));
@@ -478,7 +446,7 @@ mod tests {
         std::fs::write(&p, "9,9,9\n8,8,8\n7,7,7\n").unwrap();
         {
             let mut e = entry.write();
-            let changed = e.ensure_current(&CsvOptions::default(), 16, &c).unwrap();
+            let changed = e.ensure_current(&CsvOptions::default(), &c).unwrap();
             assert!(changed);
             assert!(!e.store.has_full(0), "derived state dropped");
             assert_eq!(e.schema().unwrap().len(), 3, "schema re-inferred");
@@ -499,7 +467,7 @@ mod tests {
         let entry = cat.get("t").unwrap();
         let mut e = entry.write();
         let c = WorkCounters::new();
-        e.ensure_current(&CsvOptions::default(), 16, &c).unwrap();
+        e.ensure_current(&CsvOptions::default(), &c).unwrap();
         let segs = e.segments_mut().unwrap();
         assert_eq!(segs.segments().len(), 1);
         assert_eq!(segs.segments()[0].cols, vec![0, 1, 2]);

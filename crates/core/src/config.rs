@@ -45,6 +45,24 @@ impl LoadingStrategy {
     }
 }
 
+/// Rows sampled for schema inference on a table's first touch.
+pub(crate) const INFER_SAMPLE_ROWS: usize = 64;
+
+/// Rows per [`RowBatch`] a [`Session`](crate::Session) streams unless
+/// [`Session::with_batch_size`](crate::Session::with_batch_size) says
+/// otherwise.
+///
+/// [`RowBatch`]: nodb_store::RowBatch
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 1024;
+
+/// Entries in the engine plan cache keyed by normalized SQL text.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
+
+/// Entry cap of the engine result cache, independent of its byte budget
+/// ([`EngineConfig::result_cache_bytes`]): bounds bookkeeping for
+/// workloads of many tiny results.
+pub(crate) const RESULT_CACHE_MAX_ENTRIES: usize = 1024;
+
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -80,41 +98,16 @@ pub struct EngineConfig {
     /// integer columns. Cracked copies live in the adaptive store and are
     /// refined as a side effect of every selection.
     pub use_cracking: bool,
-    /// Enable the workload monitor / robustness advisor (§5.5): escalates
-    /// partial loading to full column loads when fragment reuse keeps
-    /// missing.
-    pub monitor: bool,
     /// Consecutive fragment misses on the same column set before the
-    /// advisor escalates.
+    /// workload monitor / robustness advisor (§5.5) escalates partial
+    /// loading to full column loads. `0` switches the advisor off.
     pub escalate_after_misses: u32,
-    /// Rows sampled for schema inference.
-    pub infer_sample_rows: usize,
-    /// Rows per [`RowBatch`] emitted by streaming query execution
-    /// (`Session::query`, `Prepared` streams).
-    ///
-    /// [`RowBatch`]: nodb_store::RowBatch
-    pub batch_size: usize,
-    /// Capacity (entries) of the engine plan cache keyed by normalized
-    /// SQL text. `0` disables caching: every query re-parses and
-    /// re-plans, which is what the prepared-statement benchmarks compare
-    /// against.
-    pub plan_cache_capacity: usize,
     /// Byte budget of the engine result cache, which answers repeated
     /// (and range-subsumed) SELECTs from materialised results instead of
     /// re-running them. `0` disables the cache entirely — the default, so
     /// every query exercises the adaptive loading machinery unless a
     /// deployment opts in (`nodb-server --result-cache-mb`).
     pub result_cache_bytes: usize,
-    /// Maximum number of result-cache entries, independent of the byte
-    /// budget (bounds bookkeeping for workloads of many tiny results).
-    pub result_cache_max_entries: usize,
-    /// Default wall-clock deadline applied to guarded query entry points
-    /// ([`Session::query_with_guard`](crate::Session::query_with_guard)
-    /// and friends) when the caller's [`CancelToken`](nodb_types::CancelToken)
-    /// carries no deadline of its own. `None` (the default) means guarded
-    /// queries run until cancelled; a caller-set deadline always wins over
-    /// this default.
-    pub default_query_deadline_ms: Option<u64>,
     /// Per-query memory budget for query-execution state (join build
     /// tables, group tables, projection buffers, result-cache captures),
     /// in bytes. A query whose charged allocations exceed this is shed
@@ -144,14 +137,8 @@ impl Default for EngineConfig {
             use_positional_map: true,
             one_column_per_trip: false,
             use_cracking: false,
-            monitor: true,
             escalate_after_misses: 3,
-            infer_sample_rows: 64,
-            batch_size: 1024,
-            plan_cache_capacity: 128,
             result_cache_bytes: 0,
-            result_cache_max_entries: 1024,
-            default_query_deadline_ms: None,
             query_mem_bytes: None,
             engine_mem_bytes: None,
         }
@@ -190,7 +177,6 @@ mod tests {
         assert!(c.threads >= 1);
         assert!(c.morsel_rows >= 1);
         assert_eq!(c.result_cache_bytes, 0, "result cache is opt-in");
-        assert!(c.result_cache_max_entries > 0);
         assert!(c.query_mem_bytes.is_none(), "memory metering is opt-in");
         assert!(c.engine_mem_bytes.is_none());
     }

@@ -32,7 +32,7 @@ use nodb_types::{
 };
 
 use crate::catalog::Catalog;
-use crate::config::{EngineConfig, LoadingStrategy};
+use crate::config::{EngineConfig, LoadingStrategy, PLAN_CACHE_CAPACITY, RESULT_CACHE_MAX_ENTRIES};
 use crate::plan_cache::{normalize_sql, PlanCache, PlanDeps};
 use crate::policy::{materialize, Materialized};
 use crate::result_cache::{
@@ -178,8 +178,8 @@ impl Engine {
         cfg.threads = cfg.threads.max(1);
         cfg.csv.threads = cfg.threads;
         cfg.morsel_rows = cfg.morsel_rows.max(1);
-        let plan_cache = PlanCache::new(cfg.plan_cache_capacity);
-        let result_cache = ResultCache::new(cfg.result_cache_bytes, cfg.result_cache_max_entries);
+        let plan_cache = PlanCache::new(PLAN_CACHE_CAPACITY);
+        let result_cache = ResultCache::new(cfg.result_cache_bytes, RESULT_CACHE_MAX_ENTRIES);
         let mem_pool = MemoryPool::new(cfg.engine_mem_bytes);
         Engine {
             catalog: RwLock::new(Catalog::new()),
@@ -241,7 +241,9 @@ impl Engine {
     /// thread, on the serial path). Blocking on `write()` for that table
     /// would deadlock the scan against its own reclaim — a locked entry
     /// is in active use anyway, so its columns are the wrong ones to
-    /// evict.
+    /// evict. For the same reason the ladder spares columns and cracked
+    /// indexes a running query still holds: evicting them frees nothing
+    /// while the query runs and costs the next query a reload.
     pub fn release_memory(&self, target_bytes: usize) -> usize {
         let mut freed = self.result_cache.bytes_used();
         self.result_cache.clear();
@@ -261,7 +263,7 @@ impl Engine {
             let used = e.store.bytes_used();
             let still_needed = target_bytes - freed;
             let goal = used.saturating_sub(still_needed);
-            freed += e.store.evict_to_budget(goal, &self.counters);
+            freed += e.store.evict_unheld_to_budget(goal, &self.counters);
             if freed >= target_bytes {
                 break;
             }
@@ -364,7 +366,7 @@ impl Engine {
     pub fn restore_table(&self, name: &str, dir: &Path) -> Result<usize> {
         let entry = self.catalog.read().get(name)?;
         let mut e = entry.write();
-        e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
+        e.ensure_current(&self.cfg.csv, &self.counters)?;
         let ncols = e.schema()?.len();
         let now = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let mut restored = 0;
@@ -393,7 +395,7 @@ impl Engine {
         for t in &table_names {
             let entry = self.catalog.read().get(t)?;
             let mut e = entry.write();
-            e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
+            e.ensure_current(&self.cfg.csv, &self.counters)?;
             schemas.insert(t.to_ascii_lowercase(), e.schema()?.clone());
         }
         let plan = nodb_sql::plan(&ast, &schemas)?;
@@ -659,7 +661,7 @@ impl Engine {
         for t in tables_of(ast) {
             let entry = self.catalog.read().get(&t)?;
             let mut e = entry.write();
-            e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
+            e.ensure_current(&self.cfg.csv, &self.counters)?;
             deps.push((t.to_ascii_lowercase(), e.schema_epoch));
             schemas.insert(t.to_ascii_lowercase(), e.schema()?.clone());
         }
@@ -672,7 +674,7 @@ impl Engine {
     pub(crate) fn ensured_epoch(&self, table: &str) -> Result<u64> {
         let entry = self.catalog.read().get(table)?;
         let mut e = entry.write();
-        e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
+        e.ensure_current(&self.cfg.csv, &self.counters)?;
         Ok(e.schema_epoch)
     }
 
@@ -2201,8 +2203,8 @@ mod tests {
     /// `release_memory` must skip that locked entry (`try_write`) instead
     /// of blocking on it — blocking deadlocked the scan against its own
     /// reclaim forever. Inside the group kernel of a warm query the ladder
-    /// evicts the very columns the query reads (its snapshot keeps them).
-    /// Either way the offending query sheds with a typed error; the engine
+    /// spares the columns the query reads (its snapshot holds them, so
+    /// evicting them would free nothing). Either way the offending query sheds with a typed error; the engine
     /// and the table keep serving.
     #[test]
     fn over_budget_cold_scan_reclaims_without_deadlocking() {
@@ -2244,9 +2246,9 @@ mod tests {
             let shed = e.counters().snapshot().since(&before);
             if preload {
                 // No load ran: the refused charge was the group kernel's,
-                // and the ladder it ran evicted the loaded columns.
+                // and the ladder it ran spared the columns the query held.
                 assert_eq!((shed.file_trips, shed.values_parsed), (0, 0));
-                assert!(e.table_info("r").unwrap().loaded_columns.is_empty());
+                assert_eq!(e.table_info("r").unwrap().loaded_columns, [0, 1]);
             } else {
                 assert!(shed.file_trips > 0, "the cold load ran");
             }

@@ -36,9 +36,6 @@ pub struct Materialized {
     pub cols: BTreeMap<usize, Arc<ColumnData>>,
     /// Number of aligned rows.
     pub n_rows: usize,
-    /// Original rowids when the materialisation is a filtered subset
-    /// (`None` = dense, row `i` is rowid `i`).
-    pub rowids: Option<Vec<u64>>,
     /// True when the policy already applied the query's filter during
     /// loading (selection pushdown) — the engine must not filter again.
     pub prefiltered: bool,
@@ -49,7 +46,6 @@ impl Materialized {
         Materialized {
             cols,
             n_rows,
-            rowids: None,
             prefiltered: false,
         }
     }
@@ -82,7 +78,7 @@ pub fn materialize(
     // A load that finds the file changed under it is dropped, and the
     // policy starts again from the top, once, against the new file.
     for _attempt in 0..2 {
-        entry.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
+        entry.ensure_current(&cfg.csv, counters)?;
         let m = match cfg.strategy {
             LoadingStrategy::FullLoad => full_load(entry, needed, cfg, counters, now),
             LoadingStrategy::ExternalScan => external_scan(entry, needed, cfg, counters),
@@ -285,7 +281,7 @@ fn ensure_cracked(
 }
 
 /// Gather `needed` columns at the cracked selection's rowids into a
-/// rowid-restricted [`Materialized`] with `prefiltered = false`: the
+/// [`Materialized`] with `prefiltered = false`: the
 /// engine re-applies the full conjunction, which is sound (the cracked
 /// rows already satisfy the cracked predicate) and keeps multi-predicate
 /// semantics exact.
@@ -303,7 +299,6 @@ fn cracked_materialization(
     Materialized {
         cols,
         n_rows: rowids.len(),
-        rowids: Some(rowids),
         prefiltered: false,
     }
 }
@@ -348,7 +343,7 @@ pub(crate) fn try_cracked_warm(
         if e.resident {
             return Ok(None);
         }
-        e.ensure_current(&cfg.csv, cfg.infer_sample_rows, counters)?;
+        e.ensure_current(&cfg.csv, counters)?;
         if !e.store.missing_full(needed).is_empty() {
             return Ok(None); // cold: the policy path loads first
         }
@@ -479,7 +474,6 @@ fn partial_v1(
             .map(|(c, col)| (c, Arc::new(col)))
             .collect(),
         n_rows: rowids.len(),
-        rowids: Some(rowids),
         prefiltered: true,
     })
 }
@@ -517,7 +511,6 @@ fn partial_v2(
             return Ok(Materialized {
                 cols,
                 n_rows: 0,
-                rowids: Some(Vec::new()),
                 prefiltered: true,
             });
         }
@@ -527,8 +520,7 @@ fn partial_v2(
 
     // Monitor escalation (§5.5): repeated misses on this column set mean
     // partial fragments keep failing this workload — load full columns.
-    if cfg.monitor
-        && !needed.is_empty()
+    if !needed.is_empty()
         && entry
             .monitor
             .should_escalate(needed, cfg.escalate_after_misses)
@@ -542,11 +534,9 @@ fn partial_v2(
         entry.monitor.record_hit(needed);
         let frag = entry.store.fragment(fid).expect("just found");
         let (rowids, cols) = frag.restrict(&bbox, needed)?;
-        let n = rowids.len();
         return Ok(Materialized {
             cols: cols.into_iter().map(|(c, v)| (c, Arc::new(v))).collect(),
-            n_rows: n,
-            rowids: Some(rowids),
+            n_rows: rowids.len(),
             prefiltered: true,
         });
     }
@@ -579,11 +569,9 @@ fn partial_v2(
             entry.store.touch_fragment(id, now);
         }
         let (rowids, cols) = entry.store.gather_one_dim(&ids, col, iv, needed)?;
-        let n = rowids.len();
         return Ok(Materialized {
             cols: cols.into_iter().map(|(c, v)| (c, Arc::new(v))).collect(),
-            n_rows: n,
-            rowids: Some(rowids),
+            n_rows: rowids.len(),
             prefiltered: true,
         });
     }
@@ -596,16 +584,16 @@ fn partial_v2(
         .iter()
         .map(|(&c, col)| (c, Arc::new(col.clone())))
         .collect();
+    let n_rows = rowids.len();
     entry.store.insert_fragment(Fragment {
         bbox: bbox.clone(),
-        rowids: rowids.clone(),
+        rowids,
         cols,
         last_used: now,
     });
     Ok(Materialized {
         cols: arc_cols,
-        n_rows: rowids.len(),
-        rowids: Some(rowids),
+        n_rows,
         prefiltered: true,
     })
 }
@@ -746,7 +734,7 @@ mod tests {
         let entry = cat.get("t").unwrap();
         let mut e = entry.write();
         let c = cfg(strategy);
-        e.ensure_current(&c.csv, 16, counters).unwrap();
+        e.ensure_current(&c.csv, counters).unwrap();
         materialize(&mut e, needed, filter, &c, counters, now).unwrap()
     }
 
@@ -833,7 +821,7 @@ mod tests {
         let mut e = entry.write();
         let mut conf = cfg(LoadingStrategy::ColumnLoads);
         conf.one_column_per_trip = true;
-        e.ensure_current(&conf.csv, 16, &c).unwrap();
+        e.ensure_current(&conf.csv, &c).unwrap();
         materialize(&mut e, &[0, 1, 2], &Conjunction::always(), &conf, &c, 1).unwrap();
         assert_eq!(c.snapshot().file_trips, 3);
     }
@@ -874,7 +862,6 @@ mod tests {
         assert!(m.prefiltered);
         assert_eq!(m.n_rows, 3);
         assert_eq!(m.cols[&1].as_i64_slice().unwrap(), &[11, 12, 13]);
-        assert_eq!(m.rowids.as_deref(), Some(&[1, 2, 3][..]));
         // Nothing cached: same query pays another trip.
         let before = c.snapshot();
         mat(
@@ -1011,7 +998,7 @@ mod tests {
             x
         };
         let mut e = entry.write();
-        e.ensure_current(&conf.csv, 16, &c).unwrap();
+        e.ensure_current(&conf.csv, &c).unwrap();
         let boxes = [
             Conjunction::new(vec![
                 ColPred::new(0, CmpOp::Gt, 0i64),
@@ -1204,7 +1191,7 @@ mod tests {
             cfg.csv.threads = 2;
             cfg.morsel_rows = 1; // chunks of about one row
             let c = WorkCounters::new();
-            e.ensure_current(&cfg.csv, 16, &c).unwrap();
+            e.ensure_current(&cfg.csv, &c).unwrap();
             let header = e.data_start() as usize;
             let before = c.snapshot();
             let m = materialize(&mut e, &[], &Conjunction::always(), &cfg, &c, 1).unwrap();

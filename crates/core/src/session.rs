@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -43,7 +43,7 @@ use nodb_types::{
     QueryContext, Result, Schema, Value, WorkCounters,
 };
 
-use crate::config::LoadingStrategy;
+use crate::config::{LoadingStrategy, DEFAULT_BATCH_SIZE};
 use crate::engine::{Engine, QueryOutput, QueryStats};
 
 /// A query session over a shared engine.
@@ -77,10 +77,12 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over `engine`, with the engine's configured batch size.
+    /// A session over `engine`, streaming batches of 1024 rows.
     pub fn new(engine: Arc<Engine>) -> Session {
-        let batch_size = engine.config().batch_size.max(1);
-        Session { engine, batch_size }
+        Session {
+            engine,
+            batch_size: DEFAULT_BATCH_SIZE,
+        }
     }
 
     /// Override the rows-per-batch of streams this session produces.
@@ -129,9 +131,7 @@ impl Session {
     /// as the calling thread's ambient [`CancelToken`] for the duration of
     /// planning and execution, so cancelling it (or its deadline firing)
     /// aborts the query mid-pipeline with [`Error::Cancelled`] /
-    /// [`Error::Timeout`]. If the engine configures
-    /// [`default_query_deadline_ms`](crate::EngineConfig::default_query_deadline_ms)
-    /// and the token carries no deadline, the default is applied.
+    /// [`Error::Timeout`].
     ///
     /// A cancelled cold load leaves the catalog, adaptive store and
     /// positional map either untouched or in a valid loaded state — the
@@ -149,9 +149,7 @@ impl Session {
 }
 
 /// Run `f` under a query context carrying `token` and the engine's
-/// per-query memory guard (if metering is configured), applying the
-/// engine's default deadline (if any, and if the token has none) and
-/// bumping the cancelled/timed-out/shed counters on a tripped exit.
+/// per-query memory guard (if metering is configured), bumping the cancelled/timed-out/shed counters on a tripped exit.
 ///
 /// This is also a panic-isolation boundary: a panic anywhere under `f`
 /// (planner, loader, operators) is caught and converted into a typed
@@ -164,9 +162,6 @@ fn run_guarded<T>(
     token: &CancelToken,
     f: impl FnOnce() -> Result<T>,
 ) -> Result<T> {
-    if let Some(ms) = engine.config().default_query_deadline_ms {
-        token.set_deadline_if_unset(Instant::now() + Duration::from_millis(ms));
-    }
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ctx = QueryContext {
             cancel: Some(token.clone()),

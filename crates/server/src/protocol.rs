@@ -337,50 +337,6 @@ impl Request {
     }
 }
 
-/// Route one decoded STATS field into the snapshot. Returns `false` for
-/// names this build does not recognise (extension fields such as the
-/// latency histogram buckets, or counters a newer server added); the
-/// caller keeps those as self-describing extras instead of dropping
-/// them. The encode side is [`CountersSnapshot::named_fields`], the one
-/// canonical list, so a counter cannot exist in the struct without
-/// crossing the wire.
-fn set_counter_field(s: &mut CountersSnapshot, name: &str, v: u64) -> bool {
-    match name {
-        "bytes_read" => s.bytes_read = v,
-        "bytes_written" => s.bytes_written = v,
-        "rows_tokenized" => s.rows_tokenized = v,
-        "fields_tokenized" => s.fields_tokenized = v,
-        "values_parsed" => s.values_parsed = v,
-        "file_trips" => s.file_trips = v,
-        "rows_abandoned" => s.rows_abandoned = v,
-        "tuples_evicted" => s.tuples_evicted = v,
-        "plan_cache_hits" => s.plan_cache_hits = v,
-        "plan_cache_misses" => s.plan_cache_misses = v,
-        "morsels_dispatched" => s.morsels_dispatched = v,
-        "parallel_pipelines" => s.parallel_pipelines = v,
-        "connections_accepted" => s.connections_accepted = v,
-        "requests_served" => s.requests_served = v,
-        "busy_rejections" => s.busy_rejections = v,
-        "result_cache_hits" => s.result_cache_hits = v,
-        "result_cache_subsumed_hits" => s.result_cache_subsumed_hits = v,
-        "result_cache_misses" => s.result_cache_misses = v,
-        "result_cache_evictions" => s.result_cache_evictions = v,
-        "queries_cancelled" => s.queries_cancelled = v,
-        "queries_timed_out" => s.queries_timed_out = v,
-        "queries_shed" => s.queries_shed = v,
-        "conns_shed" => s.conns_shed = v,
-        "mem_reserved_peak" => s.mem_reserved_peak = v,
-        "panics_contained" => s.panics_contained = v,
-        "conns_parked" => s.conns_parked = v,
-        "reactor_wakeups" => s.reactor_wakeups = v,
-        "frames_partial" => s.frames_partial = v,
-        "slow_queries" => s.slow_queries = v,
-        "crack_rows_touched" => s.crack_rows_touched = v,
-        _ => return false,
-    }
-    true
-}
-
 impl Response {
     /// Serialise into one frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -498,7 +454,10 @@ impl Response {
                 for _ in 0..n {
                     let name = r.str()?;
                     let v = r.u64()?;
-                    if !set_counter_field(&mut s, &name, v) {
+                    // Names this build does not declare (the latency
+                    // histogram buckets, or counters a newer server added)
+                    // are kept as self-describing extras, not dropped.
+                    if !s.set(&name, v) {
                         extras.push((name, v));
                     }
                 }
@@ -617,42 +576,17 @@ mod tests {
         });
     }
 
-    /// A snapshot with a distinct nonzero value in every field (the
-    /// struct literal is exhaustive, so a new counter breaks the build
-    /// here until the tests below learn about it).
+    /// A snapshot with counter *i* (in declaration order) set to *i* + 1.
     fn distinct_snapshot() -> CountersSnapshot {
-        CountersSnapshot {
-            bytes_read: 1,
-            bytes_written: 2,
-            rows_tokenized: 3,
-            fields_tokenized: 4,
-            values_parsed: 5,
-            file_trips: 6,
-            rows_abandoned: 7,
-            tuples_evicted: 8,
-            plan_cache_hits: 9,
-            plan_cache_misses: 10,
-            morsels_dispatched: 11,
-            parallel_pipelines: 12,
-            connections_accepted: 13,
-            requests_served: 14,
-            busy_rejections: 15,
-            result_cache_hits: 16,
-            result_cache_subsumed_hits: 17,
-            result_cache_misses: 18,
-            result_cache_evictions: 19,
-            queries_cancelled: 20,
-            queries_timed_out: 21,
-            queries_shed: 22,
-            conns_shed: 23,
-            mem_reserved_peak: 24,
-            panics_contained: 25,
-            conns_parked: 26,
-            reactor_wakeups: 27,
-            frames_partial: 28,
-            slow_queries: 29,
-            crack_rows_touched: 30,
+        let mut s = CountersSnapshot::default();
+        for (i, (name, _)) in CountersSnapshot::default()
+            .named_fields()
+            .iter()
+            .enumerate()
+        {
+            assert!(s.set(name, i as u64 + 1));
         }
+        s
     }
 
     #[test]
@@ -668,7 +602,7 @@ mod tests {
     /// must put each value back into the same field. A counter added to
     /// the struct but missed by `named_fields` would decode as a
     /// defaulted zero here and fail the equality; one missed by
-    /// `set_counter_field` would land in `extras` and fail the
+    /// `CountersSnapshot::set` would land in `extras` and fail the
     /// emptiness check.
     #[test]
     fn stats_wire_carries_every_counter_exactly_once() {
@@ -713,6 +647,59 @@ mod tests {
             }
             other => panic!("expected Stats, got {other:?}"),
         }
+    }
+
+    /// The STATS payload is pinned byte for byte: opcode, field count,
+    /// then each counter as a length-prefixed name and a little-endian
+    /// `u64` in declaration order, then the extras. Decoding it puts the
+    /// counters back by name and keeps the unknown `lat_*` names as
+    /// extras.
+    #[test]
+    fn stats_payload_is_pinned() {
+        let extras: Vec<(String, u64)> =
+            vec![("lat_query_b3".into(), 7), ("lat_fetch_b0".into(), 2)];
+        let golden: Vec<u8> = [
+            &b"\x85\x20\x00"[..],
+            b"\x0a\x00\x00\x00bytes_read\x01\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0d\x00\x00\x00bytes_written\x02\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0e\x00\x00\x00rows_tokenized\x03\x00\x00\x00\x00\x00\x00\x00",
+            b"\x10\x00\x00\x00fields_tokenized\x04\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0d\x00\x00\x00values_parsed\x05\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0a\x00\x00\x00file_trips\x06\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0e\x00\x00\x00rows_abandoned\x07\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0e\x00\x00\x00tuples_evicted\x08\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0f\x00\x00\x00plan_cache_hits\x09\x00\x00\x00\x00\x00\x00\x00",
+            b"\x11\x00\x00\x00plan_cache_misses\x0a\x00\x00\x00\x00\x00\x00\x00",
+            b"\x12\x00\x00\x00morsels_dispatched\x0b\x00\x00\x00\x00\x00\x00\x00",
+            b"\x12\x00\x00\x00parallel_pipelines\x0c\x00\x00\x00\x00\x00\x00\x00",
+            b"\x14\x00\x00\x00connections_accepted\x0d\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0f\x00\x00\x00requests_served\x0e\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0f\x00\x00\x00busy_rejections\x0f\x00\x00\x00\x00\x00\x00\x00",
+            b"\x11\x00\x00\x00result_cache_hits\x10\x00\x00\x00\x00\x00\x00\x00",
+            b"\x1a\x00\x00\x00result_cache_subsumed_hits\x11\x00\x00\x00\x00\x00\x00\x00",
+            b"\x13\x00\x00\x00result_cache_misses\x12\x00\x00\x00\x00\x00\x00\x00",
+            b"\x16\x00\x00\x00result_cache_evictions\x13\x00\x00\x00\x00\x00\x00\x00",
+            b"\x11\x00\x00\x00queries_cancelled\x14\x00\x00\x00\x00\x00\x00\x00",
+            b"\x11\x00\x00\x00queries_timed_out\x15\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0c\x00\x00\x00queries_shed\x16\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0a\x00\x00\x00conns_shed\x17\x00\x00\x00\x00\x00\x00\x00",
+            b"\x11\x00\x00\x00mem_reserved_peak\x18\x00\x00\x00\x00\x00\x00\x00",
+            b"\x10\x00\x00\x00panics_contained\x19\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0c\x00\x00\x00conns_parked\x1a\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0f\x00\x00\x00reactor_wakeups\x1b\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0e\x00\x00\x00frames_partial\x1c\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0c\x00\x00\x00slow_queries\x1d\x00\x00\x00\x00\x00\x00\x00",
+            b"\x12\x00\x00\x00crack_rows_touched\x1e\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0c\x00\x00\x00lat_query_b3\x07\x00\x00\x00\x00\x00\x00\x00",
+            b"\x0c\x00\x00\x00lat_fetch_b0\x02\x00\x00\x00\x00\x00\x00\x00",
+        ]
+        .concat();
+        let resp = Response::Stats {
+            counters: Box::new(distinct_snapshot()),
+            extras,
+        };
+        assert_eq!(resp.encode(), golden);
+        assert_eq!(Response::decode(&golden).unwrap(), resp);
     }
 
     #[test]

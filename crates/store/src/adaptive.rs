@@ -450,12 +450,35 @@ impl TableData {
     /// Evict least-recently-used items until usage fits `budget_bytes`.
     /// Returns the number of bytes freed.
     pub fn evict_to_budget(&mut self, budget_bytes: usize, counters: &WorkCounters) -> usize {
+        self.evict_lru(budget_bytes, false, counters)
+    }
+
+    /// [`TableData::evict_to_budget`], sparing the full columns and cracked
+    /// indexes that someone besides the store still holds (a running
+    /// query's snapshot): dropping the store's handle would free none of
+    /// their memory, only cost the next query a reload.
+    pub fn evict_unheld_to_budget(
+        &mut self,
+        budget_bytes: usize,
+        counters: &WorkCounters,
+    ) -> usize {
+        self.evict_lru(budget_bytes, true, counters)
+    }
+
+    fn evict_lru(
+        &mut self,
+        budget_bytes: usize,
+        spare_held: bool,
+        counters: &WorkCounters,
+    ) -> usize {
         let start = self.bytes;
+        let evictable = |strong: usize| !spare_held || strong == 1;
         while self.bytes > budget_bytes {
             // Find the globally least-recently-used item.
             let lru_full = self
                 .full
                 .iter()
+                .filter(|(_, f)| evictable(Arc::strong_count(&f.data)))
                 .min_by_key(|(_, f)| f.last_used)
                 .map(|(&c, f)| (f.last_used, ItemRef::Full(c)));
             let lru_frag = self
@@ -466,6 +489,7 @@ impl TableData {
             let lru_crack = self
                 .cracked
                 .iter()
+                .filter(|(_, e)| evictable(Arc::strong_count(&e.index)))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&c, e)| (e.last_used, ItemRef::Crack(c)));
             let victim = [lru_full, lru_frag, lru_crack]
@@ -681,6 +705,23 @@ mod tests {
         assert_eq!(t.bytes_used(), 0);
         assert!(t.full_columns().is_empty());
         assert!(t.fragment_ids().is_empty());
+    }
+
+    #[test]
+    fn unheld_eviction_spares_what_a_query_holds() {
+        let c = WorkCounters::new();
+        let mut t = TableData::new();
+        t.insert_full(0, ColumnData::from_i64(vec![1, 2, 3]), 1);
+        t.insert_full(1, ColumnData::from_i64(vec![4, 5, 6]), 2);
+        t.insert_cracked(2, PartitionedCracked::new(vec![7, 8], 2), 3);
+        let held_col = t.full_column(0, 4).unwrap();
+        let held_index = t.cracked(2, 4).unwrap();
+        t.evict_unheld_to_budget(0, &c);
+        assert_eq!(t.full_columns(), [0]);
+        assert!(t.has_cracked(2));
+        drop((held_col, held_index));
+        t.evict_unheld_to_budget(0, &c);
+        assert_eq!(t.bytes_used(), 0);
     }
 
     #[test]

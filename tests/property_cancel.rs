@@ -149,8 +149,7 @@ fn timeout_mid_cold_scan_is_clean() {
 }
 
 /// Deterministic regression: an explicit cancel bumps the cancelled
-/// counter and the default deadline from `EngineConfig` applies when the
-/// token has none.
+/// counter and an already-expired token deadline bumps the timed-out one.
 #[test]
 fn default_deadline_and_counters_apply() {
     let dir = test_dir("cancel_default_deadline");
@@ -159,16 +158,18 @@ fn default_deadline_and_counters_apply() {
     // per 4096 rows) actually fires on a single-threaded engine.
     common::write_int_table(&t, 9000, 3);
 
-    // A 0ms default deadline: every guarded query times out instantly.
     let mut cfg = EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(1);
-    cfg.default_query_deadline_ms = Some(0);
     cfg.store_dir = Some(dir.join("store"));
     let engine = std::sync::Arc::new(Engine::new(cfg));
     engine.register_table("t", &t).unwrap();
     let session = nodb::Session::new(std::sync::Arc::clone(&engine));
 
+    // A 0 ms deadline: the guarded query times out instantly.
     let err = session
-        .sql_with_guard("select sum(a1) from t", &CancelToken::new())
+        .sql_with_guard(
+            "select sum(a1) from t",
+            &CancelToken::with_timeout(std::time::Duration::ZERO),
+        )
         .unwrap_err();
     assert!(matches!(err, nodb::Error::Timeout(_)), "got {err:?}");
 
@@ -184,6 +185,6 @@ fn default_deadline_and_counters_apply() {
     assert_eq!(snap.queries_timed_out, 1);
     assert_eq!(snap.queries_cancelled, 1);
 
-    // Unguarded queries are untouched by the default deadline.
+    // Unguarded queries carry no deadline.
     assert!(session.sql("select count(*) from t").is_ok());
 }
