@@ -263,7 +263,7 @@ impl Engine {
             let used = e.store.bytes_used();
             let still_needed = target_bytes - freed;
             let goal = used.saturating_sub(still_needed);
-            freed += e.store.evict_unheld_to_budget(goal, &self.counters);
+            freed += e.store.evict_to_budget(goal, true, &self.counters);
             if freed >= target_bytes {
                 break;
             }
@@ -759,7 +759,7 @@ impl Engine {
                 // Resident result tables have no backing file to reload
                 // from — evicting their columns would destroy the data.
                 if !e.resident {
-                    e.store.evict_to_budget(budget, &self.counters);
+                    e.store.evict_to_budget(budget, false, &self.counters);
                 }
             }
         }
@@ -2204,8 +2204,8 @@ mod tests {
     /// of blocking on it — blocking deadlocked the scan against its own
     /// reclaim forever. Inside the group kernel of a warm query the ladder
     /// spares the columns the query reads (its snapshot holds them, so
-    /// evicting them would free nothing). Either way the offending query sheds with a typed error; the engine
-    /// and the table keep serving.
+    /// evicting them would free nothing). Either way the offending query
+    /// sheds with a typed error; the engine and the table keep serving.
     #[test]
     fn over_budget_cold_scan_reclaims_without_deadlocking() {
         let dir = std::env::temp_dir().join("nodb_engine_mem_cold_scan");

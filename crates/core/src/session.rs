@@ -149,7 +149,8 @@ impl Session {
 }
 
 /// Run `f` under a query context carrying `token` and the engine's
-/// per-query memory guard (if metering is configured), bumping the cancelled/timed-out/shed counters on a tripped exit.
+/// per-query memory guard (if metering is configured), bumping the
+/// cancelled/timed-out/shed counters on a tripped exit.
 ///
 /// This is also a panic-isolation boundary: a panic anywhere under `f`
 /// (planner, loader, operators) is caught and converted into a typed

@@ -448,24 +448,11 @@ impl TableData {
     // ----- lifetime -------------------------------------------------------
 
     /// Evict least-recently-used items until usage fits `budget_bytes`.
-    /// Returns the number of bytes freed.
-    pub fn evict_to_budget(&mut self, budget_bytes: usize, counters: &WorkCounters) -> usize {
-        self.evict_lru(budget_bytes, false, counters)
-    }
-
-    /// [`TableData::evict_to_budget`], sparing the full columns and cracked
-    /// indexes that someone besides the store still holds (a running
-    /// query's snapshot): dropping the store's handle would free none of
-    /// their memory, only cost the next query a reload.
-    pub fn evict_unheld_to_budget(
-        &mut self,
-        budget_bytes: usize,
-        counters: &WorkCounters,
-    ) -> usize {
-        self.evict_lru(budget_bytes, true, counters)
-    }
-
-    fn evict_lru(
+    /// Returns the number of bytes freed. With `spare_held`, full columns
+    /// and cracked indexes that someone besides the store still holds (a
+    /// running query's snapshot) are skipped: dropping the store's handle
+    /// would free none of their memory, only cost the next query a reload.
+    pub fn evict_to_budget(
         &mut self,
         budget_bytes: usize,
         spare_held: bool,
@@ -687,7 +674,7 @@ mod tests {
         });
         let before = t.bytes_used();
         assert!(before > 16000);
-        let freed = t.evict_to_budget(before - 8000, &c);
+        let freed = t.evict_to_budget(before - 8000, false, &c);
         assert!(freed >= 8000);
         // Column 0 (stamp 1) must be gone first.
         assert!(!t.has_full(0));
@@ -701,7 +688,7 @@ mod tests {
         let mut t = TableData::new();
         t.insert_full(0, ColumnData::from_i64(vec![1, 2, 3]), 1);
         t.insert_fragment(frag(0, 0, 10, vec![1], vec![5]));
-        t.evict_to_budget(0, &c);
+        t.evict_to_budget(0, false, &c);
         assert_eq!(t.bytes_used(), 0);
         assert!(t.full_columns().is_empty());
         assert!(t.fragment_ids().is_empty());
@@ -716,11 +703,11 @@ mod tests {
         t.insert_cracked(2, PartitionedCracked::new(vec![7, 8], 2), 3);
         let held_col = t.full_column(0, 4).unwrap();
         let held_index = t.cracked(2, 4).unwrap();
-        t.evict_unheld_to_budget(0, &c);
+        t.evict_to_budget(0, true, &c);
         assert_eq!(t.full_columns(), [0]);
         assert!(t.has_cracked(2));
         drop((held_col, held_index));
-        t.evict_unheld_to_budget(0, &c);
+        t.evict_to_budget(0, true, &c);
         assert_eq!(t.bytes_used(), 0);
     }
 
@@ -739,7 +726,7 @@ mod tests {
         }
         t.refresh_cracked_bytes();
         assert!(t.bytes_used() >= b); // cracking adds index entries
-        t.evict_to_budget(0, &c);
+        t.evict_to_budget(0, false, &c);
         assert!(!t.has_cracked(0));
     }
 
