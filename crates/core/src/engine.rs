@@ -8,7 +8,6 @@
 //!
 //! [`LoadingStrategy`]: crate::LoadingStrategy
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,8 +18,8 @@ use parking_lot::RwLock;
 
 use nodb_exec::{
     filter_positions, parallel_filter_positions, parallel_group_columns,
-    parallel_hash_join_positions, parallel_join_group_columns, sort_positions, AggSpec, Expr,
-    JoinSide, ProjectionCursor,
+    parallel_join_group_columns, parallel_join_rows, sort_positions, AggSpec, Expr, JoinSide,
+    ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -1055,13 +1054,15 @@ impl Engine {
         self.join_body(plan, &left, &right)
     }
 
-    /// The join proper, over each side's
-    /// qualifying rows. An aggregate or GROUP BY folds the pairs on the
-    /// probe workers ([`parallel_join_group_columns`]): no pair list, no
-    /// gather. A scalar join, whose row order is observable, lists the
-    /// pairs in right-scan order (timed as `join_build`), then gathers the
-    /// payload columns through them (`join_probe`) for the relational
-    /// pipeline.
+    /// The join proper, over each side's qualifying rows. An aggregate or
+    /// GROUP BY folds the pairs on the probe workers
+    /// ([`parallel_join_group_columns`]): no pair list, no gather. A
+    /// scalar join, whose row order is observable, lists the rows of its
+    /// pairs in right-scan order on the probe workers
+    /// ([`parallel_join_rows`]), then takes each column the outputs and
+    /// ORDER BY read through them, once (timed as `join_probe`), for the
+    /// relational pipeline. A side no column is read from never has its
+    /// rows listed.
     fn join_body(
         &self,
         plan: &Plan,
@@ -1087,23 +1088,33 @@ impl Engine {
             )?;
             return computed_body(plan, columns);
         }
-        let pairs = profile::time(Phase::JoinBuild, || {
-            // An unfiltered side's key column is borrowed, not copied.
-            let key_l = join_key(left)?;
-            let key_r = join_key(right)?;
-            parallel_hash_join_positions(&key_l, &key_r, threads, self.cfg.morsel_rows)
-        })?;
-        let n = pairs.len();
+        let mut wanted: Vec<usize> = plan.order_by.iter().map(|(c, _)| *c).collect();
+        for o in &plan.output {
+            if let OutputExpr::Scalar(e) = o {
+                wanted.extend(e.columns());
+            }
+        }
+        wanted.sort_unstable();
+        wanted.dedup();
+        let side_of = |c: usize| usize::from(c >= plan.left_width);
+        let mut reads = [false; 2];
+        wanted.iter().for_each(|&c| reads[side_of(c)] = true);
+        let (n, rows) = parallel_join_rows(left, right, reads, threads, self.cfg.morsel_rows)?;
         let combined = profile::time(Phase::JoinProbe, || {
-            let resolve = |p: usize, rows: Option<&[usize]>| rows.map_or(p, |v| v[p]);
-            gather_joined(
-                plan,
-                left.cols,
-                right.cols,
-                || pairs.iter().map(|&(a, _)| resolve(a, left.rows)).collect(),
-                || pairs.iter().map(|&(_, b)| resolve(b, right.rows)).collect(),
-            )
+            let sides = [left.cols, right.cols];
+            wanted
+                .iter()
+                .map(|&c| {
+                    let s = side_of(c);
+                    let col = sides[s]
+                        .get(&(c - s * plan.left_width))
+                        .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
+                    Ok((c, Arc::new(col.take(&rows[s]))))
+                })
+                .collect::<Result<BTreeMap<_, _>>>()
         })?;
+        // The row lists are spent: free them before the pipeline runs.
+        drop(rows);
         self.execute_relational(plan, combined, n, &Conjunction::always())
     }
 
@@ -1202,63 +1213,6 @@ fn split_outputs(plan: &Plan) -> (Vec<AggSpec>, Vec<Expr>) {
 /// Whether the plan aggregates: any aggregate output or a GROUP BY.
 fn is_aggregate(plan: &Plan) -> bool {
     !plan.group_by.is_empty() || plan.output.iter().any(|o| matches!(o, OutputExpr::Agg(_)))
-}
-
-/// One side's join keys at its qualifying positions: the materialised
-/// column itself when the side is unfiltered, a gathered copy otherwise.
-fn join_key<'a>(
-    side: &JoinSide<'a, BTreeMap<usize, Arc<ColumnData>>>,
-) -> Result<Cow<'a, ColumnData>> {
-    let col = side
-        .cols
-        .get(&side.key)
-        .ok_or_else(|| Error::exec("join key not materialised"))?;
-    Ok(match side.rows {
-        None => Cow::Borrowed(col.as_ref()),
-        Some(p) => Cow::Owned(col.take(p)),
-    })
-}
-
-/// Gather the payload columns a scalar join's relational pipeline reads —
-/// what the plan's outputs and ORDER BY reference; filters and join keys
-/// were consumed before the pairs existed — into the combined (left ++
-/// right ordinals) column map. `li` / `ri` produce each side's gather
-/// positions, one per joined row; a side no column is read from never
-/// has its list built. Aggregates over a join fold without it.
-fn gather_joined(
-    plan: &Plan,
-    cols_l: &BTreeMap<usize, Arc<ColumnData>>,
-    cols_r: &BTreeMap<usize, Arc<ColumnData>>,
-    li: impl Fn() -> Vec<usize>,
-    ri: impl Fn() -> Vec<usize>,
-) -> Result<BTreeMap<usize, Arc<ColumnData>>> {
-    debug_assert!(
-        !is_aggregate(plan),
-        "aggregates over a join fold on the probe"
-    );
-    let mut wanted: Vec<usize> = plan.order_by.iter().map(|(c, _)| *c).collect();
-    for o in &plan.output {
-        if let OutputExpr::Scalar(e) = o {
-            wanted.extend(e.columns());
-        }
-    }
-    let (mut rows_l, mut rows_r) = (None, None);
-    let mut combined = BTreeMap::new();
-    for c in wanted {
-        if combined.contains_key(&c) {
-            continue;
-        }
-        let (side, local, rows) = if c < plan.left_width {
-            (cols_l, c, rows_l.get_or_insert_with(&li))
-        } else {
-            (cols_r, c - plan.left_width, rows_r.get_or_insert_with(&ri))
-        };
-        let col = side
-            .get(&local)
-            .ok_or_else(|| Error::exec(format!("column {c} not materialised")))?;
-        combined.insert(c, Arc::new(col.take(rows)));
-    }
-    Ok(combined)
 }
 
 /// First SQL keyword of `text`, skipping leading whitespace and `--`
@@ -2086,6 +2040,39 @@ mod tests {
                 assert!(e.counters().snapshot().parallel_pipelines >= 1);
             }
         }
+    }
+
+    /// A high-fan-out scalar join charges the rows of its pairs once:
+    /// two `usize` lists, 16 bytes a pair, next to the join index over
+    /// the left side. 40 000 pairs fit a 900 KB query cap; a pair list
+    /// plus a sorted copy of it, 32 bytes a pair, would not.
+    #[test]
+    fn high_fan_out_scalar_join_fits_a_cap_of_its_row_lists() {
+        let dir = std::env::temp_dir().join("nodb_engine_join_fan_out");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (r, s) = (dir.join("r.csv"), dir.join("s.csv"));
+        let rows = |n: i64| {
+            (0..n)
+                .map(|i| format!("{},{i}\n", i % 20))
+                .collect::<String>()
+        };
+        std::fs::write(&r, rows(4_000)).unwrap();
+        std::fs::write(&s, rows(200)).unwrap();
+        let sql = "select r.a2, s.a2 from r join s on r.a1 = s.a1";
+        let run = |cap: Option<usize>| {
+            let mut cfg = EngineConfig::default().with_threads(2);
+            cfg.morsel_rows = 64;
+            cfg.query_mem_bytes = cap;
+            let e = Engine::new(cfg);
+            e.register_table("r", &r).unwrap();
+            e.register_table("s", &s).unwrap();
+            e.sql("select sum(r.a2) from r join s on r.a1 = s.a1")?;
+            e.sql(sql).map(|out| out.rows)
+        };
+        let want = run(None).unwrap();
+        assert_eq!(want.len(), 4_000 * 10);
+        assert_eq!(run(Some(900_000)).unwrap(), want);
     }
 
     #[test]

@@ -39,6 +39,17 @@ impl Cols for BTreeMap<usize, Arc<ColumnData>> {
     }
 }
 
+/// A lone column is ordinal 0: a join of two key columns, say.
+impl Cols for ColumnData {
+    fn get_col(&self, id: usize) -> Option<&ColumnData> {
+        (id == 0).then_some(self)
+    }
+
+    fn col_ids(&self) -> Vec<usize> {
+        vec![0]
+    }
+}
+
 impl<T: Cols + ?Sized> Cols for &T {
     fn get_col(&self, id: usize) -> Option<&ColumnData> {
         (**self).get_col(id)

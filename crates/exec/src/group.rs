@@ -186,8 +186,8 @@ impl<K: TableKey> IdTable<K> {
 }
 
 /// How many slots a direct-addressed integer key table — a GROUP BY
-/// key's id array, a [`JoinTable`](crate::JoinTable)'s run offsets — may
-/// span per row interned so far. The hashed table keeps its load at or
+/// key's id array, a join table's run offsets — may span per row
+/// interned so far. The hashed table keeps its load at or
 /// below one half, so `n` distinct keys take at least `2n` slots of 16
 /// bytes (key and id, padded): 32 bytes per key. A direct-addressed slot
 /// is 4 bytes, so at 8 slots per row the array is never larger than the

@@ -2,14 +2,15 @@
 //!
 //! The §2.2 experiment compares a hash join and a sort+merge join in Awk
 //! against the same joins inside the DBMS. This is the DBMS-side hash
-//! join, operating directly on loaded key columns and producing position
-//! pairs for later payload gathering (late materialisation).
+//! join, operating directly on loaded key columns: `JoinIndex` indexes
+//! one side's qualifying rows, and the other side's probe it in morsels
+//! (`crate::morsel`). A scalar join lists the rows of its pairs for later
+//! payload gathering (late materialisation); an aggregate folds them on
+//! the probe workers.
 //!
-//! Integer equi-joins — the morsel-parallel join (cold queries load
-//! first, then run it) and its serial fallback — all probe one table type,
-//! [`JoinTable`]. Text joins probe it too, over the build side's
-//! dictionary codes: each probe-dictionary entry is resolved once to the
-//! build code of the same text.
+//! Int keys probe one flat table type, `JoinTable`. Text keys probe it
+//! too, over the build side's dictionary codes: each probe-dictionary
+//! entry is resolved once to the build code of the same text.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -20,7 +21,6 @@ use nodb_types::{CancelCheck, ColumnData, Error, Result, Selection, StrDict};
 
 use crate::columnar::GroupKey;
 use crate::group::{dense_span, slot, IdTable};
-use crate::morsel::int_join_positions;
 
 /// Flat hash-join table over `i64` keys: each key leads to one contiguous
 /// run of build rows in a single shared vector — ascending within a run,
@@ -31,7 +31,7 @@ use crate::morsel::int_join_positions;
 /// dense id that indexes them. Either way the offsets take 4 bytes a
 /// slot, so the direct-addressed table is never the larger one.
 #[derive(Debug)]
-pub struct JoinTable {
+pub(crate) struct JoinTable {
     keys: RunIndex,
     /// Run `i`'s build rows are `rows[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
@@ -48,11 +48,6 @@ enum RunIndex {
 }
 
 impl JoinTable {
-    /// Build over a null-free key slice; build rows are slice positions.
-    pub fn build(keys: &[i64]) -> Result<JoinTable> {
-        JoinTable::from_entries(keys.iter().copied().zip(0..))
-    }
-
     /// Passes over the entries, in ascending build-row order: count them
     /// and find their key range, count each run's rows (interning each
     /// key when the span is not dense), then scatter the rows into their
@@ -122,7 +117,7 @@ impl JoinTable {
 
     /// Build rows holding `key`, ascending; empty when there are none.
     #[inline]
-    pub fn matches(&self, key: i64) -> &[usize] {
+    fn matches(&self, key: i64) -> &[usize] {
         let run = match &self.keys {
             RunIndex::Dense { base } => slot(key, *base),
             RunIndex::Hashed(ids) => match ids.get(key) {
@@ -312,54 +307,22 @@ impl JoinIndex {
     }
 }
 
-/// Both columns' values when both are null-free int columns — the shape
-/// the flat [`JoinTable`] serves.
-pub(crate) fn null_free_int_keys<'a>(
-    left: &'a ColumnData,
-    right: &'a ColumnData,
-) -> Option<(&'a [i64], &'a [i64])> {
-    match (left, right) {
-        (
-            ColumnData::Int64 {
-                values: ls,
-                nulls: None,
-            },
-            ColumnData::Int64 {
-                values: rs,
-                nulls: None,
-            },
-        ) => Some((ls, rs)),
-        _ => None,
-    }
-}
-
-/// Inner equi-join returning matching `(left position, right position)`
-/// pairs in right-scan order, ascending left position per match. NULL keys
-/// never match. Null-free int keys take the flat-table join (run inline);
-/// anything else indexes the left column and probes it with the right.
-pub fn hash_join_positions(left: &ColumnData, right: &ColumnData) -> Result<Vec<(usize, usize)>> {
-    if let Some((ls, rs)) = null_free_int_keys(left, right) {
-        return int_join_positions(ls, rs, 1, usize::MAX);
-    }
-    let index = JoinIndex::build(left, &Selection::Range(0..left.len()), right)?;
-    let mut out = Vec::new();
-    index.probe(right, &Selection::Range(0..right.len()), |j, matches| {
-        out.extend(matches.iter().map(|&i| (i, j)));
-        Ok(())
-    })?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::{parallel_hash_join_positions, DEFAULT_MORSEL_ROWS};
     use nodb_types::Value;
+
+    /// The join's pairs, on one worker.
+    fn join_pairs(l: &ColumnData, r: &ColumnData) -> Result<Vec<(usize, usize)>> {
+        parallel_hash_join_positions(l, r, 1, DEFAULT_MORSEL_ROWS)
+    }
 
     #[test]
     fn hash_join_one_to_one() {
         let l = ColumnData::from_i64(vec![1, 2, 3, 4]);
         let r = ColumnData::from_i64(vec![3, 1, 5]);
-        let mut pairs = hash_join_positions(&l, &r).unwrap();
+        let mut pairs = join_pairs(&l, &r).unwrap();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 1), (2, 0)]);
     }
@@ -368,7 +331,7 @@ mod tests {
     fn hash_join_duplicates_cross_product() {
         let l = ColumnData::from_i64(vec![7, 7]);
         let r = ColumnData::from_i64(vec![7, 7, 7]);
-        let pairs = hash_join_positions(&l, &r).unwrap();
+        let pairs = join_pairs(&l, &r).unwrap();
         assert_eq!(pairs.len(), 6);
     }
 
@@ -382,7 +345,7 @@ mod tests {
         for v in [Value::Null, Value::Int(1)] {
             r.push(v).unwrap();
         }
-        let pairs = hash_join_positions(&l, &r).unwrap();
+        let pairs = join_pairs(&l, &r).unwrap();
         assert_eq!(pairs, vec![(1, 1)]);
     }
 
@@ -390,7 +353,7 @@ mod tests {
     fn string_keys_join() {
         let l = ColumnData::from_strings(vec!["a".into(), "b".into()]);
         let r = ColumnData::from_strings(vec!["b".into(), "c".into()]);
-        let pairs = hash_join_positions(&l, &r).unwrap();
+        let pairs = join_pairs(&l, &r).unwrap();
         assert_eq!(pairs, vec![(1, 0)]);
     }
 
@@ -430,8 +393,8 @@ mod tests {
         assert_eq!(probe_all(&text(&[Some("a"), Some("q")])), [(2, 0)]);
         // Text never equals a number.
         let ints = ColumnData::from_i64(vec![0, 1]);
-        assert!(hash_join_positions(&build, &ints).unwrap().is_empty());
-        assert!(hash_join_positions(&ints, &probe).unwrap().is_empty());
+        assert!(join_pairs(&build, &ints).unwrap().is_empty());
+        assert!(join_pairs(&ints, &probe).unwrap().is_empty());
     }
 
     mod properties {
@@ -480,7 +443,7 @@ mod tests {
                         }
                     }
                 }
-                let mut h = hash_join_positions(&l, &r).unwrap();
+                let mut h = join_pairs(&l, &r).unwrap();
                 h.sort_unstable();
                 prop_assert_eq!(&h, &expected);
             }
@@ -503,7 +466,7 @@ mod tests {
                     }
                 }
                 expected.sort_unstable();
-                let mut h = hash_join_positions(&l, &r).unwrap();
+                let mut h = join_pairs(&l, &r).unwrap();
                 h.sort_unstable();
                 prop_assert_eq!(&h, &expected);
             }

@@ -12,12 +12,15 @@
 //!   [`nodb_types::ColumnTest`], blocks scanned branch-free), sorting and
 //!   projection (MonetDB style);
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate functions;
-//! * [`join`] — hash equi-joins over columns, and the flat [`JoinTable`]
-//!   every integer hash join probes (direct-addressed over dense keys);
+//! * [`join`] — the join index: one side's qualifying rows by key, a flat
+//!   table over int keys and text codes (direct-addressed over dense
+//!   keys);
 //! * [`morsel`] — morsel-parallel variants of all of the above
-//!   (deterministic, independent of the worker count), including the
-//!   fold of aggregates over a join on its probe workers
-//!   ([`parallel_join_group_columns`]).
+//!   (deterministic, independent of the worker count), including the one
+//!   join path: one join index, probed by the other side in morsels,
+//!   which folds aggregates over a join on its probe workers
+//!   ([`parallel_join_group_columns`]) or lists a scalar join's rows
+//!   ([`parallel_join_rows`]).
 //!
 //! The engine (`nodb-core`) runs [`group`] for every aggregate and
 //! columnar selection vectors for scalar queries, cold or warm: a cold
@@ -39,10 +42,9 @@ pub use columnar::{
 };
 pub use expr::{arith, ArithOp, Expr};
 pub use group::{group_partial_range, merge_group_partials, GroupPartial};
-pub use join::{hash_join_positions, JoinTable};
 pub use morsel::{
     parallel_filter_aggregate, parallel_filter_positions, parallel_group_aggregate,
-    parallel_group_columns, parallel_hash_join_positions, parallel_join_group_columns, JoinSide,
-    DEFAULT_MORSEL_ROWS,
+    parallel_group_columns, parallel_hash_join_positions, parallel_join_group_columns,
+    parallel_join_rows, JoinSide, DEFAULT_MORSEL_ROWS,
 };
 pub use stream::{project_columns, ProjectionCursor};

@@ -15,12 +15,13 @@
 //! * [`parallel_filter_positions`] — parallel selection-vector
 //!   construction whose concatenation is byte-identical to the serial
 //!   [`filter_positions`](crate::columnar::filter_positions) result;
-//! * [`parallel_join_group_columns`] — aggregates and GROUP BY over an
-//!   equi-join, folded into the group kernel on the probe workers without
-//!   listing the join's pairs;
-//! * [`parallel_hash_join_positions`] — one flat [`JoinTable`] over the
-//!   smaller key column, probed morsel by morsel, reproducing the serial
-//!   pair order exactly (the scalar join's pairs).
+//! * the join, one path for every key type: one join index over one
+//!   side's qualifying rows, probed by the other side's in morsels.
+//!   [`parallel_join_group_columns`] folds aggregates and GROUP BY into
+//!   the group kernel on the probe workers without listing the join's
+//!   pairs; [`parallel_join_rows`] lists the rows of a scalar join's
+//!   pairs in right-scan order, and [`parallel_hash_join_positions`] is
+//!   its pair view over two key columns.
 //!
 //! Determinism: every parallel function here merges per-morsel results in
 //! morsel index order, so output does not depend on worker scheduling or
@@ -43,7 +44,7 @@ use crate::expr::Expr;
 use crate::group::{
     column, group_partial_range, merge_group_partials, GroupFold, GroupPartial, Input,
 };
-use crate::join::{hash_join_positions, null_free_int_keys, JoinIndex, JoinTable};
+use crate::join::JoinIndex;
 
 /// Default rows per morsel: big enough to amortise dispatch, small enough
 /// to balance skew and stay cache-resident.
@@ -87,7 +88,7 @@ pub fn parallel_filter_positions<C: Cols + ?Sized + Sync>(
             Ok(pos)
         },
     )?;
-    Ok(concat(parts))
+    Ok(parts.concat())
 }
 
 /// Morsel-parallel hash aggregation: every morsel is filtered, grouped and
@@ -143,9 +144,9 @@ pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     Ok(ColumnPage::new(Selection::Range(0..n_groups), view).to_rows())
 }
 
-/// One input of [`parallel_join_group_columns`]: a join side's columns
-/// under table-local ordinals, the rows its filter keeps, and its join
-/// key.
+/// One input of a join ([`parallel_join_group_columns`],
+/// [`parallel_join_rows`]): a join side's columns under table-local
+/// ordinals, the rows its filter keeps, and its join key.
 pub struct JoinSide<'a, C: ?Sized> {
     /// The side's materialised columns, all `n_rows` long.
     pub cols: &'a C,
@@ -184,6 +185,29 @@ enum JoinArg<'a> {
     Expr(&'a Expr, Vec<(usize, usize, &'a ColumnData)>),
 }
 
+/// Which sides of a join have their pairs' rows listed, and which side is
+/// built; sides are 0 (left) and 1 (right).
+#[derive(Clone, Copy)]
+struct Listing {
+    reads: [bool; 2],
+    build: usize,
+}
+
+impl Listing {
+    /// List the pairs of probe row `row` with build rows `matches` in the
+    /// row vectors of the sides that are read.
+    #[inline(always)]
+    fn push(&self, rows: &mut [Vec<usize>; 2], row: usize, matches: &[usize]) {
+        let (b, p) = (self.build, 1 - self.build);
+        if self.reads[b] {
+            rows[b].extend(matches.iter().copied());
+        }
+        if self.reads[p] {
+            rows[p].extend(std::iter::repeat_n(row, matches.len()));
+        }
+    }
+}
+
 /// What a probe worker folds for an aggregate over a join: the GROUP BY
 /// columns and aggregate arguments resolved to their sides.
 struct JoinFold<'a> {
@@ -191,10 +215,8 @@ struct JoinFold<'a> {
     group: Vec<(usize, &'a ColumnData)>,
     specs: &'a [AggSpec],
     args: Vec<JoinArg<'a>>,
-    /// Whether the fold reads each side's rows at all.
-    reads: [bool; 2],
-    /// The built side; the other one probes.
-    build: usize,
+    /// The sides whose rows the fold reads.
+    listing: Listing,
     /// Most pairs folded in one step.
     slice_pairs: usize,
 }
@@ -217,32 +239,19 @@ impl<'a> JoinFold<'a> {
             while n + matches.len() >= cap {
                 // This row fills the slice: fold it and start the next.
                 let (now, rest) = matches.split_at(cap - n);
-                self.push(&mut rows, row, now);
+                self.listing.push(&mut rows, row, now);
                 cancel.tick(cap)?;
                 self.step(&mut fold, &rows, cap)?;
                 rows.iter_mut().for_each(Vec::clear);
                 (n, matches) = (0, rest);
             }
-            self.push(&mut rows, row, matches);
+            self.listing.push(&mut rows, row, matches);
             n += matches.len();
             Ok(())
         })?;
         self.step(&mut fold, &rows, n)?;
         charge_current((rows[0].capacity() + rows[1].capacity()) * std::mem::size_of::<usize>())?;
         fold.finish()
-    }
-
-    /// List the pairs of probe row `row` with build rows `matches` in
-    /// the sides' row vectors the fold reads.
-    #[inline(always)]
-    fn push(&self, rows: &mut [Vec<usize>; 2], row: usize, matches: &[usize]) {
-        let (b, p) = (self.build, 1 - self.build);
-        if self.reads[b] {
-            rows[b].extend(matches.iter().copied());
-        }
-        if self.reads[p] {
-            rows[p].extend(std::iter::repeat_n(row, matches.len()));
-        }
     }
 
     /// Fold `n` pairs whose rows are `rows[side]`.
@@ -312,7 +321,6 @@ pub fn parallel_join_group_columns<C: Cols + ?Sized + Sync>(
 ) -> Result<Vec<ColumnData>> {
     let morsel_rows = morsel_rows.max(1);
     let sides = [left, right];
-    let keys = [column(left.cols, left.key)?, column(right.cols, right.key)?];
     let resolve = |c: usize| {
         let (s, local) = if c < left_width {
             (0, c)
@@ -352,119 +360,119 @@ pub fn parallel_join_group_columns<C: Cols + ?Sized + Sync>(
     }
     // Build over the smaller qualifying side, the left on a tie.
     let build = usize::from(left.qualifying() > right.qualifying());
-    let probe = 1 - build;
     let fold = JoinFold {
         group,
         specs,
         args,
-        reads,
-        build,
+        listing: Listing { reads, build },
         slice_pairs: morsel_rows,
     };
+    probe_morsels(
+        [left, right],
+        build,
+        threads,
+        morsel_rows,
+        |index, key, probe| fold.morsel(index, key, probe),
+        merge_group_partials,
+    )
+}
+
+/// The one join path. Builds one [`JoinIndex`] over side `build`'s
+/// qualifying rows (timed as [`Phase::JoinBuild`]), then runs `morsel`
+/// over the other side's qualifying rows in `morsel_rows` morsels on
+/// stealing workers and hands `finish` the results in morsel order (timed
+/// as [`Phase::JoinProbe`]). There is always one result at least: with no
+/// probe morsel, `morsel` runs once over no rows.
+fn probe_morsels<C: Cols + ?Sized + Sync, T: Send, R>(
+    sides: [&JoinSide<'_, C>; 2],
+    build: usize,
+    threads: usize,
+    morsel_rows: usize,
+    morsel: impl Fn(&JoinIndex, &ColumnData, &Selection) -> Result<T> + Sync,
+    finish: impl FnOnce(Vec<T>) -> Result<R>,
+) -> Result<R> {
+    let probe = 1 - build;
+    let keys = [
+        column(sides[0].cols, sides[0].key)?,
+        column(sides[1].cols, sides[1].key)?,
+    ];
     let index = profile::time(Phase::JoinBuild, || {
         let rows = sides[build].selection(0, sides[build].qualifying());
         JoinIndex::build(keys[build], &rows, keys[probe])
     })?;
     profile::time(Phase::JoinProbe, || {
         let side = sides[probe];
-        let mut partials = map_morsels(side.qualifying(), morsel_rows, threads, |r| {
-            fold.morsel(&index, keys[probe], &side.selection(r.lo, r.hi))
+        let mut parts = map_morsels(side.qualifying(), morsel_rows.max(1), threads, |r| {
+            morsel(&index, keys[probe], &side.selection(r.lo, r.hi))
         })?;
-        if partials.is_empty() {
-            // No probe morsel: one empty partial still takes the result's
-            // column types (and is the one group of a plain aggregate).
-            partials.push(fold.morsel(&index, keys[probe], &side.selection(0, 0))?);
+        if parts.is_empty() {
+            parts.push(morsel(&index, keys[probe], &side.selection(0, 0))?);
         }
-        merge_group_partials(partials)
+        finish(parts)
     })
 }
 
-const PAIR_BYTES: usize = std::mem::size_of::<(usize, usize)>();
-
-/// Concatenate per-morsel chunks in morsel order.
-fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for mut c in chunks {
-        out.append(&mut c);
-    }
-    out
+/// The rows of a scalar inner equi-join's pairs. One join index is
+/// built over the left side's qualifying rows, and the right side's probe
+/// it in `morsel_rows` morsels on stealing workers, so the pairs come in
+/// right-scan order, ascending left row per match, by construction. Pair
+/// `i` joins left row `rows[0][i]` with right row `rows[1][i]`, both row
+/// numbers of their side's columns. Only the sides `reads` names are
+/// listed; another side's list stays empty. Returns the pair count and
+/// the lists, which depend on neither `threads` nor `morsel_rows`. Each
+/// morsel's lists are charged to the ambient memory meter.
+pub fn parallel_join_rows<C: Cols + ?Sized + Sync>(
+    left: &JoinSide<'_, C>,
+    right: &JoinSide<'_, C>,
+    reads: [bool; 2],
+    threads: usize,
+    morsel_rows: usize,
+) -> Result<(usize, [Vec<usize>; 2])> {
+    let listing = Listing { reads, build: 0 };
+    probe_morsels(
+        [left, right],
+        0,
+        threads,
+        morsel_rows,
+        |index, key, probe| {
+            let mut rows: [Vec<usize>; 2] = Default::default();
+            let (mut n, mut cancel) = (0, CancelCheck::new());
+            index.probe(key, probe, |row, matches| {
+                cancel.tick(matches.len())?;
+                listing.push(&mut rows, row, matches);
+                n += matches.len();
+                Ok(())
+            })?;
+            charge_current((rows[0].len() + rows[1].len()) * std::mem::size_of::<usize>())?;
+            Ok((n, rows))
+        },
+        |parts| {
+            let list = |s: usize| {
+                let lists: Vec<&[usize]> = parts.iter().map(|(_, rows)| &rows[s][..]).collect();
+                lists.concat()
+            };
+            Ok((parts.iter().map(|(n, _)| n).sum(), [list(0), list(1)]))
+        },
+    )
 }
 
-/// Morsel-parallel hash join over null-free int key columns. One flat
-/// [`JoinTable`] is built over the *smaller* input and the larger one
-/// probes it morsel by morsel on stealing workers (read-only, so no
-/// contention). Produces exactly the pair order of the serial
-/// [`hash_join_positions`] — right-scan order, ascending left position per
-/// match — whichever side was built. Non-int or nullable keys fall back to
-/// the serial join.
+/// The pairs `(left row, right row)` of an inner equi-join of two key
+/// columns, in right-scan order, ascending left row per match: the two
+/// row lists of [`parallel_join_rows`], zipped. NULL keys never match.
 pub fn parallel_hash_join_positions(
     left: &ColumnData,
     right: &ColumnData,
     threads: usize,
     morsel_rows: usize,
 ) -> Result<Vec<(usize, usize)>> {
-    match null_free_int_keys(left, right) {
-        Some((ls, rs)) => int_join_positions(ls, rs, threads, morsel_rows),
-        None => hash_join_positions(left, right),
-    }
-}
-
-/// The flat-table join behind [`parallel_hash_join_positions`] and the
-/// serial [`hash_join_positions`] (one worker, one morsel).
-pub(crate) fn int_join_positions(
-    ls: &[i64],
-    rs: &[i64],
-    threads: usize,
-    morsel_rows: usize,
-) -> Result<Vec<(usize, usize)>> {
-    // Build over the smaller side (the left on a tie), probe with the
-    // other morsel by morsel; pairs are always `(left row, right row)`.
-    let build_left = ls.len() <= rs.len();
-    let (build, probe) = if build_left { (ls, rs) } else { (rs, ls) };
-    let table = JoinTable::build(build)?;
-    let chunks = map_morsels(
-        probe.len(),
-        morsel_rows,
-        threads,
-        |MorselRange { lo, hi, .. }| {
-            let mut out = Vec::new();
-            for (p, &k) in probe[lo..hi].iter().enumerate() {
-                let p = lo + p;
-                out.extend(
-                    table
-                        .matches(k)
-                        .iter()
-                        .map(|&b| if build_left { (b, p) } else { (p, b) }),
-                );
-            }
-            charge_current(out.len() * PAIR_BYTES)?;
-            Ok(out)
-        },
-    )?;
-    if build_left {
-        // Probing the right side: morsel concatenation is right-scan order
-        // and every run lists its left rows ascending.
-        return Ok(concat(chunks));
-    }
-    // Probing the left side, the pairs come out in left-scan order. A
-    // stable counting sort on the right position puts them into right-scan
-    // order, left rows ascending within each right row because that is the
-    // order they arrive in.
-    let mut cursor = vec![0usize; rs.len() + 1];
-    for &(_, j) in chunks.iter().flatten() {
-        cursor[j + 1] += 1;
-    }
-    for j in 1..cursor.len() {
-        cursor[j] += cursor[j - 1];
-    }
-    let total = cursor[rs.len()];
-    charge_current(cursor.len() * 8 + total * PAIR_BYTES)?;
-    let mut out = vec![(0usize, 0usize); total];
-    for (i, j) in chunks.into_iter().flatten() {
-        out[cursor[j]] = (i, j);
-        cursor[j] += 1;
-    }
-    Ok(out)
+    let [left, right] = [left, right].map(|key| JoinSide {
+        cols: key,
+        rows: None,
+        n_rows: key.len(),
+        key: 0,
+    });
+    let (_, [l, r]) = parallel_join_rows(&left, &right, [true, true], threads, morsel_rows)?;
+    Ok(l.into_iter().zip(r).collect())
 }
 
 #[cfg(test)]
@@ -473,7 +481,7 @@ mod tests {
     use crate::agg::AggFunc;
     use crate::columnar::filter_positions;
     use crate::group::reference_group_aggregate;
-    use nodb_types::{CmpOp, ColPred, ContextGuard, Error, MemoryGuard, QueryContext};
+    use nodb_types::{CmpOp, ColPred, ContextGuard, DataType, Error, MemoryGuard, QueryContext};
     use std::collections::BTreeMap;
 
     /// Install `guard` as the ambient per-query meter.
@@ -503,12 +511,13 @@ mod tests {
     }
 
     /// The documented pair order, by definition: right-scan order,
-    /// ascending left position per match.
-    fn nested_loop_pairs(ls: &[i64], rs: &[i64]) -> Vec<(usize, usize)> {
+    /// ascending left row per match. NULL equals nothing, text equals
+    /// only text, and an int equals an equal float.
+    fn nested_loop_pairs(left: &ColumnData, right: &ColumnData) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        for (j, r) in rs.iter().enumerate() {
-            for (i, l) in ls.iter().enumerate() {
-                if l == r {
+        for j in 0..right.len() {
+            for i in 0..left.len() {
+                if left.get(i).sql_cmp(&right.get(j)) == Some(std::cmp::Ordering::Equal) {
                     out.push((i, j));
                 }
             }
@@ -516,18 +525,13 @@ mod tests {
         out
     }
 
-    /// Serial and parallel joins both produce the nested-loop pair list,
-    /// element for element.
-    fn assert_joins_agree(ls: &[i64], rs: &[i64]) {
-        let want = nested_loop_pairs(ls, rs);
-        let (left, right) = (
-            ColumnData::from_i64(ls.to_vec()),
-            ColumnData::from_i64(rs.to_vec()),
-        );
-        assert_eq!(hash_join_positions(&left, &right).unwrap(), want, "serial");
+    /// The join's pairs at every worker count and morsel size are the
+    /// nested-loop pair list, element for element.
+    fn assert_joins_agree(left: &ColumnData, right: &ColumnData) {
+        let want = nested_loop_pairs(left, right);
         for morsel_rows in [1, 7, 32 * 1024] {
             for threads in [1, 2, 5] {
-                let par = parallel_hash_join_positions(&left, &right, threads, morsel_rows);
+                let par = parallel_hash_join_positions(left, right, threads, morsel_rows);
                 assert_eq!(
                     par.unwrap(),
                     want,
@@ -537,24 +541,67 @@ mod tests {
         }
     }
 
+    fn ints(keys: &[i64]) -> ColumnData {
+        ColumnData::from_i64(keys.to_vec())
+    }
+
+    /// A column of `ty` from cells, `None` for NULL.
+    fn cells<T: Into<Value> + Copy>(ty: DataType, keys: &[Option<T>]) -> ColumnData {
+        let values = keys.iter().map(|k| k.map_or(Value::Null, Into::into));
+        ColumnData::from_values(ty, values).unwrap()
+    }
+
     #[test]
     fn joins_agree_on_either_build_side() {
         let big: Vec<i64> = (0..300).map(|i| (i * 13) % 41 - 20).collect();
         let small: Vec<i64> = (0..60).map(|i| (i * 7) % 50 - 25).collect();
-        // Left smaller builds left; left larger builds right and transposes.
-        assert_joins_agree(&small, &big);
-        assert_joins_agree(&big, &small);
-        assert_joins_agree(&big, &big);
+        // Either side the smaller one; the left is always built.
+        assert_joins_agree(&ints(&small), &ints(&big));
+        assert_joins_agree(&ints(&big), &ints(&small));
+        assert_joins_agree(&ints(&big), &ints(&big));
         // One-key skew on both sides, and extreme keys.
-        assert_joins_agree(&[7; 40], &[7, 7, 8, 7]);
-        assert_joins_agree(&[7, 7, 8, 7], &[7; 40]);
+        assert_joins_agree(&ints(&[7; 40]), &ints(&[7, 7, 8, 7]));
+        assert_joins_agree(&ints(&[7, 7, 8, 7]), &ints(&[7; 40]));
         assert_joins_agree(
-            &[i64::MIN, -1, i64::MAX, -1],
-            &[-1, i64::MAX, i64::MIN, 0, -1],
+            &ints(&[i64::MIN, -1, i64::MAX, -1]),
+            &ints(&[-1, i64::MAX, i64::MIN, 0, -1]),
         );
         // An empty side.
-        assert_joins_agree(&[], &big);
-        assert_joins_agree(&big, &[]);
+        assert_joins_agree(&ints(&[]), &ints(&big));
+        assert_joins_agree(&ints(&big), &ints(&[]));
+        // Nullable int keys: NULL on either side never matches.
+        let nullable: Vec<Option<i64>> = (0..90).map(|i| (i % 4 != 0).then_some(i % 7)).collect();
+        assert_joins_agree(&cells(DataType::Int64, &nullable), &ints(&small));
+        assert_joins_agree(&ints(&big), &cells(DataType::Int64, &nullable[..20]));
+        let left = cells(DataType::Int64, &[Some(1), None, Some(2)]);
+        assert_joins_agree(&left, &ints(&[2, 1, 1]));
+        // Text keys, each side its own dictionary (entries one side
+        // lacks, NULLs, the empty string) or both one column's.
+        let words = ["", "a", "pear", "é", "fig", "left only"];
+        let text = |n: usize, salt: usize| -> Vec<Option<&str>> {
+            (0..n)
+                .map(|i| (i % 5 != 3).then_some(words[(i * 7 + salt) % words.len()]))
+                .collect()
+        };
+        let (lt, rt) = (text(70, 0), text(50, 2));
+        let rt: Vec<Option<&str>> = rt
+            .into_iter()
+            .map(|w| w.filter(|&w| w != "left only"))
+            .collect();
+        assert_joins_agree(&cells(DataType::Str, &lt), &cells(DataType::Str, &rt));
+        assert_joins_agree(&cells(DataType::Str, &rt), &cells(DataType::Str, &lt));
+        let both = cells(DataType::Str, &[&lt[..], &rt[..]].concat());
+        let (lrows, rrows): (Vec<usize>, Vec<usize>) = ((0..70).collect(), (70..120).collect());
+        assert_joins_agree(&both.take(&lrows), &both.take(&rrows));
+        // Int × float keys: an int equals an equal float; text never
+        // equals a number.
+        let floats: Vec<Option<f64>> = (0..40)
+            .map(|i| (i % 6 != 5).then_some(i as f64 / 2.0 - 5.0))
+            .collect();
+        assert_joins_agree(&ints(&big), &cells(DataType::Float64, &floats));
+        assert_joins_agree(&cells(DataType::Float64, &floats), &ints(&small));
+        assert!(!nested_loop_pairs(&ints(&big), &cells(DataType::Float64, &floats)).is_empty());
+        assert_joins_agree(&cells(DataType::Str, &lt), &ints(&big));
     }
 
     proptest::proptest! {
@@ -565,7 +612,7 @@ mod tests {
             ls in proptest::collection::vec(-6i64..6, 0..40),
             rs in proptest::collection::vec(-6i64..6, 0..40),
         ) {
-            assert_joins_agree(&ls, &rs);
+            assert_joins_agree(&ints(&ls), &ints(&rs));
         }
     }
 
@@ -663,18 +710,6 @@ mod tests {
             let par = parallel_filter_positions(&cols, n, &conj, threads, 333).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn parallel_join_falls_back_on_nullable_keys() {
-        let mut left = ColumnData::empty(nodb_types::DataType::Int64);
-        for v in [Value::Int(1), Value::Null, Value::Int(2)] {
-            left.push(v).unwrap();
-        }
-        let right = ColumnData::from_i64(vec![2, 1, 1]);
-        let serial = hash_join_positions(&left, &right).unwrap();
-        let par = parallel_hash_join_positions(&left, &right, 4, 2).unwrap();
-        assert_eq!(par, serial);
     }
 
     #[test]
@@ -786,7 +821,6 @@ mod tests {
     mod join_fold {
         use super::*;
         use crate::expr::ArithOp;
-        use nodb_types::DataType;
 
         /// Columns of every join side here: 0 the join key, 1 an int, 2 an
         /// exact float (a multiple of 1/8, so every summation order gives
@@ -856,9 +890,9 @@ mod tests {
             }
         }
 
-        /// The materialised join: pairs from [`hash_join_positions`] in
-        /// right-scan order, every column gathered through them, then the
-        /// group kernel over the gathered rows.
+        /// The materialised join: the nested-loop pairs in right-scan
+        /// order, every column gathered through them, then the group
+        /// kernel over the gathered rows.
         fn reference(
             l: &Side,
             r: &Side,
@@ -870,7 +904,7 @@ mod tests {
                 let k = &s.cols[&s.key];
                 s.rows.map_or_else(|| k.clone(), |rows| k.take(rows))
             };
-            let pairs = hash_join_positions(&key(l), &key(r))?;
+            let pairs = nested_loop_pairs(&key(l), &key(r));
             let at = |p: usize, rows: Option<&[usize]>| rows.map_or(p, |v| v[p]);
             let li: Vec<usize> = pairs.iter().map(|&(a, _)| at(a, l.rows)).collect();
             let ri: Vec<usize> = pairs.iter().map(|&(_, b)| at(b, r.rows)).collect();

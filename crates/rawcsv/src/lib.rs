@@ -33,4 +33,4 @@ pub use load::{load_columns, LoadSpec, Loaded};
 pub use posmap::PositionalMap;
 pub use schema::{infer_file, infer_from_bytes, InferredSchema};
 pub use split::{Segment, SegmentCatalog};
-pub use tokenizer::{read_file, scan_bytes, scan_file, CsvOptions, ScanOutput, ScanSpec};
+pub use tokenizer::{read_file, scan_bytes, CsvOptions, ScanOutput, ScanSpec};

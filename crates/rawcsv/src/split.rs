@@ -314,7 +314,7 @@ impl SegmentCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::{scan_file, ScanSpec};
+    use crate::tokenizer::{read_file, scan_bytes, ScanSpec};
     use nodb_types::Schema;
 
     fn opts() -> CsvOptions {
@@ -416,8 +416,9 @@ mod tests {
         let si = cat.split_for_column(1, &opts(), &c).unwrap();
         let seg_schema = cat.segment_schema(si, &full).unwrap();
         assert_eq!(seg_schema.len(), 1);
-        let out = scan_file(
-            &cat.segments()[si].path,
+        let bytes = read_file(&cat.segments()[si].path, &c).unwrap();
+        let out = scan_bytes(
+            &bytes,
             &opts(),
             &ScanSpec {
                 schema: &seg_schema,
@@ -444,8 +445,9 @@ mod tests {
         let seg_schema = cat.segment_schema(si, &full).unwrap();
         let mut o = opts();
         o.skip_blank_rows = false;
-        let out = scan_file(
-            &cat.segments()[si].path,
+        let bytes = read_file(&cat.segments()[si].path, &c).unwrap();
+        let out = scan_bytes(
+            &bytes,
             &o,
             &ScanSpec {
                 schema: &seg_schema,

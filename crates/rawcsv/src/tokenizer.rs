@@ -119,18 +119,6 @@ pub fn read_file(path: &Path, counters: &WorkCounters) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Scan a file on disk. See [`scan_bytes`].
-pub fn scan_file(
-    path: &Path,
-    opts: &CsvOptions,
-    spec: &ScanSpec<'_>,
-    posmap: Option<&mut PositionalMap>,
-    counters: &WorkCounters,
-) -> Result<ScanOutput> {
-    let bytes = read_file(path, counters)?;
-    scan_bytes(&bytes, opts, spec, posmap, counters)
-}
-
 /// Scan in-memory CSV bytes, producing qualifying rows for the requested
 /// columns and recording structural knowledge into `posmap` (if given).
 /// Phase 2 is the loader's kernel over the rows in memory.

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use nodb_core::plan_cache::normalize_sql;
 use nodb_core::{QueryStream, Session};
 use nodb_types::profile::{Phase, ProfileScope, ProfileSink};
 use nodb_types::{CancelToken, Error, ProfileHandle, Result, Value};
@@ -349,25 +350,17 @@ impl Conn {
     }
 }
 
-/// FNV-1a over the SQL with ASCII case folded and whitespace runs
-/// collapsed: the same statement modulo layout shares a fingerprint, so
-/// slow-query lines can be grouped by statement shape without logging
-/// (potentially sensitive) literal SQL text.
+/// FNV-1a over the SQL as the plan cache normalises it
+/// ([`normalize_sql`]: case folded and whitespace runs and `--` comments
+/// collapsed outside string literals): the same statement modulo layout
+/// shares a fingerprint, so slow-query lines can be grouped by statement
+/// shape without logging (potentially sensitive) literal SQL text.
 fn sql_fingerprint(sql: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut pending_space = false;
-    for b in sql.trim().bytes() {
-        if b.is_ascii_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space {
-            h = (h ^ u64::from(b' ')).wrapping_mul(0x0000_0100_0000_01b3);
-            pending_space = false;
-        }
-        h = (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    normalize_sql(sql)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 // A parked connection's `Conn` is dispatched to whichever worker frees
@@ -391,5 +384,18 @@ mod tests {
         assert_eq!(a, b, "layout and case must not change the fingerprint");
         assert_ne!(a, sql_fingerprint("select a2 from r"));
         assert_ne!(a, sql_fingerprint("select a1 from r where a1 > 1"));
+        // A `--` comment is layout; the case of a string literal is not.
+        let c = sql_fingerprint("select a1 -- the first column\nfrom r");
+        assert_eq!(a, c, "a comment must not change the fingerprint");
+        let lit = |s: &str| sql_fingerprint(&format!("select a1 from r where s = '{s}'"));
+        assert_ne!(
+            lit("Bob"),
+            lit("BOB"),
+            "literal case must change the fingerprint"
+        );
+        assert_eq!(
+            lit("Bob"),
+            sql_fingerprint("SELECT a1 FROM r WHERE s = 'Bob'")
+        );
     }
 }

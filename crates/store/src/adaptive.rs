@@ -101,79 +101,6 @@ impl Fragment {
         }
         Ok((rowids, out))
     }
-
-    /// Merge another fragment into this one (same column set required).
-    /// Rowids are merged sorted-unique; the bounding box becomes the pair's
-    /// union only when that union is expressible (same single constrained
-    /// column) — otherwise the caller should keep the fragments separate.
-    pub fn merge_same_columns(&mut self, other: &Fragment) -> Result<()> {
-        let my_cols: Vec<usize> = self.cols.keys().copied().collect();
-        let their_cols: Vec<usize> = other.cols.keys().copied().collect();
-        if my_cols != their_cols {
-            return Err(Error::schema(
-                "cannot merge fragments with different column sets",
-            ));
-        }
-        let mut rowids = Vec::with_capacity(self.rowids.len() + other.rowids.len());
-        let mut take_self: Vec<usize> = Vec::new();
-        let mut take_other: Vec<usize> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rowids.len() || j < other.rowids.len() {
-            match (self.rowids.get(i), other.rowids.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    rowids.push(a);
-                    take_self.push(i);
-                    take_other.push(usize::MAX);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    rowids.push(a);
-                    take_self.push(i);
-                    take_other.push(usize::MAX);
-                    i += 1;
-                }
-                (Some(_), Some(&b)) => {
-                    rowids.push(b);
-                    take_self.push(usize::MAX);
-                    take_other.push(j);
-                    j += 1;
-                }
-                (Some(&a), None) => {
-                    rowids.push(a);
-                    take_self.push(i);
-                    take_other.push(usize::MAX);
-                    i += 1;
-                }
-                (None, Some(&b)) => {
-                    rowids.push(b);
-                    take_self.push(usize::MAX);
-                    take_other.push(j);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        let mut merged_cols = BTreeMap::new();
-        for &col in &my_cols {
-            let mine = &self.cols[&col];
-            let theirs = &other.cols[&col];
-            let mut out = ColumnData::with_capacity(mine.data_type(), rowids.len());
-            for k in 0..rowids.len() {
-                let v = if take_self[k] != usize::MAX {
-                    mine.get(take_self[k])
-                } else {
-                    theirs.get(take_other[k])
-                };
-                out.push(v)?;
-            }
-            merged_cols.insert(col, out);
-        }
-        self.rowids = rowids;
-        self.cols = merged_cols;
-        self.last_used = self.last_used.max(other.last_used);
-        Ok(())
-    }
 }
 
 /// A cracked-column entry with usage tracking. The index is shared
@@ -297,24 +224,6 @@ impl TableData {
         if let Some(f) = self.fragments.get_mut(&id) {
             f.last_used = now;
         }
-    }
-
-    /// Remove a fragment.
-    pub fn remove_fragment(&mut self, id: u64) -> Option<Fragment> {
-        let f = self.fragments.remove(&id);
-        if let Some(f) = &f {
-            self.bytes -= f.approx_bytes();
-        }
-        f
-    }
-
-    /// Replace a fragment in place (e.g., after merging in new tuples).
-    pub fn replace_fragment(&mut self, id: u64, frag: Fragment) {
-        if let Some(old) = self.fragments.get(&id) {
-            self.bytes -= old.approx_bytes();
-        }
-        self.bytes += frag.approx_bytes();
-        self.fragments.insert(id, frag);
     }
 
     /// Find the smallest stored fragment whose box covers `bx` and whose
@@ -610,22 +519,6 @@ mod tests {
         let f = frag(0, 0, 100, vec![1], vec![10]);
         assert!(f.restrict(&box_on(1, 0, 5), &[0]).is_err());
         assert!(f.restrict(&box_on(0, 0, 5), &[3]).is_err());
-    }
-
-    #[test]
-    fn fragment_merge_unions_rowids() {
-        let mut a = frag(0, 0, 50, vec![1, 3, 5], vec![10, 30, 50]);
-        let b = frag(0, 40, 90, vec![3, 7], vec![30, 70]);
-        a.merge_same_columns(&b).unwrap();
-        assert_eq!(a.rowids, vec![1, 3, 5, 7]);
-        assert_eq!(a.cols[&0].as_i64_slice().unwrap(), &[10, 30, 50, 70]);
-    }
-
-    #[test]
-    fn fragment_merge_requires_same_columns() {
-        let mut a = frag(0, 0, 50, vec![1], vec![10]);
-        let b = frag(1, 0, 50, vec![2], vec![20]);
-        assert!(a.merge_same_columns(&b).is_err());
     }
 
     #[test]

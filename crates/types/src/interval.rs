@@ -277,11 +277,6 @@ impl IntervalSet {
         IntervalSet::default()
     }
 
-    /// Singleton set.
-    pub fn from_interval(iv: Interval) -> IntervalSet {
-        IntervalSet { items: vec![iv] }
-    }
-
     /// True when no values are covered.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()

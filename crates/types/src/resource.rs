@@ -367,11 +367,6 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Rough heap footprint of a `Vec` of fixed-size elements.
-pub fn vec_bytes<T>(v: &[T]) -> usize {
-    std::mem::size_of_val(v)
-}
-
 /// Hand the pages the allocator holds free back to the OS. Call it after
 /// dropping a large amount of long-lived state at once (a table's loaded
 /// columns and positional map): glibc keeps such memory in the arena of

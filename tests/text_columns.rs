@@ -1,5 +1,6 @@
 //! Text columns against a naive reference: every answer the engine gives
-//! over text — comparisons, grouping, MIN/MAX, a join, ORDER BY, a CTAS
+//! over text — comparisons, grouping, MIN/MAX, joins (aggregate and
+//! scalar, the latter in their documented pair order), ORDER BY, a CTAS
 //! and a paged projection — equals the same question asked of plain
 //! `Vec<Option<String>>` rows one at a time, under every thread count,
 //! morsel size and result-cache setting, cold and warm.
@@ -374,6 +375,38 @@ fn questions(t: &[Row], u: &[URow]) -> Vec<Question> {
             ]],
         );
     }
+    // Scalar joins on text list their pairs in right-scan order,
+    // ascending left row per match; ORDER BY + LIMIT/OFFSET over them.
+    let right_scan = |on: fn(&Row, &URow) -> bool| -> Vec<(&Row, &URow)> {
+        u.iter()
+            .flat_map(|v| t.iter().filter(move |r| on(r, v)).map(move |r| (r, v)))
+            .collect()
+    };
+    ask(
+        "select u.a1, t.a1, t.a4 from t join u on t.a4 = u.a2".into(),
+        right_scan(|r, v| r.mid.is_some() && r.mid == v.word)
+            .iter()
+            .map(|(r, v)| vec![Value::Int(v.id), Value::Int(r.id), text(&r.mid)])
+            .collect(),
+    );
+    let mut by_tag_desc = by_tag.clone();
+    by_tag_desc.sort_by(|(a, v), (b, w)| {
+        b.all
+            .cmp(&a.all)
+            .then(v.id.cmp(&w.id))
+            .then(a.id.cmp(&b.id))
+    });
+    ask(
+        "select t.a5, u.a1, t.a1 from t join u on t.a5 = u.a3 \
+         order by t.a5 desc, u.a1, t.a1 limit 25 offset 3"
+            .into(),
+        by_tag_desc
+            .iter()
+            .skip(3)
+            .take(25)
+            .map(|(r, v)| vec![text(&r.all), Value::Int(v.id), Value::Int(r.id)])
+            .collect(),
+    );
     let mut per_word = grouped(
         by_word.iter().map(|(r, v)| (text(&v.word), r.id)),
         |k, n, _| vec![k.clone(), Value::Int(n)],
