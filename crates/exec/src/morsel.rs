@@ -573,8 +573,6 @@ mod tests {
         let nullable: Vec<Option<i64>> = (0..90).map(|i| (i % 4 != 0).then_some(i % 7)).collect();
         assert_joins_agree(&cells(DataType::Int64, &nullable), &ints(&small));
         assert_joins_agree(&ints(&big), &cells(DataType::Int64, &nullable[..20]));
-        let left = cells(DataType::Int64, &[Some(1), None, Some(2)]);
-        assert_joins_agree(&left, &ints(&[2, 1, 1]));
         // Text keys, each side its own dictionary (entries one side
         // lacks, NULLs, the empty string) or both one column's.
         let words = ["", "a", "pear", "é", "fig", "left only"];
@@ -602,6 +600,18 @@ mod tests {
         assert_joins_agree(&cells(DataType::Float64, &floats), &ints(&small));
         assert!(!nested_loop_pairs(&ints(&big), &cells(DataType::Float64, &floats)).is_empty());
         assert_joins_agree(&cells(DataType::Str, &lt), &ints(&big));
+    }
+
+    #[test]
+    fn parallel_join_falls_back_on_nullable_keys() {
+        // Nullable keys no longer fall back to a serial probe: they take
+        // the one parallel path, and the NULL row matches nothing.
+        let left = cells(DataType::Int64, &[Some(1), None, Some(2)]);
+        let right = ints(&[2, 1, 1]);
+        assert_eq!(nested_loop_pairs(&left, &right), [(2, 0), (0, 1), (0, 2)]);
+        assert_joins_agree(&left, &right);
+        let par = parallel_hash_join_positions(&left, &right, 4, 2).unwrap();
+        assert_eq!(par, [(2, 0), (0, 1), (0, 2)]);
     }
 
     proptest::proptest! {
